@@ -175,12 +175,22 @@ func (c *Cache) shardFor(key string) *shard {
 // returned value is the canonical stored copy: callers that hand it to
 // code which may mutate it must clone first.
 func (c *Cache) Get(key string) (any, bool) {
+	v, ok := c.Probe(key)
+	if !ok {
+		c.misses.Inc()
+	}
+	return v, ok
+}
+
+// Probe is Get without counting a miss, for callers that go on to fill
+// a missing key through Do, which counts the miss itself. A hit counts
+// as a hit, so each lookup is counted exactly once.
+func (c *Cache) Probe(key string) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	e, ok := c.lookup(s, key)
 	s.mu.Unlock()
 	if !ok {
-		c.misses.Inc()
 		return nil, false
 	}
 	c.hits.Inc()

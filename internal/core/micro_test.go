@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"crashsim/internal/gen"
@@ -196,6 +197,24 @@ func BenchmarkSingleSourceParallel(b *testing.B) {
 		if _, err := SingleSource(g, graph.NodeID(i%2000), nil, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTop ranks the top 10 of a 57k-entry map (the size of a
+// PRSim hub result) with the bounded heap and with the full sort it
+// replaced.
+func BenchmarkTop(b *testing.B) {
+	s := tiedScores(rand.New(rand.NewPCG(1, 2)), 57000)
+	for _, bc := range []struct {
+		name string
+		rank func(Scores, graph.NodeID, int) []TopKResult
+	}{{"heap", Top}, {"fullsort", fullSortTop}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.rank(s, 0, 10)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"crashsim/internal/graph"
 )
@@ -12,6 +12,77 @@ import (
 type TopKResult struct {
 	Node  graph.NodeID
 	Score float64
+}
+
+// rankCmp is the one ranking order every answer uses: score descending,
+// ties by ascending node id. Node ids are unique within a score map, so
+// the order is total and a ranking never depends on map iteration order.
+func rankCmp(a, b TopKResult) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	default:
+		return int(a.Node) - int(b.Node)
+	}
+}
+
+// Top returns the k best entries of s in rank order (score descending,
+// ties by ascending node id), skipping exclude. It keeps a bounded
+// heap of the k best seen so far, rooted at the worst of them, so a
+// pass costs O(n log k) time and O(k) memory rather than sorting all
+// n entries. k <= 0 yields an empty result; k beyond the map's size
+// yields every entry.
+func Top(s Scores, exclude graph.NodeID, k int) []TopKResult {
+	if k <= 0 || len(s) == 0 {
+		return nil
+	}
+	h := make([]TopKResult, 0, min(k, len(s)))
+	for v, score := range s {
+		if v == exclude {
+			continue
+		}
+		r := TopKResult{Node: v, Score: score}
+		if len(h) < k {
+			h = append(h, r)
+			siftUp(h, len(h)-1)
+		} else if rankCmp(r, h[0]) < 0 {
+			h[0] = r
+			siftDown(h, 0)
+		}
+	}
+	slices.SortFunc(h, rankCmp)
+	return h
+}
+
+// siftUp and siftDown maintain h as a heap whose root ranks last.
+func siftUp(h []TopKResult, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if rankCmp(h[i], h[p]) <= 0 {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(h []TopKResult, i int) {
+	for {
+		worst, l := i, 2*i+1
+		if l < len(h) && rankCmp(h[l], h[worst]) > 0 {
+			worst = l
+		}
+		if r := l + 1; r < len(h) && rankCmp(h[r], h[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // TopK answers the top-k single-source SimRank query: the k nodes most
@@ -45,27 +116,31 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	coarse := q
 	coarse.Iterations = nr / 8
 	if coarse.Iterations < 50 {
-		coarse.Iterations = minInt(50, nr)
+		coarse.Iterations = min(50, nr)
 	}
 	scores, err := SingleSourceCtx(ctx, g, u, nil, coarse)
 	if err != nil {
 		return nil, err
 	}
-	ranked := rankScores(scores, u)
-	if len(ranked) == 0 {
+	head := Top(scores, u, k)
+	if len(head) == 0 {
 		return nil, nil
 	}
-	if k > len(ranked) {
-		k = len(ranked)
-	}
 
-	// Phase 2: refine every candidate within 2ε of the coarse cut.
-	cut := ranked[k-1].Score - 2*q.Eps
-	var omega []graph.NodeID
-	for _, r := range ranked {
-		if r.Score >= cut {
-			omega = append(omega, r.Node)
+	// Phase 2: refine every candidate within 2ε of the coarse cut. The
+	// shortlist is listed in rank order, as the refined pass's candidate
+	// order is part of what fixes its scores.
+	cut := head[len(head)-1].Score - 2*q.Eps
+	var short []TopKResult
+	for v, s := range scores {
+		if v != u && s >= cut {
+			short = append(short, TopKResult{Node: v, Score: s})
 		}
+	}
+	slices.SortFunc(short, rankCmp)
+	omega := make([]graph.NodeID, len(short))
+	for i, r := range short {
+		omega[i] = r.Node
 	}
 	refined := q
 	refined.Iterations = nr
@@ -73,11 +148,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if err != nil {
 		return nil, err
 	}
-	final := rankScores(rescored, u)
-	if k > len(final) {
-		k = len(final)
-	}
-	return final[:k], nil
+	return Top(rescored, u, k), nil
 }
 
 // SinglePair estimates sim(u, v) with CrashSim's partial mode.
@@ -92,28 +163,4 @@ func SinglePairCtx(ctx context.Context, g *graph.Graph, u, v graph.NodeID, p Par
 		return 0, err
 	}
 	return s[v], nil
-}
-
-func rankScores(s Scores, u graph.NodeID) []TopKResult {
-	out := make([]TopKResult, 0, len(s))
-	for v, score := range s {
-		if v == u {
-			continue
-		}
-		out = append(out, TopKResult{Node: v, Score: score})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

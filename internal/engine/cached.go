@@ -232,7 +232,8 @@ func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]co
 			continue // a batch-mate already probes (or fills) this source
 		}
 		key := e.keyAt(version, "ss", int64(u))
-		if v, ok := e.cc.Cache.Get(key); ok {
+		// Probe, not Get: a miss is counted once, by the Do that fills it.
+		if v, ok := e.cc.Cache.Probe(key); ok {
 			out[i] = v.(core.Scores)
 			continue
 		}

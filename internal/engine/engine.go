@@ -16,7 +16,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"crashsim/internal/core"
@@ -180,8 +179,8 @@ func New(ctx context.Context, name string, g *graph.Graph, cfg Config) (Estimato
 }
 
 // TopK answers the top-k query through est: natively when est
-// implements TopKer, otherwise by ranking a full single-source pass.
-// The source u is excluded from the result.
+// implements TopKer, otherwise by ranking a full single-source pass
+// with core.Top. The source u is excluded from the result.
 func TopK(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.TopKResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("engine: top-k needs k >= 1, got %d", k)
@@ -193,11 +192,7 @@ func TopK(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.Top
 	if err != nil {
 		return nil, err
 	}
-	ranked := rank(scores, u)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	return ranked[:k], nil
+	return core.Top(scores, u, k), nil
 }
 
 // Pair answers sim(u, v) through est: natively when est implements
@@ -233,31 +228,6 @@ func MultiSource(ctx context.Context, est Estimator, sources []graph.NodeID) ([]
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-// rank sorts scores by descending score, excluding the source. Ties
-// break by ascending node id — a total order, so the ranking is
-// deterministic across runs even though the input map iterates in
-// random order (TestRankDeterministicTies pins this).
-func rank(s core.Scores, u graph.NodeID) []core.TopKResult {
-	out := make([]core.TopKResult, 0, len(s))
-	for v, score := range s {
-		if v == u {
-			continue
-		}
-		out = append(out, core.TopKResult{Node: v, Score: score})
-	}
-	slices.SortFunc(out, func(a, b core.TopKResult) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		default:
-			return int(a.Node) - int(b.Node)
-		}
-	})
-	return out
 }
 
 // restrict filters a full score map down to a candidate set, keeping

@@ -180,9 +180,45 @@ func TestMultiSourceCachedSharesKeys(t *testing.T) {
 	}
 }
 
-// TestRankDeterministicTies pins the TopK fallback's tie-breaking:
-// equal scores order by ascending node id, never by map iteration
-// order, so repeated queries return one stable ranking.
+// TestMultiSourceCachedCountsOnce: a batch counts each source's cache
+// lookup exactly once — a cold batch of 3 distinct sources records 3
+// misses (the probe that finds nothing does not count on top of the
+// fill), and a repeat records 3 hits and no new misses.
+func TestMultiSourceCachedCountsOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	qc, err := cache.New(cache.Config{MaxBytes: 1 << 20, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Iterations: 40, Seed: 3, Metrics: obs.NewRegistry()}
+	inner, err := New(context.Background(), "crashsim", graph.PaperExample(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := Cached(inner, CacheConfig{Cache: qc, Scope: cfg.Fingerprint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := reg.Counter("cache.hits"), reg.Counter("cache.misses")
+	batch := []graph.NodeID{0, 1, 2}
+	if _, err := MultiSource(context.Background(), est, batch); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := hits.Load(), misses.Load(); h != 0 || m != 3 {
+		t.Errorf("cold batch: %d hits, %d misses; want 0 and 3", h, m)
+	}
+	if _, err := MultiSource(context.Background(), est, batch); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := hits.Load(), misses.Load(); h != 3 || m != 3 {
+		t.Errorf("repeated batch: %d hits, %d misses in total; want 3 and 3", h, m)
+	}
+}
+
+// TestRankDeterministicTies pins core.Top's tie-breaking, which the
+// TopK fallback ranks with: equal scores order by ascending node id,
+// never by map iteration order, so repeated queries return one stable
+// ranking.
 func TestRankDeterministicTies(t *testing.T) {
 	s := core.Scores{9: 0.5, 3: 0.5, 7: 0.5, 1: 0.5, 4: 0.9, 2: 0.1}
 	want := []core.TopKResult{
@@ -191,13 +227,15 @@ func TestRankDeterministicTies(t *testing.T) {
 		{Node: 2, Score: 0.1},
 	}
 	for trial := 0; trial < 20; trial++ {
-		got := rank(s, 0)
-		if len(got) != len(want) {
-			t.Fatalf("rank returned %d entries, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: rank[%d] = %+v, want %+v", trial, i, got[i], want[i])
+		for k := 1; k <= len(want)+1; k++ {
+			got := core.Top(s, 0, k)
+			if n := min(k, len(want)); len(got) != n {
+				t.Fatalf("Top(k=%d) returned %d entries, want %d", k, len(got), n)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d k=%d: rank[%d] = %+v, want %+v", trial, k, i, got[i], want[i])
+				}
 			}
 		}
 	}

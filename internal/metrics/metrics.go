@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"crashsim/internal/core"
 	"crashsim/internal/graph"
 )
 
@@ -52,31 +53,13 @@ func Precision(truthSet, gotSet []graph.NodeID) float64 {
 }
 
 // TopK returns the k nodes with the highest scores, ties broken by node
-// id, excluding the source itself.
+// id, excluding the source itself: the node ids of core.Top. k <= 0
+// yields an empty list.
 func TopK(scores map[graph.NodeID]float64, source graph.NodeID, k int) []graph.NodeID {
-	type pair struct {
-		v graph.NodeID
-		s float64
-	}
-	all := make([]pair, 0, len(scores))
-	for v, s := range scores {
-		if v == source {
-			continue
-		}
-		all = append(all, pair{v, s})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].s != all[j].s {
-			return all[i].s > all[j].s
-		}
-		return all[i].v < all[j].v
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]graph.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].v
+	top := core.Top(scores, source, k)
+	out := make([]graph.NodeID, len(top))
+	for i, r := range top {
+		out[i] = r.Node
 	}
 	return out
 }

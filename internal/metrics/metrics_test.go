@@ -46,14 +46,22 @@ func TestPrecision(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	scores := map[graph.NodeID]float64{0: 1, 1: 0.9, 2: 0.5, 3: 0.9, 4: 0.1}
-	got := TopK(scores, 0, 3)
-	// Source excluded; ties (1 and 3 at 0.9) broken by id.
-	want := []graph.NodeID{1, 3, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TopK = %v, want %v", got, want)
-	}
-	if got := TopK(scores, 0, 100); len(got) != 4 {
-		t.Errorf("oversized k returned %d entries, want 4", len(got))
+	// Source excluded; ties (1 and 3 at 0.9) broken by id. Four nodes
+	// rank, so k = len is 4; k <= 0 must not panic and ranks nothing.
+	for _, tc := range []struct {
+		k    int
+		want []graph.NodeID
+	}{
+		{-1, []graph.NodeID{}},
+		{0, []graph.NodeID{}},
+		{1, []graph.NodeID{1}},
+		{3, []graph.NodeID{1, 3, 2}},
+		{4, []graph.NodeID{1, 3, 2, 4}},
+		{4 + 5, []graph.NodeID{1, 3, 2, 4}},
+	} {
+		if got := TopK(scores, 0, tc.k); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("TopK(k=%d) = %v, want %v", tc.k, got, tc.want)
+		}
 	}
 	if got := TopK(nil, 0, 5); len(got) != 0 {
 		t.Errorf("empty scores returned %v", got)

@@ -10,7 +10,6 @@ package recommend
 
 import (
 	"fmt"
-	"sort"
 
 	"crashsim/internal/core"
 	"crashsim/internal/graph"
@@ -108,17 +107,9 @@ func ForUser(tg *temporal.Graph, target graph.NodeID, opt Options) (*Result, err
 			}
 		}
 	}
-	for it, w := range scores {
-		out.Items = append(out.Items, Recommendation{Item: it, Weight: w})
-	}
-	sort.Slice(out.Items, func(i, j int) bool {
-		if out.Items[i].Weight != out.Items[j].Weight {
-			return out.Items[i].Weight > out.Items[j].Weight
-		}
-		return out.Items[i].Item < out.Items[j].Item
-	})
-	if len(out.Items) > o.K {
-		out.Items = out.Items[:o.K]
+	// scores holds items only, so excluding the target user skips nothing.
+	for _, r := range core.Top(scores, target, o.K) {
+		out.Items = append(out.Items, Recommendation{Item: r.Node, Weight: r.Score})
 	}
 	return out, nil
 }

@@ -60,7 +60,6 @@ import (
 	"crashsim/internal/core"
 	"crashsim/internal/engine"
 	"crashsim/internal/graph"
-	"crashsim/internal/metrics"
 	"crashsim/internal/obs"
 	"crashsim/internal/prsim"
 	"crashsim/internal/reads"
@@ -600,12 +599,16 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, err)
 		return
 	}
-	top := metrics.TopK(scores, u, k)
+	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": scored(core.Top(scores, u, k))})
+}
+
+// scored converts a ranking into its JSON result entries.
+func scored(top []core.TopKResult) []scoredNode {
 	out := make([]scoredNode, len(top))
-	for i, v := range top {
-		out[i] = scoredNode{Node: v, Score: scores[v]}
+	for i, r := range top {
+		out[i] = scoredNode{Node: r.Node, Score: r.Score}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": out})
+	return out
 }
 
 func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
@@ -727,15 +730,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if items[i].Error != "" {
 				continue
 			}
-			sc := scores[j]
+			items[i].Results = scored(core.Top(scores[j], graph.NodeID(items[i].Source), k))
 			j++
-			u := graph.NodeID(items[i].Source)
-			top := metrics.TopK(sc, u, k)
-			out := make([]scoredNode, len(top))
-			for x, v := range top {
-				out[x] = scoredNode{Node: v, Score: sc[v]}
-			}
-			items[i].Results = out
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"k": k, "items": items})
@@ -759,9 +755,5 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, err)
 		return
 	}
-	out := make([]scoredNode, len(ranked))
-	for i, rn := range ranked {
-		out[i] = scoredNode{Node: rn.Node, Score: rn.Score}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": out})
+	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": scored(ranked)})
 }

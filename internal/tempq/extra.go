@@ -3,7 +3,6 @@ package tempq
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"crashsim/internal/core"
 	"crashsim/internal/graph"
@@ -64,23 +63,12 @@ func DurableTopKCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, k i
 	if _, err := core.CrashSimTCtx(ctx, tg, u, keepAll{}, p, topt); err != nil {
 		return nil, err
 	}
-	out := make([]DurableResult, 0, len(min))
-	for v, s := range min {
-		if v == u {
-			continue
-		}
-		out = append(out, DurableResult{Node: v, MinScore: s})
+	top := core.Top(min, u, k)
+	out := make([]DurableResult, len(top))
+	for i, r := range top {
+		out[i] = DurableResult{Node: r.Node, MinScore: r.Score}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MinScore != out[j].MinScore {
-			return out[i].MinScore > out[j].MinScore
-		}
-		return out[i].Node < out[j].Node
-	})
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k], nil
+	return out, nil
 }
 
 // observeMin folds one snapshot's scores into the per-node running
