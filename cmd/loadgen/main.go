@@ -39,7 +39,6 @@ func main() {
 	mixSingle := flag.Float64("mix-single", 0.70, "relative weight of GET /singlesource")
 	mixTopK := flag.Float64("mix-topk", 0.15, "relative weight of GET /topk")
 	mixBatch := flag.Float64("mix-batch", 0.15, "relative weight of POST /batch/singlesource")
-	mixWrite := flag.Float64("mix-write", 0, "relative weight of POST /edges mutations (needs a server with live ingest)")
 	k := flag.Int("k", 10, "result length per query")
 	batchSize := flag.Int("batch-size", 16, "sources per batch request")
 	zipfS := flag.Float64("zipf-s", 1.1, "rank-Zipf skew of source popularity (0 = uniform)")
@@ -68,7 +67,7 @@ func main() {
 		QPS:         *qps,
 		Duration:    *duration,
 		Poisson:     *arrivals == "poisson",
-		Mix:         load.Mix{Single: *mixSingle, TopK: *mixTopK, Batch: *mixBatch, Write: *mixWrite},
+		Mix:         load.Mix{Single: *mixSingle, TopK: *mixTopK, Batch: *mixBatch},
 		K:           *k,
 		BatchSize:   *batchSize,
 		Pool:        pool,

@@ -116,10 +116,10 @@ func Serving(cfg Config) (*ServingComparison, *Report, error) {
 	}
 
 	cmp := &ServingComparison{
-		Config: fmt.Sprintf("profile=%s scale=%g rates=%v duration=%v max-inflight=%d cache=%dMiB hot-set=%d zipf-s=%g mix=single:%g/topk:%g/batch:%g/write:%g batch-size=%d serving-eps=%g iter-scale=%.3g c=%.2g seed=%d",
+		Config: fmt.Sprintf("profile=%s scale=%g rates=%v duration=%v max-inflight=%d cache=%dMiB hot-set=%d zipf-s=%g mix=single:%g/topk:%g/batch:%g batch-size=%d serving-eps=%g iter-scale=%.3g c=%.2g seed=%d",
 			cfg.ServingProfile, cfg.ServingScale, cfg.ServingRates, cfg.ServingDuration,
 			cfg.ServingMaxInFlight, cfg.ServingCacheBytes>>20, len(pool), cfg.ServingZipfS,
-			cfg.ServingMix.Single, cfg.ServingMix.TopK, cfg.ServingMix.Batch, cfg.ServingMix.Write,
+			cfg.ServingMix.Single, cfg.ServingMix.TopK, cfg.ServingMix.Batch,
 			cfg.ServingBatchSize, cfg.ServingEps, cfg.IterScale, cfg.C, cfg.Seed),
 		Profile:     prof.Name,
 		Nodes:       n,

@@ -42,10 +42,14 @@ func (w *WorkMeter) Lines() []string {
 		parts = append(parts, fmt.Sprintf("%s=%d", name, d.Counters[name]))
 	}
 	lines := []string{"work: " + strings.Join(parts, " ")}
-	if h, ok := d.Histograms["engine.crashsim.latency"]; ok && h.Count > 0 {
+	// Count and mean are windowed; percentiles do not subtract, so p50
+	// and p99 cover the whole process lifetime.
+	const lat = "engine.crashsim.latency"
+	q, prev := d.Quantiles[lat], w.before.Quantiles[lat]
+	if n := q.Count - prev.Count; n > 0 {
 		lines = append(lines, fmt.Sprintf(
-			"work: crashsim query latency p50=%.4gs p99=%.4gs mean=%.4gs over %d queries",
-			h.Quantile(0.5), h.Quantile(0.99), h.SumSeconds/float64(h.Count), h.Count))
+			"work: crashsim query latency mean=%.4gs over %d queries; lifetime p50=%.4gs p99=%.4gs",
+			(q.SumSeconds-prev.SumSeconds)/float64(n), n, q.P50, q.P99))
 	}
 	return lines
 }

@@ -1,15 +1,18 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"crashsim/internal/core"
+	"crashsim/internal/engine"
 	"crashsim/internal/graph"
 )
 
 // TestWorkMeter: Monte-Carlo work done between StartWork and Lines
-// shows up as counter deltas in the rendered footer.
+// shows up as counter deltas in the rendered footer, and engine
+// queries as a latency line counting only the window's queries.
 func TestWorkMeter(t *testing.T) {
 	w := StartWork()
 	if _, err := core.SingleSource(graph.PaperExample(), 0, nil, core.Params{Iterations: 200, Seed: 1}); err != nil {
@@ -24,6 +27,20 @@ func TestWorkMeter(t *testing.T) {
 	}
 	if !strings.Contains(lines[0], "core.candidates=") {
 		t.Errorf("work line missing candidate count: %q", lines[0])
+	}
+
+	est, err := engine.New(context.Background(), "crashsim", graph.PaperExample(), engine.Config{Iterations: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		w := StartWork()
+		if _, err := est.SingleSource(context.Background(), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if lines := w.Lines(); len(lines) != 2 || !strings.Contains(lines[1], "over 1 queries") {
+			t.Errorf("latency line missing or not windowed: %v", lines)
+		}
 	}
 
 	// A fresh meter with no work in between renders nothing.

@@ -299,9 +299,6 @@ func newExact(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error
 func (e *exactEstimator) Name() string { return "exact" }
 
 func (e *exactEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

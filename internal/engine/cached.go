@@ -33,11 +33,12 @@ import (
 // never served, they just stop being addressable and age out of the
 // LRU.
 //
-// Like the metrics wrapper, Cached preserves the inner estimator's
-// capabilities: the returned Estimator advertises TopKer/Pairer/
-// MultiSourcer exactly when the wrapped one does, so the package-level
-// TopK/Pair/MultiSource fallbacks behave identically with and without
-// caching.
+// Like the metrics wrapper, the cached estimator answers every
+// operation. One the wrapped estimator answers natively is cached under
+// its own key ("topk", "pair"); any other runs the package fallback
+// through the cached estimator, so it is served from the single-source
+// keys it is made of — a top-k query for a source whose single-source
+// result is cached costs no computation.
 //
 // Multi-source batches probe per source key — the same "ss" keys
 // single-source queries use, so a batch warms the cache for later
@@ -89,42 +90,17 @@ func Cached(est Estimator, cc CacheConfig) (Estimator, error) {
 	if cc.Version == nil {
 		cc.Version = func() uint64 { return 0 }
 	}
-	base := &cached{inner: est, cc: cc, prefix: cc.Scope + "|" + est.Name() + "|"}
-	var mask int
-	if _, ok := est.(TopKer); ok {
-		mask |= 1
-	}
-	if _, ok := est.(Pairer); ok {
-		mask |= 2
-	}
-	if _, ok := est.(MultiSourcer); ok {
-		mask |= 4
-	}
-	switch mask {
-	case 1:
-		return cachedTopK{base}, nil
-	case 2:
-		return cachedPair{base}, nil
-	case 3:
-		return cachedTopKPair{base}, nil
-	case 4:
-		return cachedMulti{base}, nil
-	case 5:
-		return cachedTopKMulti{base}, nil
-	case 6:
-		return cachedPairMulti{base}, nil
-	case 7:
-		return cachedTopKPairMulti{base}, nil
-	default:
-		return base, nil
-	}
+	return &cached{inner: est, native: nativeOps(est), cc: cc, prefix: cc.Scope + "|" + est.Name() + "|"}, nil
 }
 
 type cached struct {
 	inner  Estimator
+	native ops
 	cc     CacheConfig
 	prefix string // scope|backend| — shared by every key
 }
+
+func (e *cached) ops() ops { return e.native }
 
 func (e *cached) Name() string { return e.inner.Name() }
 
@@ -162,6 +138,7 @@ const (
 )
 
 func (e *cached) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
+	ctx = orBackground(ctx)
 	args := make([]int64, 0, 1+len(omega))
 	args = append(args, int64(u))
 	for _, v := range omega {
@@ -186,7 +163,11 @@ func (e *cached) SingleSource(ctx context.Context, u graph.NodeID, omega []graph
 	return maps.Clone(v.(core.Scores)), nil
 }
 
-func (e *cached) topKThrough(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
+func (e *cached) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
+	ctx = orBackground(ctx)
+	if e.native&opTopK == 0 {
+		return topKFallback(ctx, e, u, k)
+	}
 	v, _, err := e.cc.Cache.Do(ctx, e.key("topk", int64(u), int64(k)), func(ctx context.Context) (any, int64, error) {
 		r, err := e.inner.(TopKer).TopK(ctx, u, k)
 		if err != nil {
@@ -200,7 +181,11 @@ func (e *cached) topKThrough(ctx context.Context, u graph.NodeID, k int) ([]core
 	return slices.Clone(v.([]core.TopKResult)), nil
 }
 
-func (e *cached) pairThrough(ctx context.Context, u, v graph.NodeID) (float64, error) {
+func (e *cached) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
+	ctx = orBackground(ctx)
+	if e.native&opPair == 0 {
+		return pairFallback(ctx, e, u, v)
+	}
 	r, _, err := e.cc.Cache.Do(ctx, e.key("pair", int64(u), int64(v)), func(ctx context.Context) (any, int64, error) {
 		s, err := e.inner.(Pairer).Pair(ctx, u, v)
 		if err != nil {
@@ -214,15 +199,20 @@ func (e *cached) pairThrough(ctx context.Context, u, v graph.NodeID) (float64, e
 	return r.(float64), nil
 }
 
-// multiThrough serves a batch through the cache: probe each source's
-// "ss" key (keys are assembled once up front, pinning one graph version
-// for the whole batch), serve the hits from memory, and compute only
-// the missing sources — deduplicated — as one inner batch. The inner
-// call runs lazily inside the first missing key's Do fill, so a source
-// another goroutine is already computing is waited on (singleflight)
-// rather than recomputed, and a fully cached batch never touches the
-// backend.
-func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
+// MultiSource serves a batch through the cache. Without a native batch
+// mode it is a loop of cached single-source queries. With one, it
+// probes each source's "ss" key (keys are assembled once up front,
+// pinning one graph version for the whole batch), serves the hits from
+// memory, and computes only the missing sources — deduplicated — as one
+// inner batch. The inner call runs lazily inside the first missing
+// key's Do fill, so a source another goroutine is already computing is
+// waited on (singleflight) rather than recomputed, and a fully cached
+// batch never touches the backend.
+func (e *cached) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
+	ctx = orBackground(ctx)
+	if e.native&opMulti == 0 {
+		return multiFallback(ctx, e, sources)
+	}
 	out := make([]core.Scores, len(sources))
 	var missUniq []graph.NodeID
 	missKey := make(map[graph.NodeID]string)
@@ -284,66 +274,4 @@ func (e *cached) multiThrough(ctx context.Context, sources []graph.NodeID) ([]co
 		out[i] = maps.Clone(out[i])
 	}
 	return out, nil
-}
-
-type cachedTopK struct{ *cached }
-
-func (e cachedTopK) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-type cachedPair struct{ *cached }
-
-func (e cachedPair) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-type cachedMulti struct{ *cached }
-
-func (e cachedMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiThrough(ctx, sources)
-}
-
-type cachedTopKPair struct{ *cached }
-
-func (e cachedTopKPair) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e cachedTopKPair) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-type cachedTopKMulti struct{ *cached }
-
-func (e cachedTopKMulti) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e cachedTopKMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiThrough(ctx, sources)
-}
-
-type cachedPairMulti struct{ *cached }
-
-func (e cachedPairMulti) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-func (e cachedPairMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiThrough(ctx, sources)
-}
-
-type cachedTopKPairMulti struct{ *cached }
-
-func (e cachedTopKPairMulti) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e cachedTopKPairMulti) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-func (e cachedTopKPairMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiThrough(ctx, sources)
 }

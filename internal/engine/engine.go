@@ -39,26 +39,29 @@ type Estimator interface {
 	SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error)
 }
 
-// TopKer is implemented by estimators with a native top-k schedule
-// (CrashSim's coarse-then-refine partial mode). Use the package-level
-// TopK for a uniform entry point with a generic fallback.
+// TopKer is implemented by backends with a native top-k schedule
+// (CrashSim's coarse-then-refine partial mode). The estimators New and
+// Cached return implement TopKer, Pairer and MultiSourcer whatever the
+// backend: an operation the backend lacks runs its generic fallback.
+// Use the package-level TopK for a uniform entry point.
 type TopKer interface {
 	TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error)
 }
 
-// Pairer is implemented by estimators that can answer sim(u, v) cheaper
+// Pairer is implemented by backends that can answer sim(u, v) cheaper
 // than a full single-source pass. Use the package-level Pair for a
 // uniform entry point with a generic fallback.
 type Pairer interface {
 	Pair(ctx context.Context, u, v graph.NodeID) (float64, error)
 }
 
-// MultiSourcer is implemented by estimators with a native batch mode
+// MultiSourcer is implemented by backends with a native batch mode
 // (CrashSim's one-compile-per-source, one-fan-out pipeline). The result
 // is parallel to sources and each entry is bit-identical to the
 // corresponding SingleSource call; on error the whole batch fails and
 // the result is nil. Use the package-level MultiSource for a uniform
-// entry point with a sequential-loop fallback.
+// entry point with a sequential-loop fallback (whose error semantics
+// MultiSource documents).
 type MultiSourcer interface {
 	MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error)
 }
@@ -154,9 +157,7 @@ func Names() []string {
 // full index construction here (respecting ctx); the returned Estimator
 // then serves concurrent queries.
 func New(ctx context.Context, name string, g *graph.Graph, cfg Config) (Estimator, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx = orBackground(ctx)
 	b, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown backend %q (have %v)", name, Names())
@@ -175,7 +176,44 @@ func New(ctx context.Context, name string, g *graph.Graph, cfg Config) (Estimato
 	if reg == nil {
 		reg = obs.Default
 	}
-	return meter(est, newBackendMetrics(reg, name)), nil
+	return &metered{inner: est, native: nativeOps(est), m: newBackendMetrics(reg, name)}, nil
+}
+
+// ops is a set of optional operations an estimator answers natively.
+type ops uint8
+
+const (
+	opTopK ops = 1 << iota
+	opPair
+	opMulti
+)
+
+// nativeOps returns the operations est answers natively. The wrappers
+// in this package answer every operation, natively or through a
+// fallback, so they report the set of the estimator they wrap instead.
+func nativeOps(est Estimator) ops {
+	if w, ok := est.(interface{ ops() ops }); ok {
+		return w.ops()
+	}
+	var o ops
+	if _, ok := est.(TopKer); ok {
+		o |= opTopK
+	}
+	if _, ok := est.(Pairer); ok {
+		o |= opPair
+	}
+	if _, ok := est.(MultiSourcer); ok {
+		o |= opMulti
+	}
+	return o
+}
+
+// orBackground treats a nil ctx as context.Background().
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
 }
 
 // TopK answers the top-k query through est: natively when est
@@ -188,6 +226,10 @@ func TopK(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.Top
 	if t, ok := est.(TopKer); ok {
 		return t.TopK(ctx, u, k)
 	}
+	return topKFallback(ctx, est, u, k)
+}
+
+func topKFallback(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.TopKResult, error) {
 	scores, err := est.SingleSource(ctx, u, nil)
 	if err != nil {
 		return nil, err
@@ -201,6 +243,10 @@ func Pair(ctx context.Context, est Estimator, u, v graph.NodeID) (float64, error
 	if p, ok := est.(Pairer); ok {
 		return p.Pair(ctx, u, v)
 	}
+	return pairFallback(ctx, est, u, v)
+}
+
+func pairFallback(ctx context.Context, est Estimator, u, v graph.NodeID) (float64, error) {
 	scores, err := est.SingleSource(ctx, u, []graph.NodeID{v})
 	if err != nil {
 		return 0, err
@@ -219,6 +265,10 @@ func MultiSource(ctx context.Context, est Estimator, sources []graph.NodeID) ([]
 	if m, ok := est.(MultiSourcer); ok {
 		return m.MultiSource(ctx, sources)
 	}
+	return multiFallback(ctx, est, sources)
+}
+
+func multiFallback(ctx context.Context, est Estimator, sources []graph.NodeID) ([]core.Scores, error) {
 	out := make([]core.Scores, 0, len(sources))
 	for _, u := range sources {
 		s, err := est.SingleSource(ctx, u, nil)

@@ -13,23 +13,22 @@ import (
 // Per-backend serving metrics. engine.New wraps every Estimator it
 // builds in a metering layer, so all consumers — the HTTP server, the
 // CLIs, the bench harness — get query counts, error/cancellation
-// counts and end-to-end latency histograms for free, named
+// counts and end-to-end latency percentiles for free, named
 //
 //	engine.<backend>.queries             total queries (all ops; a batch counts one per source)
 //	engine.<backend>.queries.<op>        per-op counts (singlesource, topk, pair, multisource)
 //	engine.<backend>.errors              non-cancellation failures
 //	engine.<backend>.canceled            context cancellations/deadlines
-//	engine.<backend>.latency             latency histogram across all ops
+//	engine.<backend>.latency             latency quantile histogram across all ops
 //
 // A multi-source batch adds its source count to queries (so the total
 // stays "queries answered" whatever the transport), ticks
 // queries.multisource once per batch, and records one latency
 // observation for the whole batch.
 //
-// The wrapper preserves the inner estimator's capabilities: it only
-// advertises TopKer/Pairer/MultiSourcer when the wrapped backend does,
-// so the package-level TopK/Pair/MultiSource fallbacks behave exactly
-// as before.
+// An operation the backend lacks natively is answered by the package
+// fallback through the wrapper, so it counts as the single-source
+// queries it is made of (see metered).
 type backendMetrics struct {
 	queries      *obs.Counter
 	singleSource *obs.Counter
@@ -38,7 +37,7 @@ type backendMetrics struct {
 	multiSource  *obs.Counter
 	errors       *obs.Counter
 	canceled     *obs.Counter
-	latency      *obs.Histogram
+	latency      *obs.QuantileHistogram
 }
 
 func newBackendMetrics(reg *obs.Registry, backend string) *backendMetrics {
@@ -51,167 +50,76 @@ func newBackendMetrics(reg *obs.Registry, backend string) *backendMetrics {
 		multiSource:  reg.Counter(p + "queries.multisource"),
 		errors:       reg.Counter(p + "errors"),
 		canceled:     reg.Counter(p + "canceled"),
-		latency:      reg.Histogram(p + "latency"),
+		latency:      reg.Quantile(p + "latency"),
 	}
 }
 
-// done records one finished query: its latency always, plus an error
-// or cancellation counter when it failed.
-func (m *backendMetrics) done(start time.Time, err error) {
-	m.latency.Since(start)
-	if err == nil {
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		m.canceled.Inc()
-	} else {
-		m.errors.Inc()
-	}
-}
-
-// metered wraps an Estimator with per-backend metrics.
+// metered wraps an Estimator with per-backend metrics. It answers
+// every operation: natively when the wrapped backend has it, otherwise
+// through the package fallback run against the wrapper itself, so a
+// fallback's SingleSource calls are metered as single-source queries.
 type metered struct {
-	inner Estimator
-	m     *backendMetrics
+	inner  Estimator
+	native ops
+	m      *backendMetrics
 }
+
+func (e *metered) ops() ops { return e.native }
 
 func (e *metered) Name() string { return e.inner.Name() }
 
-func (e *metered) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
-	e.m.queries.Inc()
-	e.m.singleSource.Inc()
+// observe meters one backend call answering n queries: it ticks op
+// once, records the latency, and counts a failure as a cancellation or
+// an error.
+func observe[T any](m *backendMetrics, op *obs.Counter, n int, call func() (T, error)) (T, error) {
+	m.queries.Add(uint64(n))
+	op.Inc()
 	start := time.Now()
-	s, err := e.inner.SingleSource(ctx, u, omega)
-	e.m.done(start, err)
-	return s, err
-}
-
-// topK/pairThrough are the native-capability passthroughs; they are
-// only reachable from wrapper types that advertise the interface.
-func (e *metered) topKThrough(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	e.m.queries.Inc()
-	e.m.topK.Inc()
-	start := time.Now()
-	r, err := e.inner.(TopKer).TopK(ctx, u, k)
-	e.m.done(start, err)
-	return r, err
-}
-
-func (e *metered) pairThrough(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	e.m.queries.Inc()
-	e.m.pair.Inc()
-	start := time.Now()
-	s, err := e.inner.(Pairer).Pair(ctx, u, v)
-	e.m.done(start, err)
-	return s, err
-}
-
-func (e *metered) multiSourceThrough(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	e.m.queries.Add(uint64(len(sources)))
-	e.m.multiSource.Inc()
-	start := time.Now()
-	r, err := e.inner.(MultiSourcer).MultiSource(ctx, sources)
-	e.m.done(start, err)
-	return r, err
-}
-
-// The wrapper combos below cover every subset of the three optional
-// interfaces, so the metered estimator advertises exactly what the
-// wrapped backend implements. meter picks the variant by capability
-// bitmask.
-
-type meteredTopK struct{ *metered }
-
-func (e meteredTopK) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-type meteredPair struct{ *metered }
-
-func (e meteredPair) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-type meteredMulti struct{ *metered }
-
-func (e meteredMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiSourceThrough(ctx, sources)
-}
-
-type meteredTopKPair struct{ *metered }
-
-func (e meteredTopKPair) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e meteredTopKPair) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-type meteredTopKMulti struct{ *metered }
-
-func (e meteredTopKMulti) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e meteredTopKMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiSourceThrough(ctx, sources)
-}
-
-type meteredPairMulti struct{ *metered }
-
-func (e meteredPairMulti) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-func (e meteredPairMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiSourceThrough(ctx, sources)
-}
-
-type meteredTopKPairMulti struct{ *metered }
-
-func (e meteredTopKPairMulti) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	return e.topKThrough(ctx, u, k)
-}
-
-func (e meteredTopKPairMulti) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
-	return e.pairThrough(ctx, u, v)
-}
-
-func (e meteredTopKPairMulti) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	return e.multiSourceThrough(ctx, sources)
-}
-
-// meter wraps inner with metrics, picking the wrapper variant that
-// mirrors the inner estimator's optional interfaces.
-func meter(inner Estimator, m *backendMetrics) Estimator {
-	base := &metered{inner: inner, m: m}
-	var mask int
-	if _, ok := inner.(TopKer); ok {
-		mask |= 1
-	}
-	if _, ok := inner.(Pairer); ok {
-		mask |= 2
-	}
-	if _, ok := inner.(MultiSourcer); ok {
-		mask |= 4
-	}
-	switch mask {
-	case 1:
-		return meteredTopK{base}
-	case 2:
-		return meteredPair{base}
-	case 3:
-		return meteredTopKPair{base}
-	case 4:
-		return meteredMulti{base}
-	case 5:
-		return meteredTopKMulti{base}
-	case 6:
-		return meteredPairMulti{base}
-	case 7:
-		return meteredTopKPairMulti{base}
+	r, err := call()
+	m.latency.Since(start)
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		m.canceled.Inc()
 	default:
-		return base
+		m.errors.Inc()
 	}
+	return r, err
+}
+
+func (e *metered) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
+	ctx = orBackground(ctx)
+	return observe(e.m, e.m.singleSource, 1, func() (core.Scores, error) {
+		return e.inner.SingleSource(ctx, u, omega)
+	})
+}
+
+func (e *metered) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
+	ctx = orBackground(ctx)
+	if e.native&opTopK == 0 {
+		return topKFallback(ctx, e, u, k)
+	}
+	return observe(e.m, e.m.topK, 1, func() ([]core.TopKResult, error) {
+		return e.inner.(TopKer).TopK(ctx, u, k)
+	})
+}
+
+func (e *metered) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
+	ctx = orBackground(ctx)
+	if e.native&opPair == 0 {
+		return pairFallback(ctx, e, u, v)
+	}
+	return observe(e.m, e.m.pair, 1, func() (float64, error) {
+		return e.inner.(Pairer).Pair(ctx, u, v)
+	})
+}
+
+func (e *metered) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
+	ctx = orBackground(ctx)
+	if e.native&opMulti == 0 {
+		return multiFallback(ctx, e, sources)
+	}
+	return observe(e.m, e.m.multiSource, len(sources), func() ([]core.Scores, error) {
+		return e.inner.(MultiSourcer).MultiSource(ctx, sources)
+	})
 }

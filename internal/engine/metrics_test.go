@@ -10,7 +10,7 @@ import (
 )
 
 // TestMeteringCounts: every query through a built estimator shows up
-// in the per-backend counters and the latency histogram.
+// in the per-backend counters and the latency quantile histogram.
 func TestMeteringCounts(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := graph.PaperExample()
@@ -35,7 +35,7 @@ func TestMeteringCounts(t *testing.T) {
 			t.Errorf("queries.%s = %d, want 1", op, got)
 		}
 	}
-	if got := reg.Histogram("engine.crashsim.latency").Snapshot().Count; got != 3 {
+	if got := reg.Quantile("engine.crashsim.latency").Count(); got != 3 {
 		t.Errorf("latency count = %d, want 3", got)
 	}
 	if got := reg.Counter("engine.crashsim.errors").Load(); got != 0 {
@@ -109,9 +109,9 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestMeteringPreservesCapabilities: the wrapper must advertise
-// TopKer/Pairer exactly when the wrapped backend does, so the generic
-// fallbacks keep working.
+// TestMeteringPreservesCapabilities: the wrapper must report the
+// backend's native set, not its own, so operations the backend lacks
+// still run the generic fallbacks.
 func TestMeteringPreservesCapabilities(t *testing.T) {
 	g := graph.PaperExample()
 	cases := []struct {
@@ -127,11 +127,12 @@ func TestMeteringPreservesCapabilities(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.algo, err)
 		}
-		if _, ok := est.(TopKer); ok != tc.topK {
-			t.Errorf("%s: TopKer = %t, want %t", tc.algo, ok, tc.topK)
+		native := nativeOps(est)
+		if ok := native&opTopK != 0; ok != tc.topK {
+			t.Errorf("%s: native top-k = %t, want %t", tc.algo, ok, tc.topK)
 		}
-		if _, ok := est.(Pairer); ok != tc.pair {
-			t.Errorf("%s: Pairer = %t, want %t", tc.algo, ok, tc.pair)
+		if ok := native&opPair != 0; ok != tc.pair {
+			t.Errorf("%s: native pair = %t, want %t", tc.algo, ok, tc.pair)
 		}
 		if est.Name() != tc.algo {
 			t.Errorf("Name() = %q through wrapper, want %q", est.Name(), tc.algo)

@@ -22,10 +22,7 @@
 //
 // The request stream mirrors a skewed production query log: sources
 // are drawn rank-Zipf from a popularity-ordered pool (gen.ZipfSources)
-// and the single/topk/batch/write request mix is configurable. The
-// write kind issues edge-mutation POSTs so the same harness can drive
-// a live-ingest server; against today's read-only server writes are
-// rejected and counted as errors, so mixes default to reads only.
+// and the single/topk/batch request mix is configurable.
 //
 // Latencies are recorded into sharded obs.QuantileHistograms (one
 // shard per worker stripe, merged at the end), yielding
@@ -57,7 +54,6 @@ const (
 	KindSingle Kind = iota // GET /singlesource
 	KindTopK               // GET /topk
 	KindBatch              // POST /batch/singlesource
-	KindWrite              // POST /edges (edge mutation)
 	numKinds
 )
 
@@ -69,8 +65,6 @@ func (k Kind) String() string {
 		return "topk"
 	case KindBatch:
 		return "batch"
-	case KindWrite:
-		return "write"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -82,7 +76,6 @@ type Mix struct {
 	Single float64
 	TopK   float64
 	Batch  float64
-	Write  float64
 }
 
 // DefaultMix is a read-mostly serving workload: scalar single-source
@@ -90,7 +83,7 @@ type Mix struct {
 func DefaultMix() Mix { return Mix{Single: 0.70, TopK: 0.15, Batch: 0.15} }
 
 func (m Mix) weights() [numKinds]float64 {
-	return [numKinds]float64{m.Single, m.TopK, m.Batch, m.Write}
+	return [numKinds]float64{m.Single, m.TopK, m.Batch}
 }
 
 func (m Mix) validate() error {
@@ -229,10 +222,8 @@ type Result struct {
 type schedule struct {
 	offsets []time.Duration // arrival time of request i, relative to start
 	kinds   []Kind
-	srcAt   []int             // request i draws sources[srcAt[i]:srcAt[i+1]]
-	sources []graph.NodeID    // rank-Zipf stream, shared by all kinds
-	writes  [][2]graph.NodeID // pre-drawn write edges, indexed per write request
-	writeAt []int             // request i (if KindWrite) uses writes[writeAt[i]]
+	srcAt   []int          // request i draws sources[srcAt[i]:srcAt[i+1]]
+	sources []graph.NodeID // rank-Zipf stream, shared by all kinds
 }
 
 // buildSchedule derives the full deterministic timetable from the
@@ -247,7 +238,6 @@ func buildSchedule(cfg Config) (*schedule, error) {
 		offsets: make([]time.Duration, total),
 		kinds:   make([]Kind, total),
 		srcAt:   make([]int, total+1),
-		writeAt: make([]int, total),
 	}
 	r := rng.New(rng.SeedString(fmt.Sprintf("load/schedule/%d", cfg.Seed)))
 	gap := 1 / cfg.QPS
@@ -269,7 +259,7 @@ func buildSchedule(cfg Config) (*schedule, error) {
 		acc += wi
 		cum[i] = acc
 	}
-	nSources, nWrites := 0, 0
+	nSources := 0
 	for i := range s.kinds {
 		x := r.Float64() * acc
 		k := Kind(0)
@@ -283,29 +273,14 @@ func buildSchedule(cfg Config) (*schedule, error) {
 			nSources++
 		case KindBatch:
 			nSources += cfg.BatchSize
-		case KindWrite:
-			s.writeAt[i] = nWrites
-			nWrites++
 		}
 	}
 	s.srcAt[total] = nSources
-	if nSources > 0 {
-		var err error
-		s.sources, err = gen.ZipfSources(cfg.Pool, nSources, cfg.ZipfS,
-			rng.SeedString(fmt.Sprintf("load/sources/%d", cfg.Seed)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	if nWrites > 0 {
-		wr := rng.New(rng.SeedString(fmt.Sprintf("load/writes/%d", cfg.Seed)))
-		s.writes = make([][2]graph.NodeID, nWrites)
-		for i := range s.writes {
-			s.writes[i] = [2]graph.NodeID{
-				cfg.Pool[wr.IntN(len(cfg.Pool))],
-				cfg.Pool[wr.IntN(len(cfg.Pool))],
-			}
-		}
+	var err error
+	s.sources, err = gen.ZipfSources(cfg.Pool, nSources, cfg.ZipfS,
+		rng.SeedString(fmt.Sprintf("load/sources/%d", cfg.Seed)))
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -454,19 +429,6 @@ func fire(ctx context.Context, cfg Config, s *schedule, i int) (int, time.Time, 
 		}
 		req, err = http.NewRequestWithContext(ctx, http.MethodPost,
 			cfg.BaseURL+"/batch/singlesource", bytes.NewReader(buf))
-		if req != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-	case KindWrite:
-		e := s.writes[s.writeAt[i]]
-		buf, merr := json.Marshal(struct {
-			Add [][2]graph.NodeID `json:"add"`
-		}{Add: [][2]graph.NodeID{e}})
-		if merr != nil {
-			return 0, time.Now(), fmt.Sprintf("marshal write: %v", merr)
-		}
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost,
-			cfg.BaseURL+"/edges", bytes.NewReader(buf))
 		if req != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}

@@ -1,18 +1,16 @@
 // Package obs is the observability substrate of the serving path: a
 // stdlib-only metrics layer with atomic counters, gauges and
-// fixed-bucket latency histograms, grouped in registries with a
-// consistent snapshot API.
+// log-bucketed latency quantile histograms, grouped in registries with
+// a consistent snapshot API.
 //
 // Design constraints, in order:
 //
-//   - Hot-path cost. Counter.Add and Histogram.Observe are single
-//     atomic adds (the histogram does one branchless-ish bucket scan
-//     over a small fixed array first); nothing on the query path takes
-//     a lock or allocates.
+//   - Hot-path cost. Counter.Add is a single atomic add and
+//     QuantileHistogram.Observe a few (see quantile.go); nothing on the
+//     query path takes a lock or allocates.
 //   - No dependencies. The repo's rule is stdlib only, so this is a
 //     deliberately small subset of the Prometheus data model: uint64
-//     counters, int64 gauges, cumulative-count histograms with fixed
-//     upper bounds.
+//     counters, int64 gauges and latency histograms.
 //   - Snapshots, not scraping. Snapshot() returns plain maps/structs
 //     that marshal to JSON as-is; consumers (the HTTP /metrics
 //     endpoint, the bench harness) diff two snapshots with Delta to
@@ -24,11 +22,8 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing uint64.
@@ -61,116 +56,6 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// DefaultLatencyBuckets are the histogram upper bounds (in seconds)
-// used when none are given: roughly exponential from 100µs to 60s,
-// matching the spread between an in-memory cache hit and a worst-case
-// Monte-Carlo query on a large graph.
-var DefaultLatencyBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// Histogram is a fixed-bucket latency histogram. Observations land in
-// the first bucket whose upper bound is >= the value; larger values
-// count in an overflow bucket. Counts and the running sum are atomics,
-// so concurrent Observe calls never lock; a Snapshot taken mid-update
-// may be off by in-flight observations, which is fine for monitoring.
-type Histogram struct {
-	bounds []float64 // sorted upper bounds, seconds
-	counts []atomic.Uint64
-	over   atomic.Uint64 // observations above the last bound
-	count  atomic.Uint64
-	sumNs  atomic.Int64 // total observed time in nanoseconds
-}
-
-// NewHistogram builds a histogram with the given upper bounds in
-// seconds (DefaultLatencyBuckets when empty). Bounds must be sorted
-// ascending; NewHistogram panics otherwise, since bucket layouts are
-// static configuration, not data.
-func NewHistogram(bounds ...float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	if !sort.Float64sAreSorted(bounds) {
-		panic(fmt.Sprintf("obs: histogram bounds not sorted: %v", bounds))
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b))}
-}
-
-// Observe records one latency.
-func (h *Histogram) Observe(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(h.bounds, s)
-	if i < len(h.bounds) {
-		h.counts[i].Add(1)
-	} else {
-		h.over.Add(1)
-	}
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-}
-
-// Since is shorthand for Observe(time.Since(start)).
-func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
-
-// Bucket is one histogram bucket in a snapshot: the count of
-// observations at most UpperBound seconds (non-cumulative).
-type Bucket struct {
-	UpperBound float64 `json:"le"`
-	Count      uint64  `json:"count"`
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram.
-type HistogramSnapshot struct {
-	Count uint64 `json:"count"`
-	// SumSeconds is the total observed time; SumSeconds/Count is the
-	// mean latency.
-	SumSeconds float64  `json:"sum_seconds"`
-	Buckets    []Bucket `json:"buckets,omitempty"`
-	// Overflow counts observations above the last bucket bound (kept
-	// out of Buckets because +Inf does not survive JSON encoding).
-	Overflow uint64 `json:"overflow,omitempty"`
-}
-
-// Snapshot copies the histogram's current state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count:      h.count.Load(),
-		SumSeconds: time.Duration(h.sumNs.Load()).Seconds(),
-		Buckets:    make([]Bucket, len(h.bounds)),
-		Overflow:   h.over.Load(),
-	}
-	for i := range h.bounds {
-		s.Buckets[i] = Bucket{UpperBound: h.bounds[i], Count: h.counts[i].Load()}
-	}
-	return s
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket
-// counts, attributing each bucket's mass to its upper bound — the
-// standard pessimistic fixed-bucket estimate. Observations in the
-// overflow bucket report the last bound. Returns 0 for an empty
-// histogram.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	target := uint64(q * float64(s.Count))
-	if target >= s.Count {
-		target = s.Count - 1
-	}
-	var cum uint64
-	for _, b := range s.Buckets {
-		cum += b.Count
-		if cum > target {
-			return b.UpperBound
-		}
-	}
-	return s.Buckets[len(s.Buckets)-1].UpperBound
-}
-
 // Registry is a namespace of metrics. Metrics are created on first
 // use and live forever; lookups take a read lock, but instrumentation
 // sites are expected to look up once and keep the pointer.
@@ -178,7 +63,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	quants   map[string]*QuantileHistogram
 }
 
@@ -187,7 +71,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		quants:   make(map[string]*QuantileHistogram),
 	}
 }
@@ -232,30 +115,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bounds (DefaultLatencyBuckets when empty) if needed. Bounds are
-// fixed at creation; later calls with different bounds return the
-// existing histogram unchanged.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; !ok {
-		h = NewHistogram(bounds...)
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Quantile returns the named quantile histogram, creating it if
-// needed. Unlike the fixed-bucket Histogram it needs no bounds
-// configuration: the log-linear layout spans every duration with
-// bounded relative error.
+// needed. It needs no bounds configuration: the log-linear layout
+// spans every duration with bounded relative error.
 func (r *Registry) Quantile(name string) *QuantileHistogram {
 	r.mu.RLock()
 	q, ok := r.quants[name]
@@ -275,9 +137,8 @@ func (r *Registry) Quantile(name string) *QuantileHistogram {
 // Snapshot is a point-in-time copy of a registry, JSON-marshalable
 // as-is.
 type Snapshot struct {
-	Counters   map[string]uint64            `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	Gauges   map[string]int64  `json:"gauges,omitempty"`
 	// Quantiles summarizes the registry's quantile histograms as
 	// cumulative (process-lifetime) percentiles. Windowed percentiles
 	// cannot be derived by subtracting two summaries — percentiles do
@@ -292,19 +153,15 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{
-		Counters:   make(map[string]uint64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
-		Quantiles:  make(map[string]QuantileSnapshot, len(r.quants)),
+		Counters:  make(map[string]uint64, len(r.counters)),
+		Gauges:    make(map[string]int64, len(r.gauges)),
+		Quantiles: make(map[string]QuantileSnapshot, len(r.quants)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Load()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Load()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
 	}
 	for name, q := range r.quants {
 		s.Quantiles[name] = q.Snapshot()
@@ -317,10 +174,9 @@ func (r *Registry) Snapshot() Snapshot {
 // on the process-wide Default).
 func (s Snapshot) Merge(other Snapshot) Snapshot {
 	out := Snapshot{
-		Counters:   make(map[string]uint64, len(s.Counters)+len(other.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)+len(other.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)+len(other.Histograms)),
-		Quantiles:  make(map[string]QuantileSnapshot, len(s.Quantiles)+len(other.Quantiles)),
+		Counters:  make(map[string]uint64, len(s.Counters)+len(other.Counters)),
+		Gauges:    make(map[string]int64, len(s.Gauges)+len(other.Gauges)),
+		Quantiles: make(map[string]QuantileSnapshot, len(s.Quantiles)+len(other.Quantiles)),
 	}
 	for k, v := range other.Quantiles {
 		out.Quantiles[k] = v
@@ -340,26 +196,18 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 	for k, v := range s.Gauges {
 		out.Gauges[k] = v
 	}
-	for k, v := range other.Histograms {
-		out.Histograms[k] = v
-	}
-	for k, v := range s.Histograms {
-		out.Histograms[k] = v
-	}
 	return out
 }
 
 // Delta returns the counter-wise difference s − prev, attributing
 // work to the window between the two snapshots. Gauges keep their
-// current (s) value — a gauge delta is meaningless. Histograms keep
-// the later snapshot's buckets minus the earlier's. Counters absent
+// current (s) value — a gauge delta is meaningless. Counters absent
 // from prev are treated as starting at zero.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out := Snapshot{
-		Counters:   make(map[string]uint64, len(s.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-		Quantiles:  make(map[string]QuantileSnapshot, len(s.Quantiles)),
+		Counters:  make(map[string]uint64, len(s.Counters)),
+		Gauges:    make(map[string]int64, len(s.Gauges)),
+		Quantiles: make(map[string]QuantileSnapshot, len(s.Quantiles)),
 	}
 	// Percentile summaries do not subtract; keep the later snapshot's
 	// cumulative view (see the Quantiles field doc).
@@ -371,26 +219,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	}
 	for k, v := range s.Gauges {
 		out.Gauges[k] = v
-	}
-	for k, v := range s.Histograms {
-		p, ok := prev.Histograms[k]
-		if !ok || len(p.Buckets) != len(v.Buckets) {
-			out.Histograms[k] = v
-			continue
-		}
-		d := HistogramSnapshot{
-			Count:      v.Count - p.Count,
-			SumSeconds: v.SumSeconds - p.SumSeconds,
-			Buckets:    make([]Bucket, len(v.Buckets)),
-			Overflow:   v.Overflow - p.Overflow,
-		}
-		for i := range v.Buckets {
-			d.Buckets[i] = Bucket{
-				UpperBound: v.Buckets[i].UpperBound,
-				Count:      v.Buckets[i].Count - p.Buckets[i].Count,
-			}
-		}
-		out.Histograms[k] = d
 	}
 	return out
 }

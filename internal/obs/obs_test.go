@@ -28,84 +28,30 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0.001, 0.01, 0.1)
-	h.Observe(500 * time.Microsecond) // bucket 0
-	h.Observe(time.Millisecond)       // bucket 0 (le is inclusive)
-	h.Observe(5 * time.Millisecond)   // bucket 1
-	h.Observe(50 * time.Millisecond)  // bucket 2
-	h.Observe(time.Second)            // overflow
-	s := h.Snapshot()
-	if s.Count != 5 {
-		t.Fatalf("count = %d, want 5", s.Count)
-	}
-	wantCounts := []uint64{2, 1, 1}
-	for i, b := range s.Buckets {
-		if b.Count != wantCounts[i] {
-			t.Errorf("bucket %d (le %g): count %d, want %d", i, b.UpperBound, b.Count, wantCounts[i])
-		}
-	}
-	if s.Overflow != 1 {
-		t.Errorf("overflow = %d, want 1", s.Overflow)
-	}
-	wantSum := (0.5 + 1 + 5 + 50 + 1000) / 1000.0
-	if diff := s.SumSeconds - wantSum; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("sum = %g, want %g", s.SumSeconds, wantSum)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0.001, 0.01, 0.1)
-	for i := 0; i < 90; i++ {
-		h.Observe(500 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(50 * time.Millisecond)
-	}
-	s := h.Snapshot()
-	if q := s.Quantile(0.5); q != 0.001 {
-		t.Errorf("p50 = %g, want 0.001", q)
-	}
-	if q := s.Quantile(0.99); q != 0.1 {
-		t.Errorf("p99 = %g, want 0.1", q)
-	}
-	if q := (HistogramSnapshot{}).Quantile(0.5); q != 0 {
-		t.Errorf("empty quantile = %g, want 0", q)
-	}
-}
-
-func TestHistogramUnsortedBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unsorted bounds accepted")
-		}
-	}()
-	NewHistogram(0.1, 0.01)
-}
-
 func TestSnapshotJSONAndDelta(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("queries").Add(10)
 	r.Gauge("inflight").Set(3)
-	r.Histogram("lat", 0.01, 0.1).Observe(5 * time.Millisecond)
+	r.Quantile("lat").Observe(5 * time.Millisecond)
 	before := r.Snapshot()
 
 	r.Counter("queries").Add(7)
-	r.Histogram("lat").Observe(50 * time.Millisecond)
+	r.Quantile("lat").Observe(50 * time.Millisecond)
 	after := r.Snapshot()
 
 	d := after.Delta(before)
 	if d.Counters["queries"] != 7 {
 		t.Errorf("delta counter = %d, want 7", d.Counters["queries"])
 	}
-	if d.Histograms["lat"].Count != 1 || d.Histograms["lat"].Buckets[1].Count != 1 {
-		t.Errorf("delta histogram = %+v", d.Histograms["lat"])
+	// Percentiles do not subtract: Delta keeps the later summary.
+	if d.Quantiles["lat"] != after.Quantiles["lat"] || d.Quantiles["lat"].Count != 2 {
+		t.Errorf("delta quantiles = %+v, want the later summary %+v", d.Quantiles["lat"], after.Quantiles["lat"])
 	}
 	if d.Gauges["inflight"] != 3 {
 		t.Errorf("delta gauge = %d, want current value 3", d.Gauges["inflight"])
 	}
 
-	// The snapshot must marshal cleanly (no +Inf anywhere).
+	// The snapshot must marshal cleanly.
 	if _, err := json.Marshal(after); err != nil {
 		t.Fatalf("snapshot not JSON-marshalable: %v", err)
 	}
@@ -133,7 +79,7 @@ func TestConcurrentUse(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").Add(1)
-				r.Histogram("h").Observe(time.Millisecond)
+				r.Quantile("h").Observe(time.Millisecond)
 				_ = r.Snapshot()
 			}
 		}()
@@ -142,7 +88,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("c").Load(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h").Snapshot().Count; got != 8000 {
+	if got := r.Quantile("h").Count(); got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
 	}
 }

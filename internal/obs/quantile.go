@@ -111,12 +111,11 @@ func (h *QuantileHistogram) Merge(other *QuantileHistogram) {
 	}
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) as a duration. The
-// rank rule matches HistogramSnapshot.Quantile: each bucket's mass is
-// attributed to its upper bound, so the estimate never undershoots the
-// true order statistic and overshoots by at most 2^-qhSubBits
-// relative (plus one nanosecond of integer truncation). Returns 0 for
-// an empty histogram.
+// Quantile estimates the q-quantile (q in [0,1]) as a duration. Each
+// bucket's mass is attributed to its upper bound, so the estimate never
+// undershoots the true order statistic and overshoots by at most
+// 2^-qhSubBits relative (plus one nanosecond of integer truncation).
+// Returns 0 for an empty histogram.
 func (h *QuantileHistogram) Quantile(q float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {

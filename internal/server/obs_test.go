@@ -15,7 +15,7 @@ import (
 
 // TestMetricsEndpoint drives traffic through every query endpoint and
 // checks /metrics reports per-backend query counts, the admission
-// counters and latency histogram buckets.
+// counters and engine latency percentiles.
 func TestMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New(Config{
@@ -54,20 +54,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := counters["server.queries"].(float64); got != 4 {
 		t.Errorf("server.queries = %v, want 4", got)
 	}
-	hist := body["histograms"].(map[string]any)["engine.crashsim.latency"].(map[string]any)
-	if hist["count"].(float64) != 4 {
-		t.Errorf("latency histogram count = %v, want 4", hist["count"])
+	lat := body["quantiles"].(map[string]any)["engine.crashsim.latency"].(map[string]any)
+	if lat["count"].(float64) != 4 {
+		t.Errorf("engine latency count = %v, want 4", lat["count"])
 	}
-	buckets := hist["buckets"].([]any)
-	if len(buckets) == 0 {
-		t.Fatal("latency histogram has no buckets")
-	}
-	var inBuckets float64
-	for _, b := range buckets {
-		inBuckets += b.(map[string]any)["count"].(float64)
-	}
-	if overflow, _ := hist["overflow"].(float64); inBuckets+overflow != 4 {
-		t.Errorf("bucket counts sum to %v (+%v overflow), want 4", inBuckets, overflow)
+	if p50, slowest := lat["p50"].(float64), lat["max"].(float64); !(p50 > 0 && p50 <= slowest) {
+		t.Errorf("engine latency p50 %v, max %v: want 0 < p50 <= max", p50, slowest)
 	}
 	if gauges := body["gauges"].(map[string]any); gauges["server.inflight"].(float64) != 0 {
 		t.Errorf("inflight gauge = %v after traffic drained", gauges["server.inflight"])

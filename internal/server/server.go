@@ -160,14 +160,12 @@ type Server struct {
 	inflight *obs.Gauge
 	served   *obs.Counter
 	rejected *obs.Counter
-	latency  *obs.Histogram
-	// qlatency is the log-bucketed percentile view of the same
-	// end-to-end request latency that the fixed-bucket latency
-	// histogram records: p50/p90/p99/p999 + exact max with ~3% relative
-	// error, served live on /stats and /metrics.
-	qlatency *obs.QuantileHistogram
+	// latency records end-to-end request latency: p50/p90/p99/p999 +
+	// exact max with ~3% relative error, served live on /stats and
+	// /metrics.
+	latency *obs.QuantileHistogram
 	// now is the clock behind latency accounting; tests substitute a
-	// fake to drive known durations through the histograms.
+	// fake to drive known durations through the histogram.
 	now func() time.Time
 }
 
@@ -244,8 +242,7 @@ func New(cfg Config) (*Server, error) {
 		inflight:      cfg.Metrics.Gauge("server.inflight"),
 		served:        cfg.Metrics.Counter("server.queries"),
 		rejected:      cfg.Metrics.Counter("server.rejected"),
-		latency:       cfg.Metrics.Histogram("server.latency"),
-		qlatency:      cfg.Metrics.Quantile("server.latency"),
+		latency:       cfg.Metrics.Quantile("server.latency"),
 		statsComputed: cfg.Metrics.Counter("server.stats_computed"),
 		now:           time.Now,
 	}
@@ -344,16 +341,8 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		defer s.release(1)
 		start := s.now()
 		h(w, r)
-		s.observeLatency(s.now().Sub(start))
+		s.latency.Observe(s.now().Sub(start))
 	}
-}
-
-// observeLatency records one end-to-end request latency into both
-// views: the fixed-bucket histogram (bucket counts on /metrics) and
-// the quantile histogram (live percentiles on /stats and /metrics).
-func (s *Server) observeLatency(d time.Duration) {
-	s.latency.Observe(d)
-	s.qlatency.Observe(d)
 }
 
 // Algo returns the name of the backend serving queries.
@@ -439,7 +428,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // seconds, exact max) accumulated since startup.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.stats
-	lat := s.qlatency.Snapshot()
+	lat := s.latency.Snapshot()
 	body := map[string]any{
 		"latency": map[string]any{
 			"count":        lat.Count,
@@ -484,22 +473,20 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // struct). An example continued:
 //
 //	  "gauges":     {"server.inflight": 1, ...},
-//	  "histograms": {"engine.crashsim.latency": {"count": 42, "sum_seconds": 1.9,
-//	                  "buckets": [{"le": 0.0001, "count": 0}, ...], "overflow": 0}, ...},
 //	  "quantiles":  {"server.latency": {"count": 42, "sum_seconds": 1.9,
-//	                  "p50": 0.012, "p90": 0.031, "p99": 0.084, "p999": 0.21, "max": 0.4}}
+//	                  "p50": 0.012, "p90": 0.031, "p99": 0.084, "p999": 0.21, "max": 0.4},
+//	                 "engine.crashsim.latency": {...}}
 //	}
 //
-// "quantiles" is the log-bucketed percentile view of end-to-end
-// request latency (seconds, ~3% relative error, exact max) — the same
-// observations as the fixed-bucket server.latency histogram, shaped
-// for SLO dashboards instead of bucket math. /stats carries the same
-// summary under "latency".
+// "quantiles" holds the log-bucketed latency percentiles (seconds,
+// ~3% relative error, exact max, cumulative since startup):
+// server.latency is end-to-end request latency, and
+// engine.<backend>.latency the estimation-only share. /stats carries
+// the server.latency summary under "latency".
 //
-// Bucket counts are per-bucket (not cumulative); "overflow" counts
-// observations above the last bound. With the default registry the
-// snapshot includes internal/core's process-wide work counters
-// (core.walks, core.pool.* — including the frozen-tree and revReach
+// With the default registry the snapshot includes internal/core's
+// process-wide work counters (core.walks, core.pool.* — including the
+// frozen-tree and revReach
 // accumulator pools, core.pool.frozen_* and core.pool.revacc_*, plus
 // the incremental-pipeline scratch pools core.pool.patch_* and
 // core.pool.temporal_* — core.frozen.compiled, core.prefilter_pruned,
@@ -702,7 +689,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release(weight)
 	start := s.now()
-	defer func() { s.observeLatency(s.now().Sub(start)) }()
+	defer func() { s.latency.Observe(s.now().Sub(start)) }()
 
 	// Per-item validation: an out-of-range source gets its own error
 	// entry; the valid remainder still runs as one batch.
