@@ -127,7 +127,7 @@ func BenchmarkScaling(b *testing.B) {
 }
 
 // BenchmarkKernelComparison regenerates the crash-kernel before/after
-// comparison (legacy map kernel vs compiled frozen tree) behind
+// comparison (legacy kernel vs compiled frozen tree) behind
 // BENCH_crashsim.json.
 func BenchmarkKernelComparison(b *testing.B) {
 	cfg := benchConfig()

@@ -15,7 +15,7 @@ import (
 
 // KernelResult is one dataset row of the crash-kernel before/after
 // comparison: the same single-source CrashSim queries (same seeds, same
-// iteration budgets) timed against the legacy map kernel
+// iteration budgets) timed against the legacy kernel
 // (Params.DisableFrozenKernel) and the compiled frozen-tree kernel that
 // is now the default. Scores are verified bit-identical before the rows
 // are trusted, so the two columns differ only in implementation.
@@ -113,7 +113,7 @@ func Kernel(cfg Config) (*KernelComparison, *Report, error) {
 	cmp.GeoMeanSpeedup = math.Exp(logSum / float64(len(cmp.Results)))
 
 	rep := &Report{
-		Title:   "Crash kernel before/after: legacy map kernel vs compiled frozen tree",
+		Title:   "Crash kernel before/after: legacy kernel vs compiled frozen tree",
 		Notes:   []string{cmp.Config, "identical queries and seeds; scores verified bit-identical"},
 		Columns: []string{"dataset", "n", "m", "n_r", "legacy-ms/q", "frozen-ms/q", "speedup"},
 	}

@@ -75,9 +75,10 @@ func Example2() (*Report, error) {
 		Columns: []string{"step", "node", "probability"},
 	}
 	for step := 0; step < tree.NumLevels(); step++ {
-		for _, v := range sortedNodes(tree.Level(step)) {
+		nodes, probs := tree.Level(step)
+		for i, v := range nodes {
 			rep.AddRow(fmt.Sprintf("%d", step), graph.PaperLabel(v),
-				fmt.Sprintf("%.4f", tree.Prob(step, v)))
+				fmt.Sprintf("%.4f", probs[i]))
 		}
 	}
 	walk := []string{"C", "D", "B", "A"}
@@ -88,17 +89,4 @@ func Example2() (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("crash probability of walk W(C)=(C,D,B,A) against the tree: %.4f (paper: 0.0521)", sum))
 	return rep, nil
-}
-
-func sortedNodes(level map[graph.NodeID]float64) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(level))
-	for v := range level {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }

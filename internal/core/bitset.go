@@ -1,6 +1,10 @@
 package core
 
-import "crashsim/internal/graph"
+import (
+	"math/bits"
+
+	"crashsim/internal/graph"
+)
 
 // nodeBitset is a fixed-size bitset over dense node ids. The zero-score
 // prefilter and CrashSim-T's affected-area computation use it in place
@@ -33,11 +37,22 @@ func (b nodeBitset) Add(v graph.NodeID) bool {
 	return true
 }
 
+// appendNodes appends the members of b to out in ascending order.
+func (b nodeBitset) appendNodes(out []graph.NodeID) []graph.NodeID {
+	for wi, w := range b {
+		base := graph.NodeID(wi << 6)
+		for w != 0 {
+			out = append(out, base+graph.NodeID(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return out
+}
+
 // forwardReachBits marks in reach every node reachable from any source
-// by following out-edges within depth hops, sources included — the
-// bitset form of forwardReach (one multi-source BFS, O(n + m)), used on
-// the query hot path. frontier and next are caller-provided buffers
-// (possibly nil) whose grown storage is returned for reuse.
+// by following out-edges within depth hops, sources included — one
+// multi-source BFS, O(n + m). frontier and next are caller-provided
+// buffers (possibly nil) whose grown storage is returned for reuse.
 func forwardReachBits(g *graph.Graph, sources []graph.NodeID, depth int, reach nodeBitset, frontier, next []graph.NodeID) (f, nx []graph.NodeID) {
 	frontier = frontier[:0]
 	for _, s := range sources {

@@ -71,10 +71,12 @@ func SingleSourceCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, omega 
 	if err != nil {
 		return nil, err
 	}
-	// The tree is owned by this query alone, so its level storage can go
-	// back to the pool once the estimate is done.
+	// The tree is owned by this query alone, so its arena can go back to
+	// the pool as soon as it is compiled.
+	tree, ft := freezeOwned(g, tree, q)
 	defer releaseTree(tree, !q.DisablePooling)
-	return estimate(ctx, g, u, omega, q, tree)
+	defer releaseFrozen(ft, !q.DisablePooling)
+	return estimateWith(ctx, g, u, omega, q, tree, ft)
 }
 
 // SingleSourceWithTree is SingleSource with a caller-provided reverse
@@ -137,44 +139,53 @@ func checkSource(g *graph.Graph, u graph.NodeID) error {
 // candidate draws from its own random stream, which makes results
 // invariant to the worker count and to the composition of omega.
 //
-// The sparse build-time tree is first compiled into its flat FrozenTree
-// form (unless p.DisableFrozenKernel keeps the legacy map kernel for
-// the ablation), so the per-step crash check inside the walk loop is an
-// array load instead of a hash lookup. Scores accumulate in a pooled
-// dense array indexed by node (workers write disjoint entries, so no
-// locking is needed) and convert to the public Scores map only at the
-// end.
+// The build-time tree is first compiled into its flat FrozenTree form
+// (unless p.DisableFrozenKernel keeps the legacy kernel for the
+// ablation), so the per-step crash check inside the walk loop is an
+// array load instead of a search. Scores accumulate in a pooled dense
+// array indexed by node (workers write disjoint entries, so no locking
+// is needed) and convert to the public Scores map only at the end.
+// (CrashSim-T calls estimateWith directly, managing the compiled form
+// through its cross-snapshot frozenCarry.)
 func estimate(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree) (Scores, error) {
-	n := g.NumNodes()
-	pooled := !p.DisablePooling
-
-	// Compile the frozen form only when the sampling budget amortizes the
-	// compile sweep: freezing costs one pass per tree entry, a fused walk
-	// saves on the order of one entry's cost, so below ~one walk per
-	// entry (tiny candidate sets from CrashSim-T's pruning, minuscule
-	// iteration counts) the legacy kernel is the faster end-to-end choice.
-	// Scores are bit-identical either way, so the switch is invisible.
-	// (CrashSim-T skips this and calls estimateWith directly, managing
-	// the compiled form through its cross-snapshot frozenCarry.)
-	cands := len(omega)
-	if omega == nil {
-		cands = n
-	}
-	var ft *FrozenTree
-	if !p.DisableFrozenKernel && int64(cands)*int64(p.iterations(n)) >= int64(tree.Support()) {
-		ft = acquireFrozen(pooled)
-		ft.compile(tree, n)
-		ft.buildStep1(g)
-		defer releaseFrozen(ft, pooled)
-	}
+	ft := freeze(g, tree, p)
+	defer releaseFrozen(ft, !p.DisablePooling)
 	return estimateWith(ctx, g, u, omega, p, tree, ft)
+}
+
+// freeze compiles tree for the walk kernels on g from a pooled
+// FrozenTree, or returns nil when p.DisableFrozenKernel selects the
+// legacy kernel. The caller releases the result with releaseFrozen.
+func freeze(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
+	if p.DisableFrozenKernel {
+		return nil
+	}
+	ft := acquireFrozen(!p.DisablePooling)
+	ft.compile(tree, g.NumNodes())
+	ft.buildStep1(g)
+	return ft
+}
+
+// freezeOwned is freeze for a caller that owns tree. Once the tree is
+// compiled nothing reads it again (the prefilter starts from the
+// compiled support list), so its arena goes straight back to the pool
+// and the returned tree is nil; a concurrent query, or the next source
+// of a batch, then builds into it. Under DisableFrozenKernel the tree
+// comes back as is. The caller releases both results.
+func freezeOwned(g *graph.Graph, tree *ReachTree, p Params) (*ReachTree, *FrozenTree) {
+	ft := freeze(g, tree, p)
+	if ft != nil {
+		releaseTree(tree, !p.DisablePooling)
+		tree = nil
+	}
+	return tree, ft
 }
 
 // estimateWith is estimate against a caller-chosen kernel form: a
 // non-nil ft runs the fused frozen-tree kernels against it (the caller
-// keeps ownership — nothing here compiles or releases it), a nil ft
-// runs the legacy map kernel against tree. Scores are bit-identical
-// either way.
+// keeps ownership — nothing here compiles or releases it, and tree is
+// not read, so it may be nil), a nil ft runs the legacy kernel against
+// tree. Scores are bit-identical either way.
 func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree, ft *FrozenTree) (Scores, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -287,39 +298,33 @@ func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []g
 // within l_max hops. Everything else provably scores 0, so it is
 // excluded before any sampling — on graphs with small reverse
 // neighborhoods (e.g. citation graphs with many uncited papers) this
-// removes most of the work. A non-nil ft runs the BFS over a pooled
-// bitset; the legacy path keeps the map form so the ablation measures
-// the old kernel end to end. A pruned source gets its defined
-// self-score written into dense directly (sim(u,u) = 1). The returned
-// slice aliases sc.live and is valid until the next call; with the
-// prefilter disabled it is omega unchanged. Both the single-source and
-// the batched multi-source paths run their candidate sets through this
-// one helper, so the pruning decision is identical in either mode.
+// removes most of the work. The BFS starts from the compiled tree's
+// support list when ft is non-nil, else from tree.Nodes(). A pruned
+// source gets its defined self-score written into dense directly
+// (sim(u,u) = 1). The returned slice aliases sc.live and is valid until
+// the next call; with the prefilter disabled it is omega unchanged.
+// Both the single-source and the batched multi-source paths run their
+// candidate sets through this one helper, so the pruning decision is
+// identical in either mode.
 func (sc *scratch) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree, ft *FrozenTree, dense []float64) []graph.NodeID {
 	if p.DisablePrefilter {
 		return omega
 	}
-	n := g.NumNodes()
-	live := sc.live[:0]
+	var support []graph.NodeID
 	if ft != nil {
-		reach := newNodeBitset(sc.reach, n)
-		sc.frontier, sc.next = forwardReachBits(g, ft.SupportNodes(), p.Lmax, reach, sc.frontier, sc.next)
-		sc.reach = reach
-		for _, v := range omega {
-			if reach.Has(v) && g.InDegree(v) > 0 {
-				live = append(live, v)
-			} else if v == u {
-				dense[v] = 1
-			}
-		}
+		support = ft.SupportNodes()
 	} else {
-		reach := forwardReach(g, tree.Nodes(), p.Lmax)
-		for _, v := range omega {
-			if _, ok := reach[v]; ok && g.InDegree(v) > 0 {
-				live = append(live, v)
-			} else if v == u {
-				dense[v] = 1
-			}
+		support = tree.Nodes()
+	}
+	reach := newNodeBitset(sc.reach, g.NumNodes())
+	sc.frontier, sc.next = forwardReachBits(g, support, p.Lmax, reach, sc.frontier, sc.next)
+	sc.reach = reach
+	live := sc.live[:0]
+	for _, v := range omega {
+		if reach.Has(v) && g.InDegree(v) > 0 {
+			live = append(live, v)
+		} else if v == u {
+			dense[v] = 1
 		}
 	}
 	sc.live = live
@@ -327,36 +332,8 @@ func (sc *scratch) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.
 	return live
 }
 
-// forwardReach returns the set of nodes reachable from any source node
-// by following out-edges within depth hops, sources included — one
-// multi-source BFS, O(n + m). It backs the legacy (pre-frozen) kernel;
-// the hot path uses forwardReachBits.
-func forwardReach(g *graph.Graph, sources []graph.NodeID, depth int) map[graph.NodeID]struct{} {
-	reach := make(map[graph.NodeID]struct{}, len(sources)*2)
-	frontier := make([]graph.NodeID, 0, len(sources))
-	for _, s := range sources {
-		if _, ok := reach[s]; !ok {
-			reach[s] = struct{}{}
-			frontier = append(frontier, s)
-		}
-	}
-	for d := 0; d < depth && len(frontier) > 0; d++ {
-		var next []graph.NodeID
-		for _, v := range frontier {
-			for _, w := range g.Out(v) {
-				if _, ok := reach[w]; !ok {
-					reach[w] = struct{}{}
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	return reach
-}
-
 // estimateCandidate runs the n_r walks for one candidate against the
-// sparse map tree and returns the averaged crash probability together
+// build-time tree and returns the averaged crash probability together
 // with the (possibly grown) walk buffer. It is the legacy kernel, kept
 // for the DisableFrozenKernel ablation and as the reference the frozen
 // kernel is property-tested against. The only error it can return is

@@ -8,12 +8,12 @@ import (
 
 // FrozenTree is the compiled, immutable query-time form of a ReachTree.
 //
-// The build-time tree stores one map[NodeID]float64 per level, which is
+// The build-time tree stores each level as a sorted node list, which is
 // the right shape for the level-synchronized DP and for CrashSim-T's
-// Equal/DiffNodes pruning — but it puts a hash lookup on every step of
-// every sampled walk. Freezing compiles the tree into two flat arrays
-// so Prob(step, v) is one paired load, one mask test and at most one
-// indexed read:
+// Equal/DiffNodes pruning — but a lookup in it is a binary search, too
+// slow for every step of every sampled walk. Freezing compiles the tree
+// into flat arrays indexed by node id so Prob(step, v) is one paired
+// load, one mask test and at most one indexed read:
 //
 //   - any: one bit per node, set iff the node has mass at some level.
 //     At n/8 bytes this stays cache-resident at any graph size we run,
@@ -34,8 +34,8 @@ import (
 //     float64 load, with no loop even past 64 levels.
 //
 // Values are the exact float64s of the source tree, so every estimate
-// computed against the frozen form is bit-identical to the map form —
-// the equivalence property test enforces it.
+// computed against the frozen form is bit-identical to one against the
+// build-time tree — the equivalence property test enforces it.
 type FrozenTree struct {
 	Source graph.NodeID
 	Lmax   int
@@ -46,8 +46,7 @@ type FrozenTree struct {
 	lv        []uint64 // len 2·n·maskWords: interleaved (mask, rank)
 	nodes     []graph.NodeID
 	probs     []float64
-	ents      []frozenEntry // compile-time staging, reused across compiles
-	s1        []step1       // per-node first-step table, see buildStep1
+	s1        []step1 // per-node first-step table, see buildStep1
 }
 
 // step1 is one entry of the first-step acceleration table: for node w,
@@ -59,14 +58,6 @@ type step1 struct {
 	p      float64
 }
 
-// frozenEntry stages one (node, step, probability) triple between
-// compile passes, so the probability fill iterates a flat slice instead
-// of walking the level maps a second time.
-type frozenEntry struct {
-	v, step int32
-	p       float64
-}
-
 // Freeze compiles t for queries on a graph with n nodes. The returned
 // tree is immutable and safe for concurrent readers.
 func (t *ReachTree) Freeze(n int) *FrozenTree {
@@ -76,66 +67,58 @@ func (t *ReachTree) Freeze(n int) *FrozenTree {
 }
 
 // compile fills f from t, reusing f's slices when they are large enough
-// (the frozen-tree pool in scratch.go depends on this).
+// (the frozen-tree pool in scratch.go depends on this). It makes two
+// passes over t's arena with a sweep of the support bitset between
+// them.
 func (f *FrozenTree) compile(t *ReachTree, n int) {
 	f.Source = t.Source
 	f.Lmax = t.Lmax
 	f.n = n
-	levels := len(t.levels)
-	f.maskWords = (levels + 63) / 64
-	if f.maskWords < 1 {
-		f.maskWords = 1
-	}
+	levels := t.NumLevels()
+	f.maskWords = max((levels+63)/64, 1)
 	mw := f.maskWords
 
-	// Pass 1: level bitmasks. The layout is addressed by global id, so
-	// there is no support discovery to do first — one sweep over the
-	// level maps sets the bits and stages the (node, step, p) triples,
-	// so this is the only pass that pays map iteration.
+	// Pass 1: level bitmasks and the support bitset. The layout is
+	// addressed by global id, so there is no support discovery to do
+	// first.
 	f.lv = growUint64(f.lv, 2*n*mw)
 	clear(f.lv)
-	f.ents = f.ents[:0]
-	for step, lvm := range t.levels {
+	anyB := newNodeBitset(f.any, n)
+	for step := 0; step < levels; step++ {
 		w, bit := step>>6, uint64(1)<<uint(step&63)
-		for v, p := range lvm {
+		nodes, _ := t.Level(step)
+		for _, v := range nodes {
 			f.lv[(int(v)*mw+w)*2] |= bit
-			f.ents = append(f.ents, frozenEntry{v: int32(v), step: int32(step), p: p})
+			anyB.Add(v)
 		}
 	}
-	entries := len(f.ents)
+	f.any = anyB
 
-	// Pass 2: ranks and the support list. Scanning ids in order makes
-	// the CSR (node, step)-ordered and the support list sorted, so the
-	// layout is deterministic even though map iteration order is not.
-	f.nodes = f.nodes[:0]
-	f.any = growUint64(f.any, (n+63)/64)
-	clear(f.any)
-	r := int32(0)
-	for v := 0; v < n; v++ {
-		base := v * mw * 2
-		seen := uint64(0)
+	// Ranks and the support list: sweeping the support bitset visits
+	// the supported nodes in id order, so the CSR is (node, step)-ordered
+	// and the support list sorted. Unsupported nodes keep an all-zero
+	// mask, so their rank is never read.
+	f.nodes = anyB.appendNodes(f.nodes[:0])
+	r := uint64(0)
+	for _, v := range f.nodes {
+		base := int(v) * mw * 2
 		for w := 0; w < mw; w++ {
-			word := f.lv[base+w*2]
-			f.lv[base+w*2+1] = uint64(r)
-			r += int32(bits.OnesCount64(word))
-			seen |= word
-		}
-		if seen != 0 {
-			f.any[v>>6] |= uint64(1) << uint(v&63)
-			f.nodes = append(f.nodes, graph.NodeID(v))
+			f.lv[base+w*2+1] = r
+			r += uint64(bits.OnesCount64(f.lv[base+w*2]))
 		}
 	}
 
-	// Pass 3: fill probabilities from the staged triples. With the masks
-	// complete, the CSR slot of every (node, step) entry is directly
-	// computable, so the fill needs no per-node cursor and can visit the
-	// entries in any order.
-	f.probs = growFloat64(f.probs, entries)
-	for _, e := range f.ents {
-		w, bit := int(e.step)>>6, uint64(1)<<uint(e.step&63)
-		wi := (int(e.v)*mw + w) * 2
-		word := f.lv[wi]
-		f.probs[int(f.lv[wi+1])+bits.OnesCount64(word&(bit-1))] = e.p
+	// Pass 2: with the masks complete, the CSR slot of every (node,
+	// step) entry is directly computable, so the fill reads the arena
+	// in its own step-major order.
+	f.probs = growFloat64(f.probs, t.Support())
+	for step := 0; step < levels; step++ {
+		w, bit := step>>6, uint64(1)<<uint(step&63)
+		nodes, probs := t.Level(step)
+		for i, v := range nodes {
+			wi := (int(v)*mw + w) * 2
+			f.probs[int(f.lv[wi+1])+bits.OnesCount64(f.lv[wi]&(bit-1))] = probs[i]
+		}
 	}
 	statFrozenCompiled.Inc()
 }
@@ -158,12 +141,11 @@ type frozenCarry struct {
 }
 
 // prepare returns the frozen form to run this snapshot's estimate
-// against (nil routes estimateWith to the legacy map kernel) and
+// against (nil routes estimateWith to the legacy kernel) and
 // whether a compile was skipped by reuse. disableKernel forces the
-// legacy kernel, mirroring Params.DisableFrozenKernel; otherwise a
-// fresh compile happens only when the sampling budget amortizes it,
-// the same gate the static estimate applies.
-func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, cands, nr int, disableKernel bool) (*FrozenTree, bool) {
+// legacy kernel, mirroring Params.DisableFrozenKernel; otherwise the
+// tree is compiled unless the carried form already matches it.
+func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, disableKernel bool) (*FrozenTree, bool) {
 	if disableKernel {
 		return nil, false
 	}
@@ -173,9 +155,6 @@ func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, cands, nr int, d
 			fc.version = v
 		}
 		return fc.ft, true
-	}
-	if int64(cands)*int64(nr) < int64(tree.Support()) {
-		return nil, false
 	}
 	if fc.ft == nil {
 		fc.ft = acquireFrozen(fc.pooled)
@@ -217,7 +196,7 @@ func (f *FrozenTree) buildStep1(g *graph.Graph) {
 }
 
 // Prob returns the probability that the source's truncated √c-walk is at
-// v after step steps — the same value, bit for bit, as the map-backed
+// v after step steps — the same value, bit for bit, as the build-time
 // ReachTree.Prob. Out-of-range steps and nodes return 0.
 func (f *FrozenTree) Prob(step int, v graph.NodeID) float64 {
 	if uint(step) >= uint(f.maskWords<<6) || uint(v) >= uint(f.n) {

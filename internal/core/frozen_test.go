@@ -25,7 +25,7 @@ func randomTestGraph(t testing.TB, n, m int, directed bool, seed uint64) *graph.
 }
 
 // TestFrozenProbMatchesMap: the compiled tree must return the exact
-// float64 of the map tree for every (step, node) pair — in-support,
+// float64 of the build-time tree for every (step, node) pair — in-support,
 // out-of-support, and out-of-range on both axes — on randomized graphs
 // of both orientations and with lmax pushed past one bitmask word.
 func TestFrozenProbMatchesMap(t *testing.T) {
@@ -83,7 +83,7 @@ func TestFrozenCompileReuse(t *testing.T) {
 }
 
 // TestFrozenKernelScoresByteIdentical: for a fixed seed, single-source
-// scores must be byte-identical between the legacy map kernel and the
+// scores must be byte-identical between the legacy kernel and the
 // compiled kernel, across worker counts, for every meeting rule. This
 // is the determinism contract that lets BENCH_crashsim compare the two
 // kernels as pure performance variants.
@@ -116,6 +116,34 @@ func TestFrozenKernelScoresByteIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// forwardReach is the map-based multi-source BFS the bitset form
+// replaced, kept as the reference forwardReachBits is tested and
+// benchmarked against: every node reachable from any source by
+// following out-edges within depth hops, sources included.
+func forwardReach(g *graph.Graph, sources []graph.NodeID, depth int) map[graph.NodeID]struct{} {
+	reach := make(map[graph.NodeID]struct{}, len(sources)*2)
+	frontier := make([]graph.NodeID, 0, len(sources))
+	for _, s := range sources {
+		if _, ok := reach[s]; !ok {
+			reach[s] = struct{}{}
+			frontier = append(frontier, s)
+		}
+	}
+	for d := 0; d < depth && len(frontier) > 0; d++ {
+		var next []graph.NodeID
+		for _, v := range frontier {
+			for _, w := range g.Out(v) {
+				if _, ok := reach[w]; !ok {
+					reach[w] = struct{}{}
+					next = append(next, w)
+				}
+			}
+		}
+		frontier = next
+	}
+	return reach
 }
 
 // TestForwardReachBitsMatchesMap: the bitset BFS must mark exactly the
@@ -276,7 +304,7 @@ func BenchmarkForwardReachMap(b *testing.B) {
 }
 
 // BenchmarkSingleSourceKernels is the end-to-end before/after: one full
-// single-source query per iteration, legacy map kernel vs compiled
+// single-source query per iteration, legacy kernel vs compiled
 // kernel, same seed and budget.
 func BenchmarkSingleSourceKernels(b *testing.B) {
 	g := benchGraph(b, 2000, 20000)

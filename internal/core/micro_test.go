@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"crashsim/internal/gen"
@@ -163,6 +165,38 @@ func BenchmarkSingleSource(b *testing.B) {
 		if _, err := SingleSource(g, graph.NodeID(i%2000), nil, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTopK runs cold top-10 queries on the serve-cold benchmark
+// graph (the web-1m profile at scale 0.03, ε = 0.25) from its 16
+// highest in-degree nodes, at the n_r where the coarse pass is the
+// whole budget (20) and where a refine pass follows (400).
+func BenchmarkTopK(b *testing.B) {
+	prof, err := gen.ProfileByName("web-1m")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := prof.Scaled(0.03).Static(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sources := make([]graph.NodeID, g.NumNodes())
+	for v := range sources {
+		sources[v] = graph.NodeID(v)
+	}
+	slices.SortFunc(sources, func(x, y graph.NodeID) int { return g.InDegree(y) - g.InDegree(x) })
+	sources = sources[:16]
+	for _, nr := range []int{20, 400} {
+		b.Run(fmt.Sprintf("nr=%d", nr), func(b *testing.B) {
+			p := Params{C: 0.6, Eps: 0.25, Iterations: nr, Workers: 2, Seed: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := TopK(g, sources[i%len(sources)], 10, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 )
 
 // MultiSource answers a batch of single-source queries in one pipeline
-// pass: every distinct source's reverse reachable tree is built (and,
-// when the sampling budget amortizes it, frozen) exactly once, the
-// per-source candidate sets are flattened into a single (source,
-// candidate) work list, and that list runs through one par.ForEachCtx
-// fan-out over a shared pooled scratch arena. Compared to dispatching
-// the sources one by one this pays one scratch acquisition, one
-// scheduling ramp-up and — because repeated sources are deduplicated —
-// one tree build and one sampling pass per distinct source instead of
-// per request.
+// pass: every distinct source's reverse reachable tree is built and
+// frozen exactly once, the per-source candidate sets are flattened into
+// a single (source, candidate) work list, and that list runs through
+// one par.ForEachCtx fan-out over a shared pooled scratch arena.
+// Compared to dispatching the sources one by one this pays one scratch
+// acquisition, one scheduling ramp-up and — because repeated sources
+// are deduplicated — one tree build and one sampling pass per distinct
+// source instead of per request.
 //
 // A nil omega means all nodes; a non-nil omega restricts every source's
 // result to those candidates. The returned slice is parallel to
@@ -101,11 +100,11 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 	sqrtC := math.Sqrt(q.C)
 
 	// Prep phase, sequential per unique source: build the reverse
-	// reachable tree, compile it when the freeze gate of estimate holds
-	// (same gate, so the kernel choice matches a standalone query),
-	// prefilter the candidates, and append one work item per surviving
-	// candidate. Work items land source-major, keeping each source's
-	// tree and dense window cache-warm within a worker's chunk.
+	// reachable tree, compile it (the same freeze a standalone query
+	// runs, so the kernel choice matches), prefilter the candidates, and
+	// append one work item per surviving candidate. Work items land
+	// source-major, keeping each source's tree and dense window
+	// cache-warm within a worker's chunk.
 	for i, u := range uniq {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -116,12 +115,7 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 		} else {
 			tree = RevReach(g, u, q.C, q.Lmax, q.Transition)
 		}
-		var ft *FrozenTree
-		if !q.DisableFrozenKernel && int64(len(cand))*int64(nr) >= int64(tree.Support()) {
-			ft = acquireFrozen(pooled)
-			ft.compile(tree, n)
-			ft.buildStep1(g)
-		}
+		tree, ft := freezeOwned(g, tree, q)
 		dense := bs.slab[i*n : (i+1)*n]
 		bs.preps = append(bs.preps, srcPrep{u: u, tree: tree, ft: ft, dense: dense})
 		statCandidates.Add(uint64(len(cand)))

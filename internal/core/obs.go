@@ -55,8 +55,9 @@ var (
 	statBatchScratchMisses = obs.Default.Counter("core.pool.batch_misses")
 
 	// statFrozenCompiled counts reverse-reachable trees compiled into
-	// the flat FrozenTree form (one per query on the default kernel;
-	// zero when DisableFrozenKernel routes through the map kernel).
+	// the flat FrozenTree form (one per query on the default kernel,
+	// top-k queries included, and one per unique source of a batch;
+	// zero when DisableFrozenKernel routes through the legacy kernel).
 	statFrozenCompiled = obs.Default.Counter("core.frozen.compiled")
 
 	// CrashSim-T pruning outcomes, mirroring TemporalStats cumulatively

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"crashsim/internal/graph"
 )
@@ -12,73 +13,83 @@ import (
 // t ∈ [0, lmax] and node x, Prob(t, x) is the probability that the
 // truncated √c-walk starting from the source is at x after t steps.
 //
-// Levels are sparse maps because a √c-walk's mass concentrates on the
-// reverse neighborhood of the source. All construction is performed in
-// sorted node order so probabilities are bit-for-bit deterministic for a
-// given graph, which CrashSim-T's tree-equality pruning relies on.
+// Levels are stored step-major in one flat arena: level t is the node
+// list nodes[off[t]:off[t+1]], sorted by id, with the matching masses
+// at the same positions of probs. A √c-walk's mass concentrates on the
+// reverse neighborhood of the source, so the arena holds only the
+// support. All construction is performed in sorted node order so
+// probabilities are bit-for-bit deterministic for a given graph, which
+// CrashSim-T's tree-equality pruning relies on.
 type ReachTree struct {
 	Source graph.NodeID
 	Lmax   int
-	levels []map[graph.NodeID]float64
+	off    []int32 // len NumLevels()+1; level t spans [off[t], off[t+1])
+	nodes  []graph.NodeID
+	probs  []float64
 }
+
+// reset empties t for a new tree of source u, keeping the arena's
+// storage.
+func (t *ReachTree) reset(u graph.NodeID, lmax int) {
+	t.Source, t.Lmax = u, lmax
+	t.off = append(t.off[:0], 0)
+	t.nodes, t.probs = t.nodes[:0], t.probs[:0]
+}
+
+// endLevel closes the level whose entries were appended since the last
+// call.
+func (t *ReachTree) endLevel() { t.off = append(t.off, int32(len(t.nodes))) }
 
 // Prob returns U[step][v], or 0 when the walk cannot be at v at step.
+// It binary-searches the level; the walk kernels read the compiled
+// FrozenTree instead.
 func (t *ReachTree) Prob(step int, v graph.NodeID) float64 {
-	if step < 0 || step >= len(t.levels) {
-		return 0
+	nodes, probs := t.Level(step)
+	if i, ok := slices.BinarySearch(nodes, v); ok {
+		return probs[i]
 	}
-	return t.levels[step][v]
+	return 0
 }
 
-// Level returns the non-zero entries of level step; the map is shared and
-// must not be modified.
-func (t *ReachTree) Level(step int) map[graph.NodeID]float64 {
-	if step < 0 || step >= len(t.levels) {
-		return nil
+// Level returns the non-zero entries of level step: the nodes in
+// ascending id order and their masses at the same positions. Both
+// slices are shared with the tree and must not be modified.
+func (t *ReachTree) Level(step int) ([]graph.NodeID, []float64) {
+	if step < 0 || step >= t.NumLevels() {
+		return nil, nil
 	}
-	return t.levels[step]
+	lo, hi := t.off[step], t.off[step+1]
+	return t.nodes[lo:hi], t.probs[lo:hi]
 }
 
 // NumLevels returns the number of stored levels (lmax + 1).
-func (t *ReachTree) NumLevels() int { return len(t.levels) }
+func (t *ReachTree) NumLevels() int { return max(len(t.off)-1, 0) }
 
 // LevelMass returns Σ_x U[step][x]. For the exact transition rule it is
 // bounded by (√c)^step, a property the tests verify.
 func (t *ReachTree) LevelMass(step int) float64 {
+	_, probs := t.Level(step)
 	sum := 0.0
-	for _, p := range t.Level(step) {
+	for _, p := range probs {
 		sum += p
 	}
 	return sum
 }
 
 // Support returns the number of (step, node) entries with positive mass.
-func (t *ReachTree) Support() int {
-	total := 0
-	for _, lv := range t.levels {
-		total += len(lv)
-	}
-	return total
-}
+func (t *ReachTree) Support() int { return len(t.nodes) }
 
 // Equal reports whether two trees have the same support and probabilities
 // within tol (use tol = 0 for exact equality; CrashSim-T uses a small
 // tolerance because adjacency enumeration order may differ between
 // otherwise identical snapshots).
 func (t *ReachTree) Equal(o *ReachTree, tol float64) bool {
-	if o == nil || len(t.levels) != len(o.levels) {
+	if o == nil || !slices.Equal(t.off, o.off) || !slices.Equal(t.nodes, o.nodes) {
 		return false
 	}
-	for step := range t.levels {
-		a, b := t.levels[step], o.levels[step]
-		if len(a) != len(b) {
+	for i, pa := range t.probs {
+		if math.Abs(pa-o.probs[i]) > tol {
 			return false
-		}
-		for v, pa := range a {
-			pb, ok := b[v]
-			if !ok || math.Abs(pa-pb) > tol {
-				return false
-			}
 		}
 	}
 	return true
@@ -88,48 +99,42 @@ func (t *ReachTree) Equal(o *ReachTree, tol float64) bool {
 // from o's by more than tol at any level (including nodes present in
 // only one tree). CrashSim-T's delta pruning treats the forward reach of
 // these nodes as affected: a candidate whose walks cannot hit a changed
-// tree entry sees identical crash probabilities.
+// tree entry sees identical crash probabilities. Each level is compared
+// by one merge of the two sorted node lists.
 func (t *ReachTree) DiffNodes(o *ReachTree, tol float64) []graph.NodeID {
-	seen := make(map[graph.NodeID]struct{})
-	levels := len(t.levels)
-	if o != nil && len(o.levels) > levels {
-		levels = len(o.levels)
+	if o == nil {
+		o = &ReachTree{}
 	}
-	for step := 0; step < levels; step++ {
-		a := t.Level(step)
-		var b map[graph.NodeID]float64
-		if o != nil {
-			b = o.Level(step)
-		}
-		for v, pa := range a {
-			if pb, ok := b[v]; !ok || math.Abs(pa-pb) > tol {
-				seen[v] = struct{}{}
+	var out []graph.NodeID
+	for step := 0; step < max(t.NumLevels(), o.NumLevels()); step++ {
+		an, ap := t.Level(step)
+		bn, bp := o.Level(step)
+		i, j := 0, 0
+		for i < len(an) || j < len(bn) {
+			switch {
+			case j == len(bn) || (i < len(an) && an[i] < bn[j]):
+				out = append(out, an[i])
+				i++
+			case i == len(an) || bn[j] < an[i]:
+				out = append(out, bn[j])
+				j++
+			default:
+				if math.Abs(ap[i]-bp[j]) > tol {
+					out = append(out, an[i])
+				}
+				i++
+				j++
 			}
 		}
-		for v := range b {
-			if _, ok := a[v]; !ok {
-				seen[v] = struct{}{}
-			}
-		}
 	}
-	out := make([]graph.NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ApproxBytes estimates t's heap footprint for byte-accounted caching:
-// the level-map headers plus a per-entry cost covering the map bucket
-// share of a (NodeID, float64) pair. It intentionally overestimates a
-// little — cache budgets should err toward evicting early.
+// the struct plus the arena's three slices at their capacity.
 func (t *ReachTree) ApproxBytes() int64 {
-	total := int64(64)
-	for _, lv := range t.levels {
-		total += 48 + int64(len(lv))*32
-	}
-	return total
+	return 64 + 4*int64(cap(t.off)) + 4*int64(cap(t.nodes)) + 8*int64(cap(t.probs))
 }
 
 // Patch derives the reverse reachable tree of t.Source on g from t, the
@@ -163,7 +168,7 @@ func (t *ReachTree) ApproxBytes() int64 {
 // p must already have defaults applied (CrashSim-T passes its resolved
 // Params).
 func (t *ReachTree) Patch(g *graph.Graph, add, del []graph.Edge, p Params, tol, gate float64) (*ReachTree, []graph.NodeID, bool) {
-	if p.NonBacktracking || t.Lmax != p.Lmax || len(t.levels) != p.Lmax+1 {
+	if p.NonBacktracking || t.Lmax != p.Lmax || t.NumLevels() != p.Lmax+1 {
 		return nil, nil, false
 	}
 	n := g.NumNodes()
@@ -228,20 +233,20 @@ func (t *ReachTree) Patch(g *graph.Graph, add, del []graph.Edge, p Params, tol, 
 
 	sc := math.Sqrt(p.C)
 	nt := acquireTree(t.Source, t.Lmax)
-	nt.levels[0][t.Source] = 1
+	nt.nodes = append(nt.nodes, t.Source)
+	nt.probs = append(nt.probs, 1)
+	nt.endLevel()
 	acc := ps.acc
 	rseen := newNodeBitset(ps.rseen, n)
 	levelBits := nodeBitset(growUint64(ps.levelBits, len(rseen)))
 	changed := newNodeBitset(ps.changed, n)
-	order, masses := ps.order[:0], ps.masses[:0]
-	order = append(order, t.Source)
-	masses = append(masses, 1)
 	bitSame := true
 	for step := 0; step < p.Lmax; step++ {
 		// Restricted push: walk the new level's full sorted support (so
 		// affected receivers accumulate in rebuild order), but only
 		// pushers do per-edge work and only affected receivers are
 		// written.
+		order, masses := nt.Level(step)
 		for i, x := range order {
 			if !pushers.Has(x) {
 				continue
@@ -286,27 +291,26 @@ func (t *ReachTree) Patch(g *graph.Graph, add, del []graph.Edge, p Params, tol, 
 		// Assemble the new level: affected receivers from the push above
 		// (their bits are already in rseen), unaffected entries copied
 		// from the old level. Vanished and value-changed affected
-		// entries feed the diff; appearances are caught in the sweep.
-		old := t.levels[step+1]
+		// entries feed the diff; appearances are caught in the sweep,
+		// which merges against the old level's sorted node list.
+		oldNodes, oldProbs := t.Level(step + 1)
 		copy(levelBits, rseen)
-		for v, pOld := range old {
+		for i, v := range oldNodes {
 			if !affected.Has(v) {
 				levelBits.Add(v)
-				acc[v] = pOld
 				continue
 			}
 			if !rseen.Has(v) {
 				changed.Add(v)
 				bitSame = false
-			} else if math.Float64bits(acc[v]) != math.Float64bits(pOld) {
+			} else if math.Float64bits(acc[v]) != math.Float64bits(oldProbs[i]) {
 				bitSame = false
-				if math.Abs(acc[v]-pOld) > tol {
+				if math.Abs(acc[v]-oldProbs[i]) > tol {
 					changed.Add(v)
 				}
 			}
 		}
-		next := nt.levels[step+1]
-		order, masses = order[:0], masses[:0]
+		j := 0
 		for wi, w := range levelBits {
 			if w == 0 {
 				continue
@@ -316,22 +320,27 @@ func (t *ReachTree) Patch(g *graph.Graph, add, del []graph.Edge, p Params, tol, 
 			for w != 0 {
 				v := base + graph.NodeID(bits.TrailingZeros64(w))
 				w &= w - 1
-				pv := acc[v]
-				next[v] = pv
-				order = append(order, v)
-				masses = append(masses, pv)
+				for j < len(oldNodes) && oldNodes[j] < v {
+					j++
+				}
+				var pv float64
 				if rseen.Has(v) {
-					if _, ok := old[v]; !ok {
-						changed.Add(v)
+					pv = acc[v]
+					if j == len(oldNodes) || oldNodes[j] != v {
+						changed.Add(v) // appeared
 						bitSame = false
 					}
+				} else {
+					pv = oldProbs[j] // unaffected: copied from the old level
 				}
+				nt.nodes = append(nt.nodes, v)
+				nt.probs = append(nt.probs, pv)
 			}
 		}
+		nt.endLevel()
 		clear(rseen)
 	}
 	ps.acc, ps.rseen, ps.levelBits, ps.changed = acc, rseen, levelBits, changed
-	ps.order, ps.masses = order, masses
 
 	if bitSame {
 		// The snapshot change never reached the tree: hand the caller the
@@ -341,34 +350,22 @@ func (t *ReachTree) Patch(g *graph.Graph, add, del []graph.Edge, p Params, tol, 
 		releaseTree(nt, !p.DisablePooling)
 		return t, nil, true
 	}
-	var diff []graph.NodeID
-	for wi, w := range changed {
-		base := graph.NodeID(wi << 6)
-		for w != 0 {
-			v := base + graph.NodeID(bits.TrailingZeros64(w))
-			w &= w - 1
-			diff = append(diff, v)
-		}
-	}
-	return nt, diff, true
+	return nt, changed.appendNodes(nil), true
 }
 
 // Nodes returns the sorted set of nodes with positive mass at any level.
 // CrashSim-T's delta pruning treats these as part (i) of the affected
 // area of the source.
 func (t *ReachTree) Nodes() []graph.NodeID {
-	seen := make(map[graph.NodeID]struct{})
-	for _, lv := range t.levels {
-		for v := range lv {
-			seen[v] = struct{}{}
-		}
+	n := 0
+	for _, v := range t.nodes {
+		n = max(n, int(v)+1)
 	}
-	out := make([]graph.NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	seen := newNodeBitset(nil, n)
+	for _, v := range t.nodes {
+		seen.Add(v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return seen.appendNodes(make([]graph.NodeID, 0, len(t.nodes)))
 }
 
 // adjacency abstracts the two graph representations revReach runs on:
@@ -388,27 +385,24 @@ type adjacency interface {
 // neighborhood in practice.
 func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
 	sc := math.Sqrt(c)
-	// Level maps come from the scratch pool: SingleSourceCtx releases
-	// the tree after its estimate, so repeated queries reuse the maps'
-	// bucket storage instead of regrowing it level by level.
+	// The arena comes from the scratch pool: SingleSourceCtx releases
+	// the tree after its estimate, so repeated queries append into
+	// storage already grown to a typical tree's size.
 	t := acquireTree(u, lmax)
-	t.levels[0][u] = 1
-	// Mass for the next level accumulates in a pooled dense array rather
-	// than through per-in-edge map updates: the additions happen in
-	// exactly the order the map updates did (sorted sources, in-edge
-	// order within a source), so each level's values are bit-identical,
-	// but the level map is written once per touched node instead of
-	// being probed once per in-edge. The sorted source order comes for
-	// free: sweeping the seen bitset in word order yields the touched
-	// nodes ascending, so no level is ever sorted, and carrying each
-	// node's mass next to it in a parallel slice means the DP never
-	// reads a level map either — maps are written purely for consumers.
+	t.nodes = append(t.nodes, u)
+	t.probs = append(t.probs, 1)
+	t.endLevel()
+	// Mass for the next level accumulates in a pooled dense array: the
+	// additions happen in sorted-source order (in-edge order within a
+	// source), so each level's values are bit-deterministic. The sorted
+	// order comes for free: sweeping the seen bitset in word order
+	// yields the touched nodes ascending, so the sweep appends each
+	// level to the arena already sorted and the next push reads the
+	// level straight back from it.
 	ra := acquireRevAcc(g.NumNodes())
 	acc, seen := ra.acc, ra.seen
-	order, masses := ra.order[:0], ra.masses[:0]
-	order = append(order, u)
-	masses = append(masses, 1)
 	for step := 0; step < lmax; step++ {
+		order, masses := t.Level(step)
 		for i, x := range order {
 			in := g.In(x)
 			if len(in) == 0 {
@@ -442,8 +436,6 @@ func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionR
 				}
 			}
 		}
-		next := t.levels[step+1]
-		order, masses = order[:0], masses[:0]
 		for wi, w := range seen {
 			if w == 0 {
 				continue
@@ -453,14 +445,13 @@ func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionR
 			for w != 0 {
 				v := base + graph.NodeID(bits.TrailingZeros64(w))
 				w &= w - 1
-				p := acc[v]
-				next[v] = p
-				order = append(order, v)
-				masses = append(masses, p)
+				t.nodes = append(t.nodes, v)
+				t.probs = append(t.probs, acc[v])
 			}
 		}
+		t.endLevel()
 	}
-	ra.acc, ra.seen, ra.order, ra.masses = acc, seen, order, masses
+	ra.acc, ra.seen = acc, seen
 	releaseRevAcc(ra)
 	return t
 }
@@ -470,17 +461,26 @@ func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionR
 // never immediately returns to the node it just came from. States are
 // (node, parent) pairs, so the cost grows with the number of touched
 // edges rather than nodes. Node-level marginals are returned in the same
-// ReachTree shape. Combined with TransitionPaperLiteral this reproduces
-// the paper's Example 2 numbers exactly; it is otherwise an ablation.
+// ReachTree shape: each level's states are sorted by (node, parent) and
+// a node's mass is summed over its states in that order, so the tree is
+// bit-deterministic like RevReach's. Combined with
+// TransitionPaperLiteral this reproduces the paper's Example 2 numbers
+// exactly; it is otherwise an ablation.
 func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
 	type state struct{ node, parent graph.NodeID }
-	sc := math.Sqrt(c)
-	t := &ReachTree{
-		Source: u,
-		Lmax:   lmax,
-		levels: make([]map[graph.NodeID]float64, lmax+1),
+	sortStates := func(order []state) {
+		slices.SortFunc(order, func(a, b state) int {
+			if a.node != b.node {
+				return cmp.Compare(a.node, b.node)
+			}
+			return cmp.Compare(a.parent, b.parent)
+		})
 	}
-	t.levels[0] = map[graph.NodeID]float64{u: 1}
+	sc := math.Sqrt(c)
+	t := acquireTree(u, lmax)
+	t.nodes = append(t.nodes, u)
+	t.probs = append(t.probs, 1)
+	t.endLevel()
 	cur := map[state]float64{{node: u, parent: -1}: 1}
 	var order []state
 	for step := 0; step < lmax; step++ {
@@ -489,12 +489,7 @@ func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, r
 		for s := range cur {
 			order = append(order, s)
 		}
-		sort.Slice(order, func(i, j int) bool {
-			if order[i].node != order[j].node {
-				return order[i].node < order[j].node
-			}
-			return order[i].parent < order[j].parent
-		})
+		sortStates(order)
 		for _, s := range order {
 			in := g.In(s.node)
 			// Candidate next hops exclude the parent.
@@ -526,11 +521,20 @@ func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, r
 				next[state{node: v, parent: s.node}] += w
 			}
 		}
-		level := make(map[graph.NodeID]float64, len(next))
-		for s, p := range next {
-			level[s.node] += p
+		order = order[:0]
+		for s := range next {
+			order = append(order, s)
 		}
-		t.levels[step+1] = level
+		sortStates(order)
+		for i, s := range order {
+			if i > 0 && order[i-1].node == s.node {
+				t.probs[len(t.probs)-1] += next[s]
+				continue
+			}
+			t.nodes = append(t.nodes, s.node)
+			t.probs = append(t.probs, next[s])
+		}
+		t.endLevel()
 		cur = next
 	}
 	return t

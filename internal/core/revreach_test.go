@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -43,8 +47,8 @@ func TestRevReachExample2(t *testing.T) {
 	// The paper's level sizes: level 1 has {B, C}, level 2 has {E, B, D}
 	// (A is excluded by the parent rule), level 3 has {H, A, E, B}.
 	for step, wantLen := range map[int]int{1: 2, 2: 3, 3: 4} {
-		if got := len(tree.Level(step)); got != wantLen {
-			t.Errorf("level %d has %d entries, want %d (%v)", step, got, wantLen, tree.Level(step))
+		if nodes, _ := tree.Level(step); len(nodes) != wantLen {
+			t.Errorf("level %d has %d entries, want %d (%v)", step, len(nodes), wantLen, nodes)
 		}
 	}
 }
@@ -180,8 +184,10 @@ func TestReachTreeProbOutOfRange(t *testing.T) {
 	if tree.Prob(-1, 0) != 0 || tree.Prob(99, 0) != 0 {
 		t.Error("out-of-range Prob should be 0")
 	}
-	if tree.Level(-1) != nil || tree.Level(99) != nil {
-		t.Error("out-of-range Level should be nil")
+	for _, step := range []int{-1, 99} {
+		if nodes, probs := tree.Level(step); nodes != nil || probs != nil {
+			t.Errorf("Level(%d) should be nil", step)
+		}
 	}
 }
 
@@ -201,19 +207,12 @@ func TestTransitionRuleStrings(t *testing.T) {
 // same levels, same supports, every probability equal under
 // math.Float64bits. Stricter than Equal(o, 0), which admits -0 vs +0.
 func bitEqualTrees(a, b *ReachTree) bool {
-	if len(a.levels) != len(b.levels) {
+	if !slices.Equal(a.off, b.off) || !slices.Equal(a.nodes, b.nodes) {
 		return false
 	}
-	for step := range a.levels {
-		la, lb := a.levels[step], b.levels[step]
-		if len(la) != len(lb) {
+	for i := range a.probs {
+		if math.Float64bits(a.probs[i]) != math.Float64bits(b.probs[i]) {
 			return false
-		}
-		for v, pa := range la {
-			pb, ok := lb[v]
-			if !ok || math.Float64bits(pa) != math.Float64bits(pb) {
-				return false
-			}
 		}
 	}
 	return true
@@ -338,5 +337,262 @@ func TestPatchFallbacks(t *testing.T) {
 	short.Lmax = p.Lmax + 1
 	if _, _, ok := prev.Patch(gCur, d.Add, d.Del, short, 0, 1e9); ok {
 		t.Error("Patch accepted an Lmax mismatch")
+	}
+}
+
+// mapLevels is the map-per-level tree form ReachTree used before the
+// flat arena: levels[t][x] = U[t][x].
+type mapLevels []map[graph.NodeID]float64
+
+// revReachMapOracle is the map-level RevReach the flat arena replaced,
+// kept as the reference the arena is tested against. It pushes each
+// level's mass in ascending source order (in-edge order within a
+// source), the summation order RevReach must reproduce bit for bit.
+func revReachMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) mapLevels {
+	sc := math.Sqrt(c)
+	levels := make(mapLevels, lmax+1)
+	levels[0] = map[graph.NodeID]float64{u: 1}
+	for step := 0; step < lmax; step++ {
+		cur := levels[step]
+		order := make([]graph.NodeID, 0, len(cur))
+		for x := range cur {
+			order = append(order, x)
+		}
+		slices.Sort(order)
+		next := make(map[graph.NodeID]float64)
+		for _, x := range order {
+			in := g.In(x)
+			if len(in) == 0 {
+				continue
+			}
+			for _, v := range in {
+				switch rule {
+				case TransitionExact:
+					next[v] += cur[x] * sc / float64(len(in))
+				case TransitionPaperLiteral:
+					if deg := g.InDegree(v); deg > 0 {
+						next[v] += cur[x] * sc / float64(deg)
+					}
+				}
+			}
+		}
+		levels[step+1] = next
+	}
+	return levels
+}
+
+// revReachNonBacktrackingMapOracle is the map-level non-backtracking
+// expansion, with each level's node marginals summed over the states
+// in ascending (node, parent) order.
+func revReachNonBacktrackingMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) mapLevels {
+	type state struct{ node, parent graph.NodeID }
+	sorted := func(m map[state]float64) []state {
+		out := make([]state, 0, len(m))
+		for s := range m {
+			out = append(out, s)
+		}
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].node != out[j].node {
+				return out[i].node < out[j].node
+			}
+			return out[i].parent < out[j].parent
+		})
+		return out
+	}
+	sc := math.Sqrt(c)
+	levels := make(mapLevels, lmax+1)
+	levels[0] = map[graph.NodeID]float64{u: 1}
+	cur := map[state]float64{{node: u, parent: -1}: 1}
+	for step := 0; step < lmax; step++ {
+		next := make(map[state]float64)
+		for _, s := range sorted(cur) {
+			avail := 0
+			for _, v := range g.In(s.node) {
+				if v != s.parent {
+					avail++
+				}
+			}
+			for _, v := range g.In(s.node) {
+				if v == s.parent {
+					continue
+				}
+				switch rule {
+				case TransitionPaperLiteral:
+					if deg := g.InDegree(v); deg > 0 {
+						next[state{v, s.node}] += cur[s] * sc / float64(deg)
+					}
+				default:
+					next[state{v, s.node}] += cur[s] * sc / float64(avail)
+				}
+			}
+		}
+		level := make(map[graph.NodeID]float64)
+		for _, s := range sorted(next) {
+			level[s.node] += next[s]
+		}
+		levels[step+1] = level
+		cur = next
+	}
+	return levels
+}
+
+// sameAsMap reports whether the flat tree holds exactly the oracle's
+// (step, node, bits) entries.
+func sameAsMap(t *ReachTree, m mapLevels) bool {
+	if t.NumLevels() != len(m) {
+		return false
+	}
+	for step, lv := range m {
+		nodes, probs := t.Level(step)
+		if len(nodes) != len(lv) || !slices.IsSorted(nodes) {
+			return false
+		}
+		for i, v := range nodes {
+			p, ok := lv[v]
+			if !ok || math.Float64bits(p) != math.Float64bits(probs[i]) {
+				return false
+			}
+			if math.Float64bits(t.Prob(step, v)) != math.Float64bits(p) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// mapEqual, mapDiffNodes and mapNodes are the map-form Equal, DiffNodes
+// and Nodes the flat tree's versions must agree with.
+func mapEqual(a, b mapLevels, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for step := range a {
+		if len(a[step]) != len(b[step]) {
+			return false
+		}
+		for v, pa := range a[step] {
+			pb, ok := b[step][v]
+			if !ok || math.Abs(pa-pb) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func mapDiffNodes(a, b mapLevels, tol float64) []graph.NodeID {
+	seen := map[graph.NodeID]bool{}
+	for step := 0; step < max(len(a), len(b)); step++ {
+		var la, lb map[graph.NodeID]float64
+		if step < len(a) {
+			la = a[step]
+		}
+		if step < len(b) {
+			lb = b[step]
+		}
+		for v, pa := range la {
+			if pb, ok := lb[v]; !ok || math.Abs(pa-pb) > tol {
+				seen[v] = true
+			}
+		}
+		for v := range lb {
+			if _, ok := la[v]; !ok {
+				seen[v] = true
+			}
+		}
+	}
+	var out []graph.NodeID
+	for v := range seen {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func mapNodes(m mapLevels) []graph.NodeID {
+	seen := map[graph.NodeID]bool{}
+	for _, lv := range m {
+		for v := range lv {
+			seen[v] = true
+		}
+	}
+	var out []graph.NodeID
+	for v := range seen {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestFlatTreeMatchesMapOracle: on random graphs of both orientations,
+// for both transition rules and for the non-backtracking expansion, the
+// flat tree must hold the map oracle's exact (step, node, bits)
+// entries, and Equal, DiffNodes, Nodes and LevelMass must agree with
+// their map-form definitions — including between trees of a graph and
+// of the same graph with a few edges removed.
+func TestFlatTreeMatchesMapOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 6))
+	for trial := 0; trial < 40; trial++ {
+		n := 10 + r.IntN(60)
+		m := n + r.IntN(4*n)
+		directed := trial%2 == 0
+		edges, err := gen.ErdosRenyi(n, m, directed, uint64(trial+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := gen.BuildStatic(n, directed, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2, err := gen.BuildStatic(n, directed, edges[:len(edges)-1-r.IntN(3)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := graph.NodeID(r.IntN(n))
+		lmax := 1 + r.IntN(12)
+		type build struct {
+			name   string
+			tree   func(adjacency, graph.NodeID, float64, int, TransitionRule) *ReachTree
+			oracle func(adjacency, graph.NodeID, float64, int, TransitionRule) mapLevels
+		}
+		for _, b := range []build{
+			{"revreach", RevReach, revReachMapOracle},
+			{"non-backtracking", RevReachNonBacktracking, revReachNonBacktrackingMapOracle},
+		} {
+			for _, rule := range []TransitionRule{TransitionExact, TransitionPaperLiteral} {
+				name := fmt.Sprintf("trial %d %s %v", trial, b.name, rule)
+				ta, tb := b.tree(g, u, 0.6, lmax, rule), b.tree(g2, u, 0.6, lmax, rule)
+				ma, mb := b.oracle(g, u, 0.6, lmax, rule), b.oracle(g2, u, 0.6, lmax, rule)
+				if !sameAsMap(ta, ma) || !sameAsMap(tb, mb) {
+					t.Fatalf("%s: flat tree differs from the map oracle", name)
+				}
+				for _, tol := range []float64{0, 1e-3} {
+					if got, want := ta.Equal(tb, tol), mapEqual(ma, mb, tol); got != want {
+						t.Fatalf("%s: Equal(tol=%g) = %v, map form %v", name, tol, got, want)
+					}
+					if got, want := ta.DiffNodes(tb, tol), mapDiffNodes(ma, mb, tol); !slices.Equal(got, want) {
+						t.Fatalf("%s: DiffNodes(tol=%g) = %v, map form %v", name, tol, got, want)
+					}
+				}
+				if !ta.Equal(ta, 0) || len(ta.DiffNodes(ta, 0)) != 0 {
+					t.Fatalf("%s: tree differs from itself", name)
+				}
+				if got, want := ta.DiffNodes(nil, 0), mapNodes(ma); !slices.Equal(got, want) {
+					t.Fatalf("%s: DiffNodes(nil) = %v, want %v", name, got, want)
+				}
+				if got, want := ta.Nodes(), mapNodes(ma); !slices.Equal(got, want) {
+					t.Fatalf("%s: Nodes = %v, map form %v", name, got, want)
+				}
+				for step := range ma {
+					want := 0.0
+					for _, p := range ma[step] {
+						want += p
+					}
+					if got := ta.LevelMass(step); math.Abs(got-want) > 1e-12 {
+						t.Fatalf("%s: LevelMass(%d) = %v, map form %v", name, step, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Query scratch pooling. A single-source query needs a dense score
 // array of length n, a candidate list of up to n node ids, a walk
-// buffer per worker, and the level maps of the reverse reachable tree.
+// buffer per worker, and the arena of the reverse reachable tree.
 // Under steady-state service traffic these dominate per-query
 // allocations, so they are recycled through sync.Pools. Pooling is
 // semantically invisible: every buffer is (re)initialized on acquire,
@@ -75,8 +75,9 @@ func (s *scratch) identity(n int) []graph.NodeID {
 }
 
 // srcPrep is one unique source's prepared state within a batch: its
-// reverse reachable tree, the compiled form when the freeze gate held,
-// and this source's dense score window of the shared slab.
+// compiled source tree, or under the DisableFrozenKernel ablation its
+// build-time tree (see freezeOwned), and this source's dense score
+// window of the shared slab.
 type srcPrep struct {
 	u     graph.NodeID
 	tree  *ReachTree
@@ -168,16 +169,16 @@ func releaseWalk(w *[]graph.NodeID, pooled bool) {
 	}
 }
 
-// treePool recycles ReachTree level storage. Trees returned by the
-// public BuildTree/RevReach API may be retained indefinitely by callers
+// treePool recycles ReachTree arenas. Trees returned by the public
+// BuildTree/RevReach API may be retained indefinitely by callers
 // (CrashSim-T stores them across snapshots), so nothing is pooled
-// automatically: only SingleSourceCtx, which fully owns the tree it
-// builds, releases it after the estimate.
+// automatically: only the callers that fully own the tree they build
+// (SingleSourceCtx, TopKCtx, MultiSource, a no-op Patch) release it.
 var treePool sync.Pool
 
-// acquireTree returns a ReachTree with lmax+1 empty level maps, reusing
-// pooled map storage (cleared maps keep their buckets, so warm queries
-// skip most of the rehash-growth cost of the level DP).
+// acquireTree returns an empty ReachTree for source u, reusing a pooled
+// arena (a warm query appends into storage already grown to a typical
+// tree's size instead of regrowing it level by level).
 func acquireTree(u graph.NodeID, lmax int) *ReachTree {
 	var t *ReachTree
 	if v := treePool.Get(); v != nil {
@@ -187,42 +188,26 @@ func acquireTree(u graph.NodeID, lmax int) *ReachTree {
 		t = new(ReachTree)
 		statTreeMisses.Inc()
 	}
-	t.Source = u
-	t.Lmax = lmax
-	if cap(t.levels) < lmax+1 {
-		old := t.levels[:cap(t.levels)]
-		t.levels = make([]map[graph.NodeID]float64, lmax+1)
-		copy(t.levels, old)
-	} else {
-		t.levels = t.levels[:lmax+1]
-	}
-	for i := range t.levels {
-		if t.levels[i] == nil {
-			t.levels[i] = make(map[graph.NodeID]float64)
-		}
-	}
+	t.reset(u, lmax)
 	return t
 }
 
-// releaseTree clears t's level maps and returns the storage to the
-// pool. The caller must not use t afterwards.
+// releaseTree returns t's arena to the pool. The caller must not use t
+// afterwards.
 func releaseTree(t *ReachTree, pooled bool) {
 	if !pooled || t == nil {
 		return
-	}
-	for i := range t.levels {
-		clear(t.levels[i])
 	}
 	treePool.Put(t)
 }
 
 // patchScratch holds ReachTree.Patch's working state: the affected and
-// pusher closures, the per-level receiver/membership/changed bitsets,
-// the dense accumulator and the sorted (order, masses) work lists. One
-// Patch call touches all of them, so they pool as a unit. Like revAcc,
-// nothing is zeroed on acquire beyond first growth: the bitsets are
-// re-zeroed through newNodeBitset and acc is only read at freshly
-// written indices.
+// pusher closures, the per-level receiver/membership/changed bitsets
+// and the dense accumulator (the sorted level lists live in the trees'
+// arenas). One Patch call touches all of them, so they pool as a unit.
+// Like revAcc, nothing is zeroed on acquire beyond first growth: the
+// bitsets are re-zeroed through newNodeBitset and acc is only read at
+// freshly written indices.
 type patchScratch struct {
 	affected  []uint64
 	pushers   []uint64
@@ -232,8 +217,6 @@ type patchScratch struct {
 	acc       []float64
 	frontier  []graph.NodeID
 	next      []graph.NodeID
-	order     []graph.NodeID
-	masses    []float64
 }
 
 var patchScratchPool sync.Pool
@@ -303,16 +286,13 @@ func (ts *temporalScratch) release(pooled bool) {
 }
 
 // revAcc holds RevReach's per-level accumulation state: a dense mass
-// array indexed by node id, a bitset recording which entries of acc are
-// live this level, and the current level's (sorted nodes, masses) work
-// lists. acc is only read at indices whose seen bit is set and seen is
+// array indexed by node id and a bitset recording which entries of acc
+// are live this level. acc is only read at indices whose seen bit is set and seen is
 // returned all-zero (the extraction sweep clears each word it visits),
 // so neither array needs zeroing on acquire beyond first growth.
 type revAcc struct {
-	acc    []float64
-	seen   []uint64
-	order  []graph.NodeID
-	masses []float64
+	acc  []float64
+	seen []uint64
 }
 
 var revAccPool sync.Pool
@@ -343,9 +323,10 @@ func acquireRevAcc(n int) *revAcc {
 func releaseRevAcc(ra *revAcc) { revAccPool.Put(ra) }
 
 // frozenPool recycles the flat arrays of compiled trees. A FrozenTree's
-// dominant buffer is the length-n dense remap; reusing it means a warm
-// query's compile step only pays the remap reset and the support-sized
-// fills, no allocation.
+// dominant buffers are the length-n arrays indexed by node id (the
+// interleaved mask/rank words and the first-step table); reusing them
+// means a warm query's compile step pays their reset and the
+// support-sized fills, no allocation.
 var frozenPool sync.Pool
 
 func acquireFrozen(pooled bool) *FrozenTree {

@@ -215,7 +215,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	if err != nil {
 		return nil, err
 	}
-	scoresPrev, err := runEstimate(ctx, carry, gPrev, u, nil, pp, treePrev, n, nr, res)
+	scoresPrev, err := runEstimate(ctx, carry, gPrev, u, nil, pp, treePrev, res)
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +379,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 
 		var fresh Scores
 		if len(recompute) > 0 {
-			fresh, err = runEstimate(ctx, carry, gCur, u, recompute, pp, tree, len(recompute), nr, res)
+			fresh, err = runEstimate(ctx, carry, gCur, u, recompute, pp, tree, res)
 			if err != nil {
 				return nil, err
 			}
@@ -443,11 +443,11 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 // carry when enabled (reusing the compiled source tree across
 // tree-stable transitions), or through the self-contained static path —
 // which compiles and releases per call — when the reuse ablation is on.
-func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, tree *ReachTree, cands, nr int, res *TemporalResult) (Scores, error) {
+func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, tree *ReachTree, res *TemporalResult) (Scores, error) {
 	if carry == nil {
 		return estimate(ctx, g, u, omega, pp, tree)
 	}
-	ft, reused := carry.prepare(g, tree, cands, nr, pp.DisableFrozenKernel)
+	ft, reused := carry.prepare(g, tree, pp.DisableFrozenKernel)
 	if reused {
 		res.Stats.FrozenReused++
 	}

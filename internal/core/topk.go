@@ -101,16 +101,31 @@ func TopK(g *graph.Graph, u graph.NodeID, k int, p Params) ([]TopKResult, error)
 // node within 2ε of the coarse k-th score, so a node is excluded only if
 // both its coarse and refined scores would have to err by more than ε —
 // the same per-node confidence Theorem 1 gives the plain estimator.
+//
+// Both phases run against one source tree, built and compiled once. A
+// candidate's score depends only on (Seed, candidate, n_r, tree), so
+// the shortlist's order is irrelevant, and when the coarse budget
+// already is the full one (n_r ≤ 50) the coarse ranking is returned
+// as is: a refine pass would recompute bit-identical scores.
 func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Params) ([]TopKResult, error) {
-	q := p.withDefaults()
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: top-k needs k >= 1, got %d", k)
 	}
-	n := g.NumNodes()
-	nr := q.iterations(n)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	tree, q, err := prepare(g, u, p)
+	if err != nil {
+		return nil, err
+	}
+	pooled := !q.DisablePooling
+	tree, ft := freezeOwned(g, tree, q)
+	defer releaseTree(tree, pooled)
+	defer releaseFrozen(ft, pooled)
+	nr := q.iterations(g.NumNodes())
 
 	// Phase 1: coarse scores with a fraction of the budget.
 	coarse := q
@@ -118,7 +133,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if coarse.Iterations < 50 {
 		coarse.Iterations = min(50, nr)
 	}
-	scores, err := SingleSourceCtx(ctx, g, u, nil, coarse)
+	scores, err := estimateWith(ctx, g, u, nil, coarse, tree, ft)
 	if err != nil {
 		return nil, err
 	}
@@ -126,25 +141,21 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if len(head) == 0 {
 		return nil, nil
 	}
+	if coarse.Iterations == nr {
+		return head, nil
+	}
 
-	// Phase 2: refine every candidate within 2ε of the coarse cut. The
-	// shortlist is listed in rank order, as the refined pass's candidate
-	// order is part of what fixes its scores.
+	// Phase 2: refine every candidate within 2ε of the coarse cut.
 	cut := head[len(head)-1].Score - 2*q.Eps
-	var short []TopKResult
+	var omega []graph.NodeID
 	for v, s := range scores {
 		if v != u && s >= cut {
-			short = append(short, TopKResult{Node: v, Score: s})
+			omega = append(omega, v)
 		}
-	}
-	slices.SortFunc(short, rankCmp)
-	omega := make([]graph.NodeID, len(short))
-	for i, r := range short {
-		omega[i] = r.Node
 	}
 	refined := q
 	refined.Iterations = nr
-	rescored, err := SingleSourceCtx(ctx, g, u, omega, refined)
+	rescored, err := estimateWith(ctx, g, u, omega, refined, tree, ft)
 	if err != nil {
 		return nil, err
 	}
