@@ -105,10 +105,21 @@ func BuildTree(g adjacency, u graph.NodeID, p Params) (*ReachTree, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if q.NonBacktracking {
-		return RevReachNonBacktracking(g, u, q.C, q.Lmax, q.Transition), nil
+	return buildTreeInto(nil, g, u, q), nil
+}
+
+// buildTreeInto is BuildTree for resolved and validated params, built
+// into the caller's arena dst, or into a pooled one when dst is nil.
+// Non-backtracking trees always build into their own arena.
+func buildTreeInto(dst *ReachTree, g adjacency, u graph.NodeID, q Params) *ReachTree {
+	switch {
+	case q.NonBacktracking:
+		return RevReachNonBacktracking(g, u, q.C, q.Lmax, q.Transition)
+	case dst == nil:
+		return RevReach(g, u, q.C, q.Lmax, q.Transition)
+	default:
+		return revReachInto(dst, g, u, q.C, q.Lmax, q.Transition)
 	}
-	return RevReach(g, u, q.C, q.Lmax, q.Transition), nil
 }
 
 func prepare(g *graph.Graph, u graph.NodeID, p Params) (*ReachTree, Params, error) {
@@ -371,7 +382,7 @@ func estimateCandidateFrozen(ctx context.Context, g *graph.Graph, u, v graph.Nod
 		return 1, nil // sim(u,u) = 1 by definition
 	}
 	r := rng.FastSplit(p.Seed, uint64(v))
-	sum, _, walks, err := kernelFor(p.Meeting)(ctx, g, ft, v, sqrtC, p.Lmax, nr, &r)
+	sum, _, walks, err := runKernel(ctx, p.Meeting, g, ft, v, sqrtC, p.Lmax, nr, &r)
 	statWalks.Add(uint64(walks))
 	if err != nil {
 		return 0, err
@@ -379,25 +390,25 @@ func estimateCandidateFrozen(ctx context.Context, g *graph.Graph, u, v graph.Nod
 	return sum / float64(nr), nil
 }
 
-// candidateKernel runs a candidate's full n_r-walk budget against the
-// frozen tree and returns the summed contributions, their squares (for
-// the with-error path's variance; one multiply-add per walk, noise for
-// the callers that drop it), the number of walks completed, and the
-// context error that cut the loop short, if any. Kernels draw from the
-// devirtualized rng.Fast — the same stream rng.Split yields, minus the
-// interface dispatch that would otherwise sit on every step.
-type candidateKernel func(ctx context.Context, g *graph.Graph, ft *FrozenTree, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error)
-
-// kernelFor resolves the meeting rule to its fused sample-and-score
-// kernel.
-func kernelFor(rule MeetingRule) candidateKernel {
+// runKernel runs a candidate's full n_r-walk budget against the frozen
+// tree with the meeting rule's fused sample-and-score kernel, and
+// returns the summed contributions, their squares (for the with-error
+// path's variance; one multiply-add per walk, noise for the callers
+// that drop it), the number of walks completed, and the context error
+// that cut the loop short, if any. Kernels draw from the devirtualized
+// rng.Fast — the same stream rng.Split yields, minus the interface
+// dispatch that would otherwise sit on every step. The dispatch is a
+// direct switch rather than a func value so escape analysis can see
+// that r stays on the caller's stack: an indirect call would move it to
+// the heap, one allocation per candidate.
+func runKernel(ctx context.Context, rule MeetingRule, g *graph.Graph, ft *FrozenTree, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
 	switch rule {
 	case MeetingAny:
-		return candidateScoreAny
+		return candidateScoreAny(ctx, g, ft, v, sqrtC, lmax, nr, r)
 	case MeetingFirstCrash:
-		return candidateScoreFirstCrash
+		return candidateScoreFirstCrash(ctx, g, ft, v, sqrtC, lmax, nr, r)
 	default:
-		return candidateScoreFirstMeet
+		return candidateScoreFirstMeet(ctx, g, ft, v, sqrtC, lmax, nr, r)
 	}
 }
 

@@ -58,7 +58,6 @@ func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID,
 	forwardReachBits(g, ft.SupportNodes(), q.Lmax, reach, nil, nil)
 
 	sqrtC := math.Sqrt(q.C)
-	kernel := kernelFor(q.Meeting)
 	for _, v := range omega {
 		if v == u {
 			out[v] = Estimate{Score: 1}
@@ -69,7 +68,7 @@ func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID,
 			continue
 		}
 		r := rng.FastSplit(q.Seed, uint64(v))
-		sum, sumSq, _, err := kernel(context.Background(), g, ft, v, sqrtC, q.Lmax, nr, &r)
+		sum, sumSq, _, err := runKernel(context.Background(), q.Meeting, g, ft, v, sqrtC, q.Lmax, nr, &r)
 		if err != nil {
 			return nil, err
 		}

@@ -125,31 +125,34 @@ func (f *FrozenTree) compile(t *ReachTree, n int) {
 
 // frozenCarry keeps one compiled FrozenTree alive across CrashSim-T's
 // snapshots so tree-stable transitions skip the recompile. Reuse is
-// keyed on the source tree's pointer identity: CrashSim-T only carries
-// a tree pointer forward when the tree is bit-identical (an empty delta,
-// or a Patch that detected no bit-level change), so a pointer match
-// guarantees the compiled levels are still exact. The per-node
+// keyed on the run's tree epoch, which CrashSim-T advances whenever it
+// replaces the source tree; it keeps the epoch only when the tree is
+// bit-identical (an empty delta, or a Patch that detected no bit-level
+// change), so an epoch match guarantees the compiled levels are still
+// exact. Pointer identity would not: the run recycles tree arenas, so a
+// pointer can come back holding a different tree. The per-node
 // first-step table additionally depends on the graph's in-CSR, so it is
 // refreshed — alone, an O(n) sweep instead of the O(n + support)
 // compile — whenever the snapshot version moved under an unchanged
 // tree.
 type frozenCarry struct {
 	ft      *FrozenTree
-	tree    *ReachTree // tree ft's levels were compiled from
-	version uint64     // graph version ft's step-1 table was built against
+	epoch   uint64 // tree epoch ft's levels were compiled from
+	version uint64 // graph version ft's step-1 table was built against
 	pooled  bool
 }
 
 // prepare returns the frozen form to run this snapshot's estimate
 // against (nil routes estimateWith to the legacy kernel) and
 // whether a compile was skipped by reuse. disableKernel forces the
-// legacy kernel, mirroring Params.DisableFrozenKernel; otherwise the
-// tree is compiled unless the carried form already matches it.
-func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, disableKernel bool) (*FrozenTree, bool) {
+// legacy kernel, mirroring Params.DisableFrozenKernel; otherwise tree,
+// the source tree of the given epoch, is compiled unless the carried
+// form already matches that epoch.
+func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, epoch uint64, disableKernel bool) (*FrozenTree, bool) {
 	if disableKernel {
 		return nil, false
 	}
-	if fc.ft != nil && fc.tree == tree {
+	if fc.ft != nil && fc.epoch == epoch {
 		if v := g.Version(); v != fc.version {
 			fc.ft.buildStep1(g)
 			fc.version = v
@@ -161,7 +164,7 @@ func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, disableKernel bo
 	}
 	fc.ft.compile(tree, g.NumNodes())
 	fc.ft.buildStep1(g)
-	fc.tree = tree
+	fc.epoch = epoch
 	fc.version = g.Version()
 	return fc.ft, false
 }
@@ -173,7 +176,7 @@ func (fc *frozenCarry) release() {
 		return
 	}
 	releaseFrozen(fc.ft, fc.pooled)
-	fc.ft, fc.tree = nil, nil
+	fc.ft = nil
 }
 
 // buildStep1 fills the first-step table for walks on g. Every walk's

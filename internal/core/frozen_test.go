@@ -212,13 +212,12 @@ func kernelBenchSetup(b *testing.B) (*graph.Graph, *ReachTree, *FrozenTree, int)
 
 func benchmarkWalkKernel(b *testing.B, rule MeetingRule) {
 	g, _, ft, lmax := kernelBenchSetup(b)
-	kernel := kernelFor(rule)
 	sqrtC := math.Sqrt(0.6)
 	r := rng.FastSplit(1, 42)
 	b.ResetTimer()
 	// One kernel call runs the whole budget, mirroring the estimator's
 	// per-candidate shape; ns/op is the cost of one walk.
-	sum, _, _, err := kernel(context.Background(), g, ft, 4321, sqrtC, lmax, b.N, &r)
+	sum, _, _, err := runKernel(context.Background(), rule, g, ft, 4321, sqrtC, lmax, b.N, &r)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,5 +322,63 @@ func BenchmarkSingleSourceKernels(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestCandidateEstimateAllocationFree: one candidate's estimate against
+// a compiled tree allocates nothing. The meeting-rule dispatch is a
+// direct switch, so the candidate's random stream stays on the stack;
+// a func-value dispatch would move it to the heap once per candidate.
+func TestCandidateEstimateAllocationFree(t *testing.T) {
+	g := randomTestGraph(t, 200, 1200, true, 3)
+	for _, rule := range []MeetingRule{MeetingAny, MeetingFirstCrash, MeetingFirstMeet} {
+		p := Params{Iterations: 50, Seed: 5, Meeting: rule}.withDefaults()
+		tree := RevReach(g, 1, p.C, p.Lmax, p.Transition)
+		ft := tree.Freeze(g.NumNodes())
+		ft.buildStep1(g)
+		sqrtC := math.Sqrt(p.C)
+		ctx := context.Background()
+		if g.InDegree(7) == 0 {
+			t.Fatal("candidate has no in-edges; its walks never move")
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := estimateCandidateFrozen(ctx, g, 1, 7, p, ft, p.Iterations, sqrtC); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("rule %v: %v allocations per candidate estimate, want 0", rule, allocs)
+		}
+	}
+}
+
+// TestFrozenCarryKeysOnEpoch: the carry's reuse follows the tree epoch,
+// not the tree pointer. An arena recycled to hold a different tree
+// under a new epoch must be recompiled, and the same epoch must be
+// served from the carry.
+func TestFrozenCarryKeysOnEpoch(t *testing.T) {
+	g := randomTestGraph(t, 120, 500, true, 9)
+	p := Params{}.withDefaults()
+	arena := new(ReachTree)
+	revReachInto(arena, g, 1, p.C, p.Lmax, p.Transition)
+	fc := &frozenCarry{}
+	if _, reused := fc.prepare(g, arena, 1, false); reused {
+		t.Fatal("first prepare reported reuse")
+	}
+	if _, reused := fc.prepare(g, arena, 1, false); !reused {
+		t.Fatal("same epoch was recompiled")
+	}
+	// Recycle the arena for another source's tree under a new epoch.
+	revReachInto(arena, g, 2, p.C, p.Lmax, p.Transition)
+	ft, reused := fc.prepare(g, arena, 2, false)
+	if reused {
+		t.Fatal("recycled arena under a new epoch was served from the carry")
+	}
+	for step := 0; step < arena.NumLevels(); step++ {
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			if got, want := ft.Prob(step, v), arena.Prob(step, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Prob(%d,%d) = %v, want %v", step, v, got, want)
+			}
+		}
 	}
 }

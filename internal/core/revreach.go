@@ -144,6 +144,12 @@ func (t *ReachTree) ApproxBytes() int64 {
 // every level's masses are recomputed for affected nodes only while
 // unaffected entries are copied from t.
 //
+// The patched tree is written into dst, an arena the caller owns: its
+// previous contents are discarded and its storage reused, so a caller
+// that alternates two arenas (CrashSim-T's double buffer) patches
+// without allocating once they have grown. dst must not be t; a nil dst
+// allocates a fresh arena.
+//
 // The patched tree is bit-identical to a full RevReach on g. The level
 // DP sums a receiver's in-flowing mass in ascending pusher order, and a
 // node outside the affected closure has the same contributing pushers,
@@ -157,9 +163,8 @@ func (t *ReachTree) ApproxBytes() int64 {
 // by more than tol at any level (including appear/vanish) — the same
 // contract as DiffNodes against a fresh rebuild, computed as a
 // byproduct instead of a second full-tree sweep. When no entry changed
-// at the bit level, Patch returns t itself (pointer-stable, so callers
-// can key compiled-form reuse on tree identity) and recycles the
-// staging tree.
+// at the bit level, Patch returns t itself and dst holds nothing the
+// caller needs, so it stays free for the next patch.
 //
 // ok is false when patching does not apply and the caller must fall
 // back to a full rebuild: non-backtracking trees, an Lmax mismatch, or
@@ -167,7 +172,7 @@ func (t *ReachTree) ApproxBytes() int64 {
 // a rebuild is cheaper than a patch that re-expands most of the tree.
 // p must already have defaults applied (CrashSim-T passes its resolved
 // Params).
-func (t *ReachTree) Patch(g *graph.Graph, add, del []graph.Edge, p Params, tol, gate float64) (*ReachTree, []graph.NodeID, bool) {
+func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge, p Params, tol, gate float64) (*ReachTree, []graph.NodeID, bool) {
 	if p.NonBacktracking || t.Lmax != p.Lmax || t.NumLevels() != p.Lmax+1 {
 		return nil, nil, false
 	}
@@ -232,7 +237,15 @@ func (t *ReachTree) Patch(g *graph.Graph, add, del []graph.Edge, p Params, tol, 
 	ps.pushers = pushers
 
 	sc := math.Sqrt(p.C)
-	nt := acquireTree(t.Source, t.Lmax)
+	nt := dst
+	if nt == nil {
+		nt = new(ReachTree)
+	}
+	nt.reset(t.Source, t.Lmax)
+	// A patch moves few entries, so t's support sizes the arena: a
+	// fresh or smaller dst grows once here instead of level by level.
+	nt.nodes = slices.Grow(nt.nodes, t.Support())
+	nt.probs = slices.Grow(nt.probs, t.Support())
 	nt.nodes = append(nt.nodes, t.Source)
 	nt.probs = append(nt.probs, 1)
 	nt.endLevel()
@@ -344,10 +357,8 @@ func (t *ReachTree) Patch(g *graph.Graph, add, del []graph.Edge, p Params, tol, 
 
 	if bitSame {
 		// The snapshot change never reached the tree: hand the caller the
-		// old tree back so downstream reuse keyed on pointer identity
-		// (the frozen-form carry) stays engaged, and recycle the staging
-		// tree we just filled.
-		releaseTree(nt, !p.DisablePooling)
+		// old tree back, so downstream reuse (the frozen-form carry) stays
+		// engaged and dst stays free.
 		return t, nil, true
 	}
 	return nt, changed.appendNodes(nil), true
@@ -384,11 +395,17 @@ type adjacency interface {
 // O(l_max · m) in the worst case and proportional to the touched
 // neighborhood in practice.
 func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
-	sc := math.Sqrt(c)
 	// The arena comes from the scratch pool: SingleSourceCtx releases
 	// the tree after its estimate, so repeated queries append into
 	// storage already grown to a typical tree's size.
-	t := acquireTree(u, lmax)
+	return revReachInto(acquireTree(u, lmax), g, u, c, lmax, rule)
+}
+
+// revReachInto is RevReach into the caller's arena t, whose previous
+// contents are discarded.
+func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
+	sc := math.Sqrt(c)
+	t.reset(u, lmax)
 	t.nodes = append(t.nodes, u)
 	t.probs = append(t.probs, 1)
 	t.endLevel()

@@ -266,7 +266,7 @@ func TestPatchEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				wantDiff := want.DiffNodes(prev, 0)
-				got, diff, ok := prev.Patch(gCur, d.Add, d.Del, p, 0, 1e9)
+				got, diff, ok := prev.Patch(nil, gCur, d.Add, d.Del, p, 0, 1e9)
 				if !ok {
 					t.Fatalf("t=%d: Patch bailed under an unbounded gate", cur.T())
 				}
@@ -323,19 +323,19 @@ func TestPatchFallbacks(t *testing.T) {
 	gCur := cur.Freeze()
 
 	// A zero gate makes any non-empty affected closure exceed budget.
-	if _, _, ok := prev.Patch(gCur, d.Add, d.Del, p, 0, 0); ok {
+	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, p, 0, 0); ok {
 		t.Error("Patch accepted a zero gate with a non-empty delta")
 	}
 	// Non-backtracking trees never patch.
 	nb := p
 	nb.NonBacktracking = true
-	if _, _, ok := prev.Patch(gCur, d.Add, d.Del, nb, 0, 1e9); ok {
+	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, nb, 0, 1e9); ok {
 		t.Error("Patch accepted non-backtracking params")
 	}
 	// An Lmax mismatch (tree built with a different truncation) refuses.
 	short := p
 	short.Lmax = p.Lmax + 1
-	if _, _, ok := prev.Patch(gCur, d.Add, d.Del, short, 0, 1e9); ok {
+	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, short, 0, 1e9); ok {
 		t.Error("Patch accepted an Lmax mismatch")
 	}
 }
@@ -593,6 +593,64 @@ func TestFlatTreeMatchesMapOracle(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPatchIntoDirtyArena: Patch overwrites whatever its destination
+// arena held. Alternating two arenas across a churn history, the way
+// CrashSim-T's double buffer does, every patched tree must equal
+// BuildTree at tolerance zero, and a bit-identical patch must leave the
+// spare arena free for the next transition.
+func TestPatchIntoDirtyArena(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		base, err := gen.ErdosRenyi(60, 180, directed, 61)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, err := gen.Churn(60, directed, base, gen.ChurnOptions{
+			Snapshots: 10, AddRate: 0.02, DelRate: 0.02, ActiveFraction: 0.7, Seed: 63,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Params{}.withDefaults()
+		cur, err := tg.Cursor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := BuildTree(cur.Freeze(), 0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The spare starts dirty: it holds another source's tree.
+		spare := RevReach(cur.Freeze(), 5, p.C, p.Lmax, p.Transition)
+		patched := 0
+		for cur.Next() {
+			d := tg.Delta(cur.T() - 1)
+			gCur := cur.Freeze()
+			got, _, ok := prev.Patch(spare, gCur, d.Add, d.Del, p, 0, 1e9)
+			if !ok {
+				t.Fatalf("t=%d: Patch bailed under an unbounded gate", cur.T())
+			}
+			want, err := BuildTree(gCur, 0, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitEqualTrees(got, want) {
+				t.Fatalf("directed=%v t=%d: patch into a used arena differs from rebuild", directed, cur.T())
+			}
+			switch got {
+			case prev:
+			case spare:
+				spare, prev = prev, got
+				patched++
+			default:
+				t.Fatalf("t=%d: Patch returned neither the old tree nor the destination arena", cur.T())
+			}
+		}
+		if patched < 2 {
+			t.Fatalf("directed=%v: only %d transitions changed the tree; the arenas never alternated", directed, patched)
 		}
 	}
 }

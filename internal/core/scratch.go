@@ -170,10 +170,12 @@ func releaseWalk(w *[]graph.NodeID, pooled bool) {
 }
 
 // treePool recycles ReachTree arenas. Trees returned by the public
-// BuildTree/RevReach API may be retained indefinitely by callers
-// (CrashSim-T stores them across snapshots), so nothing is pooled
-// automatically: only the callers that fully own the tree they build
-// (SingleSourceCtx, TopKCtx, MultiSource, a no-op Patch) release it.
+// BuildTree/RevReach API may be retained indefinitely by callers, so
+// nothing is pooled automatically: only the callers that fully own the
+// tree they build (SingleSourceCtx, TopKCtx, MultiSource) release it.
+// CrashSim-T recycles its source trees itself, within the run (see
+// ReachTree.Patch), and never releases them here: arenas pooled past
+// the run would hold resident memory between queries.
 var treePool sync.Pool
 
 // acquireTree returns an empty ReachTree for source u, reusing a pooled

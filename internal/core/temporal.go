@@ -210,12 +210,22 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	// Snapshot 0: full single-source computation and initial filter. The
 	// candidate list is built in node order once and maintained sorted
 	// in place from here on — later snapshots only delete from it.
+	//
+	// The run owns its source trees: treePrev and one spare arena form a
+	// double buffer. A transition that produces a new tree writes it
+	// into the spare, and the tree it replaces becomes the next spare,
+	// so the patch loop stops allocating once both arenas have grown.
+	// Arenas are recycled, so a pointer no longer identifies a tree's
+	// contents; epoch does instead. It moves whenever the source tree is
+	// replaced, and the frozen carry keys its reuse on it.
 	gPrev := cur.Freeze()
 	treePrev, err := BuildTree(gPrev, u, pp)
 	if err != nil {
 		return nil, err
 	}
-	scoresPrev, err := runEstimate(ctx, carry, gPrev, u, nil, pp, treePrev, res)
+	var spare *ReachTree
+	var epoch uint64
+	scoresPrev, err := runEstimate(ctx, carry, gPrev, u, nil, pp, treePrev, epoch, res)
 	if err != nil {
 		return nil, err
 	}
@@ -259,18 +269,19 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		case delta.Size() == 0 && !to.DisableTreePatch:
 			tree = treePrev
 		case !to.DisableTreePatch && !pp.NonBacktracking:
-			if nt, diff, ok := treePrev.Patch(gCur, delta.Add, delta.Del, pp, to.TreeTolerance, to.PatchGate); ok {
+			if nt, diff, ok := treePrev.Patch(spare, gCur, delta.Add, delta.Del, pp, to.TreeTolerance, to.PatchGate); ok {
 				tree, treeDiff = nt, diff
 				res.Stats.TreePatched++
 			}
 		}
 		if tree == nil {
-			tree, err = BuildTree(gCur, u, pp)
-			if err != nil {
-				return nil, err
-			}
+			tree = buildTreeInto(spare, gCur, u, pp)
 			treeDiff = tree.DiffNodes(treePrev, to.TreeTolerance)
 			res.Stats.TreeRebuilt++
+		}
+		if tree != treePrev {
+			spare = treePrev
+			epoch++
 		}
 		if len(treeDiff) == 0 {
 			res.Stats.TreeStableSteps++
@@ -379,7 +390,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 
 		var fresh Scores
 		if len(recompute) > 0 {
-			fresh, err = runEstimate(ctx, carry, gCur, u, recompute, pp, tree, res)
+			fresh, err = runEstimate(ctx, carry, gCur, u, recompute, pp, tree, epoch, res)
 			if err != nil {
 				return nil, err
 			}
@@ -441,13 +452,14 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 
 // runEstimate dispatches one snapshot's estimate: through the frozen
 // carry when enabled (reusing the compiled source tree across
-// tree-stable transitions), or through the self-contained static path —
-// which compiles and releases per call — when the reuse ablation is on.
-func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, tree *ReachTree, res *TemporalResult) (Scores, error) {
+// tree-stable transitions, keyed on the tree epoch), or through the
+// self-contained static path — which compiles and releases per call —
+// when the reuse ablation is on.
+func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, tree *ReachTree, epoch uint64, res *TemporalResult) (Scores, error) {
 	if carry == nil {
 		return estimate(ctx, g, u, omega, pp, tree)
 	}
-	ft, reused := carry.prepare(g, tree, pp.DisableFrozenKernel)
+	ft, reused := carry.prepare(g, tree, epoch, pp.DisableFrozenKernel)
 	if reused {
 		res.Stats.FrozenReused++
 	}

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Components computes weakly connected components (treating every arc as
 // undirected). It returns a component id per node (ids are dense,
 // ordered by smallest member) and the number of components. The dataset
@@ -67,14 +69,13 @@ func GiantComponent(g *Graph) []NodeID {
 // "co-citation" variant some applications use) is SimRank over
 // in-neighbors of the transpose.
 func Transpose(g *Graph) *Graph {
-	if !g.directed {
-		return fromArcs(g.n, false, allArcs(g))
-	}
-	arcs := allArcs(g)
-	for i := range arcs {
-		arcs[i].X, arcs[i].Y = arcs[i].Y, arcs[i].X
-	}
-	return fromArcs(g.n, true, arcs)
+	// The transpose's arcs grouped by tail are the original in-lists
+	// (for undirected graphs these equal the out-lists), so they feed
+	// the sorted CSR build directly.
+	t := newCSR(g.n, g.directed, len(g.inAdj))
+	copy(t.outOff, g.inOff)
+	t.fillSorted(g.In)
+	return t
 }
 
 // InducedSubgraph returns the subgraph over the given nodes (the
@@ -82,7 +83,7 @@ func Transpose(g *Graph) *Graph {
 // returned mapping translates new ids back to original ones.
 func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
 	keep := append([]NodeID(nil), nodes...)
-	sortNodeIDs(keep)
+	slices.Sort(keep)
 	// Deduplicate.
 	w := 0
 	for i, v := range keep {
@@ -137,14 +138,4 @@ func DegreeHistogram(g *Graph) []int {
 		counts[g.InDegree(v)]++
 	}
 	return counts
-}
-
-func allArcs(g *Graph) []Edge {
-	arcs := make([]Edge, 0, len(g.inAdj))
-	for v := NodeID(0); int(v) < g.n; v++ {
-		for _, x := range g.In(v) {
-			arcs = append(arcs, Edge{X: x, Y: v})
-		}
-	}
-	return arcs
 }

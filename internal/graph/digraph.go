@@ -142,15 +142,14 @@ func (d *DiGraph) Clone() *DiGraph {
 }
 
 // Freeze produces an immutable CSR view of the current state, stamped
-// with the DiGraph's Generation as its Version.
+// with the DiGraph's Generation as its Version. The out-lists already
+// group the arcs by tail, so they feed the sorted CSR build directly.
 func (d *DiGraph) Freeze() *Graph {
-	arcs := make([]Edge, 0, d.arcs)
-	for x := NodeID(0); int(x) < len(d.out); x++ {
-		for _, y := range d.out[x] {
-			arcs = append(arcs, Edge{X: x, Y: y})
-		}
+	g := newCSR(len(d.in), d.directed, d.arcs)
+	for x, heads := range d.out {
+		g.outOff[x+1] = g.outOff[x] + int32(len(heads))
 	}
-	g := fromArcs(len(d.in), d.directed, arcs)
+	g.fillSorted(func(x NodeID) []NodeID { return d.out[x] })
 	g.version = d.gen
 	return g
 }

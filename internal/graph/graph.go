@@ -285,41 +285,74 @@ func (b *Builder) MustFreeze() *Graph {
 }
 
 // fromArcs builds the CSR arrays from a list of directed arcs that is
-// already deduplicated (and symmetrized, for undirected graphs).
+// already deduplicated (and symmetrized, for undirected graphs). Its
+// first counting pass buckets the arcs by tail into the out-CSR, with
+// rows in arc order; fillSorted then derives the sorted in-CSR from
+// those rows and rewrites the out-rows in sorted order.
 func fromArcs(n int, directed bool, arcs []Edge) *Graph {
-	g := &Graph{
+	g := newCSR(n, directed, len(arcs))
+	for _, e := range arcs {
+		g.outOff[e.X+1]++
+	}
+	for v := 0; v < n; v++ {
+		g.outOff[v+1] += g.outOff[v]
+	}
+	next := make([]int32, n)
+	copy(next, g.outOff)
+	for _, e := range arcs {
+		g.outAdj[next[e.X]] = e.Y
+		next[e.X]++
+	}
+	g.fillSorted(func(x NodeID) []NodeID { return g.outAdj[g.outOff[x]:g.outOff[x+1]] })
+	return g
+}
+
+// newCSR returns a graph with zeroed offset arrays and adjacency arrays
+// sized for m arcs.
+func newCSR(n int, directed bool, m int) *Graph {
+	return &Graph{
 		n:        n,
 		directed: directed,
 		inOff:    make([]int32, n+1),
 		outOff:   make([]int32, n+1),
-		inAdj:    make([]NodeID, len(arcs)),
-		outAdj:   make([]NodeID, len(arcs)),
+		inAdj:    make([]NodeID, m),
+		outAdj:   make([]NodeID, m),
 	}
-	for _, e := range arcs {
-		g.inOff[e.Y+1]++
-		g.outOff[e.X+1]++
+}
+
+// fillSorted completes g's CSR from its arcs grouped by tail: heads(x)
+// returns the heads of x's arcs in any order, and g.outOff must already
+// hold the out-offsets. Two stable counting sweeps make every row come
+// out sorted without a comparison sort. Sweeping tails in ascending
+// order appends each tail to its heads' in-rows, so in-rows are
+// ascending. Sweeping heads in ascending order over the finished
+// in-CSR then rewrites the out-rows the same way. heads is read only
+// before that last sweep, so it may alias g.outAdj.
+func (g *Graph) fillSorted(heads func(x NodeID) []NodeID) {
+	n := g.n
+	next := make([]int32, n)
+	for x := NodeID(0); int(x) < n; x++ {
+		for _, y := range heads(x) {
+			g.inOff[y+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		g.inOff[v+1] += g.inOff[v]
-		g.outOff[v+1] += g.outOff[v]
 	}
-	inNext := make([]int32, n)
-	outNext := make([]int32, n)
-	for _, e := range arcs {
-		g.inAdj[g.inOff[e.Y]+inNext[e.Y]] = e.X
-		inNext[e.Y]++
-		g.outAdj[g.outOff[e.X]+outNext[e.X]] = e.Y
-		outNext[e.X]++
+	copy(next, g.inOff)
+	for x := NodeID(0); int(x) < n; x++ {
+		for _, y := range heads(x) {
+			g.inAdj[next[y]] = x
+			next[y]++
+		}
 	}
-	for v := NodeID(0); int(v) < n; v++ {
-		sortNodeIDs(g.inAdj[g.inOff[v]:g.inOff[v+1]])
-		sortNodeIDs(g.outAdj[g.outOff[v]:g.outOff[v+1]])
+	copy(next, g.outOff)
+	for y := NodeID(0); int(y) < n; y++ {
+		for _, x := range g.inAdj[g.inOff[y]:g.inOff[y+1]] {
+			g.outAdj[next[x]] = y
+			next[x]++
+		}
 	}
-	return g
-}
-
-func sortNodeIDs(s []NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // FromCSR reconstructs an immutable Graph from raw CSR arrays, as read

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Stats summarizes the structural properties that govern the cost of
 // SimRank computation: size, degree distribution skew, and the number of
@@ -101,6 +104,6 @@ func ReachableWithin(g *Graph, src NodeID, depth int) []NodeID {
 		}
 		frontier = next
 	}
-	sortNodeIDs(result)
+	slices.Sort(result)
 	return result
 }

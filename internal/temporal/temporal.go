@@ -106,10 +106,11 @@ func (tg *Graph) Cursor() (*Cursor, error) {
 // the following snapshot, returning false at the end of the history or on
 // an inconsistent delta (check Err).
 type Cursor struct {
-	tg  *Graph
-	t   int
-	cur *graph.DiGraph
-	err error
+	tg     *Graph
+	t      int
+	cur    *graph.DiGraph
+	err    error
+	frozen *graph.Graph // last Freeze result; current while its Version is cur's Generation
 }
 
 // T returns the current snapshot index.
@@ -125,7 +126,16 @@ func (c *Cursor) Working() *graph.DiGraph { return c.cur }
 // Freeze returns an immutable CSR view of the current snapshot,
 // stamped with the working graph's Generation as its Version (see
 // Graph.Snapshot for the monotonicity guarantees caches rely on).
-func (c *Cursor) Freeze() *graph.Graph { return c.cur.Freeze() }
+// While the Generation has not moved — across repeated calls and
+// across empty deltas — it returns the graph it already froze: the
+// edge set is the same, the graph is immutable, and the Version is
+// equal, so a quiet snapshot costs no CSR build.
+func (c *Cursor) Freeze() *graph.Graph {
+	if c.frozen == nil || c.frozen.Version() != c.cur.Generation() {
+		c.frozen = c.cur.Freeze()
+	}
+	return c.frozen
+}
 
 // Delta returns the delta that Next will apply, or a zero Delta at the
 // last snapshot.

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"slices"
 	"testing"
 
 	"crashsim/internal/graph"
@@ -81,6 +82,44 @@ func TestCursorFreezeVersionMatchesSnapshot(t *testing.T) {
 		if !cur.Next() {
 			break
 		}
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCursorFreezeMemoized: a cursor hands back the graph it already
+// froze while the working graph's generation stands still — on a
+// repeated call and across an empty delta — and freezes a new one
+// after a non-empty delta. The shared graph carries the same version
+// and edge set Snapshot materializes from scratch.
+func TestCursorFreezeMemoized(t *testing.T) {
+	tg := testHistory(t)
+	cur, err := tg.Cursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := cur.Freeze()
+	if again := cur.Freeze(); again != prev {
+		t.Fatal("repeated Freeze built a new graph")
+	}
+	for cur.Next() {
+		g := cur.Freeze()
+		empty := tg.Delta(cur.T()-1).Size() == 0
+		if empty != (g == prev) {
+			t.Fatalf("snapshot %d: empty delta %v, graph reused %v", cur.T(), empty, g == prev)
+		}
+		if !empty && g.Version() <= prev.Version() {
+			t.Fatalf("snapshot %d: version %d did not advance past %d", cur.T(), g.Version(), prev.Version())
+		}
+		want, err := tg.Snapshot(cur.T())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Version() != want.Version() || !slices.Equal(g.Edges(), want.Edges()) {
+			t.Fatalf("snapshot %d: memoized graph differs from Snapshot", cur.T())
+		}
+		prev = g
 	}
 	if err := cur.Err(); err != nil {
 		t.Fatal(err)
