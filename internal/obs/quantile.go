@@ -70,9 +70,16 @@ func (h *QuantileHistogram) Observe(d time.Duration) {
 		d = 0
 	}
 	v := uint64(d)
+	// The maximum is raised before the value is counted, so a reader
+	// that sees the count also sees a maximum at least this large
+	// (Quantile clamps to it).
+	h.raiseMax(v)
 	h.counts[qhIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sumNs.Add(v)
+}
+
+func (h *QuantileHistogram) raiseMax(v uint64) {
 	for {
 		old := h.maxNs.Load()
 		if v <= old || h.maxNs.CompareAndSwap(old, v) {
@@ -95,6 +102,7 @@ func (h *QuantileHistogram) Merge(other *QuantileHistogram) {
 	if other == nil {
 		return
 	}
+	h.raiseMax(other.maxNs.Load())
 	for i := range other.counts {
 		if c := other.counts[i].Load(); c != 0 {
 			h.counts[i].Add(c)
@@ -102,20 +110,14 @@ func (h *QuantileHistogram) Merge(other *QuantileHistogram) {
 	}
 	h.count.Add(other.count.Load())
 	h.sumNs.Add(other.sumNs.Load())
-	v := other.maxNs.Load()
-	for {
-		old := h.maxNs.Load()
-		if v <= old || h.maxNs.CompareAndSwap(old, v) {
-			return
-		}
-	}
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) as a duration. Each
-// bucket's mass is attributed to its upper bound, so the estimate never
-// undershoots the true order statistic and overshoots by at most
-// 2^-qhSubBits relative (plus one nanosecond of integer truncation).
-// Returns 0 for an empty histogram.
+// bucket's mass is attributed to its upper bound, clamped to the exact
+// maximum (no observation lies above it), so the estimate never
+// undershoots the true order statistic, never exceeds Max, and
+// overshoots by at most 2^-qhSubBits relative (plus one nanosecond of
+// integer truncation). Returns 0 for an empty histogram.
 func (h *QuantileHistogram) Quantile(q float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {
@@ -129,7 +131,7 @@ func (h *QuantileHistogram) Quantile(q float64) time.Duration {
 	for i := range h.counts {
 		cum += h.counts[i].Load()
 		if cum > target {
-			return time.Duration(qhUpper(i))
+			return time.Duration(min(qhUpper(i), h.maxNs.Load()))
 		}
 	}
 	// Unreachable when count is consistent with the buckets; fall back

@@ -12,14 +12,15 @@ import (
 
 // qhOracle applies the histogram's documented rank rule to the exact
 // sorted sample: the estimate must equal the upper bound of the bucket
-// containing the order statistic at rank floor(q*n) (clamped), and
-// overshoot that order statistic by at most the relative error bound.
+// containing the order statistic at rank floor(q*n) (clamped), capped
+// at the sample maximum, and overshoot that order statistic by at most
+// the relative error bound.
 func qhOracle(sorted []time.Duration, q float64) time.Duration {
 	target := int(q * float64(len(sorted)))
 	if target >= len(sorted) {
 		target = len(sorted) - 1
 	}
-	return time.Duration(qhUpper(qhIndex(uint64(sorted[target]))))
+	return min(time.Duration(qhUpper(qhIndex(uint64(sorted[target])))), sorted[len(sorted)-1])
 }
 
 // adversarialSamples builds distributions chosen to stress the
@@ -101,6 +102,9 @@ func TestQuantileHistogramMatchesOracle(t *testing.T) {
 			want := qhOracle(sorted, q)
 			if got != want {
 				t.Errorf("%s: q=%g got %v, oracle says %v", name, q, got, want)
+			}
+			if got > h.Max() {
+				t.Errorf("%s: q=%g estimate %v exceeds the exact max %v", name, q, got, h.Max())
 			}
 			// The documented error contract, checked against the true
 			// order statistic rather than the bucketed oracle.
