@@ -126,18 +126,6 @@ func BenchmarkScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelComparison regenerates the crash-kernel before/after
-// comparison (legacy kernel vs compiled frozen tree) behind
-// BENCH_crashsim.json.
-func BenchmarkKernelComparison(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.Kernel(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkThroughput regenerates the multi-source batch throughput
 // comparison (one batched call vs a sequential query loop over the same
 // Zipf-skewed sources) behind BENCH_crashsim.json's batch section.
@@ -167,18 +155,6 @@ func BenchmarkStore(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := bench.Store(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPRSim regenerates the PRSim hub-index comparison (map-based
-// skeleton vs compiled flat tables, internal/prsim) behind
-// BENCH_crashsim.json's prsim section.
-func BenchmarkPRSim(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.PRSim(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

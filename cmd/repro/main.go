@@ -6,39 +6,28 @@
 //	repro [flags] [experiment ...]
 //
 // Experiments: table2, table3, example2, fig5, fig6, fig7, ablation,
-// extra, scaling, memory, kernel, throughput, store, prsim, serving,
-// check, all (default: all). Flags tune scale and budgets; the defaults
-// finish in a few minutes. EXPERIMENTS.md records committed results
-// with the exact flags used.
+// extra, scaling, memory, throughput, store, check, all (default: all).
+// Flags tune scale and budgets; the defaults finish in a few minutes.
+// EXPERIMENTS.md records committed results with the exact flags used.
 //
 // -kernel-json names the machine-readable comparison file
-// (BENCH_crashsim.json): the kernel experiment writes the static,
-// temporal and batch sections, the store and prsim experiments merge
-// their sections into the same file, and each writer preserves the
-// sections it does not own.
-//
-// "serving" runs the open-loop SLO ladder (bench.Serving) against an
-// in-process server and writes BENCH_serving.json (-serving-json). It
-// exits non-zero if any response is neither 2xx nor 429, after writing
-// the ladder so the evidence survives the failure.
+// (BENCH_crashsim.json): the throughput experiment merges its batch
+// section into it and the store experiment its store section; each
+// writer preserves the section it does not own.
 //
 // "check" is the perf-regression gate: it compares the geomean-speedup
 // sections of a freshly generated comparison file (-check-fresh,
 // e.g. the CI smoke run's output) against the committed baseline
-// (-check-baseline, BENCH_crashsim.json) and exits non-zero when any
-// shared section falls below 1 - tolerance of its baseline ratio.
-// Neither is part of "all": serving is a load test, check needs a
-// fresh file to grade.
+// (-check-baseline, BENCH_crashsim.json) and exits non-zero when a
+// baseline section is missing from the fresh file or falls below
+// 1 - tolerance of its baseline ratio. It is not part of "all": it
+// needs a fresh file to grade.
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"crashsim/internal/bench"
 )
@@ -56,31 +45,14 @@ func main() {
 	flag.IntVar(&cfg.GroundTruthIters, "gt-iters", 0, "power-method iterations for ground truth (default 55)")
 	flag.StringVar(&cfg.Fig7Query, "fig7-query", "", "fig7 query type: trend or threshold (default trend)")
 	flag.Float64Var(&cfg.ZipfS, "zipf-s", 0, "rank-Zipf exponent for the throughput experiment's source skew (default 1.3)")
-	flag.StringVar(&cfg.ServingProfile, "serving-profile", "", "profile for the serving ladder (default web-1m)")
-	flag.Float64Var(&cfg.ServingScale, "serving-scale", 0, "serving profile scale (default 1 = the full 10⁶-edge graph)")
-	flag.DurationVar(&cfg.ServingDuration, "serving-duration", 0, "measurement window per serving rung (default 5s)")
-	flag.IntVar(&cfg.ServingMaxInFlight, "serving-max-inflight", 0, "server admission budget for the ladder (default 8; small values shed sooner, negative disables)")
-	flag.Float64Var(&cfg.ServingZipfS, "serving-zipf-s", 0, "rank-Zipf skew of serving source popularity (default 1.1)")
-	servingRates := flag.String("serving-rates", "", "comma-separated target-QPS ladder, lowest first (default 50,150,400)")
-	servingJSON := flag.String("serving-json", "", "if set, the serving experiment writes its ladder to this file (e.g. BENCH_serving.json)")
 	checkBaseline := flag.String("check-baseline", "BENCH_crashsim.json", "committed comparison file the check experiment grades against")
 	checkFresh := flag.String("check-fresh", "", "freshly generated comparison file for the check experiment (required by check)")
 	checkTolerance := flag.Float64("check-tolerance", 0.15, "check fails a section below 1-tolerance of its baseline geomean ratio")
 	seed := flag.Uint64("seed", 0, "experiment seed (default 42)")
 	format := flag.String("format", "table", "output format: table or csv")
-	kernelJSON := flag.String("kernel-json", "", "if set, the kernel experiment also writes its machine-readable comparison to this file (e.g. BENCH_crashsim.json)")
+	kernelJSON := flag.String("kernel-json", "", "if set, the throughput and store experiments merge their sections into this comparison file (e.g. BENCH_crashsim.json)")
 	flag.Parse()
 	cfg.Seed = *seed
-	if *servingRates != "" {
-		for _, f := range strings.Split(*servingRates, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || r <= 0 {
-				fmt.Fprintf(os.Stderr, "repro: bad -serving-rates entry %q\n", f)
-				os.Exit(1)
-			}
-			cfg.ServingRates = append(cfg.ServingRates, r)
-		}
-	}
 	print := func(rep *bench.Report) error { return rep.Fprint(os.Stdout) }
 	if *format == "csv" {
 		print = func(rep *bench.Report) error { return rep.FprintCSV(os.Stdout) }
@@ -91,7 +63,6 @@ func main() {
 
 	opt := options{
 		kernelJSON:     *kernelJSON,
-		servingJSON:    *servingJSON,
 		checkBaseline:  *checkBaseline,
 		checkFresh:     *checkFresh,
 		checkTolerance: *checkTolerance,
@@ -112,56 +83,29 @@ func main() {
 // config.
 type options struct {
 	kernelJSON     string
-	servingJSON    string
 	checkBaseline  string
 	checkFresh     string
 	checkTolerance float64
 }
 
 func run(name string, cfg bench.Config, print func(*bench.Report) error, opt options) error {
-	kernelJSON := opt.kernelJSON
 	switch name {
 	case "all":
-		for _, e := range []string{"table2", "table3", "example2", "fig5", "fig6", "fig7", "ablation", "extra", "scaling", "memory", "kernel", "store", "prsim"} {
-			// "kernel" covers the throughput section too; no separate
-			// entry. serving and check stay explicit: one is a load
-			// test, the other needs a fresh file to grade.
+		for _, e := range []string{"table2", "table3", "example2", "fig5", "fig6", "fig7", "ablation", "extra", "scaling", "memory", "throughput", "store"} {
 			if err := run(e, cfg, print, opt); err != nil {
 				return err
 			}
 		}
 		return nil
-	case "serving":
-		cmp, rep, err := bench.Serving(cfg)
-		if cmp != nil && opt.servingJSON != "" {
-			// Persist the ladder before reporting the error: a failing
-			// run's evidence is exactly what needs uploading.
-			f, werr := os.Create(opt.servingJSON)
-			if werr == nil {
-				werr = cmp.WriteJSON(f)
-				if cerr := f.Close(); werr == nil {
-					werr = cerr
-				}
-			}
-			if werr != nil && err == nil {
-				err = werr
-			}
-		}
-		if rep != nil {
-			if perr := print(rep); perr != nil && err == nil {
-				err = perr
-			}
-		}
-		return err
 	case "check":
 		if opt.checkFresh == "" {
 			return fmt.Errorf("check needs -check-fresh pointing at a freshly generated comparison file")
 		}
-		baseline, err := mustReadComparison(opt.checkBaseline)
+		baseline, err := bench.ReadComparison(opt.checkBaseline)
 		if err != nil {
 			return err
 		}
-		fresh, err := mustReadComparison(opt.checkFresh)
+		fresh, err := bench.ReadComparison(opt.checkFresh)
 		if err != nil {
 			return err
 		}
@@ -172,56 +116,13 @@ func run(name string, cfg bench.Config, print func(*bench.Report) error, opt opt
 			}
 		}
 		return err
-	case "kernel":
-		cmp, rep, err := bench.Kernel(cfg)
-		if err != nil {
-			return err
-		}
-		tcmp, trep, err := bench.TemporalKernel(cfg)
-		if err != nil {
-			return err
-		}
-		cmp.Temporal = tcmp
-		bcmp, brep, err := bench.Throughput(cfg)
-		if err != nil {
-			return err
-		}
-		cmp.Batch = bcmp
-		if kernelJSON != "" {
-			old, err := readComparison(kernelJSON)
-			if err != nil {
-				return err
-			}
-			// Regenerating the kernel sections keeps previously recorded
-			// store and prsim sections; "store" and "prsim" own those.
-			cmp.Store = old.Store
-			cmp.PRSim = old.PRSim
-			if err := writeComparison(kernelJSON, cmp); err != nil {
-				return err
-			}
-		}
-		if err := print(rep); err != nil {
-			return err
-		}
-		if err := print(trep); err != nil {
-			return err
-		}
-		return print(brep)
 	case "throughput":
-		cmp, rep, err := bench.Throughput(cfg)
+		bcmp, rep, err := bench.Throughput(cfg)
 		if err != nil {
 			return err
 		}
-		if kernelJSON != "" {
-			f, err := os.Create(kernelJSON)
-			if err != nil {
-				return err
-			}
-			if err := cmp.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+		if opt.kernelJSON != "" {
+			if err := bench.MergeComparison(opt.kernelJSON, func(c *bench.Comparison) { c.Batch = bcmp }); err != nil {
 				return err
 			}
 		}
@@ -231,33 +132,8 @@ func run(name string, cfg bench.Config, print func(*bench.Report) error, opt opt
 		if err != nil {
 			return err
 		}
-		if kernelJSON != "" {
-			// Merge into the existing comparison file so regenerating
-			// the store section alone keeps the kernel rows.
-			old, err := readComparison(kernelJSON)
-			if err != nil {
-				return err
-			}
-			old.Store = scmp
-			if err := writeComparison(kernelJSON, old); err != nil {
-				return err
-			}
-		}
-		return print(rep)
-	case "prsim":
-		pcmp, rep, err := bench.PRSim(cfg)
-		if err != nil {
-			return err
-		}
-		if kernelJSON != "" {
-			// Merge like "store": regenerating the prsim section alone
-			// keeps every other committed section.
-			old, err := readComparison(kernelJSON)
-			if err != nil {
-				return err
-			}
-			old.PRSim = pcmp
-			if err := writeComparison(kernelJSON, old); err != nil {
+		if opt.kernelJSON != "" {
+			if err := bench.MergeComparison(opt.kernelJSON, func(c *bench.Comparison) { c.Store = scmp }); err != nil {
 				return err
 			}
 		}
@@ -330,48 +206,6 @@ func run(name string, cfg bench.Config, print func(*bench.Report) error, opt opt
 		}
 		return print(rep)
 	default:
-		return fmt.Errorf("unknown experiment %q (want table2, table3, example2, fig5, fig6, fig7, ablation, extra, scaling, memory, kernel, throughput, store, prsim, serving, check, all)", name)
+		return fmt.Errorf("unknown experiment %q (want table2, table3, example2, fig5, fig6, fig7, ablation, extra, scaling, memory, throughput, store, check, all)", name)
 	}
-}
-
-// readComparison loads an existing machine-readable comparison file so
-// an experiment can merge its section without dropping the others. A
-// missing file is an empty comparison; a file that exists but does not
-// parse is an error — silently overwriting it would destroy sections
-// someone measured.
-func readComparison(path string) (*bench.KernelComparison, error) {
-	cmp := &bench.KernelComparison{}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return cmp, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(data, cmp); err != nil {
-		return nil, fmt.Errorf("existing %s does not parse (%v); move it aside to regenerate", path, err)
-	}
-	return cmp, nil
-}
-
-// mustReadComparison is readComparison for the check gate, where a
-// missing file means the gate has nothing to grade and must fail, not
-// quietly compare against an empty baseline.
-func mustReadComparison(path string) (*bench.KernelComparison, error) {
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("check: comparison file %s does not exist", path)
-	}
-	return readComparison(path)
-}
-
-func writeComparison(path string, cmp *bench.KernelComparison) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := cmp.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -300,11 +300,12 @@ func TestThroughputQuick(t *testing.T) {
 	if len(rep.Rows) != len(cmp.Results) {
 		t.Error("report row count mismatch")
 	}
+	// The batch section rides inside Comparison as "batch".
 	var buf bytes.Buffer
-	if err := cmp.WriteJSON(&buf); err != nil {
+	if err := (&Comparison{Batch: cmp}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"batch_qps"`, `"unique_sources"`, `"geomean_speedup"`} {
+	for _, key := range []string{`"batch"`, `"batch_qps"`, `"unique_sources"`, `"geomean_speedup"`} {
 		if !strings.Contains(buf.String(), key) {
 			t.Errorf("JSON missing %s", key)
 		}
@@ -365,54 +366,14 @@ func TestStoreQuick(t *testing.T) {
 	if len(rep.Rows) != len(cmp.Results) {
 		t.Error("report row count mismatch")
 	}
-	// The store section rides inside KernelComparison as "store".
+	// The store section rides inside Comparison as "store".
 	var buf bytes.Buffer
-	if err := (&KernelComparison{Store: cmp}).WriteJSON(&buf); err != nil {
+	if err := (&Comparison{Store: cmp}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{`"store"`, `"build_ms"`, `"load_ms"`, `"geomean_speedup"`,
 		`"mapped_load_ms"`, `"copy_first_query_ms"`, `"mapped_first_query_ms"`, `"mapped_speedup"`,
 		`"geomean_mapped_speedup"`} {
-		if !strings.Contains(buf.String(), key) {
-			t.Errorf("JSON missing %s", key)
-		}
-	}
-}
-
-func TestPRSimQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness run skipped in -short mode")
-	}
-	cmp, rep, err := PRSim(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(prsimProfiles); len(cmp.Results) != want {
-		t.Fatalf("prsim produced %d rows, want %d", len(cmp.Results), want)
-	}
-	for _, r := range cmp.Results {
-		if r.SkeletonMS <= 0 || r.CompiledMS <= 0 || r.Speedup <= 0 {
-			t.Errorf("%s: non-positive measurement %+v", r.Dataset, r)
-		}
-		if r.Hubs <= 0 || r.Entries <= 0 {
-			t.Errorf("%s: empty index (hubs=%d entries=%d)", r.Dataset, r.Hubs, r.Entries)
-		}
-		if r.HubHitRate < 0 || r.HubHitRate > 1 {
-			t.Errorf("%s: hub-hit rate %g outside [0,1]", r.Dataset, r.HubHitRate)
-		}
-	}
-	if cmp.GeoMeanSpeedup <= 0 || math.IsNaN(cmp.GeoMeanSpeedup) {
-		t.Errorf("geomean speedup = %g", cmp.GeoMeanSpeedup)
-	}
-	if len(rep.Rows) != len(cmp.Results) {
-		t.Error("report row count mismatch")
-	}
-	// The prsim section rides inside KernelComparison as "prsim".
-	var buf bytes.Buffer
-	if err := (&KernelComparison{PRSim: cmp}).WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"prsim"`, `"skeleton_ms_per_query"`, `"hub_hit_rate"`, `"geomean_speedup"`} {
 		if !strings.Contains(buf.String(), key) {
 			t.Errorf("JSON missing %s", key)
 		}

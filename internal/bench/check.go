@@ -5,84 +5,94 @@ import (
 	"math"
 )
 
-// CheckRow compares one geomean-speedup section of a fresh kernel run
-// against the committed baseline. Ratio is fresh/baseline: below
-// 1-tolerance the section regressed (CrashSim's advantage shrank) and
-// the gate fails; above 1 it merely improved, which is noted, never
-// failed — a slowdown in a *comparison* algorithm inflates the ratio
-// and must not mask a real regression elsewhere.
+// CheckRow compares one geomean-speedup section of a fresh run against
+// the committed baseline. Ratio is fresh/baseline: below 1-tolerance
+// the section regressed (the faster alternative's advantage shrank)
+// and the gate fails; above 1 it merely improved, which is noted, never
+// failed — a slowdown in the *slower* alternative inflates the ratio
+// and must not mask a real regression elsewhere. Missing marks a
+// section the baseline records but the fresh run lacks; it fails too.
 type CheckRow struct {
 	Section  string
 	Baseline float64
 	Fresh    float64
 	Ratio    float64
 	OK       bool
+	Missing  bool
 }
 
-// Check gates CrashSim's relative performance: every geomean-speedup
-// section present in BOTH comparisons (static kernel, temporal, batch,
-// store, prsim) must hold within tolerance of the baseline. Sections missing
-// from either side are skipped — the CI smoke run regenerates only the
-// sections it can afford, and the gate must not fail on what was not
-// measured. Comparing speedup *ratios* rather than absolute times is
-// what makes the gate portable across machines and scales: both
-// columns of each ratio ran on the same hardware in the same process.
+// checkSections are the graded sections in report order. get returns
+// the section's geomean speedup and whether the comparison records it.
+var checkSections = []struct {
+	name string
+	get  func(*Comparison) (float64, bool)
+}{
+	{"batch", func(c *Comparison) (float64, bool) {
+		if c.Batch == nil {
+			return 0, false
+		}
+		return c.Batch.GeoMeanSpeedup, true
+	}},
+	{"store", func(c *Comparison) (float64, bool) {
+		if c.Store == nil {
+			return 0, false
+		}
+		return c.Store.GeoMeanSpeedup, true
+	}},
+	// store-mapped gates the mmap rung (copy vs mapped time to first
+	// query) of the store section.
+	{"store-mapped", func(c *Comparison) (float64, bool) {
+		if c.Store == nil {
+			return 0, false
+		}
+		return c.Store.GeoMeanMappedSpeedup, true
+	}},
+}
+
+// Check gates the relative performance of the compared alternatives:
+// every geomean-speedup section the baseline records (batch, store,
+// store-mapped) must be present in the fresh run and hold within
+// tolerance of the baseline. A section missing from the fresh run
+// fails the gate — CI regenerates every section, so a missing one
+// means an experiment silently stopped writing it. Sections the
+// baseline lacks are not graded. Comparing speedup *ratios* rather than
+// absolute times is what makes the gate portable across machines and
+// scales: both columns of each ratio ran on the same hardware in the
+// same process.
 //
-// A baseline with no comparable sections is an error, not a pass — an
+// A baseline with no gradable sections is an error, not a pass — an
 // empty gate green-lighting everything is the worst failure mode a
 // perf gate can have.
-func Check(baseline, fresh *KernelComparison, tolerance float64) ([]CheckRow, *Report, error) {
+func Check(baseline, fresh *Comparison, tolerance float64) ([]CheckRow, *Report, error) {
 	if !(tolerance > 0 && tolerance < 1) {
 		return nil, nil, fmt.Errorf("bench: check tolerance must be in (0,1), got %g", tolerance)
 	}
-	type section struct {
-		name         string
-		base, now    float64
-		haveB, haveN bool
-	}
-	sections := []section{
-		{"static", baseline.GeoMeanSpeedup, fresh.GeoMeanSpeedup,
-			len(baseline.Results) > 0, len(fresh.Results) > 0},
-		{"temporal", geo(baseline.Temporal != nil, func() float64 { return baseline.Temporal.GeoMeanSpeedup }),
-			geo(fresh.Temporal != nil, func() float64 { return fresh.Temporal.GeoMeanSpeedup }),
-			baseline.Temporal != nil, fresh.Temporal != nil},
-		{"batch", geo(baseline.Batch != nil, func() float64 { return baseline.Batch.GeoMeanSpeedup }),
-			geo(fresh.Batch != nil, func() float64 { return fresh.Batch.GeoMeanSpeedup }),
-			baseline.Batch != nil, fresh.Batch != nil},
-		{"store", geo(baseline.Store != nil, func() float64 { return baseline.Store.GeoMeanSpeedup }),
-			geo(fresh.Store != nil, func() float64 { return fresh.Store.GeoMeanSpeedup }),
-			baseline.Store != nil, fresh.Store != nil},
-		// store-mapped gates the mmap rung (copy vs mapped time to first
-		// query). Presence requires a positive value: baselines recorded
-		// before the rung existed carry 0 and are skipped, not failed.
-		{"store-mapped", geo(baseline.Store != nil, func() float64 { return baseline.Store.GeoMeanMappedSpeedup }),
-			geo(fresh.Store != nil, func() float64 { return fresh.Store.GeoMeanMappedSpeedup }),
-			baseline.Store != nil && baseline.Store.GeoMeanMappedSpeedup > 0,
-			fresh.Store != nil && fresh.Store.GeoMeanMappedSpeedup > 0},
-		{"prsim", geo(baseline.PRSim != nil, func() float64 { return baseline.PRSim.GeoMeanSpeedup }),
-			geo(fresh.PRSim != nil, func() float64 { return fresh.PRSim.GeoMeanSpeedup }),
-			baseline.PRSim != nil, fresh.PRSim != nil},
-	}
 	var rows []CheckRow
-	for _, s := range sections {
-		if !s.haveB || !s.haveN {
+	for _, s := range checkSections {
+		base, inBase := s.get(baseline)
+		if !inBase {
 			continue
 		}
-		if !(s.base > 0) || math.IsNaN(s.now) || s.now <= 0 {
-			return nil, nil, fmt.Errorf("bench: check section %q has non-positive geomean (baseline %g, fresh %g)",
-				s.name, s.base, s.now)
+		now, inFresh := s.get(fresh)
+		if !inFresh {
+			rows = append(rows, CheckRow{Section: s.name, Baseline: base, Missing: true})
+			continue
 		}
-		ratio := s.now / s.base
+		if !(base > 0) || !(now > 0) || math.IsInf(base, 0) || math.IsInf(now, 0) {
+			return nil, nil, fmt.Errorf("bench: check section %q has a non-positive or non-finite geomean (baseline %g, fresh %g)",
+				s.name, base, now)
+		}
+		ratio := now / base
 		rows = append(rows, CheckRow{
 			Section:  s.name,
-			Baseline: s.base,
-			Fresh:    s.now,
+			Baseline: base,
+			Fresh:    now,
 			Ratio:    ratio,
 			OK:       ratio >= 1-tolerance,
 		})
 	}
 	if len(rows) == 0 {
-		return nil, nil, fmt.Errorf("bench: check found no section present in both baseline and fresh run")
+		return nil, nil, fmt.Errorf("bench: check baseline records no gradable section")
 	}
 
 	rep := &Report{
@@ -91,7 +101,13 @@ func Check(baseline, fresh *KernelComparison, tolerance float64) ([]CheckRow, *R
 		Columns: []string{"section", "baseline", "fresh", "ratio", "verdict"},
 	}
 	failed := 0
+	var missing []string
 	for _, r := range rows {
+		if r.Missing {
+			missing = append(missing, r.Section)
+			rep.AddRow(r.Section, fmt.Sprintf("%.3fx", r.Baseline), "-", "-", "MISSING")
+			continue
+		}
 		verdict := "ok"
 		if !r.OK {
 			verdict = "REGRESSED"
@@ -102,20 +118,15 @@ func Check(baseline, fresh *KernelComparison, tolerance float64) ([]CheckRow, *R
 		rep.AddRow(r.Section, fmt.Sprintf("%.3fx", r.Baseline), fmt.Sprintf("%.3fx", r.Fresh),
 			fmt.Sprintf("%.3f", r.Ratio), verdict)
 	}
-	if failed > 0 {
+	switch {
+	case len(missing) > 0:
+		rep.Footer = append(rep.Footer, fmt.Sprintf("%d of %d sections missing from the fresh run", len(missing), len(rows)))
+		return rows, rep, fmt.Errorf("bench: fresh run lacks baseline sections %v", missing)
+	case failed > 0:
 		rep.Footer = append(rep.Footer, fmt.Sprintf("%d of %d sections regressed", failed, len(rows)))
 		return rows, rep, fmt.Errorf("bench: perf regression: %d of %d sections below %.0f%% of baseline",
 			failed, len(rows), (1-tolerance)*100)
 	}
 	rep.Footer = append(rep.Footer, fmt.Sprintf("all %d sections within tolerance", len(rows)))
 	return rows, rep, nil
-}
-
-// geo evaluates f only when present, avoiding nil dereference in the
-// composite-literal table above.
-func geo(present bool, f func() float64) float64 {
-	if !present {
-		return 0
-	}
-	return f()
 }

@@ -18,11 +18,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"crashsim/internal/core"
 	"crashsim/internal/graph"
-	"crashsim/internal/load"
 	"crashsim/internal/rng"
 )
 
@@ -87,57 +85,6 @@ type Config struct {
 	// way they do in real query logs, which is precisely what the
 	// batched pipeline's dedup exploits. Default 1.3.
 	ZipfS float64
-	// ServingProfile names the profile the open-loop serving ladder
-	// (Serving) runs against. Default "web-1m", the 10⁶-edge serving
-	// profile from gen.ServingProfiles.
-	ServingProfile string
-	// ServingScale multiplies the serving profile size; CI smoke
-	// passes a small value. Default 1 (full size).
-	ServingScale float64
-	// ServingRates is the target-QPS ladder, lowest rung first.
-	// Default {4, 12, 40}, calibrated so full-scale web-1m is healthy
-	// at the bottom rung and saturates at the top one on a single
-	// core (warm single-source reads cost ~130 ms of clone+top-k
-	// extraction there; top-k hits are microseconds).
-	ServingRates []float64
-	// ServingDuration is each rung's measurement window. Default 15s.
-	ServingDuration time.Duration
-	// ServingMaxInFlight is the server's admission budget for the
-	// ladder (see server.Config.MaxInFlight). Default 8 — fixed
-	// rather than the server's core-scaled default so committed
-	// ladders are comparable across machines; a low value forces
-	// visible shedding sooner. Negative disables admission control.
-	ServingMaxInFlight int
-	// ServingMix weighs the ladder's request kinds. The default is
-	// top-k-heavy (Single 0.25, TopK 0.70, Batch 0.05): top-k is the
-	// interactive SLO-shaped query, full single-source results are
-	// bulk reads, and large batches are a throughput tool already
-	// measured by the throughput experiment — at web scale one
-	// admitted batch monopolizes the in-flight budget for seconds and
-	// drowns the latency signal the ladder exists to measure.
-	ServingMix load.Mix
-	// ServingBatchSize is sources per KindBatch request. Default 4.
-	ServingBatchSize int
-	// ServingCacheBytes sizes the server's query-result cache for the
-	// ladder. A full single-source result on the 10⁶-edge profile is
-	// ~14 MB, so the default is 1 GiB — enough for the hot working
-	// set, far from enough for uniform traffic. Negative disables.
-	ServingCacheBytes int64
-	// ServingZipfS skews the ladder's source popularity (rank-Zipf,
-	// like real query logs — and what makes the cache matter).
-	// Default 1.1.
-	ServingZipfS float64
-	// ServingEps is the serving-path error bound, separate from Eps
-	// because serving trades accuracy for latency: at the repro
-	// experiments' ε=0.025 one cold single-source query on web-1m
-	// costs over a minute of CPU, which is not a servable operating
-	// point on any SLO. Default 0.25 (the iteration floor).
-	ServingEps float64
-	// ServingHotSet caps the popularity-ordered source pool: sources
-	// are the top-ServingHotSet giant-component hubs, the working set
-	// a production cache would hold. Zero means 32; negative means the
-	// whole giant component (uniform-scale stress, cold caches).
-	ServingHotSet int
 	// Seed anchors all randomness.
 	Seed uint64
 }
@@ -203,39 +150,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.3
-	}
-	if c.ServingProfile == "" {
-		c.ServingProfile = "web-1m"
-	}
-	if c.ServingScale == 0 {
-		c.ServingScale = 1
-	}
-	if len(c.ServingRates) == 0 {
-		c.ServingRates = []float64{4, 12, 40}
-	}
-	if c.ServingDuration == 0 {
-		c.ServingDuration = 15 * time.Second
-	}
-	if c.ServingMaxInFlight == 0 {
-		c.ServingMaxInFlight = 8
-	}
-	if c.ServingMix == (load.Mix{}) {
-		c.ServingMix = load.Mix{Single: 0.25, TopK: 0.70, Batch: 0.05}
-	}
-	if c.ServingBatchSize == 0 {
-		c.ServingBatchSize = 4
-	}
-	if c.ServingCacheBytes == 0 {
-		c.ServingCacheBytes = 1 << 30
-	}
-	if c.ServingZipfS == 0 {
-		c.ServingZipfS = 1.1
-	}
-	if c.ServingEps == 0 {
-		c.ServingEps = 0.25
-	}
-	if c.ServingHotSet == 0 {
-		c.ServingHotSet = 32
 	}
 	if c.Seed == 0 {
 		c.Seed = 42

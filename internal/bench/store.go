@@ -72,7 +72,7 @@ type StoreResult struct {
 }
 
 // StoreComparison is the machine-readable "store" section of
-// BENCH_crashsim.json (see KernelComparison.Store).
+// BENCH_crashsim.json (see Comparison.Store).
 type StoreComparison struct {
 	Config         string        `json:"config"`
 	Results        []StoreResult `json:"results"`
@@ -84,7 +84,7 @@ type StoreComparison struct {
 
 // storeTimingReps is how many times each save and load is repeated;
 // buildTimingReps how many times each index build is. The fastest
-// repetition is kept, as in the kernel comparison: all phases are
+// repetition is kept, as in the throughput comparison: all phases are
 // deterministic, so repetitions differ only by machine noise and the
 // minimum is the cleanest estimate. Builds dominate the runtime, so
 // they get fewer repetitions.

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -44,19 +42,12 @@ type ThroughputComparison struct {
 	GeoMeanSpeedup float64            `json:"geomean_speedup"`
 }
 
-// WriteJSON renders the comparison as indented JSON.
-func (t *ThroughputComparison) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
 // Throughput measures batch-vs-sequential query throughput on every
 // default synthetic profile at each configured batch size. Sources are
 // drawn rank-Zipf (Config.ZipfS) from the giant component, repeats
 // kept; timing is paired best-of-throughputTimingReps with alternating
-// order, exactly like the kernel comparison, and QPS counts answered
-// queries (the full batch length) per wall second.
+// order (see timeBatchPaired), and QPS counts answered queries (the full
+// batch length) per wall second.
 func Throughput(cfg Config) (*ThroughputComparison, *Report, error) {
 	cfg = cfg.WithDefaults()
 	work := StartWork()
@@ -162,12 +153,16 @@ func verifyBatch(g *graph.Graph, sources []graph.NodeID, p core.Params) (int, er
 	return len(seen), nil
 }
 
+// throughputTimingReps is how many times each side is repeated; the
+// fastest repetition is kept. Queries are deterministic, so
+// repetitions differ only by scheduler and frequency noise.
 const throughputTimingReps = 3
 
 // timeBatchPaired times one batched MultiSource call against a
-// sequential SingleSourceCtx loop over the same sources, paired and
-// order-alternated per repetition like timeQueriesPaired, keeping each
-// side's best repetition.
+// sequential SingleSourceCtx loop over the same sources and keeps each
+// side's best repetition. Pairing the runs — and alternating which side
+// goes first each repetition — spreads slow machine drift (frequency
+// scaling, noisy neighbors) evenly over both columns.
 func timeBatchPaired(g *graph.Graph, sources []graph.NodeID, p core.Params) (seqSec, batchSec float64, err error) {
 	ctx := context.Background()
 	sequential := func() (float64, error) {

@@ -20,32 +20,6 @@ type Scores map[graph.NodeID]float64
 // power of two so the check compiles to a mask test.
 const ctxCheckInterval = 1024
 
-// SampleWalk appends to buf a truncated √c-walk starting at v: at every
-// step the walk stops with probability 1−√c, otherwise it moves to a
-// uniformly chosen in-neighbor; it also stops at nodes without
-// in-neighbors and after maxSteps steps. The returned slice holds the
-// visited nodes (v first), so it has between 1 and maxSteps+1 elements.
-//
-// sqrtC is √c, hoisted to the caller: the estimator invokes SampleWalk
-// n_r times per candidate and must not recompute the square root per
-// walk.
-func SampleWalk(g adjacency, v graph.NodeID, sqrtC float64, maxSteps int, r *rng.Source, buf []graph.NodeID) []graph.NodeID {
-	buf = append(buf[:0], v)
-	cur := v
-	for step := 0; step < maxSteps; step++ {
-		if r.Float64() >= sqrtC {
-			break
-		}
-		in := g.In(cur)
-		if len(in) == 0 {
-			break
-		}
-		cur = in[r.IntN(len(in))]
-		buf = append(buf, cur)
-	}
-	return buf
-}
-
 // SingleSource runs CrashSim (Algorithm 1): it estimates the SimRank
 // between u and every node in the candidate set omega on graph g. A nil
 // omega means all nodes, i.e. the usual single-source query. The result
@@ -73,10 +47,9 @@ func SingleSourceCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, omega 
 	}
 	// The tree is owned by this query alone, so its arena can go back to
 	// the pool as soon as it is compiled.
-	tree, ft := freezeOwned(g, tree, q)
-	defer releaseTree(tree, !q.DisablePooling)
+	ft := freezeOwned(g, tree, q)
 	defer releaseFrozen(ft, !q.DisablePooling)
-	return estimateWith(ctx, g, u, omega, q, tree, ft)
+	return estimateWith(ctx, g, u, omega, q, ft)
 }
 
 // SingleSourceWithTree is SingleSource with a caller-provided reverse
@@ -150,27 +123,22 @@ func checkSource(g *graph.Graph, u graph.NodeID) error {
 // candidate draws from its own random stream, which makes results
 // invariant to the worker count and to the composition of omega.
 //
-// The build-time tree is first compiled into its flat FrozenTree form
-// (unless p.DisableFrozenKernel keeps the legacy kernel for the
-// ablation), so the per-step crash check inside the walk loop is an
-// array load instead of a search. Scores accumulate in a pooled dense
-// array indexed by node (workers write disjoint entries, so no locking
-// is needed) and convert to the public Scores map only at the end.
+// The build-time tree is first compiled into its flat FrozenTree form,
+// so the per-step crash check inside the walk loop is an array load
+// instead of a search. Scores accumulate in a pooled dense array
+// indexed by node (workers write disjoint entries, so no locking is
+// needed) and convert to the public Scores map only at the end.
 // (CrashSim-T calls estimateWith directly, managing the compiled form
 // through its cross-snapshot frozenCarry.)
 func estimate(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree) (Scores, error) {
 	ft := freeze(g, tree, p)
 	defer releaseFrozen(ft, !p.DisablePooling)
-	return estimateWith(ctx, g, u, omega, p, tree, ft)
+	return estimateWith(ctx, g, u, omega, p, ft)
 }
 
-// freeze compiles tree for the walk kernels on g from a pooled
-// FrozenTree, or returns nil when p.DisableFrozenKernel selects the
-// legacy kernel. The caller releases the result with releaseFrozen.
+// freeze compiles tree for the walk kernels on g into a pooled
+// FrozenTree. The caller releases the result with releaseFrozen.
 func freeze(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
-	if p.DisableFrozenKernel {
-		return nil
-	}
 	ft := acquireFrozen(!p.DisablePooling)
 	ft.compile(tree, g.NumNodes())
 	ft.buildStep1(g)
@@ -179,25 +147,19 @@ func freeze(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
 
 // freezeOwned is freeze for a caller that owns tree. Once the tree is
 // compiled nothing reads it again (the prefilter starts from the
-// compiled support list), so its arena goes straight back to the pool
-// and the returned tree is nil; a concurrent query, or the next source
-// of a batch, then builds into it. Under DisableFrozenKernel the tree
-// comes back as is. The caller releases both results.
-func freezeOwned(g *graph.Graph, tree *ReachTree, p Params) (*ReachTree, *FrozenTree) {
+// compiled support list), so its arena goes straight back to the pool;
+// a concurrent query, or the next source of a batch, then builds into
+// it. The caller must not use tree afterwards.
+func freezeOwned(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
 	ft := freeze(g, tree, p)
-	if ft != nil {
-		releaseTree(tree, !p.DisablePooling)
-		tree = nil
-	}
-	return tree, ft
+	releaseTree(tree, !p.DisablePooling)
+	return ft
 }
 
-// estimateWith is estimate against a caller-chosen kernel form: a
-// non-nil ft runs the fused frozen-tree kernels against it (the caller
-// keeps ownership — nothing here compiles or releases it, and tree is
-// not read, so it may be nil), a nil ft runs the legacy kernel against
-// tree. Scores are bit-identical either way.
-func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree, ft *FrozenTree) (Scores, error) {
+// estimateWith is estimate against a compiled tree: it runs the fused
+// frozen-tree kernels against ft. The caller keeps ownership of ft —
+// nothing here compiles or releases it.
+func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, ft *FrozenTree) (Scores, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -224,33 +186,23 @@ func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []g
 
 	statCandidates.Add(uint64(len(omega)))
 
-	live := sc.liveCandidates(g, u, omega, p, tree, ft, dense)
+	live := sc.liveCandidates(g, u, omega, p, ft, dense)
 
 	workers := p.Workers
 	if workers > len(live) {
 		workers = len(live)
 	}
 	if workers <= 1 {
-		walk := sc.walk
 		for _, v := range live {
 			if err := ctx.Err(); err != nil {
-				sc.walk = walk
 				return nil, err
 			}
-			var s float64
-			var err error
-			if ft != nil {
-				s, err = estimateCandidateFrozen(ctx, g, u, v, p, ft, nr, sqrtC)
-			} else {
-				s, walk, err = estimateCandidate(ctx, g, u, v, p, tree, nr, sqrtC, walk)
-			}
+			s, err := estimateCandidateFrozen(ctx, g, u, v, p, ft, nr, sqrtC)
 			if err != nil {
-				sc.walk = walk
 				return nil, err
 			}
 			dense[v] = s
 		}
-		sc.walk = walk
 	} else {
 		var wg sync.WaitGroup
 		chunk := (len(live) + workers - 1) / workers
@@ -262,31 +214,15 @@ func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []g
 			wg.Add(1)
 			go func(part []graph.NodeID) {
 				defer wg.Done()
-				var walk []graph.NodeID
-				var wb *[]graph.NodeID
-				if ft == nil {
-					wb = acquireWalk(pooled)
-					defer releaseWalk(wb, pooled)
-					walk = *wb
-				}
 				for _, v := range part {
 					if ctx.Err() != nil {
 						break
 					}
-					var s float64
-					var err error
-					if ft != nil {
-						s, err = estimateCandidateFrozen(ctx, g, u, v, p, ft, nr, sqrtC)
-					} else {
-						s, walk, err = estimateCandidate(ctx, g, u, v, p, tree, nr, sqrtC, walk)
-					}
+					s, err := estimateCandidateFrozen(ctx, g, u, v, p, ft, nr, sqrtC)
 					if err != nil {
 						break // only ctx errors escape; reported below
 					}
 					dense[v] = s
-				}
-				if wb != nil {
-					*wb = walk
 				}
 			}(live[lo:hi])
 		}
@@ -310,25 +246,19 @@ func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []g
 // excluded before any sampling — on graphs with small reverse
 // neighborhoods (e.g. citation graphs with many uncited papers) this
 // removes most of the work. The BFS starts from the compiled tree's
-// support list when ft is non-nil, else from tree.Nodes(). A pruned
-// source gets its defined self-score written into dense directly
-// (sim(u,u) = 1). The returned slice aliases sc.live and is valid until
-// the next call; with the prefilter disabled it is omega unchanged.
+// support list. A pruned source gets its defined self-score written
+// into dense directly (sim(u,u) = 1). The returned slice aliases
+// sc.live and is valid until the next call; with the prefilter disabled
+// it is omega unchanged.
 // Both the single-source and the batched multi-source paths run their
 // candidate sets through this one helper, so the pruning decision is
 // identical in either mode.
-func (sc *scratch) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree, ft *FrozenTree, dense []float64) []graph.NodeID {
+func (sc *scratch) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, ft *FrozenTree, dense []float64) []graph.NodeID {
 	if p.DisablePrefilter {
 		return omega
 	}
-	var support []graph.NodeID
-	if ft != nil {
-		support = ft.SupportNodes()
-	} else {
-		support = tree.Nodes()
-	}
 	reach := newNodeBitset(sc.reach, g.NumNodes())
-	sc.frontier, sc.next = forwardReachBits(g, support, p.Lmax, reach, sc.frontier, sc.next)
+	sc.frontier, sc.next = forwardReachBits(g, ft.SupportNodes(), p.Lmax, reach, sc.frontier, sc.next)
 	sc.reach = reach
 	live := sc.live[:0]
 	for _, v := range omega {
@@ -343,40 +273,17 @@ func (sc *scratch) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.
 	return live
 }
 
-// estimateCandidate runs the n_r walks for one candidate against the
-// build-time tree and returns the averaged crash probability together
-// with the (possibly grown) walk buffer. It is the legacy kernel, kept
-// for the DisableFrozenKernel ablation and as the reference the frozen
-// kernel is property-tested against. The only error it can return is
+// estimateCandidateFrozen runs the n_r walks for one candidate against
+// the compiled tree and returns the averaged crash probability. Sampling
+// and scoring are fused into one loop per walk (the walk is never
+// materialized), and the whole n_r budget runs inside one kernel call,
+// so per-walk costs reduce to the walk itself — the meeting-rule
+// dispatch, the CSR array setup and the start node's offsets are all
+// paid once per candidate. Contributions are bit-identical to the
+// two-pass reference kernel the tests keep (sample a walk, then score
+// it against the build-time tree) — same random stream, same
+// floating-point operation order. The only error it can return is
 // ctx.Err().
-func estimateCandidate(ctx context.Context, g *graph.Graph, u, v graph.NodeID, p Params, tree *ReachTree, nr int, sqrtC float64, walk []graph.NodeID) (float64, []graph.NodeID, error) {
-	if v == u {
-		return 1, walk, nil // sim(u,u) = 1 by definition
-	}
-	r := rng.Split(p.Seed, uint64(v))
-	sum := 0.0
-	for k := 0; k < nr; k++ {
-		if k&(ctxCheckInterval-1) == ctxCheckInterval-1 {
-			if err := ctx.Err(); err != nil {
-				statWalks.Add(uint64(k))
-				return 0, walk, err
-			}
-		}
-		walk = SampleWalk(g, v, sqrtC, p.Lmax, r, walk)
-		sum += walkContribution(g, walk, tree, p.Meeting, sqrtC)
-	}
-	statWalks.Add(uint64(nr))
-	return sum / float64(nr), walk, nil
-}
-
-// estimateCandidateFrozen is estimateCandidate against the compiled
-// tree: sampling and scoring are fused into one loop per walk (the walk
-// is never materialized), and the whole n_r budget runs inside one
-// kernel call, so per-walk costs reduce to the walk itself — the
-// meeting-rule dispatch, the CSR array setup and the start node's
-// offsets are all paid once per candidate. Contributions are
-// bit-identical to the legacy kernel — same random stream, same
-// floating-point operation order.
 func estimateCandidateFrozen(ctx context.Context, g *graph.Graph, u, v graph.NodeID, p Params, ft *FrozenTree, nr int, sqrtC float64) (float64, error) {
 	if v == u {
 		return 1, nil // sim(u,u) = 1 by definition
@@ -412,11 +319,12 @@ func runKernel(ctx context.Context, rule MeetingRule, g *graph.Graph, ft *Frozen
 	}
 }
 
-// The three kernels below fuse SampleWalk with walkContribution. They
-// consume the random stream in exactly SampleWalk's order (one Float64,
-// then one IntN when the walk continues), and they accumulate in
-// exactly walkContribution's order, so estimates are bit-identical to
-// the legacy two-pass kernel; the determinism tests enforce this. The
+// The three kernels below fuse sampleWalk with walkContribution, the
+// two-pass reference kernel kept in oracle_test.go. They consume the
+// random stream in exactly sampleWalk's order (one Float64, then one
+// IntN when the walk continues), and they accumulate in exactly
+// walkContribution's order, so estimates are bit-identical to the
+// reference kernel; the determinism tests enforce this. The
 // √c continue-test is done in integer space — Bits53 consumes the same
 // word Float64 would, and Threshold53 makes the comparison exact — so
 // the hot path never converts the draw to a float.
@@ -432,7 +340,7 @@ func runKernel(ctx context.Context, rule MeetingRule, g *graph.Graph, ft *Frozen
 // chain. On a geometrically truncated walk the first step is the most
 // common one, so the peel removes roughly a quarter of all probes.
 // A candidate with no in-edges (or lmax < 1) never moves, so every
-// walk contributes exactly 0 — the same sum the legacy kernel reaches
+// walk contributes exactly 0 — the same sum the reference kernel reaches
 // after sampling, returned without drawing.
 
 func candidateScoreAny(ctx context.Context, g *graph.Graph, ft *FrozenTree, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
@@ -543,7 +451,7 @@ func candidateScoreAny(ctx context.Context, g *graph.Graph, ft *FrozenTree, v gr
 func candidateScoreFirstCrash(ctx context.Context, g *graph.Graph, ft *FrozenTree, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
 	// After the first positive crash probability a walk's contribution
 	// is final, but the walk must still be sampled to its end so the
-	// candidate's random stream stays aligned with the legacy kernel.
+	// candidate's random stream stays aligned with the reference kernel.
 	inOff, inAdj := g.InCSR()
 	lo0, hi0 := inOff[v], inOff[v+1]
 	u0 := uint64(hi0 - lo0)
@@ -747,7 +655,7 @@ func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, ft *FrozenTree
 				}
 				x += m
 				// t == 0 forces carried to (+)0 on both branches below,
-				// exactly what the legacy kernel's 0·√c/d computes —
+				// exactly what the reference kernel's 0·√c/d computes —
 				// skipping the divide keeps the bits and drops the most
 				// expensive op from the common all-miss walk.
 				if t := carried + m; t != 0 {
@@ -763,46 +671,4 @@ func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, ft *FrozenTree
 		sumSq += x * x
 	}
 	return sum, sumSq, nr, nil
-}
-
-// walkContribution scores one sampled candidate walk against the source
-// tree under the configured meeting rule — the map-kernel counterpart
-// of the fused walkScore* kernels. Position i of the walk (0-indexed)
-// is the candidate walk's location after i steps; crashing requires the
-// source walk to be at the same node after the same number of steps.
-// Position 0 contributes only when the candidate is the source, which
-// callers handle directly.
-func walkContribution(g *graph.Graph, walk []graph.NodeID, tree *ReachTree, rule MeetingRule, sc float64) float64 {
-	sum := 0.0
-	switch rule {
-	case MeetingAny:
-		for i := 1; i < len(walk); i++ {
-			sum += tree.Prob(i, walk[i])
-		}
-	case MeetingFirstCrash:
-		for i := 1; i < len(walk); i++ {
-			if pr := tree.Prob(i, walk[i]); pr > 0 {
-				sum += pr
-				break
-			}
-		}
-	default: // MeetingFirstMeet
-		// carried is C_i: the probability mass of source walks that met
-		// this walk at an earlier position and then followed the walk's
-		// own path; it is excluded from later crashes.
-		carried := 0.0
-		for i := 1; i < len(walk); i++ {
-			m := tree.Prob(i, walk[i]) - carried
-			if m < 0 {
-				m = 0
-			}
-			sum += m
-			if in := g.InDegree(walk[i]); in > 0 {
-				carried = (carried + m) * sc / float64(in)
-			} else {
-				carried = 0
-			}
-		}
-	}
-	return sum
 }

@@ -319,7 +319,7 @@ func TestSampleWalkProperties(t *testing.T) {
 	g := graph.PaperExample()
 	r := newTestRand(3)
 	for trial := 0; trial < 200; trial++ {
-		w := SampleWalk(g, 2, math.Sqrt(0.6), 10, r, nil)
+		w := sampleWalk(g, 2, math.Sqrt(0.6), 10, r, nil)
 		if len(w) < 1 || len(w) > 11 {
 			t.Fatalf("walk length %d outside [1, 11]", len(w))
 		}
@@ -346,7 +346,7 @@ func TestSampleWalkDeadEnd(t *testing.T) {
 	g := graph.NewBuilder(2, true).AddEdge(0, 1).MustFreeze()
 	r := newTestRand(1)
 	for trial := 0; trial < 50; trial++ {
-		if w := SampleWalk(g, 0, math.Sqrt(0.6), 10, r, nil); len(w) != 1 {
+		if w := sampleWalk(g, 0, math.Sqrt(0.6), 10, r, nil); len(w) != 1 {
 			t.Fatalf("walk from dangling node has length %d, want 1", len(w))
 		}
 	}

@@ -11,14 +11,16 @@ import (
 )
 
 // asHistory is the repo benchmark's temporal input shape: the as-733
-// profile at full scale over 15 snapshots, with the profile's churn on
-// 6 evenly spaced transitions and the other 8 quiet.
-func asHistory(tb testing.TB) *temporal.Graph {
+// profile over 15 snapshots, with the profile's churn on 6 evenly
+// spaced transitions and the other 8 quiet. scale shrinks the profile
+// (1 is the full size the benchmark uses).
+func asHistory(tb testing.TB, scale float64) *temporal.Graph {
 	tb.Helper()
 	prof, err := gen.ProfileByName("as-733")
 	if err != nil {
 		tb.Fatal(err)
 	}
+	prof = prof.Scaled(scale)
 	const seed = 1
 	edges, err := prof.StaticEdges(seed)
 	if err != nil {
@@ -48,7 +50,7 @@ func asHistory(tb testing.TB) *temporal.Graph {
 // measure the per-snapshot bookkeeping: snapshot freezes, source-tree
 // patches and compiles, and the per-candidate estimates.
 func BenchmarkCrashSimT(b *testing.B) {
-	tg := asHistory(b)
+	tg := asHistory(b, 1)
 	g, err := tg.Snapshot(0)
 	if err != nil {
 		b.Fatal(err)

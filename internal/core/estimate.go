@@ -49,9 +49,7 @@ func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID,
 	nr := q.iterations(n)
 	out := make(map[graph.NodeID]Estimate, len(omega))
 
-	ft := acquireFrozen(pooled)
-	ft.compile(tree, n)
-	ft.buildStep1(g)
+	ft := freeze(g, tree, q)
 	defer releaseFrozen(ft, pooled)
 
 	reach := newNodeBitset(nil, n)

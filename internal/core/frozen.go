@@ -143,15 +143,10 @@ type frozenCarry struct {
 }
 
 // prepare returns the frozen form to run this snapshot's estimate
-// against (nil routes estimateWith to the legacy kernel) and
-// whether a compile was skipped by reuse. disableKernel forces the
-// legacy kernel, mirroring Params.DisableFrozenKernel; otherwise tree,
-// the source tree of the given epoch, is compiled unless the carried
-// form already matches that epoch.
-func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, epoch uint64, disableKernel bool) (*FrozenTree, bool) {
-	if disableKernel {
-		return nil, false
-	}
+// against and whether a compile was skipped by reuse: tree, the source
+// tree of the given epoch, is compiled unless the carried form already
+// matches that epoch.
+func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, epoch uint64) (*FrozenTree, bool) {
 	if fc.ft != nil && fc.epoch == epoch {
 		if v := g.Version(); v != fc.version {
 			fc.ft.buildStep1(g)

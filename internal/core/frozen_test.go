@@ -83,18 +83,15 @@ func TestFrozenCompileReuse(t *testing.T) {
 }
 
 // TestFrozenKernelScoresByteIdentical: for a fixed seed, single-source
-// scores must be byte-identical between the legacy kernel and the
-// compiled kernel, across worker counts, for every meeting rule. This
-// is the determinism contract that lets BENCH_crashsim compare the two
-// kernels as pure performance variants.
+// scores must be byte-identical between the reference kernel
+// (legacySingleSource) and the compiled kernel, across worker counts,
+// for every meeting rule.
 func TestFrozenKernelScoresByteIdentical(t *testing.T) {
 	g := randomTestGraph(t, 80, 400, true, 31)
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, rule := range []MeetingRule{MeetingFirstMeet, MeetingAny, MeetingFirstCrash} {
 		base := Params{Iterations: 300, Seed: 17, Meeting: rule}
-		legacy := base
-		legacy.DisableFrozenKernel = true
-		want, err := SingleSource(g, 2, nil, legacy)
+		want, err := legacySingleSource(g, 2, nil, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,14 +171,13 @@ func TestForwardReachBitsMatchesMap(t *testing.T) {
 }
 
 // TestFrozenKernelDisabledEstimateWithError: SingleSourceWithError's
-// Score fields must keep matching SingleSource bit-for-bit even when
-// the caller of SingleSource asked for the legacy kernel (the
-// with-error path always runs compiled; equivalence makes that
-// invisible).
+// Score fields must match the reference kernel (legacySingleSource)
+// bit-for-bit: the with-error path runs compiled and reads its
+// variance out of the fused kernels, which must not perturb the mean.
 func TestFrozenKernelDisabledEstimateWithError(t *testing.T) {
 	g := randomTestGraph(t, 40, 160, true, 13)
-	p := Params{Iterations: 150, Seed: 23, DisableFrozenKernel: true}
-	scores, err := SingleSource(g, 1, nil, p)
+	p := Params{Iterations: 150, Seed: 23}
+	scores, err := legacySingleSource(g, 1, nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +225,7 @@ func BenchmarkWalkContributionFirstCrash(b *testing.B) { benchmarkWalkKernel(b, 
 func BenchmarkWalkContributionFirstMeet(b *testing.B)  { benchmarkWalkKernel(b, MeetingFirstMeet) }
 
 // BenchmarkWalkContributionLegacy is the map-kernel baseline for the
-// three fused kernels above: SampleWalk + walkContribution under the
+// three fused kernels above: sampleWalk + walkContribution under the
 // default first-meet rule.
 func BenchmarkWalkContributionLegacy(b *testing.B) {
 	g, tree, _, lmax := kernelBenchSetup(b)
@@ -239,7 +235,7 @@ func BenchmarkWalkContributionLegacy(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		walk = SampleWalk(g, 4321, sqrtC, lmax, r, walk)
+		walk = sampleWalk(g, 4321, sqrtC, lmax, r, walk)
 		sink += walkContribution(g, walk, tree, MeetingFirstMeet, sqrtC)
 	}
 	_ = sink
@@ -303,21 +299,22 @@ func BenchmarkForwardReachMap(b *testing.B) {
 }
 
 // BenchmarkSingleSourceKernels is the end-to-end before/after: one full
-// single-source query per iteration, legacy kernel vs compiled
+// single-source query per iteration, reference kernel vs compiled
 // kernel, same seed and budget.
 func BenchmarkSingleSourceKernels(b *testing.B) {
 	g := benchGraph(b, 2000, 20000)
+	p := Params{Iterations: 200, Seed: 1}
 	for _, bc := range []struct {
-		name   string
-		params Params
+		name  string
+		query func(*graph.Graph, graph.NodeID, []graph.NodeID, Params) (Scores, error)
 	}{
-		{"frozen", Params{Iterations: 200, Seed: 1}},
-		{"legacy", Params{Iterations: 200, Seed: 1, DisableFrozenKernel: true}},
+		{"frozen", SingleSource},
+		{"legacy", legacySingleSource},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SingleSource(g, graph.NodeID(i%2000), nil, bc.params); err != nil {
+				if _, err := bc.query(g, graph.NodeID(i%2000), nil, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -362,15 +359,15 @@ func TestFrozenCarryKeysOnEpoch(t *testing.T) {
 	arena := new(ReachTree)
 	revReachInto(arena, g, 1, p.C, p.Lmax, p.Transition)
 	fc := &frozenCarry{}
-	if _, reused := fc.prepare(g, arena, 1, false); reused {
+	if _, reused := fc.prepare(g, arena, 1); reused {
 		t.Fatal("first prepare reported reuse")
 	}
-	if _, reused := fc.prepare(g, arena, 1, false); !reused {
+	if _, reused := fc.prepare(g, arena, 1); !reused {
 		t.Fatal("same epoch was recompiled")
 	}
 	// Recycle the arena for another source's tree under a new epoch.
 	revReachInto(arena, g, 2, p.C, p.Lmax, p.Transition)
-	ft, reused := fc.prepare(g, arena, 2, false)
+	ft, reused := fc.prepare(g, arena, 2)
 	if reused {
 		t.Fatal("recycled arena under a new epoch was served from the carry")
 	}

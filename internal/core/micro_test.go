@@ -117,7 +117,7 @@ func TestSampleWalkGeometricLength(t *testing.T) {
 	const trials = 20000
 	total := 0
 	for i := 0; i < trials; i++ {
-		w := SampleWalk(g, 0, math.Sqrt(c), 1000, r, nil)
+		w := sampleWalk(g, 0, math.Sqrt(c), 1000, r, nil)
 		total += len(w) - 1
 	}
 	mean := float64(total) / trials
@@ -153,7 +153,7 @@ func BenchmarkSampleWalk(b *testing.B) {
 	var buf []graph.NodeID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = SampleWalk(g, graph.NodeID(i%5000), math.Sqrt(0.6), 35, r, buf)
+		buf = sampleWalk(g, graph.NodeID(i%5000), math.Sqrt(0.6), 35, r, buf)
 	}
 }
 

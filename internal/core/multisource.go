@@ -83,13 +83,12 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 	pooled := !q.DisablePooling
 	bs := acquireBatchScratch(len(uniq), n, pooled)
 	defer bs.release(pooled)
-	// Trees and frozen forms are owned by this batch alone; hand their
-	// storage back once the estimates (or an abort) are done. Runs
-	// before bs.release (LIFO), which then drops the dangling pointers.
+	// Frozen forms are owned by this batch alone; hand their storage
+	// back once the estimates (or an abort) are done. Runs before
+	// bs.release (LIFO), which then drops the dangling pointers.
 	defer func() {
 		for i := range bs.preps {
 			releaseFrozen(bs.preps[i].ft, pooled)
-			releaseTree(bs.preps[i].tree, pooled)
 		}
 	}()
 
@@ -101,10 +100,9 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 
 	// Prep phase, sequential per unique source: build the reverse
 	// reachable tree, compile it (the same freeze a standalone query
-	// runs, so the kernel choice matches), prefilter the candidates, and
-	// append one work item per surviving candidate. Work items land
-	// source-major, keeping each source's tree and dense window
-	// cache-warm within a worker's chunk.
+	// runs), prefilter the candidates, and append one work item per
+	// surviving candidate. Work items land source-major, keeping each
+	// source's tree and dense window cache-warm within a worker's chunk.
 	for i, u := range uniq {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -115,11 +113,11 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 		} else {
 			tree = RevReach(g, u, q.C, q.Lmax, q.Transition)
 		}
-		tree, ft := freezeOwned(g, tree, q)
+		ft := freezeOwned(g, tree, q)
 		dense := bs.slab[i*n : (i+1)*n]
-		bs.preps = append(bs.preps, srcPrep{u: u, tree: tree, ft: ft, dense: dense})
+		bs.preps = append(bs.preps, srcPrep{u: u, ft: ft, dense: dense})
 		statCandidates.Add(uint64(len(cand)))
-		for _, v := range bs.sc.liveCandidates(g, u, cand, q, tree, ft, dense) {
+		for _, v := range bs.sc.liveCandidates(g, u, cand, q, ft, dense) {
 			bs.work = append(bs.work, batchItem{src: int32(i), v: v})
 		}
 	}
@@ -133,17 +131,7 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 	if err := par.ForEachCtx(ctx, len(work), q.Workers, func(idx int) {
 		it := work[idx]
 		pr := &preps[it.src]
-		var s float64
-		var err error
-		if pr.ft != nil {
-			s, err = estimateCandidateFrozen(ctx, g, pr.u, it.v, q, pr.ft, nr, sqrtC)
-		} else {
-			wb := acquireWalk(pooled)
-			var walk []graph.NodeID
-			s, walk, err = estimateCandidate(ctx, g, pr.u, it.v, q, pr.tree, nr, sqrtC, *wb)
-			*wb = walk
-			releaseWalk(wb, pooled)
-		}
+		s, err := estimateCandidateFrozen(ctx, g, pr.u, it.v, q, pr.ft, nr, sqrtC)
 		if err != nil {
 			return // only ctx errors escape; ForEachCtx reports them
 		}

@@ -23,10 +23,11 @@ func multiTestGraph(t *testing.T) *graph.Graph {
 }
 
 // TestMultiSourceMatchesSingleSource is the batch/sequential
-// equivalence contract: for every meeting rule, for both kernels and
-// for worker counts 1 vs N, the batched pipeline must reproduce
-// sequential SingleSourceCtx scores bit-for-bit. Run with -race this
-// also exercises the shared-arena fan-out for data races.
+// equivalence contract: for every meeting rule and for worker counts
+// 1 vs N, the batched pipeline must reproduce sequential scores
+// bit-for-bit — SingleSourceCtx's, and with legacy=true the reference
+// kernel's (legacySingleSource). Run with -race this also exercises the
+// shared-arena fan-out for data races.
 func TestMultiSourceMatchesSingleSource(t *testing.T) {
 	g := multiTestGraph(t)
 	sources := []graph.NodeID{0, 7, 13, 39}
@@ -37,7 +38,7 @@ func TestMultiSourceMatchesSingleSource(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					p := Params{
 						Iterations: 150, Seed: 3, Workers: workers,
-						Meeting: rule, DisableFrozenKernel: legacy,
+						Meeting: rule,
 					}
 					batch, err := MultiSource(context.Background(), g, sources, nil, p)
 					if err != nil {
@@ -49,7 +50,12 @@ func TestMultiSourceMatchesSingleSource(t *testing.T) {
 					single := p
 					single.Workers = 1
 					for i, u := range sources {
-						want, err := SingleSourceCtx(context.Background(), g, u, nil, single)
+						var want Scores
+						if legacy {
+							want, err = legacySingleSource(g, u, nil, single)
+						} else {
+							want, err = SingleSourceCtx(context.Background(), g, u, nil, single)
+						}
 						if err != nil {
 							t.Fatal(err)
 						}

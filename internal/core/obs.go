@@ -25,8 +25,6 @@ var (
 	// Scratch-pool traffic: hits reuse pooled buffers, misses allocate.
 	statScratchHits   = obs.Default.Counter("core.pool.scratch_hits")
 	statScratchMisses = obs.Default.Counter("core.pool.scratch_misses")
-	statWalkHits      = obs.Default.Counter("core.pool.walk_hits")
-	statWalkMisses    = obs.Default.Counter("core.pool.walk_misses")
 	statTreeHits      = obs.Default.Counter("core.pool.tree_hits")
 	statTreeMisses    = obs.Default.Counter("core.pool.tree_misses")
 	statPatchHits     = obs.Default.Counter("core.pool.patch_hits")
@@ -56,8 +54,7 @@ var (
 
 	// statFrozenCompiled counts reverse-reachable trees compiled into
 	// the flat FrozenTree form (one per query on the default kernel,
-	// top-k queries included, and one per unique source of a batch;
-	// zero when DisableFrozenKernel routes through the legacy kernel).
+	// top-k queries included, and one per unique source of a batch).
 	statFrozenCompiled = obs.Default.Counter("core.frozen.compiled")
 
 	// CrashSim-T pruning outcomes, mirroring TemporalStats cumulatively

@@ -115,15 +115,6 @@ type Params struct {
 	// multi-source BFS that skips candidates whose walks provably cannot
 	// crash). Scores are identical either way; ablation only.
 	DisablePrefilter bool
-	// DisableFrozenKernel skips compiling the source tree and routes
-	// the Monte-Carlo loop through the legacy kernel: SampleWalk plus a
-	// ReachTree.Prob binary search per walk step, instead of the fused
-	// kernels over the compiled FrozenTree. The prefilter BFS is the
-	// same either way. Scores are bit-identical either way — the
-	// equivalence tests enforce it — so this exists only to measure the
-	// compiled kernel's speedup (BENCH_crashsim) and to localize
-	// compilation bugs.
-	DisableFrozenKernel bool
 	// DisablePooling turns off the sync.Pool reuse of query scratch
 	// (dense score arrays, walk buffers, reverse-tree level storage).
 	// Scores are bit-identical either way — the determinism tests

@@ -364,21 +364,6 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 	return nt, changed.appendNodes(nil), true
 }
 
-// Nodes returns the sorted set of nodes with positive mass at any level.
-// CrashSim-T's delta pruning treats these as part (i) of the affected
-// area of the source.
-func (t *ReachTree) Nodes() []graph.NodeID {
-	n := 0
-	for _, v := range t.nodes {
-		n = max(n, int(v)+1)
-	}
-	seen := newNodeBitset(nil, n)
-	for _, v := range t.nodes {
-		seen.Add(v)
-	}
-	return seen.appendNodes(make([]graph.NodeID, 0, len(t.nodes)))
-}
-
 // adjacency abstracts the two graph representations revReach runs on:
 // immutable CSR snapshots and the mutable working graph of a temporal
 // cursor.

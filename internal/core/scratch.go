@@ -7,8 +7,9 @@ import (
 )
 
 // Query scratch pooling. A single-source query needs a dense score
-// array of length n, a candidate list of up to n node ids, a walk
-// buffer per worker, and the arena of the reverse reachable tree.
+// array of length n, a candidate list of up to n node ids, the
+// prefilter's BFS state, the arena of the reverse reachable tree and
+// its compiled form.
 // Under steady-state service traffic these dominate per-query
 // allocations, so they are recycled through sync.Pools. Pooling is
 // semantically invisible: every buffer is (re)initialized on acquire,
@@ -20,7 +21,6 @@ type scratch struct {
 	dense    []float64      // per-node accumulated scores, zeroed on acquire
 	omega    []graph.NodeID // identity candidate list when the caller passes nil
 	live     []graph.NodeID // prefilter survivors
-	walk     []graph.NodeID // walk buffer for the sequential legacy path
 	reach    nodeBitset     // prefilter visited set (zeroed lazily by newNodeBitset)
 	frontier []graph.NodeID // prefilter BFS frontier
 	next     []graph.NodeID // prefilter BFS next frontier
@@ -75,12 +75,10 @@ func (s *scratch) identity(n int) []graph.NodeID {
 }
 
 // srcPrep is one unique source's prepared state within a batch: its
-// compiled source tree, or under the DisableFrozenKernel ablation its
-// build-time tree (see freezeOwned), and this source's dense score
-// window of the shared slab.
+// compiled source tree and this source's dense score window of the
+// shared slab.
 type srcPrep struct {
 	u     graph.NodeID
-	tree  *ReachTree
 	ft    *FrozenTree
 	dense []float64
 }
@@ -146,27 +144,6 @@ func (bs *batchScratch) release(pooled bool) {
 	}
 	bs.preps = bs.preps[:0]
 	batchScratchPool.Put(bs)
-}
-
-// walkPool recycles the per-worker walk buffers of the parallel
-// estimate path (the sequential path uses scratch.walk).
-var walkPool sync.Pool
-
-func acquireWalk(pooled bool) *[]graph.NodeID {
-	if pooled {
-		if v := walkPool.Get(); v != nil {
-			statWalkHits.Inc()
-			return v.(*[]graph.NodeID)
-		}
-		statWalkMisses.Inc()
-	}
-	return new([]graph.NodeID)
-}
-
-func releaseWalk(w *[]graph.NodeID, pooled bool) {
-	if pooled {
-		walkPool.Put(w)
-	}
 }
 
 // treePool recycles ReachTree arenas. Trees returned by the public

@@ -32,22 +32,6 @@ type TemporalOptions struct {
 	// DisableDiffPruning turns off the reverse-tree comparison rule
 	// (Property 2).
 	DisableDiffPruning bool
-	// DisableTreePatch rebuilds the source tree from scratch on every
-	// snapshot instead of delta-patching the previous one. Results are
-	// bit-identical either way (Patch is bit-exact); this exists to
-	// measure the patch's speedup and to localize patching bugs.
-	DisableTreePatch bool
-	// DisableCandidateCache turns off the candidate-tree carry between
-	// snapshots, so difference pruning recomputes each candidate's
-	// previous-snapshot tree instead of reading it from the cache.
-	// Pruning decisions are identical either way (a cached tree is
-	// bit-identical to a recomputed one).
-	DisableCandidateCache bool
-	// DisableFrozenReuse recompiles the source tree's frozen form on
-	// every estimated snapshot instead of carrying the compiled form
-	// across tree-stable transitions. Scores are bit-identical either
-	// way.
-	DisableFrozenReuse bool
 	// TreeTolerance is the per-entry tolerance when comparing reverse
 	// reachable trees between snapshots. Default 1e-12.
 	TreeTolerance float64
@@ -66,6 +50,14 @@ type TemporalOptions struct {
 	// retained or modified. It powers aggregate queries such as
 	// durable top-k that need the whole score trajectory.
 	Observer func(t int, scores Scores)
+
+	// rebuildEachSnapshot is a test hook: it rebuilds the source tree
+	// from scratch and recompiles its frozen form on every snapshot,
+	// instead of patching the previous tree and carrying the compiled
+	// form across tree-stable transitions. Results are bit-identical
+	// either way; the equivalence tests run both pipelines against each
+	// other.
+	rebuildEachSnapshot bool
 }
 
 func (o TemporalOptions) withDefaults() TemporalOptions {
@@ -189,12 +181,12 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	pooled := !pp.DisablePooling
 
 	var carry *frozenCarry
-	if !to.DisableFrozenReuse {
+	if !to.rebuildEachSnapshot {
 		carry = &frozenCarry{pooled: pooled}
 		defer carry.release()
 	}
 	var candTrees *cache.Cache
-	if !to.DisableCandidateCache && to.CandidateCacheBytes > 0 {
+	if to.CandidateCacheBytes > 0 {
 		// The cache is run-scoped, so its metrics go to a private
 		// registry instead of polluting the process-wide cache.* series
 		// the serving layer exports; CandTreeHits/Misses carry the same
@@ -260,15 +252,16 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		// delta-patched from the previous one, which yields the diff as
 		// a byproduct; a full rebuild plus DiffNodes sweep remains the
 		// fallback when the patch gate trips or patching does not apply.
-		// The empty-delta shortcut sits behind the same ablation flag as
-		// the patch so DisableTreePatch reproduces the original
-		// rebuild-every-snapshot behavior exactly, as its doc promises.
+		// The rebuildEachSnapshot hook skips the empty-delta shortcut
+		// too, so it reproduces the rebuild-every-snapshot pipeline
+		// exactly.
 		var tree *ReachTree
 		var treeDiff []graph.NodeID
 		switch {
-		case delta.Size() == 0 && !to.DisableTreePatch:
+		case to.rebuildEachSnapshot:
+		case delta.Size() == 0:
 			tree = treePrev
-		case !to.DisableTreePatch && !pp.NonBacktracking:
+		case !pp.NonBacktracking:
 			if nt, diff, ok := treePrev.Patch(spare, gCur, delta.Add, delta.Del, pp, to.TreeTolerance, to.PatchGate); ok {
 				tree, treeDiff = nt, diff
 				res.Stats.TreePatched++
@@ -451,19 +444,19 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 }
 
 // runEstimate dispatches one snapshot's estimate: through the frozen
-// carry when enabled (reusing the compiled source tree across
-// tree-stable transitions, keyed on the tree epoch), or through the
-// self-contained static path — which compiles and releases per call —
-// when the reuse ablation is on.
+// carry (reusing the compiled source tree across tree-stable
+// transitions, keyed on the tree epoch), or, when the run has none
+// (rebuildEachSnapshot), through the self-contained static path, which
+// compiles and releases per call.
 func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, tree *ReachTree, epoch uint64, res *TemporalResult) (Scores, error) {
 	if carry == nil {
 		return estimate(ctx, g, u, omega, pp, tree)
 	}
-	ft, reused := carry.prepare(g, tree, epoch, pp.DisableFrozenKernel)
+	ft, reused := carry.prepare(g, tree, epoch)
 	if reused {
 		res.Stats.FrozenReused++
 	}
-	return estimateWith(ctx, g, u, omega, pp, tree, ft)
+	return estimateWith(ctx, g, u, omega, pp, ft)
 }
 
 // candKey renders a candidate id as its cache key.

@@ -168,9 +168,9 @@ func sameScores(a, b Scores) bool {
 // transitions that change the source tree, transitions that leave it
 // alone, transitions that recompute nothing and queries whose Ω
 // empties, the default run must observe the same scores, bit for bit
-// at every snapshot, as a run with tree patching, the candidate cache
-// and frozen reuse all disabled — for workers 1 and 4, with pooling
-// on and off.
+// at every snapshot, as a run that rebuilds every snapshot's tree and
+// compiled form with the candidate cache off — for workers 1 and 4,
+// with pooling on and off.
 func TestCrashSimTRecycledArenas(t *testing.T) {
 	type history struct {
 		name string
@@ -187,7 +187,7 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 	queries := []TemporalQuery{
 		thresholdQuery{0}, thresholdQuery{0.01}, trendQuery{slack: 0.02}, zeroAtStartQuery{}, untilQuery{last: 4},
 	}
-	ablated := TemporalOptions{DisableTreePatch: true, DisableCandidateCache: true, DisableFrozenReuse: true}
+	ablated := TemporalOptions{CandidateCacheBytes: -1, rebuildEachSnapshot: true}
 	var patched, reused int
 	for _, h := range histories {
 		for _, q := range queries {
@@ -219,16 +219,17 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 	}
 }
 
-// TestCrashSimTDifferencePruningRuns pins a history on which difference
-// pruning (Property 2) fires and its candidate-tree cache hits. The
-// source's component never changes, so its tree is stable, and Ω's
-// edges stay below n_r. The churn touches the in-list of y, the head of
-// the path y → a → b → v. With Lmax 3, v lies in the affected area, so
-// delta pruning cannot settle it. Its own tree ends at y, though, and
-// y's in-list sits one level past Lmax, so the tree comparison reuses
-// v's score. The quiet transition in between keeps the snapshot
-// version, so the last transition finds v's cached tree.
-func TestCrashSimTDifferencePruningRuns(t *testing.T) {
+// diffPruningHistory is a history on which difference pruning
+// (Property 2) fires and its candidate-tree cache hits. The source's
+// component never changes, so its tree is stable, and Ω's edges stay
+// below n_r. The churn touches the in-list of y, the head of the path
+// y → a → b → v. With Lmax 3, v lies in the affected area, so delta
+// pruning cannot settle it. Its own tree ends at y, though, and y's
+// in-list sits one level past Lmax, so the tree comparison reuses v's
+// score. The quiet transition in between keeps the snapshot version,
+// so the last transition finds v's cached tree.
+func diffPruningHistory(t *testing.T) *temporal.Graph {
+	t.Helper()
 	const (
 		x1, x2, y, a, b, v = 4, 5, 6, 7, 8, 9
 	)
@@ -244,6 +245,13 @@ func TestCrashSimTDifferencePruningRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tg
+}
+
+// TestCrashSimTDifferencePruningRuns pins diffPruningHistory's
+// difference pruning and cache hits with Lmax 3.
+func TestCrashSimTDifferencePruningRuns(t *testing.T) {
+	tg := diffPruningHistory(t)
 	p := Params{Lmax: 3, Eps: 0.3, Iterations: 100, Seed: 23}
 	processed := 0
 	res, err := CrashSimT(tg, 0, thresholdQuery{0}, p, TemporalOptions{

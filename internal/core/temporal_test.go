@@ -285,9 +285,9 @@ func TestCrashSimTWorkersDeterminism(t *testing.T) {
 
 // TestCrashSimTIncrementalEquivalence: every incremental mechanism of
 // the pipeline (tree patching, the candidate-tree cache, frozen-form
-// reuse) is a pure optimization — disabling all of them must reproduce
-// the same result bit for bit, while the default run actually engages
-// them.
+// reuse) is a pure optimization — rebuilding every snapshot with the
+// cache off must reproduce the same result bit for bit, while the
+// default run actually engages them.
 func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 	tg := churnGraph(t, 60, 150, 8, 0.01, 37)
 	p := Params{Iterations: 100, Seed: 41}
@@ -296,9 +296,7 @@ func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := CrashSimT(tg, 0, q, p, TemporalOptions{
-		DisableTreePatch: true, DisableCandidateCache: true, DisableFrozenReuse: true,
-	})
+	plain, err := CrashSimT(tg, 0, q, p, TemporalOptions{CandidateCacheBytes: -1, rebuildEachSnapshot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,31 +324,36 @@ func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 // throws at the pipeline.
 func TestTemporalStatsAccounting(t *testing.T) {
 	const n = 50
+	static := func(t *testing.T) *temporal.Graph {
+		base, err := gen.ErdosRenyi(n, 130, true, 47)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, err := temporal.New(n, true, base, make([]temporal.Delta, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tg
+	}
+	churn := func(rate float64) func(*testing.T) *temporal.Graph {
+		return func(t *testing.T) *temporal.Graph { return churnGraph(t, n, 130, 6, rate, 47) }
+	}
 	cases := []struct {
-		name string
-		rate float64
-		opts TemporalOptions
+		name    string
+		history func(*testing.T) *temporal.Graph
+		theta   float64
+		opts    TemporalOptions
 	}{
-		{"empty-deltas", 0, TemporalOptions{}},
-		{"tiny-deltas", 0.01, TemporalOptions{}},
-		{"gate-exceeding", 0.05, TemporalOptions{PatchGate: 1e-300}},
-		{"tiny-no-cache", 0.01, TemporalOptions{DisableCandidateCache: true}},
+		{"empty-deltas", static, 0.002, TemporalOptions{}},
+		{"tiny-deltas", churn(0.01), 0.002, TemporalOptions{}},
+		{"gate-exceeding", churn(0.05), 0.002, TemporalOptions{PatchGate: 1e-300}},
+		// Difference pruning runs on this history, so with the cache
+		// off it has previous-snapshot trees to recompute.
+		{"tiny-no-cache", diffPruningHistory, 0, TemporalOptions{CandidateCacheBytes: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var tg *temporal.Graph
-			if tc.rate == 0 {
-				base, err := gen.ErdosRenyi(n, 130, true, 47)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tg, err = temporal.New(n, true, base, make([]temporal.Delta, 5))
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				tg = churnGraph(t, n, 130, 6, tc.rate, 47)
-			}
+			tg := tc.history(t)
 			processed := 0
 			opts := tc.opts
 			opts.Observer = func(t int, scores Scores) {
@@ -358,12 +361,12 @@ func TestTemporalStatsAccounting(t *testing.T) {
 					processed += len(scores)
 				}
 			}
-			res, err := CrashSimT(tg, 0, thresholdQuery{0.002}, Params{Iterations: 90, Seed: 53}, opts)
+			res, err := CrashSimT(tg, 0, thresholdQuery{tc.theta}, Params{Iterations: 90, Seed: 53}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := res.Stats
-			if got, want := s.Evaluated+s.ReusedDelta+s.ReusedDiff, n+processed; got != want {
+			if got, want := s.Evaluated+s.ReusedDelta+s.ReusedDiff, tg.NumNodes()+processed; got != want {
 				t.Errorf("Evaluated(%d)+ReusedDelta(%d)+ReusedDiff(%d) = %d, want %d candidate-snapshots",
 					s.Evaluated, s.ReusedDelta, s.ReusedDiff, got, want)
 			}
@@ -384,6 +387,13 @@ func TestTemporalStatsAccounting(t *testing.T) {
 			}
 			if tc.name == "empty-deltas" && s.TreeRebuilt+s.TreePatched != 0 {
 				t.Errorf("static history rebuilt %d and patched %d trees", s.TreeRebuilt, s.TreePatched)
+			}
+			// A negative cache budget turns the candidate-tree cache off:
+			// difference pruning still runs, but every previous-snapshot
+			// tree is recomputed.
+			if tc.name == "tiny-no-cache" && (s.CandTreeHits != 0 || s.CandTreeMisses == 0) {
+				t.Errorf("cache off: CandTreeHits = %d, CandTreeMisses = %d; want 0 hits and some misses",
+					s.CandTreeHits, s.CandTreeMisses)
 			}
 		})
 	}

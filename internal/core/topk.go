@@ -122,8 +122,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 		return nil, err
 	}
 	pooled := !q.DisablePooling
-	tree, ft := freezeOwned(g, tree, q)
-	defer releaseTree(tree, pooled)
+	ft := freezeOwned(g, tree, q)
 	defer releaseFrozen(ft, pooled)
 	nr := q.iterations(g.NumNodes())
 
@@ -133,7 +132,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if coarse.Iterations < 50 {
 		coarse.Iterations = min(50, nr)
 	}
-	scores, err := estimateWith(ctx, g, u, nil, coarse, tree, ft)
+	scores, err := estimateWith(ctx, g, u, nil, coarse, ft)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +154,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	}
 	refined := q
 	refined.Iterations = nr
-	rescored, err := estimateWith(ctx, g, u, omega, refined, tree, ft)
+	rescored, err := estimateWith(ctx, g, u, omega, refined, ft)
 	if err != nil {
 		return nil, err
 	}

@@ -74,8 +74,8 @@ var profiles = []Profile{
 // set would silently change every committed comparison.
 var servingProfiles = []Profile{
 	// web-1m: a directed power-law graph at 10⁶+ edges, the scale the
-	// open-loop serving benchmark (bench.Serving) runs its rate ladder
-	// against. Exponent and mean degree sit between wiki-vote and
+	// repo benchmark's serving workloads run against (scaled down).
+	// Exponent and mean degree sit between wiki-vote and
 	// as-caida, giving the hub-heavy in-degree skew that makes hot
 	// Zipf sources expensive and the query cache worth measuring.
 	{Name: "web-1m", Directed: true, Nodes: 300000, Edges: 1200000, Snapshots: 10, Model: ModelChungLu, Exponent: 2.0, ChurnRate: 0.002, ActiveFraction: 0.5},

@@ -10,14 +10,12 @@ import (
 )
 
 // Skeleton is the pre-compile, map-based PRSim implementation, kept as
-// the benchmark baseline and differential oracle for the flat Index:
-// per-node tables are [][]skelEntry levels built through maps, hub
-// selection sorts all n nodes, and the per-query accumulator is a Go
-// map. It is NOT safe for concurrent use — exactly the limitation the
-// compiled Index exists to remove — and produces scores bit-identical
-// to Index.SingleSourceCtx by construction (pinned by
-// TestCompiledMatchesSkeleton and verified again before every timed
-// benchmark run).
+// the differential oracle for the flat Index: per-node tables are
+// [][]skelEntry levels built through maps, hub selection sorts all n
+// nodes, and the per-query accumulator is a Go map. It is NOT safe for
+// concurrent use — exactly the limitation the compiled Index exists to
+// remove — and produces scores bit-identical to Index.SingleSourceCtx
+// by construction (pinned by TestCompiledMatchesSkeleton).
 type Skeleton struct {
 	g      *graph.Graph
 	opt    Options
