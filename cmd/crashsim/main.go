@@ -30,8 +30,10 @@
 //	crashsim -algo sling -load-index hepth.snap -source 3
 //	crashsim -algo sling -load-index hepth.snap -verify-index
 //
-// -mmap serves the snapshot zero-copy out of a read-only file mapping
-// (format v2) instead of decoding a private heap copy; combined with
+// Without -mmap the snapshot is read onto the heap and fully verified
+// (every checksum, the graph, every index section); -mmap serves it
+// zero-copy out of a read-only file mapping through the same decoder
+// instead, hashing each section as it is imported. Combined with
 // -verify-index the mapped sections are checksummed and semantically
 // validated eagerly, so the command doubles as an integrity check of
 // the mapped path:
@@ -83,7 +85,7 @@ func main() {
 		saveIndex    = flag.String("save-index", "", "build the index (sling/reads/prsim) and write a graph+index snapshot to this file")
 		loadIndex    = flag.String("load-index", "", "answer from a graph+index snapshot instead of building (no -graph/-profile needed)")
 		verifyIndex  = flag.Bool("verify-index", false, "with -load-index: rebuild from the snapshot's graph and require bit-identical scores")
-		useMmap      = flag.Bool("mmap", false, "with -load-index: serve zero-copy from a file mapping (v2 snapshots; eager verification when -verify-index is set)")
+		useMmap      = flag.Bool("mmap", false, "with -load-index: serve zero-copy from a file mapping (eager verification when -verify-index is set)")
 		hubFraction  = flag.Float64("hub-fraction", 0, "prsim: fraction of nodes (by in-degree rank) indexed eagerly (0 = default 0.05)")
 	)
 	flag.Parse()
@@ -240,72 +242,47 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 	var g *crashsim.Graph
 	if load != "" {
 		start := time.Now()
+		open, how := store.Load, "read, crc eager"
 		if useMmap {
 			policy := store.VerifyOnLoadSection
 			if verify {
 				policy = store.VerifyEager
 			}
-			mp, err := store.OpenMapped(load, store.MapOptions{Verify: policy})
-			if err != nil {
-				return err
+			open = func(path string) (*store.Mapped, error) {
+				return store.OpenMapped(path, store.MapOptions{Verify: policy})
 			}
-			g = mp.Graph()
-			fmt.Printf("snapshot %s: graph n=%d m=%d version=%#x (mapped %d bytes in %v, crc %s)\n",
-				load, g.NumNodes(), g.NumEdges(), g.Version(), mp.MappedBytes(),
-				time.Since(start).Round(time.Microsecond), policy)
-			importStart := time.Now()
-			switch algo {
-			case "sling":
-				ix, err := mp.ImportSling(g)
-				if err != nil {
-					return err
-				}
-				fillSling(&ecfg, ix)
-			case "reads":
-				ix, err := mp.ImportReads(g)
-				if err != nil {
-					return err
-				}
-				fillReads(&ecfg, ix)
-			case "prsim":
-				ix, err := mp.ImportPRSim(g)
-				if err != nil {
-					return err
-				}
-				fillPRSim(&ecfg, ix)
-			}
-			fmt.Printf("imported %s index in %v\n", algo, time.Since(importStart).Round(time.Microsecond))
-		} else {
-			snap, err := store.Load(load)
-			if err != nil {
-				return err
-			}
-			g = snap.Graph
-			fmt.Printf("snapshot %s: graph n=%d m=%d version=%#x (loaded in %v)\n",
-				load, g.NumNodes(), g.NumEdges(), g.Version(), time.Since(start).Round(time.Microsecond))
-			importStart := time.Now()
-			switch algo {
-			case "sling":
-				ix, err := snap.ImportSling(g)
-				if err != nil {
-					return err
-				}
-				fillSling(&ecfg, ix)
-			case "reads":
-				ix, err := snap.ImportReads(g)
-				if err != nil {
-					return err
-				}
-				fillReads(&ecfg, ix)
-			case "prsim":
-				ix, err := snap.ImportPRSim(g)
-				if err != nil {
-					return err
-				}
-				fillPRSim(&ecfg, ix)
-			}
-			fmt.Printf("imported %s index in %v\n", algo, time.Since(importStart).Round(time.Microsecond))
+			how = fmt.Sprintf("mapped, crc %s", policy)
 		}
+		mp, err := open(load)
+		if err != nil {
+			return err
+		}
+		g = mp.Graph()
+		fmt.Printf("snapshot %s: graph n=%d m=%d version=%#x (%s, %d bytes in %v)\n",
+			load, g.NumNodes(), g.NumEdges(), g.Version(), how, mp.MappedBytes(),
+			time.Since(start).Round(time.Microsecond))
+		importStart := time.Now()
+		switch algo {
+		case "sling":
+			ix, err := mp.ImportSling(g)
+			if err != nil {
+				return err
+			}
+			fillSling(&ecfg, ix)
+		case "reads":
+			ix, err := mp.ImportReads(g)
+			if err != nil {
+				return err
+			}
+			fillReads(&ecfg, ix)
+		case "prsim":
+			ix, err := mp.ImportPRSim(g)
+			if err != nil {
+				return err
+			}
+			fillPRSim(&ecfg, ix)
+		}
+		fmt.Printf("imported %s index in %v\n", algo, time.Since(importStart).Round(time.Microsecond))
 		if err := verifyLoaded(ctx, verify, algo, g, ecfg); err != nil {
 			return err
 		}

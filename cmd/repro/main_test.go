@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"crashsim/internal/bench"
@@ -39,7 +40,7 @@ func TestStoreThenThroughputKeepsBothSections(t *testing.T) {
 	for _, r := range rows {
 		sections = append(sections, r.Section)
 	}
-	if len(rows) != 3 || rows[0].Section != "batch" || rows[0].Fresh != cmp.Batch.GeoMeanSpeedup {
-		t.Fatalf("check rows %v, want batch, store, store-mapped with batch graded from the batch section", sections)
+	if strings.Join(sections, ",") != "batch,store" || rows[0].Fresh != cmp.Batch.GeoMeanSpeedup {
+		t.Fatalf("check rows %v, want batch, store with batch graded from the batch section", sections)
 	}
 }

@@ -39,17 +39,20 @@
 // is bit-identical to a rebuilt one (enforced by tests and
 // crashsim -verify-index), so warm restarts change startup time only.
 //
-// -mmap upgrades the warm restart to zero-copy: the snapshot is mapped
-// read-only (format v2) and the indexes serve straight out of the
-// kernel page cache, so startup touches O(1) pages, N servers on one
-// machine share one physical copy of the index, and -mmap-verify picks
-// the checksum policy (section: hash each section the first time it is
-// imported; eager: hash everything up front; none: trusted restart).
-// A v1 or otherwise unmappable snapshot falls back to the copying
-// loader, then to a rebuild. The startup line
-// "index load: mode=... wall=... mapped_bytes=..." records which path
-// ran; /metrics exports the same as store.mmap_opens,
-// store.mapped_bytes and store.crc_deferred/crc_verified.
+// Without -mmap the snapshot is read onto the heap and fully verified
+// before use. -mmap upgrades the warm restart to zero-copy: the
+// snapshot is mapped read-only and the indexes serve straight out of
+// the kernel page cache, so startup touches O(1) pages, N servers on
+// one machine share one physical copy of the index, and -mmap-verify
+// picks the checksum policy (section: hash each section the first time
+// it is imported; eager: hash everything up front; none: trusted
+// restart). Both paths run the same decoder, so a snapshot one of them
+// rejects the other would reject too: a rejected snapshot goes straight
+// to a rebuild. The startup line
+// "index load: mode=heap|mapped|build wall=... mapped_bytes=..."
+// records which path ran; /metrics exports the same as
+// store.mmap_opens, store.mapped_bytes and
+// store.crc_deferred/crc_verified.
 package main
 
 import (
@@ -215,12 +218,12 @@ func parseVerifyPolicy(s string) (store.VerifyPolicy, error) {
 }
 
 // setupIndex implements the warm-restart path for index-based
-// backends: map or load the dataset's snapshot from dir if present and
-// valid, otherwise build the index now and write the snapshot through
-// — in every case handing the prebuilt index to the server via Config,
-// so server.New never builds twice. One startup line records which
-// path ran: mode=mapped|copy|build, the load wall time, and the mapped
-// byte count (0 unless mapped).
+// backends: open the dataset's snapshot from dir if present and valid
+// (mapped with -mmap, else read onto the heap), otherwise build the
+// index now and write the snapshot through — in every case handing the
+// prebuilt index to the server via Config, so server.New never builds
+// twice. One startup line records which path ran: mode=mapped|heap|build,
+// the load wall time, and the mapped byte count (0 unless mapped).
 func setupIndex(scfg *server.Config, g *crashsim.Graph, dir, spec string, useMmap bool, policy store.VerifyPolicy) error {
 	if scfg.Algo != "sling" && scfg.Algo != "reads" && scfg.Algo != "prsim" {
 		log.Printf("index-dir: backend %q builds no persistent index; ignoring", scfg.Algo)
@@ -232,33 +235,8 @@ func setupIndex(scfg *server.Config, g *crashsim.Graph, dir, spec string, useMma
 		Seed: scfg.Params.Seed, HubFraction: scfg.HubFraction,
 	}
 	path := store.SnapshotPath(dir, spec, scfg.Algo)
-	if useMmap && setupMapped(scfg, g, path, policy) {
+	if loadIndex(scfg, g, path, useMmap, policy) {
 		return nil
-	}
-	loadStart := time.Now()
-	if snap, err := store.Load(path); err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			log.Printf("index snapshot %s unusable (%v); rebuilding", path, err)
-		}
-	} else if snap.Graph.Version() != g.Version() {
-		log.Printf("index snapshot %s was built for graph %#x, dataset is %#x; rebuilding",
-			path, snap.Graph.Version(), g.Version())
-	} else {
-		switch scfg.Algo {
-		case "sling":
-			scfg.SlingIndex, err = snap.ImportSling(g)
-		case "reads":
-			scfg.ReadsIndex, err = snap.ImportReads(g)
-		case "prsim":
-			scfg.PRSimIndex, err = snap.ImportPRSim(g)
-		}
-		if err != nil {
-			log.Printf("index snapshot %s rejected (%v); rebuilding", path, err)
-		} else {
-			log.Printf("index load: mode=copy algo=%s wall=%v mapped_bytes=0 path=%s",
-				scfg.Algo, time.Since(loadStart).Round(time.Millisecond), path)
-			return nil
-		}
 	}
 	start := time.Now()
 	snap := &store.Snapshot{
@@ -303,18 +281,26 @@ func setupIndex(scfg *server.Config, g *crashsim.Graph, dir, spec string, useMma
 	return nil
 }
 
-// setupMapped attempts the zero-copy restart: map the snapshot, gate
-// it on the dataset's graph version, and import the backend's index
-// aliasing the mapping. Returns false on any miss — the caller falls
-// back to the copying loader, then to a rebuild. The Mapped handle is
-// closed before returning; imported indexes hold their own mapping
-// references until server shutdown.
-func setupMapped(scfg *server.Config, g *crashsim.Graph, path string, policy store.VerifyPolicy) bool {
+// loadIndex attempts the warm restart: open the snapshot, gate it on
+// the dataset's graph version, and import the backend's index. Returns
+// false on any miss — the caller rebuilds. The handle is closed before
+// returning; imported indexes hold their own buffer references until
+// server shutdown.
+func loadIndex(scfg *server.Config, g *crashsim.Graph, path string, useMmap bool, policy store.VerifyPolicy) bool {
 	start := time.Now()
-	mp, err := store.OpenMapped(path, store.MapOptions{Verify: policy})
+	open, mode := store.Load, "heap"
+	if useMmap {
+		open = func(path string) (*store.Mapped, error) {
+			return store.OpenMapped(path, store.MapOptions{Verify: policy})
+		}
+		mode = "mapped"
+	} else {
+		policy = store.VerifyEager
+	}
+	mp, err := open(path)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
-			log.Printf("index snapshot %s not mappable (%v); trying the copying loader", path, err)
+			log.Printf("index snapshot %s unusable (%v); rebuilding", path, err)
 		}
 		return false
 	}
@@ -333,11 +319,15 @@ func setupMapped(scfg *server.Config, g *crashsim.Graph, path string, policy sto
 		scfg.PRSimIndex, err = mp.ImportPRSim(g)
 	}
 	if err != nil {
-		log.Printf("index snapshot %s rejected (%v); trying the copying loader", path, err)
+		log.Printf("index snapshot %s rejected (%v); rebuilding", path, err)
 		return false
 	}
-	log.Printf("index load: mode=mapped algo=%s wall=%v mapped_bytes=%d crc=%s path=%s",
-		scfg.Algo, time.Since(start).Round(time.Millisecond), mp.MappedBytes(), policy, path)
+	mapped := 0
+	if useMmap {
+		mapped = mp.MappedBytes()
+	}
+	log.Printf("index load: mode=%s algo=%s wall=%v mapped_bytes=%d crc=%s path=%s",
+		mode, scfg.Algo, time.Since(start).Round(time.Millisecond), mapped, policy, path)
 	return true
 }
 

@@ -353,15 +353,9 @@ func TestStoreQuick(t *testing.T) {
 		if r.MappedLoadMS <= 0 || r.CopyFirstQueryMS <= 0 || r.MappedFirstQueryMS <= 0 {
 			t.Errorf("%s/%s: non-positive mapped measurement %+v", r.Dataset, r.Algo, r)
 		}
-		if r.MappedSpeedup <= 0 || math.IsNaN(r.MappedSpeedup) {
-			t.Errorf("%s/%s: mapped speedup = %g", r.Dataset, r.Algo, r.MappedSpeedup)
-		}
 	}
 	if cmp.GeoMeanSpeedup <= 0 || math.IsNaN(cmp.GeoMeanSpeedup) {
 		t.Errorf("geomean speedup = %g", cmp.GeoMeanSpeedup)
-	}
-	if cmp.GeoMeanMappedSpeedup <= 0 || math.IsNaN(cmp.GeoMeanMappedSpeedup) {
-		t.Errorf("geomean mapped speedup = %g", cmp.GeoMeanMappedSpeedup)
 	}
 	if len(rep.Rows) != len(cmp.Results) {
 		t.Error("report row count mismatch")
@@ -372,8 +366,7 @@ func TestStoreQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{`"store"`, `"build_ms"`, `"load_ms"`, `"geomean_speedup"`,
-		`"mapped_load_ms"`, `"copy_first_query_ms"`, `"mapped_first_query_ms"`, `"mapped_speedup"`,
-		`"geomean_mapped_speedup"`} {
+		`"mapped_load_ms"`, `"copy_first_query_ms"`, `"mapped_first_query_ms"`} {
 		if !strings.Contains(buf.String(), key) {
 			t.Errorf("JSON missing %s", key)
 		}

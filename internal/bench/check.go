@@ -39,20 +39,12 @@ var checkSections = []struct {
 		}
 		return c.Store.GeoMeanSpeedup, true
 	}},
-	// store-mapped gates the mmap rung (copy vs mapped time to first
-	// query) of the store section.
-	{"store-mapped", func(c *Comparison) (float64, bool) {
-		if c.Store == nil {
-			return 0, false
-		}
-		return c.Store.GeoMeanMappedSpeedup, true
-	}},
 }
 
 // Check gates the relative performance of the compared alternatives:
-// every geomean-speedup section the baseline records (batch, store,
-// store-mapped) must be present in the fresh run and hold within
-// tolerance of the baseline. A section missing from the fresh run
+// every geomean-speedup section the baseline records (batch, store)
+// must be present in the fresh run and hold within tolerance of the
+// baseline. A section missing from the fresh run
 // fails the gate — CI regenerates every section, so a missing one
 // means an experiment silently stopped writing it. Sections the
 // baseline lacks are not graded. Comparing speedup *ratios* rather than

@@ -8,40 +8,40 @@ import (
 	"testing"
 )
 
-func comparison(batch, store, mapped float64) *Comparison {
+func comparison(batch, store float64) *Comparison {
 	c := &Comparison{}
 	if batch > 0 {
 		c.Batch = &ThroughputComparison{GeoMeanSpeedup: batch}
 	}
 	if store > 0 {
-		c.Store = &StoreComparison{GeoMeanSpeedup: store, GeoMeanMappedSpeedup: mapped}
+		c.Store = &StoreComparison{GeoMeanSpeedup: store}
 	}
 	return c
 }
 
 func TestCheckPassesWithinTolerance(t *testing.T) {
-	base := comparison(1.6, 2.6, 1.4)
-	fresh := comparison(1.5, 2.3, 1.6)
+	base := comparison(1.6, 2.6)
+	fresh := comparison(1.5, 2.3)
 	rows, rep, err := Check(base, fresh, 0.15)
 	if err != nil {
 		t.Fatalf("within-tolerance run failed: %v", err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3: %+v", len(rows), rows)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2: %+v", len(rows), rows)
 	}
 	for _, r := range rows {
 		if !r.OK {
 			t.Errorf("section %s flagged at ratio %.3f under tolerance 0.15", r.Section, r.Ratio)
 		}
 	}
-	if rep == nil || len(rep.Rows) != 3 {
+	if rep == nil || len(rep.Rows) != 2 {
 		t.Fatalf("report missing rows: %+v", rep)
 	}
 }
 
 func TestCheckFailsOnRegression(t *testing.T) {
-	base := comparison(1.6, 2.6, 1.4)
-	fresh := comparison(1.0, 2.6, 1.4) // batch dropped 37%
+	base := comparison(1.6, 2.6)
+	fresh := comparison(1.0, 2.6) // batch dropped 37%
 	rows, _, err := Check(base, fresh, 0.15)
 	if err == nil {
 		t.Fatal("37% batch regression passed the gate")
@@ -68,13 +68,13 @@ func TestCheckFailsOnRegression(t *testing.T) {
 // experiment stopped writing it; the gate must fail and name it, not
 // grade the overlap and pass.
 func TestCheckFailsOnMissingSection(t *testing.T) {
-	base := comparison(1.6, 2.6, 1.4)
+	base := comparison(1.6, 2.6)
 	for _, tc := range []struct {
 		fresh   *Comparison
 		missing []string
 	}{
-		{comparison(1.6, 0, 0), []string{"store", "store-mapped"}},
-		{comparison(0, 2.6, 1.4), []string{"batch"}},
+		{comparison(1.6, 0), []string{"store"}},
+		{comparison(0, 2.6), []string{"batch"}},
 	} {
 		rows, rep, err := Check(base, tc.fresh, 0.15)
 		if err == nil {
@@ -94,20 +94,20 @@ func TestCheckFailsOnMissingSection(t *testing.T) {
 		if strings.Join(got, ",") != strings.Join(tc.missing, ",") {
 			t.Errorf("missing rows %v, want %v", got, tc.missing)
 		}
-		if rep == nil || len(rep.Rows) != 3 {
-			t.Errorf("report should list all 3 baseline sections: %+v", rep)
+		if rep == nil || len(rep.Rows) != 2 {
+			t.Errorf("report should list both baseline sections: %+v", rep)
 		}
 	}
 	// A section only the fresh run has is not graded.
-	rows, _, err := Check(comparison(1.6, 0, 0), base, 0.15)
+	rows, _, err := Check(comparison(1.6, 0), base, 0.15)
 	if err != nil || len(rows) != 1 || rows[0].Section != "batch" {
 		t.Errorf("extra fresh sections: rows %+v, err %v", rows, err)
 	}
 }
 
 func TestCheckRejectsDegenerateInputs(t *testing.T) {
-	base := comparison(1.6, 0, 0)
-	fresh := comparison(1.6, 0, 0)
+	base := comparison(1.6, 0)
+	fresh := comparison(1.6, 0)
 	if _, _, err := Check(base, fresh, 0); err == nil {
 		t.Error("tolerance 0 accepted")
 	}
@@ -115,15 +115,15 @@ func TestCheckRejectsDegenerateInputs(t *testing.T) {
 		t.Error("tolerance 1 accepted")
 	}
 	// An empty baseline must fail loudly, not green-light everything.
-	if _, _, err := Check(&Comparison{}, comparison(1.6, 2.6, 1.4), 0.15); err == nil {
+	if _, _, err := Check(&Comparison{}, comparison(1.6, 2.6), 0.15); err == nil {
 		t.Error("empty baseline produced a green gate")
 	}
 	if _, _, err := Check(&Comparison{}, &Comparison{}, 0.15); err == nil {
 		t.Error("two empty comparisons produced a green gate")
 	}
 	// A recorded section with a non-positive geomean is corrupt.
-	if _, _, err := Check(comparison(0, 2.6, 1.4), comparison(0, 2.6, 0), 0.15); err == nil {
-		t.Error("zero store-mapped geomean accepted")
+	if _, _, err := Check(comparison(0, 2.6), &Comparison{Store: &StoreComparison{}}, 0.15); err == nil {
+		t.Error("zero store geomean accepted")
 	}
 }
 
@@ -131,7 +131,7 @@ func TestCheckRejectsDegenerateInputs(t *testing.T) {
 // section; writing one must not drop the other.
 func TestMergeComparisonKeepsOtherSections(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cmp.json")
-	if err := MergeComparison(path, func(c *Comparison) { c.Store = &StoreComparison{GeoMeanSpeedup: 2, GeoMeanMappedSpeedup: 1.5} }); err != nil {
+	if err := MergeComparison(path, func(c *Comparison) { c.Store = &StoreComparison{GeoMeanSpeedup: 2} }); err != nil {
 		t.Fatal(err)
 	}
 	if err := MergeComparison(path, func(c *Comparison) { c.Batch = &ThroughputComparison{GeoMeanSpeedup: 1.7} }); err != nil {

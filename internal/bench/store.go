@@ -24,7 +24,9 @@ import (
 // from an internal/store snapshot (what a warm restart pays now), plus
 // the one-time save cost and the snapshot size. The loaded index is
 // verified bit-identical to the built one before the row is trusted,
-// so the two columns answer the same queries.
+// so the two columns answer the same queries. Both warm paths run the
+// one snapshot decoder: "copy" columns read the file onto the heap
+// (store.Load), "mapped" columns map it (store.OpenMapped).
 type StoreResult struct {
 	Dataset string `json:"dataset"`
 	Algo    string `json:"algo"`
@@ -36,26 +38,27 @@ type StoreResult struct {
 	// SaveMS is the write-through: encode + checksum + atomic write
 	// (best of storeTimingReps repetitions).
 	SaveMS float64 `json:"save_ms"`
-	// LoadMS is the warm path: read + verify checksums + decode +
-	// import (best of storeTimingReps repetitions).
+	// LoadMS is the heap warm path: read the file + verify checksums,
+	// graph and index frames + import (store.Load; best of
+	// storeTimingReps repetitions).
 	LoadMS float64 `json:"load_ms"`
 	// MappedLoadMS is the zero-copy warm path: mmap the snapshot and
 	// import typed views aliasing the mapping (store.OpenMapped, default
 	// section-CRC policy; best of storeTimingReps repetitions).
 	MappedLoadMS float64 `json:"mapped_load_ms"`
 	// CopyFirstQueryMS / MappedFirstQueryMS time the full restart to
-	// first answer: load (copying vs mapped), construct the estimator,
+	// first answer: load (heap vs mapped), construct the estimator,
 	// answer one single-source query. This is the latency a restarting
 	// replica's first caller actually sees.
 	CopyFirstQueryMS   float64 `json:"copy_first_query_ms"`
 	MappedFirstQueryMS float64 `json:"mapped_first_query_ms"`
 	// CopyRSSKB / MappedRSSKB are the private-memory cost (RssAnon from
 	// /proc/self/status, KiB, after debug.FreeOSMemory on both sides)
-	// of holding one loaded index copied onto the heap vs aliased into
+	// of holding one loaded index read onto the heap vs aliased into
 	// the mapping. Anonymous RSS is the honest comparison: a mapped
 	// index's resident pages are file-backed — shared across processes
 	// and evictable under pressure — so they do not show up here, while
-	// a copied index's bytes are private and unevictable. Zero on
+	// a heap index's bytes are private and unevictable. Zero on
 	// platforms without /proc. Small graphs measure mostly allocator
 	// noise; the column is meaningful at full bench scale.
 	CopyRSSKB   int64 `json:"copy_rss_kb"`
@@ -65,10 +68,6 @@ type StoreResult struct {
 	// Speedup is BuildMS / LoadMS: how much faster a warm restart
 	// brings this index online.
 	Speedup float64 `json:"speedup"`
-	// MappedSpeedup is CopyFirstQueryMS / MappedFirstQueryMS: how much
-	// faster the mmap path reaches its first answer than the copying
-	// loader.
-	MappedSpeedup float64 `json:"mapped_speedup"`
 }
 
 // StoreComparison is the machine-readable "store" section of
@@ -77,9 +76,6 @@ type StoreComparison struct {
 	Config         string        `json:"config"`
 	Results        []StoreResult `json:"results"`
 	GeoMeanSpeedup float64       `json:"geomean_speedup"`
-	// GeoMeanMappedSpeedup aggregates MappedSpeedup (copying vs mapped
-	// time-to-first-query) across all rows.
-	GeoMeanMappedSpeedup float64 `json:"geomean_mapped_speedup"`
 }
 
 // storeTimingReps is how many times each save and load is repeated;
@@ -114,8 +110,8 @@ func Store(cfg Config) (*StoreComparison, *Report, error) {
 	}
 	// The paper's Table III set plus the workload-scale web-1m serving
 	// profile: restart latency matters most on the graphs a replica
-	// actually serves, and web-1m is where the mapped-vs-copy gap is
-	// measured for the acceptance numbers.
+	// actually serves, and web-1m is where the heap and mapped paths
+	// differ most in private memory.
 	profs := gen.Profiles()
 	if web, err := gen.ProfileByName("web-1m"); err == nil {
 		profs = append(profs, web)
@@ -141,21 +137,19 @@ func Store(cfg Config) (*StoreComparison, *Report, error) {
 		}
 	}
 
-	logSum, logMapped := 0.0, 0.0
+	logSum := 0.0
 	for _, r := range cmp.Results {
 		logSum += math.Log(r.Speedup)
-		logMapped += math.Log(r.MappedSpeedup)
 	}
 	cmp.GeoMeanSpeedup = math.Exp(logSum / float64(len(cmp.Results)))
-	cmp.GeoMeanMappedSpeedup = math.Exp(logMapped / float64(len(cmp.Results)))
 
 	rep := &Report{
-		Title: "Index snapshot store: cold build vs warm load vs mmap (internal/store)",
+		Title: "Index snapshot store: cold build vs warm heap load vs mmap (internal/store)",
 		Notes: []string{cmp.Config,
-			"loaded and mapped indexes verified bit-identical to built ones before timing is trusted",
+			"heap-loaded and mapped indexes verified bit-identical to built ones before timing is trusted",
 			"first-query columns time load + estimator construction + one single-source answer"},
 		Columns: []string{"dataset", "algo", "n", "m", "build-ms", "save-ms", "load-ms", "mmap-ms",
-			"copy-fq-ms", "mmap-fq-ms", "KiB", "speedup", "mmap-speedup"},
+			"heap-fq-ms", "mmap-fq-ms", "KiB", "speedup"},
 	}
 	for _, r := range cmp.Results {
 		rep.AddRow(r.Dataset, r.Algo, fmt.Sprint(r.Nodes), fmt.Sprint(r.Edges),
@@ -163,11 +157,9 @@ func Store(cfg Config) (*StoreComparison, *Report, error) {
 			fmt.Sprintf("%.1f", r.LoadMS), fmt.Sprintf("%.2f", r.MappedLoadMS),
 			fmt.Sprintf("%.1f", r.CopyFirstQueryMS), fmt.Sprintf("%.2f", r.MappedFirstQueryMS),
 			fmt.Sprintf("%.0f", float64(r.Bytes)/1024),
-			fmt.Sprintf("%.1fx", r.Speedup), fmt.Sprintf("%.1fx", r.MappedSpeedup))
+			fmt.Sprintf("%.1fx", r.Speedup))
 	}
-	rep.Footer = append(rep.Footer,
-		fmt.Sprintf("geomean warm-restart speedup: %.1fx", cmp.GeoMeanSpeedup),
-		fmt.Sprintf("geomean mapped-vs-copy first-query speedup: %.1fx", cmp.GeoMeanMappedSpeedup))
+	rep.Footer = append(rep.Footer, fmt.Sprintf("geomean warm-restart speedup: %.1fx", cmp.GeoMeanSpeedup))
 	return cmp, rep, nil
 }
 
@@ -224,112 +216,44 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 		return StoreResult{}, err
 	}
 
-	loadSec := math.Inf(1)
-	var loaded *store.Snapshot
-	for rep := 0; rep < storeTimingReps; rep++ {
-		start := time.Now()
-		loaded, err = store.Load(path)
-		if err != nil {
-			return StoreResult{}, err
-		}
-		lcfg := ecfg
-		switch algo {
-		case "sling":
-			lcfg.SlingIndex, err = loaded.ImportSling(loaded.Graph)
-		case "reads":
-			lcfg.ReadsIndex, err = loaded.ImportReads(loaded.Graph)
-		}
-		if err != nil {
-			return StoreResult{}, err
-		}
-		loadSec = math.Min(loadSec, time.Since(start).Seconds())
-		if rep == storeTimingReps-1 {
-			if err := verifyLoadedIndex(g, algo, builtCfg, lcfg, loaded.Graph, sources); err != nil {
-				return StoreResult{}, err
-			}
-		}
+	// The last repetition of each load is verified bit-identical to the
+	// rebuild; the first-query rounds time load, estimator construction
+	// and one answer.
+	verify := func(cfg engine.Config, lg *graph.Graph) error {
+		return verifyLoadedIndex(g, algo, builtCfg, cfg, lg, sources)
 	}
-
-	// Zero-copy rung: mmap the snapshot and import views aliasing the
-	// mapping (default section-CRC policy — what a production restart
-	// uses). The last repetition's index is verified bit-identical to
-	// the rebuild, like the copying rung above.
-	mappedSec := math.Inf(1)
-	for rep := 0; rep < storeTimingReps; rep++ {
-		start := time.Now()
-		mcfg, mg, release, err := mappedImport(path, algo, ecfg)
-		if err != nil {
-			return StoreResult{}, err
-		}
-		mappedSec = math.Min(mappedSec, time.Since(start).Seconds())
-		if rep == storeTimingReps-1 {
-			if err := verifyLoadedIndex(g, algo, builtCfg, mcfg, mg, sources); err != nil {
-				release()
-				return StoreResult{}, err
-			}
-		}
-		release()
+	first := func(cfg engine.Config, lg *graph.Graph) error {
+		return answerOne(ctx, algo, lg, cfg, graph.NodeID(sources[0]))
 	}
-
-	// Time-to-first-answer for both restart paths: load, construct the
-	// estimator, answer one query.
-	firstSource := graph.NodeID(sources[0])
-	fqCopySec := math.Inf(1)
-	for rep := 0; rep < storeTimingReps; rep++ {
-		start := time.Now()
-		s, err := store.Load(path)
-		if err != nil {
-			return StoreResult{}, err
-		}
-		lcfg := ecfg
-		switch algo {
-		case "sling":
-			lcfg.SlingIndex, err = s.ImportSling(s.Graph)
-		case "reads":
-			lcfg.ReadsIndex, err = s.ImportReads(s.Graph)
-		}
-		if err != nil {
-			return StoreResult{}, err
-		}
-		if err := answerOne(ctx, algo, s.Graph, lcfg, firstSource); err != nil {
-			return StoreResult{}, err
-		}
-		fqCopySec = math.Min(fqCopySec, time.Since(start).Seconds())
+	heapOpen := func() (*store.Mapped, error) { return store.Load(path) }
+	// The mapped rungs use the default section-CRC policy — what a
+	// production restart uses.
+	mappedOpen := func() (*store.Mapped, error) { return store.OpenMapped(path, store.MapOptions{}) }
+	loadSec, err := bestOpen(heapOpen, algo, ecfg, nil, verify)
+	if err != nil {
+		return StoreResult{}, err
 	}
-	fqMappedSec := math.Inf(1)
-	for rep := 0; rep < storeTimingReps; rep++ {
-		start := time.Now()
-		mcfg, mg, release, err := mappedImport(path, algo, ecfg)
-		if err != nil {
-			return StoreResult{}, err
-		}
-		if err := answerOne(ctx, algo, mg, mcfg, firstSource); err != nil {
-			release()
-			return StoreResult{}, err
-		}
-		fqMappedSec = math.Min(fqMappedSec, time.Since(start).Seconds())
-		release()
+	mappedSec, err := bestOpen(mappedOpen, algo, ecfg, nil, verify)
+	if err != nil {
+		return StoreResult{}, err
 	}
-
+	fqCopySec, err := bestOpen(heapOpen, algo, ecfg, first, nil)
+	if err != nil {
+		return StoreResult{}, err
+	}
+	fqMappedSec, err := bestOpen(mappedOpen, algo, ecfg, first, nil)
+	if err != nil {
+		return StoreResult{}, err
+	}
 	copyRSS, err := rssDeltaKB(func() (func(), error) {
-		s, err := store.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		switch algo {
-		case "sling":
-			_, err = s.ImportSling(s.Graph)
-		case "reads":
-			_, err = s.ImportReads(s.Graph)
-		}
-		keep := s
-		return func() { _ = keep }, err
+		_, _, release, err := openImport(heapOpen, algo, ecfg)
+		return release, err
 	})
 	if err != nil {
 		return StoreResult{}, err
 	}
 	mappedRSS, err := rssDeltaKB(func() (func(), error) {
-		_, _, release, err := mappedImport(path, algo, ecfg)
+		_, _, release, err := openImport(mappedOpen, algo, ecfg)
 		return release, err
 	})
 	if err != nil {
@@ -349,16 +273,42 @@ func storeRound(g *graph.Graph, dataset, algo, dir string, ecfg engine.Config, s
 		MappedRSSKB:        mappedRSS,
 		Bytes:              fi.Size(),
 		Speedup:            buildSec / loadSec,
-		MappedSpeedup:      fqCopySec / fqMappedSec,
 	}, nil
 }
 
-// mappedImport opens the snapshot zero-copy and imports the requested
-// index aliasing the mapping. The returned release closes the index
-// (and with it the last mapping reference; the Mapped handle itself is
-// closed before returning).
-func mappedImport(path, algo string, ecfg engine.Config) (engine.Config, *graph.Graph, func(), error) {
-	mp, err := store.OpenMapped(path, store.MapOptions{})
+// bestOpen opens the snapshot and imports the index storeTimingReps
+// times and returns the fastest repetition's seconds. timed, if set,
+// runs inside the clock; check, if set, runs on the last repetition
+// after the clock stops.
+func bestOpen(open func() (*store.Mapped, error), algo string, ecfg engine.Config,
+	timed, check func(engine.Config, *graph.Graph) error) (float64, error) {
+	best := math.Inf(1)
+	for rep := 0; rep < storeTimingReps; rep++ {
+		start := time.Now()
+		cfg, g, release, err := openImport(open, algo, ecfg)
+		if err != nil {
+			return 0, err
+		}
+		if timed != nil {
+			err = timed(cfg, g)
+		}
+		best = math.Min(best, time.Since(start).Seconds())
+		if err == nil && check != nil && rep == storeTimingReps-1 {
+			err = check(cfg, g)
+		}
+		release()
+		if err != nil {
+			return 0, err
+		}
+	}
+	return best, nil
+}
+
+// openImport opens the snapshot and imports the requested index. The
+// returned release closes the index (and with it the last buffer
+// reference; the handle itself is closed before returning).
+func openImport(open func() (*store.Mapped, error), algo string, ecfg engine.Config) (engine.Config, *graph.Graph, func(), error) {
+	mp, err := open()
 	if err != nil {
 		return ecfg, nil, nil, err
 	}

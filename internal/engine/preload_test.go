@@ -69,16 +69,20 @@ func TestPreloadedIndexBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer snap.Close()
 	preCfg := cfg
 	if preCfg.SlingIndex, err = snap.ImportSling(g); err != nil {
 		t.Fatal(err)
 	}
+	defer preCfg.SlingIndex.Close()
 	if preCfg.ReadsIndex, err = snap.ImportReads(g); err != nil {
 		t.Fatal(err)
 	}
+	defer preCfg.ReadsIndex.Close()
 	if preCfg.PRSimIndex, err = snap.ImportPRSim(g); err != nil {
 		t.Fatal(err)
 	}
+	defer preCfg.PRSimIndex.Close()
 
 	for _, name := range []string{"sling", "reads", "prsim"} {
 		built, err := New(ctx, name, g, cfg)

@@ -199,10 +199,14 @@ func validateCSR(n int, off []int32, adj []NodeID, dir string) error {
 		return fmt.Errorf("graph: %s offsets do not span adjacency (first=%d, last=%d, len=%d)",
 			dir, off[0], off[n], len(adj))
 	}
+	// All offsets first: a later offset out of order could otherwise
+	// put an earlier row past the end of adj.
 	for v := 0; v < n; v++ {
 		if off[v] > off[v+1] {
 			return fmt.Errorf("graph: %s offsets not monotone at node %d", dir, v)
 		}
+	}
+	for v := 0; v < n; v++ {
 		row := adj[off[v]:off[v+1]]
 		for i, u := range row {
 			if u < 0 || int(u) >= n {

@@ -12,7 +12,8 @@
 // types keep their slices in non-exported fields), so the page
 // protection is a backstop, not the first line of defense.
 //
-// Lifecycle: Open returns a Mapping holding one reference. Every
+// Lifecycle: Open (or FromBytes, for bytes already on the heap)
+// returns a Mapping holding one reference. Every
 // borrowed view that must outlive the opener calls Retain and pairs it
 // with exactly one Close. The underlying munmap happens when the last
 // reference drops, so closing the opener while borrowed views are
@@ -34,9 +35,20 @@ type Mapping struct {
 	// onUnmap, if set, runs exactly once right before the bytes are
 	// released (obs accounting hooks).
 	onUnmap func()
-	// heap is true when the bytes were read into memory instead of
-	// mapped (non-unix fallback); Close then just drops the slice.
+	// heap is true when the bytes live on the Go heap instead of in a
+	// file mapping (FromBytes); Close then just drops the slice.
 	heap bool
+}
+
+// FromBytes wraps heap bytes in a Mapping with the same refcount
+// lifecycle as a file mapping, holding one reference. The bytes are
+// not copied: the caller must not write them while any reference is
+// live. Casts over them work as over a mapping, because Go heap
+// allocations are at least 8-aligned.
+func FromBytes(data []byte) *Mapping {
+	m := &Mapping{data: data, heap: true}
+	m.refs.Store(1)
+	return m
 }
 
 // Open maps the file at path read-only. The returned Mapping holds one
@@ -98,8 +110,8 @@ func (m *Mapping) Close() error {
 // nativeLittleEndian reports whether this machine stores integers
 // little-endian — the snapshot byte order. The typed casts below alias
 // raw file bytes as integer/float slices, which is only correct when
-// the two orders agree; on a big-endian machine callers must fall back
-// to the copying decoder.
+// the two orders agree; on a big-endian machine callers must copy the
+// elements out instead.
 var nativeLittleEndian = func() bool {
 	var buf [2]byte
 	*(*uint16)(unsafe.Pointer(&buf[0])) = 0x0102
@@ -107,7 +119,8 @@ var nativeLittleEndian = func() bool {
 }()
 
 // CastsSupported reports whether zero-copy typed casts work on this
-// machine (little-endian byte order).
+// machine (little-endian byte order). Where they do not, callers
+// decode by copying the elements out instead.
 func CastsSupported() bool { return nativeLittleEndian }
 
 // castErr explains a failed cast precisely: misalignment and length

@@ -12,7 +12,7 @@ func openPlatform(path string) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mapping{data: data, heap: true}, nil
+	return FromBytes(data), nil
 }
 
 func unmapPlatform([]byte) error { return nil }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func writeFile(t *testing.T, b []byte) string {
@@ -96,6 +97,42 @@ func TestRefcountLifecycle(t *testing.T) {
 	}
 	if m.Bytes() != nil {
 		t.Fatal("Bytes() non-nil after final Close")
+	}
+}
+
+// TestFromBytesLifecycle: a heap-backed Mapping shares the file
+// mapping's refcount contract and its typed casts alias the caller's
+// bytes.
+func TestFromBytesLifecycle(t *testing.T) {
+	data := make([]byte, 16)
+	binary.LittleEndian.PutUint32(data[4:], 7)
+	m := FromBytes(data)
+	unmapped := false
+	m.SetOnUnmap(func() { unmapped = true })
+	if CastsSupported() {
+		vs, err := Int32s(m.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != 4 || vs[1] != 7 || &vs[0] != (*int32)(unsafe.Pointer(&data[0])) {
+			t.Fatalf("cast over heap bytes = %v, want an alias with vs[1] = 7", vs)
+		}
+	}
+	v := m.Retain()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if unmapped || m.Len() != len(data) {
+		t.Fatal("bytes released while a reference was live")
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !unmapped || m.Bytes() != nil {
+		t.Fatal("last Close did not release the bytes")
+	}
+	if err := m.Close(); err == nil {
+		t.Fatal("Close past the last reference succeeded")
 	}
 }
 

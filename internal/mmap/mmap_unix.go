@@ -21,7 +21,7 @@ func openPlatform(path string) (*Mapping, error) {
 	size := fi.Size()
 	if size == 0 {
 		// mmap of length 0 is EINVAL; an empty file is an empty mapping.
-		return &Mapping{data: []byte{}, heap: true}, nil
+		return FromBytes([]byte{}), nil
 	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("mmap: %s is %d bytes, too large for this address space", path, size)

@@ -403,6 +403,11 @@ func (ix *Index) ensure(w graph.NodeID) *table {
 	}
 }
 
+// levelHint caps the level capacity compile reserves up front: MaxDepth
+// can come from a snapshot file, and pruning ends most tables within a
+// few dozen levels anyway.
+const levelHint = 64
+
 // compile builds the reverse-push table of w — h_ℓ(v, w) for ℓ up to
 // MaxDepth via a forward level expansion along out-edges with the
 // √c/|I(child)| multiplier, pruning small entries — plus d(w). It is a
@@ -410,7 +415,7 @@ func (ix *Index) ensure(w graph.NodeID) *table {
 // so the packed floats are bit-identical however the build is
 // scheduled (and identical to the map-based skeleton's).
 func (ix *Index) compile(w graph.NodeID) *table {
-	t := &table{off: make([]int32, 1, ix.opt.MaxDepth+1)}
+	t := &table{off: make([]int32, 1, min(ix.opt.MaxDepth, levelHint)+1)}
 	cur := map[graph.NodeID]float64{w: 1}
 	var order []graph.NodeID
 	for step := 1; step <= ix.opt.MaxDepth; step++ {

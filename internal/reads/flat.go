@@ -11,8 +11,9 @@ import (
 // Flat is the borrow-shaped view of an index: the stored walks plus
 // the inverted occurrence index compiled into sorted per-(sample,
 // step) runs, so a query can binary-search co-locations without any
-// map. Snapshot format v2 persists these arrays verbatim; the mapped
-// loader hands them to ImportFlat aliasing the mapping.
+// map. Snapshot format v2 persists these arrays verbatim; the store's
+// loader hands them to ImportFlat aliasing its buffer (a file mapping
+// or a heap read).
 //
 // Layout: the k-th stored walk of node v is
 // Nodes[WalkOff[k·n+v]:WalkOff[k·n+v+1]]. The inverted index is
@@ -82,12 +83,11 @@ func (p Payload) Flatten() Flat {
 // ImportFlat binds a flat payload to the frozen graph g as a servable
 // Index whose arrays are adopted, not copied — for a mapped snapshot
 // they alias the read-only mapping. Fresh query-time walks sample
-// g's CSR in-lists directly, which are elementwise identical to the
-// DiGraph the copying Import reconstructs from g.Edges() (both are
-// ascending per node), so RQ refinement stays bit-identical. The
-// first mutation (ApplyEdge/ApplyDelta) or Graph() call materializes
-// heap-side maps and a mutable graph; until then the index is
-// read-only. Structural shape checks always run; validate adds the
+// g's CSR in-lists directly, which are elementwise identical to a
+// DiGraph rebuilt from g.Edges() (both are ascending per node), so RQ
+// refinement stays bit-identical. The first mutation
+// (ApplyEdge/ApplyDelta) or Graph() call materializes heap-side maps
+// and a mutable graph; until then the index is read-only. Structural shape checks always run; validate adds the
 // per-entry semantic checks (the store's VerifyEager policy).
 func ImportFlat(g *graph.Graph, f Flat, validate bool) (*Index, error) {
 	o := f.Opt.withDefaults()

@@ -23,8 +23,9 @@ func flatTestGraph(t *testing.T, directed bool) *graph.Graph {
 
 // TestFlatBitIdentical is the flat-path oracle: a borrowed index
 // (Flatten/ImportFlat over the frozen graph) must answer every source
-// bit-for-bit like the copying Import, including the RQ fresh-walk
-// refinement that samples the graph at query time.
+// bit-for-bit like the index Build made, including the RQ fresh-walk
+// refinement that samples the graph at query time, and export the same
+// payload.
 func TestFlatBitIdentical(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		g := flatTestGraph(t, directed)
@@ -33,20 +34,19 @@ func TestFlatBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := built.Export()
-		copied, err := Import(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		borrowed, err := ImportFlat(g, p.Flatten(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if borrowed.NumWalks() != copied.NumWalks() || borrowed.Positions() != copied.Positions() {
+		if borrowed.NumWalks() != built.NumWalks() || borrowed.Positions() != built.Positions() {
 			t.Fatalf("size proxies differ: %d/%d vs %d/%d",
-				borrowed.NumWalks(), borrowed.Positions(), copied.NumWalks(), copied.Positions())
+				borrowed.NumWalks(), borrowed.Positions(), built.NumWalks(), built.Positions())
+		}
+		if !reflect.DeepEqual(borrowed.Export(), p) {
+			t.Fatalf("directed=%v: borrowed re-export differs from the original payload", directed)
 		}
 		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-			want, err := copied.SingleSource(u)
+			want, err := built.SingleSource(u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,34 +63,29 @@ func TestFlatBitIdentical(t *testing.T) {
 
 // TestFlatMaterializeOnMutate checks the copy-on-write story: a
 // borrowed index hit with an edge update promotes itself to the heap
-// form and from then on tracks the copying index exactly.
+// form and from then on tracks the built index exactly.
 func TestFlatMaterializeOnMutate(t *testing.T) {
 	g := flatTestGraph(t, true)
 	built, err := Build(diGraphOf(t, g), Options{R: 12, MaxLen: 6, RQ: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := built.Export()
-	copied, err := Import(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	borrowed, err := ImportFlat(g, p.Flatten(), true)
+	borrowed, err := ImportFlat(g, built.Export().Flatten(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := graph.Edge{X: 1, Y: 40}
-	if copied.Graph().HasEdge(e.X, e.Y) {
+	if built.Graph().HasEdge(e.X, e.Y) {
 		e = graph.Edge{X: 2, Y: 41}
 	}
-	if err := copied.ApplyEdge(e, true); err != nil {
+	if err := built.ApplyEdge(e, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := borrowed.ApplyEdge(e, true); err != nil {
 		t.Fatal(err)
 	}
 	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		want, err := copied.SingleSource(u)
+		want, err := built.SingleSource(u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +97,7 @@ func TestFlatMaterializeOnMutate(t *testing.T) {
 			t.Fatalf("post-mutation scores differ at source %d", u)
 		}
 	}
-	if borrowed.Graph().NumEdges() != copied.Graph().NumEdges() {
+	if borrowed.Graph().NumEdges() != built.Graph().NumEdges() {
 		t.Fatal("materialized graph out of sync")
 	}
 }
@@ -134,26 +129,5 @@ func TestImportFlatRejectsCorruptShape(t *testing.T) {
 	f.Nodes[f.WalkOff[1]] = 99
 	if _, err := ImportFlat(g, f, true); err == nil {
 		t.Error("corrupt walk accepted under validate")
-	}
-}
-
-// TestImportAdoptsWalks pins the one-copy loader contract: Import
-// slices walks out of the payload's node column instead of copying
-// each walk, so a snapshot load materializes exactly one copy of the
-// bytes (the decode).
-func TestImportAdoptsWalks(t *testing.T) {
-	g := flatTestGraph(t, true)
-	built, err := Build(diGraphOf(t, g), Options{R: 4, MaxLen: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := built.Export()
-	ix, err := Import(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ix.walks[0][0]
-	if len(w) == 0 || &w[0] != &p.Nodes[0] {
-		t.Fatal("Import copied walk storage instead of slicing the payload column")
 	}
 }

@@ -140,6 +140,14 @@ func (ix *Index) numNodes() int {
 	return ix.fg.NumNodes()
 }
 
+// walk returns the k-th stored walk of v in either representation.
+func (ix *Index) walk(k int, v graph.NodeID) []graph.NodeID {
+	if ix.flat != nil {
+		return ix.walkFlat(k, v)
+	}
+	return ix.walks[k][v]
+}
+
 // Build generates the r walks per node on a private copy of g's current
 // state.
 func Build(g *graph.DiGraph, opt Options) (*Index, error) {
@@ -312,7 +320,7 @@ func (ix *Index) SingleSource(u graph.NodeID) (map[graph.NodeID]float64, error) 
 }
 
 // SingleSourceCtx is SingleSource with cancellation, checked between
-// stored samples.
+// stored samples and between fresh walks.
 func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph.NodeID]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -347,6 +355,11 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 		r := rng.Split(ix.opt.Seed^0xdeadbeef, uint64(u))
 		w := make([]graph.NodeID, 0, ix.opt.MaxLen+1)
 		for f := 0; f < ix.opt.RQ; f++ {
+			if f&31 == 31 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			w = ix.sampleFresh(u, r, w)
 			if borrowed {
 				ix.accumulateFlat(f%ix.opt.R, w, u, inc, met, scores)
@@ -380,9 +393,9 @@ func (ix *Index) accumulate(k int, w []graph.NodeID, u graph.NodeID, inc float64
 
 // sampleFresh draws a query-time √c-walk from u on the current graph.
 // A borrowed index samples the frozen CSR in-lists, which are
-// elementwise identical to the DiGraph a copying Import builds from
-// the same graph — the walks, and therefore the scores, match bit for
-// bit.
+// elementwise identical to the DiGraph Build samples when handed a
+// copy of the same graph — the walks, and therefore the scores, match
+// bit for bit.
 func (ix *Index) sampleFresh(u graph.NodeID, r *rng.Source, buf []graph.NodeID) []graph.NodeID {
 	buf = append(buf[:0], u)
 	cur := u

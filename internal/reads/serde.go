@@ -1,22 +1,14 @@
 package reads
 
-import (
-	"fmt"
-	"math"
-
-	"crashsim/internal/graph"
-)
+import "crashsim/internal/graph"
 
 // Serialization support for the persistent index store (internal/store).
 //
 // The index's persistable state is the r stored walks per node plus the
-// build options; the inverted occurrence index is a deterministic
-// function of the walks (BuildCtx assembles it in (sample, node) order),
-// so Import rebuilds it with the same code path and a loaded index
-// answers queries bit-identically to the index it was exported from.
-// The index's private mutable graph is reconstructed from the immutable
-// graph the caller passes, which the store layer has already matched to
-// the index by graph version.
+// build options. The store writes them together with the compiled
+// inverted index (Flatten) and loads them back through ImportFlat, so a
+// loaded index answers queries bit-identically to the index it was
+// exported from without rebuilding anything.
 
 // Payload is the flat, serialization-shaped view of an Index: walk
 // lengths in (sample, origin) order and the concatenated walk nodes,
@@ -35,7 +27,7 @@ type Payload struct {
 // Export returns the index's persistable state. The returned slices are
 // freshly allocated and do not alias the index.
 func (ix *Index) Export() Payload {
-	n := ix.g.NumNodes()
+	n := ix.numNodes()
 	p := Payload{
 		Opt:      ix.opt,
 		WalkLens: make([]int32, 0, ix.opt.R*n),
@@ -44,86 +36,12 @@ func (ix *Index) Export() Payload {
 	p.Opt.Workers = 0
 	for k := 0; k < ix.opt.R; k++ {
 		for v := 0; v < n; v++ {
-			w := ix.walks[k][v]
+			w := ix.walk(k, graph.NodeID(v))
 			p.WalkLens = append(p.WalkLens, int32(len(w)))
 			p.Nodes = append(p.Nodes, w...)
 		}
 	}
 	return p
-}
-
-// Import reconstructs an Index over g from an exported payload. The
-// payload is treated as untrusted: lengths and node ids are
-// range-checked and every walk must start at its origin. The inverted
-// occurrence index is rebuilt in the same deterministic (sample, node)
-// order as BuildCtx, so queries against the imported index are
-// bit-identical to the exported one. g must be the graph the index was
-// built on; the store layer enforces that identity by graph version.
-//
-// The payload's Nodes column is adopted: each stored walk is a
-// capacity-clamped subslice of it rather than a fresh copy (resampled
-// walks replace whole slices, never write in place), so the loader
-// performs exactly one copy of the snapshot bytes. Callers hand over
-// ownership of the payload arrays.
-func Import(g *graph.Graph, p Payload) (*Index, error) {
-	o := p.Opt.withDefaults()
-	if err := o.Validate(); err != nil {
-		return nil, fmt.Errorf("reads: import: %w", err)
-	}
-	n := g.NumNodes()
-	if len(p.WalkLens) != o.R*n {
-		return nil, fmt.Errorf("reads: import: %d walk lengths, want r·n = %d·%d", len(p.WalkLens), o.R, n)
-	}
-	d := graph.NewDiGraph(n, g.Directed())
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			return nil, fmt.Errorf("reads: import: copying graph: %w", err)
-		}
-	}
-	ix := &Index{
-		opt:        o,
-		g:          d,
-		walks:      make([][][]graph.NodeID, o.R),
-		inv:        make([]map[posKey][]graph.NodeID, o.R),
-		sc:         math.Sqrt(o.C),
-		srcVersion: g.Version(),
-	}
-	off := 0
-	for k := 0; k < o.R; k++ {
-		ix.walks[k] = make([][]graph.NodeID, n)
-		ix.inv[k] = make(map[posKey][]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			l := int(p.WalkLens[k*n+v])
-			if l < 1 || l > o.MaxLen+1 {
-				return nil, fmt.Errorf("reads: import: walk (%d,%d) has length %d outside [1,%d]", k, v, l, o.MaxLen+1)
-			}
-			if off+l > len(p.Nodes) {
-				return nil, fmt.Errorf("reads: import: walk nodes truncated at walk (%d,%d)", k, v)
-			}
-			w := p.Nodes[off : off+l : off+l]
-			off += l
-			if w[0] != graph.NodeID(v) {
-				return nil, fmt.Errorf("reads: import: walk (%d,%d) starts at %d, not its origin", k, v, w[0])
-			}
-			for _, x := range w {
-				if x < 0 || int(x) >= n {
-					return nil, fmt.Errorf("reads: import: walk (%d,%d) visits out-of-range node %d", k, v, x)
-				}
-			}
-			ix.walks[k][v] = w
-		}
-	}
-	if off != len(p.Nodes) {
-		return nil, fmt.Errorf("reads: import: %d trailing walk nodes", len(p.Nodes)-off)
-	}
-	// Rebuild the inverted index exactly as BuildCtx does: sample-major,
-	// node order within a sample — occurrence lists come out identical.
-	for k := 0; k < o.R; k++ {
-		for v := 0; v < n; v++ {
-			ix.indexWalk(k, graph.NodeID(v))
-		}
-	}
-	return ix, nil
 }
 
 // Options returns the defaulted build configuration of the index, so a
@@ -144,5 +62,5 @@ func (ix *Index) SourceVersion() uint64 { return ix.srcVersion }
 
 // BindSourceVersion records the frozen graph version ix derives from,
 // for builders that construct the walk DiGraph from a frozen graph
-// themselves (Import does this automatically).
+// themselves (ImportFlat does this automatically).
 func (ix *Index) BindSourceVersion(v uint64) { ix.srcVersion = v }

@@ -11,9 +11,10 @@ import (
 // Flat is the borrow-shaped view of an index: the Payload columns plus
 // the inverted occurrence index compiled into a dense per-(step, node)
 // CSR, so a query can run without rebuilding any map. Snapshot format
-// v2 persists these arrays verbatim; the mapped loader hands them to
-// ImportFlat aliasing the mapping, which is why a flat index serves
-// its first query without touching most of the file.
+// v2 persists these arrays verbatim; the store's loader hands them to
+// ImportFlat aliasing its buffer (a file mapping or a heap read), which
+// is why a mapped flat index serves its first query without touching
+// most of the file.
 //
 // Layout: node v's distribution entries live at columns
 // [DistOff[v], DistOff[v+1]). The inverted index is row-addressed by
@@ -63,7 +64,7 @@ func (p Payload) Flatten() Flat {
 	f.InvProbs = make([]float64, len(p.Steps))
 	next := make([]int32, rows)
 	// Origin order within each row must match the map path's append
-	// order: BuildCtx/Import iterate nodes ascending, each node's
+	// order: BuildCtx iterates nodes ascending, each node's
 	// entries in stored order — which is exactly column order here.
 	for v := 0; v < n; v++ {
 		for i := f.DistOff[v]; i < f.DistOff[v+1]; i++ {
@@ -81,7 +82,8 @@ func (p Payload) Flatten() Flat {
 // arrays are adopted, not copied — for a mapped snapshot they alias
 // the read-only mapping. Structural shape checks (lengths, offset
 // monotonicity) always run; with validate set the per-entry semantic
-// checks Import performs run too (the store's VerifyEager policy).
+// checks (step, node and probability ranges) run too (the store's
+// VerifyEager policy).
 // Without it the caller is vouching for the bytes — in practice via
 // the snapshot section's CRC.
 func ImportFlat(g *graph.Graph, f Flat, validate bool) (*Index, error) {

@@ -111,22 +111,3 @@ func TestFlatClose(t *testing.T) {
 		t.Fatalf("release ran %d times, want exactly once", released)
 	}
 }
-
-// TestImportAdoptsPayload pins the one-copy loader contract: Import
-// adopts the payload's d column instead of copying it, so a snapshot
-// load materializes exactly one copy of the bytes (the decode).
-func TestImportAdoptsPayload(t *testing.T) {
-	g := flatTestGraph(t)
-	built, err := Build(g, Options{DSamples: 12, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := built.Export()
-	ix, err := Import(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.D) == 0 || &ix.d[0] != &p.D[0] {
-		t.Fatal("Import copied the d column instead of adopting it")
-	}
-}

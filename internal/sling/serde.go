@@ -1,22 +1,17 @@
 package sling
 
-import (
-	"fmt"
-	"math"
-
-	"crashsim/internal/graph"
-)
+import "crashsim/internal/graph"
 
 // Serialization support for the persistent index store (internal/store).
 //
 // The index's query-time state is three structures: the per-node
 // truncated hitting distributions, the inverted occurrence index, and
-// the d(x) corrections. Only the distributions and d values are
-// persisted — the inverted index is a deterministic function of the
-// distributions (BuildCtx assembles it in node order), so Import
-// rebuilds it with the same code path and a loaded index answers
-// queries bit-identically to the index it was exported from: identical
-// dist float64s, identical occurrence-list order, identical d values.
+// the d(x) corrections. Export flattens the distributions and d values
+// into a Payload; the store writes it together with the compiled
+// inverted index (Flatten) and loads both back through ImportFlat, so a
+// loaded index answers queries bit-identically to the index it was
+// exported from: identical dist float64s, identical occurrence-list
+// order, identical d values.
 
 // Payload is the flat, serialization-shaped view of an Index: the
 // distributions flattened into parallel (step, node, prob) columns with
@@ -73,84 +68,6 @@ func (ix *Index) Export() Payload {
 	return p
 }
 
-// Import reconstructs an Index over g from an exported payload. The
-// payload is treated as untrusted: counts, steps, node ids and
-// probabilities are range-checked before the inverted occurrence index
-// is rebuilt (in the same deterministic node order as BuildCtx, so
-// queries against the imported index are bit-identical to the exported
-// one). g must be the graph the index was built on; the store layer
-// enforces that identity by graph version before calling Import.
-//
-// The payload's D column is adopted, not copied — callers hand over
-// ownership (the store decodes payloads into fresh buffers, so the
-// loader performs exactly one copy of the snapshot bytes).
-func Import(g *graph.Graph, p Payload) (*Index, error) {
-	o := p.Opt.withDefaults()
-	if err := o.Validate(); err != nil {
-		return nil, fmt.Errorf("sling: import: %w", err)
-	}
-	n := g.NumNodes()
-	if len(p.DistCounts) != n || len(p.D) != n {
-		return nil, fmt.Errorf("sling: import: payload sized for %d nodes, graph has %d", len(p.DistCounts), n)
-	}
-	total := 0
-	for v, c := range p.DistCounts {
-		if c < 0 {
-			return nil, fmt.Errorf("sling: import: negative entry count %d at node %d", c, v)
-		}
-		total += int(c)
-	}
-	if len(p.Steps) != total || len(p.Nodes) != total || len(p.Probs) != total {
-		return nil, fmt.Errorf("sling: import: entry columns have %d/%d/%d values, counts sum to %d",
-			len(p.Steps), len(p.Nodes), len(p.Probs), total)
-	}
-	ix := &Index{
-		g:    g,
-		opt:  o,
-		dist: make([][]entry, n),
-		inv:  make([]map[graph.NodeID][]occurrence, o.Lmax+1),
-		d:    p.D,
-	}
-	for x, d := range ix.d {
-		if d < 0 || d > 1 || math.IsNaN(d) {
-			return nil, fmt.Errorf("sling: import: d(%d) = %v outside [0,1]", x, d)
-		}
-	}
-	for t := range ix.inv {
-		ix.inv[t] = make(map[graph.NodeID][]occurrence)
-	}
-	off := 0
-	for v := 0; v < n; v++ {
-		c := int(p.DistCounts[v])
-		ents := make([]entry, c)
-		for i := 0; i < c; i++ {
-			step, node, prob := p.Steps[off], p.Nodes[off], p.Probs[off]
-			off++
-			if step < 1 || int(step) > o.Lmax {
-				return nil, fmt.Errorf("sling: import: node %d entry %d has step %d outside [1,%d]", v, i, step, o.Lmax)
-			}
-			if node < 0 || int(node) >= n {
-				return nil, fmt.Errorf("sling: import: node %d entry %d references out-of-range node %d", v, i, node)
-			}
-			if prob <= 0 || prob > 1 || math.IsNaN(prob) {
-				return nil, fmt.Errorf("sling: import: node %d entry %d has probability %v outside (0,1]", v, i, prob)
-			}
-			ents[i] = entry{step: step, node: node, prob: prob}
-		}
-		ix.dist[v] = ents
-	}
-	// Rebuild the inverted index exactly as BuildCtx does: node order,
-	// entry order — the occurrence lists (and therefore query-time
-	// floating-point summation order) come out identical.
-	for v := 0; v < n; v++ {
-		for _, e := range ix.dist[v] {
-			ix.inv[e.step][e.node] = append(ix.inv[e.step][e.node],
-				occurrence{origin: graph.NodeID(v), prob: e.prob})
-		}
-	}
-	return ix, nil
-}
-
 // Options returns the defaulted build configuration of the index, so a
 // consumer holding a preloaded index can verify it matches the
 // parameters it was about to build with.
@@ -162,5 +79,5 @@ func (ix *Index) Options() Options { return ix.opt }
 func (o Options) WithDefaults() Options { return o.withDefaults() }
 
 // Graph returns the graph the index was built on (or bound to by
-// Import).
+// ImportFlat).
 func (ix *Index) Graph() *graph.Graph { return ix.g }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 
 	"crashsim/internal/graph"
 	"crashsim/internal/mmap"
@@ -17,23 +16,24 @@ import (
 )
 
 // dec is a bounds-checked little-endian reader over one section's
-// verified payload. Array reads check the remaining byte count before
+// payload. Array reads check the remaining byte count before
 // allocating, so a hostile length field cannot force a huge allocation.
-//
-// Two flags select the decoding discipline:
-//
-//   - aligned (format v2): skip the zero pad bytes emitted before each
-//     array so its length prefix sits 8-aligned;
-//   - borrow (mapped load): alias array bytes in place via typed casts
-//     instead of copying them out, valid only over an aligned payload
-//     whose backing memory is 8-aligned (a v2 section in a mapping).
+// Every array's u64 length prefix sits at an 8-aligned section offset
+// (the pad bytes before it are skipped), so its elements are 8-aligned
+// in memory whenever the section is: sections start 64-aligned in the
+// file, and both a file mapping and a Go heap buffer start 8-aligned.
 type dec struct {
-	b       []byte
-	off     int
-	err     error
-	aligned bool
-	borrow  bool
+	b   []byte
+	off int
+	err error
 }
+
+// castArrays selects how dec reads arrays: typed casts aliasing the
+// payload where the host byte order is the file's (little-endian), a
+// copy-out loop elsewhere. It is the platform's answer, not an option;
+// it is a variable only so a test can run the copy-out branch on a
+// little-endian host.
+var castArrays = mmap.CastsSupported()
 
 func (d *dec) fail(what string) {
 	if d.err == nil {
@@ -80,13 +80,10 @@ func (d *dec) u64(what string) uint64 {
 
 func (d *dec) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
 
-// align8 consumes the pad bytes before an array in an aligned section.
-// The pads are CRC-covered with everything else, so their content is
-// not re-checked here.
+// align8 consumes the pad bytes before an array. The pads are
+// CRC-covered with everything else, so their content is not re-checked
+// here.
 func (d *dec) align8(what string) {
-	if !d.aligned {
-		return
-	}
 	if pad := alignUp(d.off, 8) - d.off; pad > 0 {
 		d.take(pad, what)
 	}
@@ -107,50 +104,55 @@ func (d *dec) arrayLen(width int, what string) int {
 
 func (d *dec) i32s(what string) []int32 {
 	n := d.arrayLen(4, what)
+	b := d.take(n*4, what)
 	if d.err != nil {
 		return nil
 	}
-	if d.borrow {
-		vs, err := mmap.Int32s(d.take(n*4, what))
-		if err != nil && d.err == nil {
-			d.err = fmt.Errorf("store: %s: %w", what, err)
-		}
+	if castArrays {
+		vs, err := mmap.Int32s(b)
+		d.castFailed(what, err)
 		return vs
 	}
 	vs := make([]int32, n)
 	for i := range vs {
-		vs[i] = int32(binary.LittleEndian.Uint32(d.b[d.off:]))
-		d.off += 4
+		vs[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return vs
 }
 
 // nodes is i32s under graph.NodeID's name: NodeID is an int32 alias,
-// so the borrow cast hands back the same slice type either way.
+// so the cast hands back the same slice type either way.
 func (d *dec) nodes(what string) []graph.NodeID { return d.i32s(what) }
 
 func (d *dec) f64s(what string) []float64 {
 	n := d.arrayLen(8, what)
+	b := d.take(n*8, what)
 	if d.err != nil {
 		return nil
 	}
-	if d.borrow {
-		vs, err := mmap.Float64s(d.take(n*8, what))
-		if err != nil && d.err == nil {
-			d.err = fmt.Errorf("store: %s: %w", what, err)
-		}
+	if castArrays {
+		vs, err := mmap.Float64s(b)
+		d.castFailed(what, err)
 		return vs
 	}
 	vs := make([]float64, n)
 	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-		d.off += 8
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return vs
 }
 
-// blob returns the bytes of a length-prefixed nested byte string
-// (always borrowed — it is a window to sub-decode or skip, not data).
+// castFailed records a refused cast. The length is exact by
+// construction, so the only way a cast fails is memory misalignment:
+// bytes handed to Decode that do not start 8-aligned.
+func (d *dec) castFailed(what string, err error) {
+	if err != nil {
+		d.err = fmt.Errorf("%w: %s: %v", ErrMisaligned, what, err)
+	}
+}
+
+// blob returns the bytes of a length-prefixed nested byte string: a
+// window into the payload to sub-decode, never a copy.
 func (d *dec) blob(what string) []byte {
 	d.align8(what)
 	n := d.u64(what)
@@ -174,13 +176,12 @@ func (d *dec) done(sec string) error {
 	return nil
 }
 
-// decodeGraph reads the CSR section. With adopt set (mapped trusted
-// load) the arrays alias the payload and only shape checks run —
-// AdoptCSR — because the section CRC already vouched for the bytes;
-// otherwise FromCSR performs full CSR validation plus content-version
-// recomputation.
-func decodeGraph(payload []byte, version uint64, aligned, borrow, adopt bool) (*graph.Graph, error) {
-	d := &dec{b: payload, aligned: aligned, borrow: borrow}
+// decodeGraph reads the CSR section. With adopt set (a trusting
+// policy) only shape checks run — AdoptCSR — because the section CRC
+// vouches for the bytes; otherwise FromCSR performs full CSR
+// validation plus content-version recomputation.
+func decodeGraph(payload []byte, version uint64, adopt bool) (*graph.Graph, error) {
+	d := &dec{b: payload}
 	n := d.u64("graph node count")
 	directed := d.u8("graph directedness") != 0
 	inOff := d.i32s("graph in-offsets")
@@ -218,40 +219,16 @@ func slingScalars(d *dec) (gv uint64, o sling.Options) {
 	return gv, o
 }
 
-func decodeSling(payload []byte, graphVersion uint64, aligned bool) (*sling.Payload, error) {
-	d := &dec{b: payload, aligned: aligned}
-	var p sling.Payload
-	gv, o := slingScalars(d)
-	p.Opt = o
-	p.DistCounts = d.i32s("sling dist counts")
-	p.Steps = d.i32s("sling steps")
-	p.Nodes = d.nodes("sling nodes")
-	p.Probs = d.f64s("sling probs")
-	p.D = d.f64s("sling d values")
-	if aligned {
-		// The copying path rebuilds its own maps; the precompiled
-		// inverted index is dead weight here, skipped by byte count.
-		d.blob("sling accel")
-	}
-	if err := d.done(SecSling); err != nil {
-		return nil, err
-	}
-	if gv != graphVersion {
-		return nil, fmt.Errorf("%w: sling section built for graph %#x, snapshot graph is %#x",
-			ErrVersionMismatch, gv, graphVersion)
-	}
-	return &p, nil
-}
-
-// decodeSlingFlat is the mapped decoder: every array aliases the
-// mapping, and the accel blob supplies the precompiled inverted index
-// so the returned Flat serves queries without building anything.
-func decodeSlingFlat(payload []byte, graphVersion uint64) (*sling.Flat, error) {
-	d := &dec{b: payload, aligned: true, borrow: true}
+// decodeSling reads a sling section into the flat form: every array
+// aliases the payload, and the accel blob supplies the precompiled
+// inverted index, so the returned Flat serves queries without building
+// anything.
+func decodeSling(payload []byte, graphVersion uint64) (*sling.Flat, error) {
+	d := &dec{b: payload}
 	var f sling.Flat
 	gv, o := slingScalars(d)
 	f.Opt = o
-	d.i32s("sling dist counts") // derivable from DistOff; present for the copying decoder
+	d.i32s("sling dist counts") // DistOff in the accel is their prefix sum
 	f.Steps = d.i32s("sling steps")
 	f.Nodes = d.nodes("sling nodes")
 	f.Probs = d.f64s("sling probs")
@@ -260,7 +237,7 @@ func decodeSlingFlat(payload []byte, graphVersion uint64) (*sling.Flat, error) {
 	if err := d.done(SecSling); err != nil {
 		return nil, err
 	}
-	ad := &dec{b: ab, aligned: true, borrow: true}
+	ad := &dec{b: ab}
 	f.DistOff = ad.i32s("sling accel dist offsets")
 	f.InvOff = ad.i32s("sling accel inv offsets")
 	f.InvOrigins = ad.nodes("sling accel inv origins")
@@ -285,30 +262,10 @@ func readsScalars(d *dec) (gv uint64, o reads.Options) {
 	return gv, o
 }
 
-func decodeReads(payload []byte, graphVersion uint64, aligned bool) (*reads.Payload, error) {
-	d := &dec{b: payload, aligned: aligned}
-	var p reads.Payload
-	gv, o := readsScalars(d)
-	p.Opt = o
-	p.WalkLens = d.i32s("reads walk lengths")
-	p.Nodes = d.nodes("reads walk nodes")
-	if aligned {
-		d.blob("reads accel")
-	}
-	if err := d.done(SecReads); err != nil {
-		return nil, err
-	}
-	if gv != graphVersion {
-		return nil, fmt.Errorf("%w: reads section built for graph %#x, snapshot graph is %#x",
-			ErrVersionMismatch, gv, graphVersion)
-	}
-	return &p, nil
-}
-
-// decodeReadsFlat is the mapped decoder for the reads section: walks
-// and the sorted inverted runs alias the mapping.
-func decodeReadsFlat(payload []byte, graphVersion uint64) (*reads.Flat, error) {
-	d := &dec{b: payload, aligned: true, borrow: true}
+// decodeReads reads a reads section into the flat form: walks and the
+// sorted inverted runs alias the payload.
+func decodeReads(payload []byte, graphVersion uint64) (*reads.Flat, error) {
+	d := &dec{b: payload}
 	var f reads.Flat
 	gv, o := readsScalars(d)
 	f.Opt = o
@@ -318,7 +275,7 @@ func decodeReadsFlat(payload []byte, graphVersion uint64) (*reads.Flat, error) {
 	if err := d.done(SecReads); err != nil {
 		return nil, err
 	}
-	ad := &dec{b: ab, aligned: true, borrow: true}
+	ad := &dec{b: ab}
 	f.WalkOff = ad.i32s("reads accel walk offsets")
 	f.RunOff = ad.i32s("reads accel run offsets")
 	f.InvNodes = ad.nodes("reads accel inv nodes")
@@ -334,11 +291,10 @@ func decodeReadsFlat(payload []byte, graphVersion uint64) (*reads.Flat, error) {
 	return &f, nil
 }
 
-// decodePRSim reads a prsim section. The section has no accel blob —
-// its payload columns are already the serving layout — so the mapped
-// path is the same decode with borrow set.
-func decodePRSim(payload []byte, graphVersion uint64, aligned, borrow bool) (*prsim.Payload, error) {
-	d := &dec{b: payload, aligned: aligned, borrow: borrow}
+// decodePRSim reads a prsim section. The section has no accel blob:
+// its payload columns are already the serving layout.
+func decodePRSim(payload []byte, graphVersion uint64) (*prsim.Payload, error) {
+	d := &dec{b: payload}
 	gv := d.u64("prsim graph version")
 	var p prsim.Payload
 	p.Opt.C = d.f64("prsim C")
@@ -375,26 +331,16 @@ type sectionInfo struct {
 
 // fileInfo is the structurally validated frame of a snapshot image:
 // header fields plus the section table. CRCs are recorded, not yet
-// checked — Decode checks them all, the mapped loader per its policy.
+// checked — newMapped checks them per its policy.
 type fileInfo struct {
-	format       uint32
 	graphVersion uint64
 	sections     []sectionInfo
 }
 
-func (f *fileInfo) section(name string) *sectionInfo {
-	for i := range f.sections {
-		if f.sections[i].name == name {
-			return &f.sections[i]
-		}
-	}
-	return nil
-}
-
 // parseHeader validates everything about a snapshot image that can be
 // checked without hashing payloads: magic, format version, section
-// table bounds, and — for v2 — section alignment and the exact padded
-// file length. Each failure maps to its sentinel.
+// table bounds, section alignment and the exact padded file length.
+// Each failure maps to its sentinel.
 func parseHeader(data []byte) (*fileInfo, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d-byte file is smaller than the header", ErrTruncated, len(data))
@@ -402,20 +348,17 @@ func parseHeader(data []byte) (*fileInfo, error) {
 	if string(data[:8]) != Magic {
 		return nil, fmt.Errorf("%w: got %q", ErrBadMagic, string(data[:8]))
 	}
-	fi := &fileInfo{
-		format:       binary.LittleEndian.Uint32(data[8:12]),
-		graphVersion: binary.LittleEndian.Uint64(data[12:20]),
+	if format := binary.LittleEndian.Uint32(data[8:12]); format != FormatVersion {
+		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d", ErrFormatVersion, format, FormatVersion)
 	}
-	if fi.format != formatV1 && fi.format != FormatVersion {
-		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d and v%d",
-			ErrFormatVersion, fi.format, formatV1, FormatVersion)
-	}
-	aligned := fi.format >= 2
-	count := binary.LittleEndian.Uint32(data[20:24])
-	tableEnd := headerSize + int(count)*sectionHeaderSize
-	if int(count) > (len(data)-headerSize)/sectionHeaderSize {
+	fi := &fileInfo{graphVersion: binary.LittleEndian.Uint64(data[12:20])}
+	// Bound the count before converting it: int(count) of a u32 is
+	// negative on 32-bit platforms from 2^31 up.
+	count := uint64(binary.LittleEndian.Uint32(data[20:24]))
+	if count > uint64(len(data)-headerSize)/sectionHeaderSize {
 		return nil, fmt.Errorf("%w: section table (%d entries) exceeds file", ErrTruncated, count)
 	}
+	tableEnd := headerSize + int(count)*sectionHeaderSize
 	end := tableEnd
 	fi.sections = make([]sectionInfo, 0, count)
 	for i := 0; i < int(count); i++ {
@@ -428,7 +371,7 @@ func parseHeader(data []byte) (*fileInfo, error) {
 			return nil, fmt.Errorf("%w: section %q spans [%d, %d) in a %d-byte file",
 				ErrTruncated, name, off, off+length, len(data))
 		}
-		if aligned && off%sectionAlign != 0 {
+		if off%sectionAlign != 0 {
 			return nil, fmt.Errorf("%w: section %q starts at offset %d (not %d-aligned)",
 				ErrMisaligned, name, off, sectionAlign)
 		}
@@ -437,9 +380,9 @@ func parseHeader(data []byte) (*fileInfo, error) {
 		}
 		fi.sections = append(fi.sections, sectionInfo{name: name, off: int(off), length: int(length), crc: sum})
 	}
-	if aligned && len(data) != alignUp(end, sectionAlign) {
-		return nil, fmt.Errorf("%w: %d-byte file, sections end at %d so a v%d file must be %d bytes",
-			ErrTruncated, len(data), end, FormatVersion, alignUp(end, sectionAlign))
+	if len(data) != alignUp(end, sectionAlign) {
+		return nil, fmt.Errorf("%w: %d-byte file, sections end at %d so the file must be %d bytes",
+			ErrTruncated, len(data), end, alignUp(end, sectionAlign))
 	}
 	return fi, nil
 }
@@ -457,71 +400,4 @@ func decodeMeta(payload []byte, m *Meta) error {
 		return fmt.Errorf("store: meta section: %w", err)
 	}
 	return nil
-}
-
-// Decode parses and fully verifies a snapshot image: magic, format
-// version, section-table bounds, (v2) alignment and padded length, and
-// every section's CRC are checked before any payload is decoded, and
-// each decoded section is validated semantically. On any failure the
-// snapshot is unusable and the typed error says why; Decode never
-// returns a partially trusted snapshot. Both format revisions decode
-// here — v2's mapping accelerators are skipped, not required.
-func Decode(data []byte) (*Snapshot, error) {
-	fi, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	aligned := fi.format >= 2
-	payloads := make(map[string][]byte, len(fi.sections))
-	for _, sec := range fi.sections {
-		payload := data[sec.off : sec.off+sec.length]
-		if err := verifySectionCRC(sec, payload); err != nil {
-			return nil, err
-		}
-		payloads[sec.name] = payload
-	}
-
-	gp, ok := payloads[SecGraph]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrMissingSection, SecGraph)
-	}
-	g, err := decodeGraph(gp, fi.graphVersion, aligned, false, false)
-	if err != nil {
-		return nil, err
-	}
-	s := &Snapshot{Graph: g}
-	if mp, ok := payloads[SecMeta]; ok {
-		if err := decodeMeta(mp, &s.Meta); err != nil {
-			return nil, err
-		}
-	}
-	if sp, ok := payloads[SecSling]; ok {
-		if s.Sling, err = decodeSling(sp, fi.graphVersion, aligned); err != nil {
-			return nil, err
-		}
-	}
-	if rp, ok := payloads[SecReads]; ok {
-		if s.Reads, err = decodeReads(rp, fi.graphVersion, aligned); err != nil {
-			return nil, err
-		}
-	}
-	if pp, ok := payloads[SecPRSim]; ok {
-		if s.PRSim, err = decodePRSim(pp, fi.graphVersion, aligned, false); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// Load reads and verifies the snapshot at path.
-func Load(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

@@ -27,15 +27,13 @@ const headerSize = 8 + 4 + 8 + 4
 // alignUp rounds n up to the next multiple of a (a power of two).
 func alignUp(n, a int) int { return (n + a - 1) &^ (a - 1) }
 
-// enc is the little-endian section writer. With aligned set (format
-// v2) every array emits zero pad bytes before its u64 length prefix so
-// the prefix — and therefore the element bytes after it — land on an
-// 8-aligned section offset. Section starts are 64-aligned in the file,
-// so section-relative alignment is file alignment is (for a mapped
-// load) memory alignment.
+// enc is the little-endian section writer. Every array emits zero pad
+// bytes before its u64 length prefix so the prefix — and therefore the
+// element bytes after it — land on an 8-aligned section offset.
+// Section starts are 64-aligned in the file, so section-relative
+// alignment is file alignment is memory alignment once loaded.
 type enc struct {
-	buf     bytes.Buffer
-	aligned bool
+	buf bytes.Buffer
 }
 
 func (e *enc) u8(v uint8) { e.buf.WriteByte(v) }
@@ -54,12 +52,8 @@ func (e *enc) u64(v uint64) {
 
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 
-// align8 pads to the next 8-aligned offset (v2 only; v1 writes no
-// padding anywhere, byte-for-byte the original format).
+// align8 pads to the next 8-aligned offset.
 func (e *enc) align8() {
-	if !e.aligned {
-		return
-	}
 	var zero [8]byte
 	if pad := alignUp(e.buf.Len(), 8) - e.buf.Len(); pad > 0 {
 		e.buf.Write(zero[:pad])
@@ -98,10 +92,10 @@ func (e *enc) blob(b []byte) {
 	e.buf.Write(b)
 }
 
-func encodeGraph(g *graph.Graph, aligned bool) []byte {
+func encodeGraph(g *graph.Graph) []byte {
 	inOff, inAdj := g.InCSR()
 	outOff, outAdj := g.OutCSR()
-	e := enc{aligned: aligned}
+	var e enc
 	e.u64(uint64(g.NumNodes()))
 	if g.Directed() {
 		e.u8(1)
@@ -118,9 +112,9 @@ func encodeGraph(g *graph.Graph, aligned bool) []byte {
 // encodeSlingAccel serializes the precompiled inverted index of a
 // sling.Flat — the arrays not derivable cheaply from the payload
 // columns. Steps/Nodes/Probs/D are already in the section body; the
-// mapped decoder reassembles the full Flat from both.
+// decoder reassembles the full Flat from both.
 func encodeSlingAccel(f *sling.Flat) []byte {
-	e := enc{aligned: true}
+	var e enc
 	e.i32s(f.DistOff)
 	e.i32s(f.InvOff)
 	e.nodes(f.InvOrigins)
@@ -128,8 +122,8 @@ func encodeSlingAccel(f *sling.Flat) []byte {
 	return e.buf.Bytes()
 }
 
-func encodeSling(graphVersion uint64, p *sling.Payload, aligned bool) []byte {
-	e := enc{aligned: aligned}
+func encodeSling(graphVersion uint64, p *sling.Payload) []byte {
+	var e enc
 	e.u64(graphVersion)
 	e.f64(p.Opt.C)
 	e.f64(p.Opt.Eps)
@@ -142,10 +136,8 @@ func encodeSling(graphVersion uint64, p *sling.Payload, aligned bool) []byte {
 	e.nodes(p.Nodes)
 	e.f64s(p.Probs)
 	e.f64s(p.D)
-	if aligned {
-		f := p.Flatten()
-		e.blob(encodeSlingAccel(&f))
-	}
+	f := p.Flatten()
+	e.blob(encodeSlingAccel(&f))
 	return e.buf.Bytes()
 }
 
@@ -153,7 +145,7 @@ func encodeSling(graphVersion uint64, p *sling.Payload, aligned bool) []byte {
 // runs of a reads.Flat (the node column itself is in the section
 // body).
 func encodeReadsAccel(f *reads.Flat) []byte {
-	e := enc{aligned: true}
+	var e enc
 	e.i32s(f.WalkOff)
 	e.i32s(f.RunOff)
 	e.nodes(f.InvNodes)
@@ -162,8 +154,8 @@ func encodeReadsAccel(f *reads.Flat) []byte {
 	return e.buf.Bytes()
 }
 
-func encodeReads(graphVersion uint64, p *reads.Payload, aligned bool) []byte {
-	e := enc{aligned: aligned}
+func encodeReads(graphVersion uint64, p *reads.Payload) []byte {
+	var e enc
 	e.u64(graphVersion)
 	e.f64(p.Opt.C)
 	e.u32(uint32(p.Opt.R))
@@ -172,15 +164,13 @@ func encodeReads(graphVersion uint64, p *reads.Payload, aligned bool) []byte {
 	e.u64(p.Opt.Seed)
 	e.i32s(p.WalkLens)
 	e.nodes(p.Nodes)
-	if aligned {
-		f := p.Flatten()
-		e.blob(encodeReadsAccel(&f))
-	}
+	f := p.Flatten()
+	e.blob(encodeReadsAccel(&f))
 	return e.buf.Bytes()
 }
 
-func encodePRSim(graphVersion uint64, p *prsim.Payload, aligned bool) []byte {
-	e := enc{aligned: aligned}
+func encodePRSim(graphVersion uint64, p *prsim.Payload) []byte {
+	var e enc
 	e.u64(graphVersion)
 	e.f64(p.Opt.C)
 	e.f64(p.Opt.Eps)
@@ -199,24 +189,12 @@ func encodePRSim(graphVersion uint64, p *prsim.Payload, aligned bool) []byte {
 	return e.buf.Bytes()
 }
 
-// Encode serializes a snapshot to the current on-disk format (v2). The
-// graph is required; index sections are written only if their payloads
-// are set.
+// Encode serializes a snapshot in format v2. The graph is required;
+// index sections are written only if their payloads are set.
 func Encode(s *Snapshot) ([]byte, error) {
-	return encodeSnapshot(s, FormatVersion)
-}
-
-// encodeSnapshot writes the given format revision: v2 (aligned,
-// accelerated) for production, v1 for the compatibility fixture and
-// the corruption matrix.
-func encodeSnapshot(s *Snapshot, format uint32) ([]byte, error) {
 	if s == nil || s.Graph == nil {
 		return nil, fmt.Errorf("store: encode: snapshot has no graph")
 	}
-	if format != formatV1 && format != FormatVersion {
-		return nil, fmt.Errorf("store: encode: unknown format v%d", format)
-	}
-	aligned := format >= 2
 	type section struct {
 		name    string
 		payload []byte
@@ -227,28 +205,25 @@ func encodeSnapshot(s *Snapshot, format uint32) ([]byte, error) {
 	}
 	gv := s.Graph.Version()
 	sections := []section{
-		{SecGraph, encodeGraph(s.Graph, aligned)},
+		{SecGraph, encodeGraph(s.Graph)},
 		{SecMeta, metaJSON},
 	}
 	if s.Sling != nil {
-		sections = append(sections, section{SecSling, encodeSling(gv, s.Sling, aligned)})
+		sections = append(sections, section{SecSling, encodeSling(gv, s.Sling)})
 	}
 	if s.Reads != nil {
-		sections = append(sections, section{SecReads, encodeReads(gv, s.Reads, aligned)})
+		sections = append(sections, section{SecReads, encodeReads(gv, s.Reads)})
 	}
 	if s.PRSim != nil {
-		sections = append(sections, section{SecPRSim, encodePRSim(gv, s.PRSim, aligned)})
+		sections = append(sections, section{SecPRSim, encodePRSim(gv, s.PRSim)})
 	}
 
 	var e enc
 	e.buf.WriteString(Magic)
-	e.u32(format)
+	e.u32(FormatVersion)
 	e.u64(gv)
 	e.u32(uint32(len(sections)))
-	off := headerSize + len(sections)*sectionHeaderSize
-	if aligned {
-		off = alignUp(off, sectionAlign)
-	}
+	off := alignUp(headerSize+len(sections)*sectionHeaderSize, sectionAlign)
 	for _, sec := range sections {
 		var name [8]byte
 		copy(name[:], sec.name)
@@ -256,20 +231,13 @@ func encodeSnapshot(s *Snapshot, format uint32) ([]byte, error) {
 		e.u64(uint64(off))
 		e.u64(uint64(len(sec.payload)))
 		e.u32(crc32.ChecksumIEEE(sec.payload))
-		off += len(sec.payload)
-		if aligned {
-			off = alignUp(off, sectionAlign)
-		}
+		off = alignUp(off+len(sec.payload), sectionAlign)
 	}
 	pad := make([]byte, sectionAlign)
-	if aligned {
-		e.buf.Write(pad[:alignUp(e.buf.Len(), sectionAlign)-e.buf.Len()])
-	}
+	e.buf.Write(pad[:alignUp(e.buf.Len(), sectionAlign)-e.buf.Len()])
 	for _, sec := range sections {
 		e.buf.Write(sec.payload)
-		if aligned {
-			e.buf.Write(pad[:alignUp(e.buf.Len(), sectionAlign)-e.buf.Len()])
-		}
+		e.buf.Write(pad[:alignUp(e.buf.Len(), sectionAlign)-e.buf.Len()])
 	}
 	return e.buf.Bytes(), nil
 }

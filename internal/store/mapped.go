@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"os"
 	"sync/atomic"
 
 	"crashsim/internal/graph"
@@ -11,12 +12,12 @@ import (
 	"crashsim/internal/sling"
 )
 
-// VerifyPolicy selects how much of a mapped snapshot is checked before
-// it is trusted. The structural frame (magic, format, section table,
-// alignment, padded length) is always validated eagerly at OpenMapped
-// — the policies only govern payload hashing and semantic validation,
-// which are the parts that scale with file size and would defeat the
-// point of an O(1) mapped open.
+// VerifyPolicy selects how much of a snapshot is checked before it is
+// trusted. The structural frame (magic, format, section table,
+// alignment, padded length) is always validated at open — the policies
+// only govern payload hashing and semantic validation, which are the
+// parts that scale with file size and would defeat the point of an
+// O(1) mapped open.
 type VerifyPolicy int
 
 const (
@@ -25,10 +26,12 @@ const (
 	// imported. A restart that serves only sling queries never pays for
 	// hashing the reads section; a rotted section still cannot serve.
 	VerifyOnLoadSection VerifyPolicy = iota
-	// VerifyEager hashes every section at OpenMapped and runs the full
-	// semantic validation (CSR invariants, content-version recompute,
-	// per-entry range checks) on import — the policy behind
-	// `crashsim -verify-index -mmap`.
+	// VerifyEager checks at open everything that can be checked: every
+	// section in the table is hashed (unknown names included), the CSR
+	// goes through full validation and content-version recompute, and
+	// every present index section is frame-decoded and matched to the
+	// graph version. Imports then run the per-entry range checks. Load
+	// and Decode always use it, as does `crashsim -verify-index -mmap`.
 	VerifyEager
 	// VerifyNone skips payload hashing entirely: trusted warm restarts
 	// on the machine that wrote the snapshot, where the bytes were
@@ -54,21 +57,20 @@ type MapOptions struct {
 	Verify VerifyPolicy
 }
 
-// mappedSection pairs a section's byte window in the mapping with its
-// lazy CRC state.
+// mappedSection pairs a section's byte window with its lazy CRC state.
 type mappedSection struct {
 	info     sectionInfo
 	payload  []byte
 	verified atomic.Bool
 }
 
-// Mapped is a snapshot served directly out of a read-only file
-// mapping: the graph CSR, index payload columns, and the v2
-// accelerator arrays all alias the mapping, so opening touches O(1)
-// pages and the page cache — shared across every process mapping the
-// same file — is the only copy of the data.
+// Mapped is an opened snapshot whose graph CSR, index payload columns
+// and accelerator arrays all alias one byte buffer: a read-only file
+// mapping (OpenMapped) or a heap buffer (Load, Decode). Over a mapping,
+// opening touches O(1) pages and the page cache — shared across every
+// process mapping the same file — is the only copy of the data.
 //
-// Lifetime: each imported index retains the mapping and releases it on
+// Lifetime: each imported index retains the buffer and releases it on
 // its Close, so Close-ing the Mapped handle while queries are in
 // flight on an imported index is safe — the pages stay mapped until
 // the last index releases them. All fields are unexported on purpose:
@@ -85,22 +87,18 @@ type Mapped struct {
 }
 
 // OpenMapped maps the snapshot at path and validates its structural
-// frame eagerly. Only format v2 files can be mapped; a v1 file fails
-// with ErrFormatVersion so callers can fall back to the copying Load.
-// On hardware where zero-copy casts are unavailable (big-endian) every
-// open fails with ErrFormatVersion for the same reason.
+// frame, plus whatever opts.Verify asks for at open. On big-endian
+// hosts the arrays are copied out of the mapping instead of aliasing
+// it; the result is the same.
 func OpenMapped(path string, opts MapOptions) (*Mapped, error) {
-	if !mmap.CastsSupported() {
-		return nil, fmt.Errorf("%w: mapped loading needs little-endian hardware, use the copying loader", ErrFormatVersion)
-	}
 	m, err := mmap.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	mapped, err := newMapped(m, path, opts)
+	mapped, err := newMapped(m, path, opts.Verify)
 	if err != nil {
 		m.Close()
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	statMmapOpens.Inc()
 	mappedLen := int64(m.Len())
@@ -109,57 +107,110 @@ func OpenMapped(path string, opts MapOptions) (*Mapped, error) {
 	return mapped, nil
 }
 
-func newMapped(m *mmap.Mapping, path string, opts MapOptions) (*Mapped, error) {
-	data := m.Bytes()
-	fi, err := parseHeader(data)
+// Load reads the snapshot at path onto the heap and opens it under
+// VerifyEager. It is OpenMapped's decoder over a private buffer: a
+// file truncated after the read cannot fault a later query, which a
+// file mapping cannot promise.
+func Load(path string) (*Mapped, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	mp, err := newMapped(mmap.FromBytes(data), path, VerifyEager)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if fi.format < 2 {
-		return nil, fmt.Errorf("%s: %w: v%d snapshots are not mapping-safe, use the copying loader",
-			path, ErrFormatVersion, fi.format)
+	return mp, nil
+}
+
+// Decode opens an in-memory snapshot image under VerifyEager. The
+// handle and every index imported from it alias data, which must not
+// be modified afterwards and must start 8-aligned (every Go heap
+// allocation of 8 bytes or more does); misaligned bytes fail with
+// ErrMisaligned. On any failure the typed error says why and no
+// handle is returned.
+func Decode(data []byte) (*Mapped, error) {
+	return newMapped(mmap.FromBytes(data), "", VerifyEager)
+}
+
+func newMapped(m *mmap.Mapping, path string, verify VerifyPolicy) (*Mapped, error) {
+	data := m.Bytes()
+	fi, err := parseHeader(data)
+	if err != nil {
+		return nil, err
 	}
 	mp := &Mapped{
 		m:            m,
 		path:         path,
 		graphVersion: fi.graphVersion,
-		verify:       opts.Verify,
+		verify:       verify,
 		secs:         make(map[string]*mappedSection, len(fi.sections)),
 	}
 	for _, sec := range fi.sections {
 		mp.secs[sec.name] = &mappedSection{info: sec, payload: data[sec.off : sec.off+sec.length]}
 	}
-	if mp.verify == VerifyEager {
-		for _, name := range []string{SecGraph, SecMeta, SecSling, SecReads, SecPRSim} {
-			if ms := mp.secs[name]; ms != nil {
-				if err := mp.checkCRC(ms); err != nil {
-					return nil, fmt.Errorf("%s: %w", path, err)
-				}
+	if verify == VerifyEager {
+		// Hash the table, not the name map: unknown and repeated names
+		// are checked too.
+		for _, sec := range fi.sections {
+			if err := verifySectionCRC(sec, data[sec.off:sec.off+sec.length]); err != nil {
+				return nil, err
 			}
+			statCrcVerified.Inc()
+		}
+		for _, ms := range mp.secs {
+			ms.verified.Store(true)
 		}
 	} else {
 		statCrcDeferred.Add(uint64(len(mp.secs)))
 	}
 	gp, err := mp.section(SecGraph)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
-	// Trusted opens adopt the CSR arrays with shape checks only; the
+	// Trusting policies adopt the CSR arrays with shape checks only; the
 	// eager policy runs FromCSR's full validation and content-version
-	// recompute, matching what the copying Decode always does.
-	mp.graph, err = decodeGraph(gp, fi.graphVersion, true, true, mp.verify != VerifyEager)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	// recompute.
+	if mp.graph, err = decodeGraph(gp, fi.graphVersion, verify != VerifyEager); err != nil {
+		return nil, err
 	}
 	if ms := mp.secs[SecMeta]; ms != nil {
 		if _, err := mp.section(SecMeta); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, err
 		}
 		if err := decodeMeta(ms.payload, &mp.meta); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, err
+		}
+	}
+	if verify == VerifyEager {
+		if err := mp.checkIndexFrames(); err != nil {
+			return nil, err
 		}
 	}
 	return mp, nil
+}
+
+// checkIndexFrames frame-decodes every present index section, so a
+// malformed section or one built for another graph fails the open
+// rather than a later import. The decoded forms are dropped: imports
+// decode again, which costs shape checks over aliased arrays.
+func (mp *Mapped) checkIndexFrames() error {
+	if ms := mp.secs[SecSling]; ms != nil {
+		if _, err := decodeSling(ms.payload, mp.graphVersion); err != nil {
+			return err
+		}
+	}
+	if ms := mp.secs[SecReads]; ms != nil {
+		if _, err := decodeReads(ms.payload, mp.graphVersion); err != nil {
+			return err
+		}
+	}
+	if ms := mp.secs[SecPRSim]; ms != nil {
+		if _, err := decodePRSim(ms.payload, mp.graphVersion); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (mp *Mapped) checkCRC(ms *mappedSection) error {
@@ -188,7 +239,7 @@ func (mp *Mapped) section(name string) ([]byte, error) {
 }
 
 // Graph returns the snapshot's graph, its CSR arrays aliasing the
-// mapping. It stays valid while the Mapped handle or any index
+// buffer. It stays valid while the Mapped handle or any index
 // imported from it is open.
 func (mp *Mapped) Graph() *graph.Graph { return mp.graph }
 
@@ -201,23 +252,24 @@ func (mp *Mapped) GraphVersion() uint64 { return mp.graphVersion }
 // Has reports whether the snapshot carries the named section.
 func (mp *Mapped) Has(name string) bool { return mp.secs[name] != nil }
 
-// MappedBytes returns the size of the underlying mapping.
+// MappedBytes returns the size of the underlying buffer: the file
+// mapping, or the heap copy for Load and Decode.
 func (mp *Mapped) MappedBytes() int { return mp.m.Len() }
 
-// Path returns the mapped file's path.
+// Path returns the snapshot file's path ("" for Decode).
 func (mp *Mapped) Path() string { return mp.path }
 
-// retainFor pins the mapping for the lifetime of an imported index.
+// retainFor pins the buffer for the lifetime of an imported index.
 func (mp *Mapped) retainFor(setRelease func(func() error)) {
 	r := mp.m.Retain()
 	setRelease(r.Close)
 }
 
 // ImportSling binds the snapshot's SLING section to g as an index
-// serving straight from the mapping: payload columns and the
+// serving straight from the buffer: payload columns and the
 // precompiled inverted index alias the file bytes, so the import cost
 // is shape checks, not array builds. The returned index holds a
-// mapping reference released by its Close.
+// buffer reference released by its Close.
 func (mp *Mapped) ImportSling(g *graph.Graph) (*sling.Index, error) {
 	if err := mp.checkGraph(g, SecSling); err != nil {
 		return nil, err
@@ -226,7 +278,7 @@ func (mp *Mapped) ImportSling(g *graph.Graph) (*sling.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := decodeSlingFlat(payload, mp.graphVersion)
+	f, err := decodeSling(payload, mp.graphVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +291,7 @@ func (mp *Mapped) ImportSling(g *graph.Graph) (*sling.Index, error) {
 }
 
 // ImportReads binds the snapshot's READS section to g, walks and
-// inverted runs aliasing the mapping. The first mutation applied to
+// inverted runs aliasing the buffer. The first mutation applied to
 // the returned index promotes it to heap form (copy-on-write); until
 // then it is read-only.
 func (mp *Mapped) ImportReads(g *graph.Graph) (*reads.Index, error) {
@@ -250,7 +302,7 @@ func (mp *Mapped) ImportReads(g *graph.Graph) (*reads.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := decodeReadsFlat(payload, mp.graphVersion)
+	f, err := decodeReads(payload, mp.graphVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -263,8 +315,9 @@ func (mp *Mapped) ImportReads(g *graph.Graph) (*reads.Index, error) {
 }
 
 // ImportPRSim binds the snapshot's PRSim section to g. The hub tables
-// alias the mapping; lazily filled tail tables land on the heap beside
-// them, exactly as in the copying import.
+// alias the buffer; lazily filled tail tables land on the heap beside
+// them. The loaded index carries every table the exporting process had
+// published — eager hubs plus warm tail caches.
 func (mp *Mapped) ImportPRSim(g *graph.Graph) (*prsim.Index, error) {
 	if err := mp.checkGraph(g, SecPRSim); err != nil {
 		return nil, err
@@ -273,7 +326,7 @@ func (mp *Mapped) ImportPRSim(g *graph.Graph) (*prsim.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := decodePRSim(payload, mp.graphVersion, true, true)
+	p, err := decodePRSim(payload, mp.graphVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +354,7 @@ func (mp *Mapped) checkGraph(g *graph.Graph, sec string) error {
 	return nil
 }
 
-// Close releases the handle's mapping reference. Idempotent. Indexes
+// Close releases the handle's buffer reference. Idempotent. Indexes
 // imported from this handle keep the pages mapped until their own
 // Close; the Graph is valid as long as any of them is.
 func (mp *Mapped) Close() error {

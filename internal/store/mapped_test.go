@@ -2,13 +2,18 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"crashsim/internal/gen"
 	"crashsim/internal/graph"
+	"crashsim/internal/reads"
+	"crashsim/internal/sling"
 )
 
 // writeTestSnapshot writes the standard test snapshot to a temp file
@@ -23,9 +28,9 @@ func writeTestSnapshot(t *testing.T) (string, *Snapshot) {
 	return path, snap
 }
 
-// TestMappedBitIdentical is the tentpole acceptance check at unit
-// scale: every backend imported from the mapping must answer every
-// source bit-for-bit like the copying loader's import.
+// TestMappedBitIdentical: every backend imported from the mapping,
+// under each policy, must answer every source bit-for-bit like the
+// import from the heap-loaded file.
 func TestMappedBitIdentical(t *testing.T) {
 	for _, verify := range []VerifyPolicy{VerifyOnLoadSection, VerifyEager, VerifyNone} {
 		t.Run(verify.String(), func(t *testing.T) {
@@ -34,6 +39,7 @@ func TestMappedBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer loaded.Close()
 			mp, err := OpenMapped(path, MapOptions{Verify: verify})
 			if err != nil {
 				t.Fatal(err)
@@ -53,57 +59,141 @@ func TestMappedBitIdentical(t *testing.T) {
 				t.Fatalf("mapped graph shape %d/%d, want %d/%d",
 					g.NumNodes(), g.NumEdges(), snap.Graph.NumNodes(), snap.Graph.NumEdges())
 			}
-			slC, err := loaded.ImportSling(loaded.Graph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rdC, err := loaded.ImportReads(loaded.Graph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prC, err := loaded.ImportPRSim(loaded.Graph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slM, err := mp.ImportSling(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer slM.Close()
-			rdM, err := mp.ImportReads(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rdM.Close()
-			prM, err := mp.ImportPRSim(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer prM.Close()
-			for u := 0; u < g.NumNodes(); u++ {
-				for _, c := range []struct {
-					name       string
-					want, have func(graph.NodeID) (map[graph.NodeID]float64, error)
-				}{
-					{"sling", slC.SingleSource, slM.SingleSource},
-					{"reads", rdC.SingleSource, rdM.SingleSource},
-					{"prsim", prC.SingleSource, prM.SingleSource},
-				} {
-					want, err := c.want(graph.NodeID(u))
-					if err != nil {
-						t.Fatal(err)
-					}
-					have, err := c.have(graph.NodeID(u))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(want, have) {
-						t.Fatalf("%s SingleSource(%d) differs between copied and mapped index", c.name, u)
-					}
-				}
-			}
+			slH, rdH, prH := importAll(t, loaded)
+			slM, rdM, prM := importAll(t, mp)
+			requireSameScores(t, g.NumNodes(), "heap vs mapped",
+				scorers(slH, rdH, prH), scorers(slM, rdM, prM))
 		})
 	}
+}
+
+// TestCopyOutBitIdentical runs the big-endian decode branch — arrays
+// copied out of the buffer instead of cast in place — on this host,
+// through Load and through OpenMapped under every policy, and demands
+// the same exports and bit-identical scores as the cast branch.
+func TestCopyOutBitIdentical(t *testing.T) {
+	path, snap := writeTestSnapshot(t)
+	ref, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slR, rdR, prR := importAll(t, ref)
+	defer func(saved bool) { castArrays = saved }(castArrays)
+	castArrays = false
+	opens := map[string]func() (*Mapped, error){
+		"Load": func() (*Mapped, error) { return Load(path) },
+	}
+	for _, verify := range []VerifyPolicy{VerifyOnLoadSection, VerifyEager, VerifyNone} {
+		opens["OpenMapped/"+verify.String()] = func() (*Mapped, error) {
+			return OpenMapped(path, MapOptions{Verify: verify})
+		}
+	}
+	for name, open := range opens {
+		t.Run(name, func(t *testing.T) {
+			mp, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mp.Close()
+			// The branch really ran: the CSR no longer aliases the buffer.
+			buf := mp.m.Bytes()
+			inOff, _ := mp.Graph().InCSR()
+			if p, lo := uintptr(unsafe.Pointer(&inOff[0])), uintptr(unsafe.Pointer(&buf[0])); p >= lo && p < lo+uintptr(len(buf)) {
+				t.Fatal("graph CSR aliases the buffer with casts disabled")
+			}
+			sl, rd, pr := importAll(t, mp)
+			requireExports(t, snap, sl, rd, pr)
+			requireSameScores(t, mp.Graph().NumNodes(), "cast vs copy-out",
+				scorers(slR, rdR, prR), scorers(sl, rd, pr))
+		})
+	}
+}
+
+// TestImportWorkIsSizeIndependent pins the cost of bringing an index
+// online: Load, and OpenMapped under every policy, followed by an
+// import of either index family, must allocate the same number of
+// objects at two graph sizes. Arrays alias the buffer, so nothing
+// scales with the index except the one read buffer Load allocates.
+func TestImportWorkIsSizeIndependent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not checked under -race")
+	}
+	if !castArrays {
+		t.Skip("the copy-out branch allocates per array by design")
+	}
+	type opener struct {
+		name string
+		open func(path string) (*Mapped, error)
+	}
+	opens := []opener{{"Load", Load}}
+	for _, verify := range []VerifyPolicy{VerifyOnLoadSection, VerifyEager, VerifyNone} {
+		opens = append(opens, opener{"OpenMapped/" + verify.String(), func(path string) (*Mapped, error) {
+			return OpenMapped(path, MapOptions{Verify: verify})
+		}})
+	}
+	imports := map[string]func(*Mapped) (interface{ Close() error }, error){
+		"sling": func(mp *Mapped) (interface{ Close() error }, error) { return mp.ImportSling(mp.Graph()) },
+		"reads": func(mp *Mapped) (interface{ Close() error }, error) { return mp.ImportReads(mp.Graph()) },
+	}
+	paths := []string{sizedSnapshot(t, 48), sizedSnapshot(t, 960)}
+	for _, o := range opens {
+		for name, imp := range imports {
+			var counts []float64
+			for _, path := range paths {
+				counts = append(counts, testing.AllocsPerRun(5, func() {
+					mp, err := o.open(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ix, err := imp(mp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ix.Close()
+					mp.Close()
+				}))
+			}
+			t.Logf("%s + Import%s: %v allocations", o.name, name, counts)
+			if counts[0] != counts[1] {
+				t.Errorf("%s + %s import allocates %v objects at n = 48 and %v at n = 960",
+					o.name, name, counts[0], counts[1])
+			}
+		}
+	}
+}
+
+// sizedSnapshot writes an n-node random graph with SLING and READS
+// indexes and returns the path.
+func sizedSnapshot(t *testing.T, n int) string {
+	t.Helper()
+	edges, err := gen.ErdosRenyi(n, 4*n, true, uint64(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.BuildStatic(n, true, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := sling.Build(g, sling.Options{Seed: 1, DSamples: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := graph.NewDiGraph(n, true)
+	for _, e := range g.Edges() {
+		if err := d.AddEdge(e.X, e.Y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd, err := reads.Build(d, reads.Options{R: 4, MaxLen: 5, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slP, rdP := sl.Export(), rd.Export()
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("n%d.snap", n))
+	if err := Write(path, &Snapshot{Graph: g, Sling: &slP, Reads: &rdP}); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestMappedLifecycleRace pins the refcount story under the race
@@ -241,8 +331,8 @@ func TestMappedVerifyPolicies(t *testing.T) {
 	})
 }
 
-// TestMappedRefusesWrongGraphAndMissing mirrors the copying loader's
-// import gates.
+// TestMappedRefusesWrongGraphAndMissing: the import gates hold on a
+// mapping too.
 func TestMappedRefusesWrongGraphAndMissing(t *testing.T) {
 	path, _ := writeTestSnapshot(t)
 	mp, err := OpenMapped(path, MapOptions{})
@@ -290,29 +380,35 @@ func TestMappedNoExportedFields(t *testing.T) {
 	}
 }
 
-// BenchmarkLoadCopying and BenchmarkOpenMapped pin the two restart
-// paths side by side, allocations included: the copying loader decodes
-// every array out of the read buffer (one copy — the PR 7 loader's
-// double-buffering is gone, which this benchmark's allocs/op pins),
-// while the mapped loader's cost is shape checks over aliased arrays.
-func BenchmarkLoadCopying(b *testing.B) {
+// BenchmarkLoad and BenchmarkOpenMapped pin the two restart paths side
+// by side, allocations included: both run the one decoder, Load over a
+// heap copy of the file under VerifyEager, OpenMapped over a mapping
+// trusting the bytes.
+func BenchmarkLoad(b *testing.B) {
 	path := benchSnapshotPath(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := Load(path)
+		mp, err := Load(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.ImportSling(s.Graph); err != nil {
+		sl, err := mp.ImportSling(mp.Graph())
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.ImportReads(s.Graph); err != nil {
+		rd, err := mp.ImportReads(mp.Graph())
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.ImportPRSim(s.Graph); err != nil {
+		pr, err := mp.ImportPRSim(mp.Graph())
+		if err != nil {
 			b.Fatal(err)
 		}
+		sl.Close()
+		rd.Close()
+		pr.Close()
+		mp.Close()
 	}
 }
 

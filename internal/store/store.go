@@ -1,12 +1,12 @@
 // Package store persists the expensive artifacts of a serving process —
-// the frozen graph and the SLING/READS precomputed indexes — as a
+// the frozen graph and the SLING/READS/PRSim precomputed indexes — as a
 // single versioned, checksummed binary snapshot, so a restart loads in
 // I/O time instead of rebuild time.
 //
 // File layout (all integers little-endian):
 //
 //	magic            8 bytes  "CSIMSNAP"
-//	format version   u32      currently 2 (v1 still loads)
+//	format version   u32      2
 //	graph version    u64      identity of the snapshotted graph
 //	section count    u32
 //	section table    count × { name [8]byte NUL-padded,
@@ -23,29 +23,32 @@
 //	"reads"  a reads.Payload, prefixed by its graph version
 //	"prsim"  a prsim.Payload, prefixed by its graph version
 //
-// Format v2 additionally lays sections out for zero-copy mapping
-// (OpenMapped): every section starts at a 64-byte-aligned file offset
-// with zero padding between sections, the file length is padded to a
-// multiple of 64, and inside a section every array's u64 length prefix
-// sits at an 8-aligned section offset (zero pad bytes inserted before
-// it), so the element bytes that follow are aligned for direct
-// []int32/[]float64 casts against the page-aligned mapping. The sling
-// and reads sections end with an accelerator blob — the precompiled
+// The layout is built for zero-copy reads: every section starts at a
+// 64-byte-aligned file offset with zero padding between sections, the
+// file length is padded to a multiple of 64, and inside a section every
+// array's u64 length prefix sits at an 8-aligned section offset (zero
+// pad bytes inserted before it), so the element bytes that follow are
+// aligned for direct []int32/[]float64 casts. The sling and reads
+// sections end with an accelerator blob — the precompiled
 // inverted-index arrays of sling.Flat / reads.Flat, framed as
-// [align8][u64 byte length][arrays] — which the copying decoder skips
-// by byte count and the mapped decoder serves queries from directly.
-// v1 snapshots (no alignment, no accel blobs) still load and verify
-// through the copying path; OpenMapped refuses them with
-// ErrFormatVersion so callers can fall back.
+// [align8][u64 byte length][arrays] — which queries are served from
+// directly. The sling DistCounts and reads WalkLens columns duplicate
+// what the blobs hold; they stay because dropping them would change
+// the format.
+//
+// There is one decoder. OpenMapped runs it over a read-only file
+// mapping under a chosen VerifyPolicy; Load runs it over a heap copy of
+// the file and Decode over caller bytes, both under VerifyEager. All
+// three return a *Mapped handle to import indexes from.
 //
 // Invariants enforced by the loader:
 //
-//   - wrong magic, unknown format version, truncation, checksum
-//     mismatch, and (v2) a misaligned section offset each fail with a
+//   - wrong magic, a format version other than 2, truncation, checksum
+//     mismatch and a misaligned section offset each fail with a
 //     distinct sentinel error (errors.Is);
-//   - a content-derived graph version is recomputed from the decoded
-//     CSR arrays (graph.FromCSR) — a snapshot cannot claim an identity
-//     its bytes do not hash to;
+//   - under VerifyEager a content-derived graph version is recomputed
+//     from the decoded CSR arrays (graph.FromCSR) — a snapshot cannot
+//     claim an identity its bytes do not hash to;
 //   - an index section whose recorded graph version differs from the
 //     graph it is imported against is refused with ErrVersionMismatch,
 //     so a stale index can never serve scores for a changed graph.
@@ -67,18 +70,12 @@ import (
 // Magic identifies a crashsim snapshot file.
 const Magic = "CSIMSNAP"
 
-// FormatVersion is the current snapshot format, written by Encode.
-// Loaders additionally accept formatV1 (the pre-mmap layout) and refuse
-// everything else outright: the format is versioned precisely so that a
-// stale binary fails loudly instead of misdecoding.
+// FormatVersion is the snapshot format Encode writes and the only one
+// the loader reads: the format is versioned precisely so that a stale
+// binary fails loudly instead of misdecoding.
 const FormatVersion = 2
 
-// formatV1 is the original unaligned layout: contiguous sections, no
-// padding, no accelerator blobs. Still read (and written by
-// encodeSnapshot for fixtures), never produced by Encode.
-const formatV1 = 1
-
-// sectionAlign is the v2 section placement alignment. 64 covers every
+// sectionAlign is the section placement alignment. 64 covers every
 // element width we cast to (8 for float64/uint64) with room to spare
 // and keeps section starts cache-line-aligned.
 const sectionAlign = 64
@@ -107,9 +104,10 @@ var (
 	// ErrChecksum: a section's payload does not hash to its recorded
 	// CRC — the bytes rotted or were edited.
 	ErrChecksum = errors.New("store: section checksum mismatch")
-	// ErrMisaligned: a v2 section offset is not 64-byte aligned, so the
-	// mapped loader's typed casts would be undefined. Such a file was
-	// not produced by this writer.
+	// ErrMisaligned: a section offset is not 64-byte aligned, so the
+	// loader's typed casts would be undefined — such a file was not
+	// produced by this writer — or the bytes handed to Decode do not
+	// start 8-aligned in memory.
 	ErrMisaligned = errors.New("store: section offset misaligned")
 	// ErrMissingSection: a section the caller requires is absent.
 	ErrMissingSection = errors.New("store: section missing")
@@ -131,59 +129,15 @@ type Meta struct {
 	CreatedUnix int64 `json:"created_unix,omitempty"`
 }
 
-// Snapshot is the in-memory form of a snapshot file: the frozen graph,
-// its provenance, and whichever index payloads were persisted. Index
-// payloads stay in flat form until ImportSling/ImportReads binds them
-// to a graph, so a caller can inspect a snapshot without paying for
-// index reconstruction.
+// Snapshot is what Encode and Write persist: the frozen graph, its
+// provenance, and whichever index payloads to include. Files are read
+// back through Load, Decode or OpenMapped, which return a *Mapped.
 type Snapshot struct {
 	Graph *graph.Graph
 	Meta  Meta
 	Sling *sling.Payload
 	Reads *reads.Payload
 	PRSim *prsim.Payload
-}
-
-// ImportSling reconstructs the snapshot's SLING index over g, refusing
-// with ErrVersionMismatch if g is not the graph the index was built on.
-// Pass s.Graph to bind the index to the snapshot's own graph.
-func (s *Snapshot) ImportSling(g *graph.Graph) (*sling.Index, error) {
-	if s.Sling == nil {
-		return nil, fmt.Errorf("%w: %s", ErrMissingSection, SecSling)
-	}
-	if g.Version() != s.Graph.Version() {
-		return nil, fmt.Errorf("%w: snapshot graph %#x, target graph %#x",
-			ErrVersionMismatch, s.Graph.Version(), g.Version())
-	}
-	return sling.Import(g, *s.Sling)
-}
-
-// ImportReads reconstructs the snapshot's READS index over g, refusing
-// with ErrVersionMismatch if g is not the graph the index was built on.
-func (s *Snapshot) ImportReads(g *graph.Graph) (*reads.Index, error) {
-	if s.Reads == nil {
-		return nil, fmt.Errorf("%w: %s", ErrMissingSection, SecReads)
-	}
-	if g.Version() != s.Graph.Version() {
-		return nil, fmt.Errorf("%w: snapshot graph %#x, target graph %#x",
-			ErrVersionMismatch, s.Graph.Version(), g.Version())
-	}
-	return reads.Import(g, *s.Reads)
-}
-
-// ImportPRSim reconstructs the snapshot's PRSim hub index over g,
-// refusing with ErrVersionMismatch if g is not the graph the index was
-// built on. The loaded index carries every table the exporting process
-// had published — eager hubs plus warm tail caches.
-func (s *Snapshot) ImportPRSim(g *graph.Graph) (*prsim.Index, error) {
-	if s.PRSim == nil {
-		return nil, fmt.Errorf("%w: %s", ErrMissingSection, SecPRSim)
-	}
-	if g.Version() != s.Graph.Version() {
-		return nil, fmt.Errorf("%w: snapshot graph %#x, target graph %#x",
-			ErrVersionMismatch, s.Graph.Version(), g.Version())
-	}
-	return prsim.Import(g, *s.PRSim)
 }
 
 // SnapshotPath maps a dataset spec and index algorithm to a stable file
