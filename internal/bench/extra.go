@@ -61,7 +61,7 @@ func Extra(cfg Config) (*Report, error) {
 			}, nil
 		}}
 	}
-	dg := diGraphOf(g)
+	dg := g.Thaw()
 	algos := []algo{
 		engineAlgo("crashsim"),
 		engineAlgo("probesim"),

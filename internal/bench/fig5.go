@@ -155,13 +155,3 @@ func measure(dataset, algo string, sources []int32, gt *exact.Result,
 		MeanME:    metrics.MeanFloat(mes),
 	}, nil
 }
-
-func diGraphOf(g *graph.Graph) *graph.DiGraph {
-	d := graph.NewDiGraph(g.NumNodes(), g.Directed())
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			panic(fmt.Sprintf("bench: converting frozen graph: %v", err))
-		}
-	}
-	return d
-}

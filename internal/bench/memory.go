@@ -37,7 +37,7 @@ func Memory(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: generating %s: %w", p.Name, err)
 		}
-		dg := diGraphOf(g)
+		dg := g.Thaw()
 
 		start := time.Now()
 		sl, err := sling.Build(g, sling.Options{C: cfg.C, Eps: cfg.Eps, DSamples: cfg.SlingDSamples, Seed: seed})

@@ -32,18 +32,6 @@ type TemporalOptions struct {
 	// DisableDiffPruning turns off the reverse-tree comparison rule
 	// (Property 2).
 	DisableDiffPruning bool
-	// TreeTolerance is the per-entry tolerance when comparing reverse
-	// reachable trees between snapshots. Default 1e-12.
-	TreeTolerance float64
-	// PatchGate bounds the affected closure of a tree patch as a
-	// fraction of the previous tree's support; past it the source tree
-	// is rebuilt from scratch (a patch re-expanding most of the tree
-	// costs more than the rebuild it replaces). Default 0.25.
-	PatchGate float64
-	// CandidateCacheBytes bounds the candidate-tree cache's accounted
-	// memory, so Ω-sized histories cannot grow without bound. Default
-	// 32 MiB. Non-positive values after defaulting disable the cache.
-	CandidateCacheBytes int64
 	// Observer, when set, is invoked after every snapshot with the
 	// snapshot index and the scores of the current candidate set
 	// (before the query filter is applied). The map must not be
@@ -58,20 +46,29 @@ type TemporalOptions struct {
 	// either way; the equivalence tests run both pipelines against each
 	// other.
 	rebuildEachSnapshot bool
+	// patchGate, when nonzero, is a test hook replacing the patchGate
+	// constant, so a test can force every patch past the gate.
+	patchGate float64
+	// noCandidateCache is a test hook that turns the candidate-tree
+	// cache off, so every difference-pruning decision recomputes the
+	// previous snapshot's tree.
+	noCandidateCache bool
 }
 
-func (o TemporalOptions) withDefaults() TemporalOptions {
-	if o.TreeTolerance == 0 {
-		o.TreeTolerance = 1e-12
-	}
-	if o.PatchGate == 0 {
-		o.PatchGate = 0.25
-	}
-	if o.CandidateCacheBytes == 0 {
-		o.CandidateCacheBytes = 32 << 20
-	}
-	return o
-}
+// Fixed tuning of CrashSim-T.
+const (
+	// treeTolerance is the per-entry tolerance when comparing reverse
+	// reachable trees between snapshots.
+	treeTolerance = 1e-12
+	// patchGate bounds the affected closure of a tree patch as a
+	// fraction of the previous tree's support; past it the source tree
+	// is rebuilt from scratch (a patch re-expanding most of the tree
+	// costs more than the rebuild it replaces).
+	patchGate = 0.25
+	// candidateCacheBytes bounds the candidate-tree cache's accounted
+	// memory, so Ω-sized histories cannot grow without bound.
+	candidateCacheBytes = 32 << 20
+)
 
 // TemporalStats counts the work CrashSim-T did and the work the pruning
 // rules avoided; the Fig 7 harness reports them alongside timings.
@@ -155,7 +152,7 @@ func CrashSimT(tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to
 // count: every candidate owns its random stream and decisions merge in
 // candidate order), and tree-stable transitions reuse the previously
 // compiled frozen form instead of recompiling it.
-func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, topt TemporalOptions) (*TemporalResult, error) {
+func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to TemporalOptions) (*TemporalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -166,7 +163,10 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	if q == nil {
 		return nil, fmt.Errorf("core: temporal query must not be nil")
 	}
-	to := topt.withDefaults()
+	gate := patchGate
+	if to.patchGate != 0 {
+		gate = to.patchGate
+	}
 	n := tg.NumNodes()
 	if u < 0 || int(u) >= n {
 		return nil, fmt.Errorf("core: source %d out of range for n=%d", u, n)
@@ -186,12 +186,12 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		defer carry.release()
 	}
 	var candTrees *cache.Cache
-	if to.CandidateCacheBytes > 0 {
+	if !to.noCandidateCache {
 		// The cache is run-scoped, so its metrics go to a private
 		// registry instead of polluting the process-wide cache.* series
 		// the serving layer exports; CandTreeHits/Misses carry the same
 		// information per run.
-		candTrees, err = cache.New(cache.Config{MaxBytes: to.CandidateCacheBytes, Metrics: obs.NewRegistry()})
+		candTrees, err = cache.New(cache.Config{MaxBytes: candidateCacheBytes, Metrics: obs.NewRegistry()})
 		if err != nil {
 			return nil, err
 		}
@@ -262,14 +262,14 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		case delta.Size() == 0:
 			tree = treePrev
 		case !pp.NonBacktracking:
-			if nt, diff, ok := treePrev.Patch(spare, gCur, delta.Add, delta.Del, pp, to.TreeTolerance, to.PatchGate); ok {
+			if nt, diff, ok := treePrev.Patch(spare, gCur, delta.Add, delta.Del, pp, treeTolerance, gate); ok {
 				tree, treeDiff = nt, diff
 				res.Stats.TreePatched++
 			}
 		}
 		if tree == nil {
 			tree = buildTreeInto(spare, gCur, u, pp)
-			treeDiff = tree.DiffNodes(treePrev, to.TreeTolerance)
+			treeDiff = tree.DiffNodes(treePrev, treeTolerance)
 			res.Stats.TreeRebuilt++
 		}
 		if tree != treePrev {
@@ -346,7 +346,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 				if tvPrev == nil {
 					tvPrev = RevReach(gPrev, v, pp.C, pp.Lmax, pp.Transition)
 				}
-				dd[i] = diffDecision{equal: tv.Equal(tvPrev, to.TreeTolerance), hit: hit}
+				dd[i] = diffDecision{equal: tv.Equal(tvPrev, treeTolerance), hit: hit}
 				if candTrees != nil {
 					candTrees.Put(candKey(v), candTreeEntry{tree: tv, version: curVersion}, tv.ApproxBytes())
 				}

@@ -187,7 +187,7 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 	queries := []TemporalQuery{
 		thresholdQuery{0}, thresholdQuery{0.01}, trendQuery{slack: 0.02}, zeroAtStartQuery{}, untilQuery{last: 4},
 	}
-	ablated := TemporalOptions{CandidateCacheBytes: -1, rebuildEachSnapshot: true}
+	ablated := TemporalOptions{noCandidateCache: true, rebuildEachSnapshot: true}
 	var patched, reused int
 	for _, h := range histories {
 		for _, q := range queries {

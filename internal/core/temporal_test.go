@@ -296,7 +296,7 @@ func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := CrashSimT(tg, 0, q, p, TemporalOptions{CandidateCacheBytes: -1, rebuildEachSnapshot: true})
+	plain, err := CrashSimT(tg, 0, q, p, TemporalOptions{noCandidateCache: true, rebuildEachSnapshot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,10 +346,10 @@ func TestTemporalStatsAccounting(t *testing.T) {
 	}{
 		{"empty-deltas", static, 0.002, TemporalOptions{}},
 		{"tiny-deltas", churn(0.01), 0.002, TemporalOptions{}},
-		{"gate-exceeding", churn(0.05), 0.002, TemporalOptions{PatchGate: 1e-300}},
+		{"gate-exceeding", churn(0.05), 0.002, TemporalOptions{patchGate: 1e-300}},
 		// Difference pruning runs on this history, so with the cache
 		// off it has previous-snapshot trees to recompute.
-		{"tiny-no-cache", diffPruningHistory, 0, TemporalOptions{CandidateCacheBytes: -1}},
+		{"tiny-no-cache", diffPruningHistory, 0, TemporalOptions{noCandidateCache: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

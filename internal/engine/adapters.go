@@ -105,13 +105,7 @@ func BuildSlingIndex(ctx context.Context, g *graph.Graph, cfg Config) (*sling.In
 // BuildReadsIndex builds the READS index the reads backend would build
 // over g for cfg.
 func BuildReadsIndex(ctx context.Context, g *graph.Graph, cfg Config) (*reads.Index, error) {
-	d := graph.NewDiGraph(g.NumNodes(), g.Directed())
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			return nil, fmt.Errorf("copying graph: %w", err)
-		}
-	}
-	ix, err := reads.BuildCtx(ctx, d, cfg.ReadsOptions())
+	ix, err := reads.BuildCtx(ctx, g.Thaw(), cfg.ReadsOptions())
 	if err != nil {
 		return nil, err
 	}

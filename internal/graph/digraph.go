@@ -141,6 +141,34 @@ func (d *DiGraph) Clone() *DiGraph {
 	return c
 }
 
+// Thaw returns a mutable copy of g, the inverse of Freeze. Each In/Out
+// list is g's ascending CSR row, which is elementwise what an AddEdge
+// loop over g.Edges() builds (READS samples In() by position, so the
+// order matters), and the generation counts one bump per edge as that
+// loop's would. The rows share one copied backing array, each capped at
+// its own length, so an append reallocates instead of overwriting the
+// next row.
+func (g *Graph) Thaw() *DiGraph {
+	d := &DiGraph{
+		directed: g.directed,
+		in:       make([][]NodeID, g.n),
+		out:      make([][]NodeID, g.n),
+		arcs:     len(g.inAdj),
+		gen:      uint64(g.NumEdges()),
+	}
+	inAdj := append([]NodeID(nil), g.inAdj...)
+	outAdj := append([]NodeID(nil), g.outAdj...)
+	for v := 0; v < g.n; v++ {
+		if lo, hi := g.inOff[v], g.inOff[v+1]; lo < hi {
+			d.in[v] = inAdj[lo:hi:hi]
+		}
+		if lo, hi := g.outOff[v], g.outOff[v+1]; lo < hi {
+			d.out[v] = outAdj[lo:hi:hi]
+		}
+	}
+	return d
+}
+
 // Freeze produces an immutable CSR view of the current state, stamped
 // with the DiGraph's Generation as its Version. The out-lists already
 // group the arcs by tail, so they feed the sorted CSR build directly.

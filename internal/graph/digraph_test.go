@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -133,5 +134,59 @@ func mustAdd(t *testing.T, d *DiGraph, x, y NodeID) {
 	t.Helper()
 	if err := d.AddEdge(x, y); err != nil {
 		t.Fatalf("AddEdge(%d,%d): %v", x, y, err)
+	}
+}
+
+// TestThawMatchesAddEdgeLoop pins Thaw to the AddEdge loop it replaced:
+// same In/Out lists element by element (READS samples In() by
+// position), same arc count and generation — and the two stay equal
+// under the same later mutations, so no thawed row can spill into its
+// neighbor.
+func TestThawMatchesAddEdgeLoop(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		r := rand.New(rand.NewPCG(7, 9))
+		b := NewBuilder(40, directed)
+		seen := map[Edge]bool{}
+		for len(seen) < 150 {
+			e := Edge{X: NodeID(r.IntN(40)), Y: NodeID(r.IntN(40))}
+			if !directed && e.X > e.Y {
+				e.X, e.Y = e.Y, e.X
+			}
+			if e.X == e.Y || seen[e] {
+				continue
+			}
+			seen[e] = true
+			b.AddEdge(e.X, e.Y)
+		}
+		g := b.MustFreeze()
+		looped := NewDiGraph(g.NumNodes(), g.Directed())
+		for _, e := range g.Edges() {
+			if err := looped.AddEdge(e.X, e.Y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		thawed := g.Thaw()
+		if !reflect.DeepEqual(thawed, looped) {
+			t.Fatalf("directed=%v: thawed graph differs from the AddEdge loop's", directed)
+		}
+		for i := 0; i < 200; i++ {
+			x, y := NodeID(r.IntN(40)), NodeID(r.IntN(40))
+			if x == y {
+				continue
+			}
+			op := (*DiGraph).AddEdge
+			if looped.HasEdge(x, y) {
+				op = (*DiGraph).RemoveEdge
+			}
+			if err := op(looped, x, y); err != nil {
+				t.Fatal(err)
+			}
+			if err := op(thawed, x, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(thawed, looped) {
+			t.Fatalf("directed=%v: thawed graph diverged from the AddEdge loop's under mutation", directed)
+		}
 	}
 }

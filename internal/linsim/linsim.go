@@ -24,6 +24,7 @@ import (
 
 	"crashsim/internal/graph"
 	"crashsim/internal/rng"
+	"crashsim/internal/sling"
 )
 
 // Options configures the solver.
@@ -93,33 +94,8 @@ func New(g *graph.Graph, opt Options) (*Solver, error) {
 	}
 	s := &Solver{g: g, opt: o, d: make([]float64, g.NumNodes())}
 	sc := math.Sqrt(o.C)
-	maxLen := o.K + 4
 	for x := range s.d {
-		r := rng.Split(o.Seed, uint64(x))
-		never := 0
-		for trial := 0; trial < o.DSamples; trial++ {
-			a, b := graph.NodeID(x), graph.NodeID(x)
-			met := false
-			for t := 1; t <= maxLen; t++ {
-				if r.Float64() >= sc || r.Float64() >= sc {
-					break
-				}
-				ia, ib := s.g.In(a), s.g.In(b)
-				if len(ia) == 0 || len(ib) == 0 {
-					break
-				}
-				a = ia[r.IntN(len(ia))]
-				b = ib[r.IntN(len(ib))]
-				if a == b {
-					met = true
-					break
-				}
-			}
-			if !met {
-				never++
-			}
-		}
-		s.d[x] = float64(never) / float64(o.DSamples)
+		s.d[x] = sling.NeverMeet(g, graph.NodeID(x), sc, o.K+4, o.DSamples, rng.Split(o.Seed, uint64(x)))
 	}
 	return s, nil
 }

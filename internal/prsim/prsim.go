@@ -43,6 +43,7 @@ import (
 	"crashsim/internal/graph"
 	"crashsim/internal/par"
 	"crashsim/internal/rng"
+	"crashsim/internal/sling"
 )
 
 // Options configures the index and queries.
@@ -450,39 +451,9 @@ func (ix *Index) compile(w graph.NodeID) *table {
 		t.off = append(t.off, int32(len(t.origins)))
 		cur = next
 	}
-	t.d = ix.estimateD(w)
+	// d(w) is sampled on an independent per-node stream.
+	t.d = sling.NeverMeet(ix.g, w, ix.sc, ix.opt.MaxDepth, ix.opt.DSamples, rng.Split(ix.opt.Seed^0x5157, uint64(w)))
 	return t
-}
-
-// estimateD estimates d(w), the probability that two coupled √c-walks
-// from w never meet again, by paired sampling on an independent
-// per-node RNG stream.
-func (ix *Index) estimateD(w graph.NodeID) float64 {
-	r := rng.Split(ix.opt.Seed^0x5157, uint64(w))
-	never := 0
-	for s := 0; s < ix.opt.DSamples; s++ {
-		a, b := w, w
-		met := false
-		for t := 1; t <= ix.opt.MaxDepth; t++ {
-			if r.Float64() >= ix.sc || r.Float64() >= ix.sc {
-				break
-			}
-			ia, ib := ix.g.In(a), ix.g.In(b)
-			if len(ia) == 0 || len(ib) == 0 {
-				break
-			}
-			a = ia[r.IntN(len(ia))]
-			b = ib[r.IntN(len(ib))]
-			if a == b {
-				met = true
-				break
-			}
-		}
-		if !met {
-			never++
-		}
-	}
-	return float64(never) / float64(ix.opt.DSamples)
 }
 
 // queryScratch is the pooled per-query accumulator: a dense score slab

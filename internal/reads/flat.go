@@ -11,9 +11,9 @@ import (
 // Flat is the borrow-shaped view of an index: the stored walks plus
 // the inverted occurrence index compiled into sorted per-(sample,
 // step) runs, so a query can binary-search co-locations without any
-// map. Snapshot format v2 persists these arrays verbatim; the store's
-// loader hands them to ImportFlat aliasing its buffer (a file mapping
-// or a heap read).
+// map. Export compiles it from the mutable form; snapshot format v2
+// persists these arrays verbatim, and the store's loader hands them to
+// ImportFlat aliasing its buffer (a file mapping or a heap read).
 //
 // Layout: the k-th stored walk of node v is
 // Nodes[WalkOff[k·n+v]:WalkOff[k·n+v+1]]. The inverted index is
@@ -36,18 +36,22 @@ type Flat struct {
 	InvOrigins []graph.NodeID
 }
 
-// Flatten compiles the payload's inverted occurrence index into the
-// sorted-run form, sample by sample to bound transient memory.
-func (p Payload) Flatten() Flat {
-	o := p.Opt.withDefaults()
-	n := len(p.WalkLens) / o.R
-	f := Flat{Opt: o, Nodes: p.Nodes}
-	f.WalkOff = make([]int32, len(p.WalkLens)+1)
-	for i, l := range p.WalkLens {
-		f.WalkOff[i+1] = f.WalkOff[i] + l
+// compile lays the mutable index's walks out as the flat columns and
+// builds the sorted runs sample by sample, to bound transient memory.
+// Origin lists come out ascending whatever updates reordered in inv.
+func (ix *Index) compile() Flat {
+	o := ix.opt
+	n := ix.numNodes()
+	f := Flat{WalkOff: make([]int32, o.R*n+1), Nodes: make([]graph.NodeID, 0, ix.Positions())}
+	for k := 0; k < o.R; k++ {
+		for v := 0; v < n; v++ {
+			w := ix.walks[k][v]
+			f.WalkOff[k*n+v+1] = f.WalkOff[k*n+v] + int32(len(w))
+			f.Nodes = append(f.Nodes, w...)
+		}
 	}
 	f.RunOff = make([]int32, o.R*o.MaxLen+1)
-	indexed := len(p.Nodes) - o.R*n // every position except walk origins
+	indexed := len(f.Nodes) - o.R*n // every position except walk origins
 	f.ListOff = make([]int32, 1, indexed+1)
 	f.InvNodes = make([]graph.NodeID, 0, indexed)
 	f.InvOrigins = make([]graph.NodeID, 0, indexed)
@@ -57,7 +61,7 @@ func (p Payload) Flatten() Flat {
 			runs[s] = make(map[graph.NodeID][]graph.NodeID)
 		}
 		for v := 0; v < n; v++ {
-			w := p.Nodes[f.WalkOff[k*n+v]:f.WalkOff[k*n+v+1]]
+			w := ix.walks[k][v]
 			for step := 1; step < len(w); step++ {
 				m := runs[step-1]
 				m[w[step]] = append(m[w[step]], graph.NodeID(v))
@@ -221,19 +225,13 @@ func (ix *Index) accumulateFlat(k int, w []graph.NodeID, u graph.NodeID, inc flo
 // (sample, node) order as BuildCtx. One-time, triggered by the first
 // mutation; not safe concurrently with queries (the update path never
 // was).
-func (ix *Index) materialize() error {
+func (ix *Index) materialize() {
 	if ix.flat == nil {
-		return nil
+		return
 	}
 	n := ix.fg.NumNodes()
-	d := graph.NewDiGraph(n, ix.fg.Directed())
-	for _, e := range ix.fg.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			return fmt.Errorf("reads: materializing borrowed index: %w", err)
-		}
-	}
 	f := ix.flat
-	ix.g = d
+	ix.g = ix.fg.Thaw()
 	ix.walks = make([][][]graph.NodeID, ix.opt.R)
 	ix.inv = make([]map[posKey][]graph.NodeID, ix.opt.R)
 	for k := 0; k < ix.opt.R; k++ {
@@ -250,5 +248,4 @@ func (ix *Index) materialize() error {
 		}
 	}
 	ix.flat = nil
-	return nil
 }

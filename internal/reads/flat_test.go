@@ -22,10 +22,10 @@ func flatTestGraph(t *testing.T, directed bool) *graph.Graph {
 }
 
 // TestFlatBitIdentical is the flat-path oracle: a borrowed index
-// (Flatten/ImportFlat over the frozen graph) must answer every source
+// (Export/ImportFlat over the frozen graph) must answer every source
 // bit-for-bit like the index Build made, including the RQ fresh-walk
 // refinement that samples the graph at query time, and export the same
-// payload.
+// arrays.
 func TestFlatBitIdentical(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		g := flatTestGraph(t, directed)
@@ -34,7 +34,7 @@ func TestFlatBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := built.Export()
-		borrowed, err := ImportFlat(g, p.Flatten(), true)
+		borrowed, err := ImportFlat(g, p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestFlatMaterializeOnMutate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	borrowed, err := ImportFlat(g, built.Export().Flatten(), true)
+	borrowed, err := ImportFlat(g, built.Export(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestImportFlatRejectsCorruptShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := built.Export().Flatten()
+	base := built.Export()
 	mutate := map[string]func(f *Flat){
 		"truncated walk offsets": func(f *Flat) { f.WalkOff = f.WalkOff[:len(f.WalkOff)-1] },
 		"short run offsets":      func(f *Flat) { f.RunOff = f.RunOff[:len(f.RunOff)-1] },

@@ -140,14 +140,6 @@ func (ix *Index) numNodes() int {
 	return ix.fg.NumNodes()
 }
 
-// walk returns the k-th stored walk of v in either representation.
-func (ix *Index) walk(k int, v graph.NodeID) []graph.NodeID {
-	if ix.flat != nil {
-		return ix.walkFlat(k, v)
-	}
-	return ix.walks[k][v]
-}
-
 // Build generates the r walks per node on a private copy of g's current
 // state.
 func Build(g *graph.DiGraph, opt Options) (*Index, error) {
@@ -262,9 +254,7 @@ func (ix *Index) dropWalk(k int, v graph.NodeID) {
 // walk visiting the head at any step before its last is resampled, plus
 // all walks originating at the head.
 func (ix *Index) ApplyEdge(e graph.Edge, add bool) error {
-	if err := ix.materialize(); err != nil {
-		return err
-	}
+	ix.materialize()
 	var err error
 	if add {
 		err = ix.g.AddEdge(e.X, e.Y)
@@ -447,11 +437,8 @@ func (ix *Index) Positions() int {
 
 // Graph returns the index's private graph copy (tests use it to verify
 // the update path keeps it in sync). On a borrowed index this
-// materializes the mutable form first; materialization from a valid
-// frozen graph cannot fail.
+// materializes the mutable form first.
 func (ix *Index) Graph() *graph.DiGraph {
-	if err := ix.materialize(); err != nil {
-		panic(err)
-	}
+	ix.materialize()
 	return ix.g
 }

@@ -1,47 +1,28 @@
 package reads
 
-import "crashsim/internal/graph"
-
 // Serialization support for the persistent index store (internal/store).
 //
 // The index's persistable state is the r stored walks per node plus the
 // build options. The store writes them together with the compiled
-// inverted index (Flatten) and loads them back through ImportFlat, so a
-// loaded index answers queries bit-identically to the index it was
-// exported from without rebuilding anything.
+// inverted index as the arrays of a Flat and loads them back through
+// ImportFlat, so a loaded index answers queries bit-identically to the
+// index it was exported from without rebuilding anything.
 
-// Payload is the flat, serialization-shaped view of an Index: walk
-// lengths in (sample, origin) order and the concatenated walk nodes,
-// plus the build options.
-type Payload struct {
-	// Opt is the defaulted build configuration. Workers is a runtime
-	// knob with no effect on the built index and is not preserved.
-	Opt Options
-	// WalkLens holds R·n lengths: WalkLens[k·n+v] is the length
-	// (including the origin) of the k-th stored walk of node v.
-	WalkLens []int32
-	// Nodes concatenates every walk's positions in the same order.
-	Nodes []graph.NodeID
-}
-
-// Export returns the index's persistable state. The returned slices are
-// freshly allocated and do not alias the index.
-func (ix *Index) Export() Payload {
-	n := ix.numNodes()
-	p := Payload{
-		Opt:      ix.opt,
-		WalkLens: make([]int32, 0, ix.opt.R*n),
-		Nodes:    make([]graph.NodeID, 0, ix.Positions()),
+// Export returns the index's persistable state in the flat form. A
+// borrowed index returns its own arrays, which alias the snapshot
+// buffer; a mutable index compiles fresh ones. Either way the arrays
+// must not be modified. Workers is a runtime knob with no effect on
+// the built index and is zeroed.
+func (ix *Index) Export() Flat {
+	var f Flat
+	if ix.flat != nil {
+		f = *ix.flat
+	} else {
+		f = ix.compile()
 	}
-	p.Opt.Workers = 0
-	for k := 0; k < ix.opt.R; k++ {
-		for v := 0; v < n; v++ {
-			w := ix.walk(k, graph.NodeID(v))
-			p.WalkLens = append(p.WalkLens, int32(len(w)))
-			p.Nodes = append(p.Nodes, w...)
-		}
-	}
-	return p
+	f.Opt = ix.opt
+	f.Opt.Workers = 0
+	return f
 }
 
 // Options returns the defaulted build configuration of the index, so a

@@ -1,78 +1,77 @@
 package sling
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"crashsim/internal/graph"
 )
 
-// Flat is the borrow-shaped view of an index: the Payload columns plus
-// the inverted occurrence index compiled into a dense per-(step, node)
-// CSR, so a query can run without rebuilding any map. Snapshot format
-// v2 persists these arrays verbatim; the store's loader hands them to
-// ImportFlat aliasing its buffer (a file mapping or a heap read), which
-// is why a mapped flat index serves its first query without touching
+// Flat is the form an index serves from: the per-node distributions
+// as parallel (step, node, prob) columns plus the inverted occurrence
+// index compiled into a dense per-(step, node) CSR, so a query runs
+// without any map. Build compiles it; snapshot format v2 persists
+// these arrays verbatim, and the store's loader hands them to
+// ImportFlat aliasing its buffer (a file mapping or a heap read),
+// which is why a mapped index serves its first query without touching
 // most of the file.
 //
 // Layout: node v's distribution entries live at columns
-// [DistOff[v], DistOff[v+1]). The inverted index is row-addressed by
-// r = (step-1)·n + node: the origins whose step-`step` distributions
-// contain `node` are InvOrigins[InvOff[r]:InvOff[r+1]] with matching
-// InvProbs — listed in ascending origin order, exactly the order
-// BuildCtx appends map entries, so flat queries sum in the same
-// floating-point order as map queries and score bit-identically.
+// [DistOff[v], DistOff[v+1]), in the order push emits them. The
+// inverted index is row-addressed by r = (step-1)·n + node: the
+// origins whose step-`step` distributions contain `node` are
+// InvOrigins[InvOff[r]:InvOff[r+1]] with matching InvProbs, listed in
+// ascending origin order — the order a query sums in, so every index
+// with the same arrays scores bit-identically.
 type Flat struct {
 	Opt        Options
 	DistOff    []int32 // n+1 prefix over per-node entry counts
 	Steps      []int32
 	Nodes      []graph.NodeID
 	Probs      []float64
-	D          []float64
-	InvOff     []int32 // Lmax·n+1 row offsets
+	D          []float64 // D[v] is the never-meet-again correction d(v)
+	InvOff     []int32   // Lmax·n+1 row offsets
 	InvOrigins []graph.NodeID
 	InvProbs   []float64
 }
 
-// Flatten compiles the payload's inverted occurrence index into the
-// dense CSR form. Two counting passes, no maps — O(n·Lmax + entries).
-func (p Payload) Flatten() Flat {
-	o := p.Opt.withDefaults()
-	n := len(p.DistCounts)
-	f := Flat{
-		Opt:   o,
-		Steps: p.Steps,
-		Nodes: p.Nodes,
-		Probs: p.Probs,
-		D:     p.D,
+// compile lays the per-node distributions out as columns and inverts
+// them into the CSR with two counting passes, no maps —
+// O(n·Lmax + entries).
+func compile(o Options, dist [][]entry, d []float64) Flat {
+	n := len(dist)
+	f := Flat{Opt: o, DistOff: make([]int32, n+1), D: d}
+	for v, es := range dist {
+		f.DistOff[v+1] = f.DistOff[v] + int32(len(es))
 	}
-	f.DistOff = make([]int32, n+1)
-	for v, c := range p.DistCounts {
-		f.DistOff[v+1] = f.DistOff[v] + c
-	}
+	total := int(f.DistOff[n])
+	f.Steps = make([]int32, total)
+	f.Nodes = make([]graph.NodeID, total)
+	f.Probs = make([]float64, total)
 	rows := o.Lmax * n
 	f.InvOff = make([]int32, rows+1)
-	for i := range p.Steps {
-		r := (int(p.Steps[i])-1)*n + int(p.Nodes[i])
-		f.InvOff[r+1]++
+	for v, es := range dist {
+		for j, e := range es {
+			i := int(f.DistOff[v]) + j
+			f.Steps[i], f.Nodes[i], f.Probs[i] = e.step, e.node, e.prob
+			f.InvOff[(int(e.step)-1)*n+int(e.node)+1]++
+		}
 	}
 	for r := 0; r < rows; r++ {
 		f.InvOff[r+1] += f.InvOff[r]
 	}
-	f.InvOrigins = make([]graph.NodeID, len(p.Steps))
-	f.InvProbs = make([]float64, len(p.Steps))
+	f.InvOrigins = make([]graph.NodeID, total)
+	f.InvProbs = make([]float64, total)
 	next := make([]int32, rows)
-	// Origin order within each row must match the map path's append
-	// order: BuildCtx iterates nodes ascending, each node's
-	// entries in stored order — which is exactly column order here.
+	// Visiting origins in ascending order fills every row in ascending
+	// origin order.
 	for v := 0; v < n; v++ {
 		for i := f.DistOff[v]; i < f.DistOff[v+1]; i++ {
-			r := (int(p.Steps[i])-1)*n + int(p.Nodes[i])
+			r := (int(f.Steps[i])-1)*n + int(f.Nodes[i])
 			at := f.InvOff[r] + next[r]
 			next[r]++
 			f.InvOrigins[at] = graph.NodeID(v)
-			f.InvProbs[at] = p.Probs[i]
+			f.InvProbs[at] = f.Probs[i]
 		}
 	}
 	return f
@@ -146,7 +145,8 @@ func ImportFlat(g *graph.Graph, f Flat, validate bool) (*Index, error) {
 			}
 		}
 	}
-	return &Index{g: g, opt: o, d: f.D, flat: &f}, nil
+	f.Opt = o
+	return &Index{g: g, f: f}, nil
 }
 
 func sliceLast(s []int32) int32 {
@@ -154,27 +154,4 @@ func sliceLast(s []int32) int32 {
 		return -1
 	}
 	return s[len(s)-1]
-}
-
-// singleSourceFlat is the query kernel over the flat arrays: same
-// traversal, same summation order, same arithmetic expression as the
-// map path in SingleSourceCtx — bit-identical scores by construction.
-func (ix *Index) singleSourceFlat(ctx context.Context, u graph.NodeID, scores map[graph.NodeID]float64) error {
-	f := ix.flat
-	n := ix.g.NumNodes()
-	for i := f.DistOff[u]; i < f.DistOff[u+1]; i++ {
-		if i&255 == 255 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		node := f.Nodes[i]
-		prob := f.Probs[i]
-		d := ix.d[node]
-		r := (int(f.Steps[i])-1)*n + int(node)
-		for j := f.InvOff[r]; j < f.InvOff[r+1]; j++ {
-			scores[f.InvOrigins[j]] += prob * f.InvProbs[j] * d
-		}
-	}
-	return nil
 }

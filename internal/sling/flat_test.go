@@ -8,61 +8,68 @@ import (
 	"crashsim/internal/graph"
 )
 
-func flatTestGraph(t *testing.T) *graph.Graph {
+func erGraph(t *testing.T, directed bool) *graph.Graph {
 	t.Helper()
-	edges, err := gen.ErdosRenyi(48, 160, true, 11)
+	edges, err := gen.ErdosRenyi(48, 160, directed, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := gen.BuildStatic(48, true, edges)
+	g, err := gen.BuildStatic(48, directed, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-// TestFlatBitIdentical is the flat-path oracle: an index imported
-// through Flatten/ImportFlat must answer every source bit-for-bit like
-// the map-based index it came from, and export the same payload.
+// TestFlatBitIdentical is the differential test of the flat index:
+// Build must answer every source bit-for-bit like the map-based oracle
+// (oracle_test.go), with the same d values and entry count, and an
+// index re-imported from its Export must do the same and export the
+// same arrays.
 func TestFlatBitIdentical(t *testing.T) {
-	g := flatTestGraph(t)
-	built, err := Build(g, Options{DSamples: 24, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := built.Export()
-	flat, err := ImportFlat(g, p.Flatten(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		want, err := built.SingleSource(u)
+	for _, directed := range []bool{true, false} {
+		g := erGraph(t, directed)
+		opt := Options{DSamples: 24, Seed: 5}
+		built, err := Build(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := flat.SingleSource(u)
+		oracle := oracleBuild(g, opt)
+		imported, err := ImportFlat(g, built.Export(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("flat scores differ from map scores at source %d", u)
+		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+			if built.D(u) != oracle.d[u] {
+				t.Fatalf("directed=%v: d(%d) = %v, oracle %v", directed, u, built.D(u), oracle.d[u])
+			}
+			want := oracle.singleSource(u)
+			for name, ix := range map[string]*Index{"built": built, "imported": imported} {
+				got, err := ix.SingleSource(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("directed=%v: %s scores differ from the oracle at source %d", directed, name, u)
+				}
+			}
 		}
-	}
-	if flat.DistSize() != built.DistSize() {
-		t.Fatalf("DistSize %d != %d", flat.DistSize(), built.DistSize())
-	}
-	if !reflect.DeepEqual(flat.Export(), p) {
-		t.Fatal("flat re-export differs from original payload")
+		if built.DistSize() != oracle.distSize() || imported.DistSize() != oracle.distSize() {
+			t.Fatalf("directed=%v: DistSize %d/%d, oracle %d", directed, built.DistSize(), imported.DistSize(), oracle.distSize())
+		}
+		if !reflect.DeepEqual(imported.Export(), built.Export()) {
+			t.Fatalf("directed=%v: re-export differs from the built index's export", directed)
+		}
 	}
 }
 
 func TestImportFlatRejectsCorruptShape(t *testing.T) {
-	g := flatTestGraph(t)
+	g := erGraph(t, true)
 	built, err := Build(g, Options{DSamples: 12, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := built.Export().Flatten()
+	base := built.Export()
 
 	mutate := map[string]func(f *Flat){
 		"truncated dist offsets": func(f *Flat) { f.DistOff = f.DistOff[:len(f.DistOff)-1] },
@@ -90,12 +97,12 @@ func TestImportFlatRejectsCorruptShape(t *testing.T) {
 }
 
 func TestFlatClose(t *testing.T) {
-	g := flatTestGraph(t)
+	g := erGraph(t, true)
 	built, err := Build(g, Options{DSamples: 12, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := ImportFlat(g, built.Export().Flatten(), false)
+	ix, err := ImportFlat(g, built.Export(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,15 @@
 //
 // The index stores, for every node, its truncated hitting-probability
 // distribution (computed by a deterministic level-by-level push with a
-// pruning threshold) plus the Monte-Carlo estimated d values; queries
-// combine the source's distribution with an inverted occurrence index.
-// Index construction is deliberately the expensive phase — the paper
-// notes SLING's index takes hours on million-node graphs and must be
-// rebuilt on every update, which is why its Fig 5/7 response times
-// include indexing time.
+// pruning threshold) plus the Monte-Carlo estimated d values (the
+// coupled sampler NeverMeet, shared with PRSim and the linearized
+// solver); queries combine the source's distribution with an inverted
+// occurrence index. Both live in one flat CSR form, Flat, which Build
+// compiles and a snapshot stores verbatim, so a built and a loaded
+// index run the same query loop. Index construction is deliberately
+// the expensive phase — the paper notes SLING's index takes hours on
+// million-node graphs and must be rebuilt on every update, which is
+// why its Fig 5/7 response times include indexing time.
 package sling
 
 import (
@@ -94,31 +97,19 @@ func (o Options) Validate() error {
 }
 
 // entry is one stored (step, node, probability) triple of a node's
-// hitting distribution.
+// hitting distribution, as push emits it.
 type entry struct {
 	step int32
 	node graph.NodeID
 	prob float64
 }
 
-// occurrence links an index position back to the node whose distribution
-// contains it, for the inverted index.
-type occurrence struct {
-	origin graph.NodeID
-	prob   float64
-}
-
-// Index is a built SLING index over one static graph.
+// Index is a built SLING index over one static graph, served from the
+// flat CSR arrays of f (see flat.go). Build compiles them; ImportFlat
+// adopts them from a snapshot, possibly aliasing a read-only mapping.
 type Index struct {
-	g    *graph.Graph
-	opt  Options
-	dist [][]entry                       // per node: truncated hitting distribution
-	inv  []map[graph.NodeID][]occurrence // per step: node -> walks passing through
-	d    []float64                       // per node: never-meet-again correction
-
-	// flat, when non-nil, replaces dist/inv with the compiled CSR form
-	// (see flat.go); its arrays may alias a read-only snapshot mapping.
-	flat *Flat
+	g *graph.Graph
+	f Flat
 	// release gives borrowed memory back to its owner (drops the
 	// mapping reference an imported-from-mmap index holds).
 	release func() error
@@ -161,37 +152,24 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) 
 		return nil, err
 	}
 	n := g.NumNodes()
-	ix := &Index{
-		g:    g,
-		opt:  o,
-		dist: make([][]entry, n),
-		inv:  make([]map[graph.NodeID][]occurrence, o.Lmax+1),
-		d:    make([]float64, n),
-	}
-	for t := range ix.inv {
-		ix.inv[t] = make(map[graph.NodeID][]occurrence)
-	}
 	// The per-node pushes and d estimations are independent; fan them
-	// out, then build the inverted index sequentially in node order so
-	// occurrence lists (and therefore query-time summation order) stay
-	// deterministic.
+	// out, then lay the distributions out and invert them sequentially
+	// in node order so the arrays (and therefore query-time summation
+	// order) are the same for any worker count.
+	dist := make([][]entry, n)
 	if err := par.ForEachCtx(ctx, n, o.Workers, func(v int) {
-		ix.dist[v] = push(g, graph.NodeID(v), o)
+		dist[v] = push(g, graph.NodeID(v), o)
 	}); err != nil {
 		return nil, err
 	}
-	for v := 0; v < n; v++ {
-		for _, e := range ix.dist[v] {
-			ix.inv[e.step][e.node] = append(ix.inv[e.step][e.node],
-				occurrence{origin: graph.NodeID(v), prob: e.prob})
-		}
-	}
+	d := make([]float64, n)
+	sc := math.Sqrt(o.C)
 	if err := par.ForEachCtx(ctx, n, o.Workers, func(x int) {
-		ix.d[x] = estimateD(g, o, graph.NodeID(x))
+		d[x] = NeverMeet(g, graph.NodeID(x), sc, o.Lmax, o.DSamples, rng.Split(o.Seed, uint64(x)))
 	}); err != nil {
 		return nil, err
 	}
-	return ix, nil
+	return &Index{g: g, f: compile(o, dist, d)}, nil
 }
 
 // push computes the truncated hitting distribution of v: the probability
@@ -244,18 +222,18 @@ func push(g *graph.Graph, v graph.NodeID, o Options) []entry {
 	return out
 }
 
-// estimateD returns d(x) = Pr[two √c-walks from x never co-locate at
-// the same step >= 1], estimated by coupled sampling with a stream
-// derived from x so the result is independent of evaluation order.
-func estimateD(g *graph.Graph, o Options, x graph.NodeID) float64 {
-	sc := math.Sqrt(o.C)
-	r := rng.Split(o.Seed, uint64(x))
+// NeverMeet estimates d(x) = Pr[two √c-walks from x never co-locate at
+// the same step in 1..maxLen] from samples coupled walk pairs drawn
+// from r. SLING, PRSim and the linearized solver all correct with
+// this d; each passes its own stream (derived from x, so the result is
+// independent of evaluation order) and its own depth.
+func NeverMeet(g *graph.Graph, x graph.NodeID, sqrtC float64, maxLen, samples int, r *rng.Source) float64 {
 	never := 0
-	for s := 0; s < o.DSamples; s++ {
+	for s := 0; s < samples; s++ {
 		a, b := x, x
 		met := false
-		for t := 1; t <= o.Lmax; t++ {
-			if r.Float64() >= sc || r.Float64() >= sc {
+		for t := 1; t <= maxLen; t++ {
+			if r.Float64() >= sqrtC || r.Float64() >= sqrtC {
 				break // one of the walks stopped
 			}
 			ia, ib := g.In(a), g.In(b)
@@ -273,7 +251,7 @@ func estimateD(g *graph.Graph, o Options, x graph.NodeID) float64 {
 			never++
 		}
 	}
-	return float64(never) / float64(o.DSamples)
+	return float64(never) / float64(samples)
 }
 
 // SingleSource returns sim(u, ·) estimates for all nodes using the
@@ -297,22 +275,20 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	f := &ix.f
 	scores := make(map[graph.NodeID]float64, 64)
-	if ix.flat != nil {
-		if err := ix.singleSourceFlat(ctx, u, scores); err != nil {
-			return nil, err
-		}
-		scores[u] = 1
-		return scores, nil
-	}
-	for i, e := range ix.dist[u] {
+	for i := f.DistOff[u]; i < f.DistOff[u+1]; i++ {
 		if i&255 == 255 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		for _, occ := range ix.inv[e.step][e.node] {
-			scores[occ.origin] += e.prob * occ.prob * ix.d[e.node]
+		node := f.Nodes[i]
+		prob := f.Probs[i]
+		d := f.D[node]
+		r := (int(f.Steps[i])-1)*n + int(node)
+		for j := f.InvOff[r]; j < f.InvOff[r+1]; j++ {
+			scores[f.InvOrigins[j]] += prob * f.InvProbs[j] * d
 		}
 	}
 	scores[u] = 1
@@ -320,17 +296,8 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 }
 
 // D exposes the correction value d(x), used by tests.
-func (ix *Index) D(x graph.NodeID) float64 { return ix.d[x] }
+func (ix *Index) D(x graph.NodeID) float64 { return ix.f.D[x] }
 
 // DistSize returns the total number of stored index entries, a proxy for
 // index memory in the benchmark reports.
-func (ix *Index) DistSize() int {
-	if ix.flat != nil {
-		return len(ix.flat.Steps)
-	}
-	total := 0
-	for _, d := range ix.dist {
-		total += len(d)
-	}
-	return total
-}
+func (ix *Index) DistSize() int { return len(ix.f.Steps) }

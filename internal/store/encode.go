@@ -109,10 +109,22 @@ func encodeGraph(g *graph.Graph) []byte {
 	return e.buf.Bytes()
 }
 
-// encodeSlingAccel serializes the precompiled inverted index of a
-// sling.Flat — the arrays not derivable cheaply from the payload
-// columns. Steps/Nodes/Probs/D are already in the section body; the
-// decoder reassembles the full Flat from both.
+// offsetDiffs writes the per-row counts of a prefix-sum offset array
+// as an i32s array: the sling DistCounts and reads WalkLens columns,
+// which the v2 layout keeps beside the offsets in the accel blob.
+func (e *enc) offsetDiffs(off []int32) {
+	e.align8()
+	e.u64(uint64(len(off) - 1))
+	var b [4]byte
+	for i := 1; i < len(off); i++ {
+		binary.LittleEndian.PutUint32(b[:], uint32(off[i]-off[i-1]))
+		e.buf.Write(b[:])
+	}
+}
+
+// encodeSlingAccel serializes the inverted index and distribution
+// offsets of a sling.Flat. Steps/Nodes/Probs/D are already in the
+// section body; the decoder reassembles the full Flat from both.
 func encodeSlingAccel(f *sling.Flat) []byte {
 	var e enc
 	e.i32s(f.DistOff)
@@ -122,22 +134,21 @@ func encodeSlingAccel(f *sling.Flat) []byte {
 	return e.buf.Bytes()
 }
 
-func encodeSling(graphVersion uint64, p *sling.Payload) []byte {
+func encodeSling(graphVersion uint64, f *sling.Flat) []byte {
 	var e enc
 	e.u64(graphVersion)
-	e.f64(p.Opt.C)
-	e.f64(p.Opt.Eps)
-	e.u32(uint32(p.Opt.Lmax))
-	e.f64(p.Opt.Prune)
-	e.u32(uint32(p.Opt.DSamples))
-	e.u64(p.Opt.Seed)
-	e.i32s(p.DistCounts)
-	e.i32s(p.Steps)
-	e.nodes(p.Nodes)
-	e.f64s(p.Probs)
-	e.f64s(p.D)
-	f := p.Flatten()
-	e.blob(encodeSlingAccel(&f))
+	e.f64(f.Opt.C)
+	e.f64(f.Opt.Eps)
+	e.u32(uint32(f.Opt.Lmax))
+	e.f64(f.Opt.Prune)
+	e.u32(uint32(f.Opt.DSamples))
+	e.u64(f.Opt.Seed)
+	e.offsetDiffs(f.DistOff)
+	e.i32s(f.Steps)
+	e.nodes(f.Nodes)
+	e.f64s(f.Probs)
+	e.f64s(f.D)
+	e.blob(encodeSlingAccel(f))
 	return e.buf.Bytes()
 }
 
@@ -154,18 +165,17 @@ func encodeReadsAccel(f *reads.Flat) []byte {
 	return e.buf.Bytes()
 }
 
-func encodeReads(graphVersion uint64, p *reads.Payload) []byte {
+func encodeReads(graphVersion uint64, f *reads.Flat) []byte {
 	var e enc
 	e.u64(graphVersion)
-	e.f64(p.Opt.C)
-	e.u32(uint32(p.Opt.R))
-	e.u32(uint32(p.Opt.MaxLen))
-	e.u32(uint32(p.Opt.RQ))
-	e.u64(p.Opt.Seed)
-	e.i32s(p.WalkLens)
-	e.nodes(p.Nodes)
-	f := p.Flatten()
-	e.blob(encodeReadsAccel(&f))
+	e.f64(f.Opt.C)
+	e.u32(uint32(f.Opt.R))
+	e.u32(uint32(f.Opt.MaxLen))
+	e.u32(uint32(f.Opt.RQ))
+	e.u64(f.Opt.Seed)
+	e.offsetDiffs(f.WalkOff)
+	e.nodes(f.Nodes)
+	e.blob(encodeReadsAccel(f))
 	return e.buf.Bytes()
 }
 

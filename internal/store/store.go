@@ -19,8 +19,8 @@
 //
 //	"graph"  the CSR arrays of a frozen graph.Graph (required)
 //	"meta"   JSON dataset metadata (required)
-//	"sling"  a sling.Payload, prefixed by its graph version
-//	"reads"  a reads.Payload, prefixed by its graph version
+//	"sling"  a sling.Flat, prefixed by its graph version
+//	"reads"  a reads.Flat, prefixed by its graph version
 //	"prsim"  a prsim.Payload, prefixed by its graph version
 //
 // The layout is built for zero-copy reads: every section starts at a
@@ -29,12 +29,14 @@
 // array's u64 length prefix sits at an 8-aligned section offset (zero
 // pad bytes inserted before it), so the element bytes that follow are
 // aligned for direct []int32/[]float64 casts. The sling and reads
-// sections end with an accelerator blob — the precompiled
-// inverted-index arrays of sling.Flat / reads.Flat, framed as
-// [align8][u64 byte length][arrays] — which queries are served from
-// directly. The sling DistCounts and reads WalkLens columns duplicate
-// what the blobs hold; they stay because dropping them would change
-// the format.
+// sections hold the arrays of a sling.Flat / reads.Flat, the form
+// their indexes are built in and serve from: the per-node columns in
+// the section body, then an accelerator blob with the offset and
+// inverted-index arrays, framed as [align8][u64 byte length][arrays].
+// The body's sling DistCounts and reads WalkLens columns are the
+// per-row differences of the blob's DistOff / WalkOff; the encoder
+// derives them, the decoder skips them, and they stay because
+// dropping them would change the format.
 //
 // There is one decoder. OpenMapped runs it over a read-only file
 // mapping under a chosen VerifyPolicy; Load runs it over a heap copy of
@@ -135,8 +137,8 @@ type Meta struct {
 type Snapshot struct {
 	Graph *graph.Graph
 	Meta  Meta
-	Sling *sling.Payload
-	Reads *reads.Payload
+	Sling *sling.Flat
+	Reads *reads.Flat
 	PRSim *prsim.Payload
 }
 
