@@ -126,35 +126,11 @@ func BenchmarkScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughput regenerates the multi-source batch throughput
-// comparison (one batched call vs a sequential query loop over the same
-// Zipf-skewed sources) behind BENCH_crashsim.json's batch section.
-func BenchmarkThroughput(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.Throughput(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMemory regenerates the index-footprint comparison.
 func BenchmarkMemory(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.Memory(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStore regenerates the index-persistence comparison (cold
-// index build vs warm snapshot load, internal/store) behind
-// BENCH_crashsim.json's store section.
-func BenchmarkStore(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.Store(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -273,45 +273,6 @@ func TestMemoryQuick(t *testing.T) {
 	}
 }
 
-func TestThroughputQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness run skipped in -short mode")
-	}
-	cfg := quickConfig()
-	cfg.BatchSizes = []int{4}
-	cmp, rep, err := Throughput(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 5; len(cmp.Results) != want { // 5 datasets × 1 batch size
-		t.Fatalf("throughput produced %d rows, want %d", len(cmp.Results), want)
-	}
-	for _, r := range cmp.Results {
-		if r.Batch != 4 || r.UniqueSources < 1 || r.UniqueSources > r.Batch {
-			t.Errorf("%s: bad batch accounting %+v", r.Dataset, r)
-		}
-		if r.SequentialQPS <= 0 || r.BatchQPS <= 0 || r.Speedup <= 0 {
-			t.Errorf("%s: non-positive timing %+v", r.Dataset, r)
-		}
-	}
-	if cmp.GeoMeanSpeedup <= 0 || math.IsNaN(cmp.GeoMeanSpeedup) {
-		t.Errorf("geomean speedup = %g", cmp.GeoMeanSpeedup)
-	}
-	if len(rep.Rows) != len(cmp.Results) {
-		t.Error("report row count mismatch")
-	}
-	// The batch section rides inside Comparison as "batch".
-	var buf bytes.Buffer
-	if err := (&Comparison{Batch: cmp}).WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"batch"`, `"batch_qps"`, `"unique_sources"`, `"geomean_speedup"`} {
-		if !strings.Contains(buf.String(), key) {
-			t.Errorf("JSON missing %s", key)
-		}
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
 	if c.Scale != 0.05 || c.Sources != 5 || c.C != 0.6 || c.Seed == 0 {
@@ -329,46 +290,5 @@ func TestConfigDefaults(t *testing.T) {
 	// Floor applies for absurdly loose eps.
 	if got := c.crashIters(10, 0.9); got != 20 {
 		t.Errorf("crashIters floor = %d, want 20", got)
-	}
-}
-
-func TestStoreQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness run skipped in -short mode")
-	}
-	cmp, rep, err := Store(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 6 * 2; len(cmp.Results) != want { // 5 Table III datasets + web-1m, × {sling, reads}
-		t.Fatalf("store produced %d rows, want %d", len(cmp.Results), want)
-	}
-	for _, r := range cmp.Results {
-		if r.Algo != "sling" && r.Algo != "reads" {
-			t.Errorf("%s: unexpected algo %q", r.Dataset, r.Algo)
-		}
-		if r.BuildMS <= 0 || r.SaveMS <= 0 || r.LoadMS <= 0 || r.Bytes <= 0 {
-			t.Errorf("%s/%s: non-positive measurement %+v", r.Dataset, r.Algo, r)
-		}
-		if r.MappedLoadMS <= 0 || r.CopyFirstQueryMS <= 0 || r.MappedFirstQueryMS <= 0 {
-			t.Errorf("%s/%s: non-positive mapped measurement %+v", r.Dataset, r.Algo, r)
-		}
-	}
-	if cmp.GeoMeanSpeedup <= 0 || math.IsNaN(cmp.GeoMeanSpeedup) {
-		t.Errorf("geomean speedup = %g", cmp.GeoMeanSpeedup)
-	}
-	if len(rep.Rows) != len(cmp.Results) {
-		t.Error("report row count mismatch")
-	}
-	// The store section rides inside Comparison as "store".
-	var buf bytes.Buffer
-	if err := (&Comparison{Store: cmp}).WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"store"`, `"build_ms"`, `"load_ms"`, `"geomean_speedup"`,
-		`"mapped_load_ms"`, `"copy_first_query_ms"`, `"mapped_first_query_ms"`} {
-		if !strings.Contains(buf.String(), key) {
-			t.Errorf("JSON missing %s", key)
-		}
 	}
 }

@@ -77,14 +77,6 @@ type Config struct {
 	// bit-identical for any value; only the measured algorithms stay
 	// single-threaded). Default min(GOMAXPROCS, 8).
 	GTWorkers int
-	// BatchSizes are the multi-source batch sizes of the throughput
-	// experiment. Default {8, 32}.
-	BatchSizes []int
-	// ZipfS is the rank-Zipf exponent skewing the throughput
-	// experiment's source draw — hot sources repeat within a batch the
-	// way they do in real query logs, which is precisely what the
-	// batched pipeline's dedup exploits. Default 1.3.
-	ZipfS float64
 	// Seed anchors all randomness.
 	Seed uint64
 }
@@ -144,12 +136,6 @@ func (c Config) WithDefaults() Config {
 		if c.GTWorkers > 8 {
 			c.GTWorkers = 8
 		}
-	}
-	if len(c.BatchSizes) == 0 {
-		c.BatchSizes = []int{8, 32}
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.3
 	}
 	if c.Seed == 0 {
 		c.Seed = 42

@@ -426,9 +426,9 @@ func TestServingProfileWeb1m(t *testing.T) {
 	if p.Edges < 1_000_000 {
 		t.Fatalf("web-1m declares %d edges, serving benchmarks need >= 10^6", p.Edges)
 	}
-	// Serving profiles stay out of the paper set: the committed
-	// BENCH_crashsim.json baseline iterates Profiles(), and growing it
-	// would silently change every recorded comparison.
+	// Serving profiles stay out of the paper set: the paper
+	// experiments iterate Profiles(), and growing it would silently
+	// change every committed table and figure.
 	for _, q := range Profiles() {
 		if q.Name == p.Name {
 			t.Fatalf("serving profile %q leaked into Profiles()", p.Name)

@@ -69,9 +69,9 @@ var profiles = []Profile{
 // III, sized so the serving stack (result cache, admission control,
 // batch pipeline) is measured under real memory and cache pressure.
 // They are reachable by name (ProfileByName) but deliberately excluded
-// from Profiles(): the paper-reproduction experiments and the
-// BENCH_crashsim.json baseline iterate Profiles(), and growing that
-// set would silently change every committed comparison.
+// from Profiles(): the paper-reproduction experiments iterate
+// Profiles(), and growing that set would silently change every
+// committed table and figure.
 var servingProfiles = []Profile{
 	// web-1m: a directed power-law graph at 10⁶+ edges, the scale the
 	// repo benchmark's serving workloads run against (scaled down).

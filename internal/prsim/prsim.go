@@ -61,15 +61,18 @@ type Options struct {
 	// 1 indexes everything (SLING-like).
 	HubFraction float64
 	// Iterations overrides the number of source walks n_q per query
-	// (0 derives ⌈3c/ε²·ln(n/δ)⌉, as for the other MC methods).
+	// (0 derives ⌈3c/ε²·ln(n/δ)⌉, as for the other MC methods). At most
+	// maxIterations.
 	Iterations int
 	// MaxDepth caps walk length and push depth. 0 derives the depth at
-	// which the remaining walk mass drops below Eps/4.
+	// which the remaining walk mass drops below Eps/4. At most
+	// maxDepthLimit.
 	MaxDepth int
 	// Prune drops push entries below this threshold. 0 derives
 	// ε·(1−√c)/8.
 	Prune float64
-	// DSamples is the per-node sample count for d(w). Default 120.
+	// DSamples is the per-node sample count for d(w). Default 120, at
+	// most maxDSamples.
 	DSamples int
 	// Workers bounds hub-build and batch-query parallelism (default 1).
 	// It never affects results — builds are byte-identical across
@@ -112,6 +115,19 @@ func (o Options) withDefaults() Options {
 // its default, the form recorded in the index and its snapshots.
 func (o Options) WithDefaults() Options { return o.withDefaults() }
 
+// Upper bounds on the options that size build and query work. A
+// snapshot stores them as u32 fields, and Validate is what keeps a
+// forged value from running the tail builds' d(w) sampler or the query
+// loop for minutes. Each sits far above anything derived in this
+// repository: MaxDepth is 23 at c = 0.6 and the smallest ε Fig 5 sweeps
+// (0.0125); the theory n_q there is about 217k on a 1M-node graph
+// (serve-index overrides it to 20); DSamples defaults to 120.
+const (
+	maxDepthLimit = 1024
+	maxDSamples   = 1 << 16
+	maxIterations = 1 << 24
+)
+
 // Validate checks option ranges after defaulting.
 func (o Options) Validate() error {
 	q := o.withDefaults()
@@ -127,17 +143,17 @@ func (o Options) Validate() error {
 	if q.HubFraction < 0 || q.HubFraction > 1 {
 		return fmt.Errorf("prsim: hub fraction %g outside [0,1]", q.HubFraction)
 	}
-	if q.Iterations < 0 {
-		return fmt.Errorf("prsim: iterations must be >= 0, got %d", q.Iterations)
+	if q.Iterations < 0 || q.Iterations > maxIterations {
+		return fmt.Errorf("prsim: Iterations %d outside [0,%d]", q.Iterations, maxIterations)
 	}
-	if q.MaxDepth < 1 {
-		return fmt.Errorf("prsim: max depth must be >= 1, got %d", q.MaxDepth)
+	if q.MaxDepth < 1 || q.MaxDepth > maxDepthLimit {
+		return fmt.Errorf("prsim: MaxDepth %d outside [1,%d]", q.MaxDepth, maxDepthLimit)
 	}
 	if q.Prune < 0 {
 		return fmt.Errorf("prsim: prune threshold must be >= 0, got %g", q.Prune)
 	}
-	if q.DSamples < 1 {
-		return fmt.Errorf("prsim: d samples must be >= 1, got %d", q.DSamples)
+	if q.DSamples < 1 || q.DSamples > maxDSamples {
+		return fmt.Errorf("prsim: DSamples %d outside [1,%d]", q.DSamples, maxDSamples)
 	}
 	if q.Workers < 1 {
 		return fmt.Errorf("prsim: workers must be >= 1, got %d", q.Workers)

@@ -10,13 +10,17 @@ import (
 )
 
 func TestOptionsValidate(t *testing.T) {
-	for _, o := range []Options{{C: 2}, {Eps: 7}, {HubFraction: 2}, {Iterations: -1}, {MaxDepth: -1}} {
+	for _, o := range []Options{{C: 2}, {Eps: 7}, {HubFraction: 2}, {Iterations: -1}, {MaxDepth: -1},
+		{Iterations: maxIterations + 1}, {MaxDepth: maxDepthLimit + 1}, {DSamples: maxDSamples + 1}} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
+	}
+	if err := (Options{Iterations: maxIterations, MaxDepth: maxDepthLimit, DSamples: maxDSamples}).Validate(); err != nil {
+		t.Errorf("options at their upper bounds rejected: %v", err)
 	}
 }
 

@@ -42,13 +42,14 @@ type Options struct {
 	// Eps is the additive error target ε. Default 0.025.
 	Eps float64
 	// Lmax truncates the stored distributions. 0 derives the length at
-	// which the remaining walk mass (√c)^L drops below ε/4.
+	// which the remaining walk mass (√c)^L drops below ε/4. At most
+	// maxLmax.
 	Lmax int
 	// Prune drops per-entry probabilities below this threshold during
 	// the push. 0 derives ε·(1−√c)/8.
 	Prune float64
 	// DSamples is the number of coupled walk pairs used to estimate each
-	// d(x). Default 120.
+	// d(x). Default 120, at most maxDSamples.
 	DSamples int
 	// Workers bounds index-construction parallelism (the per-node pushes
 	// and d estimations are independent). Results are identical for any
@@ -78,6 +79,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Upper bounds on the options that size build work. A snapshot stores
+// them as u32 fields, and Validate is what keeps a forged value from
+// running NeverMeet for minutes. Both sit far above anything derived
+// in this repository: Lmax is 23 at c = 0.6 and the smallest ε Fig 5
+// sweeps (0.0125), and DSamples defaults to 120.
+const (
+	maxLmax     = 1024
+	maxDSamples = 1 << 16
+)
+
 // Validate checks option ranges after defaulting.
 func (o Options) Validate() error {
 	q := o.withDefaults()
@@ -87,11 +98,11 @@ func (o Options) Validate() error {
 	if q.Eps <= 0 || q.Eps >= 1 {
 		return fmt.Errorf("sling: error bound eps=%g outside (0,1)", q.Eps)
 	}
-	if q.Lmax < 1 {
-		return fmt.Errorf("sling: lmax must be >= 1, got %d", q.Lmax)
+	if q.Lmax < 1 || q.Lmax > maxLmax {
+		return fmt.Errorf("sling: Lmax %d outside [1,%d]", q.Lmax, maxLmax)
 	}
-	if q.DSamples < 1 {
-		return fmt.Errorf("sling: d samples must be >= 1, got %d", q.DSamples)
+	if q.DSamples < 1 || q.DSamples > maxDSamples {
+		return fmt.Errorf("sling: DSamples %d outside [1,%d]", q.DSamples, maxDSamples)
 	}
 	return nil
 }

@@ -10,13 +10,16 @@ import (
 )
 
 func TestOptionsValidate(t *testing.T) {
-	for _, o := range []Options{{C: 2}, {Eps: 7}, {Lmax: -1}, {DSamples: -1}} {
+	for _, o := range []Options{{C: 2}, {Eps: 7}, {Lmax: -1}, {DSamples: -1}, {Lmax: maxLmax + 1}, {DSamples: maxDSamples + 1}} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
+	}
+	if err := (Options{Lmax: maxLmax, DSamples: maxDSamples}).Validate(); err != nil {
+		t.Errorf("options at their upper bounds rejected: %v", err)
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
 
 	"crashsim/internal/gen"
 	"crashsim/internal/graph"
+	"crashsim/internal/prsim"
 	"crashsim/internal/reads"
 	"crashsim/internal/sling"
 )
@@ -112,8 +114,10 @@ func TestCopyOutBitIdentical(t *testing.T) {
 // TestImportWorkIsSizeIndependent pins the cost of bringing an index
 // online: Load, and OpenMapped under every policy, followed by an
 // import of either index family, must allocate the same number of
-// objects at two graph sizes. Arrays alias the buffer, so nothing
-// scales with the index except the one read buffer Load allocates.
+// objects at two graph sizes, and the import itself the same number of
+// bytes up to a small slack. Arrays alias the buffer, so nothing scales
+// with the index except the one read buffer Load allocates; a bulk
+// copy of any array is one allocation, which only the byte count sees.
 func TestImportWorkIsSizeIndependent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not checked under -race")
@@ -121,24 +125,19 @@ func TestImportWorkIsSizeIndependent(t *testing.T) {
 	if !castArrays {
 		t.Skip("the copy-out branch allocates per array by design")
 	}
-	type opener struct {
-		name string
-		open func(path string) (*Mapped, error)
-	}
-	opens := []opener{{"Load", Load}}
-	for _, verify := range []VerifyPolicy{VerifyOnLoadSection, VerifyEager, VerifyNone} {
-		opens = append(opens, opener{"OpenMapped/" + verify.String(), func(path string) (*Mapped, error) {
-			return OpenMapped(path, MapOptions{Verify: verify})
-		}})
-	}
-	imports := map[string]func(*Mapped) (interface{ Close() error }, error){
+	// byteSlack absorbs runtime allocations that land inside the
+	// measurement; copying the smallest per-node array (sling's d
+	// values) at n = 960 would add 7 KiB.
+	const byteSlack = 1 << 10
+	imports := map[string]importFunc{
 		"sling": func(mp *Mapped) (interface{ Close() error }, error) { return mp.ImportSling(mp.Graph()) },
 		"reads": func(mp *Mapped) (interface{ Close() error }, error) { return mp.ImportReads(mp.Graph()) },
 	}
 	paths := []string{sizedSnapshot(t, 48), sizedSnapshot(t, 960)}
-	for _, o := range opens {
+	for _, o := range snapshotOpeners() {
 		for name, imp := range imports {
 			var counts []float64
+			var bytes []uint64
 			for _, path := range paths {
 				counts = append(counts, testing.AllocsPerRun(5, func() {
 					mp, err := o.open(path)
@@ -152,18 +151,104 @@ func TestImportWorkIsSizeIndependent(t *testing.T) {
 					ix.Close()
 					mp.Close()
 				}))
+				bytes = append(bytes, importBytes(t, o.open, path, imp))
 			}
-			t.Logf("%s + Import%s: %v allocations", o.name, name, counts)
+			t.Logf("%s + Import%s: %v allocations, %v bytes per import", o.name, name, counts, bytes)
 			if counts[0] != counts[1] {
 				t.Errorf("%s + %s import allocates %v objects at n = 48 and %v at n = 960",
 					o.name, name, counts[0], counts[1])
+			}
+			if bytes[1] > bytes[0]+byteSlack {
+				t.Errorf("%s + %s import allocates %d bytes at n = 48 and %d at n = 960 (slack %d)",
+					o.name, name, bytes[0], bytes[1], byteSlack)
 			}
 		}
 	}
 }
 
-// sizedSnapshot writes an n-node random graph with SLING and READS
-// indexes and returns the path.
+// TestImportWorkPRSimDoesNotCopy pins that a PRSim import serves its
+// tables out of the snapshot buffer under every opener. Its allocations
+// grow with n (a table header per built table), so the size-independence
+// check above cannot take it; instead the heap bytes of one ImportPRSim
+// must stay below a quarter of the section's entry columns, which a
+// copy of Origins and Probs would exceed fourfold.
+func TestImportWorkPRSimDoesNotCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocations are not checked under -race")
+	}
+	if !castArrays {
+		t.Skip("the copy-out branch allocates per array by design")
+	}
+	path := sizedSnapshot(t, 960)
+	mp, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := mp.section(SecPRSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := decodePRSim(payload, mp.graphVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	columns := uint64(len(p.Origins))*uint64(unsafe.Sizeof(p.Origins[0])) +
+		uint64(len(p.Probs))*uint64(unsafe.Sizeof(p.Probs[0]))
+	mp.Close()
+	imp := func(mp *Mapped) (interface{ Close() error }, error) { return mp.ImportPRSim(mp.Graph()) }
+	for _, o := range snapshotOpeners() {
+		got := importBytes(t, o.open, path, imp)
+		t.Logf("%s + ImportPRSim: %d bytes per import, entry columns %d bytes", o.name, got, columns)
+		if got >= columns/4 {
+			t.Errorf("%s + ImportPRSim allocates %d bytes per call, want < %d (a quarter of the %d-byte entry columns)",
+				o.name, got, columns/4, columns)
+		}
+	}
+}
+
+type importFunc func(*Mapped) (interface{ Close() error }, error)
+
+// importBytes opens path and returns the heap bytes one imp call
+// allocates, averaged over five calls. The open is not counted.
+func importBytes(t *testing.T, open func(string) (*Mapped, error), path string, imp importFunc) uint64 {
+	t.Helper()
+	const runs = 5
+	mp, err := open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mp.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ix, err := imp(mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Close()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+type snapshotOpener struct {
+	name string
+	open func(path string) (*Mapped, error)
+}
+
+// snapshotOpeners returns Load and OpenMapped under every verify policy.
+func snapshotOpeners() []snapshotOpener {
+	opens := []snapshotOpener{{"Load", Load}}
+	for _, verify := range []VerifyPolicy{VerifyOnLoadSection, VerifyEager, VerifyNone} {
+		opens = append(opens, snapshotOpener{"OpenMapped/" + verify.String(), func(path string) (*Mapped, error) {
+			return OpenMapped(path, MapOptions{Verify: verify})
+		}})
+	}
+	return opens
+}
+
+// sizedSnapshot writes an n-node random graph with SLING, READS and
+// PRSim indexes and returns the path.
 func sizedSnapshot(t *testing.T, n int) string {
 	t.Helper()
 	edges, err := gen.ErdosRenyi(n, 4*n, true, uint64(n))
@@ -188,9 +273,13 @@ func sizedSnapshot(t *testing.T, n int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slP, rdP := sl.Export(), rd.Export()
+	pr, err := prsim.Build(g, prsim.Options{HubFraction: 0.25, DSamples: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slP, rdP, prP := sl.Export(), rd.Export(), pr.Export()
 	path := filepath.Join(t.TempDir(), fmt.Sprintf("n%d.snap", n))
-	if err := Write(path, &Snapshot{Graph: g, Sling: &slP, Reads: &rdP}); err != nil {
+	if err := Write(path, &Snapshot{Graph: g, Sling: &slP, Reads: &rdP, PRSim: &prP}); err != nil {
 		t.Fatal(err)
 	}
 	return path

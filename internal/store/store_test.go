@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crashsim/internal/graph"
@@ -380,6 +381,53 @@ func TestImportRefusesWrongGraph(t *testing.T) {
 	if _, err := got.ImportPRSim(other); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("ImportPRSim(other graph) error = %v, want ErrVersionMismatch", err)
 	}
+}
+
+// TestImportRefusesOverBoundOptions: a snapshot whose stored options
+// carry an over-bound value (here 2^30, which fits the u32 field) must
+// fail at import with an error naming the field, not run the tail
+// builds or the query loop with it.
+func TestImportRefusesOverBoundOptions(t *testing.T) {
+	const forged = 1 << 30
+	cases := []struct {
+		field string
+		forge func(*Snapshot)
+		imp   func(*Mapped) error
+	}{
+		{"Lmax", func(s *Snapshot) { f := *s.Sling; f.Opt.Lmax = forged; s.Sling = &f }, importSling},
+		{"DSamples", func(s *Snapshot) { f := *s.Sling; f.Opt.DSamples = forged; s.Sling = &f }, importSling},
+		{"MaxDepth", func(s *Snapshot) { p := *s.PRSim; p.Opt.MaxDepth = forged; s.PRSim = &p }, importPRSim},
+		{"DSamples", func(s *Snapshot) { p := *s.PRSim; p.Opt.DSamples = forged; s.PRSim = &p }, importPRSim},
+		{"Iterations", func(s *Snapshot) { p := *s.PRSim; p.Opt.Iterations = forged; s.PRSim = &p }, importPRSim},
+	}
+	for _, c := range cases {
+		snap, _, _, _ := testSnapshot(t)
+		c.forge(snap)
+		mp, err := Decode(encodeOK(t, snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.imp(mp); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("import with %s = %d: error %v, want one naming %s", c.field, forged, err, c.field)
+		}
+		mp.Close()
+	}
+}
+
+func importSling(mp *Mapped) error {
+	ix, err := mp.ImportSling(mp.Graph())
+	if err == nil {
+		ix.Close()
+	}
+	return err
+}
+
+func importPRSim(mp *Mapped) error {
+	ix, err := mp.ImportPRSim(mp.Graph())
+	if err == nil {
+		ix.Close()
+	}
+	return err
 }
 
 func TestImportMissingSection(t *testing.T) {
