@@ -18,10 +18,13 @@
 //	crashsim -temporal as.tgraph -source 3 -query durable -topk 10
 //
 // Index persistence (sling, reads and prsim backends): -save-index builds the
-// index, snapshots graph + index to a file (internal/store format) and
+// index, snapshots graph + index to a file (internal/store format v3) and
 // answers the query; -load-index answers the query from a snapshot —
 // graph included, so no -graph/-profile is needed — after verifying
-// checksums and graph identity. -verify-index additionally rebuilds
+// checksums, graph identity and the recorded index options, whose
+// parameters the answer then uses. Both paths go through the engine's
+// one per-backend table (engine.BuildIndex, engine.ImportIndex), the
+// same one simserver -index-dir and gendata -save-index use. -verify-index additionally rebuilds
 // the index from the snapshot's own graph and insists on bit-identical
 // single-source scores, exiting nonzero on any divergence (CI runs
 // this across build/load process boundaries to catch format drift):
@@ -47,15 +50,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"crashsim"
 	"crashsim/internal/engine"
 	"crashsim/internal/graph"
-	"crashsim/internal/prsim"
-	"crashsim/internal/reads"
-	"crashsim/internal/sling"
 	"crashsim/internal/store"
 )
 
@@ -212,16 +213,17 @@ func runStatic(graphFile, profile string, scale float64, source int, algo string
 	return nil
 }
 
-// runIndexed is the index-persistence path for the sling and reads
-// backends: build + snapshot (-save-index), or answer from a snapshot
-// (-load-index), optionally proving the loaded index bit-identical to
-// a rebuild (-verify-index). When loading, the index parameters come
-// from the snapshot itself — the graph travels inside it, so the
-// command is self-contained.
+// runIndexed is the index-persistence path for the index-based
+// backends (engine.IndexBackends): build + snapshot (-save-index), or
+// answer from a snapshot (-load-index), optionally proving the loaded
+// index bit-identical to a rebuild (-verify-index). When loading, the
+// index parameters come from the snapshot itself — the graph travels
+// inside it, so the command is self-contained.
 func runIndexed(graphFile, profile string, scale float64, source int, algo string, topk int,
 	save, load string, verify, useMmap bool, hubFraction float64, opt crashsim.Options) error {
-	if algo != "sling" && algo != "reads" && algo != "prsim" {
-		return fmt.Errorf("-save-index/-load-index need an index-based backend (sling, reads or prsim), got %q", algo)
+	if !slices.Contains(engine.IndexBackends(), algo) {
+		return fmt.Errorf("-save-index/-load-index need an index-based backend (%s), got %q",
+			strings.Join(engine.IndexBackends(), ", "), algo)
 	}
 	if load != "" && save != "" {
 		return fmt.Errorf("-save-index and -load-index are mutually exclusive")
@@ -262,25 +264,10 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 			load, g.NumNodes(), g.NumEdges(), g.Version(), how, mp.MappedBytes(),
 			time.Since(start).Round(time.Microsecond))
 		importStart := time.Now()
-		switch algo {
-		case "sling":
-			ix, err := mp.ImportSling(g)
-			if err != nil {
-				return err
-			}
-			fillSling(&ecfg, ix)
-		case "reads":
-			ix, err := mp.ImportReads(g)
-			if err != nil {
-				return err
-			}
-			fillReads(&ecfg, ix)
-		case "prsim":
-			ix, err := mp.ImportPRSim(g)
-			if err != nil {
-				return err
-			}
-			fillPRSim(&ecfg, ix)
+		// Adopt the parameters the snapshot records, so the answer (and
+		// -verify-index's rebuild) uses the snapshot's own settings.
+		if err := engine.ImportIndex(mp, algo, g, &ecfg, true); err != nil {
+			return err
 		}
 		fmt.Printf("imported %s index in %v\n", algo, time.Since(importStart).Round(time.Microsecond))
 		if err := verifyLoaded(ctx, verify, algo, g, ecfg); err != nil {
@@ -297,31 +284,8 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 			Meta:  store.Meta{Dataset: datasetSpec(graphFile, profile, scale, opt.Seed), Tool: "crashsim", CreatedUnix: time.Now().Unix()},
 		}
 		buildStart := time.Now()
-		switch algo {
-		case "sling":
-			ix, err := engine.BuildSlingIndex(ctx, g, ecfg)
-			if err != nil {
-				return err
-			}
-			ecfg.SlingIndex = ix
-			p := ix.Export()
-			snap.Sling = &p
-		case "reads":
-			ix, err := engine.BuildReadsIndex(ctx, g, ecfg)
-			if err != nil {
-				return err
-			}
-			ecfg.ReadsIndex = ix
-			p := ix.Export()
-			snap.Reads = &p
-		case "prsim":
-			ix, err := engine.BuildPRSimIndex(ctx, g, ecfg)
-			if err != nil {
-				return err
-			}
-			ecfg.PRSimIndex = ix
-			p := ix.Export()
-			snap.PRSim = &p
+		if err := engine.BuildIndex(ctx, algo, g, &ecfg, snap); err != nil {
+			return err
 		}
 		fmt.Printf("built %s index in %v\n", algo, time.Since(buildStart).Round(time.Microsecond))
 		if err := store.Write(save, snap); err != nil {
@@ -345,30 +309,6 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 		fmt.Printf("%3d. node %-8d sim=%.5f\n", rank+1, v, scores[v])
 	}
 	return nil
-}
-
-// fillSling/fillReads/fillPRSim adopt a loaded index into the engine
-// config together with the parameters recorded in its snapshot, so a
-// -load-index run answers with the snapshot's own settings.
-func fillSling(ecfg *engine.Config, ix *sling.Index) {
-	ecfg.SlingIndex = ix
-	o := ix.Options()
-	ecfg.C, ecfg.Eps, ecfg.Seed = o.C, o.Eps, o.Seed
-	ecfg.SlingDSamples = o.DSamples
-}
-
-func fillReads(ecfg *engine.Config, ix *reads.Index) {
-	ecfg.ReadsIndex = ix
-	o := ix.Options()
-	ecfg.C, ecfg.Seed = o.C, o.Seed
-	ecfg.ReadsR, ecfg.ReadsRQ = o.R, o.RQ
-}
-
-func fillPRSim(ecfg *engine.Config, ix *prsim.Index) {
-	ecfg.PRSimIndex = ix
-	o := ix.Options()
-	ecfg.C, ecfg.Eps, ecfg.Delta, ecfg.Seed = o.C, o.Eps, o.Delta, o.Seed
-	ecfg.Iterations, ecfg.HubFraction, ecfg.PRSimDSamples = o.Iterations, o.HubFraction, o.DSamples
 }
 
 // verifyLoaded rebuilds the index from the snapshot's own graph with

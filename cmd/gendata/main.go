@@ -14,9 +14,12 @@
 //	gendata -model smallworld -nodes 1000 -k 3 -beta 0.1 -o sw.txt
 //
 // With -save-index, gendata additionally builds a SimRank index over
-// the generated static graph and writes a graph+index snapshot
-// (internal/store format) that simserver -index-dir and
-// crashsim -load-index consume:
+// the generated static graph (-index-algo: any of
+// engine.IndexBackends, i.e. sling, reads or prsim) with the engine's
+// default parameters and writes a graph+index snapshot (internal/store
+// format v3) that simserver -index-dir and crashsim -load-index
+// consume. The build goes through engine.BuildIndex, the same
+// per-backend table those commands use:
 //
 //	gendata -profile hepth -scale 0.05 -save-index hepth.snap -index-algo sling
 package main
@@ -132,30 +135,8 @@ func saveSnapshot(g *graph.Graph, path, algo, spec string, seed uint64) error {
 		Meta:  store.Meta{Dataset: spec, Tool: "gendata", CreatedUnix: time.Now().Unix()},
 	}
 	start := time.Now()
-	switch algo {
-	case "sling":
-		ix, err := engine.BuildSlingIndex(context.Background(), g, ecfg)
-		if err != nil {
-			return err
-		}
-		p := ix.Export()
-		snap.Sling = &p
-	case "reads":
-		ix, err := engine.BuildReadsIndex(context.Background(), g, ecfg)
-		if err != nil {
-			return err
-		}
-		p := ix.Export()
-		snap.Reads = &p
-	case "prsim":
-		ix, err := engine.BuildPRSimIndex(context.Background(), g, ecfg)
-		if err != nil {
-			return err
-		}
-		p := ix.Export()
-		snap.PRSim = &p
-	default:
-		return fmt.Errorf("unknown -index-algo %q (want sling, reads or prsim)", algo)
+	if err := engine.BuildIndex(context.Background(), algo, g, &ecfg, snap); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "gendata: built %s index in %v\n", algo, time.Since(start).Round(time.Millisecond))
 	if err := store.Write(path, snap); err != nil {

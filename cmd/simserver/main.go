@@ -11,7 +11,7 @@
 //	curl 'localhost:8080/metrics'
 //
 // The backend is selected with -algo (crashsim, probesim, sling, reads,
-// exact); index-based backends build their index at startup. Each query
+// prsim, exact); index-based backends build their index at startup. Each query
 // runs under a per-request deadline (-timeout), concurrent estimates
 // are bounded by an admission gate (-max-inflight, weighted by batch
 // size; excess queries get 429 + Retry-After; -max-batch caps batch
@@ -29,15 +29,20 @@
 // /stats and /metrics the full cache counters.
 //
 // With -index-dir set and an index-based backend (sling, reads,
-// prsim), the
-// server restarts warm: it looks for a snapshot of the dataset's index
-// in that directory (internal/store format) and loads it instead of
-// rebuilding, after verifying checksums and that the snapshot's graph
-// version matches the dataset actually loaded. On a miss — no file, a
-// corrupt file, a version or parameter mismatch — it rebuilds as usual
-// and writes the snapshot through for the next restart. A loaded index
-// is bit-identical to a rebuilt one (enforced by tests and
-// crashsim -verify-index), so warm restarts change startup time only.
+// prsim), the server restarts warm: it looks for a snapshot of the
+// dataset's index in that directory (internal/store format v3) and
+// loads it instead of rebuilding, after verifying checksums, that the
+// snapshot's graph version matches the dataset actually loaded and
+// that the index was built with the parameters the flags ask for
+// (those of -c, -eps, -iters, -seed and -hub-fraction its backend
+// reads). On a miss — no file, a corrupt file, a version or parameter
+// mismatch — it rebuilds as usual and writes the snapshot through,
+// replacing the stale file, for the next restart. Loading and
+// rebuilding go through the engine's one per-backend table
+// (engine.ImportIndex, engine.BuildIndex), the same one crashsim and
+// gendata use. A loaded index is bit-identical to a rebuilt one
+// (enforced by tests and crashsim -verify-index), so warm restarts
+// change startup time only.
 //
 // Without -mmap the snapshot is read onto the heap and fully verified
 // before use. -mmap upgrades the warm restart to zero-copy: the
@@ -64,6 +69,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -71,10 +77,7 @@ import (
 	"crashsim"
 	"crashsim/internal/core"
 	"crashsim/internal/engine"
-	"crashsim/internal/prsim"
-	"crashsim/internal/reads"
 	"crashsim/internal/server"
-	"crashsim/internal/sling"
 	"crashsim/internal/store"
 )
 
@@ -225,68 +228,42 @@ func parseVerifyPolicy(s string) (store.VerifyPolicy, error) {
 // twice. One startup line records which path ran: mode=mapped|heap|build,
 // the load wall time, and the mapped byte count (0 unless mapped).
 func setupIndex(scfg *server.Config, g *crashsim.Graph, dir, spec string, useMmap bool, policy store.VerifyPolicy) error {
-	if scfg.Algo != "sling" && scfg.Algo != "reads" && scfg.Algo != "prsim" {
+	if !slices.Contains(engine.IndexBackends(), scfg.Algo) {
 		log.Printf("index-dir: backend %q builds no persistent index; ignoring", scfg.Algo)
 		return nil
 	}
-	ecfg := engine.Config{
-		C: scfg.Params.C, Eps: scfg.Params.Eps, Delta: scfg.Params.Delta,
-		Iterations: scfg.Params.Iterations, Workers: scfg.Params.Workers,
-		Seed: scfg.Params.Seed, HubFraction: scfg.HubFraction,
-	}
+	ecfg := scfg.Engine()
 	path := store.SnapshotPath(dir, spec, scfg.Algo)
-	if loadIndex(scfg, g, path, useMmap, policy) {
-		return nil
-	}
-	start := time.Now()
-	snap := &store.Snapshot{
-		Graph: g,
-		Meta:  store.Meta{Dataset: spec, Tool: "simserver", CreatedUnix: time.Now().Unix()},
-	}
-	var err error
-	switch scfg.Algo {
-	case "sling":
-		var ix *sling.Index
-		if ix, err = engine.BuildSlingIndex(context.Background(), g, ecfg); err == nil {
-			scfg.SlingIndex = ix
-			p := ix.Export()
-			snap.Sling = &p
+	if !loadIndex(&ecfg, scfg.Algo, g, path, useMmap, policy) {
+		start := time.Now()
+		snap := &store.Snapshot{
+			Graph: g,
+			Meta:  store.Meta{Dataset: spec, Tool: "simserver", CreatedUnix: time.Now().Unix()},
 		}
-	case "reads":
-		var ix *reads.Index
-		if ix, err = engine.BuildReadsIndex(context.Background(), g, ecfg); err == nil {
-			scfg.ReadsIndex = ix
-			p := ix.Export()
-			snap.Reads = &p
+		if err := engine.BuildIndex(context.Background(), scfg.Algo, g, &ecfg, snap); err != nil {
+			return fmt.Errorf("building %s index: %w", scfg.Algo, err)
 		}
-	case "prsim":
-		var ix *prsim.Index
-		if ix, err = engine.BuildPRSimIndex(context.Background(), g, ecfg); err == nil {
-			scfg.PRSimIndex = ix
-			p := ix.Export()
-			snap.PRSim = &p
+		log.Printf("index load: mode=build algo=%s wall=%v mapped_bytes=0 path=%s",
+			scfg.Algo, time.Since(start).Round(time.Millisecond), path)
+		if err := store.Write(path, snap); err != nil {
+			// A failed write-through costs the next restart, not this one.
+			log.Printf("index snapshot write-through failed: %v", err)
+		} else {
+			log.Printf("wrote index snapshot %s for the next restart", path)
 		}
 	}
-	if err != nil {
-		return fmt.Errorf("building %s index: %w", scfg.Algo, err)
-	}
-	log.Printf("index load: mode=build algo=%s wall=%v mapped_bytes=0 path=%s",
-		scfg.Algo, time.Since(start).Round(time.Millisecond), path)
-	if err := store.Write(path, snap); err != nil {
-		// A failed write-through costs the next restart, not this one.
-		log.Printf("index snapshot write-through failed: %v", err)
-	} else {
-		log.Printf("wrote index snapshot %s for the next restart", path)
-	}
+	scfg.SlingIndex, scfg.ReadsIndex, scfg.PRSimIndex = ecfg.SlingIndex, ecfg.ReadsIndex, ecfg.PRSimIndex
 	return nil
 }
 
-// loadIndex attempts the warm restart: open the snapshot, gate it on
-// the dataset's graph version, and import the backend's index. Returns
-// false on any miss — the caller rebuilds. The handle is closed before
-// returning; imported indexes hold their own buffer references until
+// loadIndex attempts the warm restart: open the snapshot and import
+// the backend's index into ecfg, which checks that it was built on the
+// dataset's graph with the parameters ecfg asks for. Returns false on
+// any miss — an absent, corrupt or stale file, or a parameter
+// mismatch — and the caller rebuilds. The handle is closed before
+// returning; an imported index holds its own buffer reference until
 // server shutdown.
-func loadIndex(scfg *server.Config, g *crashsim.Graph, path string, useMmap bool, policy store.VerifyPolicy) bool {
+func loadIndex(ecfg *engine.Config, algo string, g *crashsim.Graph, path string, useMmap bool, policy store.VerifyPolicy) bool {
 	start := time.Now()
 	open, mode := store.Load, "heap"
 	if useMmap {
@@ -305,20 +282,7 @@ func loadIndex(scfg *server.Config, g *crashsim.Graph, path string, useMmap bool
 		return false
 	}
 	defer mp.Close()
-	if mp.GraphVersion() != g.Version() {
-		log.Printf("index snapshot %s was built for graph %#x, dataset is %#x; rebuilding",
-			path, mp.GraphVersion(), g.Version())
-		return false
-	}
-	switch scfg.Algo {
-	case "sling":
-		scfg.SlingIndex, err = mp.ImportSling(g)
-	case "reads":
-		scfg.ReadsIndex, err = mp.ImportReads(g)
-	case "prsim":
-		scfg.PRSimIndex, err = mp.ImportPRSim(g)
-	}
-	if err != nil {
+	if err := engine.ImportIndex(mp, algo, g, ecfg, false); err != nil {
 		log.Printf("index snapshot %s rejected (%v); rebuilding", path, err)
 		return false
 	}
@@ -327,7 +291,7 @@ func loadIndex(scfg *server.Config, g *crashsim.Graph, path string, useMmap bool
 		mapped = mp.MappedBytes()
 	}
 	log.Printf("index load: mode=%s algo=%s wall=%v mapped_bytes=%d crc=%s path=%s",
-		mode, scfg.Algo, time.Since(start).Round(time.Millisecond), mapped, policy, path)
+		mode, algo, time.Since(start).Round(time.Millisecond), mapped, policy, path)
 	return true
 }
 

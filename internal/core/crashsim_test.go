@@ -66,6 +66,11 @@ func TestParamsValidate(t *testing.T) {
 		{"negative c", Params{C: -0.1}, "decay factor"},
 		{"bad eps", Params{Eps: 2}, "error bound"},
 		{"bad delta", Params{Delta: 1}, "failure probability"},
+		// NaN compares false with everything, so each range check must
+		// be written to fail on it.
+		{"NaN c", Params{C: math.NaN()}, "decay factor"},
+		{"NaN eps", Params{Eps: math.NaN()}, "error bound"},
+		{"NaN delta", Params{Delta: math.NaN()}, "failure probability"},
 		{"negative lmax", Params{Lmax: -1}, "lmax"},
 		{"negative iterations", Params{Iterations: -5}, "iterations"},
 		{"eps below truncation", Params{Eps: 1e-9, Lmax: 2}, "truncation error"},

@@ -149,16 +149,17 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Validate checks parameter ranges after defaulting.
+// Validate checks parameter ranges after defaulting. The float checks
+// are written so that NaN fails them.
 func (p Params) Validate() error {
 	q := p.withDefaults()
-	if q.C <= 0 || q.C >= 1 {
+	if !(q.C > 0 && q.C < 1) {
 		return fmt.Errorf("core: decay factor c=%g outside (0,1)", q.C)
 	}
-	if q.Eps <= 0 || q.Eps >= 1 {
+	if !(q.Eps > 0 && q.Eps < 1) {
 		return fmt.Errorf("core: error bound eps=%g outside (0,1)", q.Eps)
 	}
-	if q.Delta <= 0 || q.Delta >= 1 {
+	if !(q.Delta > 0 && q.Delta < 1) {
 		return fmt.Errorf("core: failure probability delta=%g outside (0,1)", q.Delta)
 	}
 	if q.Lmax < 1 {

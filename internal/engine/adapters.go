@@ -78,7 +78,7 @@ func (e *probeSim) SingleSource(ctx context.Context, u graph.NodeID, omega []gra
 }
 
 // SlingOptions maps a Config to the SLING build options the sling
-// backend uses, so snapshot writers build exactly the index New would.
+// backend uses; the preload check compares an index's options to it.
 func (cfg Config) SlingOptions() sling.Options {
 	return sling.Options{
 		C: cfg.C, Eps: cfg.Eps, DSamples: cfg.SlingDSamples,
@@ -96,14 +96,13 @@ func (cfg Config) ReadsOptions() reads.Options {
 }
 
 // BuildSlingIndex builds the SLING index the sling backend would build
-// over g for cfg — the write-through path for snapshot persistence
-// (internal/store) without duplicating the option mapping.
+// over g for cfg; New and BuildIndex both build through it.
 func BuildSlingIndex(ctx context.Context, g *graph.Graph, cfg Config) (*sling.Index, error) {
 	return sling.BuildCtx(ctx, g, cfg.SlingOptions())
 }
 
 // BuildReadsIndex builds the READS index the reads backend would build
-// over g for cfg.
+// over g for cfg; New and BuildIndex both build through it.
 func BuildReadsIndex(ctx context.Context, g *graph.Graph, cfg Config) (*reads.Index, error) {
 	ix, err := reads.BuildCtx(ctx, g.Thaw(), cfg.ReadsOptions())
 	if err != nil {
@@ -114,7 +113,7 @@ func BuildReadsIndex(ctx context.Context, g *graph.Graph, cfg Config) (*reads.In
 }
 
 // PRSimOptions maps a Config to the PRSim build options the prsim
-// backend uses, so snapshot writers build exactly the index New would.
+// backend uses; the preload check compares an index's options to it.
 func (cfg Config) PRSimOptions() prsim.Options {
 	return prsim.Options{
 		C: cfg.C, Eps: cfg.Eps, Delta: cfg.Delta,
@@ -124,8 +123,7 @@ func (cfg Config) PRSimOptions() prsim.Options {
 }
 
 // BuildPRSimIndex builds the PRSim hub index the prsim backend would
-// build over g for cfg — the write-through path for snapshot
-// persistence (internal/store).
+// build over g for cfg; New and BuildIndex both build through it.
 func BuildPRSimIndex(ctx context.Context, g *graph.Graph, cfg Config) (*prsim.Index, error) {
 	return prsim.BuildCtx(ctx, g, cfg.PRSimOptions())
 }
@@ -140,27 +138,16 @@ type prsimEstimator struct {
 }
 
 func newPRSim(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error) {
-	if ix := cfg.PRSimIndex; ix != nil {
-		if v := ix.Graph().Version(); v != g.Version() {
-			return nil, fmt.Errorf("preloaded prsim index built on graph %#x, serving graph is %#x", v, g.Version())
+	ix := cfg.PRSimIndex
+	if ix == nil {
+		var err error
+		if ix, err = BuildPRSimIndex(ctx, g, cfg); err != nil {
+			return nil, err
 		}
-		if want, have := cfg.PRSimOptions().WithDefaults(), ix.Options(); !prsimOptionsEqual(want, have) {
-			return nil, fmt.Errorf("preloaded prsim index built with %+v, config asks for %+v", have, want)
-		}
-		return &prsimEstimator{g: g, ix: ix}, nil
-	}
-	ix, err := prsim.BuildCtx(ctx, g, cfg.PRSimOptions())
-	if err != nil {
+	} else if err := persisted["prsim"].check(g, cfg); err != nil {
 		return nil, err
 	}
 	return &prsimEstimator{g: g, ix: ix}, nil
-}
-
-// prsimOptionsEqual compares build-relevant options; Workers is a
-// runtime knob with no effect on the built index.
-func prsimOptionsEqual(a, b prsim.Options) bool {
-	a.Workers, b.Workers = 0, 0
-	return a == b
 }
 
 func (e *prsimEstimator) Name() string { return "prsim" }
@@ -196,27 +183,16 @@ type slingEstimator struct {
 }
 
 func newSLING(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error) {
-	if ix := cfg.SlingIndex; ix != nil {
-		if v := ix.Graph().Version(); v != g.Version() {
-			return nil, fmt.Errorf("preloaded sling index built on graph %#x, serving graph is %#x", v, g.Version())
+	ix := cfg.SlingIndex
+	if ix == nil {
+		var err error
+		if ix, err = BuildSlingIndex(ctx, g, cfg); err != nil {
+			return nil, err
 		}
-		if want, have := cfg.SlingOptions().WithDefaults(), ix.Options(); !slingOptionsEqual(want, have) {
-			return nil, fmt.Errorf("preloaded sling index built with %+v, config asks for %+v", have, want)
-		}
-		return &slingEstimator{g: g, ix: ix}, nil
-	}
-	ix, err := sling.BuildCtx(ctx, g, cfg.SlingOptions())
-	if err != nil {
+	} else if err := persisted["sling"].check(g, cfg); err != nil {
 		return nil, err
 	}
 	return &slingEstimator{g: g, ix: ix}, nil
-}
-
-// slingOptionsEqual compares build-relevant options; Workers is a
-// runtime knob with no effect on the built index.
-func slingOptionsEqual(a, b sling.Options) bool {
-	a.Workers, b.Workers = 0, 0
-	return a == b
 }
 
 func (e *slingEstimator) Name() string { return "sling" }
@@ -238,27 +214,16 @@ type readsEstimator struct {
 }
 
 func newREADS(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error) {
-	if ix := cfg.ReadsIndex; ix != nil {
-		if v := ix.SourceVersion(); v != g.Version() {
-			return nil, fmt.Errorf("preloaded reads index built on graph %#x, serving graph is %#x", v, g.Version())
+	ix := cfg.ReadsIndex
+	if ix == nil {
+		var err error
+		if ix, err = BuildReadsIndex(ctx, g, cfg); err != nil {
+			return nil, err
 		}
-		if want, have := cfg.ReadsOptions().WithDefaults(), ix.Options(); !readsOptionsEqual(want, have) {
-			return nil, fmt.Errorf("preloaded reads index built with %+v, config asks for %+v", have, want)
-		}
-		return &readsEstimator{g: g, ix: ix}, nil
-	}
-	ix, err := BuildReadsIndex(ctx, g, cfg)
-	if err != nil {
+	} else if err := persisted["reads"].check(g, cfg); err != nil {
 		return nil, err
 	}
 	return &readsEstimator{g: g, ix: ix}, nil
-}
-
-// readsOptionsEqual compares build-relevant options; Workers is a
-// runtime knob with no effect on the built index.
-func readsOptionsEqual(a, b reads.Options) bool {
-	a.Workers, b.Workers = 0, 0
-	return a == b
 }
 
 func (e *readsEstimator) Name() string { return "reads" }

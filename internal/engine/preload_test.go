@@ -241,3 +241,55 @@ func TestPreloadRefusesWrongOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestImportIndexChecksOptions: ImportIndex runs New's preload check,
+// so a snapshot built with other options is reported as a mismatch
+// before New (a warm restart with changed flags rebuilds instead of
+// failing in New) and leaves the config untouched, while the matching
+// options import and serve, and adopt takes the snapshot's options.
+func TestImportIndexChecksOptions(t *testing.T) {
+	ctx := context.Background()
+	g := preloadGraph(t)
+	cfg := preloadConfig()
+	snap := &store.Snapshot{Graph: g}
+	for _, name := range IndexBackends() {
+		built := cfg
+		if err := BuildIndex(ctx, name, g, &built, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := store.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := store.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mp.Close()
+	for _, name := range IndexBackends() {
+		other := cfg
+		other.C = 0.5
+		if err := ImportIndex(mp, name, g, &other, false); err == nil ||
+			!strings.Contains(err.Error(), "config asks for") {
+			t.Errorf("%s: import with other options: error %v, want a mismatch", name, err)
+		}
+		if other.SlingIndex != nil || other.ReadsIndex != nil || other.PRSimIndex != nil {
+			t.Errorf("%s: a refused import left an index in the config", name)
+		}
+		same := cfg
+		same.Workers = 3 // a runtime knob, not part of the index identity
+		if err := ImportIndex(mp, name, g, &same, false); err != nil {
+			t.Fatalf("%s: import with matching options: %v", name, err)
+		}
+		if _, err := New(ctx, name, g, same); err != nil {
+			t.Errorf("%s: New over the imported index: %v", name, err)
+		}
+		if err := ImportIndex(mp, name, g, &other, true); err != nil || other.C != 0.6 {
+			t.Errorf("%s: adopting import: error %v, C %v, want the snapshot's 0.6", name, err, other.C)
+		}
+	}
+	if err := BuildIndex(ctx, "crashsim", g, &cfg, snap); err == nil {
+		t.Error("BuildIndex accepted a backend without an index")
+	}
+}

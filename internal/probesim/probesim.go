@@ -64,16 +64,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Validate checks option ranges after defaulting.
+// Validate checks option ranges after defaulting. The float checks are
+// written so that NaN fails them.
 func (o Options) Validate() error {
 	q := o.withDefaults()
-	if q.C <= 0 || q.C >= 1 {
+	if !(q.C > 0 && q.C < 1) {
 		return fmt.Errorf("probesim: decay factor c=%g outside (0,1)", q.C)
 	}
-	if q.Eps <= 0 || q.Eps >= 1 {
+	if !(q.Eps > 0 && q.Eps < 1) {
 		return fmt.Errorf("probesim: error bound eps=%g outside (0,1)", q.Eps)
 	}
-	if q.Delta <= 0 || q.Delta >= 1 {
+	if !(q.Delta > 0 && q.Delta < 1) {
 		return fmt.Errorf("probesim: failure probability delta=%g outside (0,1)", q.Delta)
 	}
 	if q.Iterations < 0 {

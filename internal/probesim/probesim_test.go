@@ -17,6 +17,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"bad c", Options{C: 2}},
 		{"bad eps", Options{Eps: -1}},
 		{"bad delta", Options{Delta: 3}},
+		{"NaN c", Options{C: math.NaN()}},
+		{"NaN eps", Options{Eps: math.NaN()}},
+		{"NaN delta", Options{Delta: math.NaN()}},
 		{"bad iterations", Options{Iterations: -1}},
 		{"bad depth", Options{MaxDepth: -2}},
 	}

@@ -7,27 +7,28 @@ import (
 	"crashsim/internal/graph"
 )
 
-// TestImportBorrowedBitIdentical: the validation-skipping borrow
-// import must behave exactly like Import — same hub attribution, same
-// scores, working lazy tail fill layered over the adopted columns —
-// and release its hook exactly once on Close.
+// TestImportBorrowedBitIdentical: the borrow import the mapped loader
+// uses under its trusting policies, ImportFlat without the per-entry
+// scan, must behave exactly like the validating one — same hub
+// attribution, same scores, working lazy tail fill layered over the
+// adopted columns — and release its hook exactly once on Close.
 func TestImportBorrowedBitIdentical(t *testing.T) {
 	g := testGraph(t, 120, 700, 33)
 	ix, err := Build(g, Options{HubFraction: 0.1, Iterations: 50, DSamples: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := 0; u < 10; u++ { // warm a few tail tables into the payload
+	for u := 0; u < 10; u++ { // warm a few tail tables into the flat
 		if _, err := ix.SingleSource(graph.NodeID(u)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p := ix.Export()
-	copied, err := Import(g, p)
+	copied, err := ImportFlat(g, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	borrowed, err := ImportBorrowed(g, p)
+	borrowed, err := ImportFlat(g, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestImportBorrowedBitIdentical(t *testing.T) {
 		t.Fatalf("HubCount = %d, want %d", borrowed.HubCount(), copied.HubCount())
 	}
 	// Query past the warmed prefix so the borrowed index exercises lazy
-	// tail fill (heap-side tables next to the adopted payload columns).
+	// tail fill (heap-side tables next to the adopted columns).
 	for u := 0; u < g.NumNodes(); u += 5 {
 		want, err := copied.SingleSource(graph.NodeID(u))
 		if err != nil {
@@ -75,7 +76,7 @@ func TestImportBorrowedStillChecksShape(t *testing.T) {
 	}
 	p := ix.Export()
 	p.LevelCounts = p.LevelCounts[:len(p.LevelCounts)-1]
-	if _, err := ImportBorrowed(g, p); err == nil {
+	if _, err := ImportFlat(g, p, false); err == nil {
 		t.Fatal("truncated level counts accepted")
 	}
 }

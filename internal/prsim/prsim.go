@@ -128,19 +128,20 @@ const (
 	maxIterations = 1 << 24
 )
 
-// Validate checks option ranges after defaulting.
+// Validate checks option ranges after defaulting. Every float check is
+// written so that NaN fails it.
 func (o Options) Validate() error {
 	q := o.withDefaults()
-	if q.C <= 0 || q.C >= 1 {
+	if !(q.C > 0 && q.C < 1) {
 		return fmt.Errorf("prsim: decay factor c=%g outside (0,1)", q.C)
 	}
-	if q.Eps <= 0 || q.Eps >= 1 {
+	if !(q.Eps > 0 && q.Eps < 1) {
 		return fmt.Errorf("prsim: accuracy target eps=%g outside (0,1)", q.Eps)
 	}
-	if q.Delta <= 0 || q.Delta >= 1 {
+	if !(q.Delta > 0 && q.Delta < 1) {
 		return fmt.Errorf("prsim: failure probability delta=%g outside (0,1)", q.Delta)
 	}
-	if q.HubFraction < 0 || q.HubFraction > 1 {
+	if !(q.HubFraction >= 0 && q.HubFraction <= 1) {
 		return fmt.Errorf("prsim: hub fraction %g outside [0,1]", q.HubFraction)
 	}
 	if q.Iterations < 0 || q.Iterations > maxIterations {
@@ -149,7 +150,7 @@ func (o Options) Validate() error {
 	if q.MaxDepth < 1 || q.MaxDepth > maxDepthLimit {
 		return fmt.Errorf("prsim: MaxDepth %d outside [1,%d]", q.MaxDepth, maxDepthLimit)
 	}
-	if q.Prune < 0 {
+	if !(q.Prune >= 0) {
 		return fmt.Errorf("prsim: prune threshold must be >= 0, got %g", q.Prune)
 	}
 	if q.DSamples < 1 || q.DSamples > maxDSamples {
@@ -257,39 +258,19 @@ func Build(g *graph.Graph, opt Options) (*Index, error) {
 
 // BuildCtx is Build with cancellation; on error the index is unusable.
 func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
-	o := opt.withDefaults()
-	if err := o.Validate(); err != nil {
+	ix, hubs, err := newIndex(g, opt)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	n := g.NumNodes()
-	ix := &Index{
-		g:      g,
-		opt:    o,
-		sc:     math.Sqrt(o.C),
-		tables: make([]atomic.Pointer[table], n),
-		eager:  make([]bool, n),
-		calls:  make(map[graph.NodeID]*sync.WaitGroup),
-	}
-	if o.Iterations > 0 {
-		ix.nq = o.Iterations
-	} else {
-		ix.nq = int(math.Ceil(3 * o.C / (o.Eps * o.Eps) * math.Log(float64(n)/o.Delta)))
-	}
-
-	hubs := selectHubs(g, int(o.HubFraction*float64(n)))
-	ix.hubs = len(hubs)
-	for _, w := range hubs {
-		ix.eager[w] = true
 	}
 	if len(hubs) > 0 {
 		// Compile every hub table independently (each is a pure function
 		// of (g, opt, w)), then assemble serially in hub order into one
 		// packed arena — deterministic regardless of worker count.
 		parts := make([]*table, len(hubs))
-		if err := par.ForEachCtx(ctx, len(hubs), o.Workers, func(i int) {
+		if err := par.ForEachCtx(ctx, len(hubs), ix.opt.Workers, func(i int) {
 			parts[i] = ix.compile(hubs[i])
 		}); err != nil {
 			return nil, err
@@ -317,6 +298,43 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) 
 		}
 	}
 	return ix, nil
+}
+
+// newIndex is the one constructor behind Build and ImportFlat: it
+// defaults and validates opt, derives the per-query walk count n_q and
+// selects the hub set, returning an index with no table published yet
+// plus its hubs in ascending id order.
+func newIndex(g *graph.Graph, opt Options) (*Index, []graph.NodeID, error) {
+	o := opt.withDefaults()
+	if err := o.Validate(); err != nil {
+		return nil, nil, err
+	}
+	n := g.NumNodes()
+	nq := float64(o.Iterations)
+	if o.Iterations == 0 {
+		nq = math.Ceil(3 * o.C / (o.Eps * o.Eps) * math.Log(float64(n)/o.Delta))
+	}
+	// A tiny Eps or Delta derives a walk count past any int; refuse it
+	// here rather than convert it.
+	if !(nq <= maxIterations) {
+		return nil, nil, fmt.Errorf("prsim: Eps %g and Delta %g derive n_q = %g source walks per query, above %d; raise Eps or set Iterations",
+			o.Eps, o.Delta, nq, maxIterations)
+	}
+	ix := &Index{
+		g:      g,
+		opt:    o,
+		nq:     int(max(nq, 1)),
+		sc:     math.Sqrt(o.C),
+		tables: make([]atomic.Pointer[table], n),
+		eager:  make([]bool, n),
+		calls:  make(map[graph.NodeID]*sync.WaitGroup),
+	}
+	hubs := selectHubs(g, int(o.HubFraction*float64(n)))
+	ix.hubs = len(hubs)
+	for _, w := range hubs {
+		ix.eager[w] = true
+	}
+	return ix, hubs, nil
 }
 
 // selectHubs returns the h highest in-degree nodes (ties by ascending

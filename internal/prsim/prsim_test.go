@@ -11,7 +11,8 @@ import (
 
 func TestOptionsValidate(t *testing.T) {
 	for _, o := range []Options{{C: 2}, {Eps: 7}, {HubFraction: 2}, {Iterations: -1}, {MaxDepth: -1},
-		{Iterations: maxIterations + 1}, {MaxDepth: maxDepthLimit + 1}, {DSamples: maxDSamples + 1}} {
+		{Iterations: maxIterations + 1}, {MaxDepth: maxDepthLimit + 1}, {DSamples: maxDSamples + 1},
+		{C: math.NaN()}, {Eps: math.NaN()}, {Delta: math.NaN()}, {HubFraction: math.NaN()}, {Prune: math.NaN()}} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}

@@ -11,7 +11,7 @@ import (
 // Flat is the borrow-shaped view of an index: the stored walks plus
 // the inverted occurrence index compiled into sorted per-(sample,
 // step) runs, so a query can binary-search co-locations without any
-// map. Export compiles it from the mutable form; snapshot format v2
+// map. Export compiles it from the mutable form; snapshot format v3
 // persists these arrays verbatim, and the store's loader hands them to
 // ImportFlat aliasing its buffer (a file mapping or a heap read).
 //

@@ -32,13 +32,15 @@ import (
 type Options struct {
 	// C is the SimRank decay factor in (0,1). Default 0.6.
 	C float64
-	// R is the number of stored walks per node. Default 100.
+	// R is the number of stored walks per node. Default 100, at most
+	// maxR.
 	R int
-	// MaxLen caps the stored walk length. Default 10.
+	// MaxLen caps the stored walk length. Default 10, at most
+	// maxMaxLen.
 	MaxLen int
 	// RQ is the number of fresh source walks sampled per query (the
 	// paper's r_q, default 10 there). 0 disables the refinement and
-	// queries use only the stored walks.
+	// queries use only the stored walks. At most maxRQ.
 	RQ int
 	// Seed makes walk generation deterministic.
 	Seed uint64
@@ -66,20 +68,33 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Validate checks option ranges after defaulting.
+// Upper bounds on the options that size build and query work. A
+// snapshot stores them as u32 fields, and Validate is what keeps a
+// forged value from running the build or the query-time refinement
+// walks for minutes. Each sits far above anything used in this
+// repository: the paper's r = 100, t = 10 and r_q = 10, and the
+// largest test's r = r_q = 1500.
+const (
+	maxR      = 1 << 16
+	maxMaxLen = 1024
+	maxRQ     = 1 << 16
+)
+
+// Validate checks option ranges after defaulting. The float check is
+// written so that NaN fails it.
 func (o Options) Validate() error {
 	q := o.withDefaults()
-	if q.C <= 0 || q.C >= 1 {
+	if !(q.C > 0 && q.C < 1) {
 		return fmt.Errorf("reads: decay factor c=%g outside (0,1)", q.C)
 	}
-	if q.R < 1 {
-		return fmt.Errorf("reads: walks per node must be >= 1, got %d", q.R)
+	if q.R < 1 || q.R > maxR {
+		return fmt.Errorf("reads: R %d outside [1,%d]", q.R, maxR)
 	}
-	if q.MaxLen < 1 {
-		return fmt.Errorf("reads: max walk length must be >= 1, got %d", q.MaxLen)
+	if q.MaxLen < 1 || q.MaxLen > maxMaxLen {
+		return fmt.Errorf("reads: MaxLen %d outside [1,%d]", q.MaxLen, maxMaxLen)
 	}
-	if q.RQ < 0 {
-		return fmt.Errorf("reads: query walks must be >= 0, got %d", q.RQ)
+	if q.RQ < 0 || q.RQ > maxRQ {
+		return fmt.Errorf("reads: RQ %d outside [0,%d]", q.RQ, maxRQ)
 	}
 	if q.Workers < 1 {
 		return fmt.Errorf("reads: workers must be >= 1, got %d", q.Workers)

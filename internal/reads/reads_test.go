@@ -22,13 +22,17 @@ func diGraphOf(t *testing.T, g *graph.Graph) *graph.DiGraph {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	for _, o := range []Options{{C: 2}, {R: -1}, {MaxLen: -1}} {
+	for _, o := range []Options{{C: 2}, {R: -1}, {MaxLen: -1}, {C: math.NaN()},
+		{R: maxR + 1}, {MaxLen: maxMaxLen + 1}, {RQ: maxRQ + 1}} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
+	}
+	if err := (Options{R: maxR, MaxLen: maxMaxLen, RQ: maxRQ}).Validate(); err != nil {
+		t.Errorf("options at their upper bounds rejected: %v", err)
 	}
 }
 

@@ -133,6 +133,19 @@ type Config struct {
 	HubFraction float64
 }
 
+// Engine returns the engine configuration New builds the estimator
+// from, so a caller preparing a preloaded index (engine.BuildIndex,
+// engine.ImportIndex) checks it against the same parameters.
+func (cfg Config) Engine() engine.Config {
+	return engine.Config{
+		C: cfg.Params.C, Eps: cfg.Params.Eps, Delta: cfg.Params.Delta,
+		Iterations: cfg.Params.Iterations, Workers: cfg.Params.Workers,
+		Seed: cfg.Params.Seed, Metrics: cfg.Metrics,
+		SlingIndex: cfg.SlingIndex, ReadsIndex: cfg.ReadsIndex,
+		PRSimIndex: cfg.PRSimIndex, HubFraction: cfg.HubFraction,
+	}
+}
+
 // Server is an http.Handler answering SimRank queries.
 type Server struct {
 	cfg   Config
@@ -205,13 +218,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default
 	}
-	ecfg := engine.Config{
-		C: cfg.Params.C, Eps: cfg.Params.Eps, Delta: cfg.Params.Delta,
-		Iterations: cfg.Params.Iterations, Workers: cfg.Params.Workers,
-		Seed: cfg.Params.Seed, Metrics: cfg.Metrics,
-		SlingIndex: cfg.SlingIndex, ReadsIndex: cfg.ReadsIndex,
-		PRSimIndex: cfg.PRSimIndex, HubFraction: cfg.HubFraction,
-	}
+	ecfg := cfg.Engine()
 	est, err := engine.New(context.Background(), cfg.Algo, cfg.Graph, ecfg)
 	if err != nil {
 		return nil, err

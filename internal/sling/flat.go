@@ -10,7 +10,7 @@ import (
 // Flat is the form an index serves from: the per-node distributions
 // as parallel (step, node, prob) columns plus the inverted occurrence
 // index compiled into a dense per-(step, node) CSR, so a query runs
-// without any map. Build compiles it; snapshot format v2 persists
+// without any map. Build compiles it; snapshot format v3 persists
 // these arrays verbatim, and the store's loader hands them to
 // ImportFlat aliasing its buffer (a file mapping or a heap read),
 // which is why a mapped index serves its first query without touching

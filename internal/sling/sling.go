@@ -89,13 +89,14 @@ const (
 	maxDSamples = 1 << 16
 )
 
-// Validate checks option ranges after defaulting.
+// Validate checks option ranges after defaulting. The float checks are
+// written so that NaN fails them.
 func (o Options) Validate() error {
 	q := o.withDefaults()
-	if q.C <= 0 || q.C >= 1 {
+	if !(q.C > 0 && q.C < 1) {
 		return fmt.Errorf("sling: decay factor c=%g outside (0,1)", q.C)
 	}
-	if q.Eps <= 0 || q.Eps >= 1 {
+	if !(q.Eps > 0 && q.Eps < 1) {
 		return fmt.Errorf("sling: error bound eps=%g outside (0,1)", q.Eps)
 	}
 	if q.Lmax < 1 || q.Lmax > maxLmax {

@@ -10,7 +10,8 @@ import (
 )
 
 func TestOptionsValidate(t *testing.T) {
-	for _, o := range []Options{{C: 2}, {Eps: 7}, {Lmax: -1}, {DSamples: -1}, {Lmax: maxLmax + 1}, {DSamples: maxDSamples + 1}} {
+	for _, o := range []Options{{C: 2}, {Eps: 7}, {Lmax: -1}, {DSamples: -1}, {Lmax: maxLmax + 1}, {DSamples: maxDSamples + 1},
+		{C: math.NaN()}, {Eps: math.NaN()}} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}

@@ -151,21 +151,6 @@ func (d *dec) castFailed(what string, err error) {
 	}
 }
 
-// blob returns the bytes of a length-prefixed nested byte string: a
-// window into the payload to sub-decode, never a copy.
-func (d *dec) blob(what string) []byte {
-	d.align8(what)
-	n := d.u64(what)
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail(what)
-		return nil
-	}
-	return d.take(int(n), what)
-}
-
 func (d *dec) done(sec string) error {
 	if d.err != nil {
 		return d.err
@@ -207,118 +192,98 @@ func decodeGraph(payload []byte, version uint64, adopt bool) (*graph.Graph, erro
 	return g, nil
 }
 
-// slingScalars reads the fixed-width prefix of a sling section.
-func slingScalars(d *dec) (gv uint64, o sling.Options) {
-	gv = d.u64("sling graph version")
-	o.C = d.f64("sling C")
-	o.Eps = d.f64("sling Eps")
-	o.Lmax = int(d.u32("sling Lmax"))
-	o.Prune = d.f64("sling Prune")
-	o.DSamples = int(d.u32("sling DSamples"))
-	o.Seed = d.u64("sling Seed")
-	return gv, o
+// indexDone finishes an index section: the reader must have consumed
+// it exactly, the graph version it records must be the snapshot's, and
+// the options it records must pass their backend's Validate, so a
+// forged option fails the decode with the field named.
+func (d *dec) indexDone(sec string, gv, graphVersion uint64, validate func() error) error {
+	if err := d.done(sec); err != nil {
+		return err
+	}
+	if gv != graphVersion {
+		return fmt.Errorf("%w: %s section built for graph %#x, snapshot graph is %#x",
+			ErrVersionMismatch, sec, gv, graphVersion)
+	}
+	if err := validate(); err != nil {
+		return fmt.Errorf("store: %s section: %w", sec, err)
+	}
+	return nil
 }
 
-// decodeSling reads a sling section into the flat form: every array
-// aliases the payload, and the accel blob supplies the precompiled
-// inverted index, so the returned Flat serves queries without building
-// anything.
+// decodeSling reads a sling section: the option scalars, then the
+// arrays of a sling.Flat, every one aliasing the payload, so the
+// returned Flat serves queries without building anything.
 func decodeSling(payload []byte, graphVersion uint64) (*sling.Flat, error) {
 	d := &dec{b: payload}
 	var f sling.Flat
-	gv, o := slingScalars(d)
-	f.Opt = o
-	d.i32s("sling dist counts") // DistOff in the accel is their prefix sum
+	gv := d.u64("sling graph version")
+	f.Opt.C = d.f64("sling C")
+	f.Opt.Eps = d.f64("sling Eps")
+	f.Opt.Lmax = int(d.u32("sling Lmax"))
+	f.Opt.Prune = d.f64("sling Prune")
+	f.Opt.DSamples = int(d.u32("sling DSamples"))
+	f.Opt.Seed = d.u64("sling Seed")
+	f.DistOff = d.i32s("sling dist offsets")
 	f.Steps = d.i32s("sling steps")
 	f.Nodes = d.nodes("sling nodes")
 	f.Probs = d.f64s("sling probs")
 	f.D = d.f64s("sling d values")
-	ab := d.blob("sling accel")
-	if err := d.done(SecSling); err != nil {
+	f.InvOff = d.i32s("sling inv offsets")
+	f.InvOrigins = d.nodes("sling inv origins")
+	f.InvProbs = d.f64s("sling inv probs")
+	if err := d.indexDone(SecSling, gv, graphVersion, f.Opt.Validate); err != nil {
 		return nil, err
-	}
-	ad := &dec{b: ab}
-	f.DistOff = ad.i32s("sling accel dist offsets")
-	f.InvOff = ad.i32s("sling accel inv offsets")
-	f.InvOrigins = ad.nodes("sling accel inv origins")
-	f.InvProbs = ad.f64s("sling accel inv probs")
-	if err := ad.done(SecSling + " accel"); err != nil {
-		return nil, err
-	}
-	if gv != graphVersion {
-		return nil, fmt.Errorf("%w: sling section built for graph %#x, snapshot graph is %#x",
-			ErrVersionMismatch, gv, graphVersion)
 	}
 	return &f, nil
 }
 
-func readsScalars(d *dec) (gv uint64, o reads.Options) {
-	gv = d.u64("reads graph version")
-	o.C = d.f64("reads C")
-	o.R = int(d.u32("reads R"))
-	o.MaxLen = int(d.u32("reads MaxLen"))
-	o.RQ = int(d.u32("reads RQ"))
-	o.Seed = d.u64("reads Seed")
-	return gv, o
-}
-
-// decodeReads reads a reads section into the flat form: walks and the
-// sorted inverted runs alias the payload.
+// decodeReads reads a reads section: the option scalars, then the
+// arrays of a reads.Flat aliasing the payload.
 func decodeReads(payload []byte, graphVersion uint64) (*reads.Flat, error) {
 	d := &dec{b: payload}
 	var f reads.Flat
-	gv, o := readsScalars(d)
-	f.Opt = o
-	d.i32s("reads walk lengths") // WalkOff in the accel is their prefix sum
+	gv := d.u64("reads graph version")
+	f.Opt.C = d.f64("reads C")
+	f.Opt.R = int(d.u32("reads R"))
+	f.Opt.MaxLen = int(d.u32("reads MaxLen"))
+	f.Opt.RQ = int(d.u32("reads RQ"))
+	f.Opt.Seed = d.u64("reads Seed")
+	f.WalkOff = d.i32s("reads walk offsets")
 	f.Nodes = d.nodes("reads walk nodes")
-	ab := d.blob("reads accel")
-	if err := d.done(SecReads); err != nil {
+	f.RunOff = d.i32s("reads run offsets")
+	f.InvNodes = d.nodes("reads inv nodes")
+	f.ListOff = d.i32s("reads list offsets")
+	f.InvOrigins = d.nodes("reads inv origins")
+	if err := d.indexDone(SecReads, gv, graphVersion, f.Opt.Validate); err != nil {
 		return nil, err
-	}
-	ad := &dec{b: ab}
-	f.WalkOff = ad.i32s("reads accel walk offsets")
-	f.RunOff = ad.i32s("reads accel run offsets")
-	f.InvNodes = ad.nodes("reads accel inv nodes")
-	f.ListOff = ad.i32s("reads accel list offsets")
-	f.InvOrigins = ad.nodes("reads accel inv origins")
-	if err := ad.done(SecReads + " accel"); err != nil {
-		return nil, err
-	}
-	if gv != graphVersion {
-		return nil, fmt.Errorf("%w: reads section built for graph %#x, snapshot graph is %#x",
-			ErrVersionMismatch, gv, graphVersion)
 	}
 	return &f, nil
 }
 
-// decodePRSim reads a prsim section. The section has no accel blob:
-// its payload columns are already the serving layout.
-func decodePRSim(payload []byte, graphVersion uint64) (*prsim.Payload, error) {
+// decodePRSim reads a prsim section: the option scalars, then the
+// arrays of a prsim.Flat aliasing the payload.
+func decodePRSim(payload []byte, graphVersion uint64) (*prsim.Flat, error) {
 	d := &dec{b: payload}
+	var f prsim.Flat
 	gv := d.u64("prsim graph version")
-	var p prsim.Payload
-	p.Opt.C = d.f64("prsim C")
-	p.Opt.Eps = d.f64("prsim Eps")
-	p.Opt.Delta = d.f64("prsim Delta")
-	p.Opt.HubFraction = d.f64("prsim HubFraction")
-	p.Opt.Iterations = int(d.u32("prsim Iterations"))
-	p.Opt.MaxDepth = int(d.u32("prsim MaxDepth"))
-	p.Opt.Prune = d.f64("prsim Prune")
-	p.Opt.DSamples = int(d.u32("prsim DSamples"))
-	p.Opt.Seed = d.u64("prsim Seed")
-	p.TableLevels = d.i32s("prsim table levels")
-	p.LevelCounts = d.i32s("prsim level counts")
-	p.Origins = d.nodes("prsim origins")
-	p.Probs = d.f64s("prsim probs")
-	p.D = d.f64s("prsim d values")
-	if err := d.done(SecPRSim); err != nil {
+	f.Opt.C = d.f64("prsim C")
+	f.Opt.Eps = d.f64("prsim Eps")
+	f.Opt.Delta = d.f64("prsim Delta")
+	f.Opt.HubFraction = d.f64("prsim HubFraction")
+	f.Opt.Iterations = int(d.u32("prsim Iterations"))
+	f.Opt.MaxDepth = int(d.u32("prsim MaxDepth"))
+	f.Opt.Prune = d.f64("prsim Prune")
+	f.Opt.DSamples = int(d.u32("prsim DSamples"))
+	f.Opt.Seed = d.u64("prsim Seed")
+	f.TableLevels = d.i32s("prsim table levels")
+	f.LevelCounts = d.i32s("prsim level counts")
+	f.Origins = d.nodes("prsim origins")
+	f.Probs = d.f64s("prsim probs")
+	f.D = d.f64s("prsim d values")
+	if err := d.indexDone(SecPRSim, gv, graphVersion, f.Opt.Validate); err != nil {
 		return nil, err
 	}
-	if gv != graphVersion {
-		return nil, fmt.Errorf("%w: prsim section built for graph %#x, snapshot graph is %#x",
-			ErrVersionMismatch, gv, graphVersion)
-	}
-	return &p, nil
+	return &f, nil
 }
 
 // sectionInfo is one parsed section-table entry; the payload bounds

@@ -82,16 +82,6 @@ func (e *enc) f64s(vs []float64) {
 	}
 }
 
-// blob appends a length-prefixed nested byte string at an 8-aligned
-// offset. The payload must itself have been encoded with align8-before-
-// arrays relative to its own start: the u64 prefix ends 8-aligned, so
-// blob-relative alignment is section-relative alignment.
-func (e *enc) blob(b []byte) {
-	e.align8()
-	e.u64(uint64(len(b)))
-	e.buf.Write(b)
-}
-
 func encodeGraph(g *graph.Graph) []byte {
 	inOff, inAdj := g.InCSR()
 	outOff, outAdj := g.OutCSR()
@@ -109,31 +99,6 @@ func encodeGraph(g *graph.Graph) []byte {
 	return e.buf.Bytes()
 }
 
-// offsetDiffs writes the per-row counts of a prefix-sum offset array
-// as an i32s array: the sling DistCounts and reads WalkLens columns,
-// which the v2 layout keeps beside the offsets in the accel blob.
-func (e *enc) offsetDiffs(off []int32) {
-	e.align8()
-	e.u64(uint64(len(off) - 1))
-	var b [4]byte
-	for i := 1; i < len(off); i++ {
-		binary.LittleEndian.PutUint32(b[:], uint32(off[i]-off[i-1]))
-		e.buf.Write(b[:])
-	}
-}
-
-// encodeSlingAccel serializes the inverted index and distribution
-// offsets of a sling.Flat. Steps/Nodes/Probs/D are already in the
-// section body; the decoder reassembles the full Flat from both.
-func encodeSlingAccel(f *sling.Flat) []byte {
-	var e enc
-	e.i32s(f.DistOff)
-	e.i32s(f.InvOff)
-	e.nodes(f.InvOrigins)
-	e.f64s(f.InvProbs)
-	return e.buf.Bytes()
-}
-
 func encodeSling(graphVersion uint64, f *sling.Flat) []byte {
 	var e enc
 	e.u64(graphVersion)
@@ -143,25 +108,14 @@ func encodeSling(graphVersion uint64, f *sling.Flat) []byte {
 	e.f64(f.Opt.Prune)
 	e.u32(uint32(f.Opt.DSamples))
 	e.u64(f.Opt.Seed)
-	e.offsetDiffs(f.DistOff)
+	e.i32s(f.DistOff)
 	e.i32s(f.Steps)
 	e.nodes(f.Nodes)
 	e.f64s(f.Probs)
 	e.f64s(f.D)
-	e.blob(encodeSlingAccel(f))
-	return e.buf.Bytes()
-}
-
-// encodeReadsAccel serializes the walk offsets and sorted inverted
-// runs of a reads.Flat (the node column itself is in the section
-// body).
-func encodeReadsAccel(f *reads.Flat) []byte {
-	var e enc
-	e.i32s(f.WalkOff)
-	e.i32s(f.RunOff)
-	e.nodes(f.InvNodes)
-	e.i32s(f.ListOff)
+	e.i32s(f.InvOff)
 	e.nodes(f.InvOrigins)
+	e.f64s(f.InvProbs)
 	return e.buf.Bytes()
 }
 
@@ -173,13 +127,16 @@ func encodeReads(graphVersion uint64, f *reads.Flat) []byte {
 	e.u32(uint32(f.Opt.MaxLen))
 	e.u32(uint32(f.Opt.RQ))
 	e.u64(f.Opt.Seed)
-	e.offsetDiffs(f.WalkOff)
+	e.i32s(f.WalkOff)
 	e.nodes(f.Nodes)
-	e.blob(encodeReadsAccel(f))
+	e.i32s(f.RunOff)
+	e.nodes(f.InvNodes)
+	e.i32s(f.ListOff)
+	e.nodes(f.InvOrigins)
 	return e.buf.Bytes()
 }
 
-func encodePRSim(graphVersion uint64, p *prsim.Payload) []byte {
+func encodePRSim(graphVersion uint64, p *prsim.Flat) []byte {
 	var e enc
 	e.u64(graphVersion)
 	e.f64(p.Opt.C)
@@ -199,8 +156,8 @@ func encodePRSim(graphVersion uint64, p *prsim.Payload) []byte {
 	return e.buf.Bytes()
 }
 
-// Encode serializes a snapshot in format v2. The graph is required;
-// index sections are written only if their payloads are set.
+// Encode serializes a snapshot in format v3. The graph is required;
+// index sections are written only if their flats are set.
 func Encode(s *Snapshot) ([]byte, error) {
 	if s == nil || s.Graph == nil {
 		return nil, fmt.Errorf("store: encode: snapshot has no graph")

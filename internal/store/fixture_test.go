@@ -6,38 +6,38 @@ import (
 	"testing"
 )
 
-const v2FixturePath = "testdata/v2.snap"
+const v3FixturePath = "testdata/v3.snap"
 
-// TestV2Fixture pins the on-disk format against a committed snapshot
+// TestV3Fixture pins the on-disk format against a committed snapshot
 // of testSnapshot written by an earlier build. Encode must still
 // reproduce it byte for byte, and it must load through Load and through
 // OpenMapped under every policy into indexes that export testSnapshot's
-// payloads and score bit-identically to freshly built ones.
+// flats and score bit-identically to freshly built ones.
 //
 // The fixture changes only with a deliberate format revision, which
 // also bumps FormatVersion. Regenerate it then with:
 //
-//	STORE_WRITE_V2_FIXTURE=1 go test ./internal/store -run TestV2Fixture
-func TestV2Fixture(t *testing.T) {
+//	STORE_WRITE_V3_FIXTURE=1 go test ./internal/store -run TestV3Fixture
+func TestV3Fixture(t *testing.T) {
 	snap, slIx, rdIx, prIx := testSnapshot(t)
-	if os.Getenv("STORE_WRITE_V2_FIXTURE") != "" {
-		if err := Write(v2FixturePath, snap); err != nil {
+	if os.Getenv("STORE_WRITE_V3_FIXTURE") != "" {
+		if err := Write(v3FixturePath, snap); err != nil {
 			t.Fatal(err)
 		}
 	}
-	data, err := os.ReadFile(v2FixturePath)
+	data, err := os.ReadFile(v3FixturePath)
 	if err != nil {
-		t.Fatalf("committed v2 fixture missing: %v", err)
+		t.Fatalf("committed v3 fixture missing: %v", err)
 	}
 	if !bytes.Equal(encodeOK(t, snap), data) {
-		t.Fatal("Encode no longer reproduces the committed v2 fixture byte for byte")
+		t.Fatal("Encode no longer reproduces the committed v3 fixture byte for byte")
 	}
 	opens := map[string]func() (*Mapped, error){
-		"Load": func() (*Mapped, error) { return Load(v2FixturePath) },
+		"Load": func() (*Mapped, error) { return Load(v3FixturePath) },
 	}
 	for _, verify := range []VerifyPolicy{VerifyOnLoadSection, VerifyEager, VerifyNone} {
 		opens["OpenMapped/"+verify.String()] = func() (*Mapped, error) {
-			return OpenMapped(v2FixturePath, MapOptions{Verify: verify})
+			return OpenMapped(v3FixturePath, MapOptions{Verify: verify})
 		}
 	}
 	for name, open := range opens {

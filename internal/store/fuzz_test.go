@@ -29,6 +29,11 @@ func FuzzDecode(f *testing.F) {
 	for _, c := range corruptions(f, snap, pristine) {
 		f.Add(c.data)
 	}
+	for _, c := range forgedOptions() {
+		forged := *snap
+		c.forge(&forged)
+		f.Add(encodeOK(f, &forged))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = restampCRCs(data)
 		for _, verify := range []VerifyPolicy{VerifyEager, VerifyNone} {

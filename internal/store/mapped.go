@@ -29,9 +29,10 @@ const (
 	// VerifyEager checks at open everything that can be checked: every
 	// section in the table is hashed (unknown names included), the CSR
 	// goes through full validation and content-version recompute, and
-	// every present index section is frame-decoded and matched to the
-	// graph version. Imports then run the per-entry range checks. Load
-	// and Decode always use it, as does `crashsim -verify-index -mmap`.
+	// every present index section is frame-decoded, matched to the
+	// graph version and has its options validated. Imports then run the
+	// per-entry range checks. Load and Decode always use it, as does
+	// `crashsim -verify-index -mmap`.
 	VerifyEager
 	// VerifyNone skips payload hashing entirely: trusted warm restarts
 	// on the machine that wrote the snapshot, where the bytes were
@@ -64,11 +65,11 @@ type mappedSection struct {
 	verified atomic.Bool
 }
 
-// Mapped is an opened snapshot whose graph CSR, index payload columns
-// and accelerator arrays all alias one byte buffer: a read-only file
-// mapping (OpenMapped) or a heap buffer (Load, Decode). Over a mapping,
-// opening touches O(1) pages and the page cache — shared across every
-// process mapping the same file — is the only copy of the data.
+// Mapped is an opened snapshot whose graph CSR and index arrays all
+// alias one byte buffer: a read-only file mapping (OpenMapped) or a
+// heap buffer (Load, Decode). Over a mapping, opening touches O(1)
+// pages and the page cache — shared across every process mapping the
+// same file — is the only copy of the data.
 //
 // Lifetime: each imported index retains the buffer and releases it on
 // its Close, so Close-ing the Mapped handle while queries are in
@@ -191,9 +192,10 @@ func newMapped(m *mmap.Mapping, path string, verify VerifyPolicy) (*Mapped, erro
 }
 
 // checkIndexFrames frame-decodes every present index section, so a
-// malformed section or one built for another graph fails the open
-// rather than a later import. The decoded forms are dropped: imports
-// decode again, which costs shape checks over aliased arrays.
+// malformed section, one built for another graph or one carrying
+// out-of-range options fails the open rather than a later import. The
+// decoded forms are dropped: imports decode again, which costs shape
+// checks over aliased arrays.
 func (mp *Mapped) checkIndexFrames() error {
 	if ms := mp.secs[SecSling]; ms != nil {
 		if _, err := decodeSling(ms.payload, mp.graphVersion); err != nil {
@@ -266,28 +268,11 @@ func (mp *Mapped) retainFor(setRelease func(func() error)) {
 }
 
 // ImportSling binds the snapshot's SLING section to g as an index
-// serving straight from the buffer: payload columns and the
+// serving straight from the buffer: the distribution columns and the
 // precompiled inverted index alias the file bytes, so the import cost
-// is shape checks, not array builds. The returned index holds a
-// buffer reference released by its Close.
+// is shape checks, not array builds.
 func (mp *Mapped) ImportSling(g *graph.Graph) (*sling.Index, error) {
-	if err := mp.checkGraph(g, SecSling); err != nil {
-		return nil, err
-	}
-	payload, err := mp.section(SecSling)
-	if err != nil {
-		return nil, err
-	}
-	f, err := decodeSling(payload, mp.graphVersion)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := sling.ImportFlat(g, *f, mp.verify == VerifyEager)
-	if err != nil {
-		return nil, err
-	}
-	mp.retainFor(ix.SetRelease)
-	return ix, nil
+	return importIndex(mp, g, SecSling, decodeSling, sling.ImportFlat)
 }
 
 // ImportReads binds the snapshot's READS section to g, walks and
@@ -295,49 +280,40 @@ func (mp *Mapped) ImportSling(g *graph.Graph) (*sling.Index, error) {
 // the returned index promotes it to heap form (copy-on-write); until
 // then it is read-only.
 func (mp *Mapped) ImportReads(g *graph.Graph) (*reads.Index, error) {
-	if err := mp.checkGraph(g, SecReads); err != nil {
-		return nil, err
-	}
-	payload, err := mp.section(SecReads)
-	if err != nil {
-		return nil, err
-	}
-	f, err := decodeReads(payload, mp.graphVersion)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := reads.ImportFlat(g, *f, mp.verify == VerifyEager)
-	if err != nil {
-		return nil, err
-	}
-	mp.retainFor(ix.SetRelease)
-	return ix, nil
+	return importIndex(mp, g, SecReads, decodeReads, reads.ImportFlat)
 }
 
-// ImportPRSim binds the snapshot's PRSim section to g. The hub tables
+// ImportPRSim binds the snapshot's PRSim section to g. The tables
 // alias the buffer; lazily filled tail tables land on the heap beside
 // them. The loaded index carries every table the exporting process had
 // published — eager hubs plus warm tail caches.
 func (mp *Mapped) ImportPRSim(g *graph.Graph) (*prsim.Index, error) {
-	if err := mp.checkGraph(g, SecPRSim); err != nil {
-		return nil, err
+	return importIndex(mp, g, SecPRSim, decodePRSim, prsim.ImportFlat)
+}
+
+// importIndex is the one import path behind ImportSling, ImportReads
+// and ImportPRSim: gate on the graph version, apply the section's CRC
+// policy, decode the section into its backend's flat form and hand it
+// to the backend's ImportFlat — with the per-entry scan only under
+// VerifyEager. The returned index holds a buffer reference released by
+// its Close.
+func importIndex[F any, I interface{ SetRelease(func() error) }](mp *Mapped, g *graph.Graph, sec string,
+	decode func([]byte, uint64) (*F, error), importFlat func(*graph.Graph, F, bool) (I, error)) (I, error) {
+	var none I
+	if err := mp.checkGraph(g, sec); err != nil {
+		return none, err
 	}
-	payload, err := mp.section(SecPRSim)
+	payload, err := mp.section(sec)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
-	p, err := decodePRSim(payload, mp.graphVersion)
+	f, err := decode(payload, mp.graphVersion)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
-	var ix *prsim.Index
-	if mp.verify == VerifyEager {
-		ix, err = prsim.Import(g, *p)
-	} else {
-		ix, err = prsim.ImportBorrowed(g, *p)
-	}
+	ix, err := importFlat(g, *f, mp.verify == VerifyEager)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	mp.retainFor(ix.SetRelease)
 	return ix, nil

@@ -6,7 +6,7 @@
 // File layout (all integers little-endian):
 //
 //	magic            8 bytes  "CSIMSNAP"
-//	format version   u32      2
+//	format version   u32      3
 //	graph version    u64      identity of the snapshotted graph
 //	section count    u32
 //	section table    count × { name [8]byte NUL-padded,
@@ -19,24 +19,21 @@
 //
 //	"graph"  the CSR arrays of a frozen graph.Graph (required)
 //	"meta"   JSON dataset metadata (required)
-//	"sling"  a sling.Flat, prefixed by its graph version
-//	"reads"  a reads.Flat, prefixed by its graph version
-//	"prsim"  a prsim.Payload, prefixed by its graph version
+//	"sling"  a sling.Flat
+//	"reads"  a reads.Flat
+//	"prsim"  a prsim.Flat
+//
+// Each index section is the graph version it was built for, its
+// backend's option scalars, then one flat list of the arrays its index
+// serves from, in the order of the Flat type's fields. Nothing is
+// derived on load and nothing is stored that the index does not read.
 //
 // The layout is built for zero-copy reads: every section starts at a
 // 64-byte-aligned file offset with zero padding between sections, the
 // file length is padded to a multiple of 64, and inside a section every
 // array's u64 length prefix sits at an 8-aligned section offset (zero
 // pad bytes inserted before it), so the element bytes that follow are
-// aligned for direct []int32/[]float64 casts. The sling and reads
-// sections hold the arrays of a sling.Flat / reads.Flat, the form
-// their indexes are built in and serve from: the per-node columns in
-// the section body, then an accelerator blob with the offset and
-// inverted-index arrays, framed as [align8][u64 byte length][arrays].
-// The body's sling DistCounts and reads WalkLens columns are the
-// per-row differences of the blob's DistOff / WalkOff; the encoder
-// derives them, the decoder skips them, and they stay because
-// dropping them would change the format.
+// aligned for direct []int32/[]float64 casts.
 //
 // There is one decoder. OpenMapped runs it over a read-only file
 // mapping under a chosen VerifyPolicy; Load runs it over a heap copy of
@@ -45,7 +42,7 @@
 //
 // Invariants enforced by the loader:
 //
-//   - wrong magic, a format version other than 2, truncation, checksum
+//   - wrong magic, a format version other than 3, truncation, checksum
 //     mismatch and a misaligned section offset each fail with a
 //     distinct sentinel error (errors.Is);
 //   - under VerifyEager a content-derived graph version is recomputed
@@ -53,7 +50,9 @@
 //     claim an identity its bytes do not hash to;
 //   - an index section whose recorded graph version differs from the
 //     graph it is imported against is refused with ErrVersionMismatch,
-//     so a stale index can never serve scores for a changed graph.
+//     so a stale index can never serve scores for a changed graph;
+//   - an index section whose options fail their backend's Validate is
+//     refused at decode, with the field named.
 package store
 
 import (
@@ -75,7 +74,7 @@ const Magic = "CSIMSNAP"
 // FormatVersion is the snapshot format Encode writes and the only one
 // the loader reads: the format is versioned precisely so that a stale
 // binary fails loudly instead of misdecoding.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // sectionAlign is the section placement alignment. 64 covers every
 // element width we cast to (8 for float64/uint64) with room to spare
@@ -132,14 +131,14 @@ type Meta struct {
 }
 
 // Snapshot is what Encode and Write persist: the frozen graph, its
-// provenance, and whichever index payloads to include. Files are read
+// provenance, and whichever index flats to include. Files are read
 // back through Load, Decode or OpenMapped, which return a *Mapped.
 type Snapshot struct {
 	Graph *graph.Graph
 	Meta  Meta
 	Sling *sling.Flat
 	Reads *reads.Flat
-	PRSim *prsim.Payload
+	PRSim *prsim.Flat
 }
 
 // SnapshotPath maps a dataset spec and index algorithm to a stable file

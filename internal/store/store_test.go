@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"crashsim/internal/graph"
+	"crashsim/internal/mmap"
 	"crashsim/internal/prsim"
 	"crashsim/internal/reads"
 	"crashsim/internal/sling"
@@ -246,6 +248,12 @@ func corruptions(t testing.TB, snap *Snapshot, pristine []byte) []corruption {
 			binary.LittleEndian.PutUint32(d[8:12], 1)
 			return d
 		}), ErrFormatVersion},
+		// Format v2 (dead columns and nested accel blobs in the index
+		// sections) is no longer read either.
+		{"v2 header", mutate(func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[8:12], 2)
+			return d
+		}), ErrFormatVersion},
 		{"empty file", nil, ErrTruncated},
 		{"truncated header", pristine[:headerSize-4], ErrTruncated},
 		{"truncated section table", pristine[:headerSize+sectionHeaderSize/2], ErrTruncated},
@@ -281,6 +289,15 @@ func corruptions(t testing.TB, snap *Snapshot, pristine []byte) []corruption {
 			binary.LittleEndian.PutUint32(d[entry+24:entry+28], crc32.ChecksumIEEE(d[off:off+length]))
 			return d
 		}), ErrVersionMismatch},
+		// An out-of-range option with a valid CRC fails the open: the
+		// section decoders run Validate. Lmax follows the graph version,
+		// C and Eps.
+		corruption{"index option out of range", mutate(func(d []byte) []byte {
+			entry, off, length := sectionEntry(t, d, SecSling)
+			binary.LittleEndian.PutUint32(d[off+24:], 1<<30)
+			binary.LittleEndian.PutUint32(d[entry+24:entry+28], crc32.ChecksumIEEE(d[off:off+length]))
+			return d
+		}), nil},
 		// A content-derived header version that the CSR bytes do not hash
 		// to must be rejected even though every checksum passes.
 		corruption{"forged graph identity", mutate(func(d []byte) []byte {
@@ -383,51 +400,99 @@ func TestImportRefusesWrongGraph(t *testing.T) {
 	}
 }
 
-// TestImportRefusesOverBoundOptions: a snapshot whose stored options
-// carry an over-bound value (here 2^30, which fits the u32 field) must
-// fail at import with an error naming the field, not run the tail
-// builds or the query loop with it.
-func TestImportRefusesOverBoundOptions(t *testing.T) {
-	const forged = 1 << 30
-	cases := []struct {
-		field string
-		forge func(*Snapshot)
-		imp   func(*Mapped) error
-	}{
-		{"Lmax", func(s *Snapshot) { f := *s.Sling; f.Opt.Lmax = forged; s.Sling = &f }, importSling},
-		{"DSamples", func(s *Snapshot) { f := *s.Sling; f.Opt.DSamples = forged; s.Sling = &f }, importSling},
-		{"MaxDepth", func(s *Snapshot) { p := *s.PRSim; p.Opt.MaxDepth = forged; s.PRSim = &p }, importPRSim},
-		{"DSamples", func(s *Snapshot) { p := *s.PRSim; p.Opt.DSamples = forged; s.PRSim = &p }, importPRSim},
-		{"Iterations", func(s *Snapshot) { p := *s.PRSim; p.Opt.Iterations = forged; s.PRSim = &p }, importPRSim},
+// forgedOption is a snapshot edit that stores one out-of-range index
+// option, and the text the refusal must contain to name it.
+type forgedOption struct {
+	want  string
+	forge func(*Snapshot)
+}
+
+// forgedOptions lists one edit per bounded option plus the NaN and
+// derived-count cases. The over-bound values (2^30) fit their u32
+// fields, so only Validate or the PRSim constructor can refuse them.
+// FuzzDecode seeds its corpus from the same edits.
+func forgedOptions() []forgedOption {
+	const big = 1 << 30
+	nan := math.NaN()
+	sl := func(f func(*sling.Options)) func(*Snapshot) {
+		return func(s *Snapshot) { c := *s.Sling; f(&c.Opt); s.Sling = &c }
 	}
-	for _, c := range cases {
-		snap, _, _, _ := testSnapshot(t)
-		c.forge(snap)
-		mp, err := Decode(encodeOK(t, snap))
-		if err != nil {
-			t.Fatal(err)
+	rd := func(f func(*reads.Options)) func(*Snapshot) {
+		return func(s *Snapshot) { c := *s.Reads; f(&c.Opt); s.Reads = &c }
+	}
+	pr := func(f func(*prsim.Options)) func(*Snapshot) {
+		return func(s *Snapshot) { c := *s.PRSim; f(&c.Opt); s.PRSim = &c }
+	}
+	return []forgedOption{
+		{"Lmax", sl(func(o *sling.Options) { o.Lmax = big })},
+		{"DSamples", sl(func(o *sling.Options) { o.DSamples = big })},
+		{"c=NaN", sl(func(o *sling.Options) { o.C = nan })},
+		{"eps=NaN", sl(func(o *sling.Options) { o.Eps = nan })},
+		{"R 1073741824", rd(func(o *reads.Options) { o.R = big })},
+		{"MaxLen", rd(func(o *reads.Options) { o.MaxLen = big })},
+		{"RQ", rd(func(o *reads.Options) { o.RQ = big })},
+		{"c=NaN", rd(func(o *reads.Options) { o.C = nan })},
+		{"MaxDepth", pr(func(o *prsim.Options) { o.MaxDepth = big })},
+		{"DSamples", pr(func(o *prsim.Options) { o.DSamples = big })},
+		{"Iterations", pr(func(o *prsim.Options) { o.Iterations = big })},
+		{"eps=NaN", pr(func(o *prsim.Options) { o.Eps = nan })},
+		{"delta=NaN", pr(func(o *prsim.Options) { o.Delta = nan })},
+		// In range, but with Iterations 0 it derives an n_q larger than
+		// an int holds.
+		{"Eps 1e-300", pr(func(o *prsim.Options) { o.Iterations, o.Eps = 0, 1e-300 })},
+	}
+}
+
+// TestImportRefusesOverBoundOptions: a snapshot whose stored options
+// are out of range must be refused — by Decode, whose section decoders
+// run Validate, or at the latest by the import — with an error naming
+// the field, and never run the tail builds or the query loop with it.
+// The trusting VerifyNone open defers section decoding, so there the
+// import must refuse it.
+func TestImportRefusesOverBoundOptions(t *testing.T) {
+	base, _, _, _ := testSnapshot(t)
+	for _, c := range forgedOptions() {
+		snap := *base
+		c.forge(&snap)
+		data := encodeOK(t, &snap)
+		mp, err := Decode(data)
+		if err == nil {
+			err = importEach(mp)
+			mp.Close()
 		}
-		if err := c.imp(mp); err == nil || !strings.Contains(err.Error(), c.field) {
-			t.Errorf("import with %s = %d: error %v, want one naming %s", c.field, forged, err, c.field)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Decode or import of a snapshot forged for %q: error %v, want one naming it", c.want, err)
+		}
+		mp, err = newMapped(mmap.FromBytes(data), "", VerifyNone)
+		if err != nil {
+			t.Fatalf("VerifyNone open of a snapshot forged for %q: %v", c.want, err)
+		}
+		if err := importEach(mp); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("VerifyNone import of a snapshot forged for %q: error %v, want one naming it", c.want, err)
 		}
 		mp.Close()
 	}
 }
 
-func importSling(mp *Mapped) error {
-	ix, err := mp.ImportSling(mp.Graph())
-	if err == nil {
-		ix.Close()
+// importEach imports every index section of mp over its own graph,
+// closing each index again, and returns the first error.
+func importEach(mp *Mapped) error {
+	g := mp.Graph()
+	sl, err := mp.ImportSling(g)
+	if err != nil {
+		return err
 	}
-	return err
-}
-
-func importPRSim(mp *Mapped) error {
-	ix, err := mp.ImportPRSim(mp.Graph())
-	if err == nil {
-		ix.Close()
+	sl.Close()
+	rd, err := mp.ImportReads(g)
+	if err != nil {
+		return err
 	}
-	return err
+	rd.Close()
+	pr, err := mp.ImportPRSim(g)
+	if err != nil {
+		return err
+	}
+	return pr.Close()
 }
 
 func TestImportMissingSection(t *testing.T) {
