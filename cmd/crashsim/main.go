@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -315,12 +316,15 @@ func runIndexed(graphFile, profile string, scale float64, source int, algo strin
 // the snapshot's recorded parameters and insists every node's
 // single-source scores are bit-identical to the loaded index's — the
 // cross-process equivalence check CI runs against a snapshot built in
-// a separate step.
+// a separate step. Sources go through engine.MultiSource in batches of
+// verifyBatch, and both engines run with Workers = GOMAXPROCS, a
+// runtime knob the preload check ignores.
 func verifyLoaded(ctx context.Context, verify bool, algo string, g *crashsim.Graph, ecfg engine.Config) error {
 	if !verify {
 		return nil
 	}
 	start := time.Now()
+	ecfg.Workers = runtime.GOMAXPROCS(0)
 	loaded, err := engine.New(ctx, algo, g, ecfg)
 	if err != nil {
 		return err
@@ -331,28 +335,39 @@ func verifyLoaded(ctx context.Context, verify bool, algo string, g *crashsim.Gra
 	if err != nil {
 		return fmt.Errorf("verify: rebuilding: %w", err)
 	}
-	for u := 0; u < g.NumNodes(); u++ {
-		want, err := rebuilt.SingleSource(ctx, crashsim.NodeID(u), nil)
+	n := g.NumNodes()
+	batch := make([]crashsim.NodeID, 0, verifyBatch)
+	for lo := 0; lo < n; lo += verifyBatch {
+		batch = batch[:0]
+		for u := lo; u < min(lo+verifyBatch, n); u++ {
+			batch = append(batch, crashsim.NodeID(u))
+		}
+		want, err := engine.MultiSource(ctx, rebuilt, batch)
 		if err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
-		have, err := loaded.SingleSource(ctx, crashsim.NodeID(u), nil)
+		have, err := engine.MultiSource(ctx, loaded, batch)
 		if err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
-		if len(want) != len(have) {
-			return fmt.Errorf("verify FAILED: source %d: %d scores rebuilt vs %d loaded", u, len(want), len(have))
-		}
-		for v, s := range want {
-			if hs, ok := have[v]; !ok || hs != s {
-				return fmt.Errorf("verify FAILED: source %d node %d: rebuilt %v, loaded %v", u, v, s, hs)
+		for i, u := range batch {
+			if len(want[i]) != len(have[i]) {
+				return fmt.Errorf("verify FAILED: source %d: %d scores rebuilt vs %d loaded", u, len(want[i]), len(have[i]))
+			}
+			for v, s := range want[i] {
+				if hs, ok := have[i][v]; !ok || hs != s {
+					return fmt.Errorf("verify FAILED: source %d node %d: rebuilt %v, loaded %v", u, v, s, hs)
+				}
 			}
 		}
 	}
 	fmt.Printf("verify: loaded %s index bit-identical to rebuild across %d sources (%v)\n",
-		algo, g.NumNodes(), time.Since(start).Round(time.Millisecond))
+		algo, n, time.Since(start).Round(time.Millisecond))
 	return nil
 }
+
+// verifyBatch is how many sources verifyLoaded sends per batch.
+const verifyBatch = 64
 
 // datasetSpec names the dataset for snapshot metadata.
 func datasetSpec(graphFile, profile string, scale float64, seed uint64) string {

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"crashsim/internal/graph"
+	"crashsim/internal/par"
 	"crashsim/internal/rng"
 )
 
@@ -41,15 +41,15 @@ func SingleSourceCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, omega 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tree, q, err := prepare(g, u, p)
+	tree, q, nr, err := prepare(g, u, p)
 	if err != nil {
 		return nil, err
 	}
 	// The tree is owned by this query alone, so its arena can go back to
 	// the pool as soon as it is compiled.
 	ft := freezeOwned(g, tree, q)
-	defer releaseFrozen(ft, !q.DisablePooling)
-	return estimateWith(ctx, g, u, omega, q, ft)
+	defer frozenPool.put(ft, !q.DisablePooling)
+	return estimateSource(ctx, g, u, ft, omega, q, nr)
 }
 
 // SingleSourceWithTree is SingleSource with a caller-provided reverse
@@ -57,8 +57,8 @@ func SingleSourceCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, omega 
 // computed for pruning. The tree must have been built on g with the same
 // parameters.
 func SingleSourceWithTree(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree) (Scores, error) {
-	q := p.withDefaults()
-	if err := q.Validate(); err != nil {
+	q, nr, err := p.resolve(g.NumNodes())
+	if err != nil {
 		return nil, err
 	}
 	if err := checkSource(g, u); err != nil {
@@ -67,7 +67,9 @@ func SingleSourceWithTree(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, 
 	if tree == nil || tree.Source != u || tree.Lmax != q.Lmax {
 		return nil, fmt.Errorf("core: provided tree does not match source %d with lmax %d", u, q.Lmax)
 	}
-	return estimate(context.Background(), g, u, omega, q, tree)
+	ft := freeze(g, tree, q)
+	defer frozenPool.put(ft, !q.DisablePooling)
+	return estimateSource(context.Background(), g, u, ft, omega, q, nr)
 }
 
 // BuildTree builds the reverse reachable tree CrashSim would use for a
@@ -95,19 +97,17 @@ func buildTreeInto(dst *ReachTree, g adjacency, u graph.NodeID, q Params) *Reach
 	}
 }
 
-func prepare(g *graph.Graph, u graph.NodeID, p Params) (*ReachTree, Params, error) {
-	q := p.withDefaults()
-	if err := q.Validate(); err != nil {
-		return nil, q, err
+// prepare resolves p for g, checks the source and builds its tree into
+// a pooled arena the caller owns.
+func prepare(g *graph.Graph, u graph.NodeID, p Params) (*ReachTree, Params, int, error) {
+	q, nr, err := p.resolve(g.NumNodes())
+	if err != nil {
+		return nil, q, 0, err
 	}
 	if err := checkSource(g, u); err != nil {
-		return nil, q, err
+		return nil, q, 0, err
 	}
-	tree, err := BuildTree(g, u, q)
-	if err != nil {
-		return nil, q, err
-	}
-	return tree, q, nil
+	return buildTreeInto(nil, g, u, q), q, nr, nil
 }
 
 func checkSource(g *graph.Graph, u graph.NodeID) error {
@@ -117,29 +117,10 @@ func checkSource(g *graph.Graph, u graph.NodeID) error {
 	return nil
 }
 
-// estimate runs the n_r Monte-Carlo iterations. The loop is organized
-// per-candidate rather than per-iteration (the sums are identical), so
-// candidates can be processed independently and in parallel; every
-// candidate draws from its own random stream, which makes results
-// invariant to the worker count and to the composition of omega.
-//
-// The build-time tree is first compiled into its flat FrozenTree form,
-// so the per-step crash check inside the walk loop is an array load
-// instead of a search. Scores accumulate in a pooled dense array
-// indexed by node (workers write disjoint entries, so no locking is
-// needed) and convert to the public Scores map only at the end.
-// (CrashSim-T calls estimateWith directly, managing the compiled form
-// through its cross-snapshot frozenCarry.)
-func estimate(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree) (Scores, error) {
-	ft := freeze(g, tree, p)
-	defer releaseFrozen(ft, !p.DisablePooling)
-	return estimateWith(ctx, g, u, omega, p, ft)
-}
-
 // freeze compiles tree for the walk kernels on g into a pooled
-// FrozenTree. The caller releases the result with releaseFrozen.
+// FrozenTree. The caller returns the result to frozenPool.
 func freeze(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
-	ft := acquireFrozen(!p.DisablePooling)
+	ft := frozenPool.get(!p.DisablePooling)
 	ft.compile(tree, g.NumNodes())
 	ft.buildStep1(g)
 	return ft
@@ -152,95 +133,89 @@ func freeze(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
 // it. The caller must not use tree afterwards.
 func freezeOwned(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
 	ft := freeze(g, tree, p)
-	releaseTree(tree, !p.DisablePooling)
+	treePool.put(tree, !p.DisablePooling)
 	return ft
 }
 
-// estimateWith is estimate against a compiled tree: it runs the fused
-// frozen-tree kernels against ft. The caller keeps ownership of ft —
-// nothing here compiles or releases it.
-func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, ft *FrozenTree) (Scores, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// estimateSource runs the one estimate path for a single compiled
+// source and returns its candidates' scores. The caller keeps
+// ownership of ft.
+func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, ft *FrozenTree, omega []graph.NodeID, q Params, nr int) (Scores, error) {
 	n := g.NumNodes()
-	pooled := !p.DisablePooling
-	sc := acquireScratch(n, pooled)
-	defer sc.release(pooled)
-
-	if omega == nil {
-		omega = sc.identity(n)
+	pooled := !q.DisablePooling
+	a := acquireArena(1, n, pooled)
+	defer a.release(pooled)
+	a.preps = append(a.preps, srcPrep{u: u, ft: ft, dense: a.window(0, n)})
+	cand, err := a.sample(ctx, g, omega, q, nr)
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range omega {
+	return a.preps[0].scores(cand), nil
+}
+
+// sample is the one estimate path: Algorithm 1's loop, n_r walks per
+// candidate of cand against each prepared source's compiled tree, for
+// every source in a.preps at once. A nil cand means all nodes; the
+// candidate list actually used is returned. Every caller — a
+// single-source query, both top-k passes, CrashSim-T's per-snapshot
+// estimate, SingleSourceWithError and MultiSource — comes through
+// here, with q resolved and nr the n_r resolve settled.
+//
+// Each source's candidates go through the zero-score prefilter, the
+// survivors land source-major in one flattened (source, candidate)
+// work list, and that list runs through one par.ForEachCtx fan-out.
+// Every item writes a disjoint entry of its source's dense window (and
+// of its Σx² window, when the source has one), so the loop needs no
+// locking. The loop is per candidate rather than per iteration (the
+// sums are identical), and every candidate draws from its own random
+// stream, derived from (Seed, candidate) alone, so scores are
+// invariant to the worker count, the batching and the composition of
+// cand. The only error after the range check is ctx.Err().
+func (a *arena) sample(ctx context.Context, g *graph.Graph, cand []graph.NodeID, q Params, nr int) ([]graph.NodeID, error) {
+	n := g.NumNodes()
+	if cand == nil {
+		cand = a.identity(n)
+	}
+	for _, v := range cand {
 		if v < 0 || int(v) >= n {
 			return nil, fmt.Errorf("core: candidate %d out of range for n=%d", v, n)
 		}
 	}
-	nr := p.iterations(n)
-	if nr < 1 {
-		return nil, fmt.Errorf("core: derived iteration count %d < 1", nr)
-	}
-
-	dense := sc.dense
-	sqrtC := math.Sqrt(p.C)
-
-	statCandidates.Add(uint64(len(omega)))
-
-	live := sc.liveCandidates(g, u, omega, p, ft, dense)
-
-	workers := p.Workers
-	if workers > len(live) {
-		workers = len(live)
-	}
-	if workers <= 1 {
-		for _, v := range live {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s, err := estimateCandidateFrozen(ctx, g, u, v, p, ft, nr, sqrtC)
-			if err != nil {
-				return nil, err
-			}
-			dense[v] = s
+	for i := range a.preps {
+		pr := &a.preps[i]
+		statCandidates.Add(uint64(len(cand)))
+		for _, v := range a.liveCandidates(g, pr.u, cand, q, pr.ft, pr.dense) {
+			a.work = append(a.work, batchItem{src: int32(i), v: v})
 		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(live) + workers - 1) / workers
-		for lo := 0; lo < len(live); lo += chunk {
-			hi := lo + chunk
-			if hi > len(live) {
-				hi = len(live)
-			}
-			wg.Add(1)
-			go func(part []graph.NodeID) {
-				defer wg.Done()
-				for _, v := range part {
-					if ctx.Err() != nil {
-						break
-					}
-					s, err := estimateCandidateFrozen(ctx, g, u, v, p, ft, nr, sqrtC)
-					if err != nil {
-						break // only ctx errors escape; reported below
-					}
-					dense[v] = s
-				}
-			}(live[lo:hi])
+	}
+	sqrtC := math.Sqrt(q.C)
+	work, preps := a.work, a.preps
+	err := par.ForEachCtx(ctx, len(work), q.Workers, func(i int) {
+		it := work[i]
+		pr := &preps[it.src]
+		s, sq, err := estimateCandidateFrozen(ctx, g, pr.u, it.v, q, pr.ft, nr, sqrtC)
+		if err != nil {
+			return // only ctx errors escape; ForEachCtx reports them
 		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	scores := make(Scores, len(omega))
-	for _, v := range omega {
-		scores[v] = dense[v]
-	}
-	return scores, nil
+		pr.dense[it.v] = s
+		if pr.sq != nil {
+			pr.sq[it.v] = sq
+		}
+	})
+	return cand, err
 }
 
-// liveCandidates applies the zero-score prefilter for one source query:
-// a candidate's walk can only crash into the source tree if the
+// scores copies the source's dense window at cand into a Scores map.
+func (pr *srcPrep) scores(cand []graph.NodeID) Scores {
+	s := make(Scores, len(cand))
+	for _, v := range cand {
+		s[v] = pr.dense[v]
+	}
+	return s
+}
+
+// liveCandidates applies the zero-score prefilter for one source: a
+// candidate's walk can only crash into the source tree if the
 // candidate is forward-reachable (via out-edges) from some tree node
 // within l_max hops. Everything else provably scores 0, so it is
 // excluded before any sampling — on graphs with small reverse
@@ -248,19 +223,16 @@ func estimateWith(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []g
 // removes most of the work. The BFS starts from the compiled tree's
 // support list. A pruned source gets its defined self-score written
 // into dense directly (sim(u,u) = 1). The returned slice aliases
-// sc.live and is valid until the next call; with the prefilter disabled
+// a.live and is valid until the next call; with the prefilter disabled
 // it is omega unchanged.
-// Both the single-source and the batched multi-source paths run their
-// candidate sets through this one helper, so the pruning decision is
-// identical in either mode.
-func (sc *scratch) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, ft *FrozenTree, dense []float64) []graph.NodeID {
+func (a *arena) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, ft *FrozenTree, dense []float64) []graph.NodeID {
 	if p.DisablePrefilter {
 		return omega
 	}
-	reach := newNodeBitset(sc.reach, g.NumNodes())
-	sc.frontier, sc.next = forwardReachBits(g, ft.SupportNodes(), p.Lmax, reach, sc.frontier, sc.next)
-	sc.reach = reach
-	live := sc.live[:0]
+	reach := newNodeBitset(a.reach, g.NumNodes())
+	a.frontier, a.next = forwardReachBits(g, ft.SupportNodes(), p.Lmax, reach, a.frontier, a.next)
+	a.reach = reach
+	live := a.live[:0]
 	for _, v := range omega {
 		if reach.Has(v) && g.InDegree(v) > 0 {
 			live = append(live, v)
@@ -268,40 +240,42 @@ func (sc *scratch) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.
 			dense[v] = 1
 		}
 	}
-	sc.live = live
+	a.live = live
 	statPrefilterPruned.Add(uint64(len(omega) - len(live)))
 	return live
 }
 
 // estimateCandidateFrozen runs the n_r walks for one candidate against
-// the compiled tree and returns the averaged crash probability. Sampling
-// and scoring are fused into one loop per walk (the walk is never
-// materialized), and the whole n_r budget runs inside one kernel call,
-// so per-walk costs reduce to the walk itself — the meeting-rule
-// dispatch, the CSR array setup and the start node's offsets are all
-// paid once per candidate. Contributions are bit-identical to the
-// two-pass reference kernel the tests keep (sample a walk, then score
-// it against the build-time tree) — same random stream, same
-// floating-point operation order. The only error it can return is
+// the compiled tree and returns the averaged crash probability and the
+// walks' summed squared contributions. Sampling and scoring are fused
+// into one loop per walk (the walk is never materialized), and the
+// whole n_r budget runs inside one kernel call, so per-walk costs
+// reduce to the walk itself — the meeting-rule dispatch, the CSR array
+// setup and the start node's offsets are all paid once per candidate.
+// Contributions are bit-identical to the two-pass reference kernel the
+// tests keep (sample a walk, then score it against the build-time
+// tree) — same random stream, same floating-point operation order. The
+// source itself samples nothing. The only error it can return is
 // ctx.Err().
-func estimateCandidateFrozen(ctx context.Context, g *graph.Graph, u, v graph.NodeID, p Params, ft *FrozenTree, nr int, sqrtC float64) (float64, error) {
+func estimateCandidateFrozen(ctx context.Context, g *graph.Graph, u, v graph.NodeID, p Params, ft *FrozenTree, nr int, sqrtC float64) (score, sumSq float64, err error) {
 	if v == u {
-		return 1, nil // sim(u,u) = 1 by definition
+		return 1, 0, nil // sim(u,u) = 1 by definition
 	}
 	r := rng.FastSplit(p.Seed, uint64(v))
-	sum, _, walks, err := runKernel(ctx, p.Meeting, g, ft, v, sqrtC, p.Lmax, nr, &r)
+	sum, sumSq, walks, err := runKernel(ctx, p.Meeting, g, ft, v, sqrtC, p.Lmax, nr, &r)
 	statWalks.Add(uint64(walks))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return sum / float64(nr), nil
+	return sum / float64(nr), sumSq, nil
 }
 
 // runKernel runs a candidate's full n_r-walk budget against the frozen
 // tree with the meeting rule's fused sample-and-score kernel, and
-// returns the summed contributions, their squares (for the with-error
-// path's variance; one multiply-add per walk, noise for the callers
-// that drop it), the number of walks completed, and the context error
+// returns the summed contributions, their squares (for
+// SingleSourceWithError's variance; one multiply-add per walk, dropped
+// unless the source has a Σx² window), the number of walks completed,
+// and the context error
 // that cut the loop short, if any. Kernels draw from the devirtualized
 // rng.Fast — the same stream rng.Split yields, minus the interface
 // dispatch that would otherwise sit on every step. The dispatch is a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"crashsim/internal/exact"
 	"crashsim/internal/gen"
 	"crashsim/internal/graph"
+	"crashsim/internal/temporal"
 )
 
 func TestDeriveLmax(t *testing.T) {
@@ -73,6 +75,7 @@ func TestParamsValidate(t *testing.T) {
 		{"NaN delta", Params{Delta: math.NaN()}, "failure probability"},
 		{"negative lmax", Params{Lmax: -1}, "lmax"},
 		{"negative iterations", Params{Iterations: -5}, "iterations"},
+		{"iterations above bound", Params{Iterations: 1<<24 + 1}, "iterations"},
 		{"eps below truncation", Params{Eps: 1e-9, Lmax: 2}, "truncation error"},
 		// Regression: the truncation check must also fire for callers
 		// relying on the default ε = 0.025 — with lmax forced to 1 the
@@ -90,6 +93,57 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if err := (Params{}).Validate(); err != nil {
 		t.Errorf("zero params should validate with defaults: %v", err)
+	}
+	if err := (Params{Iterations: 1 << 24}).Validate(); err != nil {
+		t.Errorf("iterations at the bound rejected: %v", err)
+	}
+}
+
+// TestDerivedIterationsRefused: a tiny Eps passes Validate but derives
+// an n_r no query would finish sampling (1.5·10^17 walks per candidate
+// for Eps 1e-8) or one past any int (Eps 1e-100). Every query entry
+// point must refuse it up front with an error naming Eps, with no
+// deadline to cut it short.
+func TestDerivedIterationsRefused(t *testing.T) {
+	edges, err := gen.ErdosRenyi(50, 200, true, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.BuildStatic(50, true, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := temporal.New(50, true, edges, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Params{{Eps: 1e-8, Lmax: 100}, {Eps: 1e-100, Lmax: 1024}} {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%+v: Validate refused it (%v); the derived count must be what refuses it", p, err)
+		}
+		tree, err := BuildTree(g, 0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := []struct {
+			name string
+			run  func() error
+		}{
+			{"SingleSource", func() error { _, err := SingleSource(g, 0, nil, p); return err }},
+			{"SingleSourceWithTree", func() error { _, err := SingleSourceWithTree(g, 0, nil, p, tree); return err }},
+			{"SingleSourceWithError", func() error { _, err := SingleSourceWithError(g, 0, nil, p); return err }},
+			{"TopK", func() error { _, err := TopK(g, 0, 5, p); return err }},
+			{"MultiSource", func() error {
+				_, err := MultiSource(context.Background(), g, []graph.NodeID{0, 3}, nil, p)
+				return err
+			}},
+			{"CrashSimT", func() error { _, err := CrashSimT(tg, 0, thresholdQuery{0.1}, p, TemporalOptions{}); return err }},
+		}
+		for _, q := range queries {
+			if err := q.run(); err == nil || !strings.Contains(err.Error(), "Eps") {
+				t.Errorf("Eps %g: %s returned %v, want an error naming Eps", p.Eps, q.name, err)
+			}
+		}
 	}
 }
 

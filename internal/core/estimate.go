@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"crashsim/internal/graph"
-	"crashsim/internal/rng"
 )
 
 // Estimate is a SimRank score with its Monte-Carlo uncertainty.
@@ -23,57 +21,35 @@ type Estimate struct {
 
 // SingleSourceWithError is SingleSource with per-node uncertainty: it
 // returns, for each candidate, both the estimate and its standard
-// error, using exactly the same random streams as SingleSource (the
-// Score fields match SingleSource bit-for-bit). Like SingleSource it
-// runs against the compiled frozen tree; the per-walk contributions it
-// needs for the variance come straight out of the fused kernels.
+// error. It is a view over the one estimate path: the same query with a
+// Σx² window next to the score window, so the Score fields match
+// SingleSource bit-for-bit and the variance comes straight out of the
+// fused kernels.
 func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params) (map[graph.NodeID]Estimate, error) {
-	tree, q, err := prepare(g, u, p)
+	tree, q, nr, err := prepare(g, u, p)
 	if err != nil {
 		return nil, err
 	}
 	pooled := !q.DisablePooling
-	defer releaseTree(tree, pooled)
+	ft := freezeOwned(g, tree, q)
+	defer frozenPool.put(ft, pooled)
 	n := g.NumNodes()
-	if omega == nil {
-		omega = make([]graph.NodeID, n)
-		for v := range omega {
-			omega[v] = graph.NodeID(v)
-		}
+	a := acquireArena(2, n, pooled)
+	defer a.release(pooled)
+	a.preps = append(a.preps, srcPrep{u: u, ft: ft, dense: a.window(0, n), sq: a.window(1, n)})
+	cand, err := a.sample(context.Background(), g, omega, q, nr)
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range omega {
-		if v < 0 || int(v) >= n {
-			return nil, outOfRangeCandidate(v, n)
-		}
-	}
-	nr := q.iterations(n)
-	out := make(map[graph.NodeID]Estimate, len(omega))
-
-	ft := freeze(g, tree, q)
-	defer releaseFrozen(ft, pooled)
-
-	reach := newNodeBitset(nil, n)
-	forwardReachBits(g, ft.SupportNodes(), q.Lmax, reach, nil, nil)
-
-	sqrtC := math.Sqrt(q.C)
-	for _, v := range omega {
-		if v == u {
-			out[v] = Estimate{Score: 1}
-			continue
-		}
-		if !reach.Has(v) || g.InDegree(v) == 0 {
-			out[v] = Estimate{} // provably zero, no sampling noise
-			continue
-		}
-		r := rng.FastSplit(q.Seed, uint64(v))
-		sum, sumSq, _, err := runKernel(context.Background(), q.Meeting, g, ft, v, sqrtC, q.Lmax, nr, &r)
-		if err != nil {
-			return nil, err
-		}
-		mean := sum / float64(nr)
+	pr := a.preps[0]
+	out := make(map[graph.NodeID]Estimate, len(cand))
+	for _, v := range cand {
+		// The source and pruned candidates sample nothing: their Σx² is
+		// 0, so the variance term is not positive and StdErr stays 0.
+		mean := pr.dense[v]
 		est := Estimate{Score: mean}
 		if nr > 1 {
-			variance := (sumSq - float64(nr)*mean*mean) / float64(nr-1)
+			variance := (pr.sq[v] - float64(nr)*mean*mean) / float64(nr-1)
 			if variance > 0 {
 				est.StdErr = math.Sqrt(variance / float64(nr))
 			}
@@ -81,8 +57,4 @@ func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID,
 		out[v] = est
 	}
 	return out, nil
-}
-
-func outOfRangeCandidate(v graph.NodeID, n int) error {
-	return fmt.Errorf("core: candidate %d out of range for n=%d", v, n)
 }

@@ -155,7 +155,7 @@ func (fc *frozenCarry) prepare(g *graph.Graph, tree *ReachTree, epoch uint64) (*
 		return fc.ft, true
 	}
 	if fc.ft == nil {
-		fc.ft = acquireFrozen(fc.pooled)
+		fc.ft = frozenPool.get(fc.pooled)
 	}
 	fc.ft.compile(tree, g.NumNodes())
 	fc.ft.buildStep1(g)
@@ -170,7 +170,7 @@ func (fc *frozenCarry) release() {
 	if fc.ft == nil {
 		return
 	}
-	releaseFrozen(fc.ft, fc.pooled)
+	frozenPool.put(fc.ft, fc.pooled)
 	fc.ft = nil
 }
 

@@ -339,7 +339,7 @@ func TestCandidateEstimateAllocationFree(t *testing.T) {
 			t.Fatal("candidate has no in-edges; its walks never move")
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := estimateCandidateFrozen(ctx, g, 1, 7, p, ft, p.Iterations, sqrtC); err != nil {
+			if _, _, err := estimateCandidateFrozen(ctx, g, 1, 7, p, ft, p.Iterations, sqrtC); err != nil {
 				t.Fatal(err)
 			}
 		})

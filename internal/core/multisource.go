@@ -2,22 +2,19 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"maps"
-	"math"
 
 	"crashsim/internal/graph"
-	"crashsim/internal/par"
 )
 
 // MultiSource answers a batch of single-source queries in one pipeline
 // pass: every distinct source's reverse reachable tree is built and
-// frozen exactly once, the per-source candidate sets are flattened into
-// a single (source, candidate) work list, and that list runs through
-// one par.ForEachCtx fan-out over a shared pooled scratch arena.
-// Compared to dispatching the sources one by one this pays one scratch
-// acquisition, one scheduling ramp-up and — because repeated sources
-// are deduplicated — one tree build and one sampling pass per distinct
+// frozen exactly once, and all of them run through one call of the
+// estimate path (arena.sample), whose flattened (source, candidate)
+// work list shares one fan-out and one pooled arena. Compared to
+// dispatching the sources one by one this pays one arena acquisition,
+// one scheduling ramp-up and — because repeated sources are
+// deduplicated — one tree build and one sampling pass per distinct
 // source instead of per request.
 //
 // A nil omega means all nodes; a non-nil omega restricts every source's
@@ -38,19 +35,14 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	q := p.withDefaults()
-	if err := q.Validate(); err != nil {
+	n := g.NumNodes()
+	q, nr, err := p.resolve(n)
+	if err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
 	for _, u := range sources {
 		if err := checkSource(g, u); err != nil {
 			return nil, err
-		}
-	}
-	for _, v := range omega {
-		if v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("core: candidate %d out of range for n=%d", v, n)
 		}
 	}
 	if len(sources) == 0 {
@@ -58,10 +50,6 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	nr := q.iterations(n)
-	if nr < 1 {
-		return nil, fmt.Errorf("core: derived iteration count %d < 1", nr)
 	}
 
 	statBatches.Inc()
@@ -81,75 +69,39 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 	statBatchDedup.Add(uint64(len(sources) - len(uniq)))
 
 	pooled := !q.DisablePooling
-	bs := acquireBatchScratch(len(uniq), n, pooled)
-	defer bs.release(pooled)
+	a := acquireArena(len(uniq), n, pooled)
+	defer a.release(pooled)
 	// Frozen forms are owned by this batch alone; hand their storage
 	// back once the estimates (or an abort) are done. Runs before
-	// bs.release (LIFO), which then drops the dangling pointers.
+	// a.release (LIFO), which then drops the dangling pointers.
 	defer func() {
-		for i := range bs.preps {
-			releaseFrozen(bs.preps[i].ft, pooled)
+		for i := range a.preps {
+			frozenPool.put(a.preps[i].ft, pooled)
 		}
 	}()
 
-	cand := omega
-	if cand == nil {
-		cand = bs.sc.identity(n)
-	}
-	sqrtC := math.Sqrt(q.C)
-
 	// Prep phase, sequential per unique source: build the reverse
-	// reachable tree, compile it (the same freeze a standalone query
-	// runs), prefilter the candidates, and append one work item per
-	// surviving candidate. Work items land source-major, keeping each
-	// source's tree and dense window cache-warm within a worker's chunk.
+	// reachable tree and compile it (the same freeze a standalone query
+	// runs) into the source's window of the shared slab.
 	for i, u := range uniq {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var tree *ReachTree
-		if q.NonBacktracking {
-			tree = RevReachNonBacktracking(g, u, q.C, q.Lmax, q.Transition)
-		} else {
-			tree = RevReach(g, u, q.C, q.Lmax, q.Transition)
-		}
-		ft := freezeOwned(g, tree, q)
-		dense := bs.slab[i*n : (i+1)*n]
-		bs.preps = append(bs.preps, srcPrep{u: u, ft: ft, dense: dense})
-		statCandidates.Add(uint64(len(cand)))
-		for _, v := range bs.sc.liveCandidates(g, u, cand, q, ft, dense) {
-			bs.work = append(bs.work, batchItem{src: int32(i), v: v})
-		}
+		ft := freezeOwned(g, buildTreeInto(nil, g, u, q), q)
+		a.preps = append(a.preps, srcPrep{u: u, ft: ft, dense: a.window(i, n)})
 	}
-	statBatchItems.Add(uint64(len(bs.work)))
-
-	// One fan-out over the whole flattened list: every item is an
-	// independent (source, candidate) estimate writing a disjoint slab
-	// entry, so the loop needs no locking and stays bit-identical for
-	// any worker count.
-	work, preps := bs.work, bs.preps
-	if err := par.ForEachCtx(ctx, len(work), q.Workers, func(idx int) {
-		it := work[idx]
-		pr := &preps[it.src]
-		s, err := estimateCandidateFrozen(ctx, g, pr.u, it.v, q, pr.ft, nr, sqrtC)
-		if err != nil {
-			return // only ctx errors escape; ForEachCtx reports them
-		}
-		pr.dense[it.v] = s
-	}); err != nil {
+	cand, err := a.sample(ctx, g, omega, q, nr)
+	if err != nil {
 		return nil, err
 	}
+	statBatchItems.Add(uint64(len(a.work)))
 
 	// Assembly: one Scores map per unique source, distributed to every
 	// position that asked for it (clones for duplicates, so results
 	// never alias each other).
 	uniqScores := make([]Scores, len(uniq))
-	for i := range preps {
-		s := make(Scores, len(cand))
-		for _, v := range cand {
-			s[v] = preps[i].dense[v]
-		}
-		uniqScores[i] = s
+	for i := range a.preps {
+		uniqScores[i] = a.preps[i].scores(cand)
 	}
 	out := make([]Scores, len(sources))
 	taken := make([]bool, len(uniq))

@@ -9,7 +9,7 @@ import "crashsim/internal/obs"
 //
 // Update discipline: the Monte-Carlo inner loop never touches an
 // atomic; walk counts accumulate locally and are added once per
-// candidate, pool counters tick once per query or per worker, and the
+// candidate, pool counters (scratch.go) tick once per acquire, and the
 // temporal counters tick once per CrashSim-T run. Counters never
 // influence results — the determinism tests stay bit-exact.
 var (
@@ -22,20 +22,6 @@ var (
 	// proved zero without sampling; pruned/candidates is the prune rate.
 	statPrefilterPruned = obs.Default.Counter("core.prefilter_pruned")
 
-	// Scratch-pool traffic: hits reuse pooled buffers, misses allocate.
-	statScratchHits   = obs.Default.Counter("core.pool.scratch_hits")
-	statScratchMisses = obs.Default.Counter("core.pool.scratch_misses")
-	statTreeHits      = obs.Default.Counter("core.pool.tree_hits")
-	statTreeMisses    = obs.Default.Counter("core.pool.tree_misses")
-	statPatchHits     = obs.Default.Counter("core.pool.patch_hits")
-	statPatchMisses   = obs.Default.Counter("core.pool.patch_misses")
-	statTempHits      = obs.Default.Counter("core.pool.temporal_hits")
-	statTempMisses    = obs.Default.Counter("core.pool.temporal_misses")
-	statFrozenHits    = obs.Default.Counter("core.pool.frozen_hits")
-	statFrozenMisses  = obs.Default.Counter("core.pool.frozen_misses")
-	statRevAccHits    = obs.Default.Counter("core.pool.revacc_hits")
-	statRevAccMisses  = obs.Default.Counter("core.pool.revacc_misses")
-
 	// Batched multi-source pipeline traffic: batches counts MultiSource
 	// calls, sources the requested sources across them, dedup_hits the
 	// repeated sources satisfied by cloning a batch-mate's result
@@ -47,10 +33,6 @@ var (
 	statBatchSources = obs.Default.Counter("core.batch.sources")
 	statBatchDedup   = obs.Default.Counter("core.batch.dedup_hits")
 	statBatchItems   = obs.Default.Counter("core.batch.items")
-
-	// Batch scratch-arena pool traffic, mirroring the core.pool.* pairs.
-	statBatchScratchHits   = obs.Default.Counter("core.pool.batch_hits")
-	statBatchScratchMisses = obs.Default.Counter("core.pool.batch_misses")
 
 	// statFrozenCompiled counts reverse-reachable trees compiled into
 	// the flat FrozenTree form (one per query on the default kernel,

@@ -99,7 +99,7 @@ func estimateCandidate(g *graph.Graph, u, v graph.NodeID, p Params, tree *ReachT
 // skips candidates whose walks provably never crash, whose reference
 // score is then exactly +0, so it cannot change a bit of the result.
 func legacySingleSource(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params) (Scores, error) {
-	tree, q, err := prepare(g, u, p)
+	tree, q, nr, err := prepare(g, u, p)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,6 @@ func legacySingleSource(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p 
 			omega[v] = graph.NodeID(v)
 		}
 	}
-	nr := q.iterations(n)
 	sqrtC := math.Sqrt(q.C)
 	scores := make(Scores, len(omega))
 	var walk []graph.NodeID

@@ -165,8 +165,8 @@ func (p Params) Validate() error {
 	if q.Lmax < 1 {
 		return fmt.Errorf("core: lmax must be >= 1, got %d", q.Lmax)
 	}
-	if q.Iterations < 0 {
-		return fmt.Errorf("core: iterations must be >= 0, got %d", q.Iterations)
+	if q.Iterations < 0 || q.Iterations > maxIterations {
+		return fmt.Errorf("core: iterations %d outside [0,%d]", q.Iterations, maxIterations)
 	}
 	// The truncation-error sanity check runs on the defaulted q, not
 	// the caller's raw p: guarding on p.Eps != 0 would silently skip
@@ -203,17 +203,39 @@ func TruncationError(c float64, lmax int) float64 {
 
 // DeriveIterations returns n_r = ⌈3c/(ε−p·ε_t)² · ln(n/δ)⌉ (Lemma 3).
 func DeriveIterations(c, eps, delta float64, lmax, n int) int {
+	return int(deriveIterations(c, eps, delta, lmax, n))
+}
+
+func deriveIterations(c, eps, delta float64, lmax, n int) float64 {
 	p := TruncationMass(c, lmax)
 	et := TruncationError(c, lmax)
 	margin := eps - p*et
-	nr := 3 * c / (margin * margin) * math.Log(float64(n)/delta)
-	return int(math.Ceil(nr))
+	return math.Ceil(3 * c / (margin * margin) * math.Log(float64(n)/delta))
 }
 
-// iterations resolves the effective n_r for a graph with n nodes.
-func (p Params) iterations(n int) int {
-	if p.Iterations > 0 {
-		return p.Iterations
+// maxIterations bounds n_r, explicit or derived, as prsim bounds its
+// n_q: 2^24 walks per candidate is far above anything derived in this
+// repository (n_r is about 54k at the default ε on a 1M-node graph),
+// and a larger count would keep a query sampling for hours.
+const maxIterations = 1 << 24
+
+// resolve is the one place a query's parameters are settled: it
+// applies the defaults, validates them and resolves n_r for a graph
+// with n nodes. A derived n_r outside [1, maxIterations] is refused
+// rather than converted: a tiny Eps or Delta derives a count past any
+// int, or one no query would finish sampling.
+func (p Params) resolve(n int) (Params, int, error) {
+	q := p.withDefaults()
+	if err := q.Validate(); err != nil {
+		return q, 0, err
 	}
-	return DeriveIterations(p.C, p.Eps, p.Delta, p.Lmax, n)
+	if q.Iterations > 0 {
+		return q, q.Iterations, nil
+	}
+	nr := deriveIterations(q.C, q.Eps, q.Delta, q.Lmax, n)
+	if !(nr >= 1 && nr <= maxIterations) {
+		return q, 0, fmt.Errorf("core: Eps %g and Delta %g derive n_r = %g walks per candidate on %d nodes, outside [1,%d]; raise Eps or set Iterations",
+			q.Eps, q.Delta, nr, n, maxIterations)
+	}
+	return q, int(nr), nil
 }

@@ -178,7 +178,7 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 	}
 	n := g.NumNodes()
 	ps := acquirePatchScratch(n)
-	defer releasePatchScratch(ps)
+	defer patchPool.put(ps, true)
 
 	// Affected closure: a node's level value can change only if it is
 	// the tail of a changed edge (its out-list changed), pushes through a
@@ -454,7 +454,7 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 		t.endLevel()
 	}
 	ra.acc, ra.seen = acc, seen
-	releaseRevAcc(ra)
+	revAccPool.put(ra, true)
 	return t
 }
 

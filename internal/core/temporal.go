@@ -156,18 +156,18 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pp := p.withDefaults()
-	if err := pp.Validate(); err != nil {
-		return nil, err
-	}
 	if q == nil {
 		return nil, fmt.Errorf("core: temporal query must not be nil")
+	}
+	n := tg.NumNodes()
+	pp, nr, err := p.resolve(n)
+	if err != nil {
+		return nil, err
 	}
 	gate := patchGate
 	if to.patchGate != 0 {
 		gate = to.patchGate
 	}
-	n := tg.NumNodes()
 	if u < 0 || int(u) >= n {
 		return nil, fmt.Errorf("core: source %d out of range for n=%d", u, n)
 	}
@@ -177,7 +177,6 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	}
 
 	res := &TemporalResult{}
-	nr := pp.iterations(n)
 	pooled := !pp.DisablePooling
 
 	var carry *frozenCarry
@@ -197,7 +196,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		}
 	}
 	ts := acquireTemporalScratch(n, pooled)
-	defer ts.release(pooled)
+	defer temporalPool.put(ts, pooled)
 
 	// Snapshot 0: full single-source computation and initial filter. The
 	// candidate list is built in node order once and maintained sorted
@@ -217,7 +216,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	}
 	var spare *ReachTree
 	var epoch uint64
-	scoresPrev, err := runEstimate(ctx, carry, gPrev, u, nil, pp, treePrev, epoch, res)
+	scoresPrev, err := runEstimate(ctx, carry, gPrev, u, nil, pp, nr, treePrev, epoch, res)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +382,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 
 		var fresh Scores
 		if len(recompute) > 0 {
-			fresh, err = runEstimate(ctx, carry, gCur, u, recompute, pp, tree, epoch, res)
+			fresh, err = runEstimate(ctx, carry, gCur, u, recompute, pp, nr, tree, epoch, res)
 			if err != nil {
 				return nil, err
 			}
@@ -443,20 +442,21 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	return res, nil
 }
 
-// runEstimate dispatches one snapshot's estimate: through the frozen
-// carry (reusing the compiled source tree across tree-stable
-// transitions, keyed on the tree epoch), or, when the run has none
-// (rebuildEachSnapshot), through the self-contained static path, which
-// compiles and releases per call.
-func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, tree *ReachTree, epoch uint64, res *TemporalResult) (Scores, error) {
+// runEstimate runs one snapshot's estimate through the one estimate
+// path, against the frozen carry (reusing the compiled source tree
+// across tree-stable transitions, keyed on the tree epoch) or, when the
+// run has none (rebuildEachSnapshot), against a per-call freeze.
+func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, nr int, tree *ReachTree, epoch uint64, res *TemporalResult) (Scores, error) {
 	if carry == nil {
-		return estimate(ctx, g, u, omega, pp, tree)
+		ft := freeze(g, tree, pp)
+		defer frozenPool.put(ft, !pp.DisablePooling)
+		return estimateSource(ctx, g, u, ft, omega, pp, nr)
 	}
 	ft, reused := carry.prepare(g, tree, epoch)
 	if reused {
 		res.Stats.FrozenReused++
 	}
-	return estimateWith(ctx, g, u, omega, pp, ft)
+	return estimateSource(ctx, g, u, ft, omega, pp, nr)
 }
 
 // candKey renders a candidate id as its cache key.

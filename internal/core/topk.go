@@ -117,22 +117,19 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tree, q, err := prepare(g, u, p)
+	tree, q, nr, err := prepare(g, u, p)
 	if err != nil {
 		return nil, err
 	}
-	pooled := !q.DisablePooling
 	ft := freezeOwned(g, tree, q)
-	defer releaseFrozen(ft, pooled)
-	nr := q.iterations(g.NumNodes())
+	defer frozenPool.put(ft, !q.DisablePooling)
 
 	// Phase 1: coarse scores with a fraction of the budget.
-	coarse := q
-	coarse.Iterations = nr / 8
-	if coarse.Iterations < 50 {
-		coarse.Iterations = min(50, nr)
+	coarse := nr / 8
+	if coarse < 50 {
+		coarse = min(50, nr)
 	}
-	scores, err := estimateWith(ctx, g, u, nil, coarse, ft)
+	scores, err := estimateSource(ctx, g, u, ft, nil, q, coarse)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +137,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if len(head) == 0 {
 		return nil, nil
 	}
-	if coarse.Iterations == nr {
+	if coarse == nr {
 		return head, nil
 	}
 
@@ -152,9 +149,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 			omega = append(omega, v)
 		}
 	}
-	refined := q
-	refined.Iterations = nr
-	rescored, err := estimateWith(ctx, g, u, omega, refined, ft)
+	rescored, err := estimateSource(ctx, g, u, ft, omega, q, nr)
 	if err != nil {
 		return nil, err
 	}

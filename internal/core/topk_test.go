@@ -131,8 +131,10 @@ func TestSinglePair(t *testing.T) {
 // query over the rank-ordered shortlist, each building and compiling
 // its own source tree. TopKCtx must return exactly its answers.
 func topKTwoPassOracle(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Params) ([]TopKResult, error) {
-	q := p.withDefaults()
-	nr := q.iterations(g.NumNodes())
+	q, nr, err := p.resolve(g.NumNodes())
+	if err != nil {
+		return nil, err
+	}
 	coarse := q
 	coarse.Iterations = nr / 8
 	if coarse.Iterations < 50 {

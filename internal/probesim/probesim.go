@@ -77,8 +77,8 @@ func (o Options) Validate() error {
 	if !(q.Delta > 0 && q.Delta < 1) {
 		return fmt.Errorf("probesim: failure probability delta=%g outside (0,1)", q.Delta)
 	}
-	if q.Iterations < 0 {
-		return fmt.Errorf("probesim: iterations must be >= 0, got %d", q.Iterations)
+	if q.Iterations < 0 || q.Iterations > maxIterations {
+		return fmt.Errorf("probesim: iterations %d outside [0,%d]", q.Iterations, maxIterations)
 	}
 	if q.MaxDepth < 1 {
 		return fmt.Errorf("probesim: max depth must be >= 1, got %d", q.MaxDepth)
@@ -86,13 +86,25 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// iterations resolves the effective n_r for n nodes.
-func (o Options) iterations(n int) int {
+// maxIterations bounds n_r, explicit or derived, as core and prsim
+// bound theirs: 2^24 source walks per query is far above the
+// derivations this repository runs, and a larger count would keep a
+// query sampling for hours.
+const maxIterations = 1 << 24
+
+// iterations resolves the effective n_r for n nodes. A derived count
+// outside [1, maxIterations] is refused rather than converted: a tiny
+// Eps or Delta derives a count past any int.
+func (o Options) iterations(n int) (int, error) {
 	if o.Iterations > 0 {
-		return o.Iterations
+		return o.Iterations, nil
 	}
-	nr := 3 * o.C / (o.Eps * o.Eps) * math.Log(float64(n)/o.Delta)
-	return int(math.Ceil(nr))
+	nr := math.Ceil(3 * o.C / (o.Eps * o.Eps) * math.Log(float64(n)/o.Delta))
+	if !(nr >= 1 && nr <= maxIterations) {
+		return 0, fmt.Errorf("probesim: Eps %g and Delta %g derive n_r = %g source walks on %d nodes, outside [1,%d]; raise Eps or set Iterations",
+			o.Eps, o.Delta, nr, n, maxIterations)
+	}
+	return int(nr), nil
 }
 
 // SingleSource estimates sim(u, v) for every node v. The score of u
@@ -117,10 +129,13 @@ func SingleSourceCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, opt Op
 	if u < 0 || int(u) >= n {
 		return nil, fmt.Errorf("probesim: source %d out of range for n=%d", u, n)
 	}
+	nr, err := o.iterations(n)
+	if err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	nr := o.iterations(n)
 	r := rng.New(o.Seed)
 	sc := math.Sqrt(o.C)
 

@@ -2,6 +2,7 @@ package probesim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"crashsim/internal/exact"
@@ -21,6 +22,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"NaN eps", Options{Eps: math.NaN()}},
 		{"NaN delta", Options{Delta: math.NaN()}},
 		{"bad iterations", Options{Iterations: -1}},
+		{"iterations above bound", Options{Iterations: 1<<24 + 1}},
 		{"bad depth", Options{MaxDepth: -2}},
 	}
 	for _, tc := range cases {
@@ -30,6 +32,26 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
+	}
+	if err := (Options{Iterations: 1 << 24}).Validate(); err != nil {
+		t.Errorf("iterations at the bound rejected: %v", err)
+	}
+}
+
+// TestDerivedIterationsRefused: a tiny Eps passes Validate but derives
+// an n_r past any int (Eps 1e-200, which used to wrap to a count below
+// one and return no neighbours and no error) or one no query would
+// finish (Eps 1e-8). The query must refuse it up front, naming Eps.
+func TestDerivedIterationsRefused(t *testing.T) {
+	g := graph.PaperExample()
+	for _, eps := range []float64{1e-200, 1e-8} {
+		o := Options{Eps: eps}
+		if err := o.Validate(); err != nil {
+			t.Fatalf("Eps %g: Validate refused it (%v); the derived count must be what refuses it", eps, err)
+		}
+		if _, err := SingleSource(g, 0, o); err == nil || !strings.Contains(err.Error(), "Eps") {
+			t.Errorf("Eps %g: SingleSource returned %v, want an error naming Eps", eps, err)
+		}
 	}
 }
 

@@ -492,19 +492,19 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // the server.latency summary under "latency".
 //
 // With the default registry the snapshot includes internal/core's
-// process-wide work counters (core.walks, core.pool.* — including the
-// frozen-tree and revReach
-// accumulator pools, core.pool.frozen_* and core.pool.revacc_*, plus
-// the incremental-pipeline scratch pools core.pool.patch_* and
-// core.pool.temporal_* — core.frozen.compiled, core.prefilter_pruned,
+// process-wide work counters (core.walks, the core.pool.*_hits /
+// *_misses pairs — batch for the estimate arena every query draws its
+// score windows and work list from, tree and revacc for reverse-tree
+// arenas and their accumulators, frozen for compiled trees, patch and
+// temporal for the incremental pipeline's scratch —
+// core.frozen.compiled, core.prefilter_pruned,
 // and the core.temporal.* family, which now covers the incremental
 // temporal pipeline: core.temporal.tree_patched / tree_rebuilt track
 // the source-tree patch-vs-rebuild decision, core.temporal.frozen_reused
 // counts frozen-form carries across stable snapshots, and
 // core.temporal.candtree_hits / candtree_misses account the
 // candidate-tree cache). The batched multi-source pipeline reports as
-// core.batch.batches / sources / dedup_hits / items plus its arena
-// pool pair core.pool.batch_hits / batch_misses, and the engine layer
+// core.batch.batches / sources / dedup_hits / items, and the engine layer
 // adds engine.<backend>.queries.multisource per batch.
 // With caching enabled the counters include cache.hits, cache.misses,
 // cache.coalesced, cache.evictions and cache.expired, the gauges

@@ -208,7 +208,7 @@ func TestCanceledRequest(t *testing.T) {
 func TestRequestTimeout(t *testing.T) {
 	s, err := New(Config{
 		Graph:   graph.PaperExample(),
-		Params:  core.Params{Iterations: 50_000_000, Seed: 1},
+		Params:  core.Params{Iterations: 1 << 24, Seed: 1},
 		Timeout: time.Nanosecond,
 	})
 	if err != nil {
