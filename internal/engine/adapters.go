@@ -131,10 +131,13 @@ func BuildPRSimIndex(ctx context.Context, g *graph.Graph, cfg Config) (*prsim.In
 // prsimEstimator adapts the PRSim hub index; New pays the eager hub
 // build unless Config carries a compatible preloaded one. Tail tables
 // keep filling lazily (and concurrently) behind the index's per-node
-// singleflight.
+// singleflight. Batches fan out over the Config's Workers, the width a
+// fresh build records, also when the index was preloaded: an imported
+// index records the default, one worker.
 type prsimEstimator struct {
-	g  *graph.Graph
-	ix *prsim.Index
+	g       *graph.Graph
+	ix      *prsim.Index
+	workers int
 }
 
 func newPRSim(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error) {
@@ -147,7 +150,7 @@ func newPRSim(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error
 	} else if err := persisted["prsim"].check(g, cfg); err != nil {
 		return nil, err
 	}
-	return &prsimEstimator{g: g, ix: ix}, nil
+	return &prsimEstimator{g: g, ix: ix, workers: cfg.PRSimOptions().WithDefaults().Workers}, nil
 }
 
 func (e *prsimEstimator) Name() string { return "prsim" }
@@ -164,7 +167,7 @@ func (e *prsimEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega
 // node across the whole batch; each entry is bit-identical to the
 // corresponding SingleSource call.
 func (e *prsimEstimator) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	res, err := e.ix.MultiSource(ctx, sources)
+	res, err := e.ix.MultiSourceWorkers(ctx, sources, e.workers)
 	if err != nil {
 		return nil, err
 	}

@@ -47,9 +47,14 @@ import (
 // key, so concurrent identical requests still coalesce to one
 // computation per source.
 //
-// Values handed to callers are clones of the cached canonical copy
-// (maps and slices are aliasable; a caller mutating its result must not
-// corrupt the cache). Pair scores are values and need no cloning.
+// Each result is stored once, as a canonical copy no one may write.
+// SingleSource, MultiSource and TopK hand callers clones of it: they
+// are public estimator calls (crashsim.NewCachedEstimator wraps this
+// one), and their callers may mutate what they get back. Ranked (see
+// engine.Ranked) and the top-k fallback only rank a result with
+// core.Top, which reads the map and returns a fresh k-entry slice, so
+// they run over the canonical copies themselves and a hit copies
+// nothing. Pair scores are values and need no cloning.
 
 // CacheConfig wires an Estimator to a result cache.
 type CacheConfig struct {
@@ -138,7 +143,18 @@ const (
 )
 
 func (e *cached) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
-	ctx = orBackground(ctx)
+	s, err := e.single(orBackground(ctx), u, omega)
+	if err != nil {
+		return nil, err
+	}
+	// The canonical copy stays private to the cache, so callers may
+	// mutate their result freely.
+	return maps.Clone(s), nil
+}
+
+// single returns the canonical cached result of sim(u, ·), computing
+// and caching it on a miss. Callers must not write to it.
+func (e *cached) single(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
 	args := make([]int64, 0, 1+len(omega))
 	args = append(args, int64(u))
 	for _, v := range omega {
@@ -158,15 +174,13 @@ func (e *cached) SingleSource(ctx context.Context, u graph.NodeID, omega []graph
 	if err != nil {
 		return nil, err
 	}
-	// Clone on every path: the canonical copy stays private to the
-	// cache, so callers may mutate their result freely.
-	return maps.Clone(v.(core.Scores)), nil
+	return v.(core.Scores), nil
 }
 
 func (e *cached) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
 	ctx = orBackground(ctx)
 	if e.native&opTopK == 0 {
-		return topKFallback(ctx, e, u, k)
+		return topKFallback(ctx, u, k, e.single)
 	}
 	v, _, err := e.cc.Cache.Do(ctx, e.key("topk", int64(u), int64(k)), func(ctx context.Context) (any, int64, error) {
 		r, err := e.inner.(TopKer).TopK(ctx, u, k)
@@ -199,19 +213,37 @@ func (e *cached) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
 	return r.(float64), nil
 }
 
-// MultiSource serves a batch through the cache. Without a native batch
-// mode it is a loop of cached single-source queries. With one, it
-// probes each source's "ss" key (keys are assembled once up front,
-// pinning one graph version for the whole batch), serves the hits from
-// memory, and computes only the missing sources — deduplicated — as one
-// inner batch. The inner call runs lazily inside the first missing
-// key's Do fill, so a source another goroutine is already computing is
-// waited on (singleflight) rather than recomputed, and a fully cached
-// batch never touches the backend.
+// MultiSource serves a batch through the cache (see multi) and hands
+// back clones: the canonical copies stay private to the cache, and
+// duplicate sources must not alias each other.
 func (e *cached) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
 	ctx = orBackground(ctx)
 	if e.native&opMulti == 0 {
-		return multiFallback(ctx, e, sources)
+		return multiFallback(ctx, sources, e.SingleSource)
+	}
+	out, err := e.multi(ctx, sources)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i] = maps.Clone(out[i])
+	}
+	return out, nil
+}
+
+// multi returns the canonical cached results of a batch; duplicate
+// sources share one map, and callers must not write to any of them.
+// Without a native batch mode it is a loop of cached single-source
+// queries. With one, it probes each source's "ss" key (keys are
+// assembled once up front, pinning one graph version for the whole
+// batch), serves the hits from memory, and computes only the missing
+// sources — deduplicated — as one inner batch. The inner call runs
+// lazily inside the first missing key's Do fill, so a source another
+// goroutine is already computing is waited on (singleflight) rather
+// than recomputed, and a fully cached batch never touches the backend.
+func (e *cached) multi(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
+	if e.native&opMulti == 0 {
+		return multiFallback(ctx, sources, e.single)
 	}
 	out := make([]core.Scores, len(sources))
 	var missUniq []graph.NodeID
@@ -267,11 +299,6 @@ func (e *cached) MultiSource(ctx context.Context, sources []graph.NodeID) ([]cor
 				out[i] = canon
 			}
 		}
-	}
-	// Clone on every path: the canonical copies stay private to the
-	// cache, and duplicate sources must not alias each other.
-	for i := range out {
-		out[i] = maps.Clone(out[i])
 	}
 	return out, nil
 }

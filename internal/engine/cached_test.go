@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -432,5 +433,80 @@ func BenchmarkSingleSourceCached(b *testing.B) {
 		if _, err := est.SingleSource(ctx, 3, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// wideEstimator answers every source with the same n-entry result, so
+// a copy of it is easy to see in allocated bytes.
+type wideEstimator struct {
+	n     int
+	calls atomic.Int64
+}
+
+func (w *wideEstimator) Name() string { return "wide" }
+
+func (w *wideEstimator) SingleSource(_ context.Context, u graph.NodeID, _ []graph.NodeID) (core.Scores, error) {
+	w.calls.Add(1)
+	s := make(core.Scores, w.n)
+	for v := 0; v < w.n; v++ {
+		s[graph.NodeID(v)] = float64((v*7+int(u))%w.n) / float64(w.n)
+	}
+	return s, nil
+}
+
+// TestRankedReadsCanonicalCopies: Ranked through Cached ranks the
+// cached result itself. It matches core.Top over a SingleSource clone,
+// a caller mutating such a clone does not move it, a repeat is a hit,
+// and a hit allocates far less than one copy of the result (a
+// 4096-entry map is over 64 KiB). The fallback top-k takes the same
+// path.
+func TestRankedReadsCanonicalCopies(t *testing.T) {
+	inner := &wideEstimator{n: 4096}
+	est, err := Cached(inner, CacheConfig{Cache: testCache(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	clone, err := est.SingleSource(ctx, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Top(clone, 5, 10)
+	for v := range clone {
+		clone[v] = 2 // a caller scribbling over its copy
+	}
+	for range 2 {
+		got, err := Ranked(ctx, est, []graph.NodeID{5}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got[0], want) {
+			t.Fatalf("Ranked = %v, want %v", got[0], want)
+		}
+	}
+	top, err := TopK(ctx, est, 5, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(top, want) {
+		t.Fatalf("fallback TopK = %v, want %v", top, want)
+	}
+	if c := inner.calls.Load(); c != 1 {
+		t.Fatalf("backend ran %d times, want 1", c)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := Ranked(ctx, est, []graph.NodeID{5, 5}, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := TopK(ctx, est, 5, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 8<<10 {
+		t.Errorf("a two-source Ranked hit and a fallback TopK hit allocate %d bytes, want at most 8 KiB (no copy of a 4096-entry result)", b)
 	}
 }

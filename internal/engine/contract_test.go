@@ -46,6 +46,15 @@ var contractSteps = []contractStep{
 	{"multisource", opMulti, "multisource", 3, 1, 1, func(ctx context.Context, est Estimator) (any, error) {
 		return MultiSource(ctx, est, []graph.NodeID{0, 3, 0})
 	}},
+	// Ranked of one source is ss|3 plus core.Top, a hit on Cached.
+	{"ranked-one", 0, "singlesource", 1, 0, 0, func(ctx context.Context, est Estimator) (any, error) {
+		return Ranked(ctx, est, []graph.NodeID{3}, 5)
+	}},
+	// Ranked of several is one batch; through Cached only source 4 is
+	// missing.
+	{"ranked-batch", opMulti, "multisource", 2, 1, 1, func(ctx context.Context, est Estimator) (any, error) {
+		return Ranked(ctx, est, []graph.NodeID{3, 4}, 5)
+	}},
 }
 
 // TestEstimatorContract checks every backend through New and through
@@ -191,6 +200,17 @@ func sameBits(a, b any) bool {
 		}
 		for i := range a {
 			if a[i].Node != b[i].Node || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+				return false
+			}
+		}
+		return true
+	case [][]core.TopKResult:
+		b := b.([][]core.TopKResult)
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if !sameBits(a[i], b[i]) {
 				return false
 			}
 		}

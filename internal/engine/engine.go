@@ -226,15 +226,59 @@ func TopK(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.Top
 	if t, ok := est.(TopKer); ok {
 		return t.TopK(ctx, u, k)
 	}
-	return topKFallback(ctx, est, u, k)
+	return topKFallback(ctx, u, k, est.SingleSource)
 }
 
-func topKFallback(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.TopKResult, error) {
-	scores, err := est.SingleSource(ctx, u, nil)
+// singleFunc is the shape of Estimator.SingleSource. The fallbacks
+// take one so the cached estimator can run them over its canonical
+// results instead of clones.
+type singleFunc func(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error)
+
+func topKFallback(ctx context.Context, u graph.NodeID, k int, single singleFunc) ([]core.TopKResult, error) {
+	scores, err := single(ctx, u, nil)
 	if err != nil {
 		return nil, err
 	}
 	return core.Top(scores, u, k), nil
+}
+
+// Ranked ranks each source's full single-source result with core.Top
+// (the source itself excluded), answering entry i for sources[i]. A
+// single source runs one SingleSource call, several run one
+// MultiSource batch. The cached estimator ranks its canonical cached
+// results in place, so a hit copies nothing; core.Top only reads the
+// map it ranks.
+func Ranked(ctx context.Context, est Estimator, sources []graph.NodeID, k int) ([][]core.TopKResult, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("engine: ranking needs k >= 1, got %d", k)
+	}
+	ctx = orBackground(ctx)
+	if c, ok := est.(*cached); ok {
+		return rankBy(ctx, sources, k, c.single, c.multi)
+	}
+	return rankBy(ctx, sources, k, est.SingleSource, func(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
+		return MultiSource(ctx, est, sources)
+	})
+}
+
+func rankBy(ctx context.Context, sources []graph.NodeID, k int, single singleFunc,
+	multi func(context.Context, []graph.NodeID) ([]core.Scores, error)) ([][]core.TopKResult, error) {
+	if len(sources) == 1 {
+		top, err := topKFallback(ctx, sources[0], k, single)
+		if err != nil {
+			return nil, err
+		}
+		return [][]core.TopKResult{top}, nil
+	}
+	all, err := multi(ctx, sources)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]core.TopKResult, len(all))
+	for i, s := range all {
+		out[i] = core.Top(s, sources[i], k)
+	}
+	return out, nil
 }
 
 // Pair answers sim(u, v) through est: natively when est implements
@@ -265,13 +309,13 @@ func MultiSource(ctx context.Context, est Estimator, sources []graph.NodeID) ([]
 	if m, ok := est.(MultiSourcer); ok {
 		return m.MultiSource(ctx, sources)
 	}
-	return multiFallback(ctx, est, sources)
+	return multiFallback(ctx, sources, est.SingleSource)
 }
 
-func multiFallback(ctx context.Context, est Estimator, sources []graph.NodeID) ([]core.Scores, error) {
+func multiFallback(ctx context.Context, sources []graph.NodeID, single singleFunc) ([]core.Scores, error) {
 	out := make([]core.Scores, 0, len(sources))
 	for _, u := range sources {
-		s, err := est.SingleSource(ctx, u, nil)
+		s, err := single(ctx, u, nil)
 		if err != nil {
 			return out, err
 		}

@@ -97,7 +97,7 @@ func (e *metered) SingleSource(ctx context.Context, u graph.NodeID, omega []grap
 func (e *metered) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
 	ctx = orBackground(ctx)
 	if e.native&opTopK == 0 {
-		return topKFallback(ctx, e, u, k)
+		return topKFallback(ctx, u, k, e.SingleSource)
 	}
 	return observe(e.m, e.m.topK, 1, func() ([]core.TopKResult, error) {
 		return e.inner.(TopKer).TopK(ctx, u, k)
@@ -117,7 +117,7 @@ func (e *metered) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) 
 func (e *metered) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
 	ctx = orBackground(ctx)
 	if e.native&opMulti == 0 {
-		return multiFallback(ctx, e, sources)
+		return multiFallback(ctx, sources, e.SingleSource)
 	}
 	return observe(e.m, e.m.multiSource, len(sources), func() ([]core.Scores, error) {
 		return e.inner.(MultiSourcer).MultiSource(ctx, sources)

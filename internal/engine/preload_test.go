@@ -5,8 +5,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"crashsim/internal/core"
 	"crashsim/internal/graph"
 	"crashsim/internal/obs"
 	"crashsim/internal/store"
@@ -291,5 +294,98 @@ func TestImportIndexChecksOptions(t *testing.T) {
 	}
 	if err := BuildIndex(ctx, "crashsim", g, &cfg, snap); err == nil {
 		t.Error("BuildIndex accepted a backend without an index")
+	}
+}
+
+// meetingCtx holds the first of its Err calls until a second one
+// arrives (or a timeout passes) and records whether one did: two batch
+// workers polling it as they start meet, a serial loop does not.
+type meetingCtx struct {
+	context.Context
+	arrived atomic.Int32
+	second  chan struct{}
+	met     atomic.Bool
+}
+
+func (c *meetingCtx) Err() error {
+	switch c.arrived.Add(1) {
+	case 1:
+		select {
+		case <-c.second:
+			c.met.Store(true)
+		case <-time.After(5 * time.Second):
+		}
+	case 2:
+		close(c.second)
+	}
+	return nil
+}
+
+// TestPreloadedPRSimBatchesOnEngineWorkers: an index imported from a
+// mapped snapshot records the default of one worker, yet the engine
+// serving it with Workers 2 runs a batch on two workers at once, the
+// width a fresh build would use. The batch scores are bit-identical at
+// one and two workers and to a freshly built index's.
+func TestPreloadedPRSimBatchesOnEngineWorkers(t *testing.T) {
+	ctx := context.Background()
+	g := preloadGraph(t)
+	cfg := preloadConfig()
+	built, err := BuildPRSimIndex(ctx, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := built.Export()
+	path := filepath.Join(t.TempDir(), "prsim.snap")
+	if err := store.Write(path, &store.Snapshot{Graph: g, PRSim: &f}); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := store.OpenMapped(path, store.MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mp.Close()
+	imported, err := mp.ImportPRSim(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer imported.Close()
+	if w := imported.Options().Workers; w != 1 {
+		t.Fatalf("imported index records %d workers, want the default 1", w)
+	}
+	sources := []graph.NodeID{0, 7, 3, 7, 19, 11}
+	var want []core.Scores
+	for _, workers := range []int{1, 2} {
+		c := cfg
+		c.Workers = workers
+		fresh, err := New(ctx, "prsim", g, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.PRSimIndex = imported
+		served, err := New(ctx, "prsim", g, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers > 1 {
+			mc := &meetingCtx{Context: ctx, second: make(chan struct{})}
+			if _, err := MultiSource(mc, served, sources); err != nil {
+				t.Fatal(err)
+			}
+			if !mc.met.Load() {
+				t.Errorf("Workers %d: the preloaded index ran its batch on one worker", workers)
+			}
+		}
+		for name, est := range map[string]Estimator{"fresh": fresh, "preloaded": served} {
+			res, err := MultiSource(ctx, est, sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = res
+			}
+			if !sameBits(res, want) {
+				t.Errorf("Workers %d, %s index: batch scores differ from Workers 1", workers, name)
+			}
+		}
 	}
 }

@@ -404,16 +404,18 @@ func (ix *Index) publish(w graph.NodeID, t *table) {
 // ensure returns w's table, building and publishing it on first visit.
 // The fast path is a single atomic load; builds of distinct nodes
 // proceed in parallel, and concurrent requests for the same node
-// coalesce behind one build (per-node singleflight).
-func (ix *Index) ensure(w graph.NodeID) *table {
+// coalesce behind one build (per-node singleflight). slow reports that
+// the table was not yet published on entry, so this call built it or
+// waited for its build.
+func (ix *Index) ensure(w graph.NodeID) (t *table, slow bool) {
 	if t := ix.tables[w].Load(); t != nil {
-		return t
+		return t, false
 	}
 	for {
 		ix.mu.Lock()
 		if t := ix.tables[w].Load(); t != nil {
 			ix.mu.Unlock()
-			return t
+			return t, true
 		}
 		if wg, ok := ix.calls[w]; ok {
 			ix.mu.Unlock()
@@ -434,7 +436,7 @@ func (ix *Index) ensure(w graph.NodeID) *table {
 		delete(ix.calls, w)
 		ix.mu.Unlock()
 		wg.Done()
-		return t
+		return t, true
 	}
 }
 
@@ -545,7 +547,10 @@ func (ix *Index) SingleSource(u graph.NodeID) (map[graph.NodeID]float64, error) 
 // source-side distribution; each visited (step, node) adds the node's
 // table column at that step, weighted by d(node). Tail nodes' tables
 // are compiled on first visit and cached for later queries. Safe for
-// concurrent use; honors ctx between walk batches.
+// concurrent use. It checks ctx every 64 walks and after every visit
+// that built (or waited for) a tail table, so a query past its deadline
+// runs at most one more tail build; that build still finishes and
+// publishes, since other queries may be waiting on it.
 func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph.NodeID]float64, error) {
 	n := ix.g.NumNodes()
 	if u < 0 || int(u) >= n {
@@ -578,7 +583,12 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 			if ix.eager[cur] {
 				hubHits++
 			}
-			t := ix.ensure(cur)
+			t, slow := ix.ensure(cur)
+			if slow {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			if step > t.levels() {
 				continue
 			}
@@ -602,12 +612,20 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 	return out, nil
 }
 
-// MultiSource answers a batch of sources, bit-identical to issuing
-// SingleSourceCtx per source in order. Duplicate sources are computed
-// once and cloned; unique sources fan out across opt.Workers, sharing
-// one lazy table build per unique visited node through the per-node
-// singleflight and one pooled scratch arena per worker.
+// MultiSource answers a batch of sources over the index's own Workers;
+// see MultiSourceWorkers.
 func (ix *Index) MultiSource(ctx context.Context, sources []graph.NodeID) ([]map[graph.NodeID]float64, error) {
+	return ix.MultiSourceWorkers(ctx, sources, ix.opt.Workers)
+}
+
+// MultiSourceWorkers answers a batch of sources, bit-identical to
+// issuing SingleSourceCtx per source in order. Duplicate sources are
+// computed once and cloned; unique sources fan out across workers
+// goroutines (below 2, serially), sharing one lazy table build per unique
+// visited node through the per-node singleflight and one pooled
+// scratch arena per worker. It lets a caller serving an imported index,
+// whose Workers is the default 1, batch at its own width.
+func (ix *Index) MultiSourceWorkers(ctx context.Context, sources []graph.NodeID, workers int) ([]map[graph.NodeID]float64, error) {
 	n := ix.g.NumNodes()
 	for _, u := range sources {
 		if u < 0 || int(u) >= n {
@@ -624,7 +642,7 @@ func (ix *Index) MultiSource(ctx context.Context, sources []graph.NodeID) ([]map
 	}
 	res := make([]map[graph.NodeID]float64, len(uniq))
 	errs := make([]error, len(uniq))
-	if err := par.ForEachCtx(ctx, len(uniq), ix.opt.Workers, func(i int) {
+	if err := par.ForEachCtx(ctx, len(uniq), workers, func(i int) {
 		res[i], errs[i] = ix.SingleSourceCtx(ctx, uniq[i])
 	}); err != nil {
 		return nil, err

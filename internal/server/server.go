@@ -17,8 +17,9 @@
 // configurable per-request timeout; an aborted estimate returns 503.
 //
 // The batch endpoint answers many single-source queries in one request
-// through engine.MultiSource, which on the crashsim backend runs the
-// whole batch through one compile-once, fan-out-once pipeline.
+// through engine.Ranked, which runs the whole batch as one
+// engine.MultiSource call: on the crashsim backend one compile-once,
+// fan-out-once pipeline.
 // Responses carry per-item results and per-item errors: an out-of-range
 // source fails alone without failing its batch-mates.
 //
@@ -39,9 +40,18 @@
 // parameters and graph version, with singleflight coalescing so a
 // thundering herd on one hot node costs a single backend computation.
 // Estimates are deterministic for a fixed seed, so a cached result is
-// exactly what recomputing would return. Cache occupancy and hit/miss/
-// coalesced counters appear on /stats and /metrics, and /health gains
-// an allocation-free cache_hit_ratio field.
+// exactly what recomputing would return. /singlesource and the batch
+// endpoint rank through engine.Ranked, which ranks a cached result in
+// place instead of copying it. Cache occupancy and hit/miss/coalesced
+// counters appear on /stats and /metrics, and /health gains an
+// allocation-free cache_hit_ratio field.
+//
+// Idle collection: a server answering from its cache allocates little
+// per request, so after warm-up the runtime may not collect again for
+// minutes and the warm-up garbage stays resident. When the last
+// in-flight request finishes, the server checks at most once per
+// idleGCInterval whether a GC cycle has completed since its previous
+// check, and if none has, collects in the background.
 package server
 
 import (
@@ -52,8 +62,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crashsim/internal/cache"
@@ -177,9 +189,59 @@ type Server struct {
 	// exact max with ~3% relative error, served live on /stats and
 	// /metrics.
 	latency *obs.QuantileHistogram
-	// now is the clock behind latency accounting; tests substitute a
-	// fake to drive known durations through the histogram.
+	// now is the clock behind latency accounting and the idle
+	// collection; tests substitute a fake to drive known durations
+	// through the histogram.
 	now func() time.Time
+
+	// busy is this server's own in-flight query weight (the inflight
+	// gauge may be shared by several servers on one registry); a
+	// finish that drops it to zero runs the idle collection check.
+	busy atomic.Int64
+	gc   idleGC
+}
+
+// idleGCInterval is the least time between two idle collection checks.
+const idleGCInterval = time.Second
+
+// idleGC is the idle collection's state. Its two hooks default to the
+// runtime's cycle counter and a background runtime.GC; tests
+// substitute both.
+type idleGC struct {
+	mu      sync.Mutex
+	checked time.Time // time of the previous check
+	cycles  uint64    // completed GC cycles seen at the previous check
+
+	readCycles func() uint64
+	collect    func()
+}
+
+// gcCycles reads the number of completed GC cycles.
+func gcCycles() uint64 {
+	s := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// idle runs when the server has just gone idle at now: at most once per
+// idleGCInterval it checks whether a GC cycle has completed since the
+// previous check and collects if none has. A concurrent check wins and
+// this one returns.
+func (g *idleGC) idle(now time.Time) {
+	if !g.mu.TryLock() {
+		return
+	}
+	defer g.mu.Unlock()
+	if now.Sub(g.checked) < idleGCInterval {
+		return
+	}
+	g.checked = now
+	c := g.readCycles()
+	quiet := c == g.cycles
+	g.cycles = c
+	if quiet {
+		g.collect()
+	}
 }
 
 // New validates the configuration, builds the selected estimator
@@ -253,6 +315,8 @@ func New(cfg Config) (*Server, error) {
 		statsComputed: cfg.Metrics.Counter("server.stats_computed"),
 		now:           time.Now,
 	}
+	s.gc.readCycles = gcCycles
+	s.gc.collect = func() { go runtime.GC() }
 	s.stats = graph.ComputeStats(cfg.Graph)
 	s.statsComputed.Inc()
 	s.healthPrefix = `{"status":"ok","algo":"` + est.Name() + `"`
@@ -312,7 +376,7 @@ func (g *gate) release(w int) {
 // not (a weight-1-per-batch accounting would make the counters
 // unreconcilable with the inflight gauge and undercount batched load).
 // On success it also moves the weighted inflight gauge; callers must
-// pair it with release.
+// pair it with finish.
 func (s *Server) acquire(w http.ResponseWriter, weight int) bool {
 	if s.gate != nil && !s.gate.tryAcquire(weight) {
 		s.rejected.Add(uint64(weight))
@@ -323,13 +387,22 @@ func (s *Server) acquire(w http.ResponseWriter, weight int) bool {
 	}
 	s.served.Add(uint64(weight))
 	s.inflight.Add(int64(weight))
+	s.busy.Add(int64(weight))
 	return true
 }
 
-func (s *Server) release(weight int) {
+// finish ends an admitted request that started at start: it records
+// the request's end-to-end latency and releases its weight, and when
+// that leaves the server idle, runs the idle collection check.
+func (s *Server) finish(weight int, start time.Time) {
+	end := s.now()
+	s.latency.Observe(end.Sub(start))
 	s.inflight.Add(-int64(weight))
 	if s.gate != nil {
 		s.gate.release(weight)
+	}
+	if s.busy.Add(-int64(weight)) == 0 {
+		s.gc.idle(end)
 	}
 }
 
@@ -345,10 +418,8 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		if !s.acquire(w, 1) {
 			return
 		}
-		defer s.release(1)
-		start := s.now()
+		defer s.finish(1, s.now())
 		h(w, r)
-		s.latency.Observe(s.now().Sub(start))
 	}
 }
 
@@ -588,12 +659,12 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	scores, err := s.est.SingleSource(ctx, u, nil)
+	ranked, err := engine.Ranked(ctx, s.est, []graph.NodeID{u}, k)
 	if err != nil {
 		writeQueryErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": scored(core.Top(scores, u, k))})
+	writeJSON(w, http.StatusOK, map[string]any{"source": u, "k": k, "results": scored(ranked[0])})
 }
 
 // scored converts a ranking into its JSON result entries.
@@ -694,9 +765,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.acquire(w, weight) {
 		return
 	}
-	defer s.release(weight)
-	start := s.now()
-	defer func() { s.latency.Observe(s.now().Sub(start)) }()
+	defer s.finish(weight, s.now())
 
 	// Per-item validation: an out-of-range source gets its own error
 	// entry; the valid remainder still runs as one batch.
@@ -714,7 +783,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(valid) > 0 {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
-		scores, err := engine.MultiSource(ctx, s.est, valid)
+		ranked, err := engine.Ranked(ctx, s.est, valid, k)
 		if err != nil {
 			writeQueryErr(w, err)
 			return
@@ -724,7 +793,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if items[i].Error != "" {
 				continue
 			}
-			items[i].Results = scored(core.Top(scores[j], graph.NodeID(items[i].Source), k))
+			items[i].Results = scored(ranked[j])
 			j++
 		}
 	}
