@@ -33,23 +33,38 @@ func SingleSource(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params
 // loop checks ctx between candidates and every ctxCheckInterval
 // iterations within a candidate, so a deadline or client disconnect
 // stops CPU work promptly and returns ctx.Err(). Results for a given
-// seed are identical to SingleSource.
+// seed are identical to SingleSource. It is the map view of
+// SingleSourceResult.
 func SingleSourceCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params) (Scores, error) {
+	return mapOf(SingleSourceResult(ctx, g, u, omega, p))
+}
+
+// SingleSourceResult is SingleSourceCtx answering with a Result built
+// straight from the estimate's dense scores, with no map.
+func SingleSourceResult(ctx context.Context, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	tree, q, nr, err := prepare(g, u, p)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	// The tree is owned by this query alone, so its arena can go back to
 	// the pool as soon as it is compiled.
 	ft := freezeOwned(g, tree, q)
 	defer frozenPool.put(ft, !q.DisablePooling)
 	return estimateSource(ctx, g, u, ft, omega, q, nr)
+}
+
+// mapOf is the map view of a Result answer.
+func mapOf(r Result, err error) (Scores, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r.Map(), nil
 }
 
 // SingleSourceWithTree is SingleSource with a caller-provided reverse
@@ -69,7 +84,7 @@ func SingleSourceWithTree(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, 
 	}
 	ft := freeze(g, tree, q)
 	defer frozenPool.put(ft, !q.DisablePooling)
-	return estimateSource(context.Background(), g, u, ft, omega, q, nr)
+	return mapOf(estimateSource(context.Background(), g, u, ft, omega, q, nr))
 }
 
 // BuildTree builds the reverse reachable tree CrashSim would use for a
@@ -140,7 +155,7 @@ func freezeOwned(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
 // estimateSource runs the one estimate path for a single compiled
 // source and returns its candidates' scores. The caller keeps
 // ownership of ft.
-func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, ft *FrozenTree, omega []graph.NodeID, q Params, nr int) (Scores, error) {
+func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, ft *FrozenTree, omega []graph.NodeID, q Params, nr int) (Result, error) {
 	n := g.NumNodes()
 	pooled := !q.DisablePooling
 	a := acquireArena(1, n, pooled)
@@ -148,9 +163,9 @@ func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, ft *Fro
 	a.preps = append(a.preps, srcPrep{u: u, ft: ft, dense: a.window(0, n)})
 	cand, err := a.sample(ctx, g, omega, q, nr)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	return a.preps[0].scores(cand), nil
+	return a.preps[0].result(resultNodes(omega, cand)), nil
 }
 
 // sample is the one estimate path: Algorithm 1's loop, n_r walks per
@@ -174,7 +189,7 @@ func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, ft *Fro
 func (a *arena) sample(ctx context.Context, g *graph.Graph, cand []graph.NodeID, q Params, nr int) ([]graph.NodeID, error) {
 	n := g.NumNodes()
 	if cand == nil {
-		cand = a.identity(n)
+		cand = identityNodes(n)
 	}
 	for _, v := range cand {
 		if v < 0 || int(v) >= n {
@@ -203,15 +218,6 @@ func (a *arena) sample(ctx context.Context, g *graph.Graph, cand []graph.NodeID,
 		}
 	})
 	return cand, err
-}
-
-// scores copies the source's dense window at cand into a Scores map.
-func (pr *srcPrep) scores(cand []graph.NodeID) Scores {
-	s := make(Scores, len(cand))
-	for _, v := range cand {
-		s[v] = pr.dense[v]
-	}
-	return s
 }
 
 // liveCandidates applies the zero-score prefilter for one source: a

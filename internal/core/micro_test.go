@@ -234,15 +234,20 @@ func BenchmarkSingleSourceParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkTop ranks the top 10 of a 57k-entry map (the size of a
-// PRSim hub result) with the bounded heap and with the full sort it
-// replaced.
+// BenchmarkTop ranks the top 10 of 57k entries (the size of a PRSim
+// hub result) with the bounded heap over a Result's arrays, over a map,
+// and with the full sort the heap replaced.
 func BenchmarkTop(b *testing.B) {
 	s := tiedScores(rand.New(rand.NewPCG(1, 2)), 57000)
+	r := ResultOf(s)
 	for _, bc := range []struct {
 		name string
 		rank func(Scores, graph.NodeID, int) []TopKResult
-	}{{"heap", Top}, {"fullsort", fullSortTop}} {
+	}{
+		{"result", func(_ Scores, exclude graph.NodeID, k int) []TopKResult { return r.Top(exclude, k) }},
+		{"heap", Top},
+		{"fullsort", fullSortTop},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

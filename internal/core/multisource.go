@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"maps"
 
 	"crashsim/internal/graph"
 )
@@ -19,8 +18,9 @@ import (
 //
 // A nil omega means all nodes; a non-nil omega restricts every source's
 // result to those candidates. The returned slice is parallel to
-// sources: out[i] holds the scores for sources[i], and repeated sources
-// get independent clones so callers may mutate any result freely.
+// sources: out[i] holds the scores for sources[i], and every entry is
+// a map of its own, so callers may mutate any result freely. It is the
+// map view of MultiSourceResults.
 //
 // Results are bit-identical to calling SingleSourceCtx per source with
 // the same Params: a candidate's random stream is derived from (Seed,
@@ -32,6 +32,22 @@ import (
 // start, in-flight kernels abort through their own checks, and the call
 // returns (nil, ctx.Err()).
 func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.NodeID, p Params) ([]Scores, error) {
+	rs, err := MultiSourceResults(ctx, g, sources, omega, p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Scores, len(rs))
+	for i, r := range rs {
+		out[i] = r.Map()
+	}
+	return out, nil
+}
+
+// MultiSourceResults is MultiSource answering with Results built
+// straight from the batch's dense scores. Repeated sources share one
+// Result, which is immutable, and all results of a batch share one node
+// list.
+func MultiSourceResults(ctx context.Context, g *graph.Graph, sources, omega []graph.NodeID, p Params) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -46,7 +62,7 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 		}
 	}
 	if len(sources) == 0 {
-		return []Scores{}, nil
+		return []Result{}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -57,7 +73,7 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 
 	// Deduplicate: repeated sources (hot keys under skewed serving
 	// traffic) are prepared and sampled once; duplicates are satisfied
-	// by cloning the unique result during assembly.
+	// by sharing the unique result.
 	slot := make(map[graph.NodeID]int, len(sources))
 	uniq := make([]graph.NodeID, 0, len(sources))
 	for _, u := range sources {
@@ -96,23 +112,16 @@ func MultiSource(ctx context.Context, g *graph.Graph, sources, omega []graph.Nod
 	}
 	statBatchItems.Add(uint64(len(a.work)))
 
-	// Assembly: one Scores map per unique source, distributed to every
-	// position that asked for it (clones for duplicates, so results
-	// never alias each other).
-	uniqScores := make([]Scores, len(uniq))
+	// Assembly: one Result per unique source, shared by every position
+	// that asked for it.
+	nodes := resultNodes(omega, cand)
+	uniqRes := make([]Result, len(uniq))
 	for i := range a.preps {
-		uniqScores[i] = a.preps[i].scores(cand)
+		uniqRes[i] = a.preps[i].result(nodes)
 	}
-	out := make([]Scores, len(sources))
-	taken := make([]bool, len(uniq))
+	out := make([]Result, len(sources))
 	for pos, u := range sources {
-		i := slot[u]
-		if !taken[i] {
-			out[pos] = uniqScores[i]
-			taken[i] = true
-		} else {
-			out[pos] = maps.Clone(uniqScores[i])
-		}
+		out[pos] = uniqRes[slot[u]]
 	}
 	return out, nil
 }

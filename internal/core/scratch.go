@@ -55,8 +55,8 @@ func (p *pool[T]) put(x *T, pooled bool) {
 
 // arena is the pooled scratch of the one estimate path (see
 // arena.sample): the dense score slab, cut into length-n windows, the
-// prepared sources, the flattened (source, candidate) work list, the
-// identity candidate list and the prefilter's BFS state. A single-source
+// prepared sources, the flattened (source, candidate) work list and the
+// prefilter's BFS state. A single-source
 // query, each top-k pass, each CrashSim-T snapshot and a whole batch
 // take one arena apiece. Its traffic keeps the core.pool.batch_* names
 // it had when only batches used it.
@@ -64,7 +64,6 @@ type arena struct {
 	slab     []float64
 	preps    []srcPrep
 	work     []batchItem
-	omega    []graph.NodeID // identity candidate list when the caller passes nil
 	live     []graph.NodeID // prefilter survivors
 	reach    nodeBitset     // prefilter visited set (zeroed lazily by newNodeBitset)
 	frontier []graph.NodeID // prefilter BFS frontier
@@ -111,18 +110,6 @@ func (a *arena) release(pooled bool) {
 	clear(a.preps)
 	a.preps = a.preps[:0]
 	arenaPool.put(a, pooled)
-}
-
-// identity fills and returns the all-nodes candidate list [0, n).
-func (a *arena) identity(n int) []graph.NodeID {
-	if cap(a.omega) < n {
-		a.omega = make([]graph.NodeID, n)
-	}
-	a.omega = a.omega[:n]
-	for v := range a.omega {
-		a.omega[v] = graph.NodeID(v)
-	}
-	return a.omega
 }
 
 // treePool recycles ReachTree arenas. Trees returned by the public

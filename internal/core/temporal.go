@@ -216,20 +216,21 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	}
 	var spare *ReachTree
 	var epoch uint64
-	scoresPrev, err := runEstimate(ctx, carry, gPrev, u, nil, pp, nr, treePrev, epoch, res)
+	first, err := runEstimate(ctx, carry, gPrev, u, nil, pp, nr, treePrev, epoch, res)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats.Snapshots++
 	res.Stats.Evaluated += n
 	if to.Observer != nil {
-		to.Observer(0, scoresPrev)
+		to.Observer(0, first.Map())
 	}
 	omega := make(map[graph.NodeID]float64, n)
 	candidates := ts.candidates[:0]
 	for v := 0; v < n; v++ {
 		id := graph.NodeID(v)
-		if s := scoresPrev[id]; q.Keep(0, math.NaN(), s) {
+		// An all-nodes result lists node v at entry v.
+		if s := first.scores[v]; q.Keep(0, math.NaN(), s) {
 			omega[id] = s
 			candidates = append(candidates, id)
 		}
@@ -380,7 +381,9 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		}
 		ts.recompute = recompute
 
-		var fresh Scores
+		// fresh lists recompute's nodes in the same (ascending) order, so
+		// the merge below walks it with a cursor.
+		var fresh Result
 		if len(recompute) > 0 {
 			fresh, err = runEstimate(ctx, carry, gCur, u, recompute, pp, nr, tree, epoch, res)
 			if err != nil {
@@ -397,12 +400,14 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 			observed = make(Scores, nc)
 		}
 		kept := candidates[:0]
+		next := 0
 		for i := 0; i < nc; i++ {
 			v := candidates[i]
 			prev := omega[v]
 			s := prev
 			if dec[i] == decRecompute {
-				s = fresh[v]
+				s = fresh.scores[next]
+				next++
 			}
 			if observed != nil {
 				observed[v] = s
@@ -446,7 +451,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 // path, against the frozen carry (reusing the compiled source tree
 // across tree-stable transitions, keyed on the tree epoch) or, when the
 // run has none (rebuildEachSnapshot), against a per-call freeze.
-func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, nr int, tree *ReachTree, epoch uint64, res *TemporalResult) (Scores, error) {
+func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, nr int, tree *ReachTree, epoch uint64, res *TemporalResult) (Result, error) {
 	if carry == nil {
 		ft := freeze(g, tree, pp)
 		defer frozenPool.put(ft, !pp.DisablePooling)

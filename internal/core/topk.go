@@ -28,30 +28,50 @@ func rankCmp(a, b TopKResult) int {
 	}
 }
 
-// Top returns the k best entries of s in rank order (score descending,
-// ties by ascending node id), skipping exclude. It keeps a bounded
-// heap of the k best seen so far, rooted at the worst of them, so a
-// pass costs O(n log k) time and O(k) memory rather than sorting all
-// n entries. k <= 0 yields an empty result; k beyond the map's size
-// yields every entry.
+// Top ranks a score map the way Result.Top ranks a result: the k best
+// entries of s in rank order, skipping exclude. It runs the same
+// bounded heap over the map in place, so it copies nothing.
 func Top(s Scores, exclude graph.NodeID, k int) []TopKResult {
 	if k <= 0 || len(s) == 0 {
 		return nil
 	}
-	h := make([]TopKResult, 0, min(k, len(s)))
+	h := topHeap(make([]TopKResult, 0, min(k, len(s))))
 	for v, score := range s {
-		if v == exclude {
-			continue
-		}
-		r := TopKResult{Node: v, Score: score}
-		if len(h) < k {
-			h = append(h, r)
-			siftUp(h, len(h)-1)
-		} else if rankCmp(r, h[0]) < 0 {
-			h[0] = r
-			siftDown(h, 0)
+		if v != exclude && h.wants(v, score, k) {
+			h.keep(TopKResult{Node: v, Score: score}, k)
 		}
 	}
+	return h.ranked()
+}
+
+// topHeap holds the k best entries offered so far as a heap whose root
+// ranks last.
+type topHeap []TopKResult
+
+// wants reports whether (v, score) ranks among the k best seen so far.
+// It is small enough to inline, and it turns away an entry that ranks
+// below a full heap's root, which is what almost every entry does.
+func (h topHeap) wants(v graph.NodeID, score float64, k int) bool {
+	if len(h) < k {
+		return true
+	}
+	root := h[0]
+	return score > root.Score || score == root.Score && v < root.Node
+}
+
+// keep adds r, which wants admitted, evicting the root of a full heap.
+func (h *topHeap) keep(r TopKResult, k int) {
+	if len(*h) < k {
+		*h = append(*h, r)
+		siftUp(*h, len(*h)-1)
+	} else {
+		(*h)[0] = r
+		siftDown(*h, 0)
+	}
+}
+
+// ranked sorts the kept entries into rank order and returns them.
+func (h topHeap) ranked() []TopKResult {
 	slices.SortFunc(h, rankCmp)
 	return h
 }
@@ -133,7 +153,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if err != nil {
 		return nil, err
 	}
-	head := Top(scores, u, k)
+	head := scores.Top(u, k)
 	if len(head) == 0 {
 		return nil, nil
 	}
@@ -144,8 +164,8 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	// Phase 2: refine every candidate within 2ε of the coarse cut.
 	cut := head[len(head)-1].Score - 2*q.Eps
 	var omega []graph.NodeID
-	for v, s := range scores {
-		if v != u && s >= cut {
+	for i, v := range scores.nodes {
+		if v != u && scores.scores[i] >= cut {
 			omega = append(omega, v)
 		}
 	}
@@ -153,7 +173,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if err != nil {
 		return nil, err
 	}
-	return Top(rescored, u, k), nil
+	return rescored.Top(u, k), nil
 }
 
 // SinglePair estimates sim(u, v) with CrashSim's partial mode.

@@ -50,6 +50,14 @@ func (e *crashSim) MultiSource(ctx context.Context, sources []graph.NodeID) ([]c
 	return core.MultiSource(ctx, e.g, sources, nil, e.p)
 }
 
+func (e *crashSim) result(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Result, error) {
+	return core.SingleSourceResult(ctx, e.g, u, omega, e.p)
+}
+
+func (e *crashSim) batch(ctx context.Context, sources []graph.NodeID) ([]core.Result, error) {
+	return core.MultiSourceResults(ctx, e.g, sources, nil, e.p)
+}
+
 // probeSim adapts the index-free ProbeSim baseline.
 type probeSim struct {
 	g *graph.Graph
@@ -156,26 +164,31 @@ func newPRSim(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error
 func (e *prsimEstimator) Name() string { return "prsim" }
 
 func (e *prsimEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
-	s, err := e.ix.SingleSourceCtx(ctx, u)
-	if err != nil {
-		return nil, err
-	}
-	return restrict(core.Scores(s), omega, e.g.NumNodes())
+	return single(ctx, e, u, omega)
 }
 
 // MultiSource shares one lazy hub/tail table build per unique visited
 // node across the whole batch; each entry is bit-identical to the
 // corresponding SingleSource call.
 func (e *prsimEstimator) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-	res, err := e.ix.MultiSourceWorkers(ctx, sources, e.workers)
-	if err != nil {
-		return nil, err
+	return multi(ctx, e, sources)
+}
+
+// result restricts the full answer to omega afterwards: PRSim has no
+// partial mode.
+func (e *prsimEstimator) result(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Result, error) {
+	if err := checkCandidates(omega, e.g.NumNodes()); err != nil {
+		return core.Result{}, err
 	}
-	out := make([]core.Scores, len(res))
-	for i, s := range res {
-		out[i] = core.Scores(s)
+	r, err := e.ix.SingleSourceResult(ctx, u)
+	if err != nil || omega == nil {
+		return r, err
 	}
-	return out, nil
+	return r.Restrict(omega), nil
+}
+
+func (e *prsimEstimator) batch(ctx context.Context, sources []graph.NodeID) ([]core.Result, error) {
+	return e.ix.MultiSourceResults(ctx, sources, e.workers)
 }
 
 // slingEstimator adapts the SLING index; New pays the full index build

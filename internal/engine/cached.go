@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -47,14 +46,15 @@ import (
 // key, so concurrent identical requests still coalesce to one
 // computation per source.
 //
-// Each result is stored once, as a canonical copy no one may write.
-// SingleSource, MultiSource and TopK hand callers clones of it: they
-// are public estimator calls (crashsim.NewCachedEstimator wraps this
-// one), and their callers may mutate what they get back. Ranked (see
-// engine.Ranked) and the top-k fallback only rank a result with
-// core.Top, which reads the map and returns a fresh k-entry slice, so
-// they run over the canonical copies themselves and a hit copies
-// nothing. Pair scores are values and need no cloning.
+// Each single-source result is stored once, as a canonical
+// core.Result: immutable, so every reader shares it. SingleSource and
+// MultiSource are public estimator calls (crashsim.NewCachedEstimator
+// wraps this one) whose callers may mutate what they get back, so they
+// hand out fresh maps of it (core.Result.Map). Ranked (see
+// engine.Ranked) and the top-k fallback read the canonical results
+// themselves, so a hit copies nothing. A native top-k list is cached
+// as is and cloned on return; pair scores are values and need no
+// cloning.
 
 // CacheConfig wires an Estimator to a result cache.
 type CacheConfig struct {
@@ -132,10 +132,12 @@ func (e *cached) keyAt(version uint64, op string, args ...int64) string {
 }
 
 // Accounted sizes are estimates of in-memory footprint, not exact
-// byte counts: enough to keep the byte budget honest without weighing
-// every map bucket.
+// byte counts. A single-source result is charged per entry what a
+// NodeID→float64 map of it would take, so a byte budget holds as many
+// results as it would maps; the result itself takes 12 bytes an entry
+// (8 when it shares the all-nodes list), so the budget overstates it.
 const (
-	scoresEntrySize = 48 // NodeID key + float64 value + bucket overhead
+	scoresEntrySize = 48 // NodeID key + float64 value + map bucket overhead
 	scoresBaseSize  = 64
 	topKEntrySize   = 16 // TopKResult{int32, float64} + padding
 	topKBaseSize    = 64
@@ -143,18 +145,14 @@ const (
 )
 
 func (e *cached) SingleSource(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
-	s, err := e.single(orBackground(ctx), u, omega)
-	if err != nil {
-		return nil, err
-	}
-	// The canonical copy stays private to the cache, so callers may
-	// mutate their result freely.
-	return maps.Clone(s), nil
+	return single(ctx, e, u, omega)
 }
 
-// single returns the canonical cached result of sim(u, ·), computing
-// and caching it on a miss. Callers must not write to it.
-func (e *cached) single(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
+// result returns the canonical cached result of sim(u, ·), computing
+// and caching it on a miss. The cache charges it as many bytes as a map
+// of the same length.
+func (e *cached) result(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Result, error) {
+	ctx = orBackground(ctx)
 	args := make([]int64, 0, 1+len(omega))
 	args = append(args, int64(u))
 	for _, v := range omega {
@@ -165,22 +163,27 @@ func (e *cached) single(ctx context.Context, u graph.NodeID, omega []graph.NodeI
 		op = "ssw" // distinguishes a nil omega from an empty one
 	}
 	v, _, err := e.cc.Cache.Do(ctx, e.key(op, args...), func(ctx context.Context) (any, int64, error) {
-		s, err := e.inner.SingleSource(ctx, u, omega)
+		r, err := resultOf(ctx, e.inner, u, omega)
 		if err != nil {
 			return nil, 0, err
 		}
-		return s, scoresBaseSize + scoresEntrySize*int64(len(s)), nil
+		return r, resultSize(r), nil
 	})
 	if err != nil {
-		return nil, err
+		return core.Result{}, err
 	}
-	return v.(core.Scores), nil
+	return v.(core.Result), nil
+}
+
+// resultSize is the bytes the cache charges for a result.
+func resultSize(r core.Result) int64 {
+	return scoresBaseSize + scoresEntrySize*int64(r.Len())
 }
 
 func (e *cached) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
 	ctx = orBackground(ctx)
 	if e.native&opTopK == 0 {
-		return topKFallback(ctx, u, k, e.single)
+		return topKFallback(ctx, e, u, k)
 	}
 	v, _, err := e.cc.Cache.Do(ctx, e.key("topk", int64(u), int64(k)), func(ctx context.Context) (any, int64, error) {
 		r, err := e.inner.(TopKer).TopK(ctx, u, k)
@@ -213,39 +216,33 @@ func (e *cached) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) {
 	return r.(float64), nil
 }
 
-// MultiSource serves a batch through the cache (see multi) and hands
-// back clones: the canonical copies stay private to the cache, and
+// MultiSource serves a batch through the cache (see batch) and hands
+// back fresh maps: the canonical results stay private to the cache, and
 // duplicate sources must not alias each other.
 func (e *cached) MultiSource(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
 	ctx = orBackground(ctx)
 	if e.native&opMulti == 0 {
 		return multiFallback(ctx, sources, e.SingleSource)
 	}
-	out, err := e.multi(ctx, sources)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i] = maps.Clone(out[i])
-	}
-	return out, nil
+	return multi(ctx, e, sources)
 }
 
-// multi returns the canonical cached results of a batch; duplicate
-// sources share one map, and callers must not write to any of them.
-// Without a native batch mode it is a loop of cached single-source
-// queries. With one, it probes each source's "ss" key (keys are
-// assembled once up front, pinning one graph version for the whole
-// batch), serves the hits from memory, and computes only the missing
-// sources — deduplicated — as one inner batch. The inner call runs
-// lazily inside the first missing key's Do fill, so a source another
-// goroutine is already computing is waited on (singleflight) rather
-// than recomputed, and a fully cached batch never touches the backend.
-func (e *cached) multi(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
+// batch returns the canonical cached results of a batch; duplicate
+// sources share one result. Without a native batch mode it is a loop
+// of cached single-source queries. With one, it probes each source's
+// "ss" key (keys are assembled once up front, pinning one graph version
+// for the whole batch), serves the hits from memory, and computes only
+// the missing sources — deduplicated — as one inner batch. The inner
+// call runs lazily inside the first missing key's Do fill, so a source
+// another goroutine is already computing is waited on (singleflight)
+// rather than recomputed, and a fully cached batch never touches the
+// backend.
+func (e *cached) batch(ctx context.Context, sources []graph.NodeID) ([]core.Result, error) {
+	ctx = orBackground(ctx)
 	if e.native&opMulti == 0 {
-		return multiFallback(ctx, sources, e.single)
+		return eachSource(ctx, sources, e.result)
 	}
-	out := make([]core.Scores, len(sources))
+	out := make([]core.Result, len(sources))
 	var missUniq []graph.NodeID
 	missKey := make(map[graph.NodeID]string)
 	version := e.cc.Version()
@@ -256,7 +253,7 @@ func (e *cached) multi(ctx context.Context, sources []graph.NodeID) ([]core.Scor
 		key := e.keyAt(version, "ss", int64(u))
 		// Probe, not Get: a miss is counted once, by the Do that fills it.
 		if v, ok := e.cc.Cache.Probe(key); ok {
-			out[i] = v.(core.Scores)
+			out[i] = v.(core.Result)
 			continue
 		}
 		missKey[u] = key
@@ -265,16 +262,16 @@ func (e *cached) multi(ctx context.Context, sources []graph.NodeID) ([]core.Scor
 
 	// One lazy inner batch shared by every missing key's fill closure:
 	// whichever Do actually computes first triggers it; the rest read
-	// their source's slice out of the finished batch.
-	var batch map[graph.NodeID]core.Scores
+	// their source's result out of the finished batch.
+	var batch map[graph.NodeID]core.Result
 	var batchErr error
 	fill := func(ctx context.Context) error {
 		if batch == nil && batchErr == nil {
-			res, err := e.inner.(MultiSourcer).MultiSource(ctx, missUniq)
+			res, err := batchOf(ctx, e.inner, missUniq)
 			if err != nil {
 				batchErr = err
 			} else {
-				batch = make(map[graph.NodeID]core.Scores, len(missUniq))
+				batch = make(map[graph.NodeID]core.Result, len(missUniq))
 				for j, u := range missUniq {
 					batch[u] = res[j]
 				}
@@ -287,13 +284,13 @@ func (e *cached) multi(ctx context.Context, sources []graph.NodeID) ([]core.Scor
 			if err := fill(ctx); err != nil {
 				return nil, 0, err
 			}
-			s := batch[u]
-			return s, scoresBaseSize + scoresEntrySize*int64(len(s)), nil
+			r := batch[u]
+			return r, resultSize(r), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		canon := v.(core.Scores)
+		canon := v.(core.Result)
 		for i, src := range sources {
 			if src == u {
 				out[i] = canon

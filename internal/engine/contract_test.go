@@ -8,6 +8,7 @@ import (
 
 	"crashsim/internal/cache"
 	"crashsim/internal/core"
+	"crashsim/internal/gen"
 	"crashsim/internal/graph"
 	"crashsim/internal/obs"
 )
@@ -62,7 +63,7 @@ var contractSteps = []contractStep{
 // operation, the native set of the backend (not of the wrapper), the
 // engine.<backend>.queries* counters a native answer or a fallback
 // ticks, cache hits for fallbacks served from single-source keys, and
-// that a nil ctx means context.Background().
+// that a nil ctx means context.Background(); then checkResultPath.
 func TestEstimatorContract(t *testing.T) {
 	g := testGraph(t)
 	ctx := context.Background()
@@ -89,6 +90,7 @@ func TestEstimatorContract(t *testing.T) {
 			}
 		}
 	}
+	t.Run("result-path", checkResultPath)
 }
 
 func checkContract(t *testing.T, name string, g *graph.Graph, wrapped, nilCtx bool, native ops, want []any) {
@@ -166,6 +168,111 @@ func checkContract(t *testing.T, name string, g *graph.Graph, wrapped, nilCtx bo
 			}
 		}
 	}
+}
+
+// checkResultPath is TestEstimatorContract's differential check of the
+// result path the serving code reads. For every backend, unwrapped, through
+// New and through Cached(New), on two small generated graphs: the
+// core.Result of one source (all nodes, and a candidate set with a
+// repeat and an isolated node) and of a batch with a duplicate source
+// converts to exactly the map the public SingleSource call returns, key
+// for key and bit for bit, zero scores included; and Ranked agrees with
+// core.Top over that map for k ∈ {1, 10, n}, one source or a batch.
+// (The public maps of crashsim and prsim are themselves views of
+// results; FuzzEstimatePaths in core and TestCompiledMatchesSkeleton in
+// prsim pin those against map-built oracles.)
+func checkResultPath(t *testing.T) {
+	ctx := context.Background()
+	for gi, g := range []*graph.Graph{testGraph(t), smallGraph(t)} {
+		n := g.NumNodes()
+		isolated := graph.NodeID(-1)
+		for v := 0; v < n; v++ {
+			if g.InDegree(graph.NodeID(v)) == 0 {
+				isolated = graph.NodeID(v)
+				break
+			}
+		}
+		omega := []graph.NodeID{4, 2, 4}
+		if isolated >= 0 {
+			omega = append(omega, isolated)
+		}
+		batch := []graph.NodeID{3, 0, 3}
+		for _, name := range Names() {
+			raw, err := registry[name](ctx, g, testConfig())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			viaNew, err := New(ctx, name, g, testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, err := Cached(viaNew, CacheConfig{Cache: testCache(t), Version: g.Version})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for wi, est := range []Estimator{raw, viaNew, cached} {
+				label := fmt.Sprintf("graph %d %s/%d", gi, name, wi)
+				for _, om := range [][]graph.NodeID{nil, omega} {
+					want, err := est.SingleSource(ctx, 3, om)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					got, err := resultOf(ctx, est, 3, om)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got.Len() != len(want) || !sameBits(got.Map(), want) {
+						t.Errorf("%s omega=%v: result (%d entries) differs from SingleSource (%d entries)", label, om, got.Len(), len(want))
+					}
+				}
+				wantBatch, err := MultiSource(ctx, est, batch)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				gotBatch, err := batchOf(ctx, est, batch)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i := range batch {
+					if !sameBits(gotBatch[i].Map(), wantBatch[i]) {
+						t.Errorf("%s: batch entry %d differs from MultiSource", label, i)
+					}
+				}
+				for _, k := range []int{1, 10, n} {
+					for _, sources := range [][]graph.NodeID{{3}, batch} {
+						got, err := Ranked(ctx, est, sources, k)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						for i, u := range sources {
+							full, err := est.SingleSource(ctx, u, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want := core.Top(full, u, k); !sameBits(got[i], want) {
+								t.Errorf("%s: Ranked(%v, k=%d)[%d] differs from core.Top", label, sources, k, i)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// smallGraph is a second, sparser generated graph with nodes no edge
+// enters, so results carry provably-zero candidates.
+func smallGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	edges, err := gen.ChungLu(120, 300, 2.2, true, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.BuildStatic(120, true, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // sameBits compares two query results bit for bit.

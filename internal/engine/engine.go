@@ -217,8 +217,8 @@ func orBackground(ctx context.Context) context.Context {
 }
 
 // TopK answers the top-k query through est: natively when est
-// implements TopKer, otherwise by ranking a full single-source pass
-// with core.Top. The source u is excluded from the result.
+// implements TopKer, otherwise by ranking a full single-source result
+// with core.Result.Top. The source u is excluded from the result.
 func TopK(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.TopKResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("engine: top-k needs k >= 1, got %d", k)
@@ -226,57 +226,124 @@ func TopK(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.Top
 	if t, ok := est.(TopKer); ok {
 		return t.TopK(ctx, u, k)
 	}
-	return topKFallback(ctx, u, k, est.SingleSource)
+	return topKFallback(ctx, est, u, k)
 }
 
-// singleFunc is the shape of Estimator.SingleSource. The fallbacks
-// take one so the cached estimator can run them over its canonical
-// results instead of clones.
-type singleFunc func(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error)
-
-func topKFallback(ctx context.Context, u graph.NodeID, k int, single singleFunc) ([]core.TopKResult, error) {
-	scores, err := single(ctx, u, nil)
+func topKFallback(ctx context.Context, est Estimator, u graph.NodeID, k int) ([]core.TopKResult, error) {
+	r, err := resultOf(ctx, est, u, nil)
 	if err != nil {
 		return nil, err
 	}
-	return core.Top(scores, u, k), nil
+	return r.Top(u, k), nil
 }
 
-// Ranked ranks each source's full single-source result with core.Top
-// (the source itself excluded), answering entry i for sources[i]. A
-// single source runs one SingleSource call, several run one
-// MultiSource batch. The cached estimator ranks its canonical cached
-// results in place, so a hit copies nothing; core.Top only reads the
-// map it ranks.
+// resulter is how the serving path reads answers as core.Results, with
+// no map: result answers one source (restricted to omega when omega is
+// non-nil) and batch answers several, parallel to sources, the way
+// SingleSource and a native MultiSource do. Results are immutable and
+// may be shared; a batch gives duplicate sources the same one. The
+// crashsim and prsim adapters build them straight from their dense
+// accumulators, and their public SingleSource and MultiSource are map
+// views of them; the metering and caching wrappers pass them through.
+type resulter interface {
+	result(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Result, error)
+	batch(ctx context.Context, sources []graph.NodeID) ([]core.Result, error)
+}
+
+// resultOf answers one source through est: through its result method
+// when it has one, otherwise by converting its map answer once
+// (core.ResultOf).
+func resultOf(ctx context.Context, est Estimator, u graph.NodeID, omega []graph.NodeID) (core.Result, error) {
+	if r, ok := est.(resulter); ok {
+		return r.result(ctx, u, omega)
+	}
+	s, err := est.SingleSource(ctx, u, omega)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return core.ResultOf(s), nil
+}
+
+// batchOf answers a batch through est: through its batch method when it
+// has one, otherwise by converting MultiSource's map answers once. It
+// fails the whole batch on any error.
+func batchOf(ctx context.Context, est Estimator, sources []graph.NodeID) ([]core.Result, error) {
+	if r, ok := est.(resulter); ok {
+		return r.batch(ctx, sources)
+	}
+	all, err := MultiSource(ctx, est, sources)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]core.Result, len(all))
+	for i, s := range all {
+		out[i] = core.ResultOf(s)
+	}
+	return out, nil
+}
+
+// eachSource answers a batch a source at a time through one, failing the
+// whole batch on the first error.
+func eachSource(ctx context.Context, sources []graph.NodeID,
+	one func(context.Context, graph.NodeID, []graph.NodeID) (core.Result, error)) ([]core.Result, error) {
+	out := make([]core.Result, len(sources))
+	for i, u := range sources {
+		r, err := one(ctx, u, nil)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+// single and multi are the public map views of a resulter's answers:
+// every call gets maps of its own, duplicate sources included.
+func single(ctx context.Context, r resulter, u graph.NodeID, omega []graph.NodeID) (core.Scores, error) {
+	res, err := r.result(ctx, u, omega)
+	if err != nil {
+		return nil, err
+	}
+	return res.Map(), nil
+}
+
+func multi(ctx context.Context, r resulter, sources []graph.NodeID) ([]core.Scores, error) {
+	rs, err := r.batch(ctx, sources)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]core.Scores, len(rs))
+	for i, res := range rs {
+		out[i] = res.Map()
+	}
+	return out, nil
+}
+
+// Ranked ranks each source's full single-source result with
+// core.Result.Top (the source itself excluded), answering entry i for
+// sources[i]. A single source runs one single-source query, several run
+// one MultiSource batch. It reads results, not maps: the cached
+// estimator ranks its canonical cached results in place, so a hit
+// copies nothing, and a miss on crashsim or prsim builds no map.
 func Ranked(ctx context.Context, est Estimator, sources []graph.NodeID, k int) ([][]core.TopKResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("engine: ranking needs k >= 1, got %d", k)
 	}
 	ctx = orBackground(ctx)
-	if c, ok := est.(*cached); ok {
-		return rankBy(ctx, sources, k, c.single, c.multi)
-	}
-	return rankBy(ctx, sources, k, est.SingleSource, func(ctx context.Context, sources []graph.NodeID) ([]core.Scores, error) {
-		return MultiSource(ctx, est, sources)
-	})
-}
-
-func rankBy(ctx context.Context, sources []graph.NodeID, k int, single singleFunc,
-	multi func(context.Context, []graph.NodeID) ([]core.Scores, error)) ([][]core.TopKResult, error) {
 	if len(sources) == 1 {
-		top, err := topKFallback(ctx, sources[0], k, single)
+		top, err := topKFallback(ctx, est, sources[0], k)
 		if err != nil {
 			return nil, err
 		}
 		return [][]core.TopKResult{top}, nil
 	}
-	all, err := multi(ctx, sources)
+	rs, err := batchOf(ctx, est, sources)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]core.TopKResult, len(all))
-	for i, s := range all {
-		out[i] = core.Top(s, sources[i], k)
+	out := make([][]core.TopKResult, len(rs))
+	for i, r := range rs {
+		out[i] = r.Top(sources[i], k)
 	}
 	return out, nil
 }
@@ -312,10 +379,13 @@ func MultiSource(ctx context.Context, est Estimator, sources []graph.NodeID) ([]
 	return multiFallback(ctx, sources, est.SingleSource)
 }
 
-func multiFallback(ctx context.Context, sources []graph.NodeID, single singleFunc) ([]core.Scores, error) {
+// singleFunc is the shape of Estimator.SingleSource.
+type singleFunc func(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Scores, error)
+
+func multiFallback(ctx context.Context, sources []graph.NodeID, one singleFunc) ([]core.Scores, error) {
 	out := make([]core.Scores, 0, len(sources))
 	for _, u := range sources {
-		s, err := single(ctx, u, nil)
+		s, err := one(ctx, u, nil)
 		if err != nil {
 			return out, err
 		}
@@ -331,12 +401,21 @@ func restrict(full core.Scores, omega []graph.NodeID, n int) (core.Scores, error
 	if omega == nil {
 		return full, nil
 	}
+	if err := checkCandidates(omega, n); err != nil {
+		return nil, err
+	}
 	out := make(core.Scores, len(omega))
 	for _, v := range omega {
-		if v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("engine: candidate %d out of range for n=%d", v, n)
-		}
 		out[v] = full[v]
 	}
 	return out, nil
+}
+
+func checkCandidates(omega []graph.NodeID, n int) error {
+	for _, v := range omega {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("engine: candidate %d out of range for n=%d", v, n)
+		}
+	}
+	return nil
 }

@@ -97,7 +97,7 @@ func (e *metered) SingleSource(ctx context.Context, u graph.NodeID, omega []grap
 func (e *metered) TopK(ctx context.Context, u graph.NodeID, k int) ([]core.TopKResult, error) {
 	ctx = orBackground(ctx)
 	if e.native&opTopK == 0 {
-		return topKFallback(ctx, u, k, e.SingleSource)
+		return topKFallback(ctx, e, u, k)
 	}
 	return observe(e.m, e.m.topK, 1, func() ([]core.TopKResult, error) {
 		return e.inner.(TopKer).TopK(ctx, u, k)
@@ -111,6 +111,25 @@ func (e *metered) Pair(ctx context.Context, u, v graph.NodeID) (float64, error) 
 	}
 	return observe(e.m, e.m.pair, 1, func() (float64, error) {
 		return e.inner.(Pairer).Pair(ctx, u, v)
+	})
+}
+
+// result and batch meter like SingleSource and MultiSource, and reach
+// the backend's results through resultOf and batchOf.
+func (e *metered) result(ctx context.Context, u graph.NodeID, omega []graph.NodeID) (core.Result, error) {
+	ctx = orBackground(ctx)
+	return observe(e.m, e.m.singleSource, 1, func() (core.Result, error) {
+		return resultOf(ctx, e.inner, u, omega)
+	})
+}
+
+func (e *metered) batch(ctx context.Context, sources []graph.NodeID) ([]core.Result, error) {
+	ctx = orBackground(ctx)
+	if e.native&opMulti == 0 {
+		return eachSource(ctx, sources, e.result)
+	}
+	return observe(e.m, e.m.multiSource, len(sources), func() ([]core.Result, error) {
+		return batchOf(ctx, e.inner, sources)
 	})
 }
 

@@ -38,7 +38,9 @@ func ForEach(n, workers int, fn func(int)) {
 // worker count. A nil ctx means context.Background().
 func ForEachCtx(ctx context.Context, n, workers int, fn func(int)) error {
 	if ctx == nil {
-		ctx = context.Background()
+		// Recurse rather than reassign: the workers capture ctx, and a
+		// reassigned parameter would be moved to the heap on every call.
+		return ForEachCtx(context.Background(), n, workers, fn)
 	}
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {

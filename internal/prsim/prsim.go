@@ -34,12 +34,12 @@ package prsim
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"crashsim/internal/core"
 	"crashsim/internal/graph"
 	"crashsim/internal/par"
 	"crashsim/internal/rng"
@@ -57,7 +57,8 @@ type Options struct {
 	// Default 0.01.
 	Delta float64
 	// HubFraction is the fraction of nodes (by in-degree rank) indexed
-	// eagerly. Default 0.05. 0 keeps the index empty (pure online);
+	// eagerly: ⌊HubFraction·n⌋ hubs. 0 means the default, 0.05. A
+	// positive fraction below 1/n keeps the index empty (pure online);
 	// 1 indexes everything (SLING-like).
 	HubFraction float64
 	// Iterations overrides the number of source walks n_q per query
@@ -543,7 +544,16 @@ func (ix *Index) SingleSource(u graph.NodeID) (map[graph.NodeID]float64, error) 
 	return ix.SingleSourceCtx(context.Background(), u)
 }
 
-// SingleSourceCtx estimates sim(u, ·): n_q source walks realize the
+// SingleSourceCtx is the map view of SingleSourceResult.
+func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph.NodeID]float64, error) {
+	r, err := ix.SingleSourceResult(ctx, u)
+	if err != nil {
+		return nil, err
+	}
+	return r.Map(), nil
+}
+
+// SingleSourceResult estimates sim(u, ·): n_q source walks realize the
 // source-side distribution; each visited (step, node) adds the node's
 // table column at that step, weighted by d(node). Tail nodes' tables
 // are compiled on first visit and cached for later queries. Safe for
@@ -551,13 +561,17 @@ func (ix *Index) SingleSource(u graph.NodeID) (map[graph.NodeID]float64, error) 
 // that built (or waited for) a tail table, so a query past its deadline
 // runs at most one more tail build; that build still finishes and
 // publishes, since other queries may be waiting on it.
-func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph.NodeID]float64, error) {
+//
+// The result lists every node some walk reached, in the order the walks
+// first reached it, then u (score 1) if no walk came back to it; it is
+// copied straight out of the dense accumulator.
+func (ix *Index) SingleSourceResult(ctx context.Context, u graph.NodeID) (core.Result, error) {
 	n := ix.g.NumNodes()
 	if u < 0 || int(u) >= n {
-		return nil, fmt.Errorf("prsim: source %d out of range for n=%d", u, n)
+		return core.Result{}, fmt.Errorf("prsim: source %d out of range for n=%d", u, n)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return core.Result{}, err
 	}
 	s := ix.acquireScratch(n)
 	defer ix.releaseScratch(s)
@@ -566,7 +580,7 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 	for k := 0; k < ix.nq; k++ {
 		if k&63 == 63 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return core.Result{}, err
 			}
 		}
 		cur := u
@@ -586,7 +600,7 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 			t, slow := ix.ensure(cur)
 			if slow {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return core.Result{}, err
 				}
 			}
 			if step > t.levels() {
@@ -604,12 +618,23 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 	statVisits.Add(uint64(visits))
 	statHubHits.Add(uint64(hubHits))
 	inv := 1 / float64(ix.nq)
-	out := make(map[graph.NodeID]float64, len(s.touched)+1)
-	for _, v := range s.touched {
-		out[v] = s.acc[v] * inv
+	m := len(s.touched)
+	if s.mark[u] != s.epoch {
+		m++
 	}
-	out[u] = 1
-	return out, nil
+	nodes := make([]graph.NodeID, m)
+	scores := make([]float64, m)
+	copy(nodes, s.touched)
+	for i, v := range s.touched {
+		scores[i] = s.acc[v] * inv
+		if v == u {
+			scores[i] = 1
+		}
+	}
+	if m > len(s.touched) {
+		nodes[m-1], scores[m-1] = u, 1
+	}
+	return core.NewResult(nodes, scores), nil
 }
 
 // MultiSource answers a batch of sources over the index's own Workers;
@@ -618,14 +643,28 @@ func (ix *Index) MultiSource(ctx context.Context, sources []graph.NodeID) ([]map
 	return ix.MultiSourceWorkers(ctx, sources, ix.opt.Workers)
 }
 
-// MultiSourceWorkers answers a batch of sources, bit-identical to
-// issuing SingleSourceCtx per source in order. Duplicate sources are
-// computed once and cloned; unique sources fan out across workers
-// goroutines (below 2, serially), sharing one lazy table build per unique
-// visited node through the per-node singleflight and one pooled
-// scratch arena per worker. It lets a caller serving an imported index,
-// whose Workers is the default 1, batch at its own width.
+// MultiSourceWorkers is the map view of MultiSourceResults: every
+// entry is a map of its own, duplicates included.
 func (ix *Index) MultiSourceWorkers(ctx context.Context, sources []graph.NodeID, workers int) ([]map[graph.NodeID]float64, error) {
+	rs, err := ix.MultiSourceResults(ctx, sources, workers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]map[graph.NodeID]float64, len(rs))
+	for i, r := range rs {
+		out[i] = r.Map()
+	}
+	return out, nil
+}
+
+// MultiSourceResults answers a batch of sources, bit-identical to
+// issuing SingleSourceResult per source in order. Duplicate sources are
+// computed once and share one Result; unique sources fan out across
+// workers goroutines (below 2, serially), sharing one lazy table build
+// per unique visited node through the per-node singleflight and one
+// pooled scratch arena per worker. It lets a caller serving an imported
+// index, whose Workers is the default 1, batch at its own width.
+func (ix *Index) MultiSourceResults(ctx context.Context, sources []graph.NodeID, workers int) ([]core.Result, error) {
 	n := ix.g.NumNodes()
 	for _, u := range sources {
 		if u < 0 || int(u) >= n {
@@ -640,10 +679,10 @@ func (ix *Index) MultiSourceWorkers(ctx context.Context, sources []graph.NodeID,
 			uniq = append(uniq, u)
 		}
 	}
-	res := make([]map[graph.NodeID]float64, len(uniq))
+	res := make([]core.Result, len(uniq))
 	errs := make([]error, len(uniq))
 	if err := par.ForEachCtx(ctx, len(uniq), workers, func(i int) {
-		res[i], errs[i] = ix.SingleSourceCtx(ctx, uniq[i])
+		res[i], errs[i] = ix.SingleSourceResult(ctx, uniq[i])
 	}); err != nil {
 		return nil, err
 	}
@@ -652,16 +691,9 @@ func (ix *Index) MultiSourceWorkers(ctx context.Context, sources []graph.NodeID,
 			return nil, err
 		}
 	}
-	out := make([]map[graph.NodeID]float64, len(sources))
-	used := make([]bool, len(uniq))
+	out := make([]core.Result, len(sources))
 	for i, u := range sources {
-		j := pos[u]
-		if used[j] {
-			out[i] = maps.Clone(res[j])
-		} else {
-			out[i] = res[j]
-			used[j] = true
-		}
+		out[i] = res[pos[u]]
 	}
 	return out, nil
 }

@@ -75,6 +75,16 @@ func TestBuildHubSelection(t *testing.T) {
 	}
 }
 
+// TestHubFractionZeroIsDefault: HubFraction 0 means the default 0.05,
+// so the index selects ⌊0.05·n⌋ hubs rather than none.
+func TestHubFractionZeroIsDefault(t *testing.T) {
+	g := testGraph(t, 200, 1200, 3)
+	ix := mustBuild(t, g, Options{HubFraction: 0, Iterations: 10, Seed: 1})
+	if want := int(0.05 * float64(g.NumNodes())); ix.HubCount() != want {
+		t.Errorf("HubFraction 0: HubCount = %d, want %d (the 0.05 default)", ix.HubCount(), want)
+	}
+}
+
 // TestAccuracyAgainstPowerMethod across hub fractions: accuracy must
 // not depend on how much is indexed (only speed does).
 func TestAccuracyAgainstPowerMethod(t *testing.T) {

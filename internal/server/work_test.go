@@ -29,13 +29,16 @@ type requestWork struct {
 	Encoded int
 }
 
-// pinnedRequests is the request-path work table: cache hits on the
-// crashsim backend over hepth at scale 0.05 (494 nodes), measured
-// without -race.
+// pinnedRequests is the request-path work table: cache hits over hepth
+// at scale 0.05 (494 nodes) on the crashsim backend and on prsim, which
+// has no native top-k, so its /topk ranks the cached result too;
+// measured without -race.
 var pinnedRequests = map[string]requestWork{
-	"single-hit": {Allocs: 49, Bytes: 8808, Encoded: 448},
-	"topk-hit":   {Allocs: 46, Bytes: 8752, Encoded: 448},
-	"batch-hit":  {Allocs: 65, Bytes: 11970, Encoded: 1781},
+	"single-hit":       {Allocs: 49, Bytes: 8808, Encoded: 448},
+	"topk-hit":         {Allocs: 46, Bytes: 8752, Encoded: 448},
+	"batch-hit":        {Allocs: 65, Bytes: 11970, Encoded: 1781},
+	"prsim/single-hit": {Allocs: 49, Bytes: 8810, Encoded: 448},
+	"prsim/topk-hit":   {Allocs: 47, Bytes: 8744, Encoded: 448},
 }
 
 // requestRuns is the number of requests each row averages over.
@@ -46,11 +49,13 @@ type workRequest struct {
 	name, method, path, body string
 }
 
-// workServer builds a cached crashsim server over hepth at scale and
-// returns it with the pinned requests, from the graph's highest-degree
-// nodes. The idle collection's hooks are stubbed out: it runs at most
-// once a second, so it belongs to no one request.
-func workServer(t *testing.T, scale float64) (*Server, []workRequest) {
+// workServer builds a cached server of backend algo over hepth at
+// scale and returns it with the pinned requests, from the graph's
+// highest-degree nodes: a /singlesource, /topk and 4-source batch on
+// crashsim, a /singlesource and /topk (named "prsim/…") on prsim. The
+// idle collection's hooks are stubbed out: it runs at most once a
+// second, so it belongs to no one request.
+func workServer(t *testing.T, algo string, scale float64) (*Server, []workRequest) {
 	t.Helper()
 	p, err := gen.ProfileByName("hepth")
 	if err != nil {
@@ -62,6 +67,7 @@ func workServer(t *testing.T, scale float64) (*Server, []workRequest) {
 	}
 	s, err := New(Config{
 		Graph:      g,
+		Algo:       algo,
 		Params:     core.Params{Iterations: 100, Seed: 7, Workers: 1},
 		CacheBytes: 64 << 20,
 		Metrics:    obs.NewRegistry(),
@@ -78,12 +84,31 @@ func workServer(t *testing.T, scale float64) (*Server, []workRequest) {
 	deg := func(v graph.NodeID) int { return g.InDegree(v) + g.OutDegree(v) }
 	slices.SortStableFunc(nodes, func(a, b graph.NodeID) int { return deg(b) - deg(a) })
 	u := nodes[0]
-	return s, []workRequest{
-		{"single-hit", http.MethodGet, fmt.Sprintf("/singlesource?u=%d&k=10", u), ""},
-		{"topk-hit", http.MethodGet, fmt.Sprintf("/topk?u=%d&k=10", u), ""},
+	single := workRequest{"single-hit", http.MethodGet, fmt.Sprintf("/singlesource?u=%d&k=10", u), ""}
+	topk := workRequest{"topk-hit", http.MethodGet, fmt.Sprintf("/topk?u=%d&k=10", u), ""}
+	if algo == "prsim" {
+		single.name, topk.name = "prsim/single-hit", "prsim/topk-hit"
+		return s, []workRequest{single, topk}
+	}
+	return s, []workRequest{single, topk,
 		{"batch-hit", http.MethodPost, "/batch/singlesource",
 			fmt.Sprintf(`{"sources":[%d,%d,%d,%d],"k":10}`, nodes[0], nodes[1], nodes[2], nodes[3])},
 	}
+}
+
+// workRequests returns the pinned requests with the server each runs on.
+func workRequests(t *testing.T) ([]*Server, []workRequest) {
+	t.Helper()
+	var servers []*Server
+	var reqs []workRequest
+	for _, algo := range []string{"crashsim", "prsim"} {
+		s, rs := workServer(t, algo, 0.05)
+		for _, r := range rs {
+			servers = append(servers, s)
+			reqs = append(reqs, r)
+		}
+	}
+	return servers, reqs
 }
 
 // measureRequest serves r once to fill the cache, then measures it as a
@@ -131,17 +156,17 @@ func compareRequest(want, got requestWork) []string {
 }
 
 // TestRequestWork is the request-path work gate: a /singlesource hit, a
-// /topk hit and a 4-source /batch/singlesource hit each allocate within
-// their pinned row and answer with exactly its bytes. A change that
-// lowers a count updates its row. Skipped under -race (see
-// raceEnabled).
+// /topk hit and a 4-source /batch/singlesource hit on crashsim, and a
+// /singlesource and /topk hit on prsim, each allocate within their
+// pinned row and answer with exactly its bytes. A change that lowers a
+// count updates its row. Skipped under -race (see raceEnabled).
 func TestRequestWork(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation rows are not checked under -race")
 	}
-	s, reqs := workServer(t, 0.05)
-	for _, r := range reqs {
-		got := measureRequest(t, s, r)
+	servers, reqs := workRequests(t)
+	for i, r := range reqs {
+		got := measureRequest(t, servers[i], r)
 		want, ok := pinnedRequests[r.name]
 		if !ok {
 			t.Errorf("%s: no pinned row", r.name)
@@ -165,7 +190,7 @@ func TestRequestWorkIsSizeIndependent(t *testing.T) {
 	const byteSlack = 512
 	var bytes []uint64
 	for _, scale := range []float64{0.05, 0.2} {
-		s, reqs := workServer(t, scale)
+		s, reqs := workServer(t, "crashsim", scale)
 		bytes = append(bytes, measureRequest(t, s, reqs[0]).Bytes)
 	}
 	t.Logf("/singlesource hit: %v bytes at scale 0.05 and 0.2", bytes)
@@ -185,19 +210,23 @@ func (c cloning) MultiSource(ctx context.Context, sources []graph.NodeID) ([]cor
 }
 
 // TestRequestWorkCatchesClone seeds a copy of the cached result back
-// into the ranked hit path and requires the gate to reject the
-// /singlesource and batch rows on their bytes.
+// into the ranked hit path and requires the gate to reject every row
+// that ranks a cached result on its bytes: all but crashsim's /topk.
 func TestRequestWorkCatchesClone(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation rows are not checked under -race")
 	}
-	s, reqs := workServer(t, 0.05)
-	s.est = cloning{s.est}
-	for _, r := range reqs {
+	servers, reqs := workRequests(t)
+	for _, s := range servers {
+		if _, ok := s.est.(cloning); !ok {
+			s.est = cloning{s.est}
+		}
+	}
+	for i, r := range reqs {
 		if r.name == "topk-hit" {
 			continue // crashsim ranks top-k natively; no result map to copy
 		}
-		got := measureRequest(t, s, r)
+		got := measureRequest(t, servers[i], r)
 		problems := compareRequest(pinnedRequests[r.name], got)
 		named := false
 		for _, p := range problems {
