@@ -56,9 +56,8 @@ func (p *pool[T]) put(x *T, pooled bool) {
 // arena is the pooled scratch of the one estimate path (see
 // arena.sample): the dense score slab, cut into length-n windows, the
 // prepared sources, the flattened (source, candidate) work list and the
-// prefilter's BFS state. A single-source
-// query, each top-k pass, each CrashSim-T snapshot and a whole batch
-// take one arena apiece. Its traffic keeps the core.pool.batch_* names
+// prefilter's BFS state. A single-source query, each top-k pass, each
+// CrashSim-T snapshot and a whole batch take one arena apiece. Its traffic keeps the core.pool.batch_* names
 // it had when only batches used it.
 type arena struct {
 	slab     []float64

@@ -263,17 +263,17 @@ func (e *cached) batch(ctx context.Context, sources []graph.NodeID) ([]core.Resu
 	// One lazy inner batch shared by every missing key's fill closure:
 	// whichever Do actually computes first triggers it; the rest read
 	// their source's result out of the finished batch.
-	var batch map[graph.NodeID]core.Result
+	var computed map[graph.NodeID]core.Result
 	var batchErr error
 	fill := func(ctx context.Context) error {
-		if batch == nil && batchErr == nil {
+		if computed == nil && batchErr == nil {
 			res, err := batchOf(ctx, e.inner, missUniq)
 			if err != nil {
 				batchErr = err
 			} else {
-				batch = make(map[graph.NodeID]core.Result, len(missUniq))
+				computed = make(map[graph.NodeID]core.Result, len(missUniq))
 				for j, u := range missUniq {
-					batch[u] = res[j]
+					computed[u] = res[j]
 				}
 			}
 		}
@@ -284,7 +284,7 @@ func (e *cached) batch(ctx context.Context, sources []graph.NodeID) ([]core.Resu
 			if err := fill(ctx); err != nil {
 				return nil, 0, err
 			}
-			r := batch[u]
+			r := computed[u]
 			return r, resultSize(r), nil
 		})
 		if err != nil {

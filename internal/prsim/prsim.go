@@ -618,21 +618,17 @@ func (ix *Index) SingleSourceResult(ctx context.Context, u graph.NodeID) (core.R
 	statVisits.Add(uint64(visits))
 	statHubHits.Add(uint64(hubHits))
 	inv := 1 / float64(ix.nq)
-	m := len(s.touched)
+	nodes := append(make([]graph.NodeID, 0, len(s.touched)+1), s.touched...)
 	if s.mark[u] != s.epoch {
-		m++
+		nodes = append(nodes, u)
 	}
-	nodes := make([]graph.NodeID, m)
-	scores := make([]float64, m)
-	copy(nodes, s.touched)
-	for i, v := range s.touched {
-		scores[i] = s.acc[v] * inv
+	scores := make([]float64, len(nodes))
+	for i, v := range nodes {
 		if v == u {
 			scores[i] = 1
+		} else {
+			scores[i] = s.acc[v] * inv
 		}
-	}
-	if m > len(s.touched) {
-		nodes[m-1], scores[m-1] = u, 1
 	}
 	return core.NewResult(nodes, scores), nil
 }
