@@ -17,7 +17,7 @@ type nodeBitset []uint64
 // buf's storage when it is large enough.
 func newNodeBitset(buf []uint64, n int) nodeBitset {
 	words := (n + 63) / 64
-	b := growUint64(buf, words)
+	b := grow(buf, words)
 	clear(b)
 	return nodeBitset(b)
 }
@@ -60,6 +60,12 @@ func forwardReachBits(g *graph.Graph, sources []graph.NodeID, depth int, reach n
 			frontier = append(frontier, s)
 		}
 	}
+	return expandReach(g, depth, reach, frontier, next)
+}
+
+// expandReach is forwardReachBits from a frontier already marked in
+// reach: it marks every node within depth out-edge hops of it.
+func expandReach(g *graph.Graph, depth int, reach nodeBitset, frontier, next []graph.NodeID) (f, nx []graph.NodeID) {
 	next = next[:0]
 	for d := 0; d < depth && len(frontier) > 0; d++ {
 		next = next[:0]

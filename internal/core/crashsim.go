@@ -52,11 +52,10 @@ func SingleSourceResult(ctx context.Context, g *graph.Graph, u graph.NodeID, ome
 	if err != nil {
 		return Result{}, err
 	}
-	// The tree is owned by this query alone, so its arena can go back to
-	// the pool as soon as it is compiled.
-	ft := freezeOwned(g, tree, q)
-	defer frozenPool.put(ft, !q.DisablePooling)
-	return estimateSource(ctx, g, u, ft, omega, q, nr)
+	// The tree is owned by this query alone, so its arena goes back to
+	// the pool once the estimate is done.
+	defer treePool.put(tree, !q.DisablePooling)
+	return estimateSource(ctx, g, u, tree, omega, q, nr)
 }
 
 // mapOf is the map view of a Result answer.
@@ -70,7 +69,7 @@ func mapOf(r Result, err error) (Scores, error) {
 // SingleSourceWithTree is SingleSource with a caller-provided reverse
 // reachable tree for u, letting CrashSim-T reuse the tree it already
 // computed for pruning. The tree must have been built on g with the same
-// parameters.
+// parameters; it is only read, so concurrent queries may share it.
 func SingleSourceWithTree(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree) (Scores, error) {
 	q, nr, err := p.resolve(g.NumNodes())
 	if err != nil {
@@ -79,12 +78,10 @@ func SingleSourceWithTree(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, 
 	if err := checkSource(g, u); err != nil {
 		return nil, err
 	}
-	if tree == nil || tree.Source != u || tree.Lmax != q.Lmax {
-		return nil, fmt.Errorf("core: provided tree does not match source %d with lmax %d", u, q.Lmax)
+	if tree == nil || tree.Source != u || tree.Lmax != q.Lmax || tree.words != indexWords(g.NumNodes()) {
+		return nil, fmt.Errorf("core: provided tree does not match source %d with lmax %d on n=%d", u, q.Lmax, g.NumNodes())
 	}
-	ft := freeze(g, tree, q)
-	defer frozenPool.put(ft, !q.DisablePooling)
-	return mapOf(estimateSource(context.Background(), g, u, ft, omega, q, nr))
+	return mapOf(estimateSource(context.Background(), g, u, tree, omega, q, nr))
 }
 
 // BuildTree builds the reverse reachable tree CrashSim would use for a
@@ -99,8 +96,9 @@ func BuildTree(g adjacency, u graph.NodeID, p Params) (*ReachTree, error) {
 }
 
 // buildTreeInto is BuildTree for resolved and validated params, built
-// into the caller's arena dst, or into a pooled one when dst is nil.
-// Non-backtracking trees always build into their own arena.
+// with its probe index into the caller's arena dst, or into a pooled
+// one when dst is nil. Non-backtracking trees always build into their
+// own arena.
 func buildTreeInto(dst *ReachTree, g adjacency, u graph.NodeID, q Params) *ReachTree {
 	switch {
 	case q.NonBacktracking:
@@ -108,7 +106,7 @@ func buildTreeInto(dst *ReachTree, g adjacency, u graph.NodeID, q Params) *Reach
 	case dst == nil:
 		return RevReach(g, u, q.C, q.Lmax, q.Transition)
 	default:
-		return revReachInto(dst, g, u, q.C, q.Lmax, q.Transition)
+		return revReachInto(dst, g, u, q.C, q.Lmax, q.Transition, true)
 	}
 }
 
@@ -132,35 +130,21 @@ func checkSource(g *graph.Graph, u graph.NodeID) error {
 	return nil
 }
 
-// freeze compiles tree for the walk kernels on g into a pooled
-// FrozenTree. The caller returns the result to frozenPool.
-func freeze(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
-	ft := frozenPool.get(!p.DisablePooling)
-	ft.compile(tree, g.NumNodes())
-	ft.buildStep1(g)
-	return ft
-}
-
-// freezeOwned is freeze for a caller that owns tree. Once the tree is
-// compiled nothing reads it again (the prefilter starts from the
-// compiled support list), so its arena goes straight back to the pool;
-// a concurrent query, or the next source of a batch, then builds into
-// it. The caller must not use tree afterwards.
-func freezeOwned(g *graph.Graph, tree *ReachTree, p Params) *FrozenTree {
-	ft := freeze(g, tree, p)
-	treePool.put(tree, !p.DisablePooling)
-	return ft
-}
-
-// estimateSource runs the one estimate path for a single compiled
-// source and returns its candidates' scores. The caller keeps
-// ownership of ft.
-func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, ft *FrozenTree, omega []graph.NodeID, q Params, nr int) (Result, error) {
+// estimateSource runs the one estimate path for a single source tree
+// and returns its candidates' scores. The caller keeps ownership of
+// tree.
+func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, tree *ReachTree, omega []graph.NodeID, q Params, nr int) (Result, error) {
 	n := g.NumNodes()
 	pooled := !q.DisablePooling
-	a := acquireArena(1, n, pooled)
+	a := acquireArena(1, 1, n, pooled)
 	defer a.release(pooled)
-	a.preps = append(a.preps, srcPrep{u: u, ft: ft, dense: a.window(0, n)})
+	a.addSource(g, u, tree, a.window(0, n), nil)
+	return a.sampleOne(ctx, g, omega, q, nr)
+}
+
+// sampleOne is sample for an arena holding one prepared source,
+// answering with that source's Result.
+func (a *arena) sampleOne(ctx context.Context, g *graph.Graph, omega []graph.NodeID, q Params, nr int) (Result, error) {
 	cand, err := a.sample(ctx, g, omega, q, nr)
 	if err != nil {
 		return Result{}, err
@@ -169,8 +153,8 @@ func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, ft *Fro
 }
 
 // sample is the one estimate path: Algorithm 1's loop, n_r walks per
-// candidate of cand against each prepared source's compiled tree, for
-// every source in a.preps at once. A nil cand means all nodes; the
+// candidate of cand against each prepared source's tree, for every
+// source in a.preps at once. A nil cand means all nodes; the
 // candidate list actually used is returned. Every caller — a
 // single-source query, both top-k passes, CrashSim-T's per-snapshot
 // estimate, SingleSourceWithError and MultiSource — comes through
@@ -196,10 +180,11 @@ func (a *arena) sample(ctx context.Context, g *graph.Graph, cand []graph.NodeID,
 			return nil, fmt.Errorf("core: candidate %d out of range for n=%d", v, n)
 		}
 	}
+	a.work = a.work[:0]
 	for i := range a.preps {
 		pr := &a.preps[i]
 		statCandidates.Add(uint64(len(cand)))
-		for _, v := range a.liveCandidates(g, pr.u, cand, q, pr.ft, pr.dense) {
+		for _, v := range a.liveCandidates(g, pr.u, cand, q, pr.tree, pr.dense) {
 			a.work = append(a.work, batchItem{src: int32(i), v: v})
 		}
 	}
@@ -208,7 +193,7 @@ func (a *arena) sample(ctx context.Context, g *graph.Graph, cand []graph.NodeID,
 	err := par.ForEachCtx(ctx, len(work), q.Workers, func(i int) {
 		it := work[i]
 		pr := &preps[it.src]
-		s, sq, err := estimateCandidateFrozen(ctx, g, pr.u, it.v, q, pr.ft, nr, sqrtC)
+		s, sq, err := sampleCandidate(ctx, g, pr, it.v, q, nr, sqrtC)
 		if err != nil {
 			return // only ctx errors escape; ForEachCtx reports them
 		}
@@ -226,17 +211,18 @@ func (a *arena) sample(ctx context.Context, g *graph.Graph, cand []graph.NodeID,
 // within l_max hops. Everything else provably scores 0, so it is
 // excluded before any sampling — on graphs with small reverse
 // neighborhoods (e.g. citation graphs with many uncited papers) this
-// removes most of the work. The BFS starts from the compiled tree's
-// support list. A pruned source gets its defined self-score written
-// into dense directly (sim(u,u) = 1). The returned slice aliases
-// a.live and is valid until the next call; with the prefilter disabled
-// it is omega unchanged.
-func (a *arena) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, ft *FrozenTree, dense []float64) []graph.NodeID {
+// removes most of the work. The BFS starts from the tree's support,
+// the OR of its index rows, in id order. A pruned source gets its
+// defined self-score written into dense directly (sim(u,u) = 1). The
+// returned slice aliases a.live and is valid until the next call; with
+// the prefilter disabled it is omega unchanged.
+func (a *arena) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params, tree *ReachTree, dense []float64) []graph.NodeID {
 	if p.DisablePrefilter {
 		return omega
 	}
 	reach := newNodeBitset(a.reach, g.NumNodes())
-	a.frontier, a.next = forwardReachBits(g, ft.SupportNodes(), p.Lmax, reach, a.frontier, a.next)
+	tree.orLevels(reach)
+	a.frontier, a.next = expandReach(g, p.Lmax, reach, reach.appendNodes(a.frontier[:0]), a.next)
 	a.reach = reach
 	live := a.live[:0]
 	for _, v := range omega {
@@ -251,8 +237,8 @@ func (a *arena) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.Nod
 	return live
 }
 
-// estimateCandidateFrozen runs the n_r walks for one candidate against
-// the compiled tree and returns the averaged crash probability and the
+// sampleCandidate runs the n_r walks for one candidate against the
+// prepared source's tree and returns the averaged crash probability and the
 // walks' summed squared contributions. Sampling and scoring are fused
 // into one loop per walk (the walk is never materialized), and the
 // whole n_r budget runs inside one kernel call, so per-walk costs
@@ -263,12 +249,12 @@ func (a *arena) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.Nod
 // tree) — same random stream, same floating-point operation order. The
 // source itself samples nothing. The only error it can return is
 // ctx.Err().
-func estimateCandidateFrozen(ctx context.Context, g *graph.Graph, u, v graph.NodeID, p Params, ft *FrozenTree, nr int, sqrtC float64) (score, sumSq float64, err error) {
-	if v == u {
+func sampleCandidate(ctx context.Context, g *graph.Graph, pr *srcPrep, v graph.NodeID, p Params, nr int, sqrtC float64) (score, sumSq float64, err error) {
+	if v == pr.u {
 		return 1, 0, nil // sim(u,u) = 1 by definition
 	}
 	r := rng.FastSplit(p.Seed, uint64(v))
-	sum, sumSq, walks, err := runKernel(ctx, p.Meeting, g, ft, v, sqrtC, p.Lmax, nr, &r)
+	sum, sumSq, walks, err := runKernel(ctx, p.Meeting, g, pr.tree, pr.s1, v, sqrtC, p.Lmax, nr, &r)
 	statWalks.Add(uint64(walks))
 	if err != nil {
 		return 0, 0, err
@@ -276,7 +262,7 @@ func estimateCandidateFrozen(ctx context.Context, g *graph.Graph, u, v graph.Nod
 	return sum / float64(nr), sumSq, nil
 }
 
-// runKernel runs a candidate's full n_r-walk budget against the frozen
+// runKernel runs a candidate's full n_r-walk budget against the source
 // tree with the meeting rule's fused sample-and-score kernel, and
 // returns the summed contributions, their squares (for
 // SingleSourceWithError's variance; one multiply-add per walk, dropped
@@ -288,14 +274,14 @@ func estimateCandidateFrozen(ctx context.Context, g *graph.Graph, u, v graph.Nod
 // direct switch rather than a func value so escape analysis can see
 // that r stays on the caller's stack: an indirect call would move it to
 // the heap, one allocation per candidate.
-func runKernel(ctx context.Context, rule MeetingRule, g *graph.Graph, ft *FrozenTree, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
+func runKernel(ctx context.Context, rule MeetingRule, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
 	switch rule {
 	case MeetingAny:
-		return candidateScoreAny(ctx, g, ft, v, sqrtC, lmax, nr, r)
+		return candidateScoreAny(ctx, g, t, s1, v, sqrtC, lmax, nr, r)
 	case MeetingFirstCrash:
-		return candidateScoreFirstCrash(ctx, g, ft, v, sqrtC, lmax, nr, r)
+		return candidateScoreFirstCrash(ctx, g, t, s1, v, sqrtC, lmax, nr, r)
 	default:
-		return candidateScoreFirstMeet(ctx, g, ft, v, sqrtC, lmax, nr, r)
+		return candidateScoreFirstMeet(ctx, g, t, s1, v, sqrtC, lmax, nr, r)
 	}
 }
 
@@ -312,32 +298,34 @@ func runKernel(ctx context.Context, rule MeetingRule, g *graph.Graph, ft *Frozen
 // next position are fetched at arrival, so the first-meet rule's
 // carried-mass update reuses the degree the step already loaded instead
 // of re-deriving g.InDegree.
+// Every later step probes the tree's index row for that step: one
+// word test, then for a hit one popcount and one load from probs.
 // The first step is peeled out of the step loop: every walk starts at
 // v, so the hop draws from a fixed range (whose bounds, and a walk
 // that cannot move at all, are rejected once per candidate), and the
 // landing node's crash probability and onward bounds come from the
-// 16-byte s1 table entry instead of the inOff/any/lv/probs probe
-// chain. On a geometrically truncated walk the first step is the most
-// common one, so the peel removes roughly a quarter of all probes.
+// 16-byte s1 table entry instead of inOff and the probe. On a
+// geometrically truncated walk the first step is the most common one,
+// so the peel removes roughly a quarter of all probes.
 // A candidate with no in-edges (or lmax < 1) never moves, so every
 // walk contributes exactly 0 — the same sum the reference kernel reaches
 // after sampling, returned without drawing.
 
-func candidateScoreAny(ctx context.Context, g *graph.Graph, ft *FrozenTree, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
+func candidateScoreAny(ctx context.Context, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
 	inOff, inAdj := g.InCSR()
 	lo0, hi0 := inOff[v], inOff[v+1]
 	u0 := uint64(hi0 - lo0)
 	if lmax < 1 || u0 == 0 {
 		return 0, 0, nr, nil
 	}
-	s1 := ft.s1
 	// The probe arrays come off the struct once: every RNG draw stores
-	// through r, which keeps the compiler from proving ft's fields
+	// through r, which keeps the compiler from proving t's fields
 	// unchanged across steps — local slice headers pin the base pointers
-	// in registers for the whole candidate. The probe itself (any-bit
-	// test, lv pair, popcount into probs) is probLive written out against
-	// these locals.
-	anyB, lv, probs, mw := ft.any, ft.lv, ft.probs, ft.maskWords
+	// in registers for the whole candidate. The probe itself is
+	// ReachTree.Prob written out against these locals, with the range
+	// guards dropped: the step is bounded by the tree's own l_max and
+	// cur is a node of the graph the tree was indexed on.
+	idx, probs, rowLen := t.idx, t.probs, 2*t.words
 	// Stage the candidate's own first-hop entries in a stack buffer:
 	// after the first walk these few lines are L1-resident, so the
 	// peeled first step reads one hot entry instead of gathering
@@ -412,13 +400,9 @@ func candidateScoreAny(ctx context.Context, g *graph.Graph, ft *FrozenTree, v gr
 				}
 				cur := inAdj[lo+int32(j)]
 				lo, hi = inOff[cur], inOff[cur+1]
-				if anyB[int(cur)>>6]&(uint64(1)<<uint(cur&63)) != 0 {
-					wi := (int(cur)*mw + step>>6) * 2
-					word := lv[wi]
-					bit := uint64(1) << uint(step&63)
-					if word&bit != 0 {
-						x += probs[int(lv[wi+1])+bits.OnesCount64(word&(bit-1))]
-					}
+				wi := step*rowLen + int(cur>>6)*2
+				if word, bit := idx[wi], uint64(1)<<uint(cur&63); word&bit != 0 {
+					x += probs[int(idx[wi+1])+bits.OnesCount64(word&(bit-1))]
 				}
 			}
 		}
@@ -428,7 +412,7 @@ func candidateScoreAny(ctx context.Context, g *graph.Graph, ft *FrozenTree, v gr
 	return sum, sumSq, nr, nil
 }
 
-func candidateScoreFirstCrash(ctx context.Context, g *graph.Graph, ft *FrozenTree, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
+func candidateScoreFirstCrash(ctx context.Context, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
 	// After the first positive crash probability a walk's contribution
 	// is final, but the walk must still be sampled to its end so the
 	// candidate's random stream stays aligned with the reference kernel.
@@ -438,10 +422,9 @@ func candidateScoreFirstCrash(ctx context.Context, g *graph.Graph, ft *FrozenTre
 	if lmax < 1 || u0 == 0 {
 		return 0, 0, nr, nil
 	}
-	s1 := ft.s1
 	// See candidateScoreAny: local headers keep the probe bases in
 	// registers across the RNG's stores.
-	anyB, lv, probs, mw := ft.any, ft.lv, ft.probs, ft.maskWords
+	idx, probs, rowLen := t.idx, t.probs, 2*t.words
 	// Stage the candidate's own first-hop entries in a stack buffer:
 	// after the first walk these few lines are L1-resident, so the
 	// peeled first step reads one hot entry instead of gathering
@@ -512,12 +495,10 @@ func candidateScoreFirstCrash(ctx context.Context, g *graph.Graph, ft *FrozenTre
 				}
 				cur := inAdj[lo+int32(j)]
 				lo, hi = inOff[cur], inOff[cur+1]
-				if x == 0 && anyB[int(cur)>>6]&(uint64(1)<<uint(cur&63)) != 0 {
-					wi := (int(cur)*mw + step>>6) * 2
-					word := lv[wi]
-					bit := uint64(1) << uint(step&63)
-					if word&bit != 0 {
-						x = probs[int(lv[wi+1])+bits.OnesCount64(word&(bit-1))]
+				if x == 0 {
+					wi := step*rowLen + int(cur>>6)*2
+					if word, bit := idx[wi], uint64(1)<<uint(cur&63); word&bit != 0 {
+						x = probs[int(idx[wi+1])+bits.OnesCount64(word&(bit-1))]
 					}
 				}
 			}
@@ -528,17 +509,16 @@ func candidateScoreFirstCrash(ctx context.Context, g *graph.Graph, ft *FrozenTre
 	return sum, sumSq, nr, nil
 }
 
-func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, ft *FrozenTree, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
+func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
 	inOff, inAdj := g.InCSR()
 	lo0, hi0 := inOff[v], inOff[v+1]
 	u0 := uint64(hi0 - lo0)
 	if lmax < 1 || u0 == 0 {
 		return 0, 0, nr, nil
 	}
-	s1 := ft.s1
 	// See candidateScoreAny: local headers keep the probe bases in
 	// registers across the RNG's stores.
-	anyB, lv, probs, mw := ft.any, ft.lv, ft.probs, ft.maskWords
+	idx, probs, rowLen := t.idx, t.probs, 2*t.words
 	// Stage the candidate's own first-hop entries in a stack buffer:
 	// after the first walk these few lines are L1-resident, so the
 	// peeled first step reads one hot entry instead of gathering
@@ -621,13 +601,9 @@ func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, ft *FrozenTree
 				cur := inAdj[lo+int32(j)]
 				lo, hi = inOff[cur], inOff[cur+1]
 				p := 0.0
-				if anyB[int(cur)>>6]&(uint64(1)<<uint(cur&63)) != 0 {
-					wi := (int(cur)*mw + step>>6) * 2
-					word := lv[wi]
-					bit := uint64(1) << uint(step&63)
-					if word&bit != 0 {
-						p = probs[int(lv[wi+1])+bits.OnesCount64(word&(bit-1))]
-					}
+				wi := step*rowLen + int(cur>>6)*2
+				if word, bit := idx[wi], uint64(1)<<uint(cur&63); word&bit != 0 {
+					p = probs[int(idx[wi+1])+bits.OnesCount64(word&(bit-1))]
 				}
 				m := p - carried
 				if m < 0 {

@@ -74,6 +74,7 @@ func TestParamsValidate(t *testing.T) {
 		{"NaN eps", Params{Eps: math.NaN()}, "error bound"},
 		{"NaN delta", Params{Delta: math.NaN()}, "failure probability"},
 		{"negative lmax", Params{Lmax: -1}, "lmax"},
+		{"lmax above bound", Params{Lmax: 1025}, "lmax"},
 		{"negative iterations", Params{Iterations: -5}, "iterations"},
 		{"iterations above bound", Params{Iterations: 1<<24 + 1}, "iterations"},
 		{"eps below truncation", Params{Eps: 1e-9, Lmax: 2}, "truncation error"},
@@ -96,6 +97,9 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if err := (Params{Iterations: 1 << 24}).Validate(); err != nil {
 		t.Errorf("iterations at the bound rejected: %v", err)
+	}
+	if err := (Params{Lmax: 1024}).Validate(); err != nil {
+		t.Errorf("lmax at the bound rejected: %v", err)
 	}
 }
 

@@ -31,12 +31,11 @@ func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID,
 		return nil, err
 	}
 	pooled := !q.DisablePooling
-	ft := freezeOwned(g, tree, q)
-	defer frozenPool.put(ft, pooled)
+	defer treePool.put(tree, pooled)
 	n := g.NumNodes()
-	a := acquireArena(2, n, pooled)
+	a := acquireArena(2, 1, n, pooled)
 	defer a.release(pooled)
-	a.preps = append(a.preps, srcPrep{u: u, ft: ft, dense: a.window(0, n), sq: a.window(1, n)})
+	a.addSource(g, u, tree, a.window(0, n), a.window(1, n))
 	cand, err := a.sample(context.Background(), g, omega, q, nr)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"crashsim/internal/graph"
@@ -126,4 +127,164 @@ func FuzzEstimatePaths(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzPatch is the differential check of ReachTree.Patch against
+// BuildTree. The input decodes to a graph of 2–24 nodes (directed or
+// undirected), an edge delta that adds absent edges and deletes present
+// ones, a source, a transition rule, an Lmax, a diff tolerance, a patch
+// gate and the switches for the two parameter fallbacks. Then:
+//   - ok is false exactly when a documented fallback applies:
+//     non-backtracking params, an Lmax other than the tree's, or an
+//     affected closure larger than gate × the old tree's support;
+//   - otherwise the tree Patch writes into a dirty arena (left over
+//     from a larger graph and a larger Lmax) equals BuildTree on the new
+//     graph bit for bit: levels, probabilities and every probe of the
+//     index;
+//   - its diff equals DiffNodes against the old tree, and an empty diff
+//     at tolerance zero hands back the old tree itself.
+func FuzzPatch(f *testing.F) {
+	f.Add([]byte{10, 1, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 4, 1, 2, 3, 4, 0, 3, 9, 0, 2, 0})
+	f.Add([]byte{16, 0, 48, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 6, 2, 3, 7, 7, 1, 4, 2, 5, 1, 1, 2, 0})
+	f.Add([]byte{3, 1, 2, 0, 1, 1, 2, 1, 2, 0, 1, 1, 1, 0, 4, 1, 0})
+	f.Add([]byte{24, 1, 60, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 1, 3, 8, 0, 3, 1, 2, 4, 0, 1})
+	big := randomTestGraph(f, 150, 600, true, 5)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		n := 2 + in.next()%23
+		directed := in.next()&1 == 1
+		edge := func() (graph.Edge, bool) {
+			x, y := in.next()%n, in.next()%n
+			if !directed && x > y {
+				x, y = y, x
+			}
+			return graph.Edge{X: graph.NodeID(x), Y: graph.NodeID(y)}, x != y
+		}
+		present := map[graph.Edge]bool{}
+		var old []graph.Edge
+		for m := in.next() % (3 * n); m > 0; m-- {
+			if e, ok := edge(); ok && !present[e] {
+				present[e] = true
+				old = append(old, e)
+			}
+		}
+		var add, del []graph.Edge
+		touched := map[graph.Edge]bool{}
+		for m := in.next() % 8; m > 0; m-- {
+			e, ok := edge()
+			if !ok || touched[e] {
+				continue
+			}
+			touched[e] = true
+			if present[e] {
+				del = append(del, e)
+			} else {
+				add = append(add, e)
+			}
+		}
+		build := func(edges []graph.Edge, skip map[graph.Edge]bool) *graph.Graph {
+			b := graph.NewBuilder(n, directed)
+			for _, e := range edges {
+				if !skip[e] {
+					b.AddEdge(e.X, e.Y)
+				}
+			}
+			g, err := b.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		deleted := map[graph.Edge]bool{}
+		for _, e := range del {
+			deleted[e] = true
+		}
+		g0, g1 := build(old, nil), build(append(slices.Clone(old), add...), deleted)
+
+		u := graph.NodeID(in.next() % n)
+		flags := in.next()
+		p := Params{
+			Transition: TransitionRule(in.next() % 2),
+			Lmax:       1 + in.next()%40,
+			Eps:        0.5,
+		}.withDefaults()
+		tol := []float64{0, 1e-12, 1e-3}[in.next()%3]
+		gate := []float64{0, 0.25, 1, 1e9}[in.next()%4]
+
+		prev, err := BuildTree(g0, u, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := BuildTree(g1, u, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := p
+		q.NonBacktracking = flags&1 != 0
+		if flags&2 != 0 {
+			q.Lmax++
+		}
+		dst := RevReach(big, 7, p.C, p.Lmax+5, p.Transition)
+		got, diff, ok := prev.Patch(dst, g1, add, del, q, tol, gate)
+
+		closure := affectedClosure(g1, add, del, p.Lmax)
+		if wantOK := !q.NonBacktracking && q.Lmax == p.Lmax && closure <= int(gate*float64(prev.Support())); ok != wantOK {
+			t.Fatalf("ok = %v, want %v (non-backtracking %v, lmax %d for a tree of %d, closure %d, gate %g × support %d)",
+				ok, wantOK, q.NonBacktracking, q.Lmax, p.Lmax, closure, gate, prev.Support())
+		}
+		if !ok {
+			return
+		}
+		if got != prev && got != dst {
+			t.Fatal("Patch returned neither the old tree nor the destination arena")
+		}
+		if !bitEqualTrees(got, want) {
+			t.Fatalf("patched tree differs from BuildTree on the new graph (add %v, del %v)", add, del)
+		}
+		if got.words != want.words {
+			t.Fatalf("patched tree has %d index words per level, BuildTree %d", got.words, want.words)
+		}
+		for step := 0; step < want.NumLevels(); step++ {
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				if a, b := got.Prob(step, v), want.Prob(step, v); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("probe (%d, %d): patched %v, BuildTree %v", step, v, a, b)
+				}
+			}
+		}
+		if wantDiff := want.DiffNodes(prev, tol); !slices.Equal(diff, wantDiff) && len(diff)+len(wantDiff) > 0 {
+			t.Fatalf("diff %v, DiffNodes %v (tol %g)", diff, wantDiff, tol)
+		}
+		if tol == 0 && len(want.DiffNodes(prev, 0)) == 0 && got != prev {
+			t.Fatal("bit-identical patch did not hand back the old tree")
+		}
+	})
+}
+
+// affectedClosure counts the nodes within lmax reverse (in-edge) hops
+// of the delta's endpoints on g, the closure Patch re-expands: the
+// independent count its gate is checked against.
+func affectedClosure(g *graph.Graph, add, del []graph.Edge, lmax int) int {
+	seen := map[graph.NodeID]bool{}
+	var frontier []graph.NodeID
+	for _, e := range slices.Concat(add, del) {
+		for _, v := range []graph.NodeID{e.X, e.Y} {
+			if !seen[v] {
+				seen[v] = true
+				frontier = append(frontier, v)
+			}
+		}
+	}
+	for d := 0; d < lmax && len(frontier) > 0; d++ {
+		var next []graph.NodeID
+		for _, x := range frontier {
+			for _, v := range g.In(x) {
+				if !seen[v] {
+					seen[v] = true
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	return len(seen)
 }

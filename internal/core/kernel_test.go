@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"crashsim/internal/gen"
@@ -24,11 +26,48 @@ func randomTestGraph(t testing.TB, n, m int, directed bool, seed uint64) *graph.
 	return g
 }
 
-// TestFrozenProbMatchesMap: the compiled tree must return the exact
-// float64 of the build-time tree for every (step, node) pair — in-support,
-// out-of-support, and out-of-range on both axes — on randomized graphs
-// of both orientations and with lmax pushed past one bitmask word.
-func TestFrozenProbMatchesMap(t *testing.T) {
+// levelSearch is the reference the probe index is checked against: a
+// binary search over the arena's sorted level, 0 for a step or node
+// the tree does not hold.
+func levelSearch(t *ReachTree, step int, v graph.NodeID) float64 {
+	nodes, probs := t.Level(step)
+	if i, ok := slices.BinarySearch(nodes, v); ok {
+		return probs[i]
+	}
+	return 0
+}
+
+// checkProbeIndex requires every probe of t's index, for steps and
+// nodes past both ends of their ranges too, to return the exact
+// float64 of levelSearch, and the OR of the index rows (the
+// prefilter's support) to be the set of nodes the arena holds.
+func checkProbeIndex(t *testing.T, name string, tree *ReachTree, n int) {
+	t.Helper()
+	if tree.words != indexWords(n) {
+		t.Fatalf("%s: %d index words per level, want %d", name, tree.words, indexWords(n))
+	}
+	for step := -2; step <= tree.NumLevels()+1; step++ {
+		for v := graph.NodeID(-65); int(v) < 64*tree.words+65; v++ {
+			got, want := tree.Prob(step, v), levelSearch(tree, step, v)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Prob(%d, %d) = %v, level search %v", name, step, v, got, want)
+			}
+		}
+	}
+	support := newNodeBitset(nil, n)
+	tree.orLevels(support)
+	if got, want := support.appendNodes(nil), tree.Nodes(); !slices.Equal(got, want) {
+		t.Fatalf("%s: OR of the index rows %v, arena nodes %v", name, got, want)
+	}
+}
+
+// TestProbeIndexMatchesLevels: the probe index of every tree builder —
+// RevReach, RevReachNonBacktracking under both transition rules, and
+// Patch along a churn history — answers every (step, node) exactly as
+// a binary search over the level does, on graphs of both orientations
+// with lmax past 64 levels. Building into an arena left over from a
+// larger graph and a larger lmax must leave no stale index word.
+func TestProbeIndexMatchesLevels(t *testing.T) {
 	cases := []struct {
 		n, m     int
 		directed bool
@@ -36,55 +75,63 @@ func TestFrozenProbMatchesMap(t *testing.T) {
 	}{
 		{30, 90, true, 8},
 		{50, 120, false, 35},
-		{40, 200, true, 70}, // > 64 levels: multi-word bitmask path
+		{40, 200, true, 70}, // more levels than bits in a word
 		{25, 25, true, 3},   // sparse: most nodes outside the support
+		{130, 400, true, 6}, // three index words per level
 	}
+	big := randomTestGraph(t, 300, 1500, true, 99)
 	for ci, tc := range cases {
 		g := randomTestGraph(t, tc.n, tc.m, tc.directed, uint64(100+ci))
 		for src := 0; src < tc.n; src += 7 {
-			tree := RevReach(g, graph.NodeID(src), 0.6, tc.lmax, TransitionExact)
-			ft := tree.Freeze(tc.n)
-			for step := -2; step <= tc.lmax+2; step++ {
-				for v := graph.NodeID(-1); int(v) <= tc.n; v++ {
-					want := tree.Prob(step, v)
-					if v < 0 || int(v) >= tc.n {
-						want = 0 // map Prob tolerates any id; frozen must too
-					}
-					if got := ft.Prob(step, v); got != want {
-						t.Fatalf("case %d src %d: Prob(%d, %d) = %v, want %v",
-							ci, src, step, v, got, want)
-					}
-				}
-			}
-			if got, want := ft.Support(), tree.Support(); got != want {
-				t.Errorf("case %d src %d: frozen support %d, map support %d", ci, src, got, want)
+			u := graph.NodeID(src)
+			for _, rule := range []TransitionRule{TransitionExact, TransitionPaperLiteral} {
+				name := fmt.Sprintf("case %d src %d %v", ci, src, rule)
+				checkProbeIndex(t, name+" RevReach", RevReach(g, u, 0.6, tc.lmax, rule), tc.n)
+				checkProbeIndex(t, name+" non-backtracking", RevReachNonBacktracking(g, u, 0.6, tc.lmax, rule), tc.n)
+				dirty := RevReach(big, 3, 0.6, tc.lmax+9, rule)
+				checkProbeIndex(t, name+" dirty arena", revReachInto(dirty, g, u, 0.6, tc.lmax, rule, true), tc.n)
 			}
 		}
 	}
-}
 
-// TestFrozenCompileReuse: recompiling a pooled FrozenTree for a
-// different source and a smaller graph must leave no stale state.
-func TestFrozenCompileReuse(t *testing.T) {
-	g1 := randomTestGraph(t, 60, 240, true, 7)
-	g2 := randomTestGraph(t, 20, 60, true, 8)
-	ft := new(FrozenTree)
-	t1 := RevReach(g1, 3, 0.6, 12, TransitionExact)
-	ft.compile(t1, 60)
-	t2 := RevReach(g2, 5, 0.6, 12, TransitionExact)
-	ft.compile(t2, 20)
-	for step := 0; step <= 12; step++ {
-		for v := graph.NodeID(0); v < 20; v++ {
-			if got, want := ft.Prob(step, v), t2.Prob(step, v); got != want {
-				t.Fatalf("after reuse: Prob(%d, %d) = %v, want %v", step, v, got, want)
+	for _, directed := range []bool{true, false} {
+		base, err := gen.ErdosRenyi(70, 210, directed, 71)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, err := gen.Churn(70, directed, base, gen.ChurnOptions{Snapshots: 6, AddRate: 0.03, DelRate: 0.03, Seed: 73})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Params{Lmax: 12}.withDefaults()
+		cur, err := tg.Cursor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := RevReach(cur.Freeze(), 0, p.C, p.Lmax, p.Transition)
+		spare := RevReach(big, 5, p.C, p.Lmax+9, p.Transition)
+		patched := 0
+		for cur.Next() {
+			d := tg.Delta(cur.T() - 1)
+			got, _, ok := prev.Patch(spare, cur.Freeze(), d.Add, d.Del, p, 0, 1e9)
+			if !ok {
+				t.Fatalf("t=%d: Patch bailed under an unbounded gate", cur.T())
 			}
+			checkProbeIndex(t, fmt.Sprintf("directed=%v t=%d Patch", directed, cur.T()), got, 70)
+			if got != prev {
+				spare, prev = prev, got
+				patched++
+			}
+		}
+		if patched == 0 {
+			t.Fatalf("directed=%v: no transition changed the tree; Patch's index was never written", directed)
 		}
 	}
 }
 
 // TestFrozenKernelScoresByteIdentical: for a fixed seed, single-source
 // scores must be byte-identical between the reference kernel
-// (legacySingleSource) and the compiled kernel, across worker counts,
+// (legacySingleSource) and the fused kernels, across worker counts,
 // for every meeting rule.
 func TestFrozenKernelScoresByteIdentical(t *testing.T) {
 	g := randomTestGraph(t, 80, 400, true, 31)
@@ -96,9 +143,9 @@ func TestFrozenKernelScoresByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range workerCounts {
-			frozen := base
-			frozen.Workers = w
-			got, err := SingleSource(g, 2, nil, frozen)
+			fused := base
+			fused.Workers = w
+			got, err := SingleSource(g, 2, nil, fused)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +154,7 @@ func TestFrozenKernelScoresByteIdentical(t *testing.T) {
 			}
 			for v := range want {
 				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-					t.Fatalf("rule %v workers %d: score at node %d differs: %v (frozen) vs %v (legacy)",
+					t.Fatalf("rule %v workers %d: score at node %d differs: %v (fused) vs %v (legacy)",
 						rule, w, v, got[v], want[v])
 				}
 			}
@@ -172,8 +219,8 @@ func TestForwardReachBitsMatchesMap(t *testing.T) {
 
 // TestFrozenKernelDisabledEstimateWithError: SingleSourceWithError's
 // Score fields must match the reference kernel (legacySingleSource)
-// bit-for-bit: the with-error path runs compiled and reads its
-// variance out of the fused kernels, which must not perturb the mean.
+// bit-for-bit: the with-error path reads its variance out of the fused
+// kernels, which must not perturb the mean.
 func TestFrozenKernelDisabledEstimateWithError(t *testing.T) {
 	g := randomTestGraph(t, 40, 160, true, 13)
 	p := Params{Iterations: 150, Seed: 23}
@@ -195,25 +242,25 @@ func TestFrozenKernelDisabledEstimateWithError(t *testing.T) {
 // ---- kernel micro-benchmarks ----
 
 // kernelBenchSetup builds the shared benchmark fixture: a power-law
-// graph, the source tree in both forms, and a stream of start nodes.
-func kernelBenchSetup(b *testing.B) (*graph.Graph, *ReachTree, *FrozenTree, int) {
+// graph, the source tree and its prepared first-step table.
+func kernelBenchSetup(b *testing.B) (*graph.Graph, *srcPrep, int) {
 	b.Helper()
 	g := benchGraph(b, 5000, 50000)
 	lmax := DeriveLmax(0.6)
 	tree := RevReach(g, 1, 0.6, lmax, TransitionExact)
-	ft := tree.Freeze(g.NumNodes())
-	ft.buildStep1(g)
-	return g, tree, ft, lmax
+	a := acquireArena(1, 1, g.NumNodes(), false)
+	a.addSource(g, 1, tree, a.window(0, g.NumNodes()), nil)
+	return g, &a.preps[0], lmax
 }
 
 func benchmarkWalkKernel(b *testing.B, rule MeetingRule) {
-	g, _, ft, lmax := kernelBenchSetup(b)
+	g, pr, lmax := kernelBenchSetup(b)
 	sqrtC := math.Sqrt(0.6)
 	r := rng.FastSplit(1, 42)
 	b.ResetTimer()
 	// One kernel call runs the whole budget, mirroring the estimator's
 	// per-candidate shape; ns/op is the cost of one walk.
-	sum, _, _, err := runKernel(context.Background(), rule, g, ft, 4321, sqrtC, lmax, b.N, &r)
+	sum, _, _, err := runKernel(context.Background(), rule, g, pr.tree, pr.s1, 4321, sqrtC, lmax, b.N, &r)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -228,7 +275,8 @@ func BenchmarkWalkContributionFirstMeet(b *testing.B)  { benchmarkWalkKernel(b, 
 // three fused kernels above: sampleWalk + walkContribution under the
 // default first-meet rule.
 func BenchmarkWalkContributionLegacy(b *testing.B) {
-	g, tree, _, lmax := kernelBenchSetup(b)
+	g, pr, lmax := kernelBenchSetup(b)
+	tree := pr.tree
 	sqrtC := math.Sqrt(0.6)
 	r := rng.Split(1, 42)
 	var walk []graph.NodeID
@@ -241,45 +289,34 @@ func BenchmarkWalkContributionLegacy(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkFrozenProb vs BenchmarkReachTreeProb: one crash check, flat
-// vs map. The probed nodes cycle through the whole graph so both hit
-// and miss paths are exercised.
-func BenchmarkFrozenProb(b *testing.B) {
-	_, _, ft, lmax := kernelBenchSetup(b)
+// BenchmarkProbe vs BenchmarkLevelSearch: one crash check through the
+// probe index vs a binary search over the level. The probed nodes cycle
+// through the whole graph so both hit and miss paths are exercised.
+func BenchmarkProbe(b *testing.B) {
+	_, pr, lmax := kernelBenchSetup(b)
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += ft.Prob(i%(lmax+1), graph.NodeID(i%5000))
+		sink += pr.tree.Prob(i%(lmax+1), graph.NodeID(i%5000))
 	}
 	_ = sink
 }
 
-func BenchmarkReachTreeProb(b *testing.B) {
-	_, tree, _, lmax := kernelBenchSetup(b)
+func BenchmarkLevelSearch(b *testing.B) {
+	_, pr, lmax := kernelBenchSetup(b)
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += tree.Prob(i%(lmax+1), graph.NodeID(i%5000))
+		sink += levelSearch(pr.tree, i%(lmax+1), graph.NodeID(i%5000))
 	}
 	_ = sink
-}
-
-// BenchmarkFreeze prices the compile step itself (paid once per query).
-func BenchmarkFreeze(b *testing.B) {
-	g := benchGraph(b, 5000, 50000)
-	tree := RevReach(g, 1, 0.6, DeriveLmax(0.6), TransitionExact)
-	ft := new(FrozenTree)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ft.compile(tree, g.NumNodes())
-	}
 }
 
 // BenchmarkForwardReachBitset vs BenchmarkForwardReachMap: the
 // zero-score prefilter BFS in both forms.
 func BenchmarkForwardReachBitset(b *testing.B) {
-	g, tree, _, lmax := kernelBenchSetup(b)
-	sources := tree.Nodes()
+	g, pr, lmax := kernelBenchSetup(b)
+	sources := pr.tree.Nodes()
 	var reach nodeBitset
 	var frontier, next []graph.NodeID
 	b.ResetTimer()
@@ -290,8 +327,8 @@ func BenchmarkForwardReachBitset(b *testing.B) {
 }
 
 func BenchmarkForwardReachMap(b *testing.B) {
-	g, tree, _, lmax := kernelBenchSetup(b)
-	sources := tree.Nodes()
+	g, pr, lmax := kernelBenchSetup(b)
+	sources := pr.tree.Nodes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		forwardReach(g, sources, lmax)
@@ -299,7 +336,7 @@ func BenchmarkForwardReachMap(b *testing.B) {
 }
 
 // BenchmarkSingleSourceKernels is the end-to-end before/after: one full
-// single-source query per iteration, reference kernel vs compiled
+// single-source query per iteration, reference kernel vs fused probe
 // kernel, same seed and budget.
 func BenchmarkSingleSourceKernels(b *testing.B) {
 	g := benchGraph(b, 2000, 20000)
@@ -308,7 +345,7 @@ func BenchmarkSingleSourceKernels(b *testing.B) {
 		name  string
 		query func(*graph.Graph, graph.NodeID, []graph.NodeID, Params) (Scores, error)
 	}{
-		{"frozen", SingleSource},
+		{"probe", SingleSource},
 		{"legacy", legacySingleSource},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -323,7 +360,7 @@ func BenchmarkSingleSourceKernels(b *testing.B) {
 }
 
 // TestCandidateEstimateAllocationFree: one candidate's estimate against
-// a compiled tree allocates nothing. The meeting-rule dispatch is a
+// a prepared source tree allocates nothing. The meeting-rule dispatch is a
 // direct switch, so the candidate's random stream stays on the stack;
 // a func-value dispatch would move it to the heap once per candidate.
 func TestCandidateEstimateAllocationFree(t *testing.T) {
@@ -331,51 +368,20 @@ func TestCandidateEstimateAllocationFree(t *testing.T) {
 	for _, rule := range []MeetingRule{MeetingAny, MeetingFirstCrash, MeetingFirstMeet} {
 		p := Params{Iterations: 50, Seed: 5, Meeting: rule}.withDefaults()
 		tree := RevReach(g, 1, p.C, p.Lmax, p.Transition)
-		ft := tree.Freeze(g.NumNodes())
-		ft.buildStep1(g)
+		a := acquireArena(1, 1, g.NumNodes(), false)
+		a.addSource(g, 1, tree, a.window(0, g.NumNodes()), nil)
 		sqrtC := math.Sqrt(p.C)
 		ctx := context.Background()
 		if g.InDegree(7) == 0 {
 			t.Fatal("candidate has no in-edges; its walks never move")
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := estimateCandidateFrozen(ctx, g, 1, 7, p, ft, p.Iterations, sqrtC); err != nil {
+			if _, _, err := sampleCandidate(ctx, g, &a.preps[0], 7, p, p.Iterations, sqrtC); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
 			t.Errorf("rule %v: %v allocations per candidate estimate, want 0", rule, allocs)
-		}
-	}
-}
-
-// TestFrozenCarryKeysOnEpoch: the carry's reuse follows the tree epoch,
-// not the tree pointer. An arena recycled to hold a different tree
-// under a new epoch must be recompiled, and the same epoch must be
-// served from the carry.
-func TestFrozenCarryKeysOnEpoch(t *testing.T) {
-	g := randomTestGraph(t, 120, 500, true, 9)
-	p := Params{}.withDefaults()
-	arena := new(ReachTree)
-	revReachInto(arena, g, 1, p.C, p.Lmax, p.Transition)
-	fc := &frozenCarry{}
-	if _, reused := fc.prepare(g, arena, 1); reused {
-		t.Fatal("first prepare reported reuse")
-	}
-	if _, reused := fc.prepare(g, arena, 1); !reused {
-		t.Fatal("same epoch was recompiled")
-	}
-	// Recycle the arena for another source's tree under a new epoch.
-	revReachInto(arena, g, 2, p.C, p.Lmax, p.Transition)
-	ft, reused := fc.prepare(g, arena, 2)
-	if reused {
-		t.Fatal("recycled arena under a new epoch was served from the carry")
-	}
-	for step := 0; step < arena.NumLevels(); step++ {
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if got, want := ft.Prob(step, v), arena.Prob(step, v); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Prob(%d,%d) = %v, want %v", step, v, got, want)
-			}
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // MultiSource answers a batch of single-source queries in one pipeline
-// pass: every distinct source's reverse reachable tree is built and
-// frozen exactly once, and all of them run through one call of the
+// pass: every distinct source's reverse reachable tree is built exactly
+// once, and all of them run through one call of the
 // estimate path (arena.sample), whose flattened (source, candidate)
 // work list shares one fan-out and one pooled arena. Compared to
 // dispatching the sources one by one this pays one arena acquisition,
@@ -85,26 +85,26 @@ func MultiSourceResults(ctx context.Context, g *graph.Graph, sources, omega []gr
 	statBatchDedup.Add(uint64(len(sources) - len(uniq)))
 
 	pooled := !q.DisablePooling
-	a := acquireArena(len(uniq), n, pooled)
+	a := acquireArena(len(uniq), len(uniq), n, pooled)
 	defer a.release(pooled)
-	// Frozen forms are owned by this batch alone; hand their storage
+	// Source trees are owned by this batch alone; hand their arenas
 	// back once the estimates (or an abort) are done. Runs before
 	// a.release (LIFO), which then drops the dangling pointers.
 	defer func() {
 		for i := range a.preps {
-			frozenPool.put(a.preps[i].ft, pooled)
+			treePool.put(a.preps[i].tree, pooled)
 		}
 	}()
 
 	// Prep phase, sequential per unique source: build the reverse
-	// reachable tree and compile it (the same freeze a standalone query
-	// runs) into the source's window of the shared slab.
+	// reachable tree with its probe index (the same build a standalone
+	// query runs) and prepare it against the source's window of the
+	// shared slab.
 	for i, u := range uniq {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ft := freezeOwned(g, buildTreeInto(nil, g, u, q), q)
-		a.preps = append(a.preps, srcPrep{u: u, ft: ft, dense: a.window(i, n)})
+		a.addSource(g, u, buildTreeInto(nil, g, u, q), a.window(i, n), nil)
 	}
 	cand, err := a.sample(ctx, g, omega, q, nr)
 	if err != nil {

@@ -34,11 +34,6 @@ var (
 	statBatchDedup   = obs.Default.Counter("core.batch.dedup_hits")
 	statBatchItems   = obs.Default.Counter("core.batch.items")
 
-	// statFrozenCompiled counts reverse-reachable trees compiled into
-	// the flat FrozenTree form (one per query on the default kernel,
-	// top-k queries included, and one per unique source of a batch).
-	statFrozenCompiled = obs.Default.Counter("core.frozen.compiled")
-
 	// CrashSim-T pruning outcomes, mirroring TemporalStats cumulatively
 	// across runs.
 	statTemporalSnapshots   = obs.Default.Counter("core.temporal.snapshots")
@@ -46,9 +41,10 @@ var (
 	statTemporalReusedDelta = obs.Default.Counter("core.temporal.reused_delta")
 	statTemporalReusedDiff  = obs.Default.Counter("core.temporal.reused_diff")
 
-	// Incremental-pipeline outcomes (PR 5): how each snapshot's source
-	// tree was obtained, compiled-tree reuse, and the candidate-tree
-	// cache's hit traffic during difference pruning.
+	// Incremental-pipeline outcomes: how each snapshot's source tree was
+	// obtained, estimates that reused the previous estimate's tree (the
+	// frozen_reused name predates the probe index), and the
+	// candidate-tree cache's hit traffic during difference pruning.
 	statTemporalTreePatched  = obs.Default.Counter("core.temporal.tree_patched")
 	statTemporalTreeRebuilt  = obs.Default.Counter("core.temporal.tree_rebuilt")
 	statTemporalFrozenReused = obs.Default.Counter("core.temporal.frozen_reused")

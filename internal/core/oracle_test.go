@@ -9,8 +9,9 @@ import (
 
 // The reference kernel: the original two-pass form of CrashSim's
 // Monte-Carlo loop, which samples each walk into a buffer and then
-// scores it against the build-time ReachTree with one Prob search per
-// step. The fused frozen-tree kernels must reproduce it bit for bit —
+// scores it against the tree's sorted levels with one binary search per
+// step (levelSearch, not the probe index). The fused kernels must
+// reproduce it bit for bit —
 // same random stream, same floating-point operation order — and the
 // equivalence tests compare the two through legacySingleSource.
 
@@ -47,11 +48,11 @@ func walkContribution(g *graph.Graph, walk []graph.NodeID, tree *ReachTree, rule
 	switch rule {
 	case MeetingAny:
 		for i := 1; i < len(walk); i++ {
-			sum += tree.Prob(i, walk[i])
+			sum += levelSearch(tree, i, walk[i])
 		}
 	case MeetingFirstCrash:
 		for i := 1; i < len(walk); i++ {
-			if pr := tree.Prob(i, walk[i]); pr > 0 {
+			if pr := levelSearch(tree, i, walk[i]); pr > 0 {
 				sum += pr
 				break
 			}
@@ -62,7 +63,7 @@ func walkContribution(g *graph.Graph, walk []graph.NodeID, tree *ReachTree, rule
 		// own path; it is excluded from later crashes.
 		carried := 0.0
 		for i := 1; i < len(walk); i++ {
-			m := tree.Prob(i, walk[i]) - carried
+			m := levelSearch(tree, i, walk[i]) - carried
 			if m < 0 {
 				m = 0
 			}
@@ -120,7 +121,8 @@ func legacySingleSource(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p 
 }
 
 // Nodes returns the sorted set of nodes with positive mass at any level
-// of t, the build-time counterpart of FrozenTree.SupportNodes.
+// of t, read off the arena: the reference for the OR of the index rows
+// the prefilter starts from.
 func (t *ReachTree) Nodes() []graph.NodeID {
 	n := 0
 	for _, v := range t.nodes {

@@ -98,7 +98,7 @@ type Params struct {
 	// Delta is the per-query failure probability δ. Default 0.01.
 	Delta float64
 	// Lmax overrides the truncation length of √c-walks. 0 derives
-	// ⌈(1+√c)/(1−√c)²⌉ per Theorem 1.
+	// ⌈(1+√c)/(1−√c)²⌉ per Theorem 1. At most maxLmax.
 	Lmax int
 	// Iterations overrides the number of Monte-Carlo iterations n_r.
 	// 0 derives ⌈3c/(ε−p·ε_t)² · ln(n/δ)⌉ per Lemma 3.
@@ -162,8 +162,8 @@ func (p Params) Validate() error {
 	if !(q.Delta > 0 && q.Delta < 1) {
 		return fmt.Errorf("core: failure probability delta=%g outside (0,1)", q.Delta)
 	}
-	if q.Lmax < 1 {
-		return fmt.Errorf("core: lmax must be >= 1, got %d", q.Lmax)
+	if q.Lmax < 1 || q.Lmax > maxLmax {
+		return fmt.Errorf("core: lmax %d outside [1,%d]", q.Lmax, maxLmax)
 	}
 	if q.Iterations < 0 || q.Iterations > maxIterations {
 		return fmt.Errorf("core: iterations %d outside [0,%d]", q.Iterations, maxIterations)
@@ -212,6 +212,12 @@ func deriveIterations(c, eps, delta float64, lmax, n int) float64 {
 	margin := eps - p*et
 	return math.Ceil(3 * c / (margin * margin) * math.Log(float64(n)/delta))
 }
+
+// maxLmax bounds the truncation length, explicit or derived, as sling
+// and prsim bound theirs: a source tree's probe index takes
+// (Lmax+1)·⌈n/64⌉ word pairs, so an unbounded Lmax would size memory
+// without limit. The default c = 0.6 derives 36.
+const maxLmax = 1024
 
 // maxIterations bounds n_r, explicit or derived, as prsim bounds its
 // n_q: 2^24 walks per candidate is far above anything derived in this

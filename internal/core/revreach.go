@@ -20,35 +20,91 @@ import (
 // support. All construction is performed in sorted node order so
 // probabilities are bit-for-bit deterministic for a given graph, which
 // CrashSim-T's tree-equality pruning relies on.
+//
+// Next to the arena sits the probe index the walk kernels read, laid
+// out level-major like the arena itself: for each level t, words
+// interleaved (bitset word, rank) pairs over the graph's node ids. Bit
+// v&63 of word v>>6 is set iff v is in level t, and the word's rank is
+// the arena position of its first member, so U[t][v] is one word test,
+// one popcount and one load from probs. A walk at step t touches only
+// level t's row. The level sweeps that build the arena visit every
+// bitset word in order and write the row as they go. Trees built only
+// to be compared (CrashSim-T's difference pruning) carry no index:
+// words is 0 and Prob answers 0.
 type ReachTree struct {
 	Source graph.NodeID
 	Lmax   int
 	off    []int32 // len NumLevels()+1; level t spans [off[t], off[t+1])
 	nodes  []graph.NodeID
 	probs  []float64
+	words  int      // ⌈n/64⌉ index words per level; 0 for an unindexed tree
+	idx    []uint64 // len 2·words·NumLevels(): per level, (bitset word, rank) pairs
 }
 
+// indexWords returns the index words per level for a graph of n nodes.
+func indexWords(n int) int { return (n + 63) / 64 }
+
 // reset empties t for a new tree of source u, keeping the arena's
-// storage.
-func (t *ReachTree) reset(u graph.NodeID, lmax int) {
-	t.Source, t.Lmax = u, lmax
+// storage, and sizes the probe index for words words per level (0 for
+// no index). Every index word is rewritten by the build, so none is
+// cleared here.
+func (t *ReachTree) reset(u graph.NodeID, lmax, words int) {
+	t.Source, t.Lmax, t.words = u, lmax, words
 	t.off = append(t.off[:0], 0)
 	t.nodes, t.probs = t.nodes[:0], t.probs[:0]
+	t.idx = grow(t.idx, 2*words*(lmax+1))
 }
 
 // endLevel closes the level whose entries were appended since the last
 // call.
 func (t *ReachTree) endLevel() { t.off = append(t.off, int32(len(t.nodes))) }
 
-// Prob returns U[step][v], or 0 when the walk cannot be at v at step.
-// It binary-searches the level; the walk kernels read the compiled
-// FrozenTree instead.
-func (t *ReachTree) Prob(step int, v graph.NodeID) float64 {
-	nodes, probs := t.Level(step)
-	if i, ok := slices.BinarySearch(nodes, v); ok {
-		return probs[i]
+// row returns level step's slice of the probe index.
+func (t *ReachTree) row(step int) []uint64 {
+	return t.idx[2*t.words*step : 2*t.words*(step+1)]
+}
+
+// indexLevel writes level step's index row from the arena. The level
+// sweeps write their rows inline; this pass serves the one-node level 0
+// and RevReachNonBacktracking, whose levels come out of a sort.
+func (t *ReachTree) indexLevel(step int) {
+	row := t.row(step)
+	clear(row)
+	nodes, _ := t.Level(step)
+	for _, v := range nodes {
+		row[2*(v>>6)] |= 1 << uint(v&63)
 	}
-	return 0
+	r := uint64(t.off[step])
+	for wi := 0; wi < len(row); wi += 2 {
+		row[wi+1] = r
+		r += uint64(bits.OnesCount64(row[wi]))
+	}
+}
+
+// Prob returns U[step][v], or 0 when the walk cannot be at v at step
+// (out-of-range steps and nodes included). It reads the probe index,
+// the way the walk kernels do.
+func (t *ReachTree) Prob(step int, v graph.NodeID) float64 {
+	if uint(step) >= uint(t.NumLevels()) || uint(v)>>6 >= uint(t.words) {
+		return 0
+	}
+	wi := 2 * (t.words*step + int(v>>6))
+	word, bit := t.idx[wi], uint64(1)<<uint(v&63)
+	if word&bit == 0 {
+		return 0
+	}
+	return t.probs[int(t.idx[wi+1])+bits.OnesCount64(word&(bit-1))]
+}
+
+// orLevels sets in dst, a bitset over the graph's nodes, every node
+// with mass at some level: the OR of the index rows.
+func (t *ReachTree) orLevels(dst nodeBitset) {
+	for step := 0; step < t.NumLevels(); step++ {
+		row := t.row(step)
+		for wi := range dst {
+			dst[wi] |= row[2*wi]
+		}
+	}
 }
 
 // Level returns the non-zero entries of level step: the nodes in
@@ -132,9 +188,9 @@ func (t *ReachTree) DiffNodes(o *ReachTree, tol float64) []graph.NodeID {
 }
 
 // ApproxBytes estimates t's heap footprint for byte-accounted caching:
-// the struct plus the arena's three slices at their capacity.
+// the struct plus the arena's slices at their capacity.
 func (t *ReachTree) ApproxBytes() int64 {
-	return 64 + 4*int64(cap(t.off)) + 4*int64(cap(t.nodes)) + 8*int64(cap(t.probs))
+	return 64 + 4*int64(cap(t.off)) + 4*int64(cap(t.nodes)) + 8*int64(cap(t.probs)) + 8*int64(cap(t.idx))
 }
 
 // Patch derives the reverse reachable tree of t.Source on g from t, the
@@ -241,7 +297,7 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 	if nt == nil {
 		nt = new(ReachTree)
 	}
-	nt.reset(t.Source, t.Lmax)
+	nt.reset(t.Source, t.Lmax, indexWords(n))
 	// A patch moves few entries, so t's support sizes the arena: a
 	// fresh or smaller dst grows once here instead of level by level.
 	nt.nodes = slices.Grow(nt.nodes, t.Support())
@@ -249,9 +305,10 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 	nt.nodes = append(nt.nodes, t.Source)
 	nt.probs = append(nt.probs, 1)
 	nt.endLevel()
+	nt.indexLevel(0)
 	acc := ps.acc
 	rseen := newNodeBitset(ps.rseen, n)
-	levelBits := nodeBitset(growUint64(ps.levelBits, len(rseen)))
+	levelBits := nodeBitset(grow(ps.levelBits, len(rseen)))
 	changed := newNodeBitset(ps.changed, n)
 	bitSame := true
 	for step := 0; step < p.Lmax; step++ {
@@ -305,7 +362,8 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 		// (their bits are already in rseen), unaffected entries copied
 		// from the old level. Vanished and value-changed affected
 		// entries feed the diff; appearances are caught in the sweep,
-		// which merges against the old level's sorted node list.
+		// which merges against the old level's sorted node list and
+		// writes the level's index row word by word.
 		oldNodes, oldProbs := t.Level(step + 1)
 		copy(levelBits, rseen)
 		for i, v := range oldNodes {
@@ -324,7 +382,9 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 			}
 		}
 		j := 0
+		row := nt.row(step + 1)
 		for wi, w := range levelBits {
+			row[2*wi], row[2*wi+1] = w, uint64(len(nt.nodes))
 			if w == 0 {
 				continue
 			}
@@ -357,8 +417,8 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 
 	if bitSame {
 		// The snapshot change never reached the tree: hand the caller the
-		// old tree back, so downstream reuse (the frozen-form carry) stays
-		// engaged and dst stays free.
+		// old tree back, so CrashSim-T's tree reuse stays engaged and dst
+		// stays free.
 		return t, nil, true
 	}
 	return nt, changed.appendNodes(nil), true
@@ -383,24 +443,34 @@ func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionR
 	// The arena comes from the scratch pool: SingleSourceCtx releases
 	// the tree after its estimate, so repeated queries append into
 	// storage already grown to a typical tree's size.
-	return revReachInto(acquireTree(u, lmax), g, u, c, lmax, rule)
+	return revReachInto(treePool.get(true), g, u, c, lmax, rule, true)
 }
 
 // revReachInto is RevReach into the caller's arena t, whose previous
-// contents are discarded.
-func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
+// contents are discarded. indexed selects whether the probe index is
+// written; a tree that is only compared, never walked, goes without.
+func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule, indexed bool) *ReachTree {
 	sc := math.Sqrt(c)
-	t.reset(u, lmax)
+	words := 0
+	if indexed {
+		words = indexWords(g.NumNodes())
+	}
+	t.reset(u, lmax, words)
 	t.nodes = append(t.nodes, u)
 	t.probs = append(t.probs, 1)
 	t.endLevel()
+	if indexed {
+		t.indexLevel(0)
+	}
 	// Mass for the next level accumulates in a pooled dense array: the
 	// additions happen in sorted-source order (in-edge order within a
 	// source), so each level's values are bit-deterministic. The sorted
 	// order comes for free: sweeping the seen bitset in word order
 	// yields the touched nodes ascending, so the sweep appends each
 	// level to the arena already sorted and the next push reads the
-	// level straight back from it.
+	// level straight back from it. The same sweep writes the level's
+	// index row: each seen word is the row's bitset word, and the arena
+	// length before its members are appended is its rank.
 	ra := acquireRevAcc(g.NumNodes())
 	acc, seen := ra.acc, ra.seen
 	for step := 0; step < lmax; step++ {
@@ -438,7 +508,14 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 				}
 			}
 		}
+		var row []uint64
+		if indexed {
+			row = t.row(step + 1)
+		}
 		for wi, w := range seen {
+			if indexed {
+				row[2*wi], row[2*wi+1] = w, uint64(len(t.nodes))
+			}
 			if w == 0 {
 				continue
 			}
@@ -467,7 +544,8 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 // a node's mass is summed over its states in that order, so the tree is
 // bit-deterministic like RevReach's. Combined with
 // TransitionPaperLiteral this reproduces the paper's Example 2 numbers
-// exactly; it is otherwise an ablation.
+// exactly; it is otherwise an ablation. The probe index is written in
+// one pass per level once the level is in the arena.
 func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
 	type state struct{ node, parent graph.NodeID }
 	sortStates := func(order []state) {
@@ -479,10 +557,12 @@ func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, r
 		})
 	}
 	sc := math.Sqrt(c)
-	t := acquireTree(u, lmax)
+	t := treePool.get(true)
+	t.reset(u, lmax, indexWords(g.NumNodes()))
 	t.nodes = append(t.nodes, u)
 	t.probs = append(t.probs, 1)
 	t.endLevel()
+	t.indexLevel(0)
 	cur := map[state]float64{{node: u, parent: -1}: 1}
 	var order []state
 	for step := 0; step < lmax; step++ {
@@ -537,6 +617,7 @@ func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, r
 			t.probs = append(t.probs, next[s])
 		}
 		t.endLevel()
+		t.indexLevel(step + 1)
 		cur = next
 	}
 	return t

@@ -9,7 +9,8 @@ import (
 
 // Query scratch pooling. A query needs dense score windows of length n,
 // a candidate list of up to n node ids, the prefilter's BFS state, the
-// arena of the reverse reachable tree and its compiled form.
+// first-step table of each source and the arena of the reverse
+// reachable tree with its probe index.
 // Under steady-state service traffic these dominate per-query
 // allocations, so they are recycled through pools. Pooling is
 // semantically invisible: every buffer is (re)initialized on acquire,
@@ -55,12 +56,15 @@ func (p *pool[T]) put(x *T, pooled bool) {
 
 // arena is the pooled scratch of the one estimate path (see
 // arena.sample): the dense score slab, cut into length-n windows, the
-// prepared sources, the flattened (source, candidate) work list and the
-// prefilter's BFS state. A single-source query, each top-k pass, each
-// CrashSim-T snapshot and a whole batch take one arena apiece. Its traffic keeps the core.pool.batch_* names
-// it had when only batches used it.
+// first-step slab, cut into one length-n table per source, the prepared
+// sources, the flattened (source, candidate) work list and the
+// prefilter's BFS state. A single-source query, a top-k query (both
+// passes), each CrashSim-T snapshot and a whole batch take one arena
+// apiece. Its traffic keeps the core.pool.batch_* names it had when
+// only batches used it.
 type arena struct {
 	slab     []float64
+	s1       []step1
 	preps    []srcPrep
 	work     []batchItem
 	live     []graph.NodeID // prefilter survivors
@@ -69,14 +73,27 @@ type arena struct {
 	next     []graph.NodeID // prefilter BFS next frontier
 }
 
-// srcPrep is one prepared source of an estimate: its compiled source
-// tree, its dense score window and, when the caller wants the realized
-// variance, a window that receives each sampled candidate's Σx².
+// srcPrep is one prepared source of an estimate: its source tree, its
+// first-step table, its dense score window and, when the caller wants
+// the realized variance, a window that receives each sampled
+// candidate's Σx².
 type srcPrep struct {
 	u     graph.NodeID
-	ft    *FrozenTree
+	tree  *ReachTree
+	s1    []step1
 	dense []float64
 	sq    []float64
+}
+
+// step1 is one entry of a source's first-step table: for node w, the
+// CSR in-edge bounds of w and the tree's step-1 mass at w. Every walk's
+// first hop draws uniformly from the candidate's in-neighbors, so
+// step 1 — the most common step of a geometrically truncated walk —
+// skips the probe: the kernels peel it out of the step loop and read
+// one 16-byte entry instead of inOff and the level-1 index row.
+type step1 struct {
+	lo, hi int32
+	p      float64
 }
 
 // batchItem is one (source, candidate) unit of the flattened work list;
@@ -89,11 +106,13 @@ type batchItem struct {
 var arenaPool = newPool[arena]("batch")
 
 // acquireArena returns an arena whose slab holds k zeroed windows of
-// length n, with no prepared sources and an empty work list.
-func acquireArena(k, n int, pooled bool) *arena {
+// length n and whose first-step slab holds a table for each of
+// sources sources, with no prepared sources and an empty work list.
+func acquireArena(k, sources, n int, pooled bool) *arena {
 	a := arenaPool.get(pooled)
-	a.slab = growFloat64(a.slab, k*n)
+	a.slab = grow(a.slab, k*n)
 	clear(a.slab)
+	a.s1 = grow(a.s1, sources*n)
 	a.preps = a.preps[:0]
 	a.work = a.work[:0]
 	return a
@@ -101,6 +120,25 @@ func acquireArena(k, n int, pooled bool) *arena {
 
 // window returns the slab's i-th length-n window.
 func (a *arena) window(i, n int) []float64 { return a.slab[i*n : (i+1)*n] }
+
+// addSource prepares source u for the estimate against tree, built on
+// g: it fills the source's first-step table from level 1 and g's
+// in-CSR, and scores into dense (and Σx² into sq, when non-nil). The
+// arena reads tree until release; the caller keeps ownership.
+func (a *arena) addSource(g *graph.Graph, u graph.NodeID, tree *ReachTree, dense, sq []float64) {
+	n := g.NumNodes()
+	i := len(a.preps)
+	s1 := a.s1[i*n : (i+1)*n]
+	inOff, _ := g.InCSR()
+	for v := range s1 {
+		s1[v] = step1{lo: inOff[v], hi: inOff[v+1]}
+	}
+	nodes, probs := tree.Level(1)
+	for j, v := range nodes {
+		s1[v].p = probs[j]
+	}
+	a.preps = append(a.preps, srcPrep{u: u, tree: tree, s1: s1, dense: dense, sq: sq})
+}
 
 // release returns the arena to the pool, dropping the per-source
 // pointers first so pooled storage never pins trees that were already
@@ -111,24 +149,17 @@ func (a *arena) release(pooled bool) {
 	arenaPool.put(a, pooled)
 }
 
-// treePool recycles ReachTree arenas. Trees returned by the public
+// treePool recycles ReachTree arenas, probe index included, so a warm
+// query appends into storage already grown to a typical tree's size
+// instead of regrowing it level by level. Trees returned by the public
 // BuildTree/RevReach API may be retained indefinitely by callers, so
 // nothing is pooled automatically: only the callers that fully own the
 // tree they build (SingleSourceCtx, TopKCtx, MultiSource,
-// SingleSourceWithError) release it.
+// SingleSourceWithError) release it, once their estimate is done.
 // CrashSim-T recycles its source trees itself, within the run (see
 // ReachTree.Patch), and never releases them here: arenas pooled past
 // the run would hold resident memory between queries.
 var treePool = newPool[ReachTree]("tree")
-
-// acquireTree returns an empty ReachTree for source u, reusing a pooled
-// arena (a warm query appends into storage already grown to a typical
-// tree's size instead of regrowing it level by level).
-func acquireTree(u graph.NodeID, lmax int) *ReachTree {
-	t := treePool.get(true)
-	t.reset(u, lmax)
-	return t
-}
 
 // patchScratch holds ReachTree.Patch's working state: the affected and
 // pusher closures, the per-level receiver/membership/changed bitsets
@@ -152,7 +183,7 @@ var patchPool = newPool[patchScratch]("patch")
 
 func acquirePatchScratch(n int) *patchScratch {
 	ps := patchPool.get(true)
-	ps.acc = growFloat64(ps.acc, n)
+	ps.acc = grow(ps.acc, n)
 	return ps
 }
 
@@ -197,14 +228,16 @@ var revAccPool = newPool[revAcc]("revacc")
 
 func acquireRevAcc(n int) *revAcc {
 	ra := revAccPool.get(true)
-	ra.acc = growFloat64(ra.acc, n)
-	ra.seen = growUint64(ra.seen, (n+63)/64)
+	ra.acc = grow(ra.acc, n)
+	ra.seen = grow(ra.seen, (n+63)/64)
 	return ra
 }
 
-// frozenPool recycles the flat arrays of compiled trees. A FrozenTree's
-// dominant buffers are the length-n arrays indexed by node id (the
-// interleaved mask/rank words and the first-step table); reusing them
-// means a warm query's compile step pays their reset and the
-// support-sized fills, no allocation.
-var frozenPool = newPool[FrozenTree]("frozen")
+// grow returns s resized to n, reallocating only when the capacity is
+// insufficient. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

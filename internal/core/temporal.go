@@ -40,11 +40,10 @@ type TemporalOptions struct {
 	Observer func(t int, scores Scores)
 
 	// rebuildEachSnapshot is a test hook: it rebuilds the source tree
-	// from scratch and recompiles its frozen form on every snapshot,
-	// instead of patching the previous tree and carrying the compiled
-	// form across tree-stable transitions. Results are bit-identical
-	// either way; the equivalence tests run both pipelines against each
-	// other.
+	// from scratch on every snapshot, instead of patching the previous
+	// tree and reusing it across tree-stable transitions. Results are
+	// bit-identical either way; the equivalence tests run both pipelines
+	// against each other.
 	rebuildEachSnapshot bool
 	// patchGate, when nonzero, is a test hook replacing the patchGate
 	// constant, so a test can force every patch past the gate.
@@ -84,7 +83,7 @@ type TemporalStats struct {
 	TreeStableSteps int // snapshot transitions with an unchanged source tree
 	TreePatched     int // transitions whose source tree was delta-patched
 	TreeRebuilt     int // transitions whose source tree was rebuilt from scratch
-	FrozenReused    int // estimates that reused the carried compiled tree
+	FrozenReused    int // estimates that reused the previous estimate's source tree
 	CandTreeHits    int // diff-pruning trees served from the candidate cache
 	CandTreeMisses  int // diff-pruning trees recomputed for the previous snapshot
 }
@@ -150,8 +149,8 @@ func CrashSimT(tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to
 // RevReach per candidate instead of two, the pruning loops fan out
 // through par.ForEachCtx (scores stay bit-identical for any worker
 // count: every candidate owns its random stream and decisions merge in
-// candidate order), and tree-stable transitions reuse the previously
-// compiled frozen form instead of recompiling it.
+// candidate order), and tree-stable transitions reuse the previous
+// source tree, probe index included, as is.
 func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to TemporalOptions) (*TemporalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -179,11 +178,6 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	res := &TemporalResult{}
 	pooled := !pp.DisablePooling
 
-	var carry *frozenCarry
-	if !to.rebuildEachSnapshot {
-		carry = &frozenCarry{pooled: pooled}
-		defer carry.release()
-	}
 	var candTrees *cache.Cache
 	if !to.noCandidateCache {
 		// The cache is run-scoped, so its metrics go to a private
@@ -208,7 +202,8 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	// so the patch loop stops allocating once both arenas have grown.
 	// Arenas are recycled, so a pointer no longer identifies a tree's
 	// contents; epoch does instead. It moves whenever the source tree is
-	// replaced, and the frozen carry keys its reuse on it.
+	// replaced, and an estimate under the epoch of the previous one
+	// counts as tree reuse (FrozenReused).
 	gPrev := cur.Freeze()
 	treePrev, err := BuildTree(gPrev, u, pp)
 	if err != nil {
@@ -216,10 +211,11 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	}
 	var spare *ReachTree
 	var epoch uint64
-	first, err := runEstimate(ctx, carry, gPrev, u, nil, pp, nr, treePrev, epoch, res)
+	first, err := estimateSource(ctx, gPrev, u, treePrev, nil, pp, nr)
 	if err != nil {
 		return nil, err
 	}
+	estEpoch := epoch
 	res.Stats.Snapshots++
 	res.Stats.Evaluated += n
 	if to.Observer != nil {
@@ -247,8 +243,8 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		res.Stats.Snapshots++
 
 		// Source tree: an empty delta leaves the graph — and therefore
-		// the tree, bit for bit — untouched, so the previous tree (and
-		// its compiled form) is reused outright. Otherwise the tree is
+		// the tree, bit for bit — untouched, so the previous tree is
+		// reused outright. Otherwise the tree is
 		// delta-patched from the previous one, which yields the diff as
 		// a byproduct; a full rebuild plus DiffNodes sweep remains the
 		// fallback when the patch gate trips or patching does not apply.
@@ -284,7 +280,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		omegaBits := newNodeBitset(ts.omegaBits, n)
 		ts.omegaBits = omegaBits
 		eOmega := countOmegaEdges(gCur, candidates, omegaBits)
-		dec := growUint8(ts.dec, nc)
+		dec := grow(ts.dec, nc)
 		clear(dec)
 		ts.dec = dec
 
@@ -325,7 +321,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		// and merge serially in candidate order, so everything except
 		// the cache-traffic tallies is independent of the worker count.
 		if !to.DisableDiffPruning && len(treeDiff) == 0 && eOmega < nr {
-			dd := growDiffDecisions(ts.dd, nc)
+			dd := grow(ts.dd, nc)
 			ts.dd = dd
 			prevVersion, curVersion := gPrev.Version(), gCur.Version()
 			if err := par.ForEachCtx(ctx, nc, pp.Workers, func(i int) {
@@ -333,7 +329,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 					return
 				}
 				v := candidates[i]
-				tv := RevReach(gCur, v, pp.C, pp.Lmax, pp.Transition)
+				tv := compareTree(gCur, v, pp)
 				var tvPrev *ReachTree
 				hit := false
 				if candTrees != nil {
@@ -344,7 +340,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 					}
 				}
 				if tvPrev == nil {
-					tvPrev = RevReach(gPrev, v, pp.C, pp.Lmax, pp.Transition)
+					tvPrev = compareTree(gPrev, v, pp)
 				}
 				dd[i] = diffDecision{equal: tv.Equal(tvPrev, treeTolerance), hit: hit}
 				if candTrees != nil {
@@ -385,10 +381,14 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		// the merge below walks it with a cursor.
 		var fresh Result
 		if len(recompute) > 0 {
-			fresh, err = runEstimate(ctx, carry, gCur, u, recompute, pp, nr, tree, epoch, res)
+			fresh, err = estimateSource(ctx, gCur, u, tree, recompute, pp, nr)
 			if err != nil {
 				return nil, err
 			}
+			if epoch == estEpoch {
+				res.Stats.FrozenReused++
+			}
+			estEpoch = epoch
 			res.Stats.Evaluated += len(recompute)
 		}
 
@@ -447,21 +447,13 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	return res, nil
 }
 
-// runEstimate runs one snapshot's estimate through the one estimate
-// path, against the frozen carry (reusing the compiled source tree
-// across tree-stable transitions, keyed on the tree epoch) or, when the
-// run has none (rebuildEachSnapshot), against a per-call freeze.
-func runEstimate(ctx context.Context, carry *frozenCarry, g *graph.Graph, u graph.NodeID, omega []graph.NodeID, pp Params, nr int, tree *ReachTree, epoch uint64, res *TemporalResult) (Result, error) {
-	if carry == nil {
-		ft := freeze(g, tree, pp)
-		defer frozenPool.put(ft, !pp.DisablePooling)
-		return estimateSource(ctx, g, u, ft, omega, pp, nr)
-	}
-	ft, reused := carry.prepare(g, tree, epoch)
-	if reused {
-		res.Stats.FrozenReused++
-	}
-	return estimateSource(ctx, g, u, ft, omega, pp, nr)
+// compareTree builds candidate v's reverse reachable tree on g for
+// difference pruning. The tree is only compared, never walked, so it
+// carries no probe index, and it is a fresh arena: the candidate cache
+// keeps it, and a pooled arena would bring along the index storage of
+// an earlier walked tree.
+func compareTree(g *graph.Graph, v graph.NodeID, pp Params) *ReachTree {
+	return revReachInto(new(ReachTree), g, v, pp.C, pp.Lmax, pp.Transition, false)
 }
 
 // candKey renders a candidate id as its cache key.
@@ -511,20 +503,4 @@ func countOmegaEdges(g *graph.Graph, cands []graph.NodeID, member nodeBitset) in
 		count /= 2
 	}
 	return count
-}
-
-// growUint8 and growDiffDecisions are growUint64's siblings for the
-// pruning decision arrays.
-func growUint8(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	return s[:n]
-}
-
-func growDiffDecisions(s []diffDecision, n int) []diffDecision {
-	if cap(s) < n {
-		return make([]diffDecision, n)
-	}
-	return s[:n]
 }

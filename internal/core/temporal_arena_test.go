@@ -103,7 +103,7 @@ func shiftEdges(edges []graph.Edge, off graph.NodeID) []graph.Edge {
 	return out
 }
 
-// recycledArenaHistory replays the sequence that breaks a frozen carry
+// recycledArenaHistory replays the sequence that breaks tree reuse
 // keyed on tree pointers once tree arenas are recycled. A is a dense
 // undirected component around the source 0, so every A node scores
 // above 0; B is a path the source cannot reach, and zeroAtStartQuery
@@ -163,14 +163,14 @@ func sameScores(a, b Scores) bool {
 }
 
 // TestCrashSimTRecycledArenas: the run-owned tree arenas, the
-// epoch-keyed frozen carry and the memoized snapshot freezes are pure
+// epoch-keyed tree reuse and the memoized snapshot freezes are pure
 // optimizations. Over random histories mixing quiet transitions,
 // transitions that change the source tree, transitions that leave it
 // alone, transitions that recompute nothing and queries whose Ω
 // empties, the default run must observe the same scores, bit for bit
-// at every snapshot, as a run that rebuilds every snapshot's tree and
-// compiled form with the candidate cache off — for workers 1 and 4,
-// with pooling on and off.
+// at every snapshot, as a run that rebuilds every snapshot's tree with
+// the candidate cache off — for workers 1 and 4, with pooling on and
+// off.
 func TestCrashSimTRecycledArenas(t *testing.T) {
 	type history struct {
 		name string
@@ -215,7 +215,7 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 		}
 	}
 	if patched == 0 || reused == 0 {
-		t.Fatalf("default runs patched %d trees and reused %d compiled forms; the arenas and the carry were not exercised", patched, reused)
+		t.Fatalf("default runs patched %d trees and reused %d trees; the arenas and the tree reuse were not exercised", patched, reused)
 	}
 }
 

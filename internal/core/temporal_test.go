@@ -284,7 +284,7 @@ func TestCrashSimTWorkersDeterminism(t *testing.T) {
 }
 
 // TestCrashSimTIncrementalEquivalence: every incremental mechanism of
-// the pipeline (tree patching, the candidate-tree cache, frozen-form
+// the pipeline (tree patching, the candidate-tree cache, source-tree
 // reuse) is a pure optimization — rebuilding every snapshot with the
 // cache off must reproduce the same result bit for bit, while the
 // default run actually engages them.

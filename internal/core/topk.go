@@ -122,11 +122,11 @@ func TopK(g *graph.Graph, u graph.NodeID, k int, p Params) ([]TopKResult, error)
 // both its coarse and refined scores would have to err by more than ε —
 // the same per-node confidence Theorem 1 gives the plain estimator.
 //
-// Both phases run against one source tree, built and compiled once. A
-// candidate's score depends only on (Seed, candidate, n_r, tree), so
-// the shortlist's order is irrelevant, and when the coarse budget
-// already is the full one (n_r ≤ 50) the coarse ranking is returned
-// as is: a refine pass would recompute bit-identical scores.
+// Both phases run against one source tree and one prepared arena, built
+// once. A candidate's score depends only on (Seed, candidate, n_r,
+// tree), so the shortlist's order is irrelevant, and when the coarse
+// budget already is the full one (n_r ≤ 50) the coarse ranking is
+// returned as is: a refine pass would recompute bit-identical scores.
 func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Params) ([]TopKResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: top-k needs k >= 1, got %d", k)
@@ -141,15 +141,19 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if err != nil {
 		return nil, err
 	}
-	ft := freezeOwned(g, tree, q)
-	defer frozenPool.put(ft, !q.DisablePooling)
+	pooled := !q.DisablePooling
+	defer treePool.put(tree, pooled)
+	n := g.NumNodes()
+	a := acquireArena(1, 1, n, pooled)
+	defer a.release(pooled)
+	a.addSource(g, u, tree, a.window(0, n), nil)
 
 	// Phase 1: coarse scores with a fraction of the budget.
 	coarse := nr / 8
 	if coarse < 50 {
 		coarse = min(50, nr)
 	}
-	scores, err := estimateSource(ctx, g, u, ft, nil, q, coarse)
+	scores, err := a.sampleOne(ctx, g, nil, q, coarse)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +173,10 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 			omega = append(omega, v)
 		}
 	}
-	rescored, err := estimateSource(ctx, g, u, ft, omega, q, nr)
+	// The refine pass starts from a zeroed window, as a fresh estimate
+	// would.
+	clear(a.slab)
+	rescored, err := a.sampleOne(ctx, g, omega, q, nr)
 	if err != nil {
 		return nil, err
 	}

@@ -172,14 +172,16 @@ func topKTwoPassOracle(ctx context.Context, g *graph.Graph, u graph.NodeID, k in
 // TestTopKMatchesTwoPassOracle: the single-tree TopKCtx returns the
 // two-tree oracle's answers bit for bit — on both sides of the n_r = 50
 // line where the coarse pass stops being the full budget — for every k
-// and worker count, and it compiles exactly one frozen tree per query.
+// and worker count, and it builds exactly one source tree per query
+// (one tree-arena acquisition from the pool, hit or miss).
 // At n_r ≤ 50 it also samples exactly the walks of one single-source
 // query: the refine pass is skipped, not merely cheap.
 func TestTopKMatchesTwoPassOracle(t *testing.T) {
 	g := randomTestGraph(t, 150, 600, true, 61)
 	n := g.NumNodes()
 	ctx := context.Background()
-	compiled := obs.Default.Counter("core.frozen.compiled")
+	treeHits, treeMisses := obs.Default.Counter("core.pool.tree_hits"), obs.Default.Counter("core.pool.tree_misses")
+	built := func() uint64 { return treeHits.Load() + treeMisses.Load() }
 	walks := obs.Default.Counter("core.walks")
 	for _, nr := range []int{20, 50, 51, 400} {
 		for _, k := range []int{1, 10, n} {
@@ -193,14 +195,14 @@ func TestTopKMatchesTwoPassOracle(t *testing.T) {
 				if len(want) == 0 || want[0].Score <= 0 {
 					t.Fatalf("%s: oracle answer %v has no positive score; test is vacuous", name, want)
 				}
-				c0, w0 := compiled.Load(), walks.Load()
+				c0, w0 := built(), walks.Load()
 				got, err := TopKCtx(ctx, g, 4, k, p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				topkWalks := walks.Load() - w0
-				if d := compiled.Load() - c0; d != 1 {
-					t.Errorf("%s: %d trees compiled, want 1", name, d)
+				if d := built() - c0; d != 1 {
+					t.Errorf("%s: %d trees built, want 1", name, d)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d results, want %d", name, len(got), len(want))

@@ -23,7 +23,6 @@ type workCounts struct {
 	Walks      uint64 // core.walks: √c-walks sampled
 	Candidates uint64 // core.candidates: candidates requested
 	Pruned     uint64 // core.prefilter_pruned: candidates proved zero unsampled
-	Compiles   uint64 // core.frozen.compiled: source trees compiled
 	Support    int    // (step, node) entries of the (first) source tree
 	Evaluated  int    // CrashSim-T: candidate scores recomputed
 	Reused     int    // CrashSim-T: scores reused by delta or diff pruning
@@ -47,30 +46,30 @@ var workParams = Params{Iterations: 100, Seed: 7, Workers: 1}
 // pinnedWork is the work gate's table: each pinned query's counts and
 // allocations, measured without -race.
 var pinnedWork = map[string]workCounts{
-	"as-733/single":                 {Walks: 11100, Candidates: 129, Pruned: 17, Compiles: 1, Support: 3845, Allocs: 5},
-	"as-733/topk":                   {Walks: 16650, Candidates: 257, Pruned: 34, Compiles: 1, Support: 3845, Allocs: 19},
-	"as-733/multi":                  {Walks: 22200, Candidates: 258, Pruned: 34, Compiles: 2, Support: 3845, Allocs: 18},
-	"as-caida/single":               {Walks: 43300, Candidates: 530, Pruned: 96, Compiles: 1, Support: 15197, Allocs: 5},
-	"as-caida/topk":                 {Walks: 64950, Candidates: 1059, Pruned: 192, Compiles: 1, Support: 15197, Allocs: 22},
-	"as-caida/multi":                {Walks: 86600, Candidates: 1060, Pruned: 192, Compiles: 2, Support: 15197, Allocs: 18},
-	"wiki-vote/single":              {Walks: 14100, Candidates: 142, Compiles: 1, Support: 4958, Allocs: 5},
-	"wiki-vote/topk":                {Walks: 21150, Candidates: 283, Compiles: 1, Support: 4958, Allocs: 20},
-	"wiki-vote/multi":               {Walks: 28200, Candidates: 284, Compiles: 2, Support: 4958, Allocs: 18},
-	"hepth/single":                  {Walks: 19700, Candidates: 198, Compiles: 1, Support: 6787, Allocs: 5},
-	"hepth/topk":                    {Walks: 29550, Candidates: 395, Compiles: 1, Support: 6787, Allocs: 20},
-	"hepth/multi":                   {Walks: 39400, Candidates: 396, Compiles: 2, Support: 6787, Allocs: 18},
-	"hepph/single":                  {Walks: 35700, Candidates: 691, Pruned: 333, Compiles: 1, Support: 13395, Allocs: 5},
-	"hepph/topk":                    {Walks: 53550, Candidates: 1381, Pruned: 666, Compiles: 1, Support: 13395, Allocs: 22},
-	"hepph/multi":                   {Walks: 71400, Candidates: 1382, Pruned: 666, Compiles: 2, Support: 13395, Allocs: 18},
-	"as-733-history/test-trend":     {Walks: 83600, Candidates: 887, Pruned: 44, Compiles: 7, Support: 9521, Evaluated: 887, Reused: 1202, Patched: 6, Allocs: 1414},
-	"as-733-history/test-threshold": {Walks: 27900, Candidates: 330, Pruned: 44, Compiles: 7, Support: 9521, Evaluated: 330, Reused: 8, Patched: 6, Allocs: 1406},
+	"as-733/single":                 {Walks: 11100, Candidates: 129, Pruned: 17, Support: 3845, Allocs: 5},
+	"as-733/topk":                   {Walks: 16650, Candidates: 257, Pruned: 34, Support: 3845, Allocs: 19},
+	"as-733/multi":                  {Walks: 22200, Candidates: 258, Pruned: 34, Support: 3845, Allocs: 18},
+	"as-caida/single":               {Walks: 43300, Candidates: 530, Pruned: 96, Support: 15197, Allocs: 5},
+	"as-caida/topk":                 {Walks: 64950, Candidates: 1059, Pruned: 192, Support: 15197, Allocs: 22},
+	"as-caida/multi":                {Walks: 86600, Candidates: 1060, Pruned: 192, Support: 15197, Allocs: 18},
+	"wiki-vote/single":              {Walks: 14100, Candidates: 142, Support: 4958, Allocs: 5},
+	"wiki-vote/topk":                {Walks: 21150, Candidates: 283, Support: 4958, Allocs: 20},
+	"wiki-vote/multi":               {Walks: 28200, Candidates: 284, Support: 4958, Allocs: 18},
+	"hepth/single":                  {Walks: 19700, Candidates: 198, Support: 6787, Allocs: 5},
+	"hepth/topk":                    {Walks: 29550, Candidates: 395, Support: 6787, Allocs: 20},
+	"hepth/multi":                   {Walks: 39400, Candidates: 396, Support: 6787, Allocs: 18},
+	"hepph/single":                  {Walks: 35700, Candidates: 691, Pruned: 333, Support: 13395, Allocs: 5},
+	"hepph/topk":                    {Walks: 53550, Candidates: 1381, Pruned: 666, Support: 13395, Allocs: 22},
+	"hepph/multi":                   {Walks: 71400, Candidates: 1382, Pruned: 666, Support: 13395, Allocs: 18},
+	"as-733-history/test-trend":     {Walks: 83600, Candidates: 887, Pruned: 44, Support: 9521, Evaluated: 887, Reused: 1202, Patched: 6, Allocs: 1414},
+	"as-733-history/test-threshold": {Walks: 27900, Candidates: 330, Pruned: 44, Support: 9521, Evaluated: 330, Reused: 8, Patched: 6, Allocs: 1406},
 }
 
 // workAllocRuns is the AllocsPerRun count per query.
 const workAllocRuns = 5
 
 // TestWorkCounts is the work gate: it pins, per query, how many walks,
-// candidates, prefilter prunes, compiles and tree entries CrashSim
+// candidates, prefilter prunes and tree entries CrashSim
 // spends on each of the paper's five dataset profiles (scale 0.02) and
 // a small as-733-shaped CrashSim-T history, plus each query's
 // allocations. Counts must match exactly; a change that lowers one
@@ -164,7 +163,6 @@ func compareWork(want, got workCounts, checkAllocs bool) []string {
 	exact("Walks", want.Walks, got.Walks)
 	exact("Candidates", want.Candidates, got.Candidates)
 	exact("Pruned", want.Pruned, got.Pruned)
-	exact("Compiles", want.Compiles, got.Compiles)
 	exact("Support", uint64(want.Support), uint64(got.Support))
 	exact("Evaluated", uint64(want.Evaluated), uint64(got.Evaluated))
 	exact("Reused", uint64(want.Reused), uint64(got.Reused))
@@ -184,7 +182,7 @@ func compareWork(want, got workCounts, checkAllocs bool) []string {
 // so none falls due while the allocations are counted.
 func measureWork(t *testing.T, q workQuery, p Params) workCounts {
 	t.Helper()
-	walks, cands, pruned, compiles := statWalks.Load(), statCandidates.Load(), statPrefilterPruned.Load(), statFrozenCompiled.Load()
+	walks, cands, pruned := statWalks.Load(), statCandidates.Load(), statPrefilterPruned.Load()
 	st, err := q.run(p)
 	if err != nil {
 		t.Fatalf("%s: %v", q.name, err)
@@ -193,7 +191,6 @@ func measureWork(t *testing.T, q workQuery, p Params) workCounts {
 		Walks:      statWalks.Load() - walks,
 		Candidates: statCandidates.Load() - cands,
 		Pruned:     statPrefilterPruned.Load() - pruned,
-		Compiles:   statFrozenCompiled.Load() - compiles,
 		Support:    q.support,
 		Evaluated:  st.Evaluated,
 		Reused:     st.ReusedDelta + st.ReusedDiff,

@@ -576,7 +576,7 @@ func (ix *Index) SingleSourceResult(ctx context.Context, u graph.NodeID) (core.R
 	s := ix.acquireScratch(n)
 	defer ix.releaseScratch(s)
 	var visits, hubHits int64
-	r := rng.Split(ix.opt.Seed, uint64(u))
+	r := rng.FastSplit(ix.opt.Seed, uint64(u))
 	for k := 0; k < ix.nq; k++ {
 		if k&63 == 63 {
 			if err := ctx.Err(); err != nil {

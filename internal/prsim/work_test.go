@@ -30,8 +30,8 @@ type queryWork struct {
 // pinnedQueries is the PRSim work table on a 2000-node Chung–Lu graph
 // (workOptions), measured without -race.
 var pinnedQueries = map[string]queryWork{
-	"single": {Visits: 563, HubHits: 245, TailBuilds: 272, Entries: 1727, Allocs: 5, Bytes: 21340},
-	"batch":  {Visits: 1715, HubHits: 757, TailBuilds: 597, Entries: 6908, Allocs: 17, Bytes: 64364},
+	"single": {Visits: 563, HubHits: 245, TailBuilds: 272, Entries: 1727, Allocs: 3, Bytes: 21296},
+	"batch":  {Visits: 1715, HubHits: 757, TailBuilds: 597, Entries: 6908, Allocs: 11, Bytes: 64268},
 }
 
 // workOptions builds the work table's indexes: one worker, so lazy tail
