@@ -191,9 +191,10 @@ func (a *arena) sample(ctx context.Context, g *graph.Graph, cand []graph.NodeID,
 	sqrtC := math.Sqrt(q.C)
 	work, preps := a.work, a.preps
 	err := par.ForEachCtx(ctx, len(work), q.Workers, func(i int) {
-		it := work[i]
+		it := &work[i]
 		pr := &preps[it.src]
-		s, sq, err := sampleCandidate(ctx, g, pr, it.v, q, nr, sqrtC)
+		s, sq, walks, err := sampleCandidate(ctx, g, pr, it.v, q, nr, sqrtC)
+		it.walks = int32(walks)
 		if err != nil {
 			return // only ctx errors escape; ForEachCtx reports them
 		}
@@ -202,6 +203,13 @@ func (a *arena) sample(ctx context.Context, g *graph.Graph, cand []graph.NodeID,
 			pr.sq[it.v] = sq
 		}
 	})
+	// One counter update per estimate: a per-candidate atomic add would
+	// bounce the counter's cache line between the workers.
+	walks := uint64(0)
+	for _, it := range work {
+		walks += uint64(it.walks)
+	}
+	statWalks.Add(walks)
 	return cand, err
 }
 
@@ -247,19 +255,18 @@ func (a *arena) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.Nod
 // Contributions are bit-identical to the two-pass reference kernel the
 // tests keep (sample a walk, then score it against the build-time
 // tree) — same random stream, same floating-point operation order. The
-// source itself samples nothing. The only error it can return is
-// ctx.Err().
-func sampleCandidate(ctx context.Context, g *graph.Graph, pr *srcPrep, v graph.NodeID, p Params, nr int, sqrtC float64) (score, sumSq float64, err error) {
+// source itself samples nothing. It also returns the number of walks
+// it completed; the only error it can return is ctx.Err().
+func sampleCandidate(ctx context.Context, g *graph.Graph, pr *srcPrep, v graph.NodeID, p Params, nr int, sqrtC float64) (score, sumSq float64, walks int, err error) {
 	if v == pr.u {
-		return 1, 0, nil // sim(u,u) = 1 by definition
+		return 1, 0, 0, nil // sim(u,u) = 1 by definition
 	}
 	r := rng.FastSplit(p.Seed, uint64(v))
 	sum, sumSq, walks, err := runKernel(ctx, p.Meeting, g, pr.tree, pr.s1, v, sqrtC, p.Lmax, nr, &r)
-	statWalks.Add(uint64(walks))
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, walks, err
 	}
-	return sum / float64(nr), sumSq, nil
+	return sum / float64(nr), sumSq, walks, nil
 }
 
 // runKernel runs a candidate's full n_r-walk budget against the source

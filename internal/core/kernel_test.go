@@ -376,7 +376,7 @@ func TestCandidateEstimateAllocationFree(t *testing.T) {
 			t.Fatal("candidate has no in-edges; its walks never move")
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := sampleCandidate(ctx, g, &a.preps[0], 7, p, p.Iterations, sqrtC); err != nil {
+			if _, _, _, err := sampleCandidate(ctx, g, &a.preps[0], 7, p, p.Iterations, sqrtC); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -9,7 +9,7 @@ import "crashsim/internal/obs"
 //
 // Update discipline: the Monte-Carlo inner loop never touches an
 // atomic; walk counts accumulate locally and are added once per
-// candidate, pool counters (scratch.go) tick once per acquire, and the
+// estimate, pool counters (scratch.go) tick once per acquire, and the
 // temporal counters tick once per CrashSim-T run. Counters never
 // influence results — the determinism tests stay bit-exact.
 var (

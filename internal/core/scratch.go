@@ -97,10 +97,12 @@ type step1 struct {
 }
 
 // batchItem is one (source, candidate) unit of the flattened work list;
-// src indexes the arena's prepared sources.
+// src indexes the arena's prepared sources. walks is written by the
+// worker that runs the item: the walks it sampled.
 type batchItem struct {
-	src int32
-	v   graph.NodeID
+	src   int32
+	v     graph.NodeID
+	walks int32
 }
 
 var arenaPool = newPool[arena]("batch")
