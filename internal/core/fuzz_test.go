@@ -148,6 +148,10 @@ func FuzzPatch(f *testing.F) {
 	f.Add([]byte{16, 0, 48, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 6, 2, 3, 7, 7, 1, 4, 2, 5, 1, 1, 2, 0})
 	f.Add([]byte{3, 1, 2, 0, 1, 1, 2, 1, 2, 0, 1, 1, 1, 0, 4, 1, 0})
 	f.Add([]byte{24, 1, 60, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 1, 3, 8, 0, 3, 1, 2, 4, 0, 1})
+	// The path 0 → 1 → 2 (the delta adds 1 → 2): source 2's walk dies
+	// after two steps, so the patched tree's later levels are empty and
+	// their index words must be written as zeros over the dirty arena.
+	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 2, 2, 0, 0, 9, 0, 3})
 	big := randomTestGraph(f, 150, 600, true, 5)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)

@@ -94,12 +94,18 @@ func TestProbeIndexMatchesLevels(t *testing.T) {
 		}
 	}
 
-	for _, directed := range []bool{true, false} {
-		base, err := gen.ErdosRenyi(70, 210, directed, 71)
+	// Patch along churn histories: a dense graph, and a sparse one whose
+	// levels leave whole index words empty.
+	for _, hc := range []struct {
+		n, m     int
+		directed bool
+	}{{70, 210, true}, {70, 210, false}, {200, 240, true}} {
+		n, directed := hc.n, hc.directed
+		base, err := gen.ErdosRenyi(n, hc.m, directed, 71)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tg, err := gen.Churn(70, directed, base, gen.ChurnOptions{Snapshots: 6, AddRate: 0.03, DelRate: 0.03, Seed: 73})
+		tg, err := gen.Churn(n, directed, base, gen.ChurnOptions{Snapshots: 6, AddRate: 0.03, DelRate: 0.03, Seed: 73})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,14 +123,14 @@ func TestProbeIndexMatchesLevels(t *testing.T) {
 			if !ok {
 				t.Fatalf("t=%d: Patch bailed under an unbounded gate", cur.T())
 			}
-			checkProbeIndex(t, fmt.Sprintf("directed=%v t=%d Patch", directed, cur.T()), got, 70)
+			checkProbeIndex(t, fmt.Sprintf("n=%d directed=%v t=%d Patch", n, directed, cur.T()), got, n)
 			if got != prev {
 				spare, prev = prev, got
 				patched++
 			}
 		}
 		if patched == 0 {
-			t.Fatalf("directed=%v: no transition changed the tree; Patch's index was never written", directed)
+			t.Fatalf("n=%d directed=%v: no transition changed the tree; Patch's index was never written", n, directed)
 		}
 	}
 }
