@@ -246,8 +246,8 @@ func (a *arena) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.Nod
 }
 
 // sampleCandidate runs the n_r walks for one candidate against the
-// prepared source's tree and returns the averaged crash probability and the
-// walks' summed squared contributions. Sampling and scoring are fused
+// prepared source's tree and returns the averaged crash probability
+// and the walks' summed squared contributions. Sampling and scoring are fused
 // into one loop per walk (the walk is never materialized), and the
 // whole n_r budget runs inside one kernel call, so per-walk costs
 // reduce to the walk itself — the meeting-rule dispatch, the CSR array

@@ -109,14 +109,14 @@ var arenaPool = newPool[arena]("batch")
 
 // acquireArena returns an arena whose slab holds k zeroed windows of
 // length n and whose first-step slab holds a table for each of
-// sources sources, with no prepared sources and an empty work list.
+// sources sources, with no prepared sources. sample resets the work
+// list.
 func acquireArena(k, sources, n int, pooled bool) *arena {
 	a := arenaPool.get(pooled)
 	a.slab = grow(a.slab, k*n)
 	clear(a.slab)
 	a.s1 = grow(a.s1, sources*n)
 	a.preps = a.preps[:0]
-	a.work = a.work[:0]
 	return a
 }
 
