@@ -61,12 +61,98 @@ func checkProbeIndex(t *testing.T, name string, tree *ReachTree, n int) {
 	}
 }
 
+// TestFrozenProbMatchesMap: a tree's probe must return the exact
+// float64 of a map built from its levels for every (step, node) pair —
+// in-support, out-of-support, and out-of-range on both axes — on
+// randomized graphs of both orientations and with lmax pushed past one
+// index word's worth of levels; Support must count the map's entries.
+func TestFrozenProbMatchesMap(t *testing.T) {
+	cases := []struct {
+		n, m     int
+		directed bool
+		lmax     int
+	}{
+		{30, 90, true, 8},
+		{50, 120, false, 35},
+		{40, 200, true, 70}, // more levels than bits in a word
+		{25, 25, true, 3},   // sparse: most nodes outside the support
+	}
+	type key struct {
+		step int
+		v    graph.NodeID
+	}
+	for ci, tc := range cases {
+		g := randomTestGraph(t, tc.n, tc.m, tc.directed, uint64(100+ci))
+		for src := 0; src < tc.n; src += 7 {
+			tree := RevReach(g, graph.NodeID(src), 0.6, tc.lmax, TransitionExact)
+			want := make(map[key]float64)
+			for step := 0; step < tree.NumLevels(); step++ {
+				nodes, probs := tree.Level(step)
+				for i, v := range nodes {
+					want[key{step, v}] = probs[i]
+				}
+			}
+			for step := -2; step <= tc.lmax+2; step++ {
+				for v := graph.NodeID(-1); int(v) <= tc.n; v++ {
+					if got, w := tree.Prob(step, v), want[key{step, v}]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("case %d src %d: Prob(%d, %d) = %v, want %v", ci, src, step, v, got, w)
+					}
+				}
+			}
+			if got := tree.Support(); got != len(want) {
+				t.Errorf("case %d src %d: support %d, map holds %d entries", ci, src, got, len(want))
+			}
+		}
+	}
+}
+
+// TestFrozenCompileReuse: building a tree into an arena left over from
+// another source on a larger graph, with a larger lmax, must leave no
+// stale level, probability or index word: every probe equals a fresh
+// build's, and the index passes checkProbeIndex.
+func TestFrozenCompileReuse(t *testing.T) {
+	big := randomTestGraph(t, 300, 1500, true, 99)
+	cases := []struct {
+		n, m     int
+		directed bool
+		lmax     int
+	}{
+		{20, 60, true, 12},
+		{50, 120, false, 35},
+		{130, 400, true, 6}, // three index words per level
+	}
+	for ci, tc := range cases {
+		g := randomTestGraph(t, tc.n, tc.m, tc.directed, uint64(200+ci))
+		for src := 0; src < tc.n; src += 7 {
+			u := graph.NodeID(src)
+			for _, rule := range []TransitionRule{TransitionExact, TransitionPaperLiteral} {
+				name := fmt.Sprintf("case %d src %d %v dirty arena", ci, src, rule)
+				dirty := RevReach(big, 3, 0.6, tc.lmax+9, rule)
+				got := revReachInto(dirty, g, u, 0.6, tc.lmax, rule, true)
+				fresh := RevReach(g, u, 0.6, tc.lmax, rule)
+				if got.NumLevels() != fresh.NumLevels() || got.Support() != fresh.Support() {
+					t.Fatalf("%s: %d levels, support %d; fresh build %d levels, support %d",
+						name, got.NumLevels(), got.Support(), fresh.NumLevels(), fresh.Support())
+				}
+				for step := -1; step <= tc.lmax+1; step++ {
+					for v := graph.NodeID(-1); int(v) <= tc.n; v++ {
+						if a, b := got.Prob(step, v), fresh.Prob(step, v); math.Float64bits(a) != math.Float64bits(b) {
+							t.Fatalf("%s: Prob(%d, %d) = %v, fresh build %v", name, step, v, a, b)
+						}
+					}
+				}
+				checkProbeIndex(t, name, got, tc.n)
+			}
+		}
+	}
+}
+
 // TestProbeIndexMatchesLevels: the probe index of every tree builder —
 // RevReach, RevReachNonBacktracking under both transition rules, and
-// Patch along a churn history — answers every (step, node) exactly as
-// a binary search over the level does, on graphs of both orientations
-// with lmax past 64 levels. Building into an arena left over from a
-// larger graph and a larger lmax must leave no stale index word.
+// Patch along a churn history into a spare arena left over from a
+// larger graph and lmax — answers every (step, node) exactly as a
+// binary search over the level does, on graphs of both orientations
+// with lmax past 64 levels.
 func TestProbeIndexMatchesLevels(t *testing.T) {
 	cases := []struct {
 		n, m     int
@@ -88,8 +174,6 @@ func TestProbeIndexMatchesLevels(t *testing.T) {
 				name := fmt.Sprintf("case %d src %d %v", ci, src, rule)
 				checkProbeIndex(t, name+" RevReach", RevReach(g, u, 0.6, tc.lmax, rule), tc.n)
 				checkProbeIndex(t, name+" non-backtracking", RevReachNonBacktracking(g, u, 0.6, tc.lmax, rule), tc.n)
-				dirty := RevReach(big, 3, 0.6, tc.lmax+9, rule)
-				checkProbeIndex(t, name+" dirty arena", revReachInto(dirty, g, u, 0.6, tc.lmax, rule, true), tc.n)
 			}
 		}
 	}
