@@ -34,6 +34,21 @@ var pinnedQueries = map[string]queryWork{
 	"batch":  {Visits: 1715, HubHits: 757, TailBuilds: 597, Entries: 6908, Allocs: 11, Bytes: 64268},
 }
 
+// coldWork is the objects and heap bytes of a query's first run on a
+// fresh index, the tail tables it builds included. The run starts from
+// empty scratch pools, so every pooled arena it uses is a miss. Allocs
+// may exceed its row by max(2, 25%) and Bytes by 25%.
+type coldWork struct {
+	Allocs uint64
+	Bytes  uint64
+}
+
+// pinnedCold is the cold row of the single-source query, measured
+// without -race.
+var pinnedCold = map[string]coldWork{
+	"single": {Allocs: 14569, Bytes: 9502400},
+}
+
 // workOptions builds the work table's indexes: one worker, so lazy tail
 // fills happen in a fixed order and every count is deterministic.
 var workOptions = Options{Iterations: 200, DSamples: 40, Seed: 3, Workers: 1}
@@ -71,18 +86,26 @@ func workQueries(g *graph.Graph) []prsimQuery {
 
 func workGraph(t *testing.T) *graph.Graph { return testGraph(t, 2000, 12000, 17) }
 
-// measureQuery runs q once on a fresh index for its counts, then
-// repeats it warm for its allocations and bytes. A collection first
-// resets the GC trigger, so the scratch pool is not emptied while the
-// repeats are counted.
-func measureQuery(t *testing.T, g *graph.Graph, q prsimQuery) queryWork {
+// measureQuery runs q once on a fresh index for its counts and cold
+// allocations, then repeats it warm for its allocations and bytes. Two
+// collections before the first run empty every sync.Pool, so the cold
+// run misses each pool it draws from; one collection before the repeats
+// resets the GC trigger, so the scratch pool is not emptied while they
+// are counted.
+func measureQuery(t *testing.T, g *graph.Graph, q prsimQuery) (queryWork, coldWork) {
 	t.Helper()
 	ix := mustBuild(t, g, workOptions)
 	before := ix.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
 	rs, err := q.run(ix)
+	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatalf("%s: %v", q.name, err)
 	}
+	cold := coldWork{Allocs: m1.Mallocs - m0.Mallocs, Bytes: m1.TotalAlloc - m0.TotalAlloc}
 	after := ix.Stats()
 	w := queryWork{
 		Visits:     after.Visits - before.Visits,
@@ -99,14 +122,13 @@ func measureQuery(t *testing.T, g *graph.Graph, q prsimQuery) queryWork {
 	}
 	runtime.GC()
 	w.Allocs = testing.AllocsPerRun(workRuns, repeat)
-	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for range workRuns {
 		repeat()
 	}
 	runtime.ReadMemStats(&m1)
 	w.Bytes = (m1.TotalAlloc - m0.TotalAlloc) / workRuns
-	return w
+	return w, cold
 }
 
 // compareQuery returns one problem per field of got outside want's
@@ -137,14 +159,14 @@ func compareQuery(want, got queryWork, checkAllocs bool) []string {
 
 // TestQueryWork is PRSim's work gate: per-query visits, hub hits, tail
 // builds and answer entries match their pinned row exactly, and a warm
-// repeat allocates within it. The rows measure the results the serving
-// path reads; the public map calls add one map per answer on top. A
-// change that lowers a count updates its row. Allocation rows are
-// skipped under -race.
+// repeat allocates within it, as does the single query's cold first
+// run. The rows measure the results the serving path reads; the public
+// map calls add one map per answer on top. A change that lowers a count
+// updates its row. Allocation rows are skipped under -race.
 func TestQueryWork(t *testing.T) {
 	g := workGraph(t)
 	for _, q := range workQueries(g) {
-		got := measureQuery(t, g, q)
+		got, cold := measureQuery(t, g, q)
 		want, ok := pinnedQueries[q.name]
 		if !ok {
 			t.Errorf("%s: no pinned row", q.name)
@@ -152,6 +174,15 @@ func TestQueryWork(t *testing.T) {
 		}
 		if problems := compareQuery(want, got, !raceEnabled); len(problems) > 0 {
 			t.Errorf("%s: %s\n\tmeasured: %#v", q.name, strings.Join(problems, "; "), got)
+		}
+		if want, ok := pinnedCold[q.name]; ok && !raceEnabled {
+			if limit := want.Allocs + max(2, want.Allocs/4); cold.Allocs > limit {
+				t.Errorf("%s cold: Allocs %d, pinned %d (limit %d)", q.name, cold.Allocs, want.Allocs, limit)
+			}
+			if limit := want.Bytes + want.Bytes/4; cold.Bytes > limit {
+				t.Errorf("%s cold: Bytes %d, pinned %d (limit %d)", q.name, cold.Bytes, want.Bytes, limit)
+			}
+			t.Logf("%s cold: %+v", q.name, cold)
 		}
 	}
 }
@@ -172,7 +203,7 @@ func TestQueryWorkCatchesMap(t *testing.T) {
 			}
 			return rs, err
 		}}
-		got := measureQuery(t, g, viaMap)
+		got, _ := measureQuery(t, g, viaMap)
 		problems := compareQuery(pinnedQueries[q.name], got, true)
 		named := false
 		for _, p := range problems {
