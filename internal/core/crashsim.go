@@ -54,7 +54,7 @@ func SingleSourceResult(ctx context.Context, g *graph.Graph, u graph.NodeID, ome
 	}
 	// The tree is owned by this query alone, so its arena goes back to
 	// the pool once the estimate is done.
-	defer treePool.put(tree, !q.DisablePooling)
+	defer treePool.Put(tree, !q.DisablePooling)
 	return estimateSource(ctx, g, u, tree, omega, q, nr)
 }
 
@@ -106,7 +106,7 @@ func buildTreeInto(dst *ReachTree, g adjacency, u graph.NodeID, q Params) *Reach
 	case dst == nil:
 		return RevReach(g, u, q.C, q.Lmax, q.Transition)
 	default:
-		return revReachInto(dst, g, u, q.C, q.Lmax, q.Transition, true)
+		return revReachInto(dst, g, u, q.C, q.Lmax, q.Transition, 0, InEdges, true)
 	}
 }
 

@@ -31,7 +31,7 @@ func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID,
 		return nil, err
 	}
 	pooled := !q.DisablePooling
-	defer treePool.put(tree, pooled)
+	defer treePool.Put(tree, pooled)
 	n := g.NumNodes()
 	a := acquireArena(2, 1, n, pooled)
 	defer a.release(pooled)

@@ -128,7 +128,7 @@ func TestFrozenCompileReuse(t *testing.T) {
 			for _, rule := range []TransitionRule{TransitionExact, TransitionPaperLiteral} {
 				name := fmt.Sprintf("case %d src %d %v dirty arena", ci, src, rule)
 				dirty := RevReach(big, 3, 0.6, tc.lmax+9, rule)
-				got := revReachInto(dirty, g, u, 0.6, tc.lmax, rule, true)
+				got := revReachInto(dirty, g, u, 0.6, tc.lmax, rule, 0, InEdges, true)
 				fresh := RevReach(g, u, 0.6, tc.lmax, rule)
 				if got.NumLevels() != fresh.NumLevels() || got.Support() != fresh.Support() {
 					t.Fatalf("%s: %d levels, support %d; fresh build %d levels, support %d",

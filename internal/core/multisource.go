@@ -92,7 +92,7 @@ func MultiSourceResults(ctx context.Context, g *graph.Graph, sources, omega []gr
 	// a.release (LIFO), which then drops the dangling pointers.
 	defer func() {
 		for i := range a.preps {
-			treePool.put(a.preps[i].tree, pooled)
+			treePool.Put(a.preps[i].tree, pooled)
 		}
 	}()
 

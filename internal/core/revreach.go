@@ -234,7 +234,7 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 	}
 	n := g.NumNodes()
 	ps := acquirePatchScratch(n)
-	defer patchPool.put(ps, true)
+	defer patchPool.Put(ps, true)
 
 	// Affected closure: a node's level value can change only if it is
 	// the tail of a changed edge (its out-list changed), pushes through a
@@ -430,8 +430,21 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 type adjacency interface {
 	NumNodes() int
 	In(v graph.NodeID) []graph.NodeID
+	Out(v graph.NodeID) []graph.NodeID
 	InDegree(v graph.NodeID) int
 }
+
+// Direction selects the edges the level push follows from each pusher.
+type Direction uint8
+
+const (
+	// InEdges pushes a node's mass to its in-neighbors, the reverse step
+	// of a √c-walk: revReach (Algorithm 2) and SLING's h_ℓ(v, ·).
+	InEdges Direction = iota
+	// OutEdges pushes a node's mass to its out-neighbors: PRSim's
+	// tables h_ℓ(·, w), read from w's side.
+	OutEdges
+)
 
 // RevReach builds the reverse reachable tree of u (Algorithm 2) with the
 // given decay factor, truncation length and transition rule, using a
@@ -443,13 +456,33 @@ func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionR
 	// The arena comes from the scratch pool: SingleSourceCtx releases
 	// the tree after its estimate, so repeated queries append into
 	// storage already grown to a typical tree's size.
-	return revReachInto(treePool.get(true), g, u, c, lmax, rule, true)
+	return revReachInto(treePool.Get(true), g, u, c, lmax, rule, 0, InEdges, true)
 }
 
-// revReachInto is RevReach into the caller's arena t, whose previous
-// contents are discarded. indexed selects whether the probe index is
-// written; a tree that is only compared, never walked, goes without.
-func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule, indexed bool) *ReachTree {
+// Push runs the level push of revReach from u along dir, dropping every
+// contribution below tau, into a pooled arena without a probe index,
+// and hands the finished tree to use. The tree and its levels are valid
+// only during the call. SLING's per-node distributions and PRSim's
+// tables are this push with their own rule, threshold and direction.
+func Push(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction, use func(t *ReachTree)) {
+	t := revReachInto(treePool.Get(true), g, u, c, lmax, rule, tau, dir, false)
+	use(t)
+	treePool.Put(t, true)
+}
+
+// revReachInto is the one level push, into the caller's arena t, whose
+// previous contents are discarded. Each pusher x of level ℓ sends
+// mass·√c/deg along every edge dir follows from x, where deg is the
+// number of those edges under TransitionExact and the receiver's
+// in-degree under TransitionPaperLiteral; a contribution below tau is
+// dropped (tau = 0 keeps all of them). Under the exact rule every edge
+// of a pusher carries the same contribution, so tau is tested once per
+// pusher. An empty level ends the push, since every later level is
+// empty too; the remaining levels are closed empty, so the tree always
+// has lmax+1 levels. indexed selects whether the probe index is
+// written; a tree that is only compared or copied, never walked, goes
+// without.
+func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction, indexed bool) *ReachTree {
 	sc := math.Sqrt(c)
 	words := 0
 	if indexed {
@@ -463,7 +496,7 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 		t.indexLevel(0)
 	}
 	// Mass for the next level accumulates in a pooled dense array: the
-	// additions happen in sorted-source order (in-edge order within a
+	// additions happen in sorted-source order (edge order within a
 	// source), so each level's values are bit-deterministic. The sorted
 	// order comes for free: sweeping the seen bitset in word order
 	// yields the touched nodes ascending, so the sweep appends each
@@ -475,16 +508,33 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 	acc, seen := ra.acc, ra.seen
 	for step := 0; step < lmax; step++ {
 		order, masses := t.Level(step)
+		if len(order) == 0 {
+			for ; step < lmax; step++ {
+				t.endLevel()
+				if indexed {
+					t.indexLevel(step + 1)
+				}
+			}
+			break
+		}
 		for i, x := range order {
-			in := g.In(x)
-			if len(in) == 0 {
+			var adj []graph.NodeID
+			if dir == InEdges {
+				adj = g.In(x)
+			} else {
+				adj = g.Out(x)
+			}
+			if len(adj) == 0 {
 				continue
 			}
 			mass := masses[i]
 			switch rule {
 			case TransitionExact:
-				w := mass * sc / float64(len(in))
-				for _, v := range in {
+				w := mass * sc / float64(len(adj))
+				if w < tau {
+					continue
+				}
+				for _, v := range adj {
 					if bit := uint64(1) << uint(v&63); seen[v>>6]&bit == 0 {
 						seen[v>>6] |= bit
 						acc[v] = w
@@ -493,12 +543,15 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 					}
 				}
 			case TransitionPaperLiteral:
-				for _, v := range in {
+				for _, v := range adj {
 					deg := g.InDegree(v)
 					if deg == 0 {
 						continue
 					}
 					w := mass * sc / float64(deg)
+					if w < tau {
+						continue
+					}
 					if bit := uint64(1) << uint(v&63); seen[v>>6]&bit == 0 {
 						seen[v>>6] |= bit
 						acc[v] = w
@@ -531,7 +584,7 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 		t.endLevel()
 	}
 	ra.acc, ra.seen = acc, seen
-	revAccPool.put(ra, true)
+	revAccPool.Put(ra, true)
 	return t
 }
 
@@ -557,7 +610,7 @@ func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, r
 		})
 	}
 	sc := math.Sqrt(c)
-	t := treePool.get(true)
+	t := treePool.Get(true)
 	t.reset(u, lmax, indexWords(g.NumNodes()))
 	t.nodes = append(t.nodes, u)
 	t.probs = append(t.probs, 1)

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sync"
-
 	"crashsim/internal/graph"
-	"crashsim/internal/obs"
+	"crashsim/internal/pool"
 )
 
 // Query scratch pooling. A query needs dense score windows of length n,
@@ -12,47 +10,11 @@ import (
 // first-step table of each source and the arena of the reverse
 // reachable tree with its probe index.
 // Under steady-state service traffic these dominate per-query
-// allocations, so they are recycled through pools. Pooling is
+// allocations, so they are recycled through pools (pool.Pool), each
+// counting its traffic under core.pool.<name>_hits and _misses. Pooling is
 // semantically invisible: every buffer is (re)initialized on acquire,
 // and the determinism tests assert bit-identical Scores with pooling
 // enabled, disabled, and across worker counts.
-
-// pool is a sync.Pool of *T that counts its traffic under
-// core.pool.<name>_hits and core.pool.<name>_misses. It has no New
-// function: Get returning nil tells a miss from a hit.
-type pool[T any] struct {
-	p            sync.Pool
-	hits, misses *obs.Counter
-}
-
-func newPool[T any](name string) *pool[T] {
-	return &pool[T]{
-		hits:   obs.Default.Counter("core.pool." + name + "_hits"),
-		misses: obs.Default.Counter("core.pool." + name + "_misses"),
-	}
-}
-
-// get returns a pooled *T, or a fresh zero one on a miss or when
-// pooling is off. Its contents are whatever its last user left.
-func (p *pool[T]) get(pooled bool) *T {
-	if !pooled {
-		return new(T)
-	}
-	if v := p.p.Get(); v != nil {
-		p.hits.Inc()
-		return v.(*T)
-	}
-	p.misses.Inc()
-	return new(T)
-}
-
-// put returns x to the pool (a no-op when pooling is off). The caller
-// must not use x afterwards.
-func (p *pool[T]) put(x *T, pooled bool) {
-	if pooled && x != nil {
-		p.p.Put(x)
-	}
-}
 
 // arena is the pooled scratch of the one estimate path (see
 // arena.sample): the dense score slab, cut into length-n windows, the
@@ -105,14 +67,14 @@ type batchItem struct {
 	walks int32
 }
 
-var arenaPool = newPool[arena]("batch")
+var arenaPool = pool.New[arena]("core.pool.batch")
 
 // acquireArena returns an arena whose slab holds k zeroed windows of
 // length n and whose first-step slab holds a table for each of
 // sources sources, with no prepared sources. sample resets the work
 // list.
 func acquireArena(k, sources, n int, pooled bool) *arena {
-	a := arenaPool.get(pooled)
+	a := arenaPool.Get(pooled)
 	a.slab = grow(a.slab, k*n)
 	clear(a.slab)
 	a.s1 = grow(a.s1, sources*n)
@@ -148,7 +110,7 @@ func (a *arena) addSource(g *graph.Graph, u graph.NodeID, tree *ReachTree, dense
 func (a *arena) release(pooled bool) {
 	clear(a.preps)
 	a.preps = a.preps[:0]
-	arenaPool.put(a, pooled)
+	arenaPool.Put(a, pooled)
 }
 
 // treePool recycles ReachTree arenas, probe index included, so a warm
@@ -161,7 +123,7 @@ func (a *arena) release(pooled bool) {
 // CrashSim-T recycles its source trees itself, within the run (see
 // ReachTree.Patch), and never releases them here: arenas pooled past
 // the run would hold resident memory between queries.
-var treePool = newPool[ReachTree]("tree")
+var treePool = pool.New[ReachTree]("core.pool.tree")
 
 // patchScratch holds ReachTree.Patch's working state: the affected and
 // pusher closures, the per-level receiver/membership/changed bitsets
@@ -181,10 +143,10 @@ type patchScratch struct {
 	next      []graph.NodeID
 }
 
-var patchPool = newPool[patchScratch]("patch")
+var patchPool = pool.New[patchScratch]("core.pool.patch")
 
 func acquirePatchScratch(n int) *patchScratch {
-	ps := patchPool.get(true)
+	ps := patchPool.Get(true)
 	ps.acc = grow(ps.acc, n)
 	return ps
 }
@@ -206,10 +168,10 @@ type temporalScratch struct {
 	next       []graph.NodeID
 }
 
-var temporalPool = newPool[temporalScratch]("temporal")
+var temporalPool = pool.New[temporalScratch]("core.pool.temporal")
 
 func acquireTemporalScratch(n int, pooled bool) *temporalScratch {
-	ts := temporalPool.get(pooled)
+	ts := temporalPool.Get(pooled)
 	if cap(ts.candidates) < n {
 		ts.candidates = make([]graph.NodeID, 0, n)
 	}
@@ -226,10 +188,10 @@ type revAcc struct {
 	seen []uint64
 }
 
-var revAccPool = newPool[revAcc]("revacc")
+var revAccPool = pool.New[revAcc]("core.pool.revacc")
 
 func acquireRevAcc(n int) *revAcc {
-	ra := revAccPool.get(true)
+	ra := revAccPool.Get(true)
 	ra.acc = grow(ra.acc, n)
 	ra.seen = grow(ra.seen, (n+63)/64)
 	return ra

@@ -190,7 +190,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		}
 	}
 	ts := acquireTemporalScratch(n, pooled)
-	defer temporalPool.put(ts, pooled)
+	defer temporalPool.Put(ts, pooled)
 
 	// Snapshot 0: full single-source computation and initial filter. The
 	// candidate list is built in node order once and maintained sorted
@@ -453,7 +453,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 // keeps it, and a pooled arena would bring along the index storage of
 // an earlier walked tree.
 func compareTree(g *graph.Graph, v graph.NodeID, pp Params) *ReachTree {
-	return revReachInto(new(ReachTree), g, v, pp.C, pp.Lmax, pp.Transition, false)
+	return revReachInto(new(ReachTree), g, v, pp.C, pp.Lmax, pp.Transition, 0, InEdges, false)
 }
 
 // candKey renders a candidate id as its cache key.

@@ -142,7 +142,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 		return nil, err
 	}
 	pooled := !q.DisablePooling
-	defer treePool.put(tree, pooled)
+	defer treePool.Put(tree, pooled)
 	n := g.NumNodes()
 	a := acquireArena(1, 1, n, pooled)
 	defer a.release(pooled)

@@ -16,7 +16,6 @@ var (
 	// and lazy alike.
 	statTailBuilds = obs.Default.Counter("prsim.tail_builds")
 	statEntries    = obs.Default.Counter("prsim.entries")
-	// Scratch-pool behavior of the per-query dense accumulator.
-	statScratchHits   = obs.Default.Counter("prsim.pool.scratch_hits")
-	statScratchMisses = obs.Default.Counter("prsim.pool.scratch_misses")
+	// The per-query accumulator's pool (scratchPool) counts under
+	// prsim.pool.scratch_hits and _misses.
 )

@@ -35,13 +35,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"crashsim/internal/core"
 	"crashsim/internal/graph"
 	"crashsim/internal/par"
+	"crashsim/internal/pool"
 	"crashsim/internal/rng"
 	"crashsim/internal/sling"
 )
@@ -207,8 +207,6 @@ type Index struct {
 	// (an atomic pointer load) takes no lock.
 	mu    sync.Mutex
 	calls map[graph.NodeID]*sync.WaitGroup
-
-	pool sync.Pool // *queryScratch
 
 	// release gives borrowed memory back to its owner (drops the
 	// mapping reference an imported-from-mmap index holds).
@@ -441,53 +439,34 @@ func (ix *Index) ensure(w graph.NodeID) (t *table, slow bool) {
 	}
 }
 
-// levelHint caps the level capacity compile reserves up front: MaxDepth
-// can come from a snapshot file, and pruning ends most tables within a
-// few dozen levels anyway.
-const levelHint = 64
-
 // compile builds the reverse-push table of w — h_ℓ(v, w) for ℓ up to
-// MaxDepth via a forward level expansion along out-edges with the
-// √c/|I(child)| multiplier, pruning small entries — plus d(w). It is a
-// pure function of (g, opt, w): levels expand in ascending node order,
-// so the packed floats are bit-identical however the build is
-// scheduled (and identical to the map-based skeleton's).
+// MaxDepth, pushed along out-edges with the √c/|I(child)| multiplier
+// (core.TransitionPaperLiteral), pruning each contribution below Prune —
+// plus d(w). It is a pure function of (g, opt, w): the push sums in
+// ascending node order, so the packed floats are bit-identical however
+// the build is scheduled (and identical to the map-based skeleton's).
+// The table keeps the levels up to the last non-empty one.
 func (ix *Index) compile(w graph.NodeID) *table {
-	t := &table{off: make([]int32, 1, min(ix.opt.MaxDepth, levelHint)+1)}
-	cur := map[graph.NodeID]float64{w: 1}
-	var order []graph.NodeID
-	for step := 1; step <= ix.opt.MaxDepth; step++ {
-		next := make(map[graph.NodeID]float64, len(cur)*2)
-		order = order[:0]
-		for x := range cur {
-			order = append(order, x)
-		}
-		slices.Sort(order)
-		for _, x := range order {
-			px := cur[x]
-			for _, y := range ix.g.Out(x) {
-				p := px * ix.sc / float64(ix.g.InDegree(y))
-				if p < ix.opt.Prune {
-					continue
-				}
-				next[y] += p
+	t := new(table)
+	core.Push(ix.g, w, ix.opt.C, ix.opt.MaxDepth, core.TransitionPaperLiteral, ix.opt.Prune, core.OutEdges, func(rt *core.ReachTree) {
+		levels := 0
+		for levels+1 < rt.NumLevels() {
+			if nodes, _ := rt.Level(levels + 1); len(nodes) == 0 {
+				break
 			}
+			levels++
 		}
-		if len(next) == 0 {
-			break
+		entries := rt.Support() - 1
+		t.off = make([]int32, levels+1)
+		t.origins = make([]graph.NodeID, 0, entries)
+		t.probs = make([]float64, 0, entries)
+		for step := 1; step <= levels; step++ {
+			nodes, probs := rt.Level(step)
+			t.origins = append(t.origins, nodes...)
+			t.probs = append(t.probs, probs...)
+			t.off[step] = int32(len(t.origins))
 		}
-		order = order[:0]
-		for x := range next {
-			order = append(order, x)
-		}
-		slices.Sort(order)
-		for _, v := range order {
-			t.origins = append(t.origins, v)
-			t.probs = append(t.probs, next[v])
-		}
-		t.off = append(t.off, int32(len(t.origins)))
-		cur = next
-	}
+	})
 	// d(w) is sampled on an independent per-node stream.
 	t.d = sling.NeverMeet(ix.g, w, ix.sc, ix.opt.MaxDepth, ix.opt.DSamples, rng.Split(ix.opt.Seed^0x5157, uint64(w)))
 	return t
@@ -512,15 +491,12 @@ func (s *queryScratch) add(v graph.NodeID, x float64) {
 	s.acc[v] += x
 }
 
-func (ix *Index) acquireScratch(n int) *queryScratch {
-	var s *queryScratch
-	if v := ix.pool.Get(); v != nil {
-		s = v.(*queryScratch)
-		statScratchHits.Inc()
-	} else {
-		s = new(queryScratch)
-		statScratchMisses.Inc()
-	}
+// scratchPool recycles query accumulators across queries and indexes.
+var scratchPool = pool.New[queryScratch]("prsim.pool.scratch")
+
+// reset sizes s for a graph of n nodes and starts a new epoch, so
+// every mark from an earlier query reads as untouched.
+func (s *queryScratch) reset(n int) {
 	if cap(s.acc) < n {
 		s.acc = make([]float64, n)
 		s.mark = make([]uint64, n)
@@ -534,10 +510,7 @@ func (ix *Index) acquireScratch(n int) *queryScratch {
 		s.epoch = 1
 	}
 	s.touched = s.touched[:0]
-	return s
 }
-
-func (ix *Index) releaseScratch(s *queryScratch) { ix.pool.Put(s) }
 
 // SingleSource estimates sim(u, ·) without cancellation.
 func (ix *Index) SingleSource(u graph.NodeID) (map[graph.NodeID]float64, error) {
@@ -573,8 +546,9 @@ func (ix *Index) SingleSourceResult(ctx context.Context, u graph.NodeID) (core.R
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
 	}
-	s := ix.acquireScratch(n)
-	defer ix.releaseScratch(s)
+	s := scratchPool.Get(true)
+	defer scratchPool.Put(s, true)
+	s.reset(n)
 	var visits, hubHits int64
 	r := rng.FastSplit(ix.opt.Seed, uint64(u))
 	for k := 0; k < ix.nq; k++ {

@@ -2,6 +2,7 @@ package sling
 
 import (
 	"math"
+	"sort"
 
 	"crashsim/internal/graph"
 	"crashsim/internal/rng"
@@ -10,7 +11,9 @@ import (
 // The map-based index below is the form SLING was first built in: one
 // []entry per node plus a per-step map from node to the origins whose
 // distributions pass through it. It is kept only as the differential
-// reference for the flat index Build compiles (TestFlatBitIdentical).
+// reference for the flat index Build compiles (TestFlatBitIdentical),
+// with its own map push: the one core.Push distribution runs must
+// reproduce it bit for bit.
 
 // occurrence links an index position back to the node whose
 // distribution contains it, for the inverted index.
@@ -74,6 +77,56 @@ func oracleBuild(g *graph.Graph, opt Options) *oracleIndex {
 		ix.d[x] = float64(never) / float64(o.DSamples)
 	}
 	return ix
+}
+
+// push computes the truncated hitting distribution of v: the probability
+// of a √c-walk from v being at each node after each step, dropping
+// entries below the pruning threshold. Step 0 (the node itself) is not
+// stored; meetings at step 0 only concern u = v, which queries handle
+// directly.
+func push(g *graph.Graph, v graph.NodeID, o Options) []entry {
+	sc := math.Sqrt(o.C)
+	cur := map[graph.NodeID]float64{v: 1}
+	var out []entry
+	var order []graph.NodeID
+	for t := 1; t <= o.Lmax; t++ {
+		next := make(map[graph.NodeID]float64, len(cur)*2)
+		order = order[:0]
+		for x := range cur {
+			order = append(order, x)
+		}
+		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+		for _, x := range order {
+			in := g.In(x)
+			if len(in) == 0 {
+				continue
+			}
+			w := cur[x] * sc / float64(len(in))
+			if w < o.Prune {
+				continue
+			}
+			for _, y := range in {
+				next[y] += w
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		// Emit in sorted node order so the index layout (and therefore
+		// floating-point summation order at query time) is deterministic.
+		order = order[:0]
+		for x := range next {
+			order = append(order, x)
+		}
+		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+		for _, x := range order {
+			if p := next[x]; p >= o.Prune {
+				out = append(out, entry{step: int32(t), node: x, prob: p})
+			}
+		}
+		cur = next
+	}
+	return out
 }
 
 // singleSource is the map query loop.

@@ -28,8 +28,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
+	"crashsim/internal/core"
 	"crashsim/internal/graph"
 	"crashsim/internal/par"
 	"crashsim/internal/rng"
@@ -109,7 +109,7 @@ func (o Options) Validate() error {
 }
 
 // entry is one stored (step, node, probability) triple of a node's
-// hitting distribution, as push emits it.
+// hitting distribution, as distribution emits it.
 type entry struct {
 	step int32
 	node graph.NodeID
@@ -170,7 +170,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) 
 	// order) are the same for any worker count.
 	dist := make([][]entry, n)
 	if err := par.ForEachCtx(ctx, n, o.Workers, func(v int) {
-		dist[v] = push(g, graph.NodeID(v), o)
+		dist[v] = distribution(g, graph.NodeID(v), o)
 	}); err != nil {
 		return nil, err
 	}
@@ -184,53 +184,24 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) 
 	return &Index{g: g, f: compile(o, dist, d)}, nil
 }
 
-// push computes the truncated hitting distribution of v: the probability
-// of a √c-walk from v being at each node after each step, dropping
-// entries below the pruning threshold. Step 0 (the node itself) is not
-// stored; meetings at step 0 only concern u = v, which queries handle
-// directly.
-func push(g *graph.Graph, v graph.NodeID, o Options) []entry {
-	sc := math.Sqrt(o.C)
-	cur := map[graph.NodeID]float64{v: 1}
+// distribution computes the truncated hitting distribution of v: the
+// probability of a √c-walk from v being at each node after each step,
+// pushed with the exact rule along in-edges and pruned at o.Prune. Step
+// 0 (the node itself) is not stored; meetings at step 0 only concern
+// u = v, which queries handle directly. The push prunes each pusher's
+// per-edge share, so every stored mass is a sum of kept shares and is
+// at least o.Prune itself.
+func distribution(g *graph.Graph, v graph.NodeID, o Options) []entry {
 	var out []entry
-	var order []graph.NodeID
-	for t := 1; t <= o.Lmax; t++ {
-		next := make(map[graph.NodeID]float64, len(cur)*2)
-		order = order[:0]
-		for x := range cur {
-			order = append(order, x)
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		for _, x := range order {
-			in := g.In(x)
-			if len(in) == 0 {
-				continue
-			}
-			w := cur[x] * sc / float64(len(in))
-			if w < o.Prune {
-				continue
-			}
-			for _, y := range in {
-				next[y] += w
+	core.Push(g, v, o.C, o.Lmax, core.TransitionExact, o.Prune, core.InEdges, func(t *core.ReachTree) {
+		out = make([]entry, 0, t.Support()-1)
+		for step := 1; step < t.NumLevels(); step++ {
+			nodes, probs := t.Level(step)
+			for i, x := range nodes {
+				out = append(out, entry{step: int32(step), node: x, prob: probs[i]})
 			}
 		}
-		if len(next) == 0 {
-			break
-		}
-		// Emit in sorted node order so the index layout (and therefore
-		// floating-point summation order at query time) is deterministic.
-		order = order[:0]
-		for x := range next {
-			order = append(order, x)
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		for _, x := range order {
-			if p := next[x]; p >= o.Prune {
-				out = append(out, entry{step: int32(t), node: x, prob: p})
-			}
-		}
-		cur = next
-	}
+	})
 	return out
 }
 
