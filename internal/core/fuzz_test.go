@@ -22,6 +22,79 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
+// fuzzGraph decodes a graph of 2–24 nodes from in: the node count, the
+// orientation, then up to 3n edges as (tail, head) bytes, skipping
+// self-loops and repeats.
+func fuzzGraph(t *testing.T, in *fuzzBytes) *graph.Graph {
+	t.Helper()
+	n := 2 + in.next()%23
+	directed := in.next()&1 == 1
+	b := graph.NewBuilder(n, directed)
+	seen := make([]bool, n*n)
+	for m := in.next() % (3 * n); m > 0; m-- {
+		x, y := in.next()%n, in.next()%n
+		if !directed && x > y {
+			x, y = y, x
+		}
+		if x == y || seen[x*n+y] {
+			continue
+		}
+		seen[x*n+y] = true
+		b.AddEdge(graph.NodeID(x), graph.NodeID(y))
+	}
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// FuzzPush is the differential check of the one level push: on a
+// random graph of 2–24 nodes, revReachInto into a dirty arena must hold
+// the map oracle's exact levels for either transition rule, either edge
+// direction, a decay factor in (0.2, 0.9), a prune threshold τ (0, or
+// up to 1, which can empty a level early) and lmax up to 40, with or
+// without its probe index, and the index must answer every probe like
+// a search of the levels. core.Push must hand over the same levels.
+func FuzzPush(f *testing.F) {
+	f.Add([]byte{10, 1, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 1, 0, 0, 100, 0, 8, 1, 3})
+	f.Add([]byte{16, 0, 48, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 1, 1, 200, 40, 30, 0, 5})
+	f.Add([]byte{6, 1, 12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 2, 0, 1, 128, 9, 20, 1, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		g := fuzzGraph(t, &in)
+		n := g.NumNodes()
+		rule := TransitionRule(in.next() % 2)
+		dir := Direction(in.next() % 2)
+		c := 0.2 + 0.7*float64(in.next())/255
+		tau := 0.0
+		if k := in.next(); k%4 != 0 {
+			tau = float64(k) / 255
+		}
+		lmax := 1 + in.next()%40
+		indexed := in.next()&1 == 1
+		u := graph.NodeID(in.next() % n)
+		other := graph.NodeID(in.next() % n)
+
+		want := pushMapOracle(g, u, c, lmax, rule, tau, dir)
+		dirty := revReachInto(new(ReachTree), g, other, 0.6, lmax+3, TransitionExact, 0, InEdges, true)
+		got := revReachInto(dirty, g, u, c, lmax, rule, tau, dir, indexed)
+		if !sameAsMap(got, want) {
+			t.Fatalf("push (rule %v, dir %v, c %g, tau %g, lmax %d) differs from the map oracle", rule, dir, c, tau, lmax)
+		}
+		if indexed {
+			checkProbeIndex(t, "push", got, n)
+		} else if got.words != 0 {
+			t.Fatalf("unindexed push has %d index words per level", got.words)
+		}
+		Push(g, u, c, lmax, rule, tau, dir, func(pt *ReachTree) {
+			if !bitEqualTrees(pt, got) {
+				t.Fatal("Push levels differ from revReachInto's")
+			}
+		})
+	})
+}
+
 // FuzzEstimatePaths is the differential check of the one estimate
 // path. The input decodes to a graph of 2–24 nodes, a source batch
 // whose first source repeats at the end, a candidate set (nil, or a
@@ -36,25 +109,8 @@ func FuzzEstimatePaths(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 0, 1, 1, 2, 1, 0, 0, 9, 3, 6, 1, 0, 1, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
-		n := 2 + in.next()%23
-		directed := in.next()&1 == 1
-		b := graph.NewBuilder(n, directed)
-		seen := make([]bool, n*n)
-		for m := in.next() % (3 * n); m > 0; m-- {
-			x, y := in.next()%n, in.next()%n
-			if !directed && x > y {
-				x, y = y, x
-			}
-			if x == y || seen[x*n+y] {
-				continue
-			}
-			seen[x*n+y] = true
-			b.AddEdge(graph.NodeID(x), graph.NodeID(y))
-		}
-		g, err := b.Freeze()
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := fuzzGraph(t, &in)
+		n := g.NumNodes()
 		flags := in.next()
 		p := Params{
 			Meeting:          MeetingRule(in.next() % 3),

@@ -345,10 +345,18 @@ func TestPatchFallbacks(t *testing.T) {
 type mapLevels []map[graph.NodeID]float64
 
 // revReachMapOracle is the map-level RevReach the flat arena replaced,
-// kept as the reference the arena is tested against. It pushes each
-// level's mass in ascending source order (in-edge order within a
-// source), the summation order RevReach must reproduce bit for bit.
+// kept as the reference the arena is tested against: pushMapOracle with
+// no pruning, along in-edges.
 func revReachMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) mapLevels {
+	return pushMapOracle(g, u, c, lmax, rule, 0, InEdges)
+}
+
+// pushMapOracle is the level push in map form, the way SLING and PRSim
+// built their tables before they shared revReachInto. It pushes each
+// level's mass in ascending source order (edge order within a source),
+// the summation order the push must reproduce bit for bit, and drops
+// every per-edge contribution below tau.
+func pushMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction) mapLevels {
 	sc := math.Sqrt(c)
 	levels := make(mapLevels, lmax+1)
 	levels[0] = map[graph.NodeID]float64{u: 1}
@@ -361,18 +369,24 @@ func revReachMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule Tr
 		slices.Sort(order)
 		next := make(map[graph.NodeID]float64)
 		for _, x := range order {
-			in := g.In(x)
-			if len(in) == 0 {
-				continue
+			adj := g.In(x)
+			if dir == OutEdges {
+				adj = g.Out(x)
 			}
-			for _, v := range in {
+			for _, v := range adj {
+				var w float64
 				switch rule {
 				case TransitionExact:
-					next[v] += cur[x] * sc / float64(len(in))
+					w = cur[x] * sc / float64(len(adj))
 				case TransitionPaperLiteral:
-					if deg := g.InDegree(v); deg > 0 {
-						next[v] += cur[x] * sc / float64(deg)
+					deg := g.InDegree(v)
+					if deg == 0 {
+						continue
 					}
+					w = cur[x] * sc / float64(deg)
+				}
+				if w >= tau {
+					next[v] += w
 				}
 			}
 		}
@@ -437,7 +451,8 @@ func revReachNonBacktrackingMapOracle(g adjacency, u graph.NodeID, c float64, lm
 }
 
 // sameAsMap reports whether the flat tree holds exactly the oracle's
-// (step, node, bits) entries.
+// (step, node, bits) entries and, when it carries a probe index,
+// whether Prob reads each of them back.
 func sameAsMap(t *ReachTree, m mapLevels) bool {
 	if t.NumLevels() != len(m) {
 		return false
@@ -452,7 +467,7 @@ func sameAsMap(t *ReachTree, m mapLevels) bool {
 			if !ok || math.Float64bits(p) != math.Float64bits(probs[i]) {
 				return false
 			}
-			if math.Float64bits(t.Prob(step, v)) != math.Float64bits(p) {
+			if t.words > 0 && math.Float64bits(t.Prob(step, v)) != math.Float64bits(p) {
 				return false
 			}
 		}

@@ -12,7 +12,7 @@ import (
 	"crashsim/internal/graph"
 )
 
-func testGraph(t *testing.T, n, m int, seed uint64) *graph.Graph {
+func testGraph(t testing.TB, n, m int, seed uint64) *graph.Graph {
 	t.Helper()
 	edges, err := gen.ChungLu(n, m, 2.0, true, seed)
 	if err != nil {

@@ -15,15 +15,18 @@
 // The correction d(w) is the same never-meet-again probability SLING
 // estimates, computed per node alongside its table.
 //
-// The index is compiled flat: each published table packs its (origin,
-// prob) pairs into contiguous arrays addressed by a per-step offset
-// table, the eager hub tables share one packed arena (mirroring the
-// CSR layout of internal/core/frozen.go), and hub tables are built in
-// parallel with byte-identical output across worker counts. Published
-// tables are immutable; lazy tail fill is guarded by per-node
-// singleflight so concurrent queries are safe without a lock on the
-// hot read path. The map-based pre-compile implementation is retained
-// in skeleton.go as the benchmark baseline and differential oracle.
+// Every table is pushed by core.Push, the level push CrashSim's
+// revReach and SLING's build run too: the paper-literal rule along
+// out-edges, pruned at Prune. The index is compiled flat: each
+// published table packs its (origin, prob) pairs into contiguous
+// arrays addressed by a per-step offset table, stored per step like
+// core.ReachTree's levels, the eager hub tables share one packed arena,
+// and hub tables are built in parallel with byte-identical output
+// across worker counts. Published tables are immutable; lazy tail fill
+// is guarded by per-node singleflight so concurrent queries are safe
+// without a lock on the hot read path. The map-based pre-compile
+// implementation survives in skeleton_test.go as the differential
+// oracle.
 //
 // Compared to the original system this drops the variance-adaptive
 // sample allocation and selects hubs by in-degree rather than by

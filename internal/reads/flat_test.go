@@ -8,7 +8,7 @@ import (
 	"crashsim/internal/graph"
 )
 
-func flatTestGraph(t *testing.T, directed bool) *graph.Graph {
+func flatTestGraph(t testing.TB, directed bool) *graph.Graph {
 	t.Helper()
 	edges, err := gen.ErdosRenyi(44, 140, directed, 9)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 	"crashsim/internal/graph"
 )
 
-func diGraphOf(t *testing.T, g *graph.Graph) *graph.DiGraph {
+func diGraphOf(t testing.TB, g *graph.Graph) *graph.DiGraph {
 	t.Helper()
 	d := graph.NewDiGraph(g.NumNodes(), g.Directed())
 	for _, e := range g.Edges() {

@@ -17,8 +17,9 @@ import (
 // most of the file.
 //
 // Layout: node v's distribution entries live at columns
-// [DistOff[v], DistOff[v+1]), in the order push emits them. The
-// inverted index is row-addressed by r = (step-1)·n + node: the
+// [DistOff[v], DistOff[v+1]), in the order distribution emits them
+// (ascending step, then node). The inverted index is row-addressed
+// by r = (step-1)·n + node: the
 // origins whose step-`step` distributions contain `node` are
 // InvOrigins[InvOff[r]:InvOff[r+1]] with matching InvProbs, listed in
 // ascending origin order — the order a query sums in, so every index

@@ -8,7 +8,7 @@ import (
 	"crashsim/internal/graph"
 )
 
-func erGraph(t *testing.T, directed bool) *graph.Graph {
+func erGraph(t testing.TB, directed bool) *graph.Graph {
 	t.Helper()
 	edges, err := gen.ErdosRenyi(48, 160, directed, 11)
 	if err != nil {

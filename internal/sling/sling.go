@@ -12,14 +12,18 @@
 // correction that turns co-location mass into first-meeting mass.
 //
 // The index stores, for every node, its truncated hitting-probability
-// distribution (computed by a deterministic level-by-level push with a
-// pruning threshold) plus the Monte-Carlo estimated d values (the
-// coupled sampler NeverMeet, shared with PRSim and the linearized
-// solver); queries combine the source's distribution with an inverted
-// occurrence index. Both live in one flat CSR form, Flat, which Build
-// compiles and a snapshot stores verbatim, so a built and a loaded
-// index run the same query loop. Index construction is deliberately
-// the expensive phase — the paper notes SLING's index takes hours on
+// distribution plus the Monte-Carlo estimated d values (the coupled
+// sampler NeverMeet, shared with PRSim and the linearized solver);
+// queries combine the source's distribution with an inverted
+// occurrence index. Distributions and inverted index live in one flat
+// CSR form, Flat, which Build compiles and a snapshot stores verbatim,
+// so a built and a loaded index run the same query loop.
+//
+// A node's distribution is its reverse reachable tree (CrashSim's
+// Algorithm 2) with pruning: core.Push runs the one deterministic level
+// push with the exact rule along in-edges and drops each pusher's
+// per-edge share below Prune. Index construction is deliberately the
+// expensive phase — the paper notes SLING's index takes hours on
 // million-node graphs and must be rebuilt on every update, which is
 // why its Fig 5/7 response times include indexing time.
 package sling
