@@ -60,6 +60,7 @@ func FuzzPush(f *testing.F) {
 	f.Add([]byte{10, 1, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 1, 0, 0, 100, 0, 8, 1, 3})
 	f.Add([]byte{16, 0, 48, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 1, 1, 200, 40, 30, 0, 5})
 	f.Add([]byte{6, 1, 12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 2, 0, 1, 128, 9, 20, 1, 4})
+	f.Add([]byte("00c010000000101")) // an indexed tree whose levels empty early, in a dirty arena
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		g := fuzzGraph(t, &in)

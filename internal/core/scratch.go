@@ -11,10 +11,10 @@ import (
 // reachable tree with its probe index.
 // Under steady-state service traffic these dominate per-query
 // allocations, so they are recycled through pools (pool.Pool), each
-// counting its traffic under core.pool.<name>_hits and _misses. Pooling is
-// semantically invisible: every buffer is (re)initialized on acquire,
-// and the determinism tests assert bit-identical Scores with pooling
-// enabled, disabled, and across worker counts.
+// counting its traffic under core.pool.<name>_hits and _misses.
+// Pooling is semantically invisible: every buffer is (re)initialized
+// on acquire, and the determinism tests assert bit-identical Scores
+// with pooling enabled, disabled, and across worker counts.
 
 // arena is the pooled scratch of the one estimate path (see
 // arena.sample): the dense score slab, cut into length-n windows, the
