@@ -222,30 +222,51 @@ func TestProbeIndexMatchesLevels(t *testing.T) {
 // TestFrozenKernelScoresByteIdentical: for a fixed seed, single-source
 // scores must be byte-identical between the reference kernel
 // (legacySingleSource) and the fused kernels, across worker counts,
-// for every meeting rule.
+// for every meeting rule. The power-law graph has candidates with more
+// in-edges than the kernel's 64-entry first-step staging buffer, so
+// its first hop gathers straight through the in-CSR and the s1 table.
 func TestFrozenKernelScoresByteIdentical(t *testing.T) {
-	g := randomTestGraph(t, 80, 400, true, 31)
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, rule := range []MeetingRule{MeetingFirstMeet, MeetingAny, MeetingFirstCrash} {
-		base := Params{Iterations: 300, Seed: 17, Meeting: rule}
-		want, err := legacySingleSource(g, 2, nil, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range workerCounts {
-			fused := base
-			fused.Workers = w
-			got, err := SingleSource(g, 2, nil, fused)
+	hubEdges, err := gen.ChungLu(300, 1500, 2.0, true, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubs, err := gen.BuildStatic(300, true, hubEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := hubs.InDegree(0); d < 100 {
+		t.Fatalf("power-law graph's widest candidate has %d in-edges, want ≥ 100", d)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"random", randomTestGraph(t, 80, 400, true, 31)},
+		{"hubs", hubs},
+	} {
+		g := tc.g
+		workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+		for _, rule := range []MeetingRule{MeetingFirstMeet, MeetingAny, MeetingFirstCrash} {
+			base := Params{Iterations: 300, Seed: 17, Meeting: rule}
+			want, err := legacySingleSource(g, 2, nil, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("rule %v workers %d: %d scores, want %d", rule, w, len(got), len(want))
-			}
-			for v := range want {
-				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-					t.Fatalf("rule %v workers %d: score at node %d differs: %v (fused) vs %v (legacy)",
-						rule, w, v, got[v], want[v])
+			for _, w := range workerCounts {
+				fused := base
+				fused.Workers = w
+				got, err := SingleSource(g, 2, nil, fused)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: rule %v workers %d: %d scores, want %d", tc.name, rule, w, len(got), len(want))
+				}
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("%s: rule %v workers %d: score at node %d differs: %v (fused) vs %v (legacy)",
+							tc.name, rule, w, v, got[v], want[v])
+					}
 				}
 			}
 		}
