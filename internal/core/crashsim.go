@@ -250,7 +250,7 @@ func (a *arena) liveCandidates(g *graph.Graph, u graph.NodeID, omega []graph.Nod
 // and the walks' summed squared contributions. Sampling and scoring are fused
 // into one loop per walk (the walk is never materialized), and the
 // whole n_r budget runs inside one kernel call, so per-walk costs
-// reduce to the walk itself — the meeting-rule dispatch, the CSR array
+// reduce to the walk itself — reading the meeting rule, the CSR array
 // setup and the start node's offsets are all paid once per candidate.
 // Contributions are bit-identical to the two-pass reference kernel the
 // tests keep (sample a walk, then score it against the build-time
@@ -269,61 +269,67 @@ func sampleCandidate(ctx context.Context, g *graph.Graph, pr *srcPrep, v graph.N
 	return sum / float64(nr), sumSq, walks, nil
 }
 
-// runKernel runs a candidate's full n_r-walk budget against the source
-// tree with the meeting rule's fused sample-and-score kernel, and
-// returns the summed contributions, their squares (for
-// SingleSourceWithError's variance; one multiply-add per walk, dropped
-// unless the source has a Σx² window), the number of walks completed,
-// and the context error
-// that cut the loop short, if any. Kernels draw from the devirtualized
+// runKernel is the walk kernel: it runs a candidate's full n_r-walk
+// budget against the source tree under the meeting rule, and returns
+// the summed contributions, their squares (for SingleSourceWithError's
+// variance; one multiply-add per walk, dropped unless the source has a
+// Σx² window), the number of walks completed, and the context error
+// that cut the loop short, if any. It draws from the devirtualized
 // rng.Fast — the same stream rng.Split yields, minus the interface
-// dispatch that would otherwise sit on every step. The dispatch is a
-// direct switch rather than a func value so escape analysis can see
-// that r stays on the caller's stack: an indirect call would move it to
-// the heap, one allocation per candidate.
-func runKernel(ctx context.Context, rule MeetingRule, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
-	switch rule {
-	case MeetingAny:
-		return candidateScoreAny(ctx, g, t, s1, v, sqrtC, lmax, nr, r)
-	case MeetingFirstCrash:
-		return candidateScoreFirstCrash(ctx, g, t, s1, v, sqrtC, lmax, nr, r)
-	default:
-		return candidateScoreFirstMeet(ctx, g, t, s1, v, sqrtC, lmax, nr, r)
-	}
-}
-
-// The three kernels below fuse sampleWalk with walkContribution, the
-// two-pass reference kernel kept in oracle_test.go. They consume the
-// random stream in exactly sampleWalk's order (one Float64, then one
-// IntN when the walk continues), and they accumulate in exactly
+// dispatch that would otherwise sit on every step — which stays on the
+// caller's stack: one candidate's estimate allocates nothing.
+//
+// The kernel fuses sampleWalk with walkContribution, the two-pass
+// reference kernel kept in oracle_test.go. It consumes the random
+// stream in exactly sampleWalk's order (one Float64, then one IntN
+// when the walk continues), and it accumulates in exactly
 // walkContribution's order, so estimates are bit-identical to the
-// reference kernel; the determinism tests enforce this. The
-// √c continue-test is done in integer space — Bits53 consumes the same
+// reference kernel; the determinism tests enforce this. The √c
+// continue-test is done in integer space — Bits53 consumes the same
 // word Float64 would, and Threshold53 makes the comparison exact — so
 // the hot path never converts the draw to a float.
+//
+// The three meeting rules differ only in what a crash probe adds, so
+// the rule is read once per candidate into two numbers and the step
+// loop has no branch on it. Each probe adds its mass less the carried
+// mass C_i, clamped at 0. Under first-meet (Definition 7) C_i is the
+// probability mass of source walks that met this walk at an earlier
+// position and then followed the walk's own path: keep = √c carries it
+// from step to step. Under any-crash and first-crash keep = 0, so C_i
+// stays +0 and every probe adds its mass exactly. A walk whose
+// contribution exceeds stop probes no further: stop = 0 under
+// first-crash, whose first crash is final, and +Inf otherwise. Either
+// way the walk is sampled to its end, so the candidate's random stream
+// stays aligned with the reference.
+//
 // The walk steps through the raw in-adjacency CSR — the offsets of the
-// next position are fetched at arrival, so the first-meet rule's
-// carried-mass update reuses the degree the step already loaded instead
-// of re-deriving g.InDegree.
-// Every later step probes the tree's index row for that step: one
-// word test, then for a hit one popcount and one load from probs.
-// The first step is peeled out of the step loop: every walk starts at
-// v, so the hop draws from a fixed range (whose bounds, and a walk
-// that cannot move at all, are rejected once per candidate), and the
-// landing node's crash probability and onward bounds come from the
-// 16-byte s1 table entry instead of inOff and the probe. On a
+// next position are fetched at arrival, so the carried-mass update
+// reuses the degree the step already loaded instead of re-deriving
+// g.InDegree. Every later step probes the tree's index row for that
+// step: one word test, then for a hit one popcount and one load from
+// probs. The first step is peeled out of the step loop: every walk
+// starts at v, so the hop draws from a fixed range (whose bounds, and
+// a walk that cannot move at all, are rejected once per candidate),
+// and the landing node's crash probability and onward bounds come from
+// the 16-byte s1 table entry instead of inOff and the probe. On a
 // geometrically truncated walk the first step is the most common one,
-// so the peel removes roughly a quarter of all probes.
-// A candidate with no in-edges (or lmax < 1) never moves, so every
-// walk contributes exactly 0 — the same sum the reference kernel reaches
+// so the peel removes roughly a quarter of all probes. A candidate
+// with no in-edges (or lmax < 1) never moves, so every walk
+// contributes exactly 0 — the same sum the reference kernel reaches
 // after sampling, returned without drawing.
-
-func candidateScoreAny(ctx context.Context, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
+func runKernel(ctx context.Context, rule MeetingRule, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
 	inOff, inAdj := g.InCSR()
 	lo0, hi0 := inOff[v], inOff[v+1]
 	u0 := uint64(hi0 - lo0)
 	if lmax < 1 || u0 == 0 {
 		return 0, 0, nr, nil
+	}
+	keep, stop := sqrtC, math.Inf(1) // first-meet's; see above
+	switch rule {
+	case MeetingAny:
+		keep = 0
+	case MeetingFirstCrash:
+		keep, stop = 0, 0
 	}
 	// The probe arrays come off the struct once: every RNG draw stores
 	// through r, which keeps the compiler from proving t's fields
@@ -381,205 +387,13 @@ func candidateScoreAny(ctx context.Context, g *graph.Graph, t *ReachTree, s1 []s
 				e = s1[inAdj[lo0+int32(j)]]
 			}
 			lo, hi := e.lo, e.hi
-			x = e.p
-			for step := 2; step <= lmax; step++ {
-				if r.Bits53() >= thresh {
-					break
-				}
-				deg := int(hi - lo)
-				if deg == 0 {
-					break
-				}
-				x64 := r.Uint64()
-				u := uint64(deg)
-				var j uint64
-				if u&(u-1) == 0 {
-					j = x64 & (u - 1)
-				} else {
-					hi2, lo2 := bits.Mul64(x64, u)
-					if lo2 < u {
-						t := -u % u
-						for lo2 < t {
-							hi2, lo2 = bits.Mul64(r.Uint64(), u)
-						}
-					}
-					j = hi2
-				}
-				cur := inAdj[lo+int32(j)]
-				lo, hi = inOff[cur], inOff[cur+1]
-				wi := step*rowLen + int(cur>>6)*2
-				if word, bit := idx[wi], uint64(1)<<uint(cur&63); word&bit != 0 {
-					x += probs[int(idx[wi+1])+bits.OnesCount64(word&(bit-1))]
-				}
-			}
-		}
-		sum += x
-		sumSq += x * x
-	}
-	return sum, sumSq, nr, nil
-}
-
-func candidateScoreFirstCrash(ctx context.Context, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
-	// After the first positive crash probability a walk's contribution
-	// is final, but the walk must still be sampled to its end so the
-	// candidate's random stream stays aligned with the reference kernel.
-	inOff, inAdj := g.InCSR()
-	lo0, hi0 := inOff[v], inOff[v+1]
-	u0 := uint64(hi0 - lo0)
-	if lmax < 1 || u0 == 0 {
-		return 0, 0, nr, nil
-	}
-	// See candidateScoreAny: local headers keep the probe bases in
-	// registers across the RNG's stores.
-	idx, probs, rowLen := t.idx, t.probs, 2*t.words
-	// Stage the candidate's own first-hop entries in a stack buffer:
-	// after the first walk these few lines are L1-resident, so the
-	// peeled first step reads one hot entry instead of gathering
-	// through inAdj and the length-n s1 table on every walk. Candidates
-	// with more in-edges than the buffer (rare) gather directly.
-	var entBuf [64]step1
-	var ent []step1
-	if u0 <= uint64(len(entBuf)) {
-		ent = entBuf[:u0]
-		for j := range ent {
-			ent[j] = s1[inAdj[lo0+int32(j)]]
-		}
-	}
-	thresh := rng.Threshold53(sqrtC)
-	for k := 0; k < nr; k++ {
-		if k&(ctxCheckInterval-1) == ctxCheckInterval-1 {
-			if e := ctx.Err(); e != nil {
-				return 0, 0, k, e
-			}
-		}
-		x := 0.0
-		if r.Bits53() < thresh {
-			// See candidateScoreAny for the inlined uniform draw.
-			x64 := r.Uint64()
-			var j uint64
-			if u0&(u0-1) == 0 {
-				j = x64 & (u0 - 1)
-			} else {
-				hi2, lo2 := bits.Mul64(x64, u0)
-				if lo2 < u0 {
-					t := -u0 % u0
-					for lo2 < t {
-						hi2, lo2 = bits.Mul64(r.Uint64(), u0)
-					}
-				}
-				j = hi2
-			}
-			var e step1
-			if ent != nil {
-				e = ent[j]
-			} else {
-				e = s1[inAdj[lo0+int32(j)]]
-			}
-			lo, hi := e.lo, e.hi
-			x = e.p
-			for step := 2; step <= lmax; step++ {
-				if r.Bits53() >= thresh {
-					break
-				}
-				deg := int(hi - lo)
-				if deg == 0 {
-					break
-				}
-				x64 := r.Uint64()
-				u := uint64(deg)
-				var j uint64
-				if u&(u-1) == 0 {
-					j = x64 & (u - 1)
-				} else {
-					hi2, lo2 := bits.Mul64(x64, u)
-					if lo2 < u {
-						t := -u % u
-						for lo2 < t {
-							hi2, lo2 = bits.Mul64(r.Uint64(), u)
-						}
-					}
-					j = hi2
-				}
-				cur := inAdj[lo+int32(j)]
-				lo, hi = inOff[cur], inOff[cur+1]
-				if x == 0 {
-					wi := step*rowLen + int(cur>>6)*2
-					if word, bit := idx[wi], uint64(1)<<uint(cur&63); word&bit != 0 {
-						x = probs[int(idx[wi+1])+bits.OnesCount64(word&(bit-1))]
-					}
-				}
-			}
-		}
-		sum += x
-		sumSq += x * x
-	}
-	return sum, sumSq, nr, nil
-}
-
-func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, t *ReachTree, s1 []step1, v graph.NodeID, sqrtC float64, lmax, nr int, r *rng.Fast) (sum, sumSq float64, walks int, err error) {
-	inOff, inAdj := g.InCSR()
-	lo0, hi0 := inOff[v], inOff[v+1]
-	u0 := uint64(hi0 - lo0)
-	if lmax < 1 || u0 == 0 {
-		return 0, 0, nr, nil
-	}
-	// See candidateScoreAny: local headers keep the probe bases in
-	// registers across the RNG's stores.
-	idx, probs, rowLen := t.idx, t.probs, 2*t.words
-	// Stage the candidate's own first-hop entries in a stack buffer:
-	// after the first walk these few lines are L1-resident, so the
-	// peeled first step reads one hot entry instead of gathering
-	// through inAdj and the length-n s1 table on every walk. Candidates
-	// with more in-edges than the buffer (rare) gather directly.
-	var entBuf [64]step1
-	var ent []step1
-	if u0 <= uint64(len(entBuf)) {
-		ent = entBuf[:u0]
-		for j := range ent {
-			ent[j] = s1[inAdj[lo0+int32(j)]]
-		}
-	}
-	thresh := rng.Threshold53(sqrtC)
-	for k := 0; k < nr; k++ {
-		if k&(ctxCheckInterval-1) == ctxCheckInterval-1 {
-			if e := ctx.Err(); e != nil {
-				return 0, 0, k, e
-			}
-		}
-		// carried is C_i: the probability mass of source walks that met
-		// this walk at an earlier position and then followed the walk's
-		// own path; it is excluded from later crashes. At the peeled
-		// first step carried is 0, so the step's contribution is the s1
-		// mass as-is and the carry seeds from it directly.
-		x := 0.0
-		if r.Bits53() < thresh {
-			// See candidateScoreAny for the inlined uniform draw.
-			x64 := r.Uint64()
-			var j uint64
-			if u0&(u0-1) == 0 {
-				j = x64 & (u0 - 1)
-			} else {
-				hi2, lo2 := bits.Mul64(x64, u0)
-				if lo2 < u0 {
-					t := -u0 % u0
-					for lo2 < t {
-						hi2, lo2 = bits.Mul64(r.Uint64(), u0)
-					}
-				}
-				j = hi2
-			}
-			var e step1
-			if ent != nil {
-				e = ent[j]
-			} else {
-				e = s1[inAdj[lo0+int32(j)]]
-			}
-			lo, hi := e.lo, e.hi
+			// At the first step carried is 0, so the step's contribution
+			// is the s1 mass as-is and the carry seeds from it directly.
 			x = e.p
 			carried := 0.0
 			if x != 0 {
 				if deg := int(hi - lo); deg > 0 {
-					carried = x * sqrtC / float64(deg)
+					carried = x * keep / float64(deg)
 				}
 			}
 			for step := 2; step <= lmax; step++ {
@@ -590,6 +404,7 @@ func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, t *ReachTree, 
 				if deg == 0 {
 					break
 				}
+				// The same inlined draw as the first step's, over [0, deg).
 				x64 := r.Uint64()
 				u := uint64(deg)
 				var j uint64
@@ -607,6 +422,9 @@ func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, t *ReachTree, 
 				}
 				cur := inAdj[lo+int32(j)]
 				lo, hi = inOff[cur], inOff[cur+1]
+				if x > stop {
+					continue
+				}
 				p := 0.0
 				wi := step*rowLen + int(cur>>6)*2
 				if word, bit := idx[wi], uint64(1)<<uint(cur&63); word&bit != 0 {
@@ -623,7 +441,7 @@ func candidateScoreFirstMeet(ctx context.Context, g *graph.Graph, t *ReachTree, 
 				// expensive op from the common all-miss walk.
 				if t := carried + m; t != 0 {
 					if deg = int(hi - lo); deg > 0 {
-						carried = t * sqrtC / float64(deg)
+						carried = t * keep / float64(deg)
 					} else {
 						carried = 0
 					}

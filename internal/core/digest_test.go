@@ -50,7 +50,7 @@ func (d *scoreDigest) scores(s Scores) {
 // and the single-tree top-k (the non-backtracking rows after its level
 // marginals were first summed in sorted state order; before that they
 // depended on map iteration order). Any change to the random streams, the
-// tree's floating-point summation order, the kernels' accumulation
+// tree's floating-point summation order, the kernel's accumulation
 // order or the top-k candidate selection changes a digest. Each row is
 // one (meeting rule, transition, non-backtracking) configuration on the
 // same generated graph and history.

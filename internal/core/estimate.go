@@ -24,7 +24,7 @@ type Estimate struct {
 // error. It is a view over the one estimate path: the same query with a
 // Σx² window next to the score window, so the Score fields match
 // SingleSource bit-for-bit and the variance comes straight out of the
-// fused kernels.
+// fused walk kernel.
 func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, p Params) (map[graph.NodeID]Estimate, error) {
 	tree, q, nr, err := prepare(g, u, p)
 	if err != nil {

@@ -101,9 +101,10 @@ func FuzzPush(f *testing.F) {
 // whose first source repeats at the end, a candidate set (nil, or a
 // subset that may hold a source), a meeting rule, 1–4 workers, n_r,
 // a seed and the prefilter/non-backtracking/pooling switches.
-// MultiSource, SingleSourceCtx per source, SingleSourceWithTree and
-// the Score fields of SingleSourceWithError must then agree bit for
-// bit on every candidate.
+// MultiSource, SingleSourceCtx per source, SingleSourceWithTree, the
+// Score fields of SingleSourceWithError and the two-pass reference
+// kernel (legacySingleSource: sampleWalk + walkContribution, no
+// prefilter) must then agree bit for bit on every candidate.
 func FuzzEstimatePaths(f *testing.F) {
 	f.Add([]byte{10, 1, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 1, 40, 7, 0, 3, 0, 4, 9, 0})
 	f.Add([]byte{16, 0, 48, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 2, 3, 25, 1, 1, 4, 0, 7, 2, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1})
@@ -162,21 +163,26 @@ func FuzzEstimatePaths(f *testing.F) {
 			if err != nil {
 				t.Fatalf("SingleSourceWithError(%d): %v", u, err)
 			}
-			if len(single) != want || len(batch[i]) != want || len(withTree) != want || len(withErr) != want {
-				t.Fatalf("source %d: %d single, %d batch, %d with-tree, %d with-error scores, want %d",
-					u, len(single), len(batch[i]), len(withTree), len(withErr), want)
+			legacy, err := legacySingleSource(g, u, omega, p)
+			if err != nil {
+				t.Fatalf("legacySingleSource(%d): %v", u, err)
+			}
+			if len(single) != want || len(batch[i]) != want || len(withTree) != want || len(withErr) != want || len(legacy) != want {
+				t.Fatalf("source %d: %d single, %d batch, %d with-tree, %d with-error, %d reference scores, want %d",
+					u, len(single), len(batch[i]), len(withTree), len(withErr), len(legacy), want)
 			}
 			for v, s := range single {
 				bs, ok1 := batch[i][v]
 				ts, ok2 := withTree[v]
 				es, ok3 := withErr[v]
-				if !ok1 || !ok2 || !ok3 {
-					t.Fatalf("source %d node %d: missing from a path's result (batch %v, with-tree %v, with-error %v)", u, v, ok1, ok2, ok3)
+				ls, ok4 := legacy[v]
+				if !ok1 || !ok2 || !ok3 || !ok4 {
+					t.Fatalf("source %d node %d: missing from a path's result (batch %v, with-tree %v, with-error %v, reference %v)", u, v, ok1, ok2, ok3, ok4)
 				}
 				for _, other := range []struct {
 					path  string
 					score float64
-				}{{"MultiSource", bs}, {"SingleSourceWithTree", ts}, {"SingleSourceWithError", es.Score}} {
+				}{{"MultiSource", bs}, {"SingleSourceWithTree", ts}, {"SingleSourceWithError", es.Score}, {"legacySingleSource", ls}} {
 					if math.Float64bits(other.score) != math.Float64bits(s) {
 						t.Fatalf("source %d node %d: %s %v, SingleSourceCtx %v (params %+v)", u, v, other.path, other.score, s, p)
 					}

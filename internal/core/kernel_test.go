@@ -221,7 +221,7 @@ func TestProbeIndexMatchesLevels(t *testing.T) {
 
 // TestFrozenKernelScoresByteIdentical: for a fixed seed, single-source
 // scores must be byte-identical between the reference kernel
-// (legacySingleSource) and the fused kernels, across worker counts,
+// (legacySingleSource) and the fused kernel, across worker counts,
 // for every meeting rule. The power-law graph has candidates with more
 // in-edges than the kernel's 64-entry first-step staging buffer, so
 // its first hop gathers straight through the in-CSR and the s1 table.
@@ -383,8 +383,8 @@ func BenchmarkWalkContributionFirstCrash(b *testing.B) { benchmarkWalkKernel(b, 
 func BenchmarkWalkContributionFirstMeet(b *testing.B)  { benchmarkWalkKernel(b, MeetingFirstMeet) }
 
 // BenchmarkWalkContributionLegacy is the map-kernel baseline for the
-// three fused kernels above: sampleWalk + walkContribution under the
-// default first-meet rule.
+// fused kernel's three rules above: sampleWalk + walkContribution under
+// the default first-meet rule.
 func BenchmarkWalkContributionLegacy(b *testing.B) {
 	g, pr, lmax := kernelBenchSetup(b)
 	tree := pr.tree
@@ -471,9 +471,10 @@ func BenchmarkSingleSourceKernels(b *testing.B) {
 }
 
 // TestCandidateEstimateAllocationFree: one candidate's estimate against
-// a prepared source tree allocates nothing. The meeting-rule dispatch is a
-// direct switch, so the candidate's random stream stays on the stack;
-// a func-value dispatch would move it to the heap once per candidate.
+// a prepared source tree allocates nothing under any meeting rule. The
+// walk kernel is called directly, so the candidate's random stream
+// stays on the stack; calling it through a func value would move the
+// stream to the heap once per candidate.
 func TestCandidateEstimateAllocationFree(t *testing.T) {
 	g := randomTestGraph(t, 200, 1200, true, 3)
 	for _, rule := range []MeetingRule{MeetingAny, MeetingFirstCrash, MeetingFirstMeet} {

@@ -10,10 +10,11 @@ import (
 // The reference kernel: the original two-pass form of CrashSim's
 // Monte-Carlo loop, which samples each walk into a buffer and then
 // scores it against the tree's sorted levels with one binary search per
-// step (levelSearch, not the probe index). The fused kernels must
-// reproduce it bit for bit —
-// same random stream, same floating-point operation order — and the
-// equivalence tests compare the two through legacySingleSource.
+// step (levelSearch, not the probe index). The fused kernel must
+// reproduce it bit for bit under every meeting rule — same random
+// stream, same floating-point operation order — and the equivalence
+// tests and FuzzEstimatePaths compare the two through
+// legacySingleSource.
 
 // sampleWalk appends to buf a truncated √c-walk starting at v: at every
 // step the walk stops with probability 1−√c, otherwise it moves to a

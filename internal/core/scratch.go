@@ -51,7 +51,7 @@ type srcPrep struct {
 // CSR in-edge bounds of w and the tree's step-1 mass at w. Every walk's
 // first hop draws uniformly from the candidate's in-neighbors, so
 // step 1 — the most common step of a geometrically truncated walk —
-// skips the probe: the kernels peel it out of the step loop and read
+// skips the probe: the kernel peels it out of the step loop and reads
 // one 16-byte entry instead of inOff and the level-1 index row.
 type step1 struct {
 	lo, hi int32

@@ -95,7 +95,8 @@ func New(g *graph.Graph, opt Options) (*Solver, error) {
 	s := &Solver{g: g, opt: o, d: make([]float64, g.NumNodes())}
 	sc := math.Sqrt(o.C)
 	for x := range s.d {
-		s.d[x] = sling.NeverMeet(g, graph.NodeID(x), sc, o.K+4, o.DSamples, rng.Split(o.Seed, uint64(x)))
+		r := rng.FastSplit(o.Seed, uint64(x))
+		s.d[x] = sling.NeverMeet(g, graph.NodeID(x), sc, o.K+4, o.DSamples, &r)
 	}
 	return s, nil
 }

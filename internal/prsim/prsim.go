@@ -471,7 +471,8 @@ func (ix *Index) compile(w graph.NodeID) *table {
 		}
 	})
 	// d(w) is sampled on an independent per-node stream.
-	t.d = sling.NeverMeet(ix.g, w, ix.sc, ix.opt.MaxDepth, ix.opt.DSamples, rng.Split(ix.opt.Seed^0x5157, uint64(w)))
+	r := rng.FastSplit(ix.opt.Seed^0x5157, uint64(w))
+	t.d = sling.NeverMeet(ix.g, w, ix.sc, ix.opt.MaxDepth, ix.opt.DSamples, &r)
 	return t
 }
 

@@ -46,7 +46,7 @@ type coldWork struct {
 // pinnedCold is the cold row of the single-source query, measured
 // without -race.
 var pinnedCold = map[string]coldWork{
-	"single": {Allocs: 1960, Bytes: 972248},
+	"single": {Allocs: 1415, Bytes: 963512},
 }
 
 // workOptions builds the work table's indexes: one worker, so lazy tail

@@ -28,13 +28,16 @@ func Split(seed uint64, stream uint64) *Source {
 	return rand.New(rand.NewPCG(mix(seed^0x9e3779b97f4a7c15), mix(stream+0x517cc1b727220a95)))
 }
 
-// Fast is a devirtualized, fully inlinable replica of a Split stream:
-// the same PCG-DXSM generator as math/rand/v2, with state held inline
-// and Uint64/Float64/IntN replicated bit for bit. Monte-Carlo inner
-// loops draw two variates per walk step, and on that path rand.Rand's
+// Fast is a devirtualized replica of a Split stream: the same PCG-DXSM
+// generator as math/rand/v2, with state held inline and
+// Uint64/Float64/IntN replicated bit for bit. Monte-Carlo inner loops
+// draw two variates per walk step, and on that path rand.Rand's
 // Source-interface dispatch plus the non-inlinable method bodies are a
-// measurable fraction of the step — Fast removes both (it also lives on
-// the caller's stack, so a per-candidate stream costs no allocation).
+// measurable fraction of the step. Uint64, Float64 and Bits53 inline;
+// IntN is over the inlining budget and stays a call, so a loop that
+// must keep the whole draw in registers writes IntN's mapping out
+// around an inlined Uint64 (core's walk kernel does). Fast also lives
+// on the caller's stack, so a per-candidate stream costs no allocation.
 //
 // Equivalence with Split is a hard contract: estimators switch between
 // rand.Rand and Fast freely and their results must stay byte-identical.
@@ -99,39 +102,24 @@ func Threshold53(p float64) uint64 {
 }
 
 // IntN returns a uniform variate in [0, n), identical to
-// (*rand.Rand).IntN on the same stream. n must be positive. (rand.Rand
-// routes small n through a 32-bit path on 32-bit platforms; for
-// 0 < n < 2³¹ that path consumes the same words and returns the same
-// values as the 64-bit one implemented here, so the replication holds
-// on every platform for the node-degree arguments the walks use.)
+// (*rand.Rand).IntN on the same stream: a power of two masks the low
+// bits, anything else maps the word with Lemire's multiply and draws
+// again on the rare rejection. n must be positive. (rand.Rand routes
+// small n through a 32-bit path on 32-bit platforms; for 0 < n < 2³¹
+// that path consumes the same words and returns the same values as the
+// 64-bit one implemented here, so the replication holds on every
+// platform for the node-degree arguments the walks use.)
 func (f *Fast) IntN(n int) int {
-	return f.IntNWord(f.Uint64(), n)
-}
-
-// IntNWord maps an already-drawn word x onto [0, n) exactly as IntN
-// does — IntN(n) ≡ IntNWord(Uint64(), n) — drawing again only on the
-// rare Lemire rejection. Callers whose inner loop already inlines
-// Uint64 use this to keep the whole draw inlined: IntN's body plus an
-// inlined Uint64 exceeds the inlining budget, but the two halves fit
-// separately.
-func (f *Fast) IntNWord(x uint64, n int) int {
-	u := uint64(n)
-	if u&(u-1) == 0 { // power of two: mask the low bits
+	u, x := uint64(n), f.Uint64()
+	if u&(u-1) == 0 {
 		return int(x & (u - 1))
 	}
 	hi, lo := bits.Mul64(x, u)
 	if lo < u {
-		return f.intNSlow(hi, lo, u)
-	}
-	return int(hi)
-}
-
-// intNSlow is IntN's rejection path (taken with probability < u/2⁶⁴),
-// split out so IntN itself stays inlinable.
-func (f *Fast) intNSlow(hi, lo, u uint64) int {
-	thresh := -u % u
-	for lo < thresh {
-		hi, lo = bits.Mul64(f.Uint64(), u)
+		thresh := -u % u
+		for lo < thresh {
+			hi, lo = bits.Mul64(f.Uint64(), u)
+		}
 	}
 	return int(hi)
 }

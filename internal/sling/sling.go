@@ -181,7 +181,8 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) 
 	d := make([]float64, n)
 	sc := math.Sqrt(o.C)
 	if err := par.ForEachCtx(ctx, n, o.Workers, func(x int) {
-		d[x] = NeverMeet(g, graph.NodeID(x), sc, o.Lmax, o.DSamples, rng.Split(o.Seed, uint64(x)))
+		r := rng.FastSplit(o.Seed, uint64(x))
+		d[x] = NeverMeet(g, graph.NodeID(x), sc, o.Lmax, o.DSamples, &r)
 	}); err != nil {
 		return nil, err
 	}
@@ -213,8 +214,11 @@ func distribution(g *graph.Graph, v graph.NodeID, o Options) []entry {
 // the same step in 1..maxLen] from samples coupled walk pairs drawn
 // from r. SLING, PRSim and the linearized solver all correct with
 // this d; each passes its own stream (derived from x, so the result is
-// independent of evaluation order) and its own depth.
-func NeverMeet(g *graph.Graph, x graph.NodeID, sqrtC float64, maxLen, samples int, r *rng.Source) float64 {
+// independent of evaluation order) and its own depth. The stream is an
+// rng.Fast on the caller's stack, which draws the variates rand.Rand
+// would on the same Split stream without allocating a generator per
+// node.
+func NeverMeet(g *graph.Graph, x graph.NodeID, sqrtC float64, maxLen, samples int, r *rng.Fast) float64 {
 	never := 0
 	for s := 0; s < samples; s++ {
 		a, b := x, x
