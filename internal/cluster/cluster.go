@@ -211,19 +211,3 @@ func shareInNeighbor(g *graph.Graph, a, b graph.NodeID) bool {
 	}
 	return false
 }
-
-// Sizes returns a histogram: sizes[k] = number of clusters with k
-// members (index 0 unused).
-func Sizes(r *Result) []int {
-	maxSize := 0
-	for _, c := range r.Clusters {
-		if len(c.Members) > maxSize {
-			maxSize = len(c.Members)
-		}
-	}
-	sizes := make([]int, maxSize+1)
-	for _, c := range r.Clusters {
-		sizes[len(c.Members)]++
-	}
-	return sizes
-}

@@ -168,18 +168,6 @@ func allNodes(g *graph.Graph) []graph.NodeID {
 	return out
 }
 
-func TestSizes(t *testing.T) {
-	r := &Result{Clusters: []Cluster{
-		{Members: make([]graph.NodeID, 3)},
-		{Members: make([]graph.NodeID, 1)},
-		{Members: make([]graph.NodeID, 3)},
-	}}
-	s := Sizes(r)
-	if s[3] != 2 || s[1] != 1 {
-		t.Errorf("sizes = %v", s)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	g := twoCommunities(t)
 	if _, err := Greedy(g, Options{Theta: 2}); err == nil {

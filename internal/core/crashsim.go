@@ -54,7 +54,7 @@ func SingleSourceResult(ctx context.Context, g *graph.Graph, u graph.NodeID, ome
 	}
 	// The tree is owned by this query alone, so its arena goes back to
 	// the pool once the estimate is done.
-	defer treePool.Put(tree, !q.DisablePooling)
+	defer treePool.Put(tree)
 	return estimateSource(ctx, g, u, tree, omega, q, nr)
 }
 
@@ -87,7 +87,7 @@ func SingleSourceWithTree(g *graph.Graph, u graph.NodeID, omega []graph.NodeID, 
 // BuildTree builds the reverse reachable tree CrashSim would use for a
 // query from u under p. It is exposed for CrashSim-T and for tools that
 // inspect the tree (cmd/repro's Example 2 reproduction).
-func BuildTree(g adjacency, u graph.NodeID, p Params) (*ReachTree, error) {
+func BuildTree(g *graph.Graph, u graph.NodeID, p Params) (*ReachTree, error) {
 	q := p.withDefaults()
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func BuildTree(g adjacency, u graph.NodeID, p Params) (*ReachTree, error) {
 // with its probe index into the caller's arena dst, or into a pooled
 // one when dst is nil. Non-backtracking trees always build into their
 // own arena.
-func buildTreeInto(dst *ReachTree, g adjacency, u graph.NodeID, q Params) *ReachTree {
+func buildTreeInto(dst *ReachTree, g *graph.Graph, u graph.NodeID, q Params) *ReachTree {
 	switch {
 	case q.NonBacktracking:
 		return RevReachNonBacktracking(g, u, q.C, q.Lmax, q.Transition)
@@ -135,9 +135,8 @@ func checkSource(g *graph.Graph, u graph.NodeID) error {
 // tree.
 func estimateSource(ctx context.Context, g *graph.Graph, u graph.NodeID, tree *ReachTree, omega []graph.NodeID, q Params, nr int) (Result, error) {
 	n := g.NumNodes()
-	pooled := !q.DisablePooling
-	a := acquireArena(1, 1, n, pooled)
-	defer a.release(pooled)
+	a := acquireArena(1, 1, n)
+	defer a.release()
 	a.addSource(g, u, tree, a.window(0, n), nil)
 	return a.sampleOne(ctx, g, omega, q, nr)
 }

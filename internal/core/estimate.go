@@ -30,11 +30,10 @@ func SingleSourceWithError(g *graph.Graph, u graph.NodeID, omega []graph.NodeID,
 	if err != nil {
 		return nil, err
 	}
-	pooled := !q.DisablePooling
-	defer treePool.Put(tree, pooled)
+	defer treePool.Put(tree)
 	n := g.NumNodes()
-	a := acquireArena(2, 1, n, pooled)
-	defer a.release(pooled)
+	a := acquireArena(2, 1, n)
+	defer a.release()
 	a.addSource(g, u, tree, a.window(0, n), a.window(1, n))
 	cand, err := a.sample(context.Background(), g, omega, q, nr)
 	if err != nil {

@@ -100,7 +100,8 @@ func FuzzPush(f *testing.F) {
 // path. The input decodes to a graph of 2–24 nodes, a source batch
 // whose first source repeats at the end, a candidate set (nil, or a
 // subset that may hold a source), a meeting rule, 1–4 workers, n_r,
-// a seed and the prefilter/non-backtracking/pooling switches.
+// a seed and the prefilter/non-backtracking switches (flag bits 1 and
+// 2; bit 4 is unused).
 // MultiSource, SingleSourceCtx per source, SingleSourceWithTree, the
 // Score fields of SingleSourceWithError and the two-pass reference
 // kernel (legacySingleSource: sampleWalk + walkContribution, no
@@ -121,7 +122,6 @@ func FuzzEstimatePaths(f *testing.F) {
 			Seed:             uint64(in.next()),
 			DisablePrefilter: flags&1 != 0,
 			NonBacktracking:  flags&2 != 0,
-			DisablePooling:   flags&4 != 0,
 		}
 		sources := make([]graph.NodeID, 1+in.next()%4)
 		for i := range sources {

@@ -359,7 +359,8 @@ func kernelBenchSetup(b *testing.B) (*graph.Graph, *srcPrep, int) {
 	g := benchGraph(b, 5000, 50000)
 	lmax := DeriveLmax(0.6)
 	tree := RevReach(g, 1, 0.6, lmax, TransitionExact)
-	a := acquireArena(1, 1, g.NumNodes(), false)
+	a := acquireArena(1, 1, g.NumNodes())
+	b.Cleanup(a.release)
 	a.addSource(g, 1, tree, a.window(0, g.NumNodes()), nil)
 	return g, &a.preps[0], lmax
 }
@@ -480,7 +481,8 @@ func TestCandidateEstimateAllocationFree(t *testing.T) {
 	for _, rule := range []MeetingRule{MeetingAny, MeetingFirstCrash, MeetingFirstMeet} {
 		p := Params{Iterations: 50, Seed: 5, Meeting: rule}.withDefaults()
 		tree := RevReach(g, 1, p.C, p.Lmax, p.Transition)
-		a := acquireArena(1, 1, g.NumNodes(), false)
+		a := acquireArena(1, 1, g.NumNodes())
+		defer a.release()
 		a.addSource(g, 1, tree, a.window(0, g.NumNodes()), nil)
 		sqrtC := math.Sqrt(p.C)
 		ctx := context.Background()

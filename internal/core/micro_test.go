@@ -200,22 +200,25 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleSourceReuse contrasts steady-state allocations with the
-// query-scratch pool on (the default) and off: run with -benchmem to see
-// allocs/op drop in the pooled case.
+// BenchmarkSingleSourceReuse contrasts steady-state allocations from
+// warm query-scratch pools (the serving case) with cold ones, emptied
+// before every query: run with -benchmem to see allocs/op drop in the
+// pooled case. The cold case's time includes the two collections.
 func BenchmarkSingleSourceReuse(b *testing.B) {
 	g := benchGraph(b, 2000, 20000)
-	for _, bc := range []struct {
-		name   string
-		params Params
-	}{
-		{"pooled", Params{Iterations: 200, Seed: 1}},
-		{"nopool", Params{Iterations: 200, Seed: 1, DisablePooling: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	p := Params{Iterations: 200, Seed: 1}
+	for _, cold := range []bool{false, true} {
+		name := "pooled"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SingleSource(g, graph.NodeID(i%2000), nil, bc.params); err != nil {
+				if cold {
+					emptyPools()
+				}
+				if _, err := SingleSource(g, graph.NodeID(i%2000), nil, p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -84,15 +84,14 @@ func MultiSourceResults(ctx context.Context, g *graph.Graph, sources, omega []gr
 	}
 	statBatchDedup.Add(uint64(len(sources) - len(uniq)))
 
-	pooled := !q.DisablePooling
-	a := acquireArena(len(uniq), len(uniq), n, pooled)
-	defer a.release(pooled)
+	a := acquireArena(len(uniq), len(uniq), n)
+	defer a.release()
 	// Source trees are owned by this batch alone; hand their arenas
 	// back once the estimates (or an abort) are done. Runs before
 	// a.release (LIFO), which then drops the dangling pointers.
 	defer func() {
 		for i := range a.preps {
-			treePool.Put(a.preps[i].tree, pooled)
+			treePool.Put(a.preps[i].tree)
 		}
 	}()
 

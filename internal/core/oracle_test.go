@@ -21,7 +21,7 @@ import (
 // uniformly chosen in-neighbor; it also stops at nodes without
 // in-neighbors and after maxSteps steps. The returned slice holds the
 // visited nodes (v first), so it has between 1 and maxSteps+1 elements.
-func sampleWalk(g adjacency, v graph.NodeID, sqrtC float64, maxSteps int, r *rng.Source, buf []graph.NodeID) []graph.NodeID {
+func sampleWalk(g *graph.Graph, v graph.NodeID, sqrtC float64, maxSteps int, r *rng.Source, buf []graph.NodeID) []graph.NodeID {
 	buf = append(buf[:0], v)
 	cur := v
 	for step := 0; step < maxSteps; step++ {

@@ -115,12 +115,6 @@ type Params struct {
 	// multi-source BFS that skips candidates whose walks provably cannot
 	// crash). Scores are identical either way; ablation only.
 	DisablePrefilter bool
-	// DisablePooling turns off the sync.Pool reuse of query scratch
-	// (dense score arrays, walk buffers, reverse-tree level storage).
-	// Scores are bit-identical either way — the determinism tests
-	// enforce it — so this exists only to measure the allocation win
-	// and to localize pooling bugs.
-	DisablePooling bool
 	// Workers bounds the number of goroutines used to process the
 	// candidate set. 0 or 1 is sequential. Results are identical for
 	// any worker count: every candidate has its own random stream.

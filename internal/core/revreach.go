@@ -234,7 +234,7 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 	}
 	n := g.NumNodes()
 	ps := acquirePatchScratch(n)
-	defer patchPool.Put(ps, true)
+	defer patchPool.Put(ps)
 
 	// Affected closure: a node's level value can change only if it is
 	// the tail of a changed edge (its out-list changed), pushes through a
@@ -424,16 +424,6 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 	return nt, changed.appendNodes(nil), true
 }
 
-// adjacency abstracts the two graph representations revReach runs on:
-// immutable CSR snapshots and the mutable working graph of a temporal
-// cursor.
-type adjacency interface {
-	NumNodes() int
-	In(v graph.NodeID) []graph.NodeID
-	Out(v graph.NodeID) []graph.NodeID
-	InDegree(v graph.NodeID) int
-}
-
 // Direction selects the edges the level push follows from each pusher.
 type Direction uint8
 
@@ -452,11 +442,11 @@ const (
 // by pushing each node's mass to its in-neighbors. The cost is
 // O(l_max · m) in the worst case and proportional to the touched
 // neighborhood in practice.
-func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
+func RevReach(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
 	// The arena comes from the scratch pool: SingleSourceCtx releases
 	// the tree after its estimate, so repeated queries append into
 	// storage already grown to a typical tree's size.
-	return revReachInto(treePool.Get(true), g, u, c, lmax, rule, 0, InEdges, true)
+	return revReachInto(treePool.Get(), g, u, c, lmax, rule, 0, InEdges, true)
 }
 
 // Push runs the level push of revReach from u along dir, dropping every
@@ -464,10 +454,10 @@ func RevReach(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionR
 // and hands the finished tree to use. The tree and its levels are valid
 // only during the call. SLING's per-node distributions and PRSim's
 // tables are this push with their own rule, threshold and direction.
-func Push(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction, use func(t *ReachTree)) {
-	t := revReachInto(treePool.Get(true), g, u, c, lmax, rule, tau, dir, false)
+func Push(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction, use func(t *ReachTree)) {
+	t := revReachInto(treePool.Get(), g, u, c, lmax, rule, tau, dir, false)
 	use(t)
-	treePool.Put(t, true)
+	treePool.Put(t)
 }
 
 // revReachInto is the one level push, into the caller's arena t, whose
@@ -482,7 +472,7 @@ func Push(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule,
 // has lmax+1 levels. indexed selects whether the probe index is
 // written; a tree that is only compared or copied, never walked, goes
 // without.
-func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction, indexed bool) *ReachTree {
+func revReachInto(t *ReachTree, g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction, indexed bool) *ReachTree {
 	sc := math.Sqrt(c)
 	words := 0
 	if indexed {
@@ -584,7 +574,7 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 		t.endLevel()
 	}
 	ra.acc, ra.seen = acc, seen
-	revAccPool.Put(ra, true)
+	revAccPool.Put(ra)
 	return t
 }
 
@@ -599,7 +589,7 @@ func revReachInto(t *ReachTree, g adjacency, u graph.NodeID, c float64, lmax int
 // TransitionPaperLiteral this reproduces the paper's Example 2 numbers
 // exactly; it is otherwise an ablation. The probe index is written in
 // one pass per level once the level is in the arena.
-func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
+func RevReachNonBacktracking(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule) *ReachTree {
 	type state struct{ node, parent graph.NodeID }
 	sortStates := func(order []state) {
 		slices.SortFunc(order, func(a, b state) int {
@@ -610,7 +600,7 @@ func RevReachNonBacktracking(g adjacency, u graph.NodeID, c float64, lmax int, r
 		})
 	}
 	sc := math.Sqrt(c)
-	t := treePool.Get(true)
+	t := treePool.Get()
 	t.reset(u, lmax, indexWords(g.NumNodes()))
 	t.nodes = append(t.nodes, u)
 	t.probs = append(t.probs, 1)

@@ -347,7 +347,7 @@ type mapLevels []map[graph.NodeID]float64
 // revReachMapOracle is the map-level RevReach the flat arena replaced,
 // kept as the reference the arena is tested against: pushMapOracle with
 // no pruning, along in-edges.
-func revReachMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) mapLevels {
+func revReachMapOracle(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule) mapLevels {
 	return pushMapOracle(g, u, c, lmax, rule, 0, InEdges)
 }
 
@@ -356,7 +356,7 @@ func revReachMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule Tr
 // level's mass in ascending source order (edge order within a source),
 // the summation order the push must reproduce bit for bit, and drops
 // every per-edge contribution below tau.
-func pushMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction) mapLevels {
+func pushMapOracle(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction) mapLevels {
 	sc := math.Sqrt(c)
 	levels := make(mapLevels, lmax+1)
 	levels[0] = map[graph.NodeID]float64{u: 1}
@@ -398,7 +398,7 @@ func pushMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule Transi
 // revReachNonBacktrackingMapOracle is the map-level non-backtracking
 // expansion, with each level's node marginals summed over the states
 // in ascending (node, parent) order.
-func revReachNonBacktrackingMapOracle(g adjacency, u graph.NodeID, c float64, lmax int, rule TransitionRule) mapLevels {
+func revReachNonBacktrackingMapOracle(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule) mapLevels {
 	type state struct{ node, parent graph.NodeID }
 	sorted := func(m map[state]float64) []state {
 		out := make([]state, 0, len(m))
@@ -567,8 +567,8 @@ func TestFlatTreeMatchesMapOracle(t *testing.T) {
 		lmax := 1 + r.IntN(12)
 		type build struct {
 			name   string
-			tree   func(adjacency, graph.NodeID, float64, int, TransitionRule) *ReachTree
-			oracle func(adjacency, graph.NodeID, float64, int, TransitionRule) mapLevels
+			tree   func(*graph.Graph, graph.NodeID, float64, int, TransitionRule) *ReachTree
+			oracle func(*graph.Graph, graph.NodeID, float64, int, TransitionRule) mapLevels
 		}
 		for _, b := range []build{
 			{"revreach", RevReach, revReachMapOracle},

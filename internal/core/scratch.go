@@ -14,7 +14,8 @@ import (
 // counting its traffic under core.pool.<name>_hits and _misses.
 // Pooling is semantically invisible: every buffer is (re)initialized
 // on acquire, and the determinism tests assert bit-identical Scores
-// with pooling enabled, disabled, and across worker counts.
+// from cold pools (emptied by two GCs), warm pools, and across worker
+// counts.
 
 // arena is the pooled scratch of the one estimate path (see
 // arena.sample): the dense score slab, cut into length-n windows, the
@@ -73,8 +74,8 @@ var arenaPool = pool.New[arena]("core.pool.batch")
 // length n and whose first-step slab holds a table for each of
 // sources sources, with no prepared sources. sample resets the work
 // list.
-func acquireArena(k, sources, n int, pooled bool) *arena {
-	a := arenaPool.Get(pooled)
+func acquireArena(k, sources, n int) *arena {
+	a := arenaPool.Get()
 	a.slab = grow(a.slab, k*n)
 	clear(a.slab)
 	a.s1 = grow(a.s1, sources*n)
@@ -107,10 +108,10 @@ func (a *arena) addSource(g *graph.Graph, u graph.NodeID, tree *ReachTree, dense
 // release returns the arena to the pool, dropping the per-source
 // pointers first so pooled storage never pins trees that were already
 // handed back to their own pools.
-func (a *arena) release(pooled bool) {
+func (a *arena) release() {
 	clear(a.preps)
 	a.preps = a.preps[:0]
-	arenaPool.Put(a, pooled)
+	arenaPool.Put(a)
 }
 
 // treePool recycles ReachTree arenas, probe index included, so a warm
@@ -146,7 +147,7 @@ type patchScratch struct {
 var patchPool = pool.New[patchScratch]("core.pool.patch")
 
 func acquirePatchScratch(n int) *patchScratch {
-	ps := patchPool.Get(true)
+	ps := patchPool.Get()
 	ps.acc = grow(ps.acc, n)
 	return ps
 }
@@ -170,8 +171,8 @@ type temporalScratch struct {
 
 var temporalPool = pool.New[temporalScratch]("core.pool.temporal")
 
-func acquireTemporalScratch(n int, pooled bool) *temporalScratch {
-	ts := temporalPool.Get(pooled)
+func acquireTemporalScratch(n int) *temporalScratch {
+	ts := temporalPool.Get()
 	if cap(ts.candidates) < n {
 		ts.candidates = make([]graph.NodeID, 0, n)
 	}
@@ -191,7 +192,7 @@ type revAcc struct {
 var revAccPool = pool.New[revAcc]("core.pool.revacc")
 
 func acquireRevAcc(n int) *revAcc {
-	ra := revAccPool.Get(true)
+	ra := revAccPool.Get()
 	ra.acc = grow(ra.acc, n)
 	ra.seen = grow(ra.seen, (n+63)/64)
 	return ra

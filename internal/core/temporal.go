@@ -176,7 +176,6 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	}
 
 	res := &TemporalResult{}
-	pooled := !pp.DisablePooling
 
 	var candTrees *cache.Cache
 	if !to.noCandidateCache {
@@ -189,8 +188,8 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 			return nil, err
 		}
 	}
-	ts := acquireTemporalScratch(n, pooled)
-	defer temporalPool.Put(ts, pooled)
+	ts := acquireTemporalScratch(n)
+	defer temporalPool.Put(ts)
 
 	// Snapshot 0: full single-source computation and initial filter. The
 	// candidate list is built in node order once and maintained sorted

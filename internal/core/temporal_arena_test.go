@@ -169,8 +169,8 @@ func sameScores(a, b Scores) bool {
 // alone, transitions that recompute nothing and queries whose Ω
 // empties, the default run must observe the same scores, bit for bit
 // at every snapshot, as a run that rebuilds every snapshot's tree with
-// the candidate cache off — for workers 1 and 4, with pooling on and
-// off.
+// the candidate cache off — for workers 1 and 4, from warm and from
+// cold scratch pools.
 func TestCrashSimTRecycledArenas(t *testing.T) {
 	type history struct {
 		name string
@@ -192,10 +192,16 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 	for _, h := range histories {
 		for _, q := range queries {
 			for _, workers := range []int{1, 4} {
-				for _, pooling := range []bool{true, false} {
-					name := fmt.Sprintf("%s/%s/workers=%d/pooling=%v", h.name, q.Name(), workers, pooling)
-					p := Params{Iterations: 60, Seed: 17, Workers: workers, DisablePooling: !pooling}
+				for _, cold := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/workers=%d/cold=%v", h.name, q.Name(), workers, cold)
+					p := Params{Iterations: 60, Seed: 17, Workers: workers}
+					if cold {
+						emptyPools()
+					}
 					got, gotSeen := observedRun(t, h.tg, q, p, TemporalOptions{})
+					if cold {
+						emptyPools()
+					}
 					want, wantSeen := observedRun(t, h.tg, q, p, ablated)
 					if len(gotSeen) != len(wantSeen) {
 						t.Fatalf("%s: observed %d snapshots, want %d", name, len(gotSeen), len(wantSeen))

@@ -141,11 +141,10 @@ func TopKCtx(ctx context.Context, g *graph.Graph, u graph.NodeID, k int, p Param
 	if err != nil {
 		return nil, err
 	}
-	pooled := !q.DisablePooling
-	defer treePool.Put(tree, pooled)
+	defer treePool.Put(tree)
 	n := g.NumNodes()
-	a := acquireArena(1, 1, n, pooled)
-	defer a.release(pooled)
+	a := acquireArena(1, 1, n)
+	defer a.release()
 	a.addSource(g, u, tree, a.window(0, n), nil)
 
 	// Phase 1: coarse scores with a fraction of the budget.

@@ -95,10 +95,11 @@ func TestWorkCounts(t *testing.T) {
 }
 
 // TestWorkGateCatchesRegressions seeds three regressions into pinned
-// queries' parameters and requires the gate to reject each against
-// its pinned row, naming the counter that moved: doubled walks, a
-// disabled zero-score prefilter, and disabled scratch pooling
-// (allocations; not checked under -race, see TestWorkCounts).
+// queries and requires the gate to reject each against its pinned row,
+// naming the counter that moved: doubled walks, a disabled zero-score
+// prefilter, and cold scratch pools, emptied by two collections before
+// every call (allocations; not checked under -race, see
+// TestWorkCounts).
 func TestWorkGateCatchesRegressions(t *testing.T) {
 	queries := workQueries(t)
 	pick := func(name string) workQuery {
@@ -114,26 +115,33 @@ func TestWorkGateCatchesRegressions(t *testing.T) {
 	doubled.Iterations *= 2
 	noPrefilter := workParams
 	noPrefilter.DisablePrefilter = true
-	noPooling := workParams
-	noPooling.DisablePooling = true
 	cases := []struct {
 		name    string
 		query   string
 		p       Params
+		cold    bool
 		counter string
 		allocs  bool
 	}{
-		{"doubled-walks", "hepth/single", doubled, "Walks", false},
-		{"no-prefilter/as-733", "as-733/single", noPrefilter, "Walks", false},
-		{"no-prefilter/hepph", "hepph/single", noPrefilter, "Walks", false},
-		{"no-pooling", "hepph/single", noPooling, "Allocs", true},
+		{"doubled-walks", "hepth/single", doubled, false, "Walks", false},
+		{"no-prefilter/as-733", "as-733/single", noPrefilter, false, "Walks", false},
+		{"no-prefilter/hepph", "hepph/single", noPrefilter, false, "Walks", false},
+		{"cold-pools", "hepph/single", workParams, true, "Allocs", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.allocs && raceEnabled {
 				t.Skip("allocation rows are not checked under -race")
 			}
-			got := measureWork(t, pick(tc.query), tc.p)
+			q := pick(tc.query)
+			if tc.cold {
+				run := q.run
+				q.run = func(p Params) (TemporalStats, error) {
+					emptyPools()
+					return run(p)
+				}
+			}
+			got := measureWork(t, q, tc.p)
 			problems := compareWork(pinnedWork[tc.query], got, tc.allocs)
 			if len(problems) == 0 {
 				t.Fatalf("gate passed a seeded regression: %#v", got)
@@ -265,7 +273,7 @@ func topDegreeNodes(g *graph.Graph) (graph.NodeID, graph.NodeID) {
 	return nodes[0], nodes[1]
 }
 
-func treeSupport(t *testing.T, g adjacency, u graph.NodeID) int {
+func treeSupport(t *testing.T, g *graph.Graph, u graph.NodeID) int {
 	t.Helper()
 	tree, err := BuildTree(g, u, workParams)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"crashsim/internal/core"
@@ -193,28 +194,38 @@ func TestAccuracyAgainstExact(t *testing.T) {
 	}
 }
 
-// TestPoolingDeterminism: pooled vs non-pooled scratch and workers=1 vs
-// workers=N must produce bit-identical Scores for fixed seeds. Repeated
-// pooled runs exercise warm pool buffers.
+// TestPoolingDeterminism: cold vs warm scratch pools and workers=1 vs
+// workers=N must produce bit-identical Scores for fixed seeds. Two
+// collections empty every sync.Pool, victim cache included, so a cold
+// run allocates all its scratch afresh; repeated warm runs exercise
+// recycled pool buffers.
 func TestPoolingDeterminism(t *testing.T) {
 	g := testGraph(t)
 	u := graph.NodeID(2)
-	base := core.Params{Iterations: 150, Seed: 9, DisablePooling: true, Workers: 1}
-	want, err := core.SingleSource(g, u, nil, base)
+	coldPools := func() {
+		runtime.GC()
+		runtime.GC()
+	}
+	coldPools()
+	want, err := core.SingleSource(g, u, nil, core.Params{Iterations: 150, Seed: 9, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	variants := []struct {
 		name string
 		p    core.Params
+		cold bool
 	}{
-		{"pooled-w1", core.Params{Iterations: 150, Seed: 9, Workers: 1}},
-		{"pooled-w4", core.Params{Iterations: 150, Seed: 9, Workers: 4}},
-		{"nopool-w4", core.Params{Iterations: 150, Seed: 9, Workers: 4, DisablePooling: true}},
-		{"pooled-w1-warm", core.Params{Iterations: 150, Seed: 9, Workers: 1}},
-		{"pooled-w4-warm", core.Params{Iterations: 150, Seed: 9, Workers: 4}},
+		{"pooled-w1", core.Params{Iterations: 150, Seed: 9, Workers: 1}, false},
+		{"pooled-w4", core.Params{Iterations: 150, Seed: 9, Workers: 4}, false},
+		{"cold-w4", core.Params{Iterations: 150, Seed: 9, Workers: 4}, true},
+		{"pooled-w1-warm", core.Params{Iterations: 150, Seed: 9, Workers: 1}, false},
+		{"pooled-w4-warm", core.Params{Iterations: 150, Seed: 9, Workers: 4}, false},
 	}
 	for _, v := range variants {
+		if v.cold {
+			coldPools()
+		}
 		got, err := core.SingleSource(g, u, nil, v.p)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)

@@ -434,13 +434,6 @@ func TestServingProfileWeb1m(t *testing.T) {
 			t.Fatalf("serving profile %q leaked into Profiles()", p.Name)
 		}
 	}
-	found := false
-	for _, q := range ServingProfiles() {
-		found = found || q.Name == p.Name
-	}
-	if !found {
-		t.Fatal("web-1m missing from ServingProfiles()")
-	}
 	// Generating the full 10^6-edge graph in a unit test would cost
 	// seconds; a scaled instance exercises the same generator path.
 	small := p.Scaled(0.005)

@@ -86,12 +86,6 @@ func Profiles() []Profile {
 	return append([]Profile(nil), profiles...)
 }
 
-// ServingProfiles returns the workload-scale profiles (not part of the
-// paper's Table III set).
-func ServingProfiles() []Profile {
-	return append([]Profile(nil), servingProfiles...)
-}
-
 // ProfileByName looks a profile up by its dataset name, covering both
 // the paper's Table III set and the workload-scale serving profiles.
 func ProfileByName(name string) (Profile, error) {

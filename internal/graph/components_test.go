@@ -3,7 +3,6 @@ package graph
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestComponents(t *testing.T) {
@@ -38,91 +37,5 @@ func TestGiantComponent(t *testing.T) {
 	empty, _ := NewBuilder(0, true).Freeze()
 	if GiantComponent(empty) != nil {
 		t.Error("empty graph should have nil giant component")
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	g := NewBuilder(3, true).AddEdge(0, 1).AddEdge(1, 2).MustFreeze()
-	tr := Transpose(g)
-	if !tr.HasEdge(1, 0) || !tr.HasEdge(2, 1) || tr.HasEdge(0, 1) {
-		t.Error("transpose arcs wrong")
-	}
-	if err := tr.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-	// Transposing twice is the identity.
-	back := Transpose(tr)
-	for _, e := range g.Edges() {
-		if !back.HasEdge(e.X, e.Y) {
-			t.Errorf("double transpose lost %v", e)
-		}
-	}
-	// Undirected transpose is a copy.
-	u := NewBuilder(3, false).AddEdge(0, 1).MustFreeze()
-	ut := Transpose(u)
-	if !ut.HasEdge(0, 1) || !ut.HasEdge(1, 0) || ut.NumEdges() != 1 {
-		t.Error("undirected transpose wrong")
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := PaperExample()
-	nodes := []NodeID{PaperNode("A"), PaperNode("B"), PaperNode("C"), PaperNode("C")}
-	sub, mapping := InducedSubgraph(g, nodes)
-	if sub.NumNodes() != 3 {
-		t.Fatalf("sub has %d nodes (duplicates not removed?)", sub.NumNodes())
-	}
-	if !reflect.DeepEqual(mapping, []NodeID{0, 1, 2}) { // A, B, C sorted
-		t.Errorf("mapping = %v", mapping)
-	}
-	// Edges among {A,B,C}: B->A, C->A, A->B, A->C, B->C = 5 arcs.
-	if sub.NumEdges() != 5 {
-		t.Errorf("sub has %d edges, want 5", sub.NumEdges())
-	}
-	if err := sub.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestCountInducedEdges(t *testing.T) {
-	g := PaperExample()
-	set := map[NodeID]struct{}{
-		PaperNode("A"): {}, PaperNode("B"): {}, PaperNode("C"): {},
-	}
-	if got := CountInducedEdges(g, set); got != 5 {
-		t.Errorf("CountInducedEdges = %d, want 5", got)
-	}
-	// Must match the materialized subgraph for random node sets.
-	f := func(mask uint8) bool {
-		var nodes []NodeID
-		set := map[NodeID]struct{}{}
-		for v := NodeID(0); v < 8; v++ {
-			if mask&(1<<v) != 0 {
-				nodes = append(nodes, v)
-				set[v] = struct{}{}
-			}
-		}
-		sub, _ := InducedSubgraph(g, nodes)
-		return CountInducedEdges(g, set) == sub.NumEdges()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 64}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := PaperExample()
-	h := DegreeHistogram(g)
-	// In-degrees: A=2 B=2 C=3 D=2 E=2 F=1 G=1 H=2.
-	want := []int{0, 2, 5, 1}
-	if !reflect.DeepEqual(h, want) {
-		t.Errorf("histogram = %v, want %v", h, want)
-	}
-	total := 0
-	for d, c := range h {
-		total += d * c
-	}
-	if total != 15 {
-		t.Errorf("degree mass = %d, want 15 arcs", total)
 	}
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestComputeStats(t *testing.T) {
 	g := PaperExample()
@@ -27,35 +24,5 @@ func TestComputeStatsEmpty(t *testing.T) {
 	s := ComputeStats(g)
 	if s.Nodes != 0 || s.Edges != 0 {
 		t.Errorf("empty stats: %+v", s)
-	}
-}
-
-func TestBFS(t *testing.T) {
-	// 0 -> 1 -> 2, 3 isolated.
-	g := NewBuilder(4, true).AddEdge(0, 1).AddEdge(1, 2).MustFreeze()
-	if got := BFSOut(g, 0); !reflect.DeepEqual(got, []int{0, 1, 2, -1}) {
-		t.Errorf("BFSOut = %v", got)
-	}
-	if got := BFSIn(g, 2); !reflect.DeepEqual(got, []int{2, 1, 0, -1}) {
-		t.Errorf("BFSIn = %v", got)
-	}
-}
-
-func TestReachableWithin(t *testing.T) {
-	// Chain 0 -> 1 -> 2 -> 3 plus shortcut 0 -> 2.
-	g := NewBuilder(5, true).AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3).AddEdge(0, 2).MustFreeze()
-	cases := []struct {
-		depth int
-		want  []NodeID
-	}{
-		{0, []NodeID{0}},
-		{1, []NodeID{0, 1, 2}},
-		{2, []NodeID{0, 1, 2, 3}},
-		{10, []NodeID{0, 1, 2, 3}},
-	}
-	for _, tc := range cases {
-		if got := ReachableWithin(g, 0, tc.depth); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("ReachableWithin(depth=%d) = %v, want %v", tc.depth, got, tc.want)
-		}
 	}
 }

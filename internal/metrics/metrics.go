@@ -1,13 +1,10 @@
 // Package metrics implements the evaluation metrics of Section V:
 // the per-query maximum error ME against ground truth, the result-set
-// precision used for temporal queries, and small timing-summary helpers
-// shared by the benchmark harness.
+// precision used for temporal queries, and the ranking metrics.
 package metrics
 
 import (
 	"math"
-	"sort"
-	"time"
 
 	"crashsim/internal/core"
 	"crashsim/internal/graph"
@@ -62,43 +59,6 @@ func TopK(scores map[graph.NodeID]float64, source graph.NodeID, k int) []graph.N
 		out[i] = r.Node
 	}
 	return out
-}
-
-// Timing summarizes a series of durations.
-type Timing struct {
-	Count int
-	Total time.Duration
-	Mean  time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	Max   time.Duration
-}
-
-// SummarizeTimes computes a Timing from raw samples. An empty input
-// yields a zero Timing.
-func SummarizeTimes(samples []time.Duration) Timing {
-	t := Timing{Count: len(samples)}
-	if len(samples) == 0 {
-		return t
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, d := range sorted {
-		t.Total += d
-	}
-	t.Mean = t.Total / time.Duration(len(sorted))
-	t.P50 = quantile(sorted, 0.50)
-	t.P95 = quantile(sorted, 0.95)
-	t.Max = sorted[len(sorted)-1]
-	return t
-}
-
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // MeanFloat returns the arithmetic mean, or 0 for an empty slice.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"crashsim/internal/graph"
 )
@@ -65,23 +64,6 @@ func TestTopK(t *testing.T) {
 	}
 	if got := TopK(nil, 0, 5); len(got) != 0 {
 		t.Errorf("empty scores returned %v", got)
-	}
-}
-
-func TestSummarizeTimes(t *testing.T) {
-	samples := []time.Duration{4 * time.Millisecond, 1 * time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond}
-	s := SummarizeTimes(samples)
-	if s.Count != 4 || s.Total != 10*time.Millisecond || s.Mean != 2500*time.Microsecond {
-		t.Errorf("summary wrong: %+v", s)
-	}
-	if s.Max != 4*time.Millisecond {
-		t.Errorf("Max = %v", s.Max)
-	}
-	if s.P50 != 2*time.Millisecond {
-		t.Errorf("P50 = %v", s.P50)
-	}
-	if z := SummarizeTimes(nil); z.Count != 0 || z.Mean != 0 {
-		t.Errorf("empty summary: %+v", z)
 	}
 }
 

@@ -35,38 +35,6 @@ func PrecisionAtK(truth, est []graph.NodeID, k int) float64 {
 	return float64(hits) / float64(k)
 }
 
-// KendallTau returns the Kendall rank-correlation coefficient between
-// two orderings of the same item set, in [-1, 1]: 1 for identical
-// orders, -1 for reversed. Items missing from either ranking are
-// ignored. Returns 1 when fewer than two common items exist.
-func KendallTau(a, b []graph.NodeID) float64 {
-	posB := make(map[graph.NodeID]int, len(b))
-	for i, v := range b {
-		posB[v] = i
-	}
-	var common []int // b-positions of a's items, in a-order
-	for _, v := range a {
-		if p, ok := posB[v]; ok {
-			common = append(common, p)
-		}
-	}
-	n := len(common)
-	if n < 2 {
-		return 1
-	}
-	concordant, discordant := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if common[i] < common[j] {
-				concordant++
-			} else {
-				discordant++
-			}
-		}
-	}
-	return float64(concordant-discordant) / float64(concordant+discordant)
-}
-
 // NDCGAtK returns the normalized discounted cumulative gain of the
 // estimated ranking against graded relevance given by the true scores:
 // a ranking that puts high-truth items first scores 1. Returns 1 for an

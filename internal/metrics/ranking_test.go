@@ -33,26 +33,6 @@ func TestPrecisionAtK(t *testing.T) {
 	}
 }
 
-func TestKendallTau(t *testing.T) {
-	if got := KendallTau(ids(1, 2, 3, 4), ids(1, 2, 3, 4)); got != 1 {
-		t.Errorf("identical order: %g", got)
-	}
-	if got := KendallTau(ids(1, 2, 3, 4), ids(4, 3, 2, 1)); got != -1 {
-		t.Errorf("reversed order: %g", got)
-	}
-	// One swap among 4 items: 5 concordant, 1 discordant -> 4/6.
-	if got := KendallTau(ids(1, 2, 3, 4), ids(2, 1, 3, 4)); math.Abs(got-4.0/6) > 1e-12 {
-		t.Errorf("one swap: %g", got)
-	}
-	// Items missing from b are ignored.
-	if got := KendallTau(ids(1, 9, 2), ids(1, 2)); got != 1 {
-		t.Errorf("missing items: %g", got)
-	}
-	if got := KendallTau(ids(1), ids(1)); got != 1 {
-		t.Errorf("single item: %g", got)
-	}
-}
-
 func TestNDCGAtK(t *testing.T) {
 	scores := map[graph.NodeID]float64{1: 1.0, 2: 0.5, 3: 0.25}
 	if got := NDCGAtK(scores, ids(1, 2, 3), 3); math.Abs(got-1) > 1e-12 {

@@ -152,17 +152,6 @@ func Int32s(b []byte) ([]int32, error) {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4), nil
 }
 
-// Uint64s aliases b as a []uint64 (8-byte alignment required).
-func Uint64s(b []byte) ([]uint64, error) {
-	if !nativeLittleEndian || len(b)%8 != 0 || !aligned(b, 8) {
-		return nil, castErr("uint64", 8, b)
-	}
-	if len(b) == 0 {
-		return []uint64{}, nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8), nil
-}
-
 // Float64s aliases b as a []float64 (8-byte alignment required).
 func Float64s(b []byte) ([]float64, error) {
 	if !nativeLittleEndian || len(b)%8 != 0 || !aligned(b, 8) {

@@ -169,36 +169,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Merge returns the union of two snapshots; on a name collision the
-// receiver's entry wins (used to overlay a server's private registry
-// on the process-wide Default).
-func (s Snapshot) Merge(other Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:  make(map[string]uint64, len(s.Counters)+len(other.Counters)),
-		Gauges:    make(map[string]int64, len(s.Gauges)+len(other.Gauges)),
-		Quantiles: make(map[string]QuantileSnapshot, len(s.Quantiles)+len(other.Quantiles)),
-	}
-	for k, v := range other.Quantiles {
-		out.Quantiles[k] = v
-	}
-	for k, v := range s.Quantiles {
-		out.Quantiles[k] = v
-	}
-	for k, v := range other.Counters {
-		out.Counters[k] = v
-	}
-	for k, v := range s.Counters {
-		out.Counters[k] = v
-	}
-	for k, v := range other.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
-	}
-	return out
-}
-
 // Delta returns the counter-wise difference s − prev, attributing
 // work to the window between the two snapshots. Gauges keep their
 // current (s) value — a gauge delta is meaningless. Counters absent

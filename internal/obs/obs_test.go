@@ -57,15 +57,6 @@ func TestSnapshotJSONAndDelta(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := Snapshot{Counters: map[string]uint64{"x": 1, "shared": 5}}
-	b := Snapshot{Counters: map[string]uint64{"y": 2, "shared": 9}}
-	m := a.Merge(b)
-	if m.Counters["x"] != 1 || m.Counters["y"] != 2 || m.Counters["shared"] != 5 {
-		t.Errorf("merge = %v", m.Counters)
-	}
-}
-
 // TestConcurrentUse hammers one registry from many goroutines; run
 // under -race this is the data-race regression test for the whole
 // package.

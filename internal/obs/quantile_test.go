@@ -265,14 +265,7 @@ func TestRegistryQuantile(t *testing.T) {
 	if qs.Count != 1 || qs.Max == 0 {
 		t.Fatalf("quantile snapshot %+v", qs)
 	}
-	// Merge keeps the receiver's entry; Delta passes the cumulative
-	// summary through.
-	other := NewRegistry()
-	other.Quantile("server.latency").Observe(time.Second)
-	merged := snap.Merge(other.Snapshot())
-	if merged.Quantiles["server.latency"].Count != 1 {
-		t.Fatalf("merge did not prefer receiver: %+v", merged.Quantiles["server.latency"])
-	}
+	// Delta passes the cumulative summary through.
 	d := snap.Delta(Snapshot{})
 	if d.Quantiles["server.latency"] != qs {
 		t.Fatalf("delta altered quantile summary: %+v", d.Quantiles["server.latency"])

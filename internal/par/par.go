@@ -19,17 +19,11 @@ import (
 // the per-item shared-cacheline traffic to one access per chunk.
 const chunksPerWorker = 8
 
-// ForEach runs fn(i) for every i in [0, n) across up to workers
-// goroutines; workers <= 1 runs inline. It returns when all calls have
-// finished.
-func ForEach(n, workers int, fn func(int)) {
-	_ = ForEachCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: workers claim contiguous
-// index chunks from a shared counter (one atomic operation and one ctx
-// poll per chunk, not per item — ctx.Err on a cancelable context takes
-// a mutex, which at per-item frequency serializes the workers) and stop
+// ForEachCtx runs fn(i) for every i in [0, n) across up to workers
+// goroutines; workers <= 1 runs inline. Workers claim contiguous index
+// chunks from a shared counter (one atomic operation and one ctx poll
+// per chunk, not per item — ctx.Err on a cancelable context takes a
+// mutex, which at per-item frequency serializes the workers) and stop
 // claiming once ctx is done, returning ctx.Err(). Work items already
 // started — at most one chunk per worker — run to completion, so fn
 // never observes a torn loop; callers must treat a non-nil error as

@@ -12,7 +12,7 @@ func TestForEachCoversRange(t *testing.T) {
 		n := 57
 		var hits atomic.Int64
 		seen := make([]atomic.Bool, n)
-		ForEach(n, workers, func(i int) {
+		_ = ForEachCtx(context.Background(), n, workers, func(i int) {
 			if seen[i].Swap(true) {
 				t.Errorf("workers=%d: index %d visited twice", workers, i)
 			}
@@ -26,11 +26,11 @@ func TestForEachCoversRange(t *testing.T) {
 
 func TestForEachEmptyAndSingle(t *testing.T) {
 	calls := 0
-	ForEach(0, 4, func(int) { calls++ })
+	_ = ForEachCtx(context.Background(), 0, 4, func(int) { calls++ })
 	if calls != 0 {
 		t.Errorf("empty range made %d calls", calls)
 	}
-	ForEach(1, 4, func(i int) { calls += i + 1 })
+	_ = ForEachCtx(context.Background(), 1, 4, func(i int) { calls += i + 1 })
 	if calls != 1 {
 		t.Errorf("single range wrong: %d", calls)
 	}

@@ -25,12 +25,9 @@ func New[T any](name string) *Pool[T] {
 	}
 }
 
-// Get returns a pooled *T, or a fresh zero one on a miss or when
-// pooling is off. Its contents are whatever its last user left.
-func (p *Pool[T]) Get(pooled bool) *T {
-	if !pooled {
-		return new(T)
-	}
+// Get returns a pooled *T, or a fresh zero one on a miss. Its contents
+// are whatever its last user left.
+func (p *Pool[T]) Get() *T {
 	if v := p.p.Get(); v != nil {
 		p.hits.Inc()
 		return v.(*T)
@@ -39,10 +36,10 @@ func (p *Pool[T]) Get(pooled bool) *T {
 	return new(T)
 }
 
-// Put returns x to the pool (a no-op when pooling is off). The caller
-// must not use x afterwards.
-func (p *Pool[T]) Put(x *T, pooled bool) {
-	if pooled && x != nil {
+// Put returns x to the pool (a no-op for nil). The caller must not use
+// x afterwards.
+func (p *Pool[T]) Put(x *T) {
+	if x != nil {
 		p.p.Put(x)
 	}
 }

@@ -550,8 +550,8 @@ func (ix *Index) SingleSourceResult(ctx context.Context, u graph.NodeID) (core.R
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
 	}
-	s := scratchPool.Get(true)
-	defer scratchPool.Put(s, true)
+	s := scratchPool.Get()
+	defer scratchPool.Put(s)
 	s.reset(n)
 	var visits, hubHits int64
 	r := rng.FastSplit(ix.opt.Seed, uint64(u))

@@ -562,21 +562,29 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // engine.<backend>.latency the estimation-only share. /stats carries
 // the server.latency summary under "latency".
 //
-// With the default registry the snapshot includes internal/core's
-// process-wide work counters (core.walks, the core.pool.*_hits /
-// *_misses pairs — batch for the estimate arena every query draws its
-// score windows and work list from, tree and revacc for reverse-tree
-// arenas and their accumulators, frozen for compiled trees, patch and
-// temporal for the incremental pipeline's scratch —
-// core.frozen.compiled, core.prefilter_pruned,
-// and the core.temporal.* family, which now covers the incremental
-// temporal pipeline: core.temporal.tree_patched / tree_rebuilt track
-// the source-tree patch-vs-rebuild decision, core.temporal.frozen_reused
-// counts frozen-form carries across stable snapshots, and
-// core.temporal.candtree_hits / candtree_misses account the
-// candidate-tree cache). The batched multi-source pipeline reports as
-// core.batch.batches / sources / dedup_hits / items, and the engine layer
-// adds engine.<backend>.queries.multisource per batch.
+// With the default registry the snapshot includes the process-wide
+// counters of internal/core and internal/prsim:
+//   - core.walks, core.candidates and core.prefilter_pruned: walks
+//     sampled, candidates requested, candidates the zero-score
+//     prefilter proved zero without sampling;
+//   - the core.pool.<name>_hits / _misses pairs of the scratch pools:
+//     batch for the estimate arena every query draws its score windows
+//     and work list from, tree and revacc for reverse-tree arenas and
+//     their accumulators, patch and temporal for the incremental
+//     pipeline's scratch;
+//   - core.batch.batches / sources / dedup_hits / items for the batched
+//     multi-source pipeline;
+//   - core.temporal.snapshots / evaluated / reused_delta / reused_diff,
+//     CrashSim-T's pruning outcomes; core.temporal.tree_patched /
+//     tree_rebuilt, how each snapshot's source tree was obtained;
+//     core.temporal.frozen_reused, estimates that reused the previous
+//     estimate's source tree; core.temporal.candtree_hits /
+//     candtree_misses, the candidate-tree cache;
+//   - prsim.visits, prsim.hub_hits, prsim.tail_builds and
+//     prsim.entries, and prsim.pool.scratch_hits / _misses for PRSim's
+//     per-query accumulator.
+//
+// The engine layer adds engine.<backend>.queries.multisource per batch.
 // With caching enabled the counters include cache.hits, cache.misses,
 // cache.coalesced, cache.evictions and cache.expired, the gauges
 // cache.bytes and cache.entries, and the top level carries a "cache"

@@ -25,18 +25,6 @@ type Engine interface {
 	Run(tg *temporal.Graph, u graph.NodeID, q Query) ([]graph.NodeID, error)
 }
 
-// RunInterval answers a query over the sub-interval [from, to) of tg's
-// snapshots (Definition 3's query interval [T_1, T_t]), with any
-// engine: the history is sliced so snapshot `from` becomes the
-// interval's first instant.
-func RunInterval(e Engine, tg *temporal.Graph, u graph.NodeID, q Query, from, to int) ([]graph.NodeID, error) {
-	sub, err := tg.Slice(from, to)
-	if err != nil {
-		return nil, fmt.Errorf("tempq: interval: %w", err)
-	}
-	return e.Run(sub, u, q)
-}
-
 // snapshotScorer computes a full single-source score map on one
 // snapshot; the per-snapshot adapters below differ only in this step.
 type snapshotScorer func(t int, cur *temporal.Cursor) (map[graph.NodeID]float64, error)

@@ -162,42 +162,6 @@ func TestDurableThresholdEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunInterval: querying a sub-interval must equal running the
-// engine on the sliced history directly, and differ (in general) from
-// the whole-history result.
-func TestRunInterval(t *testing.T) {
-	tg := smallTemporal(t, 25, 70, 6, 81)
-	e := &CrashSimT{Params: core.Params{Iterations: 120, Seed: 83}}
-	q := Threshold{Theta: 0.02}
-
-	got, err := RunInterval(e, tg, 0, q, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := tg.Slice(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := (&CrashSimT{Params: core.Params{Iterations: 120, Seed: 83}}).Run(sub, 0, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("interval result %v != sliced result %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("interval result %v != sliced result %v", got, want)
-		}
-	}
-	if _, err := RunInterval(e, tg, 0, q, 5, 2); err == nil {
-		t.Error("inverted interval accepted")
-	}
-	if _, err := RunInterval(e, tg, 0, q, 0, 99); err == nil {
-		t.Error("out-of-range interval accepted")
-	}
-}
-
 func TestObserverSeesEverySnapshot(t *testing.T) {
 	tg := smallTemporal(t, 15, 40, 4, 63)
 	var visits []int

@@ -25,7 +25,6 @@ package tsf
 
 import (
 	"fmt"
-	"math"
 
 	"crashsim/internal/graph"
 	"crashsim/internal/rng"
@@ -259,12 +258,6 @@ func (ix *Index) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TruncationBias returns the worst-case estimate mass lost to the path
-// length cap, c^MaxLen.
-func (ix *Index) TruncationBias() float64 {
-	return math.Pow(ix.opt.C, float64(ix.opt.MaxLen))
 }
 
 // Slots returns the number of stored parent slots (Rg · n), the

@@ -181,13 +181,3 @@ func TestDeletionRepairsDanglingSlots(t *testing.T) {
 		}
 	}
 }
-
-func TestTruncationBias(t *testing.T) {
-	ix, err := Build(diGraphOf(t, graph.PaperExample()), Options{C: 0.5, MaxLen: 4, Rg: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.TruncationBias(); math.Abs(got-0.0625) > 1e-12 {
-		t.Errorf("TruncationBias = %g, want 0.0625", got)
-	}
-}
