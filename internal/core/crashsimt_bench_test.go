@@ -74,3 +74,44 @@ func BenchmarkCrashSimT(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCrashSimTDiffPruning runs the shape of the pruning
+// ablation's "diff only" row (repro ablation, default config): one
+// increasing-trend query per op on the as-733 profile at scale 0.03
+// over 32 snapshots of its churn, with delta pruning off. Every
+// candidate of every tree-stable transition then goes through
+// difference pruning, which builds its two trees into pooled arenas
+// and compares them.
+func BenchmarkCrashSimTDiffPruning(b *testing.B) {
+	prof, err := gen.ProfileByName("as-733")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tg, err := prof.Scaled(0.03).WithSnapshots(32).Temporal(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := tg.Snapshot(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const c, eps, delta = 0.6, 0.025, 0.01
+	n := tg.NumNodes()
+	// The ablation's walk count: n_r of Lemma 3 scaled by 0.02, at
+	// least 20.
+	nr := max(20, int(float64(DeriveIterations(c, eps, delta, DeriveLmax(c), n))*0.02))
+	p := Params{C: c, Eps: eps, Delta: delta, Iterations: nr, Seed: 7}
+	u := graph.GiantComponent(g)[0]
+	q := trendQuery{slack: eps}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := CrashSimT(tg, u, q, p, TemporalOptions{DisableDeltaPruning: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.ReusedDiff == 0 {
+			b.Fatal("difference pruning never reused a score")
+		}
+	}
+}

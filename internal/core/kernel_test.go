@@ -203,9 +203,9 @@ func TestProbeIndexMatchesLevels(t *testing.T) {
 		patched := 0
 		for cur.Next() {
 			d := tg.Delta(cur.T() - 1)
-			got, _, ok := prev.Patch(spare, cur.Freeze(), d.Add, d.Del, p, 0, 1e9)
+			got, _, ok := prev.Patch(spare, cur.Freeze(), d.Add, d.Del, p, 0)
 			if !ok {
-				t.Fatalf("t=%d: Patch bailed under an unbounded gate", cur.T())
+				t.Fatalf("t=%d: Patch refused", cur.T())
 			}
 			checkProbeIndex(t, fmt.Sprintf("n=%d directed=%v t=%d Patch", n, directed, cur.T()), got, n)
 			if got != prev {

@@ -139,11 +139,14 @@ func benchGraph(b *testing.B, n, m int) *graph.Graph {
 	return g
 }
 
+// BenchmarkRevReach builds one indexed source tree per op and hands it
+// back to treePool, as the serving path does, so it measures the build
+// a warm query pays rather than arena growth.
 func BenchmarkRevReach(b *testing.B) {
 	g := benchGraph(b, 5000, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RevReach(g, graph.NodeID(i%5000), 0.6, DeriveLmax(0.6), TransitionExact)
+		treePool.Put(RevReach(g, graph.NodeID(i%5000), 0.6, DeriveLmax(0.6), TransitionExact))
 	}
 }
 

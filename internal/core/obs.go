@@ -42,12 +42,9 @@ var (
 	statTemporalReusedDiff  = obs.Default.Counter("core.temporal.reused_diff")
 
 	// Incremental-pipeline outcomes: how each snapshot's source tree was
-	// obtained, estimates that reused the previous estimate's tree (the
-	// frozen_reused name predates the probe index), and the
-	// candidate-tree cache's hit traffic during difference pruning.
+	// obtained, and estimates that reused the previous estimate's tree
+	// (the frozen_reused name predates the probe index).
 	statTemporalTreePatched  = obs.Default.Counter("core.temporal.tree_patched")
 	statTemporalTreeRebuilt  = obs.Default.Counter("core.temporal.tree_rebuilt")
 	statTemporalFrozenReused = obs.Default.Counter("core.temporal.frozen_reused")
-	statTemporalCandHits     = obs.Default.Counter("core.temporal.candtree_hits")
-	statTemporalCandMisses   = obs.Default.Counter("core.temporal.candtree_misses")
 )

@@ -187,12 +187,6 @@ func (t *ReachTree) DiffNodes(o *ReachTree, tol float64) []graph.NodeID {
 	return slices.Compact(out)
 }
 
-// ApproxBytes estimates t's heap footprint for byte-accounted caching:
-// the struct plus the arena's slices at their capacity.
-func (t *ReachTree) ApproxBytes() int64 {
-	return 64 + 4*int64(cap(t.off)) + 4*int64(cap(t.nodes)) + 8*int64(cap(t.probs)) + 8*int64(cap(t.idx))
-}
-
 // Patch derives the reverse reachable tree of t.Source on g from t, the
 // tree of the previous snapshot, where g differs from that snapshot by
 // exactly the given edge delta. Only the affected region is re-expanded:
@@ -223,12 +217,12 @@ func (t *ReachTree) ApproxBytes() int64 {
 // caller needs, so it stays free for the next patch.
 //
 // ok is false when patching does not apply and the caller must fall
-// back to a full rebuild: non-backtracking trees, an Lmax mismatch, or
-// an affected closure larger than gate × t.Support() — past that point
-// a rebuild is cheaper than a patch that re-expands most of the tree.
+// back to a full rebuild: non-backtracking trees or an Lmax mismatch.
+// Patch applies whatever the closure's size; DESIGN.md §11 records
+// where that costs more than a rebuild.
 // p must already have defaults applied (CrashSim-T passes its resolved
 // Params).
-func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge, p Params, tol, gate float64) (*ReachTree, []graph.NodeID, bool) {
+func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge, p Params, tol float64) (*ReachTree, []graph.NodeID, bool) {
 	if p.NonBacktracking || t.Lmax != p.Lmax || t.NumLevels() != p.Lmax+1 {
 		return nil, nil, false
 	}
@@ -255,25 +249,18 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 			}
 		}
 	}
-	budget := int(gate * float64(t.Support()))
-	count := len(frontier)
-	bail := func() bool { return count > budget }
-	for d := 0; d < p.Lmax && len(frontier) > 0 && !bail(); d++ {
+	for d := 0; d < p.Lmax && len(frontier) > 0; d++ {
 		next = next[:0]
 		for _, x := range frontier {
 			for _, v := range g.In(x) {
 				if affected.Add(v) {
 					next = append(next, v)
-					count++
 				}
 			}
 		}
 		frontier, next = next, frontier
 	}
 	ps.affected, ps.frontier, ps.next = affected, frontier, next
-	if bail() {
-		return nil, nil, false
-	}
 
 	// Pushers: the nodes whose level mass must be re-pushed because some
 	// in-neighbor is an affected receiver — exactly Out(affected). Every

@@ -11,6 +11,7 @@ import (
 
 	"crashsim/internal/gen"
 	"crashsim/internal/graph"
+	"crashsim/internal/temporal"
 )
 
 // TestRevReachExample2 reproduces the reverse reachable tree of node A
@@ -222,7 +223,9 @@ func bitEqualTrees(a, b *ReachTree) bool {
 // source tree: walking a churn history and delta-patching the previous
 // snapshot's tree must reproduce BuildTree on every snapshot bit for
 // bit, and the diff byproduct must equal the DiffNodes sweep the
-// rebuild path would have run.
+// rebuild path would have run. The wide-closure row pins patching where
+// the affected closure spans more than a quarter of the tree's support:
+// Patch has no size gate, so those transitions patch too.
 func TestPatchEquivalence(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -247,51 +250,76 @@ func TestPatchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := Params{Transition: tc.rule}.withDefaults()
-			cur, err := tg.Cursor()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur.Freeze()
-			prev, err := BuildTree(cur.Freeze(), 0, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			patched := 0
-			for cur.Next() {
-				d := tg.Delta(cur.T() - 1)
-				gCur := cur.Freeze()
-				want, err := BuildTree(gCur, 0, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantDiff := want.DiffNodes(prev, 0)
-				got, diff, ok := prev.Patch(nil, gCur, d.Add, d.Del, p, 0, 1e9)
-				if !ok {
-					t.Fatalf("t=%d: Patch bailed under an unbounded gate", cur.T())
-				}
-				patched++
-				if !bitEqualTrees(got, want) {
-					t.Fatalf("t=%d: patched tree differs from rebuild", cur.T())
-				}
-				if len(diff) != len(wantDiff) {
-					t.Fatalf("t=%d: diff %v, want %v", cur.T(), diff, wantDiff)
-				}
-				for i := range diff {
-					if diff[i] != wantDiff[i] {
-						t.Fatalf("t=%d: diff %v, want %v", cur.T(), diff, wantDiff)
-					}
-				}
-				if len(wantDiff) == 0 && got != prev {
-					t.Errorf("t=%d: bit-identical patch did not return the previous tree pointer", cur.T())
-				}
-				prev = got
-			}
-			if patched == 0 {
-				t.Fatal("history produced no transitions; test is vacuous")
-			}
+			checkPatchHistory(t, tg, Params{Transition: tc.rule}.withDefaults())
 		})
 	}
+	t.Run("wide-closure", func(t *testing.T) {
+		// Dense churn under a short truncation: the source's tree stays
+		// small while the delta's in-edge closure covers most of the
+		// graph.
+		base, err := gen.ErdosRenyi(200, 1000, true, 35)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, err := gen.Churn(200, true, base, gen.ChurnOptions{
+			Snapshots: 5, AddRate: 0.05, DelRate: 0.05, Seed: 37,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wide := checkPatchHistory(t, tg, Params{Lmax: 3, Eps: 0.5}.withDefaults()); wide == 0 {
+			t.Fatal("no transition's affected closure exceeded a quarter of the tree's support")
+		}
+	})
+}
+
+// checkPatchHistory walks tg, patching source 0's tree from snapshot to
+// snapshot, and fails unless every patch equals BuildTree bit for bit
+// and its diff equals the DiffNodes sweep. It returns the number of
+// transitions whose affected closure exceeded a quarter of the previous
+// tree's support.
+func checkPatchHistory(t *testing.T, tg *temporal.Graph, p Params) (wide int) {
+	t.Helper()
+	cur, err := tg.Cursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := BuildTree(cur.Freeze(), 0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := 0
+	for cur.Next() {
+		d := tg.Delta(cur.T() - 1)
+		gCur := cur.Freeze()
+		want, err := BuildTree(gCur, 0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDiff := want.DiffNodes(prev, 0)
+		if 4*affectedClosure(gCur, d.Add, d.Del, p.Lmax) > prev.Support() {
+			wide++
+		}
+		got, diff, ok := prev.Patch(nil, gCur, d.Add, d.Del, p, 0)
+		if !ok {
+			t.Fatalf("t=%d: Patch refused", cur.T())
+		}
+		patched++
+		if !bitEqualTrees(got, want) {
+			t.Fatalf("t=%d: patched tree differs from rebuild", cur.T())
+		}
+		if !slices.Equal(diff, wantDiff) && len(diff)+len(wantDiff) > 0 {
+			t.Fatalf("t=%d: diff %v, want %v", cur.T(), diff, wantDiff)
+		}
+		if len(wantDiff) == 0 && got != prev {
+			t.Errorf("t=%d: bit-identical patch did not return the previous tree pointer", cur.T())
+		}
+		prev = got
+	}
+	if patched == 0 {
+		t.Fatal("history produced no transitions; test is vacuous")
+	}
+	return wide
 }
 
 // TestPatchFallbacks: the cases where patching must refuse and hand the
@@ -322,20 +350,16 @@ func TestPatchFallbacks(t *testing.T) {
 	d := tg.Delta(0)
 	gCur := cur.Freeze()
 
-	// A zero gate makes any non-empty affected closure exceed budget.
-	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, p, 0, 0); ok {
-		t.Error("Patch accepted a zero gate with a non-empty delta")
-	}
 	// Non-backtracking trees never patch.
 	nb := p
 	nb.NonBacktracking = true
-	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, nb, 0, 1e9); ok {
+	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, nb, 0); ok {
 		t.Error("Patch accepted non-backtracking params")
 	}
 	// An Lmax mismatch (tree built with a different truncation) refuses.
 	short := p
 	short.Lmax = p.Lmax + 1
-	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, short, 0, 1e9); ok {
+	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, short, 0); ok {
 		t.Error("Patch accepted an Lmax mismatch")
 	}
 }
@@ -644,9 +668,9 @@ func TestPatchIntoDirtyArena(t *testing.T) {
 		for cur.Next() {
 			d := tg.Delta(cur.T() - 1)
 			gCur := cur.Freeze()
-			got, _, ok := prev.Patch(spare, gCur, d.Add, d.Del, p, 0, 1e9)
+			got, _, ok := prev.Patch(spare, gCur, d.Add, d.Del, p, 0)
 			if !ok {
-				t.Fatalf("t=%d: Patch bailed under an unbounded gate", cur.T())
+				t.Fatalf("t=%d: Patch refused", cur.T())
 			}
 			want, err := BuildTree(gCur, 0, p)
 			if err != nil {

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 
-	"crashsim/internal/cache"
 	"crashsim/internal/graph"
-	"crashsim/internal/obs"
 	"crashsim/internal/par"
 	"crashsim/internal/temporal"
 )
@@ -45,36 +42,15 @@ type TemporalOptions struct {
 	// bit-identical either way; the equivalence tests run both pipelines
 	// against each other.
 	rebuildEachSnapshot bool
-	// patchGate, when nonzero, is a test hook replacing the patchGate
-	// constant, so a test can force every patch past the gate.
-	patchGate float64
-	// noCandidateCache is a test hook that turns the candidate-tree
-	// cache off, so every difference-pruning decision recomputes the
-	// previous snapshot's tree.
-	noCandidateCache bool
 }
 
-// Fixed tuning of CrashSim-T.
-const (
-	// treeTolerance is the per-entry tolerance when comparing reverse
-	// reachable trees between snapshots.
-	treeTolerance = 1e-12
-	// patchGate bounds the affected closure of a tree patch as a
-	// fraction of the previous tree's support; past it the source tree
-	// is rebuilt from scratch (a patch re-expanding most of the tree
-	// costs more than the rebuild it replaces).
-	patchGate = 0.25
-	// candidateCacheBytes bounds the candidate-tree cache's accounted
-	// memory, so Ω-sized histories cannot grow without bound.
-	candidateCacheBytes = 32 << 20
-)
+// treeTolerance is the per-entry tolerance when comparing reverse
+// reachable trees between snapshots.
+const treeTolerance = 1e-12
 
 // TemporalStats counts the work CrashSim-T did and the work the pruning
 // rules avoided; the Fig 7 harness reports them alongside timings.
-// Every field except CandTreeHits/CandTreeMisses is deterministic for a
-// fixed seed and any worker count; the cache-traffic pair may shift
-// with scheduling because byte-accounted eviction depends on insertion
-// order (the determinism test masks exactly those two fields).
+// Every field is deterministic for a fixed seed and any worker count.
 type TemporalStats struct {
 	Snapshots       int // snapshots processed
 	Evaluated       int // candidate scores recomputed via CrashSim
@@ -84,8 +60,11 @@ type TemporalStats struct {
 	TreePatched     int // transitions whose source tree was delta-patched
 	TreeRebuilt     int // transitions whose source tree was rebuilt from scratch
 	FrozenReused    int // estimates that reused the previous estimate's source tree
-	CandTreeHits    int // diff-pruning trees served from the candidate cache
-	CandTreeMisses  int // diff-pruning trees recomputed for the previous snapshot
+
+	// Deprecated: always 0. CrashSim-T keeps no candidate-tree cache.
+	CandTreeHits int
+	// Deprecated: always 0. CrashSim-T keeps no candidate-tree cache.
+	CandTreeMisses int
 }
 
 // TemporalResult is the outcome of a temporal SimRank query.
@@ -99,14 +78,6 @@ type TemporalResult struct {
 	Stats TemporalStats
 }
 
-// diffDecision records one candidate's difference-pruning outcome so
-// the parallel comparison loop writes disjoint slots and the stats
-// merge afterwards runs serially in candidate order.
-type diffDecision struct {
-	equal bool // candidate tree unchanged within tolerance
-	hit   bool // previous-snapshot tree came from the candidate cache
-}
-
 // Per-candidate pruning decisions. decRecompute must be the zero value:
 // the decision array is cleared to it at every snapshot.
 const (
@@ -114,22 +85,6 @@ const (
 	decReuseDelta
 	decReuseDiff
 )
-
-// minMembershipParallel is the candidate count below which the
-// affected-area membership partition stays inline: the test is one load
-// and AND per candidate, so fan-out only pays off on large sets.
-const minMembershipParallel = 64
-
-// candTreeEntry is one cached candidate tree, tagged with the version
-// of the snapshot it was built on. A lookup only counts when the tag
-// matches the previous snapshot's version — equal versions mean an
-// identical edge set (temporal.Cursor stamps versions from the working
-// graph's mutation count), so a tagged tree is bit-identical to what
-// RevReach would recompute.
-type candTreeEntry struct {
-	tree    *ReachTree
-	version uint64
-}
 
 // CrashSimT answers a temporal SimRank query (Algorithm 3) over the
 // whole history of tg: it starts from the full node set, recomputes per
@@ -141,16 +96,14 @@ func CrashSimT(tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to
 }
 
 // CrashSimTCtx is CrashSimT with cancellation, checked between
-// snapshots, inside the pruning fan-outs and inside the per-candidate
-// sampling loops. The per-snapshot pipeline is incremental: the source
-// tree is delta-patched from the previous snapshot's (full rebuild only
-// past the patch gate), surviving candidates carry their reverse trees
-// forward through a byte-bounded cache so difference pruning does one
-// RevReach per candidate instead of two, the pruning loops fan out
-// through par.ForEachCtx (scores stay bit-identical for any worker
-// count: every candidate owns its random stream and decisions merge in
-// candidate order), and tree-stable transitions reuse the previous
-// source tree, probe index included, as is.
+// snapshots, inside the difference-pruning fan-out and inside the
+// per-candidate sampling loops. The per-snapshot pipeline is
+// incremental: the source tree is delta-patched from the previous
+// snapshot's (rebuilt only for non-backtracking walks), the
+// difference-pruning comparisons fan out through par.ForEachCtx (scores
+// stay bit-identical for any worker count: every candidate owns its
+// random stream and its decision slot), and tree-stable transitions
+// reuse the previous source tree, probe index included, as is.
 func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to TemporalOptions) (*TemporalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -163,10 +116,6 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	if err != nil {
 		return nil, err
 	}
-	gate := patchGate
-	if to.patchGate != 0 {
-		gate = to.patchGate
-	}
 	if u < 0 || int(u) >= n {
 		return nil, fmt.Errorf("core: source %d out of range for n=%d", u, n)
 	}
@@ -176,18 +125,6 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	}
 
 	res := &TemporalResult{}
-
-	var candTrees *cache.Cache
-	if !to.noCandidateCache {
-		// The cache is run-scoped, so its metrics go to a private
-		// registry instead of polluting the process-wide cache.* series
-		// the serving layer exports; CandTreeHits/Misses carry the same
-		// information per run.
-		candTrees, err = cache.New(cache.Config{MaxBytes: candidateCacheBytes, Metrics: obs.NewRegistry()})
-		if err != nil {
-			return nil, err
-		}
-	}
 	ts := acquireTemporalScratch(n)
 	defer temporalPool.Put(ts)
 
@@ -243,13 +180,12 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 
 		// Source tree: an empty delta leaves the graph — and therefore
 		// the tree, bit for bit — untouched, so the previous tree is
-		// reused outright. Otherwise the tree is
-		// delta-patched from the previous one, which yields the diff as
-		// a byproduct; a full rebuild plus DiffNodes sweep remains the
-		// fallback when the patch gate trips or patching does not apply.
-		// The rebuildEachSnapshot hook skips the empty-delta shortcut
-		// too, so it reproduces the rebuild-every-snapshot pipeline
-		// exactly.
+		// reused outright. Otherwise the tree is delta-patched from the
+		// previous one, which yields the diff as a byproduct; a full
+		// rebuild plus DiffNodes sweep serves non-backtracking walks,
+		// which Patch does not handle. The rebuildEachSnapshot hook
+		// skips the empty-delta shortcut too, so it reproduces the
+		// rebuild-every-snapshot pipeline exactly.
 		var tree *ReachTree
 		var treeDiff []graph.NodeID
 		switch {
@@ -257,7 +193,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		case delta.Size() == 0:
 			tree = treePrev
 		case !pp.NonBacktracking:
-			if nt, diff, ok := treePrev.Patch(spare, gCur, delta.Add, delta.Del, pp, treeTolerance, gate); ok {
+			if nt, diff, ok := treePrev.Patch(spare, gCur, delta.Add, delta.Del, pp, treeTolerance); ok {
 				tree, treeDiff = nt, diff
 				res.Stats.TreePatched++
 			}
@@ -293,16 +229,10 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		if !to.DisableDeltaPruning &&
 			float64(delta.Size())*float64(eOmega) < float64(nc)*float64(nr) {
 			affected := affectedArea(gCur, tg.Directed(), delta, treeDiff, pp.Lmax, ts)
-			workers := pp.Workers
-			if nc < minMembershipParallel {
-				workers = 1
-			}
-			if err := par.ForEachCtx(ctx, nc, workers, func(i int) {
-				if !affected.Has(candidates[i]) {
+			for i, v := range candidates {
+				if !affected.Has(v) {
 					dec[i] = decReuseDelta
 				}
-			}); err != nil {
-				return nil, err
 			}
 		}
 
@@ -312,54 +242,17 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		// two snapshots and skip the unchanged ones. (With a changed
 		// source tree this rule is unsound — a candidate's crash
 		// probabilities change even if its walk distribution does not —
-		// hence the gate, which is also Algorithm 3 line 7.) The current
-		// tree always needs computing; the previous one is served from
-		// the candidate cache when a version-matching entry survives,
-		// halving the RevReach work per carried candidate. Comparisons
-		// fan out across workers; decisions land in per-candidate slots
-		// and merge serially in candidate order, so everything except
-		// the cache-traffic tallies is independent of the worker count.
+		// hence the gate, which is also Algorithm 3 line 7.) Comparisons
+		// fan out across workers, and each writes only its candidate's
+		// decision slot, so the outcome is independent of the worker
+		// count.
 		if !to.DisableDiffPruning && len(treeDiff) == 0 && eOmega < nr {
-			dd := grow(ts.dd, nc)
-			ts.dd = dd
-			prevVersion, curVersion := gPrev.Version(), gCur.Version()
 			if err := par.ForEachCtx(ctx, nc, pp.Workers, func(i int) {
-				if dec[i] != decRecompute {
-					return
-				}
-				v := candidates[i]
-				tv := compareTree(gCur, v, pp)
-				var tvPrev *ReachTree
-				hit := false
-				if candTrees != nil {
-					if e, ok := candTrees.Get(candKey(v)); ok {
-						if ent := e.(candTreeEntry); ent.version == prevVersion {
-							tvPrev, hit = ent.tree, true
-						}
-					}
-				}
-				if tvPrev == nil {
-					tvPrev = compareTree(gPrev, v, pp)
-				}
-				dd[i] = diffDecision{equal: tv.Equal(tvPrev, treeTolerance), hit: hit}
-				if candTrees != nil {
-					candTrees.Put(candKey(v), candTreeEntry{tree: tv, version: curVersion}, tv.ApproxBytes())
+				if dec[i] == decRecompute && sameTree(gPrev, gCur, candidates[i], pp) {
+					dec[i] = decReuseDiff
 				}
 			}); err != nil {
 				return nil, err
-			}
-			for i := 0; i < nc; i++ {
-				if dec[i] != decRecompute {
-					continue
-				}
-				if dd[i].hit {
-					res.Stats.CandTreeHits++
-				} else {
-					res.Stats.CandTreeMisses++
-				}
-				if dd[i].equal {
-					dec[i] = decReuseDiff
-				}
 			}
 		}
 
@@ -441,22 +334,22 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	statTemporalTreePatched.Add(uint64(res.Stats.TreePatched))
 	statTemporalTreeRebuilt.Add(uint64(res.Stats.TreeRebuilt))
 	statTemporalFrozenReused.Add(uint64(res.Stats.FrozenReused))
-	statTemporalCandHits.Add(uint64(res.Stats.CandTreeHits))
-	statTemporalCandMisses.Add(uint64(res.Stats.CandTreeMisses))
 	return res, nil
 }
 
-// compareTree builds candidate v's reverse reachable tree on g for
-// difference pruning. The tree is only compared, never walked, so it
-// carries no probe index, and it is a fresh arena: the candidate cache
-// keeps it, and a pooled arena would bring along the index storage of
-// an earlier walked tree.
-func compareTree(g *graph.Graph, v graph.NodeID, pp Params) *ReachTree {
-	return revReachInto(new(ReachTree), g, v, pp.C, pp.Lmax, pp.Transition, 0, InEdges, false)
+// sameTree reports whether candidate v's reverse reachable tree is the
+// same, within treeTolerance, on gPrev and on gCur: difference
+// pruning's test. Both trees are only compared, never walked, so they
+// carry no probe index; they are built into pooled arenas and handed
+// back before sameTree returns.
+func sameTree(gPrev, gCur *graph.Graph, v graph.NodeID, pp Params) bool {
+	prev := revReachInto(treePool.Get(), gPrev, v, pp.C, pp.Lmax, pp.Transition, 0, InEdges, false)
+	cur := revReachInto(treePool.Get(), gCur, v, pp.C, pp.Lmax, pp.Transition, 0, InEdges, false)
+	same := cur.Equal(prev, treeTolerance)
+	treePool.Put(prev)
+	treePool.Put(cur)
+	return same
 }
-
-// candKey renders a candidate id as its cache key.
-func candKey(v graph.NodeID) string { return strconv.Itoa(int(v)) }
 
 // affectedArea returns Theorem 2's affected area as one multi-source
 // forward BFS of depth lmax over a dense bitset: the reach of (i) the

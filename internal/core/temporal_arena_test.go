@@ -168,9 +168,8 @@ func sameScores(a, b Scores) bool {
 // transitions that change the source tree, transitions that leave it
 // alone, transitions that recompute nothing and queries whose Ω
 // empties, the default run must observe the same scores, bit for bit
-// at every snapshot, as a run that rebuilds every snapshot's tree with
-// the candidate cache off — for workers 1 and 4, from warm and from
-// cold scratch pools.
+// at every snapshot, as a run that rebuilds every snapshot's tree — for
+// workers 1 and 4, from warm and from cold scratch pools.
 func TestCrashSimTRecycledArenas(t *testing.T) {
 	type history struct {
 		name string
@@ -187,7 +186,7 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 	queries := []TemporalQuery{
 		thresholdQuery{0}, thresholdQuery{0.01}, trendQuery{slack: 0.02}, zeroAtStartQuery{}, untilQuery{last: 4},
 	}
-	ablated := TemporalOptions{noCandidateCache: true, rebuildEachSnapshot: true}
+	ablated := TemporalOptions{rebuildEachSnapshot: true}
 	var patched, reused int
 	for _, h := range histories {
 		for _, q := range queries {
@@ -226,14 +225,12 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 }
 
 // diffPruningHistory is a history on which difference pruning
-// (Property 2) fires and its candidate-tree cache hits. The source's
-// component never changes, so its tree is stable, and Ω's edges stay
-// below n_r. The churn touches the in-list of y, the head of the path
-// y → a → b → v. With Lmax 3, v lies in the affected area, so delta
-// pruning cannot settle it. Its own tree ends at y, though, and y's
-// in-list sits one level past Lmax, so the tree comparison reuses v's
-// score. The quiet transition in between keeps the snapshot version,
-// so the last transition finds v's cached tree.
+// (Property 2) fires. The source's component never changes, so its
+// tree is stable, and Ω's edges stay below n_r. The churn touches the
+// in-list of y, the head of the path y → a → b → v. With Lmax 3, v lies
+// in the affected area, so delta pruning cannot settle it. Its own tree
+// ends at y, though, and y's in-list sits one level past Lmax, so the
+// tree comparison reuses v's score.
 func diffPruningHistory(t *testing.T) *temporal.Graph {
 	t.Helper()
 	const (
@@ -255,7 +252,7 @@ func diffPruningHistory(t *testing.T) *temporal.Graph {
 }
 
 // TestCrashSimTDifferencePruningRuns pins diffPruningHistory's
-// difference pruning and cache hits with Lmax 3.
+// difference pruning with Lmax 3.
 func TestCrashSimTDifferencePruningRuns(t *testing.T) {
 	tg := diffPruningHistory(t)
 	p := Params{Lmax: 3, Eps: 0.3, Iterations: 100, Seed: 23}
@@ -274,8 +271,8 @@ func TestCrashSimTDifferencePruningRuns(t *testing.T) {
 	if s.TreeStableSteps != 3 {
 		t.Errorf("TreeStableSteps = %d, want 3: the source tree must never change", s.TreeStableSteps)
 	}
-	if s.ReusedDiff == 0 || s.CandTreeHits == 0 {
-		t.Errorf("difference pruning idle: ReusedDiff %d, CandTreeHits %d", s.ReusedDiff, s.CandTreeHits)
+	if s.ReusedDiff == 0 {
+		t.Errorf("difference pruning idle: ReusedDiff %d", s.ReusedDiff)
 	}
 	if got, want := s.Evaluated+s.ReusedDelta+s.ReusedDiff, tg.NumNodes()+processed; got != want {
 		t.Errorf("Evaluated(%d)+ReusedDelta(%d)+ReusedDiff(%d) = %d, want %d candidate-snapshots",

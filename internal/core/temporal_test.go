@@ -226,14 +226,6 @@ func TestCrashSimTTrendFiltering(t *testing.T) {
 	}
 }
 
-// maskCacheTraffic zeroes the two stats fields that legitimately vary
-// with scheduling (byte-accounted eviction depends on insertion order),
-// leaving everything the determinism contract covers.
-func maskCacheTraffic(s TemporalStats) TemporalStats {
-	s.CandTreeHits, s.CandTreeMisses = 0, 0
-	return s
-}
-
 // TestCrashSimTWorkersDeterminism: for a fixed seed, the parallel
 // pruning pipeline must return bit-identical results for any worker
 // count — candidates own their random streams, decisions land in
@@ -277,17 +269,16 @@ func TestCrashSimTWorkersDeterminism(t *testing.T) {
 				t.Errorf("workers=%d: score at %d = %v, want %v", w, v, got.Final[v], s)
 			}
 		}
-		if ga, ba := maskCacheTraffic(got.Stats), maskCacheTraffic(base.Stats); ga != ba {
-			t.Errorf("workers=%d: stats differ:\n%+v\n%+v", w, ga, ba)
+		if got.Stats != base.Stats {
+			t.Errorf("workers=%d: stats differ:\n%+v\n%+v", w, got.Stats, base.Stats)
 		}
 	}
 }
 
 // TestCrashSimTIncrementalEquivalence: every incremental mechanism of
-// the pipeline (tree patching, the candidate-tree cache, source-tree
-// reuse) is a pure optimization — rebuilding every snapshot with the
-// cache off must reproduce the same result bit for bit, while the
-// default run actually engages them.
+// the pipeline (tree patching, source-tree reuse) is a pure
+// optimization — rebuilding every snapshot must reproduce the same
+// result bit for bit, while the default run actually engages them.
 func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 	tg := churnGraph(t, 60, 150, 8, 0.01, 37)
 	p := Params{Iterations: 100, Seed: 41}
@@ -296,7 +287,7 @@ func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := CrashSimT(tg, 0, q, p, TemporalOptions{noCandidateCache: true, rebuildEachSnapshot: true})
+	plain, err := CrashSimT(tg, 0, q, p, TemporalOptions{rebuildEachSnapshot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +302,7 @@ func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 	if inc.Stats.TreePatched == 0 {
 		t.Error("default run never patched a tree on a low-churn history")
 	}
-	if plain.Stats.TreePatched != 0 || plain.Stats.FrozenReused != 0 || plain.Stats.CandTreeHits != 0 {
+	if plain.Stats.TreePatched != 0 || plain.Stats.FrozenReused != 0 {
 		t.Errorf("ablated run used incremental machinery: %+v", plain.Stats)
 	}
 }
@@ -320,8 +311,8 @@ func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 // evaluated or reused by exactly one pruning rule, so
 // Evaluated + ReusedDelta + ReusedDiff must equal the initial full
 // sweep plus the candidate count entering each later snapshot —
-// whatever mix of empty, tiny and gate-exceeding deltas the history
-// throws at the pipeline.
+// whatever mix of empty, tiny and dense deltas the history throws at
+// the pipeline.
 func TestTemporalStatsAccounting(t *testing.T) {
 	const n = 50
 	static := func(t *testing.T) *temporal.Graph {
@@ -342,26 +333,28 @@ func TestTemporalStatsAccounting(t *testing.T) {
 		name    string
 		history func(*testing.T) *temporal.Graph
 		theta   float64
-		opts    TemporalOptions
+		lmax    int // 0 derives Lmax from c
 	}{
-		{"empty-deltas", static, 0.002, TemporalOptions{}},
-		{"tiny-deltas", churn(0.01), 0.002, TemporalOptions{}},
-		{"gate-exceeding", churn(0.05), 0.002, TemporalOptions{patchGate: 1e-300}},
-		// Difference pruning runs on this history, so with the cache
-		// off it has previous-snapshot trees to recompute.
-		{"tiny-no-cache", diffPruningHistory, 0, TemporalOptions{noCandidateCache: true}},
+		{"empty-deltas", static, 0.002, 0},
+		{"tiny-deltas", churn(0.01), 0.002, 0},
+		// Under Lmax 3 the source's tree is small and each delta's
+		// affected closure spans more than a quarter of its support.
+		{"dense-churn", churn(0.05), 0.002, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tg := tc.history(t)
 			processed := 0
-			opts := tc.opts
-			opts.Observer = func(t int, scores Scores) {
+			opts := TemporalOptions{Observer: func(t int, scores Scores) {
 				if t > 0 {
 					processed += len(scores)
 				}
+			}}
+			p := Params{Iterations: 90, Seed: 53}
+			if tc.lmax != 0 {
+				p.Lmax, p.Eps = tc.lmax, 0.5
 			}
-			res, err := CrashSimT(tg, 0, thresholdQuery{tc.theta}, Params{Iterations: 90, Seed: 53}, opts)
+			res, err := CrashSimT(tg, 0, thresholdQuery{tc.theta}, p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,18 +375,12 @@ func TestTemporalStatsAccounting(t *testing.T) {
 				t.Errorf("empty(%d)+TreePatched(%d)+TreeRebuilt(%d) = %d transitions, want %d",
 					empty, s.TreePatched, s.TreeRebuilt, got, want)
 			}
-			if tc.name == "gate-exceeding" && s.TreePatched != 0 {
-				t.Errorf("TreePatched = %d under a zero-budget gate", s.TreePatched)
+			// Patch has no size gate: a dense delta patches like a tiny one.
+			if tc.name == "dense-churn" && (s.TreeRebuilt != 0 || s.TreePatched == 0) {
+				t.Errorf("dense churn rebuilt %d and patched %d trees; want 0 rebuilt", s.TreeRebuilt, s.TreePatched)
 			}
 			if tc.name == "empty-deltas" && s.TreeRebuilt+s.TreePatched != 0 {
 				t.Errorf("static history rebuilt %d and patched %d trees", s.TreeRebuilt, s.TreePatched)
-			}
-			// A negative cache budget turns the candidate-tree cache off:
-			// difference pruning still runs, but every previous-snapshot
-			// tree is recomputed.
-			if tc.name == "tiny-no-cache" && (s.CandTreeHits != 0 || s.CandTreeMisses == 0) {
-				t.Errorf("cache off: CandTreeHits = %d, CandTreeMisses = %d; want 0 hits and some misses",
-					s.CandTreeHits, s.CandTreeMisses)
 			}
 		})
 	}

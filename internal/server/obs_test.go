@@ -89,8 +89,6 @@ func TestMetricsExposesTemporalCounters(t *testing.T) {
 		"core.temporal.tree_patched",
 		"core.temporal.tree_rebuilt",
 		"core.temporal.frozen_reused",
-		"core.temporal.candtree_hits",
-		"core.temporal.candtree_misses",
 		"core.pool.patch_hits",
 		"core.pool.patch_misses",
 		"core.pool.temporal_hits",

@@ -578,8 +578,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 //     CrashSim-T's pruning outcomes; core.temporal.tree_patched /
 //     tree_rebuilt, how each snapshot's source tree was obtained;
 //     core.temporal.frozen_reused, estimates that reused the previous
-//     estimate's source tree; core.temporal.candtree_hits /
-//     candtree_misses, the candidate-tree cache;
+//     estimate's source tree;
 //   - prsim.visits, prsim.hub_hits, prsim.tail_builds and
 //     prsim.entries, and prsim.pool.scratch_hits / _misses for PRSim's
 //     per-query accumulator.
