@@ -2,6 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"time"
 
 	"crashsim/internal/core"
@@ -82,6 +85,9 @@ func AblationEstimator(cfg Config) (*Report, error) {
 // AblationPruning measures what each CrashSim-T pruning rule contributes:
 // total time and number of candidate evaluations for the trend query on
 // an AS-733-shaped history, with both rules, each alone, and neither.
+// Pruning may only skip work: it returns an error when a variant's
+// result set or final scores differ, bit for bit, from the unpruned
+// run's.
 func AblationPruning(cfg Config) (*Report, error) {
 	cfg = cfg.WithDefaults()
 	prof, err := gen.ProfileByName("as-733")
@@ -120,18 +126,34 @@ func AblationPruning(cfg Config) (*Report, error) {
 		Notes:   []string{fmt.Sprintf("n=%d snapshots=%d", n, tg.NumSnapshots())},
 		Columns: []string{"variant", "total-time", "evaluated", "reused-delta", "reused-diff", "|omega|"},
 	}
-	for _, variant := range variants {
+	results := make([]*core.TemporalResult, len(variants))
+	for i, variant := range variants {
 		start := time.Now()
 		res, err := core.CrashSimT(tg, u, q, params, variant.opts)
 		elapsed := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("bench: pruning ablation %q: %w", variant.name, err)
 		}
+		results[i] = res
 		rep.AddRow(variant.name, elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d", res.Stats.Evaluated),
 			fmt.Sprintf("%d", res.Stats.ReusedDelta),
 			fmt.Sprintf("%d", res.Stats.ReusedDiff),
 			fmt.Sprintf("%d", len(res.Omega)))
 	}
+	none := len(variants) - 1
+	for i, res := range results[:none] {
+		if !sameTemporalResult(res, results[none]) {
+			return nil, fmt.Errorf("bench: pruning ablation %q: result differs from %q", variants[i].name, variants[none].name)
+		}
+	}
 	return rep, nil
+}
+
+// sameTemporalResult reports whether two CrashSim-T runs kept the same
+// candidates with bit-identical final scores.
+func sameTemporalResult(a, b *core.TemporalResult) bool {
+	return slices.Equal(a.Omega, b.Omega) && maps.EqualFunc(a.Final, b.Final, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
 }

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"crashsim/internal/core"
+	"crashsim/internal/graph"
 )
 
 // quickConfig keeps harness tests fast: tiny graphs, few sources.
@@ -178,6 +181,29 @@ func TestAblationsQuick(t *testing.T) {
 	}
 	if len(pr.Rows) != 4 {
 		t.Errorf("pruning ablation has %d rows, want 4", len(pr.Rows))
+	}
+}
+
+// TestSameTemporalResult: the pruning ablation's self-check tells a
+// score moved by one ulp, or a candidate lost, from an identical run.
+func TestSameTemporalResult(t *testing.T) {
+	run := func() *core.TemporalResult {
+		return &core.TemporalResult{Omega: []graph.NodeID{1, 4}, Final: core.Scores{1: 0.25, 4: 0.5}}
+	}
+	a := run()
+	if !sameTemporalResult(a, run()) {
+		t.Error("identical runs reported different")
+	}
+	b := run()
+	b.Final[4] = math.Nextafter(0.5, 1)
+	if sameTemporalResult(a, b) {
+		t.Error("a one-ulp score change went unnoticed")
+	}
+	c := run()
+	c.Omega = c.Omega[:1]
+	delete(c.Final, 4)
+	if sameTemporalResult(a, c) {
+		t.Error("a lost candidate went unnoticed")
 	}
 }
 

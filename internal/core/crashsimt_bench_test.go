@@ -79,9 +79,9 @@ func BenchmarkCrashSimT(b *testing.B) {
 // ablation's "diff only" row (repro ablation, default config): one
 // increasing-trend query per op on the as-733 profile at scale 0.03
 // over 32 snapshots of its churn, with delta pruning off. Every
-// candidate of every tree-stable transition then goes through
-// difference pruning, which builds its two trees into pooled arenas
-// and compares them.
+// tree-stable transition then decides difference pruning from one
+// forward BFS of the changed edges' heads; the rest of each op is the
+// walks of the candidates it cannot reuse.
 func BenchmarkCrashSimTDiffPruning(b *testing.B) {
 	prof, err := gen.ProfileByName("as-733")
 	if err != nil {

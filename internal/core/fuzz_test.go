@@ -214,6 +214,15 @@ func FuzzPatch(f *testing.F) {
 	// after two steps, so the patched tree's later levels are empty and
 	// their index words must be written as zeros over the dirty arena.
 	f.Add([]byte{1, 1, 1, 0, 1, 1, 1, 2, 2, 0, 0, 9, 0, 3})
+	// Source 0's tree is 0 ← 1 ← 2; the delta adds 5 → 4 and deletes
+	// 4 → 3, touching no node of it. Under the exact rule Patch hands the
+	// old tree back without paying the closure.
+	f.Add([]byte{4, 1, 3, 1, 0, 2, 1, 4, 3, 2, 5, 4, 4, 3, 0, 0, 0, 2, 0, 0})
+	// The same shape under the paper-literal rule: source 1's only
+	// in-neighbor 0 has in-degree 0, so it gets no mass and is outside
+	// the support. Adding 2 → 0 gives it mass, so the shortcut must not
+	// apply to this rule.
+	f.Add([]byte{1, 1, 1, 0, 1, 1, 2, 0, 1, 0, 1, 0, 0, 0})
 	big := randomTestGraph(f, 150, 600, true, 5)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)

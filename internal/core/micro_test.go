@@ -262,60 +262,3 @@ func BenchmarkTop(b *testing.B) {
 		})
 	}
 }
-
-// countOmegaEdgesMap is the pre-bitset form of countOmegaEdges (hash
-// probe per in-edge); it survives only as the micro-benchmark baseline.
-func countOmegaEdgesMap(g *graph.Graph, omega map[graph.NodeID]float64) int {
-	count := 0
-	for v := range omega {
-		for _, x := range g.In(v) {
-			if _, ok := omega[x]; ok {
-				count++
-			}
-		}
-	}
-	if !g.Directed() {
-		count /= 2
-	}
-	return count
-}
-
-// BenchmarkCountOmegaEdges measures the per-snapshot |E(Ω)| count both
-// ways: the pooled-bitset membership test CrashSim-T now uses and the
-// old map probe it replaced.
-func BenchmarkCountOmegaEdges(b *testing.B) {
-	const n, m = 5000, 25000
-	edges, err := gen.ErdosRenyi(n, m, true, 71)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := gen.BuildStatic(n, true, edges)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Ω is half the node set — a mid-history candidate set.
-	cands := make([]graph.NodeID, 0, n/2)
-	omega := make(map[graph.NodeID]float64, n/2)
-	for v := 0; v < n; v += 2 {
-		cands = append(cands, graph.NodeID(v))
-		omega[graph.NodeID(v)] = 1
-	}
-	b.Run("bitset", func(b *testing.B) {
-		member := newNodeBitset(nil, n)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			clear(member)
-			if countOmegaEdges(g, cands, member) == 0 {
-				b.Fatal("no edges counted")
-			}
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if countOmegaEdgesMap(g, omega) == 0 {
-				b.Fatal("no edges counted")
-			}
-		}
-	})
-}

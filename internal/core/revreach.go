@@ -19,7 +19,7 @@ import (
 // reverse neighborhood of the source, so the arena holds only the
 // support. All construction is performed in sorted node order so
 // probabilities are bit-for-bit deterministic for a given graph, which
-// CrashSim-T's tree-equality pruning relies on.
+// CrashSim-T's tree diff relies on.
 //
 // Next to the arena sits the probe index the walk kernels read, laid
 // out level-major like the arena itself: for each level t, words
@@ -28,9 +28,9 @@ import (
 // the arena position of its first member, so U[t][v] is one word test,
 // one popcount and one load from probs. A walk at step t touches only
 // level t's row. The level sweeps that build the arena visit every
-// bitset word in order and write the row as they go. Trees built only
-// to be compared (CrashSim-T's difference pruning) carry no index:
-// words is 0 and Prob answers 0.
+// bitset word in order and write the row as they go. Trees built by
+// Push, which only reads their levels, carry no index: words is 0 and
+// Prob answers 0.
 type ReachTree struct {
 	Source graph.NodeID
 	Lmax   int
@@ -135,22 +135,6 @@ func (t *ReachTree) LevelMass(step int) float64 {
 // Support returns the number of (step, node) entries with positive mass.
 func (t *ReachTree) Support() int { return len(t.nodes) }
 
-// Equal reports whether two trees have the same support and probabilities
-// within tol (use tol = 0 for exact equality; CrashSim-T uses a small
-// tolerance because adjacency enumeration order may differ between
-// otherwise identical snapshots).
-func (t *ReachTree) Equal(o *ReachTree, tol float64) bool {
-	if o == nil || !slices.Equal(t.off, o.off) || !slices.Equal(t.nodes, o.nodes) {
-		return false
-	}
-	for i, pa := range t.probs {
-		if math.Abs(pa-o.probs[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // DiffNodes returns the sorted set of nodes whose probability differs
 // from o's by more than tol at any level (including nodes present in
 // only one tree). CrashSim-T's delta pruning treats the forward reach of
@@ -216,10 +200,14 @@ func (t *ReachTree) DiffNodes(o *ReachTree, tol float64) []graph.NodeID {
 // at the bit level, Patch returns t itself and dst holds nothing the
 // caller needs, so it stays free for the next patch.
 //
+// Under TransitionExact a delta with no endpoint in t's support returns
+// t at once: the push reads only the in-lists of pushers, so such a
+// delta cannot move the tree. Otherwise Patch pays the delta's in-edge
+// closure over the graph, whatever the tree's size; DESIGN.md §11
+// records where that costs more than a rebuild.
+//
 // ok is false when patching does not apply and the caller must fall
 // back to a full rebuild: non-backtracking trees or an Lmax mismatch.
-// Patch applies whatever the closure's size; DESIGN.md §11 records
-// where that costs more than a rebuild.
 // p must already have defaults applied (CrashSim-T passes its resolved
 // Params).
 func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge, p Params, tol float64) (*ReachTree, []graph.NodeID, bool) {
@@ -229,6 +217,27 @@ func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge,
 	n := g.NumNodes()
 	ps := acquirePatchScratch(n)
 	defer patchPool.Put(ps)
+
+	// The support shortcut borrows the closure's bitset. It is exact-rule
+	// only: under TransitionPaperLiteral a receiver's mass depends on its
+	// own in-degree, and a receiver with in-degree 0 has no mass, so it
+	// is outside the support until it gains an in-edge.
+	if p.Transition == TransitionExact {
+		support := newNodeBitset(ps.affected, n)
+		ps.affected = support
+		for _, v := range t.nodes {
+			support.Add(v)
+		}
+		hit := false
+		for _, set := range [][]graph.Edge{add, del} {
+			for _, e := range set {
+				hit = hit || support.Has(e.X) || support.Has(e.Y)
+			}
+		}
+		if !hit {
+			return t, nil, true
+		}
+	}
 
 	// Affected closure: a node's level value can change only if it is
 	// the tail of a changed edge (its out-list changed), pushes through a
@@ -457,7 +466,7 @@ func Push(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRu
 // pusher. An empty level ends the push, since every later level is
 // empty too; the remaining levels are closed empty, so the tree always
 // has lmax+1 levels. indexed selects whether the probe index is
-// written; a tree that is only compared or copied, never walked, goes
+// written; a tree that is only read level by level, never walked, goes
 // without.
 func revReachInto(t *ReachTree, g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction, indexed bool) *ReachTree {
 	sc := math.Sqrt(c)

@@ -123,28 +123,31 @@ func TestRevReachMassBoundQuick(t *testing.T) {
 	}
 }
 
-func TestReachTreeEqual(t *testing.T) {
+// TestReachTreeDiffNodes: a tree differs from nothing built the same
+// way, and from trees of another source, of another lmax or from no tree
+// at all.
+func TestReachTreeDiffNodes(t *testing.T) {
 	g := graph.PaperExample()
 	A := graph.PaperNode("A")
 	a := RevReach(g, A, 0.6, 10, TransitionExact)
 	b := RevReach(g, A, 0.6, 10, TransitionExact)
-	if !a.Equal(b, 0) {
-		t.Error("identical computations not Equal at tol 0")
+	if d := a.DiffNodes(b, 0); len(d) != 0 {
+		t.Errorf("identical computations differ at tol 0: %v", d)
 	}
 	c := RevReach(g, graph.PaperNode("B"), 0.6, 10, TransitionExact)
-	if a.Equal(c, 1e-9) {
-		t.Error("trees of different sources reported Equal")
+	if len(a.DiffNodes(c, 1e-9)) == 0 {
+		t.Error("trees of different sources reported equal")
 	}
-	if a.Equal(nil, 0) {
-		t.Error("Equal(nil) = true")
+	if len(a.DiffNodes(nil, 0)) == 0 {
+		t.Error("DiffNodes(nil) is empty")
 	}
 	short := RevReach(g, A, 0.6, 5, TransitionExact)
-	if a.Equal(short, 1e-9) {
-		t.Error("trees with different lmax reported Equal")
+	if len(a.DiffNodes(short, 1e-9)) == 0 {
+		t.Error("trees with different lmax reported equal")
 	}
 }
 
-func TestReachTreeEqualDetectsEdgeChange(t *testing.T) {
+func TestReachTreeDiffDetectsEdgeChange(t *testing.T) {
 	d := graph.NewDiGraph(8, true)
 	for _, e := range graph.PaperExample().Edges() {
 		if err := d.AddEdge(e.X, e.Y); err != nil {
@@ -159,7 +162,7 @@ func TestReachTreeEqualDetectsEdgeChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := RevReach(d.Freeze(), A, 0.6, 10, TransitionExact)
-	if before.Equal(after, 1e-12) {
+	if len(before.DiffNodes(after, 1e-12)) == 0 {
 		t.Error("tree unchanged after removing a reverse-reachable edge")
 	}
 }
@@ -499,26 +502,8 @@ func sameAsMap(t *ReachTree, m mapLevels) bool {
 	return true
 }
 
-// mapEqual, mapDiffNodes and mapNodes are the map-form Equal, DiffNodes
-// and Nodes the flat tree's versions must agree with.
-func mapEqual(a, b mapLevels, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for step := range a {
-		if len(a[step]) != len(b[step]) {
-			return false
-		}
-		for v, pa := range a[step] {
-			pb, ok := b[step][v]
-			if !ok || math.Abs(pa-pb) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
+// mapDiffNodes and mapNodes are the map-form DiffNodes and Nodes the
+// flat tree's versions must agree with.
 func mapDiffNodes(a, b mapLevels, tol float64) []graph.NodeID {
 	seen := map[graph.NodeID]bool{}
 	for step := 0; step < max(len(a), len(b)); step++ {
@@ -566,7 +551,7 @@ func mapNodes(m mapLevels) []graph.NodeID {
 // TestFlatTreeMatchesMapOracle: on random graphs of both orientations,
 // for both transition rules and for the non-backtracking expansion, the
 // flat tree must hold the map oracle's exact (step, node, bits)
-// entries, and Equal, DiffNodes, Nodes and LevelMass must agree with
+// entries, and DiffNodes, Nodes and LevelMass must agree with
 // their map-form definitions — including between trees of a graph and
 // of the same graph with a few edges removed.
 func TestFlatTreeMatchesMapOracle(t *testing.T) {
@@ -606,14 +591,11 @@ func TestFlatTreeMatchesMapOracle(t *testing.T) {
 					t.Fatalf("%s: flat tree differs from the map oracle", name)
 				}
 				for _, tol := range []float64{0, 1e-3} {
-					if got, want := ta.Equal(tb, tol), mapEqual(ma, mb, tol); got != want {
-						t.Fatalf("%s: Equal(tol=%g) = %v, map form %v", name, tol, got, want)
-					}
 					if got, want := ta.DiffNodes(tb, tol), mapDiffNodes(ma, mb, tol); !slices.Equal(got, want) {
 						t.Fatalf("%s: DiffNodes(tol=%g) = %v, map form %v", name, tol, got, want)
 					}
 				}
-				if !ta.Equal(ta, 0) || len(ta.DiffNodes(ta, 0)) != 0 {
+				if len(ta.DiffNodes(ta, 0)) != 0 {
 					t.Fatalf("%s: tree differs from itself", name)
 				}
 				if got, want := ta.DiffNodes(nil, 0), mapNodes(ma); !slices.Equal(got, want) {

@@ -121,11 +121,9 @@ func (a *arena) release() {
 // nothing is pooled automatically: only the callers that fully own the
 // tree they build (SingleSourceCtx, TopKCtx, MultiSource,
 // SingleSourceWithError, Push) release it, once they are done with it.
-// CrashSim-T's difference pruning builds both of a candidate's trees
-// here and puts them back after comparing them. Its source trees it
-// recycles itself, within the run (see ReachTree.Patch), and never
-// releases here: arenas pooled past the run would hold resident memory
-// between queries.
+// CrashSim-T recycles its source trees itself, within the run (see
+// ReachTree.Patch), and never releases them here: arenas pooled past
+// the run would hold resident memory between queries.
 var treePool = pool.New[ReachTree]("core.pool.tree")
 
 // patchScratch holds ReachTree.Patch's working state: the affected and
@@ -155,16 +153,13 @@ func acquirePatchScratch(n int) *patchScratch {
 }
 
 // temporalScratch holds CrashSim-T's per-run buffers: the incrementally
-// maintained sorted candidate list, the per-snapshot pruning decision
-// array, the Ω-membership bitset behind countOmegaEdges and the
-// affected-area BFS state. One run reuses them across every snapshot;
-// pooling then recycles them across runs.
+// maintained sorted candidate list, the per-snapshot list of
+// candidates to recompute and the affected-area BFS state. One run
+// reuses them across every snapshot; pooling then recycles them across
+// runs.
 type temporalScratch struct {
 	candidates []graph.NodeID
 	recompute  []graph.NodeID
-	sources    []graph.NodeID
-	dec        []uint8
-	omegaBits  []uint64
 	reach      []uint64
 	frontier   []graph.NodeID
 	next       []graph.NodeID

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"crashsim/internal/graph"
-	"crashsim/internal/par"
 	"crashsim/internal/temporal"
 )
 
@@ -26,8 +25,12 @@ type TemporalQuery interface {
 type TemporalOptions struct {
 	// DisableDeltaPruning turns off the affected-area rule (Property 1).
 	DisableDeltaPruning bool
-	// DisableDiffPruning turns off the reverse-tree comparison rule
-	// (Property 2).
+	// DisableDiffPruning turns off the unchanged-reverse-tree rule
+	// (Property 2). It reuses a candidate while the source tree is
+	// stable and the candidate lies outside the forward reach, depth
+	// Lmax−1, of the changed edges' heads: there its reverse tree
+	// cannot have changed. Delta pruning reuses every such candidate
+	// first, so this rule only counts when delta pruning is off.
 	DisableDiffPruning bool
 	// Observer, when set, is invoked after every snapshot with the
 	// snapshot index and the scores of the current candidate set
@@ -55,7 +58,7 @@ type TemporalStats struct {
 	Snapshots       int // snapshots processed
 	Evaluated       int // candidate scores recomputed via CrashSim
 	ReusedDelta     int // candidate scores reused thanks to delta pruning
-	ReusedDiff      int // candidate scores reused thanks to difference pruning
+	ReusedDiff      int // candidate scores reused thanks to difference pruning; 0 whenever delta pruning is on
 	TreeStableSteps int // snapshot transitions with an unchanged source tree
 	TreePatched     int // transitions whose source tree was delta-patched
 	TreeRebuilt     int // transitions whose source tree was rebuilt from scratch
@@ -78,14 +81,6 @@ type TemporalResult struct {
 	Stats TemporalStats
 }
 
-// Per-candidate pruning decisions. decRecompute must be the zero value:
-// the decision array is cleared to it at every snapshot.
-const (
-	decRecompute uint8 = iota
-	decReuseDelta
-	decReuseDiff
-)
-
 // CrashSimT answers a temporal SimRank query (Algorithm 3) over the
 // whole history of tg: it starts from the full node set, recomputes per
 // snapshot only the scores the pruning rules cannot prove unchanged, and
@@ -96,14 +91,13 @@ func CrashSimT(tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to
 }
 
 // CrashSimTCtx is CrashSimT with cancellation, checked between
-// snapshots, inside the difference-pruning fan-out and inside the
-// per-candidate sampling loops. The per-snapshot pipeline is
-// incremental: the source tree is delta-patched from the previous
-// snapshot's (rebuilt only for non-backtracking walks), the
-// difference-pruning comparisons fan out through par.ForEachCtx (scores
-// stay bit-identical for any worker count: every candidate owns its
-// random stream and its decision slot), and tree-stable transitions
-// reuse the previous source tree, probe index included, as is.
+// snapshots and inside the per-candidate sampling loops. The
+// per-snapshot pipeline is incremental: the source tree is
+// delta-patched from the previous snapshot's (rebuilt only for
+// non-backtracking walks), one forward BFS decides both pruning rules,
+// and tree-stable transitions reuse the previous source tree, probe
+// index included, as is. Scores are bit-identical for any worker count:
+// every candidate owns its random stream.
 func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to TemporalOptions) (*TemporalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -140,14 +134,14 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	// contents; epoch does instead. It moves whenever the source tree is
 	// replaced, and an estimate under the epoch of the previous one
 	// counts as tree reuse (FrozenReused).
-	gPrev := cur.Freeze()
-	treePrev, err := BuildTree(gPrev, u, pp)
+	g0 := cur.Freeze()
+	treePrev, err := BuildTree(g0, u, pp)
 	if err != nil {
 		return nil, err
 	}
 	var spare *ReachTree
 	var epoch uint64
-	first, err := estimateSource(ctx, gPrev, u, treePrev, nil, pp, nr)
+	first, err := estimateSource(ctx, g0, u, treePrev, nil, pp, nr)
 	if err != nil {
 		return nil, err
 	}
@@ -211,66 +205,35 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 			res.Stats.TreeStableSteps++
 		}
 
-		nc := len(candidates)
-		omegaBits := newNodeBitset(ts.omegaBits, n)
-		ts.omegaBits = omegaBits
-		eOmega := countOmegaEdges(gCur, candidates, omegaBits)
-		dec := grow(ts.dec, nc)
-		clear(dec)
-		ts.dec = dec
-
-		// Delta pruning (Theorem 2 / Property 1): a candidate's score
-		// can only change if (i) its walks can hit a changed source-tree
-		// entry, or (ii) its own walk distribution changed — both only
-		// possible inside the forward reach of the altered tree nodes
-		// and of the changed edges' heads. Candidates outside that
-		// affected area reuse the previous snapshot's score, which is
-		// bit-exact because each candidate owns its random stream.
-		if !to.DisableDeltaPruning &&
-			float64(delta.Size())*float64(eOmega) < float64(nc)*float64(nr) {
-			affected := affectedArea(gCur, tg.Directed(), delta, treeDiff, pp.Lmax, ts)
-			for i, v := range candidates {
-				if !affected.Has(v) {
-					dec[i] = decReuseDelta
-				}
-			}
+		// Both pruning rules are one reach test. A candidate outside the
+		// affected area (Theorem 2) samples identical walks and consults
+		// identical crash probabilities, so its previous score is still
+		// bit-exact: each candidate owns its random stream. Delta pruning
+		// (Property 1) reuses every such candidate. Difference pruning
+		// (Property 2) applies only while the source tree is stable;
+		// then the area is the changed heads' reach alone, and a
+		// candidate outside it has an unchanged reverse tree.
+		var affected nodeBitset // nil: no rule applies
+		if !to.DisableDeltaPruning || (!to.DisableDiffPruning && len(treeDiff) == 0) {
+			affected = affectedArea(gCur, tg.Directed(), delta, treeDiff, pp.Lmax, ts)
 		}
-
-		// Difference pruning (Property 2): when the source tree is
-		// stable and the candidate subgraph is small, compare each
-		// remaining candidate's own reverse reachable tree across the
-		// two snapshots and skip the unchanged ones. (With a changed
-		// source tree this rule is unsound — a candidate's crash
-		// probabilities change even if its walk distribution does not —
-		// hence the gate, which is also Algorithm 3 line 7.) Comparisons
-		// fan out across workers, and each writes only its candidate's
-		// decision slot, so the outcome is independent of the worker
-		// count.
-		if !to.DisableDiffPruning && len(treeDiff) == 0 && eOmega < nr {
-			if err := par.ForEachCtx(ctx, nc, pp.Workers, func(i int) {
-				if dec[i] == decRecompute && sameTree(gPrev, gCur, candidates[i], pp) {
-					dec[i] = decReuseDiff
-				}
-			}); err != nil {
-				return nil, err
-			}
-		}
-
 		recompute := ts.recompute[:0]
-		for i := 0; i < nc; i++ {
-			switch dec[i] {
-			case decReuseDelta:
-				res.Stats.ReusedDelta++
-			case decReuseDiff:
-				res.Stats.ReusedDiff++
-			default:
-				recompute = append(recompute, candidates[i])
+		for _, v := range candidates {
+			if affected == nil || affected.Has(v) {
+				recompute = append(recompute, v)
 			}
 		}
 		ts.recompute = recompute
+		nc := len(candidates)
+		if to.DisableDeltaPruning {
+			res.Stats.ReusedDiff += nc - len(recompute)
+		} else {
+			res.Stats.ReusedDelta += nc - len(recompute)
+		}
 
-		// fresh lists recompute's nodes in the same (ascending) order, so
-		// the merge below walks it with a cursor.
+		// fresh lists recompute's nodes in the same (ascending) order, a
+		// subsequence of the candidates, so the merge below walks both
+		// with a cursor.
 		var fresh Result
 		if len(recompute) > 0 {
 			fresh, err = estimateSource(ctx, gCur, u, tree, recompute, pp, nr)
@@ -297,7 +260,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 			v := candidates[i]
 			prev := omega[v]
 			s := prev
-			if dec[i] == decRecompute {
+			if next < len(recompute) && recompute[next] == v {
 				s = fresh.scores[next]
 				next++
 			}
@@ -315,7 +278,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 			to.Observer(t, observed)
 		}
 		candidates = kept
-		gPrev, treePrev = gCur, tree
+		treePrev = tree
 	}
 	if err := cur.Err(); err != nil {
 		return nil, err
@@ -337,62 +300,32 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	return res, nil
 }
 
-// sameTree reports whether candidate v's reverse reachable tree is the
-// same, within treeTolerance, on gPrev and on gCur: difference
-// pruning's test. Both trees are only compared, never walked, so they
-// carry no probe index; they are built into pooled arenas and handed
-// back before sameTree returns.
-func sameTree(gPrev, gCur *graph.Graph, v graph.NodeID, pp Params) bool {
-	prev := revReachInto(treePool.Get(), gPrev, v, pp.C, pp.Lmax, pp.Transition, 0, InEdges, false)
-	cur := revReachInto(treePool.Get(), gCur, v, pp.C, pp.Lmax, pp.Transition, 0, InEdges, false)
-	same := cur.Equal(prev, treeTolerance)
-	treePool.Put(prev)
-	treePool.Put(cur)
-	return same
-}
-
-// affectedArea returns Theorem 2's affected area as one multi-source
-// forward BFS of depth lmax over a dense bitset: the reach of (i) the
-// altered nodes of the source's reverse reachable tree and (ii) the
-// nodes whose in-neighbor lists changed (each changed edge's head for
-// directed graphs, both endpoints for undirected ones). A candidate
-// outside this set samples identical walks and consults identical crash
-// probabilities, so its score is provably unchanged.
+// affectedArea returns Theorem 2's affected area as one staggered
+// multi-source forward BFS over a dense bitset: the reach, depth lmax,
+// of the altered nodes of the source's reverse reachable tree, and the
+// reach, depth lmax−1, of the nodes whose in-lists changed (each changed
+// edge's head for directed graphs, both endpoints for undirected ones).
+// A walk reads a tree entry at each of its positions 0…lmax but draws
+// steps only from the in-lists of positions 0…lmax−1, so the heads need
+// one level less (Params keeps lmax ≥ 1). The tree-diff nodes go one
+// level first; the heads then join the frontier and both expand
+// together. A candidate outside this set samples identical walks and
+// consults identical crash probabilities, so its score is provably
+// unchanged.
 func affectedArea(g *graph.Graph, directed bool, d temporal.Delta, treeDiff []graph.NodeID, lmax int, ts *temporalScratch) nodeBitset {
-	sources := append(ts.sources[:0], treeDiff...)
+	reach := newNodeBitset(ts.reach, g.NumNodes())
+	frontier, next := forwardReachBits(g, treeDiff, 1, reach, ts.frontier, ts.next)
 	for _, set := range [][]graph.Edge{d.Add, d.Del} {
 		for _, e := range set {
-			sources = append(sources, e.Y)
-			if !directed {
-				sources = append(sources, e.X)
+			if reach.Add(e.Y) {
+				frontier = append(frontier, e.Y)
+			}
+			if !directed && reach.Add(e.X) {
+				frontier = append(frontier, e.X)
 			}
 		}
 	}
-	reach := newNodeBitset(ts.reach, g.NumNodes())
-	ts.frontier, ts.next = forwardReachBits(g, sources, lmax, reach, ts.frontier, ts.next)
-	ts.reach, ts.sources = reach, sources
+	frontier, next = expandReach(g, lmax-1, reach, frontier, next)
+	ts.reach, ts.frontier, ts.next = reach, frontier, next
 	return reach
-}
-
-// countOmegaEdges returns |E(Ω)|: the number of edges of g with both
-// endpoints in the candidate set. member must be a zeroed bitset sized
-// to the graph; the membership test is then one load and AND per
-// in-edge instead of a hash probe (the micro-benchmark measures the
-// difference against the old map form).
-func countOmegaEdges(g *graph.Graph, cands []graph.NodeID, member nodeBitset) int {
-	for _, v := range cands {
-		member.Add(v)
-	}
-	count := 0
-	for _, v := range cands {
-		for _, x := range g.In(v) {
-			if member.Has(x) {
-				count++
-			}
-		}
-	}
-	if !g.Directed() {
-		count /= 2
-	}
-	return count
 }

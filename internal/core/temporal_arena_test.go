@@ -226,11 +226,12 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 
 // diffPruningHistory is a history on which difference pruning
 // (Property 2) fires. The source's component never changes, so its
-// tree is stable, and Ω's edges stay below n_r. The churn touches the
-// in-list of y, the head of the path y → a → b → v. With Lmax 3, v lies
-// in the affected area, so delta pruning cannot settle it. Its own tree
-// ends at y, though, and y's in-list sits one level past Lmax, so the
-// tree comparison reuses v's score.
+// tree is stable. The churn touches the in-list of y, the head of the
+// path y → a → b → v. With Lmax 3, a walk from v reaches y only at its
+// last position, where it reads y's tree entry but draws no step from
+// y's in-list. So v's score and its own tree stay the same: delta
+// pruning reuses it (the heads' reach goes Lmax−1 deep) and, with delta
+// pruning off, difference pruning does.
 func diffPruningHistory(t *testing.T) *temporal.Graph {
 	t.Helper()
 	const (
@@ -251,38 +252,107 @@ func diffPruningHistory(t *testing.T) *temporal.Graph {
 	return tg
 }
 
-// TestCrashSimTDifferencePruningRuns pins diffPruningHistory's
-// difference pruning with Lmax 3.
+// TestCrashSimTDifferencePruningRuns pins diffPruningHistory's pruning
+// with Lmax 3. Each active transition recomputes y, a and b, the heads'
+// reach at depth Lmax−1, so delta pruning evaluates the 10 nodes of
+// snapshot 0 plus 2 × 3. Difference pruning alone reuses the other 7
+// nodes of each active transition and all 10 of the quiet one.
 func TestCrashSimTDifferencePruningRuns(t *testing.T) {
 	tg := diffPruningHistory(t)
 	p := Params{Lmax: 3, Eps: 0.3, Iterations: 100, Seed: 23}
-	processed := 0
-	res, err := CrashSimT(tg, 0, thresholdQuery{0}, p, TemporalOptions{
-		Observer: func(t int, s Scores) {
-			if t > 0 {
-				processed += len(s)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := thresholdQuery{0}
+	none, _ := observedRun(t, tg, q, p, TemporalOptions{DisableDeltaPruning: true, DisableDiffPruning: true})
+
+	res, seen := observedRun(t, tg, q, p, TemporalOptions{})
 	s := res.Stats
 	if s.TreeStableSteps != 3 {
 		t.Errorf("TreeStableSteps = %d, want 3: the source tree must never change", s.TreeStableSteps)
 	}
-	if s.ReusedDiff == 0 {
-		t.Errorf("difference pruning idle: ReusedDiff %d", s.ReusedDiff)
+	processed := 0
+	for _, sc := range seen[1:] {
+		processed += len(sc)
 	}
 	if got, want := s.Evaluated+s.ReusedDelta+s.ReusedDiff, tg.NumNodes()+processed; got != want {
 		t.Errorf("Evaluated(%d)+ReusedDelta(%d)+ReusedDiff(%d) = %d, want %d candidate-snapshots",
 			s.Evaluated, s.ReusedDelta, s.ReusedDiff, got, want)
 	}
-	plain, err := CrashSimT(tg, 0, thresholdQuery{0}, p, TemporalOptions{DisableDiffPruning: true})
-	if err != nil {
-		t.Fatal(err)
+	deltaOnly, _ := observedRun(t, tg, q, p, TemporalOptions{DisableDiffPruning: true})
+	if got := deltaOnly.Stats.Evaluated; got != 16 {
+		t.Errorf("delta pruning alone evaluated %d, want 16", got)
 	}
-	if !sameScores(res.Final, plain.Final) {
-		t.Error("difference pruning changed the final scores")
+	diffOnly, _ := observedRun(t, tg, q, p, TemporalOptions{DisableDeltaPruning: true})
+	if diffOnly.Stats.ReusedDiff == 0 {
+		t.Errorf("difference pruning idle: ReusedDiff %d", diffOnly.Stats.ReusedDiff)
+	}
+	for _, r := range []struct {
+		name string
+		res  *TemporalResult
+	}{{"both rules", res}, {"delta only", deltaOnly}, {"diff only", diffOnly}} {
+		if !sameScores(r.res.Final, none.Final) {
+			t.Errorf("%s: final scores differ from the unpruned run", r.name)
+		}
+	}
+}
+
+// TestCrashSimTPruningGrid: the pruning rules reuse a score only where
+// recomputation would reproduce it bit for bit, whatever the graph's
+// orientation, transition rule, tree expansion, meeting rule or Lmax.
+// Every snapshot's observed scores under both rules, delta pruning alone
+// and difference pruning alone must equal the unpruned run's, and each
+// option set must reuse scores on every history.
+func TestCrashSimTPruningGrid(t *testing.T) {
+	type history struct {
+		name string
+		tg   *temporal.Graph
+	}
+	histories := []history{{"diff-pruning", diffPruningHistory(t)}, {"recycled-arena", recycledArenaHistory(t)}}
+	for seed := uint64(1); seed <= 2; seed++ {
+		for _, directed := range []bool{true, false} {
+			histories = append(histories, history{
+				fmt.Sprintf("two-component-seed%d-directed=%v", seed, directed), twoComponentHistory(t, seed, directed),
+			})
+		}
+	}
+	variants := []struct {
+		name   string
+		opts   TemporalOptions
+		reused func(TemporalStats) int
+	}{
+		{"both", TemporalOptions{}, func(s TemporalStats) int { return s.ReusedDelta }},
+		{"delta-only", TemporalOptions{DisableDiffPruning: true}, func(s TemporalStats) int { return s.ReusedDelta }},
+		{"diff-only", TemporalOptions{DisableDeltaPruning: true}, func(s TemporalStats) int { return s.ReusedDiff }},
+	}
+	none := TemporalOptions{DisableDeltaPruning: true, DisableDiffPruning: true}
+	q := thresholdQuery{0}
+	for _, h := range histories {
+		reused := make([]int, len(variants))
+		for _, rule := range []TransitionRule{TransitionExact, TransitionPaperLiteral} {
+			for _, nb := range []bool{false, true} {
+				for _, meet := range []MeetingRule{MeetingFirstMeet, MeetingAny, MeetingFirstCrash} {
+					for lmax := 1; lmax <= 3; lmax++ {
+						p := Params{Lmax: lmax, Eps: 0.3, Iterations: 40, Seed: 29, Transition: rule, NonBacktracking: nb, Meeting: meet}
+						name := fmt.Sprintf("%s/%v/nb=%v/%v/lmax=%d", h.name, rule, nb, meet, lmax)
+						_, want := observedRun(t, h.tg, q, p, none)
+						for i, v := range variants {
+							res, got := observedRun(t, h.tg, q, p, v.opts)
+							if len(got) != len(want) {
+								t.Fatalf("%s/%s: observed %d snapshots, want %d", name, v.name, len(got), len(want))
+							}
+							for s := range want {
+								if !sameScores(got[s], want[s]) {
+									t.Fatalf("%s/%s: snapshot %d scores differ from the unpruned run", name, v.name, s)
+								}
+							}
+							reused[i] += v.reused(res.Stats)
+						}
+					}
+				}
+			}
+		}
+		for i, v := range variants {
+			if reused[i] == 0 {
+				t.Errorf("%s/%s: no score reused over the grid; the check is vacuous", h.name, v.name)
+			}
+		}
 	}
 }

@@ -226,19 +226,19 @@ func TestCrashSimTTrendFiltering(t *testing.T) {
 	}
 }
 
-// TestCrashSimTWorkersDeterminism: for a fixed seed, the parallel
-// pruning pipeline must return bit-identical results for any worker
-// count — candidates own their random streams, decisions land in
-// per-candidate slots, and the merges run serially in candidate order.
-// Run under -race this also exercises the fan-outs for data races.
+// TestCrashSimTWorkersDeterminism: for a fixed seed, CrashSim-T must
+// return bit-identical results for any worker count — candidates own
+// their random streams, the pruning decisions are made serially, and
+// the merges run serially in candidate order. Run under -race this
+// also exercises the sampling fan-out for data races.
 func TestCrashSimTWorkersDeterminism(t *testing.T) {
 	edges, err := gen.ErdosRenyi(90, 270, true, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Bursty history: quiet transitions make the source tree stable, so
-	// both pruning fan-outs (delta membership and per-candidate diff
-	// comparison) get exercised across worker counts.
+	// pruning engages and the workers sample only the candidates it
+	// cannot reuse.
 	tg, err := gen.Churn(90, true, edges, gen.ChurnOptions{
 		Snapshots: 8, AddRate: 0.01, DelRate: 0.01, ActiveFraction: 0.5, Seed: 24,
 	})
@@ -252,7 +252,7 @@ func TestCrashSimTWorkersDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if base.Stats.ReusedDelta+base.Stats.ReusedDiff == 0 {
-		t.Fatal("pruning never engaged; the parallel loops were not exercised")
+		t.Fatal("pruning never engaged; the pruned sampling was not exercised")
 	}
 	for _, w := range []int{2, 4} {
 		pw := p
