@@ -48,7 +48,8 @@ func asHistory(tb testing.TB, scale float64) *temporal.Graph {
 // per op on the as-733 history, from its two highest-degree nodes, at
 // the temporal workload's n_r (193) on two workers. B/op and allocs/op
 // measure the per-snapshot bookkeeping: snapshot freezes, source-tree
-// patches with their probe index, and the per-candidate estimates.
+// rebuilds with their probe index and diff, and the per-candidate
+// estimates.
 func BenchmarkCrashSimT(b *testing.B) {
 	tg := asHistory(b, 1)
 	g, err := tg.Snapshot(0)

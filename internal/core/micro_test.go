@@ -16,10 +16,10 @@ func TestDiffNodes(t *testing.T) {
 	A := graph.PaperNode("A")
 	a := RevReach(g, A, 0.6, 8, TransitionExact)
 	b := RevReach(g, A, 0.6, 8, TransitionExact)
-	if diff := a.DiffNodes(b, 0); len(diff) != 0 {
+	if diff := diffNodes(a, b, 0); len(diff) != 0 {
 		t.Errorf("identical trees diff: %v", diff)
 	}
-	if diff := a.DiffNodes(nil, 0); len(diff) == 0 {
+	if diff := diffNodes(a, nil, 0); len(diff) == 0 {
 		t.Error("diff against nil should cover the whole support")
 	}
 
@@ -35,7 +35,7 @@ func TestDiffNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := RevReach(d.Freeze(), A, 0.6, 8, TransitionExact)
-	diff := a.DiffNodes(after, 1e-12)
+	diff := diffNodes(a, after, 1e-12)
 	if len(diff) == 0 {
 		t.Fatal("edge removal inside the tree produced no diff")
 	}
@@ -50,7 +50,7 @@ func TestDiffNodes(t *testing.T) {
 	}
 	for i := 1; i < len(diff); i++ {
 		if diff[i-1] >= diff[i] {
-			t.Errorf("DiffNodes not sorted: %v", diff)
+			t.Errorf("diff not sorted: %v", diff)
 		}
 	}
 }

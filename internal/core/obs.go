@@ -44,7 +44,6 @@ var (
 	// Incremental-pipeline outcomes: how each snapshot's source tree was
 	// obtained, and estimates that reused the previous estimate's tree
 	// (the frozen_reused name predates the probe index).
-	statTemporalTreePatched  = obs.Default.Counter("core.temporal.tree_patched")
 	statTemporalTreeRebuilt  = obs.Default.Counter("core.temporal.tree_rebuilt")
 	statTemporalFrozenReused = obs.Default.Counter("core.temporal.frozen_reused")
 )

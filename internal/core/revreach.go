@@ -135,289 +135,44 @@ func (t *ReachTree) LevelMass(step int) float64 {
 // Support returns the number of (step, node) entries with positive mass.
 func (t *ReachTree) Support() int { return len(t.nodes) }
 
-// DiffNodes returns the sorted set of nodes whose probability differs
-// from o's by more than tol at any level (including nodes present in
-// only one tree). CrashSim-T's delta pruning treats the forward reach of
-// these nodes as affected: a candidate whose walks cannot hit a changed
-// tree entry sees identical crash probabilities. Each level is compared
-// by one merge of the two sorted node lists.
-func (t *ReachTree) DiffNodes(o *ReachTree, tol float64) []graph.NodeID {
-	if o == nil {
-		o = &ReachTree{}
-	}
-	var out []graph.NodeID
-	for step := 0; step < max(t.NumLevels(), o.NumLevels()); step++ {
+// diffInto marks in changed, which it clears first, every node whose
+// mass differs from prev's by more than tol at some level, nodes present
+// at a level of only one tree included. CrashSim-T's delta pruning treats the forward reach of these nodes as
+// affected: a candidate whose walks cannot hit a changed tree entry sees
+// identical crash probabilities. Each level is compared by one merge of
+// the two sorted node lists. same reports whether the trees are bit for
+// bit identical: the same levels, nodes and probability bits. changed
+// must cover every node id of both trees.
+func (t *ReachTree) diffInto(prev *ReachTree, tol float64, changed nodeBitset) (same bool) {
+	clear(changed)
+	same = t.NumLevels() == prev.NumLevels()
+	for step := 0; step < max(t.NumLevels(), prev.NumLevels()); step++ {
 		an, ap := t.Level(step)
-		bn, bp := o.Level(step)
+		bn, bp := prev.Level(step)
 		i, j := 0, 0
 		for i < len(an) || j < len(bn) {
 			switch {
 			case j == len(bn) || (i < len(an) && an[i] < bn[j]):
-				out = append(out, an[i])
+				changed.Add(an[i])
+				same = false
 				i++
 			case i == len(an) || bn[j] < an[i]:
-				out = append(out, bn[j])
+				changed.Add(bn[j])
+				same = false
 				j++
 			default:
-				if math.Abs(ap[i]-bp[j]) > tol {
-					out = append(out, an[i])
+				if math.Float64bits(ap[i]) != math.Float64bits(bp[j]) {
+					same = false
+					if math.Abs(ap[i]-bp[j]) > tol {
+						changed.Add(an[i])
+					}
 				}
 				i++
 				j++
 			}
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// Patch derives the reverse reachable tree of t.Source on g from t, the
-// tree of the previous snapshot, where g differs from that snapshot by
-// exactly the given edge delta. Only the affected region is re-expanded:
-// the delta's endpoints seed a reverse (in-edge) BFS of depth Lmax, and
-// every level's masses are recomputed for affected nodes only while
-// unaffected entries are copied from t.
-//
-// The patched tree is written into dst, an arena the caller owns: its
-// previous contents are discarded and its storage reused, so a caller
-// that alternates two arenas (CrashSim-T's double buffer) patches
-// without allocating once they have grown. dst must not be t; a nil dst
-// allocates a fresh arena.
-//
-// The patched tree is bit-identical to a full RevReach on g. The level
-// DP sums a receiver's in-flowing mass in ascending pusher order, and a
-// node outside the affected closure has the same contributing pushers,
-// the same pusher masses and the same per-edge weights on both
-// snapshots — so restricting the re-push to affected receivers (while
-// still visiting pushers in full sorted level order) reproduces the
-// exact floating-point summation of the rebuild. The equivalence test
-// enforces this with tolerance zero.
-//
-// The second result is the sorted set of nodes whose probability moved
-// by more than tol at any level (including appear/vanish) — the same
-// contract as DiffNodes against a fresh rebuild, computed as a
-// byproduct instead of a second full-tree sweep. When no entry changed
-// at the bit level, Patch returns t itself and dst holds nothing the
-// caller needs, so it stays free for the next patch.
-//
-// Under TransitionExact a delta with no endpoint in t's support returns
-// t at once: the push reads only the in-lists of pushers, so such a
-// delta cannot move the tree. Otherwise Patch pays the delta's in-edge
-// closure over the graph, whatever the tree's size; DESIGN.md §11
-// records where that costs more than a rebuild.
-//
-// ok is false when patching does not apply and the caller must fall
-// back to a full rebuild: non-backtracking trees or an Lmax mismatch.
-// p must already have defaults applied (CrashSim-T passes its resolved
-// Params).
-func (t *ReachTree) Patch(dst *ReachTree, g *graph.Graph, add, del []graph.Edge, p Params, tol float64) (*ReachTree, []graph.NodeID, bool) {
-	if p.NonBacktracking || t.Lmax != p.Lmax || t.NumLevels() != p.Lmax+1 {
-		return nil, nil, false
-	}
-	n := g.NumNodes()
-	ps := acquirePatchScratch(n)
-	defer patchPool.Put(ps)
-
-	// The support shortcut borrows the closure's bitset. It is exact-rule
-	// only: under TransitionPaperLiteral a receiver's mass depends on its
-	// own in-degree, and a receiver with in-degree 0 has no mass, so it
-	// is outside the support until it gains an in-edge.
-	if p.Transition == TransitionExact {
-		support := newNodeBitset(ps.affected, n)
-		ps.affected = support
-		for _, v := range t.nodes {
-			support.Add(v)
-		}
-		hit := false
-		for _, set := range [][]graph.Edge{add, del} {
-			for _, e := range set {
-				hit = hit || support.Has(e.X) || support.Has(e.Y)
-			}
-		}
-		if !hit {
-			return t, nil, true
-		}
-	}
-
-	// Affected closure: a node's level value can change only if it is
-	// the tail of a changed edge (its out-list changed), pushes through a
-	// changed in-list (a head), or reaches such a node against the edge
-	// direction within Lmax hops — mass flows from a node to its
-	// in-neighbors, so being affected propagates the same way. Seeding
-	// every endpoint of every changed edge covers all three cases for
-	// directed and undirected graphs alike.
-	affected := newNodeBitset(ps.affected, n)
-	frontier, next := ps.frontier[:0], ps.next[:0]
-	for _, set := range [][]graph.Edge{add, del} {
-		for _, e := range set {
-			if affected.Add(e.X) {
-				frontier = append(frontier, e.X)
-			}
-			if affected.Add(e.Y) {
-				frontier = append(frontier, e.Y)
-			}
-		}
-	}
-	for d := 0; d < p.Lmax && len(frontier) > 0; d++ {
-		next = next[:0]
-		for _, x := range frontier {
-			for _, v := range g.In(x) {
-				if affected.Add(v) {
-					next = append(next, v)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	ps.affected, ps.frontier, ps.next = affected, frontier, next
-
-	// Pushers: the nodes whose level mass must be re-pushed because some
-	// in-neighbor is an affected receiver — exactly Out(affected). Every
-	// other node's pushes land only on unaffected receivers, whose
-	// entries are copied, so those pushes are skipped wholesale.
-	pushers := newNodeBitset(ps.pushers, n)
-	for wi, w := range affected {
-		base := graph.NodeID(wi << 6)
-		for w != 0 {
-			v := base + graph.NodeID(bits.TrailingZeros64(w))
-			w &= w - 1
-			for _, x := range g.Out(v) {
-				pushers.Add(x)
-			}
-		}
-	}
-	ps.pushers = pushers
-
-	sc := math.Sqrt(p.C)
-	nt := dst
-	if nt == nil {
-		nt = new(ReachTree)
-	}
-	nt.reset(t.Source, t.Lmax, indexWords(n))
-	// A patch moves few entries, so t's support sizes the arena: a
-	// fresh or smaller dst grows once here instead of level by level.
-	nt.nodes = slices.Grow(nt.nodes, t.Support())
-	nt.probs = slices.Grow(nt.probs, t.Support())
-	nt.nodes = append(nt.nodes, t.Source)
-	nt.probs = append(nt.probs, 1)
-	nt.endLevel()
-	nt.indexLevel(0)
-	acc := ps.acc
-	rseen := newNodeBitset(ps.rseen, n)
-	levelBits := nodeBitset(grow(ps.levelBits, len(rseen)))
-	changed := newNodeBitset(ps.changed, n)
-	bitSame := true
-	for step := 0; step < p.Lmax; step++ {
-		// Restricted push: walk the new level's full sorted support (so
-		// affected receivers accumulate in rebuild order), but only
-		// pushers do per-edge work and only affected receivers are
-		// written.
-		order, masses := nt.Level(step)
-		for i, x := range order {
-			if !pushers.Has(x) {
-				continue
-			}
-			in := g.In(x)
-			if len(in) == 0 {
-				continue
-			}
-			mass := masses[i]
-			switch p.Transition {
-			case TransitionExact:
-				w := mass * sc / float64(len(in))
-				for _, v := range in {
-					if !affected.Has(v) {
-						continue
-					}
-					if rseen.Add(v) {
-						acc[v] = w
-					} else {
-						acc[v] += w
-					}
-				}
-			case TransitionPaperLiteral:
-				for _, v := range in {
-					if !affected.Has(v) {
-						continue
-					}
-					deg := g.InDegree(v)
-					if deg == 0 {
-						continue
-					}
-					w := mass * sc / float64(deg)
-					if rseen.Add(v) {
-						acc[v] = w
-					} else {
-						acc[v] += w
-					}
-				}
-			}
-		}
-
-		// Assemble the new level: affected receivers from the push above
-		// (their bits are already in rseen), unaffected entries copied
-		// from the old level. Vanished and value-changed affected
-		// entries feed the diff; appearances are caught in the sweep,
-		// which merges against the old level's sorted node list and
-		// writes the level's index row word by word.
-		oldNodes, oldProbs := t.Level(step + 1)
-		copy(levelBits, rseen)
-		for i, v := range oldNodes {
-			if !affected.Has(v) {
-				levelBits.Add(v)
-				continue
-			}
-			if !rseen.Has(v) {
-				changed.Add(v)
-				bitSame = false
-			} else if math.Float64bits(acc[v]) != math.Float64bits(oldProbs[i]) {
-				bitSame = false
-				if math.Abs(acc[v]-oldProbs[i]) > tol {
-					changed.Add(v)
-				}
-			}
-		}
-		j := 0
-		row := nt.row(step + 1)
-		for wi, w := range levelBits {
-			row[2*wi], row[2*wi+1] = w, uint64(len(nt.nodes))
-			if w == 0 {
-				continue
-			}
-			levelBits[wi] = 0
-			base := graph.NodeID(wi << 6)
-			for w != 0 {
-				v := base + graph.NodeID(bits.TrailingZeros64(w))
-				w &= w - 1
-				for j < len(oldNodes) && oldNodes[j] < v {
-					j++
-				}
-				var pv float64
-				if rseen.Has(v) {
-					pv = acc[v]
-					if j == len(oldNodes) || oldNodes[j] != v {
-						changed.Add(v) // appeared
-						bitSame = false
-					}
-				} else {
-					pv = oldProbs[j] // unaffected: copied from the old level
-				}
-				nt.nodes = append(nt.nodes, v)
-				nt.probs = append(nt.probs, pv)
-			}
-		}
-		nt.endLevel()
-		clear(rseen)
-	}
-	ps.acc, ps.rseen, ps.levelBits, ps.changed = acc, rseen, levelBits, changed
-
-	if bitSame {
-		// The snapshot change never reached the tree: hand the caller the
-		// old tree back, so CrashSim-T's tree reuse stays engaged and dst
-		// stays free.
-		return t, nil, true
-	}
-	return nt, changed.appendNodes(nil), true
+	return same
 }
 
 // Direction selects the edges the level push follows from each pusher.

@@ -11,7 +11,6 @@ import (
 
 	"crashsim/internal/gen"
 	"crashsim/internal/graph"
-	"crashsim/internal/temporal"
 )
 
 // TestRevReachExample2 reproduces the reverse reachable tree of node A
@@ -123,26 +122,26 @@ func TestRevReachMassBoundQuick(t *testing.T) {
 	}
 }
 
-// TestReachTreeDiffNodes: a tree differs from nothing built the same
-// way, and from trees of another source, of another lmax or from no tree
-// at all.
+// TestReachTreeDiffNodes: diffInto finds that a tree differs from
+// nothing built the same way, and from trees of another source, of
+// another lmax or from no tree at all.
 func TestReachTreeDiffNodes(t *testing.T) {
 	g := graph.PaperExample()
 	A := graph.PaperNode("A")
 	a := RevReach(g, A, 0.6, 10, TransitionExact)
 	b := RevReach(g, A, 0.6, 10, TransitionExact)
-	if d := a.DiffNodes(b, 0); len(d) != 0 {
+	if d := diffNodes(a, b, 0); len(d) != 0 {
 		t.Errorf("identical computations differ at tol 0: %v", d)
 	}
 	c := RevReach(g, graph.PaperNode("B"), 0.6, 10, TransitionExact)
-	if len(a.DiffNodes(c, 1e-9)) == 0 {
+	if len(diffNodes(a, c, 1e-9)) == 0 {
 		t.Error("trees of different sources reported equal")
 	}
-	if len(a.DiffNodes(nil, 0)) == 0 {
-		t.Error("DiffNodes(nil) is empty")
+	if len(diffNodes(a, nil, 0)) == 0 {
+		t.Error("the diff against no tree is empty")
 	}
 	short := RevReach(g, A, 0.6, 5, TransitionExact)
-	if len(a.DiffNodes(short, 1e-9)) == 0 {
+	if len(diffNodes(a, short, 1e-9)) == 0 {
 		t.Error("trees with different lmax reported equal")
 	}
 }
@@ -162,7 +161,7 @@ func TestReachTreeDiffDetectsEdgeChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := RevReach(d.Freeze(), A, 0.6, 10, TransitionExact)
-	if len(before.DiffNodes(after, 1e-12)) == 0 {
+	if len(diffNodes(before, after, 1e-12)) == 0 {
 		t.Error("tree unchanged after removing a reverse-reachable edge")
 	}
 }
@@ -220,151 +219,6 @@ func bitEqualTrees(a, b *ReachTree) bool {
 		}
 	}
 	return true
-}
-
-// TestPatchEquivalence is the contract behind CrashSim-T's incremental
-// source tree: walking a churn history and delta-patching the previous
-// snapshot's tree must reproduce BuildTree on every snapshot bit for
-// bit, and the diff byproduct must equal the DiffNodes sweep the
-// rebuild path would have run. The wide-closure row pins patching where
-// the affected closure spans more than a quarter of the tree's support:
-// Patch has no size gate, so those transitions patch too.
-func TestPatchEquivalence(t *testing.T) {
-	cases := []struct {
-		name     string
-		directed bool
-		rule     TransitionRule
-		rate     float64
-	}{
-		{"directed-exact-tiny", true, TransitionExact, 0.005},
-		{"directed-exact", true, TransitionExact, 0.03},
-		{"directed-literal", true, TransitionPaperLiteral, 0.02},
-		{"undirected-exact", false, TransitionExact, 0.02},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base, err := gen.ErdosRenyi(60, 180, tc.directed, 31)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tg, err := gen.Churn(60, tc.directed, base, gen.ChurnOptions{
-				Snapshots: 7, AddRate: tc.rate, DelRate: tc.rate, Seed: 33,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPatchHistory(t, tg, Params{Transition: tc.rule}.withDefaults())
-		})
-	}
-	t.Run("wide-closure", func(t *testing.T) {
-		// Dense churn under a short truncation: the source's tree stays
-		// small while the delta's in-edge closure covers most of the
-		// graph.
-		base, err := gen.ErdosRenyi(200, 1000, true, 35)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tg, err := gen.Churn(200, true, base, gen.ChurnOptions{
-			Snapshots: 5, AddRate: 0.05, DelRate: 0.05, Seed: 37,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wide := checkPatchHistory(t, tg, Params{Lmax: 3, Eps: 0.5}.withDefaults()); wide == 0 {
-			t.Fatal("no transition's affected closure exceeded a quarter of the tree's support")
-		}
-	})
-}
-
-// checkPatchHistory walks tg, patching source 0's tree from snapshot to
-// snapshot, and fails unless every patch equals BuildTree bit for bit
-// and its diff equals the DiffNodes sweep. It returns the number of
-// transitions whose affected closure exceeded a quarter of the previous
-// tree's support.
-func checkPatchHistory(t *testing.T, tg *temporal.Graph, p Params) (wide int) {
-	t.Helper()
-	cur, err := tg.Cursor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := BuildTree(cur.Freeze(), 0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := 0
-	for cur.Next() {
-		d := tg.Delta(cur.T() - 1)
-		gCur := cur.Freeze()
-		want, err := BuildTree(gCur, 0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantDiff := want.DiffNodes(prev, 0)
-		if 4*affectedClosure(gCur, d.Add, d.Del, p.Lmax) > prev.Support() {
-			wide++
-		}
-		got, diff, ok := prev.Patch(nil, gCur, d.Add, d.Del, p, 0)
-		if !ok {
-			t.Fatalf("t=%d: Patch refused", cur.T())
-		}
-		patched++
-		if !bitEqualTrees(got, want) {
-			t.Fatalf("t=%d: patched tree differs from rebuild", cur.T())
-		}
-		if !slices.Equal(diff, wantDiff) && len(diff)+len(wantDiff) > 0 {
-			t.Fatalf("t=%d: diff %v, want %v", cur.T(), diff, wantDiff)
-		}
-		if len(wantDiff) == 0 && got != prev {
-			t.Errorf("t=%d: bit-identical patch did not return the previous tree pointer", cur.T())
-		}
-		prev = got
-	}
-	if patched == 0 {
-		t.Fatal("history produced no transitions; test is vacuous")
-	}
-	return wide
-}
-
-// TestPatchFallbacks: the cases where patching must refuse and hand the
-// caller to a full rebuild.
-func TestPatchFallbacks(t *testing.T) {
-	base, err := gen.ErdosRenyi(40, 120, true, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := gen.Churn(40, true, base, gen.ChurnOptions{
-		Snapshots: 2, AddRate: 0.05, DelRate: 0.05, Seed: 43,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{}.withDefaults()
-	cur, err := tg.Cursor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := BuildTree(cur.Freeze(), 0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cur.Next() {
-		t.Fatal("history too short")
-	}
-	d := tg.Delta(0)
-	gCur := cur.Freeze()
-
-	// Non-backtracking trees never patch.
-	nb := p
-	nb.NonBacktracking = true
-	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, nb, 0); ok {
-		t.Error("Patch accepted non-backtracking params")
-	}
-	// An Lmax mismatch (tree built with a different truncation) refuses.
-	short := p
-	short.Lmax = p.Lmax + 1
-	if _, _, ok := prev.Patch(nil, gCur, d.Add, d.Del, short, 0); ok {
-		t.Error("Patch accepted an Lmax mismatch")
-	}
 }
 
 // mapLevels is the map-per-level tree form ReachTree used before the
@@ -502,7 +356,7 @@ func sameAsMap(t *ReachTree, m mapLevels) bool {
 	return true
 }
 
-// mapDiffNodes and mapNodes are the map-form DiffNodes and Nodes the
+// mapDiffNodes and mapNodes are the map-form tree diff and Nodes the
 // flat tree's versions must agree with.
 func mapDiffNodes(a, b mapLevels, tol float64) []graph.NodeID {
 	seen := map[graph.NodeID]bool{}
@@ -548,10 +402,44 @@ func mapNodes(m mapLevels) []graph.NodeID {
 	return out
 }
 
+// treeLevels is t's levels in map form.
+func treeLevels(t *ReachTree) mapLevels {
+	m := make(mapLevels, t.NumLevels())
+	for step := range m {
+		nodes, probs := t.Level(step)
+		m[step] = make(map[graph.NodeID]float64, len(nodes))
+		for i, v := range nodes {
+			m[step][v] = probs[i]
+		}
+	}
+	return m
+}
+
+// diffNodes returns a's diff against b (nil: no tree) as the sorted
+// node list CrashSim-T sweeps out of diffInto's bitset, over a dirty
+// bitset.
+func diffNodes(a, b *ReachTree, tol float64) []graph.NodeID {
+	if b == nil {
+		b = &ReachTree{}
+	}
+	n := 0
+	for _, t := range []*ReachTree{a, b} {
+		if t.Support() > 0 {
+			n = max(n, int(slices.Max(t.nodes))+1)
+		}
+	}
+	changed := nodeBitset(make([]uint64, indexWords(n)))
+	for i := range changed {
+		changed[i] = ^uint64(0)
+	}
+	a.diffInto(b, tol, changed)
+	return changed.appendNodes(nil)
+}
+
 // TestFlatTreeMatchesMapOracle: on random graphs of both orientations,
 // for both transition rules and for the non-backtracking expansion, the
 // flat tree must hold the map oracle's exact (step, node, bits)
-// entries, and DiffNodes, Nodes and LevelMass must agree with
+// entries, and diffInto, Nodes and LevelMass must agree with
 // their map-form definitions — including between trees of a graph and
 // of the same graph with a few edges removed.
 func TestFlatTreeMatchesMapOracle(t *testing.T) {
@@ -591,15 +479,15 @@ func TestFlatTreeMatchesMapOracle(t *testing.T) {
 					t.Fatalf("%s: flat tree differs from the map oracle", name)
 				}
 				for _, tol := range []float64{0, 1e-3} {
-					if got, want := ta.DiffNodes(tb, tol), mapDiffNodes(ma, mb, tol); !slices.Equal(got, want) {
-						t.Fatalf("%s: DiffNodes(tol=%g) = %v, map form %v", name, tol, got, want)
+					if got, want := diffNodes(ta, tb, tol), mapDiffNodes(ma, mb, tol); !slices.Equal(got, want) {
+						t.Fatalf("%s: diff (tol=%g) = %v, map form %v", name, tol, got, want)
 					}
 				}
-				if len(ta.DiffNodes(ta, 0)) != 0 {
+				if len(diffNodes(ta, ta, 0)) != 0 {
 					t.Fatalf("%s: tree differs from itself", name)
 				}
-				if got, want := ta.DiffNodes(nil, 0), mapNodes(ma); !slices.Equal(got, want) {
-					t.Fatalf("%s: DiffNodes(nil) = %v, want %v", name, got, want)
+				if got, want := diffNodes(ta, nil, 0), mapNodes(ma); !slices.Equal(got, want) {
+					t.Fatalf("%s: diff against no tree = %v, want %v", name, got, want)
 				}
 				if got, want := ta.Nodes(), mapNodes(ma); !slices.Equal(got, want) {
 					t.Fatalf("%s: Nodes = %v, map form %v", name, got, want)
@@ -614,64 +502,6 @@ func TestFlatTreeMatchesMapOracle(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestPatchIntoDirtyArena: Patch overwrites whatever its destination
-// arena held. Alternating two arenas across a churn history, the way
-// CrashSim-T's double buffer does, every patched tree must equal
-// BuildTree at tolerance zero, and a bit-identical patch must leave the
-// spare arena free for the next transition.
-func TestPatchIntoDirtyArena(t *testing.T) {
-	for _, directed := range []bool{true, false} {
-		base, err := gen.ErdosRenyi(60, 180, directed, 61)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tg, err := gen.Churn(60, directed, base, gen.ChurnOptions{
-			Snapshots: 10, AddRate: 0.02, DelRate: 0.02, ActiveFraction: 0.7, Seed: 63,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := Params{}.withDefaults()
-		cur, err := tg.Cursor()
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev, err := BuildTree(cur.Freeze(), 0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The spare starts dirty: it holds another source's tree.
-		spare := RevReach(cur.Freeze(), 5, p.C, p.Lmax, p.Transition)
-		patched := 0
-		for cur.Next() {
-			d := tg.Delta(cur.T() - 1)
-			gCur := cur.Freeze()
-			got, _, ok := prev.Patch(spare, gCur, d.Add, d.Del, p, 0)
-			if !ok {
-				t.Fatalf("t=%d: Patch refused", cur.T())
-			}
-			want, err := BuildTree(gCur, 0, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitEqualTrees(got, want) {
-				t.Fatalf("directed=%v t=%d: patch into a used arena differs from rebuild", directed, cur.T())
-			}
-			switch got {
-			case prev:
-			case spare:
-				spare, prev = prev, got
-				patched++
-			default:
-				t.Fatalf("t=%d: Patch returned neither the old tree nor the destination arena", cur.T())
-			}
-		}
-		if patched < 2 {
-			t.Fatalf("directed=%v: only %d transitions changed the tree; the arenas never alternated", directed, patched)
 		}
 	}
 }

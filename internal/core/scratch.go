@@ -122,44 +122,21 @@ func (a *arena) release() {
 // tree they build (SingleSourceCtx, TopKCtx, MultiSource,
 // SingleSourceWithError, Push) release it, once they are done with it.
 // CrashSim-T recycles its source trees itself, within the run (see
-// ReachTree.Patch), and never releases them here: arenas pooled past
-// the run would hold resident memory between queries.
+// CrashSimTCtx's double buffer), and never releases them here: arenas
+// pooled past the run would hold resident memory between queries.
 var treePool = pool.New[ReachTree]("core.pool.tree")
-
-// patchScratch holds ReachTree.Patch's working state: the affected and
-// pusher closures, the per-level receiver/membership/changed bitsets
-// and the dense accumulator (the sorted level lists live in the trees'
-// arenas). One Patch call touches all of them, so they pool as a unit.
-// Like revAcc, nothing is zeroed on acquire beyond first growth: the
-// bitsets are re-zeroed through newNodeBitset and acc is only read at
-// freshly written indices.
-type patchScratch struct {
-	affected  []uint64
-	pushers   []uint64
-	rseen     []uint64
-	levelBits []uint64
-	changed   []uint64
-	acc       []float64
-	frontier  []graph.NodeID
-	next      []graph.NodeID
-}
-
-var patchPool = pool.New[patchScratch]("core.pool.patch")
-
-func acquirePatchScratch(n int) *patchScratch {
-	ps := patchPool.Get()
-	ps.acc = grow(ps.acc, n)
-	return ps
-}
 
 // temporalScratch holds CrashSim-T's per-run buffers: the incrementally
 // maintained sorted candidate list, the per-snapshot list of
-// candidates to recompute and the affected-area BFS state. One run
-// reuses them across every snapshot; pooling then recycles them across
-// runs.
+// candidates to recompute, the source tree's diff (as a bitset and as
+// the sorted list it sweeps out) and the affected-area BFS state. One
+// run reuses them across every snapshot; pooling then recycles them
+// across runs.
 type temporalScratch struct {
 	candidates []graph.NodeID
 	recompute  []graph.NodeID
+	changed    []uint64
+	treeDiff   []graph.NodeID
 	reach      []uint64
 	frontier   []graph.NodeID
 	next       []graph.NodeID

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"crashsim/internal/graph"
 	"crashsim/internal/temporal"
@@ -39,9 +40,9 @@ type TemporalOptions struct {
 	// durable top-k that need the whole score trajectory.
 	Observer func(t int, scores Scores)
 
-	// rebuildEachSnapshot is a test hook: it rebuilds the source tree
-	// from scratch on every snapshot, instead of patching the previous
-	// tree and reusing it across tree-stable transitions. Results are
+	// rebuildEachSnapshot is a test hook: it rebuilds the source tree on
+	// every snapshot and replaces the previous one, instead of reusing
+	// it across empty deltas and bit-identical rebuilds. Results are
 	// bit-identical either way; the equivalence tests run both pipelines
 	// against each other.
 	rebuildEachSnapshot bool
@@ -60,9 +61,12 @@ type TemporalStats struct {
 	ReusedDelta     int // candidate scores reused thanks to delta pruning
 	ReusedDiff      int // candidate scores reused thanks to difference pruning; 0 whenever delta pruning is on
 	TreeStableSteps int // snapshot transitions with an unchanged source tree
-	TreePatched     int // transitions whose source tree was delta-patched
-	TreeRebuilt     int // transitions whose source tree was rebuilt from scratch
+	TreeRebuilt     int // transitions whose source tree was rebuilt: every non-empty delta
 	FrozenReused    int // estimates that reused the previous estimate's source tree
+
+	// Deprecated: always 0. CrashSim-T rebuilds the source tree on
+	// every non-empty delta instead of patching it.
+	TreePatched int
 
 	// Deprecated: always 0. CrashSim-T keeps no candidate-tree cache.
 	CandTreeHits int
@@ -92,12 +96,11 @@ func CrashSimT(tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to
 
 // CrashSimTCtx is CrashSimT with cancellation, checked between
 // snapshots and inside the per-candidate sampling loops. The
-// per-snapshot pipeline is incremental: the source tree is
-// delta-patched from the previous snapshot's (rebuilt only for
-// non-backtracking walks), one forward BFS decides both pruning rules,
-// and tree-stable transitions reuse the previous source tree, probe
-// index included, as is. Scores are bit-identical for any worker count:
-// every candidate owns its random stream.
+// per-snapshot pipeline is incremental: the source tree is rebuilt only
+// when the snapshot changed and kept, probe index included, when the
+// rebuild is bit-identical to it; one forward BFS decides both pruning
+// rules. Scores are bit-identical for any worker count: every candidate
+// owns its random stream.
 func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q TemporalQuery, p Params, to TemporalOptions) (*TemporalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -129,7 +132,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	// The run owns its source trees: treePrev and one spare arena form a
 	// double buffer. A transition that produces a new tree writes it
 	// into the spare, and the tree it replaces becomes the next spare,
-	// so the patch loop stops allocating once both arenas have grown.
+	// so the rebuilds stop allocating once both arenas have grown.
 	// Arenas are recycled, so a pointer no longer identifies a tree's
 	// contents; epoch does instead. It moves whenever the source tree is
 	// replaced, and an estimate under the epoch of the previous one
@@ -139,7 +142,7 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	if err != nil {
 		return nil, err
 	}
-	var spare *ReachTree
+	spare := new(ReachTree)
 	var epoch uint64
 	first, err := estimateSource(ctx, g0, u, treePrev, nil, pp, nr)
 	if err != nil {
@@ -172,34 +175,32 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 		gCur := cur.Freeze()
 		res.Stats.Snapshots++
 
-		// Source tree: an empty delta leaves the graph — and therefore
-		// the tree, bit for bit — untouched, so the previous tree is
-		// reused outright. Otherwise the tree is delta-patched from the
-		// previous one, which yields the diff as a byproduct; a full
-		// rebuild plus DiffNodes sweep serves non-backtracking walks,
-		// which Patch does not handle. The rebuildEachSnapshot hook
-		// skips the empty-delta shortcut too, so it reproduces the
-		// rebuild-every-snapshot pipeline exactly.
-		var tree *ReachTree
+		// Source tree: an empty delta leaves the graph, and therefore the
+		// tree, bit for bit untouched, so the previous tree is reused
+		// outright. Otherwise the tree is rebuilt into the spare arena
+		// and diffed against the previous one; a rebuild that is bit
+		// identical to it is dropped, so the previous tree and its epoch
+		// stay. The rebuildEachSnapshot hook skips both reuses, so it
+		// reproduces the rebuild-every-snapshot pipeline exactly.
+		tree := treePrev
 		var treeDiff []graph.NodeID
-		switch {
-		case to.rebuildEachSnapshot:
-		case delta.Size() == 0:
-			tree = treePrev
-		case !pp.NonBacktracking:
-			if nt, diff, ok := treePrev.Patch(spare, gCur, delta.Add, delta.Del, pp, treeTolerance); ok {
-				tree, treeDiff = nt, diff
-				res.Stats.TreePatched++
-			}
-		}
-		if tree == nil {
-			tree = buildTreeInto(spare, gCur, u, pp)
-			treeDiff = tree.DiffNodes(treePrev, treeTolerance)
+		if delta.Size() > 0 || to.rebuildEachSnapshot {
+			// A delta moves few entries, so the previous tree's support
+			// sizes the arena: it grows once here, not level by level.
+			spare.nodes = slices.Grow(spare.nodes[:0], treePrev.Support())
+			spare.probs = slices.Grow(spare.probs[:0], treePrev.Support())
+			nt := buildTreeInto(spare, gCur, u, pp)
 			res.Stats.TreeRebuilt++
-		}
-		if tree != treePrev {
-			spare = treePrev
-			epoch++
+			changed := nodeBitset(grow(ts.changed, indexWords(n)))
+			same := nt.diffInto(treePrev, treeTolerance, changed)
+			treeDiff = changed.appendNodes(ts.treeDiff[:0])
+			ts.changed, ts.treeDiff = changed, treeDiff
+			if same && !to.rebuildEachSnapshot {
+				spare = nt
+			} else {
+				tree, spare = nt, treePrev
+				epoch++
+			}
 		}
 		if len(treeDiff) == 0 {
 			res.Stats.TreeStableSteps++
@@ -294,7 +295,6 @@ func CrashSimTCtx(ctx context.Context, tg *temporal.Graph, u graph.NodeID, q Tem
 	statTemporalEvaluated.Add(uint64(res.Stats.Evaluated))
 	statTemporalReusedDelta.Add(uint64(res.Stats.ReusedDelta))
 	statTemporalReusedDiff.Add(uint64(res.Stats.ReusedDiff))
-	statTemporalTreePatched.Add(uint64(res.Stats.TreePatched))
 	statTemporalTreeRebuilt.Add(uint64(res.Stats.TreeRebuilt))
 	statTemporalFrozenReused.Add(uint64(res.Stats.FrozenReused))
 	return res, nil

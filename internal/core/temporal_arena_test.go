@@ -187,7 +187,7 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 		thresholdQuery{0}, thresholdQuery{0.01}, trendQuery{slack: 0.02}, zeroAtStartQuery{}, untilQuery{last: 4},
 	}
 	ablated := TemporalOptions{rebuildEachSnapshot: true}
-	var patched, reused int
+	var rebuilt, reused int
 	for _, h := range histories {
 		for _, q := range queries {
 			for _, workers := range []int{1, 4} {
@@ -213,14 +213,14 @@ func TestCrashSimTRecycledArenas(t *testing.T) {
 					if !sameScores(got.Final, want.Final) {
 						t.Fatalf("%s: final scores differ from the ablated run", name)
 					}
-					patched += got.Stats.TreePatched
+					rebuilt += got.Stats.TreeRebuilt
 					reused += got.Stats.FrozenReused
 				}
 			}
 		}
 	}
-	if patched == 0 || reused == 0 {
-		t.Fatalf("default runs patched %d trees and reused %d trees; the arenas and the tree reuse were not exercised", patched, reused)
+	if rebuilt == 0 || reused == 0 {
+		t.Fatalf("default runs rebuilt %d trees and reused %d trees; the arenas and the tree reuse were not exercised", rebuilt, reused)
 	}
 }
 

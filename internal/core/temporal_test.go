@@ -275,10 +275,11 @@ func TestCrashSimTWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrashSimTIncrementalEquivalence: every incremental mechanism of
-// the pipeline (tree patching, source-tree reuse) is a pure
-// optimization — rebuilding every snapshot must reproduce the same
-// result bit for bit, while the default run actually engages them.
+// TestCrashSimTIncrementalEquivalence: the pipeline's incremental
+// mechanism (source-tree reuse across empty deltas and bit-identical
+// rebuilds) is a pure optimization — rebuilding every snapshot must
+// reproduce the same result bit for bit, while the default run actually
+// engages it.
 func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 	tg := churnGraph(t, 60, 150, 8, 0.01, 37)
 	p := Params{Iterations: 100, Seed: 41}
@@ -299,10 +300,10 @@ func TestCrashSimTIncrementalEquivalence(t *testing.T) {
 			t.Errorf("score at %d = %v, want %v", v, inc.Final[v], s)
 		}
 	}
-	if inc.Stats.TreePatched == 0 {
-		t.Error("default run never patched a tree on a low-churn history")
+	if inc.Stats.TreeRebuilt == 0 {
+		t.Error("default run never rebuilt a tree on a low-churn history")
 	}
-	if plain.Stats.TreePatched != 0 || plain.Stats.FrozenReused != 0 {
+	if plain.Stats.TreeRebuilt != plain.Stats.Snapshots-1 || plain.Stats.FrozenReused != 0 {
 		t.Errorf("ablated run used incremental machinery: %+v", plain.Stats)
 	}
 }
@@ -337,8 +338,8 @@ func TestTemporalStatsAccounting(t *testing.T) {
 	}{
 		{"empty-deltas", static, 0.002, 0},
 		{"tiny-deltas", churn(0.01), 0.002, 0},
-		// Under Lmax 3 the source's tree is small and each delta's
-		// affected closure spans more than a quarter of its support.
+		// Under Lmax 3 the source's tree is small and each delta is
+		// dense against it.
 		{"dense-churn", churn(0.05), 0.002, 3},
 	}
 	for _, tc := range cases {
@@ -364,23 +365,26 @@ func TestTemporalStatsAccounting(t *testing.T) {
 					s.Evaluated, s.ReusedDelta, s.ReusedDiff, got, want)
 			}
 			// Every transition obtained its source tree exactly one way:
-			// carried over an empty delta, patched, or rebuilt.
+			// carried over an empty delta, or rebuilt.
 			empty := 0
 			for i := 0; i < tg.NumSnapshots()-1; i++ {
 				if tg.Delta(i).Size() == 0 {
 					empty++
 				}
 			}
-			if got, want := empty+s.TreePatched+s.TreeRebuilt, s.Snapshots-1; got != want {
-				t.Errorf("empty(%d)+TreePatched(%d)+TreeRebuilt(%d) = %d transitions, want %d",
-					empty, s.TreePatched, s.TreeRebuilt, got, want)
+			if got, want := empty+s.TreeRebuilt, s.Snapshots-1; got != want {
+				t.Errorf("empty(%d)+TreeRebuilt(%d) = %d transitions, want %d",
+					empty, s.TreeRebuilt, got, want)
 			}
-			// Patch has no size gate: a dense delta patches like a tiny one.
-			if tc.name == "dense-churn" && (s.TreeRebuilt != 0 || s.TreePatched == 0) {
-				t.Errorf("dense churn rebuilt %d and patched %d trees; want 0 rebuilt", s.TreeRebuilt, s.TreePatched)
+			if s.TreePatched != 0 {
+				t.Errorf("TreePatched = %d, want 0", s.TreePatched)
 			}
-			if tc.name == "empty-deltas" && s.TreeRebuilt+s.TreePatched != 0 {
-				t.Errorf("static history rebuilt %d and patched %d trees", s.TreeRebuilt, s.TreePatched)
+			// A dense delta rebuilds like a tiny one.
+			if tc.name == "dense-churn" && s.TreeRebuilt == 0 {
+				t.Error("dense churn rebuilt no tree")
+			}
+			if tc.name == "empty-deltas" && s.TreeRebuilt != 0 {
+				t.Errorf("static history rebuilt %d trees", s.TreeRebuilt)
 			}
 		})
 	}

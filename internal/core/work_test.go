@@ -26,7 +26,6 @@ type workCounts struct {
 	Support    int    // (step, node) entries of the (first) source tree
 	Evaluated  int    // CrashSim-T: candidate scores recomputed
 	Reused     int    // CrashSim-T: scores reused by delta or diff pruning
-	Patched    int    // CrashSim-T: source trees delta-patched
 	Rebuilt    int    // CrashSim-T: source trees rebuilt
 	Allocs     float64
 }
@@ -61,8 +60,8 @@ var pinnedWork = map[string]workCounts{
 	"hepph/single":                  {Walks: 35700, Candidates: 691, Pruned: 333, Support: 13395, Allocs: 5},
 	"hepph/topk":                    {Walks: 53550, Candidates: 1381, Pruned: 666, Support: 13395, Allocs: 22},
 	"hepph/multi":                   {Walks: 71400, Candidates: 1382, Pruned: 666, Support: 13395, Allocs: 18},
-	"as-733-history/test-trend":     {Walks: 83600, Candidates: 887, Pruned: 44, Support: 9521, Evaluated: 887, Reused: 1202, Patched: 6, Allocs: 1304},
-	"as-733-history/test-threshold": {Walks: 27900, Candidates: 330, Pruned: 44, Support: 9521, Evaluated: 330, Reused: 8, Patched: 6, Allocs: 1304},
+	"as-733-history/test-trend":     {Walks: 83600, Candidates: 887, Pruned: 44, Support: 9521, Evaluated: 887, Reused: 1202, Rebuilt: 6, Allocs: 1242},
+	"as-733-history/test-threshold": {Walks: 27900, Candidates: 330, Pruned: 44, Support: 9521, Evaluated: 330, Reused: 8, Rebuilt: 6, Allocs: 1240},
 }
 
 // workAllocRuns is the AllocsPerRun count per query.
@@ -174,7 +173,6 @@ func compareWork(want, got workCounts, checkAllocs bool) []string {
 	exact("Support", uint64(want.Support), uint64(got.Support))
 	exact("Evaluated", uint64(want.Evaluated), uint64(got.Evaluated))
 	exact("Reused", uint64(want.Reused), uint64(got.Reused))
-	exact("Patched", uint64(want.Patched), uint64(got.Patched))
 	exact("Rebuilt", uint64(want.Rebuilt), uint64(got.Rebuilt))
 	if checkAllocs {
 		if limit := want.Allocs + math.Max(2, want.Allocs/4); got.Allocs > limit {
@@ -202,7 +200,6 @@ func measureWork(t *testing.T, q workQuery, p Params) workCounts {
 		Support:    q.support,
 		Evaluated:  st.Evaluated,
 		Reused:     st.ReusedDelta + st.ReusedDiff,
-		Patched:    st.TreePatched,
 		Rebuilt:    st.TreeRebuilt,
 	}
 	runtime.GC()

@@ -86,11 +86,8 @@ func TestMetricsExposesTemporalCounters(t *testing.T) {
 	}
 	counters := body["counters"].(map[string]any)
 	for _, name := range []string{
-		"core.temporal.tree_patched",
 		"core.temporal.tree_rebuilt",
 		"core.temporal.frozen_reused",
-		"core.pool.patch_hits",
-		"core.pool.patch_misses",
 		"core.pool.temporal_hits",
 		"core.pool.temporal_misses",
 		"core.batch.batches",

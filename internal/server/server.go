@@ -570,13 +570,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 //   - the core.pool.<name>_hits / _misses pairs of the scratch pools:
 //     batch for the estimate arena every query draws its score windows
 //     and work list from, tree and revacc for reverse-tree arenas and
-//     their accumulators, patch and temporal for the incremental
-//     pipeline's scratch;
+//     their accumulators, temporal for the incremental pipeline's
+//     scratch;
 //   - core.batch.batches / sources / dedup_hits / items for the batched
 //     multi-source pipeline;
 //   - core.temporal.snapshots / evaluated / reused_delta / reused_diff,
-//     CrashSim-T's pruning outcomes; core.temporal.tree_patched /
-//     tree_rebuilt, how each snapshot's source tree was obtained;
+//     CrashSim-T's pruning outcomes; core.temporal.tree_rebuilt, the
+//     transitions whose source tree was rebuilt (every non-empty delta);
 //     core.temporal.frozen_reused, estimates that reused the previous
 //     estimate's source tree;
 //   - prsim.visits, prsim.hub_hits, prsim.tail_builds and

@@ -137,15 +137,6 @@ func (c *Cursor) Freeze() *graph.Graph {
 	return c.frozen
 }
 
-// Delta returns the delta that Next will apply, or a zero Delta at the
-// last snapshot.
-func (c *Cursor) Delta() Delta {
-	if c.t >= len(c.tg.deltas) {
-		return Delta{}
-	}
-	return c.tg.deltas[c.t]
-}
-
 // Next advances to the next snapshot.
 func (c *Cursor) Next() bool {
 	if c.err != nil || c.t >= len(c.tg.deltas) {
