@@ -343,7 +343,7 @@ type READSIndex struct{ ix *reads.Index }
 // BuildREADS constructs the READS baseline index from g's current edges.
 // R is the stored-walks-per-node parameter (0 means the paper's 100).
 func BuildREADS(g *Graph, r int, opt Options) (*READSIndex, error) {
-	ix, err := reads.Build(g.Thaw(), reads.Options{C: opt.C, R: r, Seed: opt.Seed})
+	ix, err := reads.Build(g, reads.Options{C: opt.C, R: r, Seed: opt.Seed})
 	if err != nil {
 		return nil, err
 	}

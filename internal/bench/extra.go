@@ -61,14 +61,13 @@ func Extra(cfg Config) (*Report, error) {
 			}, nil
 		}}
 	}
-	dg := g.Thaw()
 	algos := []algo{
 		engineAlgo("crashsim"),
 		engineAlgo("probesim"),
 		engineAlgo("sling"),
 		engineAlgo("reads"),
 		{"tsf", func() (func(graph.NodeID) (map[graph.NodeID]float64, error), error) {
-			ix, err := tsf.Build(dg, tsf.Options{C: cfg.C, Rg: cfg.ReadsR, Seed: seed + 4})
+			ix, err := tsf.Build(g, tsf.Options{C: cfg.C, Rg: cfg.ReadsR, Seed: seed + 4})
 			if err != nil {
 				return nil, err
 			}

@@ -37,7 +37,6 @@ func Memory(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: generating %s: %w", p.Name, err)
 		}
-		dg := g.Thaw()
 
 		start := time.Now()
 		sl, err := sling.Build(g, sling.Options{C: cfg.C, Eps: cfg.Eps, DSamples: cfg.SlingDSamples, Seed: seed})
@@ -47,14 +46,14 @@ func Memory(cfg Config) (*Report, error) {
 		slCell := fmt.Sprintf("%d (%v)", sl.DistSize(), time.Since(start).Round(time.Millisecond))
 
 		start = time.Now()
-		rd, err := reads.Build(dg, reads.Options{C: cfg.C, R: cfg.ReadsR, Seed: seed + 1})
+		rd, err := reads.Build(g, reads.Options{C: cfg.C, R: cfg.ReadsR, Seed: seed + 1})
 		if err != nil {
 			return nil, err
 		}
 		rdCell := fmt.Sprintf("%d (%v)", rd.Positions(), time.Since(start).Round(time.Millisecond))
 
 		start = time.Now()
-		tf, err := tsf.Build(dg, tsf.Options{C: cfg.C, Rg: cfg.ReadsR, Seed: seed + 2})
+		tf, err := tsf.Build(g, tsf.Options{C: cfg.C, Rg: cfg.ReadsR, Seed: seed + 2})
 		if err != nil {
 			return nil, err
 		}

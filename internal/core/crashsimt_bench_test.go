@@ -16,6 +16,25 @@ import (
 // (1 is the full size the benchmark uses).
 func asHistory(tb testing.TB, scale float64) *temporal.Graph {
 	tb.Helper()
+	h := asHistoryInput(tb, scale)
+	tg, err := temporal.New(h.n, h.directed, h.initial, h.deltas)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tg
+}
+
+// historyInput is what temporal.New takes.
+type historyInput struct {
+	n        int
+	directed bool
+	initial  []graph.Edge
+	deltas   []temporal.Delta
+}
+
+// asHistoryInput returns asHistory's arguments to temporal.New.
+func asHistoryInput(tb testing.TB, scale float64) historyInput {
+	tb.Helper()
 	prof, err := gen.ProfileByName("as-733")
 	if err != nil {
 		tb.Fatal(err)
@@ -37,11 +56,44 @@ func asHistory(tb testing.TB, scale float64) *temporal.Graph {
 	for i := range active {
 		deltas[(2*i+1)*steps/(2*active)] = churn.Delta(i)
 	}
-	tg, err := temporal.New(prof.Nodes, prof.Directed, edges, deltas)
+	return historyInput{prof.Nodes, prof.Directed, edges, deltas}
+}
+
+// BenchmarkCrashSimTCursor prices the snapshot side of a CrashSim-T
+// query on the as-733 history: "new" is temporal.New, which validates
+// the history and builds snapshot 0; "scan" is a cursor walking every
+// snapshot and freezing each, which builds one CSR per active
+// transition and reuses it across the quiet ones.
+func BenchmarkCrashSimTCursor(b *testing.B) {
+	h := asHistoryInput(b, 1)
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := temporal.New(h.n, h.directed, h.initial, h.deltas); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	tg, err := temporal.New(h.n, h.directed, h.initial, h.deltas)
 	if err != nil {
-		tb.Fatal(err)
+		b.Fatal(err)
 	}
-	return tg
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cur, err := tg.Cursor()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cur.Freeze()
+			for cur.Next() {
+				cur.Freeze()
+			}
+			if err := cur.Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCrashSimT runs one trend and one threshold CrashSim-T query

@@ -60,8 +60,8 @@ var pinnedWork = map[string]workCounts{
 	"hepph/single":                  {Walks: 35700, Candidates: 691, Pruned: 333, Support: 13395, Allocs: 5},
 	"hepph/topk":                    {Walks: 53550, Candidates: 1381, Pruned: 666, Support: 13395, Allocs: 22},
 	"hepph/multi":                   {Walks: 71400, Candidates: 1382, Pruned: 666, Support: 13395, Allocs: 18},
-	"as-733-history/test-trend":     {Walks: 83600, Candidates: 887, Pruned: 44, Support: 9521, Evaluated: 887, Reused: 1202, Rebuilt: 6, Allocs: 1242},
-	"as-733-history/test-threshold": {Walks: 27900, Candidates: 330, Pruned: 44, Support: 9521, Evaluated: 330, Reused: 8, Rebuilt: 6, Allocs: 1240},
+	"as-733-history/test-trend":     {Walks: 83600, Candidates: 887, Pruned: 44, Support: 9521, Evaluated: 887, Reused: 1202, Rebuilt: 6, Allocs: 140},
+	"as-733-history/test-threshold": {Walks: 27900, Candidates: 330, Pruned: 44, Support: 9521, Evaluated: 330, Reused: 8, Rebuilt: 6, Allocs: 138},
 }
 
 // workAllocRuns is the AllocsPerRun count per query.

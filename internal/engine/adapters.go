@@ -112,12 +112,7 @@ func BuildSlingIndex(ctx context.Context, g *graph.Graph, cfg Config) (*sling.In
 // BuildReadsIndex builds the READS index the reads backend would build
 // over g for cfg; New and BuildIndex both build through it.
 func BuildReadsIndex(ctx context.Context, g *graph.Graph, cfg Config) (*reads.Index, error) {
-	ix, err := reads.BuildCtx(ctx, g.Thaw(), cfg.ReadsOptions())
-	if err != nil {
-		return nil, err
-	}
-	ix.BindSourceVersion(g.Version())
-	return ix, nil
+	return reads.BuildCtx(ctx, g, cfg.ReadsOptions())
 }
 
 // PRSimOptions maps a Config to the PRSim build options the prsim

@@ -13,6 +13,7 @@ import (
 	"crashsim/internal/core"
 	"crashsim/internal/graph"
 	"crashsim/internal/obs"
+	"crashsim/internal/temporal"
 )
 
 func testCache(t testing.TB) *cache.Cache {
@@ -313,17 +314,21 @@ func TestCachedTemporalNoStaleScores(t *testing.T) {
 	// c/2 · sim(0,0) = 0.3. The delta removes 3->1, leaving
 	// I(1) = I(2) = {0} and sim(1,2) = c · sim(0,0) = 0.6 — a
 	// deterministic, visible score change from one edge update.
-	d := graph.NewDiGraph(4, true)
-	for _, e := range []graph.Edge{{X: 0, Y: 1}, {X: 0, Y: 2}, {X: 3, Y: 1}} {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap0 := d.Freeze()
-	if err := d.RemoveEdge(3, 1); err != nil {
+	tg, err := temporal.New(4, true,
+		[]graph.Edge{{X: 0, Y: 1}, {X: 0, Y: 2}, {X: 3, Y: 1}},
+		[]temporal.Delta{{Del: []graph.Edge{{X: 3, Y: 1}}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap1 := d.Freeze()
+	cur, err := tg.Cursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap0 := cur.Freeze()
+	if !cur.Next() {
+		t.Fatal(cur.Err())
+	}
+	snap1 := cur.Freeze()
 	if snap0.Version() == snap1.Version() {
 		t.Fatal("edge update did not change snapshot version")
 	}

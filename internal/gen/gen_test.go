@@ -130,7 +130,7 @@ func TestChurnKeepsHistoryConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		m := cur.Working().NumEdges()
+		m := cur.Freeze().NumEdges()
 		if m < 100 || m > 200 {
 			t.Errorf("snapshot %d edge count %d drifted outside [100,200]", cur.T(), m)
 		}

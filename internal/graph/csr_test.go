@@ -8,7 +8,8 @@ import (
 
 // sortedCSRReference is the comparison-sort CSR build the counting
 // sweeps replaced: scatter the arcs into both CSRs in arc order, then
-// sort every row. The sweeps must reproduce its arrays exactly.
+// sort every row. The sweeps, and Merge, must reproduce its arrays
+// exactly.
 func sortedCSRReference(n int, directed bool, arcs []Edge) *Graph {
 	g := newCSR(n, directed, len(arcs))
 	for _, e := range arcs {
@@ -73,7 +74,7 @@ func sameCSR(t *testing.T, what string, got, want *Graph) {
 
 // TestSortFreeCSRMatchesReference: the counting-sweep build yields the
 // exact arrays of the sort-based one, hence the same content version,
-// on random directed and undirected arc lists, through fromArcs and
+// on random directed and undirected arc lists, through fromEdges and
 // Builder.Freeze.
 func TestSortFreeCSRMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
@@ -90,7 +91,7 @@ func TestSortFreeCSRMatchesReference(t *testing.T) {
 		}
 		arcs, edges := randomArcs(r, n, m, directed)
 		want := sortedCSRReference(n, directed, arcs)
-		sameCSR(t, "fromArcs", fromArcs(n, directed, arcs), want)
+		sameCSR(t, "fromEdges", fromEdges(n, directed, edges), want)
 
 		b, err := NewBuilder(n, directed).AddEdges(edges).Freeze()
 		if err != nil {
@@ -103,32 +104,36 @@ func TestSortFreeCSRMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDiGraphFreezeAfterChurnMatchesReference: swap-remove churn leaves
-// the DiGraph's adjacency lists in arbitrary order; Freeze must still
-// produce the sorted CSR of the surviving edge set.
-func TestDiGraphFreezeAfterChurnMatchesReference(t *testing.T) {
+// TestMergeAfterChurnMatchesReference: a chain of Merges under random
+// churn, each merging a batch of deletions and insertions into the
+// previous graph, must produce the sorted CSR of the surviving edge set
+// and carry the version it was given.
+func TestMergeAfterChurnMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	for _, directed := range []bool{true, false} {
 		const n = 50
-		d := NewDiGraph(n, directed)
+		g := NewBuilder(n, directed).MustFreeze()
 		live := map[Edge]bool{}
+		var add, del []Edge
+		batch := map[Edge]bool{} // edges already in this batch
 		for step := 0; step < 2000; step++ {
 			e := Edge{X: NodeID(r.IntN(n)), Y: NodeID(r.IntN(n))}
 			if !directed && e.X > e.Y {
 				e.X, e.Y = e.Y, e.X
 			}
-			if e.X == e.Y {
+			if e.X == e.Y || batch[e] {
 				continue
 			}
+			batch[e] = true
+			given := e // Merge takes an undirected edge either way round
+			if !directed && r.IntN(2) == 0 {
+				given.X, given.Y = e.Y, e.X
+			}
 			if live[e] {
-				if err := d.RemoveEdge(e.X, e.Y); err != nil {
-					t.Fatal(err)
-				}
+				del = append(del, given)
 				delete(live, e)
 			} else {
-				if err := d.AddEdge(e.X, e.Y); err != nil {
-					t.Fatal(err)
-				}
+				add = append(add, given)
 				live[e] = true
 			}
 			if step%250 != 249 {
@@ -141,11 +146,13 @@ func TestDiGraphFreezeAfterChurnMatchesReference(t *testing.T) {
 					arcs = append(arcs, Edge{X: e.Y, Y: e.X})
 				}
 			}
-			g := d.Freeze()
-			sameCSR(t, "DiGraph.Freeze", g, sortedCSRReference(n, directed, arcs))
-			if g.Version() != d.Generation() {
-				t.Fatalf("version %d, generation %d", g.Version(), d.Generation())
+			g = g.Merge(add, del, uint64(step))
+			sameCSR(t, "Merge", g, sortedCSRReference(n, directed, arcs))
+			if g.Version() != uint64(step) {
+				t.Fatalf("version %d, want %d", g.Version(), step)
 			}
+			add, del = nil, nil
+			clear(batch)
 		}
 	}
 }

@@ -2,22 +2,19 @@ package graph
 
 import (
 	"math/rand/v2"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestDiGraphAddRemove(t *testing.T) {
-	d := NewDiGraph(3, true)
+	d := NewBuilder(3, true).MustFreeze().Thaw()
 	if err := d.AddEdge(0, 1); err != nil {
 		t.Fatalf("AddEdge: %v", err)
 	}
 	if err := d.AddEdge(1, 2); err != nil {
 		t.Fatalf("AddEdge: %v", err)
-	}
-	if d.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2", d.NumEdges())
 	}
 	if !d.HasEdge(0, 1) || d.HasEdge(1, 0) {
 		t.Error("directed HasEdge wrong")
@@ -25,14 +22,13 @@ func TestDiGraphAddRemove(t *testing.T) {
 	if err := d.RemoveEdge(0, 1); err != nil {
 		t.Fatalf("RemoveEdge: %v", err)
 	}
-	if d.HasEdge(0, 1) || d.NumEdges() != 1 {
+	if d.HasEdge(0, 1) || !d.HasEdge(1, 2) {
 		t.Error("edge not removed")
 	}
 }
 
 func TestDiGraphErrors(t *testing.T) {
-	d := NewDiGraph(3, true)
-	mustAdd(t, d, 0, 1)
+	d := NewBuilder(3, true).AddEdge(0, 1).MustFreeze().Thaw()
 	cases := []struct {
 		name string
 		err  error
@@ -52,43 +48,60 @@ func TestDiGraphErrors(t *testing.T) {
 }
 
 func TestDiGraphUndirected(t *testing.T) {
-	d := NewDiGraph(3, false)
-	mustAdd(t, d, 0, 1)
+	d := NewBuilder(3, false).AddEdge(0, 1).MustFreeze().Thaw()
 	if !d.HasEdge(1, 0) {
 		t.Error("undirected edge not symmetric")
 	}
-	if d.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", d.NumEdges())
+	if len(d.In(0)) != 1 || len(d.In(1)) != 1 {
+		t.Errorf("in-lists %v and %v, want one arc each way", d.In(0), d.In(1))
 	}
 	if err := d.RemoveEdge(1, 0); err != nil {
 		t.Fatalf("remove via reverse direction: %v", err)
 	}
-	if d.NumEdges() != 0 || d.HasEdge(0, 1) {
+	if len(d.In(0)) != 0 || len(d.In(1)) != 0 {
 		t.Error("undirected removal incomplete")
 	}
 }
 
-func TestDiGraphCloneIsolation(t *testing.T) {
-	d := NewDiGraph(3, true)
-	mustAdd(t, d, 0, 1)
-	c := d.Clone()
-	mustAdd(t, d, 1, 2)
-	if c.HasEdge(1, 2) {
-		t.Error("clone shares storage with original")
+// TestThawIsolation: a thawed copy shares no storage with its graph or
+// with another thaw of it.
+func TestThawIsolation(t *testing.T) {
+	g := NewBuilder(3, true).AddEdge(0, 1).MustFreeze()
+	d, c := g.Thaw(), g.Thaw()
+	if err := d.AddEdge(1, 2); err != nil {
+		t.Fatal(err)
 	}
-	if c.NumEdges() != 1 || d.NumEdges() != 2 {
-		t.Errorf("edge counts: clone=%d orig=%d", c.NumEdges(), d.NumEdges())
+	if err := d.RemoveEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if c.HasEdge(1, 2) || !c.HasEdge(0, 1) || g.HasEdge(1, 2) || !g.HasEdge(0, 1) {
+		t.Error("thawed copy shares storage")
 	}
 }
 
-// TestDiGraphFreezeQuick property-checks that a random mutation sequence
-// applied to a DiGraph freezes to a Graph with exactly the surviving
-// edges, for both directed and undirected graphs.
-func TestDiGraphFreezeQuick(t *testing.T) {
+// sameInLists reports whether d's in-lists are g's CSR in-rows element
+// by element.
+func sameInLists(d *DiGraph, g *Graph) bool {
+	if d.NumNodes() != g.NumNodes() {
+		return false
+	}
+	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+		if !slices.Equal(d.In(v), g.In(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDiGraphUpdatesMatchThawQuick property-checks that a random
+// mutation sequence applied to a thawed DiGraph leaves exactly the
+// in-lists of the thaw of the surviving edge set: ascending, so an
+// index updated in place samples what a rebuilt one would.
+func TestDiGraphUpdatesMatchThawQuick(t *testing.T) {
 	f := func(seed uint64, directed bool) bool {
 		r := rand.New(rand.NewPCG(seed, 42))
 		n := 2 + r.IntN(20)
-		d := NewDiGraph(n, directed)
+		d := NewBuilder(n, directed).MustFreeze().Thaw()
 		live := map[Edge]struct{}{}
 		canon := func(e Edge) Edge {
 			if !directed && e.X > e.Y {
@@ -103,45 +116,32 @@ func TestDiGraphFreezeQuick(t *testing.T) {
 			}
 			e := canon(Edge{X: x, Y: y})
 			if _, ok := live[e]; ok {
-				if d.RemoveEdge(e.X, e.Y) != nil {
+				if d.RemoveEdge(x, y) != nil {
 					return false
 				}
 				delete(live, e)
 			} else {
-				if d.AddEdge(e.X, e.Y) != nil {
+				if d.AddEdge(x, y) != nil {
 					return false
 				}
 				live[e] = struct{}{}
 			}
 		}
-		g := d.Freeze()
-		if g.Validate() != nil || g.NumEdges() != len(live) {
-			return false
-		}
+		b := NewBuilder(n, directed)
 		for e := range live {
-			if !g.HasEdge(e.X, e.Y) {
-				return false
-			}
+			b.AddEdge(e.X, e.Y)
 		}
-		return true
+		return sameInLists(d, b.MustFreeze())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-func mustAdd(t *testing.T, d *DiGraph, x, y NodeID) {
-	t.Helper()
-	if err := d.AddEdge(x, y); err != nil {
-		t.Fatalf("AddEdge(%d,%d): %v", x, y, err)
-	}
-}
-
-// TestThawMatchesAddEdgeLoop pins Thaw to the AddEdge loop it replaced:
-// same In/Out lists element by element (READS samples In() by
-// position), same arc count and generation — and the two stay equal
-// under the same later mutations, so no thawed row can spill into its
-// neighbor.
+// TestThawMatchesAddEdgeLoop pins Thaw to the graph it copies: the same
+// in-rows element by element (READS samples In() by position). It then mutates one thawed copy and, through Merge,
+// the graph, and checks they stay equal, so no thawed row can spill
+// into its neighbor.
 func TestThawMatchesAddEdgeLoop(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		r := rand.New(rand.NewPCG(7, 9))
@@ -159,34 +159,29 @@ func TestThawMatchesAddEdgeLoop(t *testing.T) {
 			b.AddEdge(e.X, e.Y)
 		}
 		g := b.MustFreeze()
-		looped := NewDiGraph(g.NumNodes(), g.Directed())
-		for _, e := range g.Edges() {
-			if err := looped.AddEdge(e.X, e.Y); err != nil {
-				t.Fatal(err)
-			}
-		}
 		thawed := g.Thaw()
-		if !reflect.DeepEqual(thawed, looped) {
-			t.Fatalf("directed=%v: thawed graph differs from the AddEdge loop's", directed)
+		if !sameInLists(thawed, g) {
+			t.Fatalf("directed=%v: thawed in-lists differ from the CSR rows", directed)
 		}
 		for i := 0; i < 200; i++ {
-			x, y := NodeID(r.IntN(40)), NodeID(r.IntN(40))
-			if x == y {
+			e := Edge{X: NodeID(r.IntN(40)), Y: NodeID(r.IntN(40))}
+			if e.X == e.Y {
 				continue
 			}
-			op := (*DiGraph).AddEdge
-			if looped.HasEdge(x, y) {
-				op = (*DiGraph).RemoveEdge
-			}
-			if err := op(looped, x, y); err != nil {
-				t.Fatal(err)
-			}
-			if err := op(thawed, x, y); err != nil {
-				t.Fatal(err)
+			if thawed.HasEdge(e.X, e.Y) {
+				if err := thawed.RemoveEdge(e.X, e.Y); err != nil {
+					t.Fatal(err)
+				}
+				g = g.Merge(nil, []Edge{e}, 0)
+			} else {
+				if err := thawed.AddEdge(e.X, e.Y); err != nil {
+					t.Fatal(err)
+				}
+				g = g.Merge([]Edge{e}, nil, 0)
 			}
 		}
-		if !reflect.DeepEqual(thawed, looped) {
-			t.Fatalf("directed=%v: thawed graph diverged from the AddEdge loop's under mutation", directed)
+		if !sameInLists(thawed, g) {
+			t.Fatalf("directed=%v: thawed graph diverged from the merged CSR under mutation", directed)
 		}
 	}
 }

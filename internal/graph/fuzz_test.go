@@ -16,6 +16,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 0\n")
 	f.Add("x y\n")
 	f.Add("# crashsim: nodes=-1\n")
+	f.Add("# crashsim: nodes=3 directed=true\n0 1\n# crashsim: nodes=5 directed=false\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeListLimit(strings.NewReader(input), 1<<16)
 		if err != nil {

@@ -1,20 +1,20 @@
 // Package graph provides the graph substrate shared by every SimRank
 // algorithm in this module: an immutable compressed-sparse-row (CSR)
-// representation optimized for the read-heavy random-walk workloads, a
-// mutable adjacency-list representation for graphs that evolve over time,
-// and edge-list I/O.
+// representation optimized for the read-heavy random-walk workloads,
+// edge-list I/O, and the mutable in-list copy READS and TSF update.
 //
-// SimRank is defined over in-neighbors, so both representations index the
+// SimRank is defined over in-neighbors, so the CSR indexes the
 // in-adjacency as the primary direction; out-adjacency is kept as well
 // because ProbeSim's probes and CrashSim-T's affected-area computation
 // traverse forward edges.
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node. Nodes are dense integers in [0, n).
@@ -27,11 +27,11 @@ type Edge struct {
 }
 
 // Graph is an immutable directed graph in CSR form. Build one with
-// NewBuilder or DiGraph.Freeze. The zero value is an empty graph.
+// NewBuilder or Merge. The zero value is an empty graph.
 type Graph struct {
 	n        int
 	directed bool
-	version  uint64 // generation of the DiGraph this was frozen from
+	version  uint64 // content hash (Builder) or the version Merge was given
 
 	inOff  []int32  // len n+1; in-adjacency offsets
 	inAdj  []NodeID // concatenated in-neighbor lists, sorted per node
@@ -42,28 +42,29 @@ type Graph struct {
 // NumNodes returns the number of nodes n.
 func (g *Graph) NumNodes() int { return g.n }
 
-// Version identifies the edge-set state this snapshot was frozen from.
-// Graphs frozen from a DiGraph carry its Generation, so two freezes of
-// an evolving graph get equal versions exactly when no edge changed in
-// between — the invalidation signal the serving layer's result cache
-// keys on. Builder-frozen graphs carry a content-derived version (a hash
-// of the CSR arrays, marked with the high bit so the two version
-// families never collide): two distinct builder graphs sharing a cache
-// get distinct versions, the same edge list hashes identically across
-// runs and processes, and a persisted snapshot can verify on load that
-// its recorded version still describes its arrays.
+// Version identifies the edge-set state of the graph. Merge stamps the
+// version its caller gives; a temporal cursor gives its count of edge
+// changes, so two snapshots of an evolving graph get equal versions
+// exactly when no edge changed in between — the invalidation signal the
+// serving layer's result cache keys on. Builder-frozen graphs carry a
+// content-derived version (a hash of the CSR arrays, marked with the
+// high bit so the two version families never collide): two distinct
+// builder graphs sharing a cache get distinct versions, the same edge
+// list hashes identically across runs and processes, and a persisted
+// snapshot can verify on load that its recorded version still
+// describes its arrays.
 func (g *Graph) Version() uint64 { return g.version }
 
-// contentVersionBit marks content-derived versions. DiGraph generations
-// are small counters; forcing the bit keeps the two version families
-// disjoint, so a builder-frozen graph can never alias a DiGraph freeze
-// in a shared cache.
+// contentVersionBit marks content-derived versions. Change counters are
+// small; forcing the bit keeps the two version families disjoint, so a
+// builder-frozen graph can never alias a cursor's snapshot in a shared
+// cache.
 const contentVersionBit = uint64(1) << 63
 
 // VersionIsContentDerived reports whether v is a content-derived version
-// (a Builder-frozen graph's CSR hash) as opposed to a DiGraph
-// generation. The persistent-store loader uses it to decide whether a
-// snapshot's recorded version can be recomputed and verified.
+// (a Builder-frozen graph's CSR hash) as opposed to a change counter.
+// The persistent-store loader uses it to decide whether a snapshot's
+// recorded version can be recomputed and verified.
 func VersionIsContentDerived(v uint64) bool { return v&contentVersionBit != 0 }
 
 // contentVersion hashes the graph identity: node count, direction and
@@ -145,9 +146,8 @@ func (g *Graph) OutDegree(v NodeID) int {
 // HasEdge reports whether the arc x -> y exists (for undirected graphs,
 // whether {x,y} exists). Runs in O(log deg).
 func (g *Graph) HasEdge(x, y NodeID) bool {
-	in := g.In(y)
-	i := sort.Search(len(in), func(i int) bool { return in[i] >= x })
-	return i < len(in) && in[i] == x
+	_, found := slices.BinarySearch(g.In(y), x)
+	return found
 }
 
 // Edges returns all edges of the graph: each directed arc once, or each
@@ -167,26 +167,27 @@ func (g *Graph) Edges() []Edge {
 // Validate checks internal CSR invariants. It is used by tests and by the
 // loaders after constructing a graph from untrusted input.
 func (g *Graph) Validate() error {
-	if len(g.inOff) != g.n+1 || len(g.outOff) != g.n+1 {
-		return fmt.Errorf("graph: offset arrays have wrong length (n=%d, in=%d, out=%d)",
-			g.n, len(g.inOff), len(g.outOff))
-	}
-	if err := validateCSR(g.n, g.inOff, g.inAdj, "in"); err != nil {
+	if err := checkShape(g.n, g.inOff, g.inAdj, g.outOff, g.outAdj); err != nil {
 		return err
 	}
-	if err := validateCSR(g.n, g.outOff, g.outAdj, "out"); err != nil {
-		return err
-	}
-	if len(g.inAdj) != len(g.outAdj) {
-		return fmt.Errorf("graph: in/out arc counts differ (%d vs %d)", len(g.inAdj), len(g.outAdj))
+	for _, s := range csrSides(g.inOff, g.inAdj, g.outOff, g.outAdj) {
+		for v := 0; v < g.n; v++ {
+			row := s.adj[s.off[v]:s.off[v+1]]
+			for i, u := range row {
+				if u < 0 || int(u) >= g.n {
+					return fmt.Errorf("graph: %s adjacency of node %d references out-of-range node %d", s.dir, v, u)
+				}
+				if i > 0 && row[i-1] >= u {
+					return fmt.Errorf("graph: %s adjacency of node %d not strictly sorted", s.dir, v)
+				}
+			}
+		}
 	}
 	// Every arc x->y in the in-adjacency of y must appear in the
 	// out-adjacency of x.
 	for v := NodeID(0); int(v) < g.n; v++ {
 		for _, x := range g.In(v) {
-			out := g.Out(x)
-			i := sort.Search(len(out), func(i int) bool { return out[i] >= v })
-			if i >= len(out) || out[i] != v {
+			if _, found := slices.BinarySearch(g.Out(x), v); !found {
 				return fmt.Errorf("graph: arc %d->%d present in in-adjacency but missing from out-adjacency", x, v)
 			}
 		}
@@ -194,28 +195,38 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-func validateCSR(n int, off []int32, adj []NodeID, dir string) error {
-	if off[0] != 0 || int(off[n]) != len(adj) {
-		return fmt.Errorf("graph: %s offsets do not span adjacency (first=%d, last=%d, len=%d)",
-			dir, off[0], off[n], len(adj))
+// csrSide is one direction's CSR arrays, named for error messages.
+type csrSide struct {
+	off []int32
+	adj []NodeID
+	dir string
+}
+
+func csrSides(inOff []int32, inAdj []NodeID, outOff []int32, outAdj []NodeID) [2]csrSide {
+	return [2]csrSide{{inOff, inAdj, "in"}, {outOff, outAdj, "out"}}
+}
+
+// checkShape runs the O(n) CSR checks, all before any row is read:
+// offsets of length n+1 that span their adjacency and never decrease,
+// and equal in and out arc counts.
+func checkShape(n int, inOff []int32, inAdj []NodeID, outOff []int32, outAdj []NodeID) error {
+	if len(inOff) != n+1 || len(outOff) != n+1 {
+		return fmt.Errorf("graph: offset arrays have wrong length (n=%d, in=%d, out=%d)",
+			n, len(inOff), len(outOff))
 	}
-	// All offsets first: a later offset out of order could otherwise
-	// put an earlier row past the end of adj.
-	for v := 0; v < n; v++ {
-		if off[v] > off[v+1] {
-			return fmt.Errorf("graph: %s offsets not monotone at node %d", dir, v)
+	for _, s := range csrSides(inOff, inAdj, outOff, outAdj) {
+		if s.off[0] != 0 || int(s.off[n]) != len(s.adj) {
+			return fmt.Errorf("graph: %s offsets do not span adjacency (first=%d, last=%d, len=%d)",
+				s.dir, s.off[0], s.off[n], len(s.adj))
+		}
+		for v := 0; v < n; v++ {
+			if s.off[v] > s.off[v+1] {
+				return fmt.Errorf("graph: %s offsets not monotone at node %d", s.dir, v)
+			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		row := adj[off[v]:off[v+1]]
-		for i, u := range row {
-			if u < 0 || int(u) >= n {
-				return fmt.Errorf("graph: %s adjacency of node %d references out-of-range node %d", dir, v, u)
-			}
-			if i > 0 && row[i-1] >= u {
-				return fmt.Errorf("graph: %s adjacency of node %d not strictly sorted", dir, v)
-			}
-		}
+	if len(inAdj) != len(outAdj) {
+		return fmt.Errorf("graph: in/out arc counts differ (%d vs %d)", len(inAdj), len(outAdj))
 	}
 	return nil
 }
@@ -252,14 +263,10 @@ func (b *Builder) AddEdges(edges []Edge) *Builder {
 // edge set) agree — the identity the serving caches and the persistent
 // index store key on.
 func (b *Builder) Freeze() (*Graph, error) {
-	arcs := make([]Edge, 0, len(b.edges)*2)
 	seen := make(map[Edge]struct{}, len(b.edges))
 	for _, e := range b.edges {
-		if e.X < 0 || int(e.X) >= b.n || e.Y < 0 || int(e.Y) >= b.n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", e.X, e.Y, b.n)
-		}
-		if e.X == e.Y {
-			return nil, fmt.Errorf("graph: self-loop at node %d not allowed", e.X)
+		if err := CheckEdge(b.n, e.X, e.Y); err != nil {
+			return nil, err
 		}
 		key := e
 		if !b.directed && key.X > key.Y {
@@ -269,12 +276,8 @@ func (b *Builder) Freeze() (*Graph, error) {
 			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", e.X, e.Y)
 		}
 		seen[key] = struct{}{}
-		arcs = append(arcs, e)
-		if !b.directed {
-			arcs = append(arcs, Edge{X: e.Y, Y: e.X})
-		}
 	}
-	g := fromArcs(b.n, b.directed, arcs)
+	g := fromEdges(b.n, b.directed, b.edges)
 	g.version = contentVersion(g.n, g.directed, g.inOff, g.inAdj)
 	return g, nil
 }
@@ -288,26 +291,53 @@ func (b *Builder) MustFreeze() *Graph {
 	return g
 }
 
-// fromArcs builds the CSR arrays from a list of directed arcs that is
-// already deduplicated (and symmetrized, for undirected graphs). Its
-// first counting pass buckets the arcs by tail into the out-CSR, with
-// rows in arc order; fillSorted then derives the sorted in-CSR from
-// those rows and rewrites the out-rows in sorted order.
-func fromArcs(n int, directed bool, arcs []Edge) *Graph {
-	g := newCSR(n, directed, len(arcs))
-	for _, e := range arcs {
+// fromEdges builds the CSR arrays from a duplicate-free, loop-free
+// edge list (one entry per undirected pair, either way round). Stable
+// counting sweeps sort every row without a comparison sort: the arcs
+// are bucketed by tail into the out-rows; sweeping those by ascending
+// tail fills ascending in-rows; sweeping the in-rows by ascending head
+// rewrites the out-rows ascending.
+func fromEdges(n int, directed bool, edges []Edge) *Graph {
+	m := len(edges)
+	if !directed {
+		m *= 2
+	}
+	g := newCSR(n, directed, m)
+	for _, e := range edges {
 		g.outOff[e.X+1]++
+		g.inOff[e.Y+1]++
+		if !directed {
+			g.outOff[e.Y+1]++
+			g.inOff[e.X+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		g.outOff[v+1] += g.outOff[v]
+		g.inOff[v+1] += g.inOff[v]
 	}
-	next := make([]int32, n)
-	copy(next, g.outOff)
-	for _, e := range arcs {
+	next := slices.Clone(g.outOff[:n])
+	for _, e := range edges {
 		g.outAdj[next[e.X]] = e.Y
 		next[e.X]++
+		if !directed {
+			g.outAdj[next[e.Y]] = e.X
+			next[e.Y]++
+		}
 	}
-	g.fillSorted(func(x NodeID) []NodeID { return g.outAdj[g.outOff[x]:g.outOff[x+1]] })
+	copy(next, g.inOff)
+	for x := NodeID(0); int(x) < n; x++ {
+		for _, y := range g.Out(x) {
+			g.inAdj[next[y]] = x
+			next[y]++
+		}
+	}
+	copy(next, g.outOff)
+	for y := NodeID(0); int(y) < n; y++ {
+		for _, x := range g.In(y) {
+			g.outAdj[next[x]] = y
+			next[x]++
+		}
+	}
 	return g
 }
 
@@ -324,39 +354,85 @@ func newCSR(n int, directed bool, m int) *Graph {
 	}
 }
 
-// fillSorted completes g's CSR from its arcs grouped by tail: heads(x)
-// returns the heads of x's arcs in any order, and g.outOff must already
-// hold the out-offsets. Two stable counting sweeps make every row come
-// out sorted without a comparison sort. Sweeping tails in ascending
-// order appends each tail to its heads' in-rows, so in-rows are
-// ascending. Sweeping heads in ascending order over the finished
-// in-CSR then rewrites the out-rows the same way. heads is read only
-// before that last sweep, so it may alias g.outAdj.
-func (g *Graph) fillSorted(heads func(x NodeID) []NodeID) {
-	n := g.n
-	next := make([]int32, n)
-	for x := NodeID(0); int(x) < n; x++ {
-		for _, y := range heads(x) {
-			g.inOff[y+1]++
+// Merge returns a new graph with g's edges less del plus add, stamped
+// with version; g is unchanged. Only the rows the changes touch are
+// merged, and each run of untouched rows is one bulk copy: O(n + m)
+// sequential work plus sorting the changed arcs. Edges are given as for
+// a Builder, undirected ones in either orientation. The caller
+// guarantees that del's edges are in g, add's are not, and no edge
+// appears twice; merged into an empty graph (a plain CSR build), an
+// edge added twice shows up twice in its rows.
+func (g *Graph) Merge(add, del []Edge, version uint64) *Graph {
+	var out *Graph
+	if len(g.inAdj) == 0 {
+		out = fromEdges(g.n, g.directed, add)
+	} else {
+		// Each change as (row head, column tail), for the in-rows.
+		ch := make([]arcChange, 0, 2*(len(add)+len(del)))
+		for i, es := range [2][]Edge{del, add} {
+			for _, e := range es {
+				ch = append(ch, arcChange{row: e.Y, col: e.X, add: i == 1})
+				if !g.directed {
+					ch = append(ch, arcChange{row: e.X, col: e.Y, add: i == 1})
+				}
+			}
 		}
-	}
-	for v := 0; v < n; v++ {
-		g.inOff[v+1] += g.inOff[v]
-	}
-	copy(next, g.inOff)
-	for x := NodeID(0); int(x) < n; x++ {
-		for _, y := range heads(x) {
-			g.inAdj[next[y]] = x
-			next[y]++
+		out = &Graph{n: g.n, directed: g.directed}
+		out.inOff, out.inAdj = mergeRows(g.inOff, g.inAdj, ch)
+		for i := range ch {
+			ch[i].row, ch[i].col = ch[i].col, ch[i].row
 		}
+		out.outOff, out.outAdj = mergeRows(g.outOff, g.outAdj, ch)
 	}
-	copy(next, g.outOff)
-	for y := NodeID(0); int(y) < n; y++ {
-		for _, x := range g.inAdj[g.inOff[y]:g.inOff[y+1]] {
-			g.outAdj[next[x]] = y
-			next[x]++
+	out.version = version
+	return out
+}
+
+// arcChange is one arc Merge inserts (add) or deletes, addressed by the
+// CSR row it lands in and its column within that row.
+type arcChange struct {
+	row, col NodeID
+	add      bool
+}
+
+// mergeRows applies ch, sorted here by (row, col), to one side's CSR
+// arrays and returns the new arrays.
+func mergeRows(off []int32, adj []NodeID, ch []arcChange) ([]int32, []NodeID) {
+	slices.SortFunc(ch, func(a, b arcChange) int {
+		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.col, b.col))
+	})
+	n := len(off) - 1
+	newOff := make([]int32, n+1)
+	newAdj := make([]NodeID, 0, len(adj)+len(ch))
+	next := 0 // first row not yet written
+	copyRows := func(hi int) {
+		shift := int32(len(newAdj)) - off[next]
+		newAdj = append(newAdj, adj[off[next]:off[hi]]...)
+		for v := next + 1; v <= hi; v++ {
+			newOff[v] = off[v] + shift
 		}
+		next = hi
 	}
+	for i := 0; i < len(ch); {
+		r := int(ch[i].row)
+		copyRows(r)
+		row := adj[off[r]:off[r+1]]
+		for ; i < len(ch) && int(ch[i].row) == r; i++ {
+			k, _ := slices.BinarySearch(row, ch[i].col)
+			newAdj = append(newAdj, row[:k]...)
+			row = row[k:]
+			if ch[i].add {
+				newAdj = append(newAdj, ch[i].col)
+			} else {
+				row = row[1:]
+			}
+		}
+		newAdj = append(newAdj, row...)
+		newOff[r+1] = int32(len(newAdj))
+		next = r + 1
+	}
+	copyRows(n)
+	return newOff, newAdj
 }
 
 // FromCSR reconstructs an immutable Graph from raw CSR arrays, as read
@@ -364,8 +440,8 @@ func (g *Graph) fillSorted(heads func(x NodeID) []NodeID) {
 // copied — the caller must not modify them afterwards. The input is
 // treated as untrusted: the full CSR invariants are validated, and a
 // content-derived version is recomputed from the arrays and must match
-// the recorded one (a DiGraph-generation version cannot be recomputed
-// and is adopted as-is; the store's section checksums guard it).
+// the recorded one (a change-counter version cannot be recomputed and
+// is adopted as-is; the store's section checksums guard it).
 func FromCSR(n int, directed bool, version uint64, inOff []int32, inAdj []NodeID, outOff []int32, outAdj []NodeID) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
@@ -397,27 +473,8 @@ func AdoptCSR(n int, directed bool, version uint64, inOff []int32, inAdj []NodeI
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
 	}
-	if len(inOff) != n+1 || len(outOff) != n+1 {
-		return nil, fmt.Errorf("graph: offset arrays have wrong length (n=%d, in=%d, out=%d)",
-			n, len(inOff), len(outOff))
-	}
-	for _, s := range [2]struct {
-		off []int32
-		adj []NodeID
-		dir string
-	}{{inOff, inAdj, "in"}, {outOff, outAdj, "out"}} {
-		if s.off[0] != 0 || int(s.off[n]) != len(s.adj) {
-			return nil, fmt.Errorf("graph: %s offsets do not span adjacency (first=%d, last=%d, len=%d)",
-				s.dir, s.off[0], s.off[n], len(s.adj))
-		}
-		for v := 0; v < n; v++ {
-			if s.off[v] > s.off[v+1] {
-				return nil, fmt.Errorf("graph: %s offsets not monotone at node %d", s.dir, v)
-			}
-		}
-	}
-	if len(inAdj) != len(outAdj) {
-		return nil, fmt.Errorf("graph: in/out arc counts differ (%d vs %d)", len(inAdj), len(outAdj))
+	if err := checkShape(n, inOff, inAdj, outOff, outAdj); err != nil {
+		return nil, err
 	}
 	return &Graph{
 		n: n, directed: directed, version: version,

@@ -15,7 +15,7 @@ import (
 //	# crashsim: nodes=N directed=true|false
 //
 // fixes the node count and direction; without it, nodes is max id + 1 and
-// the graph is assumed directed.
+// the graph is assumed directed. A second header is an error.
 
 // DefaultMaxNodes bounds the node count ReadEdgeList accepts, guarding
 // against malformed input that names an absurd node id and would make
@@ -66,6 +66,9 @@ func parseEdgeList(r io.Reader) (edges []Edge, n int, directed bool, err error) 
 		}
 		if strings.HasPrefix(text, "#") {
 			if rest, ok := strings.CutPrefix(text, "# crashsim:"); ok {
+				if haveHeader {
+					return nil, 0, false, fmt.Errorf("graph: line %d: repeated '# crashsim:' header", line)
+				}
 				n, directed, err = parseHeader(rest)
 				if err != nil {
 					return nil, 0, false, fmt.Errorf("graph: line %d: %w", line, err)

@@ -84,6 +84,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"edge beyond header nodes", "# crashsim: nodes=2 directed=true\n0 5\n", "out of range"},
 		{"self-loop", "3 3\n", "self-loop"},
 		{"duplicate", "0 1\n0 1\n", "duplicate"},
+		{"repeated header", "# crashsim: nodes=3 directed=true\n0 1\n# crashsim: nodes=5 directed=false\n", "line 3: repeated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

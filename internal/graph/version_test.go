@@ -2,102 +2,6 @@ package graph
 
 import "testing"
 
-// The serving layer's result cache keys on Graph.Version /
-// DiGraph.Generation; these tests pin the contract: every edge
-// mutation bumps the generation (insertions and removals alike),
-// failed mutations do not, and Freeze stamps the generation onto the
-// immutable snapshot.
-
-func TestDiGraphGeneration(t *testing.T) {
-	d := NewDiGraph(4, true)
-	if d.Generation() != 0 {
-		t.Fatalf("fresh generation = %d, want 0", d.Generation())
-	}
-	if err := d.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d.Generation() != 1 {
-		t.Fatalf("after add: generation = %d, want 1", d.Generation())
-	}
-	// Failed mutations must not bump: the edge set did not change.
-	if err := d.AddEdge(0, 1); err == nil {
-		t.Fatal("duplicate add succeeded")
-	}
-	if err := d.RemoveEdge(2, 3); err == nil {
-		t.Fatal("absent remove succeeded")
-	}
-	if err := d.AddEdge(0, 0); err == nil {
-		t.Fatal("self-loop add succeeded")
-	}
-	if d.Generation() != 1 {
-		t.Fatalf("after failed mutations: generation = %d, want 1", d.Generation())
-	}
-	// A removal changes the graph, so it must change the version too —
-	// otherwise add+remove would round-trip back to a generation whose
-	// cached results were computed on a different edge set.
-	if err := d.RemoveEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d.Generation() != 2 {
-		t.Fatalf("after remove: generation = %d, want 2", d.Generation())
-	}
-}
-
-func TestDiGraphGenerationUndirected(t *testing.T) {
-	d := NewDiGraph(3, false)
-	if err := d.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// One logical edge = one generation bump, even though two arcs are
-	// stored internally.
-	if d.Generation() != 1 {
-		t.Fatalf("undirected add bumped generation to %d, want 1", d.Generation())
-	}
-}
-
-func TestCloneCopiesGeneration(t *testing.T) {
-	d := NewDiGraph(3, true)
-	if err := d.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	c := d.Clone()
-	if c.Generation() != d.Generation() {
-		t.Fatalf("clone generation = %d, want %d", c.Generation(), d.Generation())
-	}
-	// Diverging mutations diverge the generations independently.
-	if err := c.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if d.Generation() != 1 || c.Generation() != 2 {
-		t.Fatalf("generations after divergence: original=%d clone=%d, want 1 and 2",
-			d.Generation(), c.Generation())
-	}
-}
-
-func TestFreezeStampsVersion(t *testing.T) {
-	d := NewDiGraph(4, true)
-	for _, e := range []Edge{{0, 1}, {1, 2}, {2, 3}} {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g1 := d.Freeze()
-	if g1.Version() != 3 {
-		t.Fatalf("frozen version = %d, want 3", g1.Version())
-	}
-	// Freezing again without mutations yields the same version: the
-	// edge sets are identical, so cached results remain valid.
-	if g2 := d.Freeze(); g2.Version() != g1.Version() {
-		t.Fatalf("re-freeze changed version: %d vs %d", g2.Version(), g1.Version())
-	}
-	if err := d.RemoveEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g3 := d.Freeze(); g3.Version() <= g1.Version() {
-		t.Fatalf("version after mutation = %d, want > %d", g3.Version(), g1.Version())
-	}
-}
-
 // Builder-frozen graphs used to report Version() == 0, which was only
 // sound while a graph could never outlive its process: two different
 // builder graphs sharing one result cache collided on version 0, and a
@@ -140,12 +44,10 @@ func TestVersionFamiliesDisjoint(t *testing.T) {
 	if !VersionIsContentDerived(b.Version()) {
 		t.Fatalf("builder version %#x not marked content-derived", b.Version())
 	}
-	d := NewDiGraph(3, true)
-	if err := d.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g := d.Freeze(); VersionIsContentDerived(g.Version()) {
-		t.Fatalf("DiGraph-frozen version %#x claims to be content-derived", g.Version())
+	// Merge stamps the version it is given, a temporal cursor's change
+	// counter: it must not read as a content hash.
+	if g := b.Merge([]Edge{{X: 1, Y: 2}}, nil, 2); g.Version() != 2 || VersionIsContentDerived(g.Version()) {
+		t.Fatalf("merged version %#x, want the counter 2", g.Version())
 	}
 }
 
@@ -166,8 +68,8 @@ func TestFromCSRRoundTrip(t *testing.T) {
 	if _, err := FromCSR(g.NumNodes(), g.Directed(), g.Version()^1, inOff, inAdj, outOff, outAdj); err == nil {
 		t.Fatal("FromCSR accepted a forged content version")
 	}
-	// A generation version (no marker bit) is adopted as-is.
+	// A change-counter version (no marker bit) is adopted as-is.
 	if got, err := FromCSR(g.NumNodes(), g.Directed(), 7, inOff, inAdj, outOff, outAdj); err != nil || got.Version() != 7 {
-		t.Fatalf("FromCSR with generation version: got %v, %v", got, err)
+		t.Fatalf("FromCSR with change-counter version: got %v, %v", got, err)
 	}
 }

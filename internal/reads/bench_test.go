@@ -7,27 +7,25 @@ import (
 	"crashsim/internal/graph"
 )
 
-func benchDiGraph(b *testing.B, n, m int) *graph.DiGraph {
+func benchGraph(b *testing.B, n, m int) *graph.Graph {
 	b.Helper()
 	edges, err := gen.ChungLu(n, m, 2.0, true, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := graph.NewDiGraph(n, true)
-	for _, e := range edges {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			b.Fatal(err)
-		}
+	g, err := graph.NewBuilder(n, true).AddEdges(edges).Freeze()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return d
+	return g
 }
 
 // BenchmarkBuild measures generating and indexing r walks per node.
 func BenchmarkBuild(b *testing.B) {
-	d := benchDiGraph(b, 2000, 20000)
+	g := benchGraph(b, 2000, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(d, Options{R: 100, Seed: 1}); err != nil {
+		if _, err := Build(g, Options{R: 100, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,8 +33,8 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkQuery measures a single-source query against a built index.
 func BenchmarkQuery(b *testing.B) {
-	d := benchDiGraph(b, 2000, 20000)
-	ix, err := Build(d, Options{R: 100, RQ: 10, Seed: 1})
+	g := benchGraph(b, 2000, 20000)
+	ix, err := Build(g, Options{R: 100, RQ: 10, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,8 +50,8 @@ func BenchmarkQuery(b *testing.B) {
 // edge back and forth, which regenerates only the walks through its
 // head.
 func BenchmarkApplyEdge(b *testing.B) {
-	d := benchDiGraph(b, 2000, 20000)
-	ix, err := Build(d, Options{R: 100, Seed: 1})
+	g := benchGraph(b, 2000, 20000)
+	ix, err := Build(g, Options{R: 100, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type Flat struct {
 // Origin lists come out ascending whatever updates reordered in inv.
 func (ix *Index) compile() Flat {
 	o := ix.opt
-	n := ix.numNodes()
+	n := ix.src.NumNodes()
 	f := Flat{WalkOff: make([]int32, o.R*n+1), Nodes: make([]graph.NodeID, 0, ix.Positions())}
 	for k := 0; k < o.R; k++ {
 		for v := 0; v < n; v++ {
@@ -87,12 +87,12 @@ func (ix *Index) compile() Flat {
 // ImportFlat binds a flat payload to the frozen graph g as a servable
 // Index whose arrays are adopted, not copied — for a mapped snapshot
 // they alias the read-only mapping. Fresh query-time walks sample
-// g's CSR in-lists directly, which are elementwise identical to a
-// DiGraph rebuilt from g.Edges() (both are ascending per node), so RQ
-// refinement stays bit-identical. The first mutation
-// (ApplyEdge/ApplyDelta) or Graph() call materializes heap-side maps
-// and a mutable graph; until then the index is read-only. Structural shape checks always run; validate adds the
-// per-entry semantic checks (the store's VerifyEager policy).
+// g's CSR in-lists directly, which are elementwise the in-lists of
+// the thawed copy Build samples, so RQ refinement stays bit-identical.
+// The first mutation (ApplyEdge/ApplyDelta) or Graph() call
+// materializes heap-side maps and a mutable graph; until then the
+// index is read-only. Structural shape checks always run; validate
+// adds the per-entry semantic checks (the store's VerifyEager policy).
 func ImportFlat(g *graph.Graph, f Flat, validate bool) (*Index, error) {
 	o := f.Opt.withDefaults()
 	if err := o.Validate(); err != nil {
@@ -165,13 +165,7 @@ func ImportFlat(g *graph.Graph, f Flat, validate bool) (*Index, error) {
 			}
 		}
 	}
-	return &Index{
-		opt:        o,
-		fg:         g,
-		flat:       &f,
-		sc:         math.Sqrt(o.C),
-		srcVersion: g.Version(),
-	}, nil
+	return &Index{opt: o, src: g, flat: &f, sc: math.Sqrt(o.C)}, nil
 }
 
 func sliceLast(s []int32) int32 {
@@ -184,7 +178,7 @@ func sliceLast(s []int32) int32 {
 // walkFlat returns the k-th stored walk of v from the flat columns.
 func (ix *Index) walkFlat(k int, v graph.NodeID) []graph.NodeID {
 	f := ix.flat
-	n := ix.fg.NumNodes()
+	n := ix.src.NumNodes()
 	i := k*n + int(v)
 	return f.Nodes[f.WalkOff[i]:f.WalkOff[i+1]]
 }
@@ -229,9 +223,9 @@ func (ix *Index) materialize() {
 	if ix.flat == nil {
 		return
 	}
-	n := ix.fg.NumNodes()
+	n := ix.src.NumNodes()
 	f := ix.flat
-	ix.g = ix.fg.Thaw()
+	ix.g = ix.src.Thaw()
 	ix.walks = make([][][]graph.NodeID, ix.opt.R)
 	ix.inv = make([]map[posKey][]graph.NodeID, ix.opt.R)
 	for k := 0; k < ix.opt.R; k++ {

@@ -16,7 +16,7 @@ import (
 // TestImportFlatRejectsCorruptShape.
 func FuzzImportFlat(f *testing.F) {
 	g := flatTestGraph(f, true)
-	built, err := Build(diGraphOf(f, g), Options{R: 8, MaxLen: 5, RQ: 2, Seed: 2})
+	built, err := Build(g, Options{R: 8, MaxLen: 5, RQ: 2, Seed: 2})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -109,23 +109,21 @@ type posKey struct {
 	node graph.NodeID
 }
 
-// Index holds the stored walks over a mutable graph.
+// Index holds the stored walks over a private, updatable graph copy.
 type Index struct {
 	opt   Options
 	g     *graph.DiGraph
 	walks [][][]graph.NodeID          // walks[k][v] = k-th stored walk of v
 	inv   []map[posKey][]graph.NodeID // per sample: (step,node) -> origins
 	sc    float64
-	// srcVersion is the frozen graph version an imported index was
-	// bound to (see serde.go); 0 for directly built indexes.
-	srcVersion uint64
+	// src is the graph the index was built on or imported against.
+	src *graph.Graph
 
-	// flat/fg, when set, replace walks/inv/g with the compiled run form
-	// over a frozen graph (see flat.go); the arrays may alias a
-	// read-only snapshot mapping. The first mutation materializes the
-	// heap form above and clears flat.
+	// flat, when set, replaces walks/inv/g with the compiled run form
+	// over src (see flat.go); its arrays may alias a read-only snapshot
+	// mapping. The first mutation materializes the heap form above and
+	// clears flat.
 	flat *Flat
-	fg   *graph.Graph
 	// release gives borrowed memory back to its owner (drops the
 	// mapping reference an imported-from-mmap index holds).
 	release func() error
@@ -147,17 +145,9 @@ func (ix *Index) Close() error {
 // layer calls it when an index is imported aliasing a mapping.
 func (ix *Index) SetRelease(f func() error) { ix.release = f }
 
-// numNodes works for both the mutable and the borrowed representation.
-func (ix *Index) numNodes() int {
-	if ix.g != nil {
-		return ix.g.NumNodes()
-	}
-	return ix.fg.NumNodes()
-}
-
-// Build generates the r walks per node on a private copy of g's current
-// state.
-func Build(g *graph.DiGraph, opt Options) (*Index, error) {
+// Build generates the r walks per node on a private, updatable copy of
+// g.
+func Build(g *graph.Graph, opt Options) (*Index, error) {
 	return BuildCtx(context.Background(), g, opt)
 }
 
@@ -168,7 +158,7 @@ func Build(g *graph.DiGraph, opt Options) (*Index, error) {
 // serially in (sample, node) order — the built index is byte-identical
 // for any worker count (mirroring how sling.Build parallelizes its
 // pushes).
-func BuildCtx(ctx context.Context, g *graph.DiGraph, opt Options) (*Index, error) {
+func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -178,10 +168,11 @@ func BuildCtx(ctx context.Context, g *graph.DiGraph, opt Options) (*Index, error
 	}
 	ix := &Index{
 		opt:   o,
-		g:     g.Clone(),
+		g:     g.Thaw(),
 		walks: make([][][]graph.NodeID, o.R),
 		inv:   make([]map[posKey][]graph.NodeID, o.R),
 		sc:    math.Sqrt(o.C),
+		src:   g,
 	}
 	n := ix.g.NumNodes()
 	for k := 0; k < o.R; k++ {
@@ -330,7 +321,7 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := ix.numNodes()
+	n := ix.src.NumNodes()
 	if u < 0 || int(u) >= n {
 		return nil, fmt.Errorf("reads: source %d out of range for n=%d", u, n)
 	}
@@ -398,9 +389,8 @@ func (ix *Index) accumulate(k int, w []graph.NodeID, u graph.NodeID, inc float64
 
 // sampleFresh draws a query-time √c-walk from u on the current graph.
 // A borrowed index samples the frozen CSR in-lists, which are
-// elementwise identical to the DiGraph Build samples when handed a
-// copy of the same graph — the walks, and therefore the scores, match
-// bit for bit.
+// elementwise the in-lists of the copy Build thaws from the same graph
+// — the walks, and therefore the scores, match bit for bit.
 func (ix *Index) sampleFresh(u graph.NodeID, r *rng.Source, buf []graph.NodeID) []graph.NodeID {
 	buf = append(buf[:0], u)
 	cur := u
@@ -412,7 +402,7 @@ func (ix *Index) sampleFresh(u graph.NodeID, r *rng.Source, buf []graph.NodeID) 
 		if ix.g != nil {
 			in = ix.g.In(cur)
 		} else {
-			in = ix.fg.In(cur)
+			in = ix.src.In(cur)
 		}
 		if len(in) == 0 {
 			break
@@ -426,7 +416,7 @@ func (ix *Index) sampleFresh(u graph.NodeID, r *rng.Source, buf []graph.NodeID) 
 // NumWalks returns the total number of stored walks (r · n).
 func (ix *Index) NumWalks() int {
 	if ix.flat != nil {
-		return ix.opt.R * ix.numNodes()
+		return ix.opt.R * ix.src.NumNodes()
 	}
 	total := 0
 	for k := range ix.walks {

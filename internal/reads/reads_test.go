@@ -10,17 +10,6 @@ import (
 	"crashsim/internal/graph"
 )
 
-func diGraphOf(t testing.TB, g *graph.Graph) *graph.DiGraph {
-	t.Helper()
-	d := graph.NewDiGraph(g.NumNodes(), g.Directed())
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return d
-}
-
 func TestOptionsValidate(t *testing.T) {
 	for _, o := range []Options{{C: 2}, {R: -1}, {MaxLen: -1}, {C: math.NaN()},
 		{R: maxR + 1}, {MaxLen: maxMaxLen + 1}, {RQ: maxRQ + 1}} {
@@ -37,8 +26,8 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestBuildAndQuery(t *testing.T) {
-	d := diGraphOf(t, graph.PaperExample())
-	ix, err := Build(d, Options{R: 50, Seed: 1})
+	g := graph.PaperExample()
+	ix, err := Build(g, Options{R: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,22 +49,23 @@ func TestBuildAndQuery(t *testing.T) {
 	if _, err := ix.SingleSource(99); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, err := Build(d, Options{C: 3}); err == nil {
+	if _, err := Build(g, Options{C: 3}); err == nil {
 		t.Error("bad options accepted")
 	}
 }
 
 func TestIndexIsIsolatedFromCaller(t *testing.T) {
-	d := diGraphOf(t, graph.PaperExample())
-	ix, err := Build(d, Options{R: 5, Seed: 1})
+	g := graph.PaperExample()
+	ix, err := Build(g, Options{R: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the caller's graph must not affect the index's copy.
-	if err := d.RemoveEdge(graph.PaperNode("B"), graph.PaperNode("A")); err != nil {
+	// Updating the index's copy must not touch the caller's graph.
+	e := graph.Edge{X: graph.PaperNode("B"), Y: graph.PaperNode("A")}
+	if err := ix.ApplyEdge(e, false); err != nil {
 		t.Fatal(err)
 	}
-	if !ix.Graph().HasEdge(graph.PaperNode("B"), graph.PaperNode("A")) {
+	if ix.Graph().HasEdge(e.X, e.Y) || !g.HasEdge(e.X, e.Y) {
 		t.Error("index shares graph storage with caller")
 	}
 }
@@ -89,7 +79,7 @@ func TestAccuracyAgainstPowerMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(diGraphOf(t, g), Options{C: 0.6, R: 3000, Seed: 5})
+	ix, err := Build(g, Options{C: 0.6, R: 3000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +110,8 @@ func TestApplyEdgeMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := diGraphOf(t, gg)
 	opt := Options{R: 40, Seed: 7}
-	ix, err := Build(d, opt)
+	ix, err := Build(gg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,25 +126,22 @@ func TestApplyEdgeMatchesRebuild(t *testing.T) {
 		{graph.Edge{X: 0, Y: 39}, true},
 		{graph.Edge{X: 39, Y: 1}, true},
 	}
+	var add, del []graph.Edge
 	for _, up := range updates {
-		if up.add && d.HasEdge(up.e.X, up.e.Y) {
+		if up.add && gg.HasEdge(up.e.X, up.e.Y) {
 			continue
 		}
 		if err := ix.ApplyEdge(up.e, up.add); err != nil {
 			t.Fatalf("ApplyEdge(%v, %t): %v", up.e, up.add, err)
 		}
 		if up.add {
-			if err := d.AddEdge(up.e.X, up.e.Y); err != nil {
-				t.Fatal(err)
-			}
+			add = append(add, up.e)
 		} else {
-			if err := d.RemoveEdge(up.e.X, up.e.Y); err != nil {
-				t.Fatal(err)
-			}
+			del = append(del, up.e)
 		}
 	}
 
-	rebuilt, err := Build(d, opt)
+	rebuilt, err := Build(gg.Merge(add, del, 0), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +171,9 @@ func TestRQRefinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := diGraphOf(t, g)
 	// With refinement enabled, accuracy must remain in the same
 	// ballpark (the fresh walks add valid samples).
-	ix, err := Build(d, Options{C: 0.6, R: 1500, RQ: 1500, Seed: 5})
+	ix, err := Build(g, Options{C: 0.6, R: 1500, RQ: 1500, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +196,13 @@ func TestRQRefinement(t *testing.T) {
 			t.Fatalf("refined query nondeterministic at %d", v)
 		}
 	}
-	if _, err := Build(d, Options{RQ: -1}); err == nil {
+	if _, err := Build(g, Options{RQ: -1}); err == nil {
 		t.Error("negative RQ accepted")
 	}
 }
 
 func TestApplyDeltaErrors(t *testing.T) {
-	ix, err := Build(diGraphOf(t, graph.PaperExample()), Options{R: 5, Seed: 1})
+	ix, err := Build(graph.PaperExample(), Options{R: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,24 +215,17 @@ func TestApplyDeltaErrors(t *testing.T) {
 }
 
 func TestUndirectedUpdates(t *testing.T) {
-	d := graph.NewDiGraph(4, false)
-	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}} {
-		if err := d.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := graph.NewBuilder(4, false).AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3).MustFreeze()
 	opt := Options{R: 30, Seed: 2}
-	ix, err := Build(d, opt)
+	ix, err := Build(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.ApplyEdge(graph.Edge{X: 3, Y: 0}, true); err != nil {
+	e := graph.Edge{X: 3, Y: 0}
+	if err := ix.ApplyEdge(e, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddEdge(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := Build(d, opt)
+	rebuilt, err := Build(g.Merge([]graph.Edge{e}, nil, 0), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,16 +258,15 @@ func TestBuildWorkersDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := diGraphOf(t, g)
 	opt := Options{R: 24, MaxLen: 8, RQ: 4, Seed: 63}
-	serial, err := Build(d, opt)
+	serial, err := Build(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4} {
 		po := opt
 		po.Workers = w
-		parallel, err := Build(d, po)
+		parallel, err := Build(g, po)
 		if err != nil {
 			t.Fatal(err)
 		}

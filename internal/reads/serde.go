@@ -35,13 +35,7 @@ func (ix *Index) Options() Options { return ix.opt }
 // reports, so two configurations can be compared for build equivalence.
 func (o Options) WithDefaults() Options { return o.withDefaults() }
 
-// SourceVersion is the Version() of the frozen graph an imported index
-// was bound to, or 0 for an index built directly on a DiGraph (which
-// has no frozen identity). Consumers attaching a preloaded index to a
-// frozen graph use it to refuse a graph the index was not built on.
-func (ix *Index) SourceVersion() uint64 { return ix.srcVersion }
-
-// BindSourceVersion records the frozen graph version ix derives from,
-// for builders that construct the walk DiGraph from a frozen graph
-// themselves (ImportFlat does this automatically).
-func (ix *Index) BindSourceVersion(v uint64) { ix.srcVersion = v }
+// SourceVersion is the Version() of the graph the index was built on or
+// imported against. Consumers attaching a preloaded index to a graph
+// use it to refuse a graph the index was not built on.
+func (ix *Index) SourceVersion() uint64 { return ix.src.Version() }

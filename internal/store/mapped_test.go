@@ -263,13 +263,7 @@ func sizedSnapshot(t *testing.T, n int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := graph.NewDiGraph(n, true)
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rd, err := reads.Build(d, reads.Options{R: 4, MaxLen: 5, Seed: 2})
+	rd, err := reads.Build(g, reads.Options{R: 4, MaxLen: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

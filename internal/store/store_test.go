@@ -45,13 +45,7 @@ func testSnapshot(t testing.TB) (*Snapshot, *sling.Index, *reads.Index, *prsim.I
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := graph.NewDiGraph(g.NumNodes(), g.Directed())
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rdIx, err := reads.Build(d, reads.Options{R: 8, MaxLen: 5, RQ: 2, Seed: 7})
+	rdIx, err := reads.Build(g, reads.Options{R: 8, MaxLen: 5, RQ: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@ import (
 // AS-733: a header directive fixes the node count, direction and snapshot
 // count, then each line is "t op x y" where op is '+' or '-' and t is the
 // snapshot index the change takes effect at (t >= 1). Snapshot 0 edges
-// are written with "0 + x y". Lines must be sorted by t.
+// are written with "0 + x y". Lines must be sorted by t, and the header
+// must come before them, once.
 //
 //	# crashsim-temporal: nodes=N directed=BOOL snapshots=T
 //	0 + 1 2
@@ -52,6 +53,9 @@ func ReadLimit(r io.Reader, maxNodes int) (*Graph, error) {
 		}
 		if strings.HasPrefix(text, "#") {
 			if rest, ok := strings.CutPrefix(text, "# crashsim-temporal:"); ok {
+				if haveHeader {
+					return nil, fmt.Errorf("temporal: line %d: repeated '# crashsim-temporal:' header", line)
+				}
 				var err error
 				n, directed, T, err = parseTemporalHeader(rest)
 				if err != nil {

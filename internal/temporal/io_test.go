@@ -77,6 +77,7 @@ func TestTemporalReadErrors(t *testing.T) {
 		{"unknown header", "# crashsim-temporal: color=red\n", "unknown header field"},
 		{"empty", "", "missing header"},
 		{"inconsistent delta", header + "1 - 0 1\n", "not present"},
+		{"repeated header", header + "0 + 0 1\n1 + 1 2\n# crashsim-temporal: nodes=3 directed=false snapshots=3\n", "line 4: repeated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

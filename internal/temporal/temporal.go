@@ -6,12 +6,13 @@
 // Snapshots are stored as the initial edge set plus one Delta per
 // transition, which is both compact (real temporal graphs change little
 // between instants) and exactly the form CrashSim-T's delta pruning
-// consumes. A Cursor materializes snapshots in order by applying deltas
-// to a mutable graph.
+// consumes. Every snapshot is an immutable CSR graph: a Cursor merges
+// the edge changes into the last snapshot it built (graph.Graph.Merge).
 package temporal
 
 import (
 	"fmt"
+	"slices"
 
 	"crashsim/internal/graph"
 )
@@ -30,24 +31,57 @@ type Graph struct {
 	n        int
 	directed bool
 	initial  []graph.Edge
-	deltas   []Delta // deltas[t] transforms snapshot t into snapshot t+1
+	deltas   []Delta      // deltas[t] transforms snapshot t into snapshot t+1
+	first    *graph.Graph // snapshot 0
 }
 
 // New builds a temporal graph from the first snapshot's edges and the
-// per-transition deltas. It validates the whole history eagerly: every
-// Add must insert a missing edge and every Del must remove a present one.
+// per-transition deltas. It validates the whole history eagerly: the
+// initial edges must be in range, loop-free and distinct, every Add must
+// insert a missing edge and every Del must remove a present one.
 func New(n int, directed bool, initial []graph.Edge, deltas []Delta) (*Graph, error) {
 	tg := &Graph{n: n, directed: directed, initial: initial, deltas: deltas}
-	cur, err := tg.Cursor()
-	if err != nil {
+	var err error
+	if tg.first, err = tg.firstSnapshot(); err != nil {
 		return nil, err
 	}
-	for cur.Next() {
+	// A cursor checks every delta without building another snapshot.
+	c, _ := tg.Cursor()
+	for c.Next() {
 	}
-	if err := cur.Err(); err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, c.err
 	}
 	return tg, nil
+}
+
+// firstSnapshot builds snapshot 0. Valid initial edges cost one CSR
+// build and a scan for a repeated edge; otherwise a cursor over the
+// empty graph inserts them as a delta would, to name the first it
+// refuses.
+func (tg *Graph) firstSnapshot() (*graph.Graph, error) {
+	empty := graph.NewBuilder(tg.n, tg.directed).MustFreeze()
+	if !slices.ContainsFunc(tg.initial, func(e graph.Edge) bool { return graph.CheckEdge(tg.n, e.X, e.Y) != nil }) {
+		g := empty.Merge(tg.initial, nil, uint64(len(tg.initial)))
+		if !hasRepeats(g) {
+			return g, nil
+		}
+	}
+	c := &Cursor{tg: tg, g: empty, pending: map[graph.Edge]bool{}}
+	return nil, fmt.Errorf("temporal: initial snapshot: %w", c.apply(Delta{Add: tg.initial}))
+}
+
+// hasRepeats reports whether any in-row of g lists a node twice.
+func hasRepeats(g *graph.Graph) bool {
+	off, adj := g.InCSR()
+	for v := 1; v < len(off); v++ {
+		for i := off[v-1] + 1; i < off[v]; i++ {
+			if adj[i] == adj[i-1] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // NumNodes returns the node count (fixed across snapshots).
@@ -65,15 +99,15 @@ func (tg *Graph) Delta(t int) Delta { return tg.deltas[t] }
 
 // Snapshot materializes snapshot t as an immutable CSR graph. For
 // sequential access over many snapshots, use a Cursor instead: Snapshot
-// replays deltas from the start and costs O(t·Δ + m).
+// merges the net change of the first t deltas into snapshot 0, which
+// costs O(n + m) plus the deltas' size.
 //
-// The returned graph's Version is the cursor's working-graph
-// Generation after replaying t deltas, so it is deterministic for a
-// given t, strictly increases across snapshots separated by non-empty
-// deltas, and stays equal across empty deltas (where the edge sets —
-// and therefore any cached query results — really are identical).
-// Result caches key on this version to avoid serving scores from a
-// superseded snapshot.
+// The returned graph's Version is the initial edge count plus the sizes
+// of the first t deltas. So it is deterministic for a given t, strictly
+// increases across snapshots separated by non-empty deltas, and stays
+// equal across empty deltas (where the edge sets — and therefore any
+// cached query results — really are identical). Result caches key on
+// this version to avoid serving scores from a superseded snapshot.
 func (tg *Graph) Snapshot(t int) (*graph.Graph, error) {
 	if t < 0 || t >= tg.NumSnapshots() {
 		return nil, fmt.Errorf("temporal: snapshot %d out of range [0,%d)", t, tg.NumSnapshots())
@@ -90,27 +124,25 @@ func (tg *Graph) Snapshot(t int) (*graph.Graph, error) {
 	return cur.Freeze(), nil
 }
 
-// Cursor returns a cursor positioned at snapshot 0.
+// Cursor returns a cursor positioned at snapshot 0. The history was
+// validated by New, so the error is always nil.
 func (tg *Graph) Cursor() (*Cursor, error) {
-	d := graph.NewDiGraph(tg.n, tg.directed)
-	for _, e := range tg.initial {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			return nil, fmt.Errorf("temporal: initial snapshot: %w", err)
-		}
-	}
-	return &Cursor{tg: tg, cur: d}, nil
+	return &Cursor{tg: tg, g: tg.first, version: tg.first.Version(), pending: map[graph.Edge]bool{}}, nil
 }
 
-// Cursor iterates snapshots in time order, maintaining a mutable working
-// graph. After construction the cursor is at snapshot 0; Next advances to
-// the following snapshot, returning false at the end of the history or on
-// an inconsistent delta (check Err).
+// Cursor iterates snapshots in time order, holding the last snapshot it
+// built and the edge changes since. After construction the cursor is at
+// snapshot 0; Next advances to the following snapshot, returning false
+// at the end of the history or on an inconsistent delta (check Err).
 type Cursor struct {
-	tg     *Graph
-	t      int
-	cur    *graph.DiGraph
-	err    error
-	frozen *graph.Graph // last Freeze result; current while its Version is cur's Generation
+	tg      *Graph
+	t       int
+	g       *graph.Graph // last snapshot built
+	version uint64       // the current snapshot's version
+	// pending maps each edge (undirected: X <= Y) whose presence differs
+	// between g and the current snapshot to its current presence.
+	pending map[graph.Edge]bool
+	err     error
 }
 
 // T returns the current snapshot index.
@@ -119,22 +151,26 @@ func (c *Cursor) T() int { return c.t }
 // Err returns the first delta-application error encountered, if any.
 func (c *Cursor) Err() error { return c.err }
 
-// Working returns the cursor's mutable working graph for the current
-// snapshot. Callers must not modify it; it is invalidated by Next.
-func (c *Cursor) Working() *graph.DiGraph { return c.cur }
-
-// Freeze returns an immutable CSR view of the current snapshot,
-// stamped with the working graph's Generation as its Version (see
-// Graph.Snapshot for the monotonicity guarantees caches rely on).
-// While the Generation has not moved — across repeated calls and
-// across empty deltas — it returns the graph it already froze: the
-// edge set is the same, the graph is immutable, and the Version is
-// equal, so a quiet snapshot costs no CSR build.
+// Freeze returns the current snapshot as an immutable CSR graph (see
+// Graph.Snapshot for its Version). While the version stands still —
+// across repeated calls and empty deltas — it returns the graph it
+// already built, so a quiet snapshot costs no build; otherwise it
+// merges the pending changes into that graph once.
 func (c *Cursor) Freeze() *graph.Graph {
-	if c.frozen == nil || c.frozen.Version() != c.cur.Generation() {
-		c.frozen = c.cur.Freeze()
+	if c.g.Version() == c.version {
+		return c.g
 	}
-	return c.frozen
+	var add, del []graph.Edge
+	for e, present := range c.pending {
+		if present {
+			add = append(add, e)
+		} else {
+			del = append(del, e)
+		}
+	}
+	clear(c.pending)
+	c.g = c.g.Merge(add, del, c.version)
+	return c.g
 }
 
 // Next advances to the next snapshot.
@@ -143,20 +179,53 @@ func (c *Cursor) Next() bool {
 		return false
 	}
 	d := c.tg.deltas[c.t]
-	for _, e := range d.Del {
-		if err := c.cur.RemoveEdge(e.X, e.Y); err != nil {
-			c.err = fmt.Errorf("temporal: delta %d: %w", c.t, err)
-			return false
-		}
+	if err := c.apply(d); err != nil {
+		c.err = fmt.Errorf("temporal: delta %d: %w", c.t, err)
+		return false
 	}
-	for _, e := range d.Add {
-		if err := c.cur.AddEdge(e.X, e.Y); err != nil {
-			c.err = fmt.Errorf("temporal: delta %d: %w", c.t, err)
-			return false
-		}
-	}
+	c.version += uint64(d.Size())
 	c.t++
 	return true
+}
+
+// apply records d's deletions, then its insertions, as pending changes,
+// failing at the first one the current edge set refuses.
+func (c *Cursor) apply(d Delta) error {
+	for i, es := range [2][]graph.Edge{d.Del, d.Add} {
+		for _, e := range es {
+			if err := c.change(e, i == 1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// change sets edge e's presence in the current snapshot to present,
+// which must differ from its presence now.
+func (c *Cursor) change(e graph.Edge, present bool) error {
+	if err := graph.CheckEdge(c.tg.n, e.X, e.Y); err != nil {
+		return err
+	}
+	k := e
+	if !c.tg.directed && k.X > k.Y {
+		k.X, k.Y = k.Y, k.X
+	}
+	now, changed := c.pending[k]
+	if !changed {
+		now = c.g.HasEdge(k.X, k.Y)
+	}
+	switch {
+	case now == present && present:
+		return fmt.Errorf("graph: edge (%d,%d) already present", e.X, e.Y)
+	case now == present:
+		return fmt.Errorf("graph: edge (%d,%d) not present", e.X, e.Y)
+	case changed:
+		delete(c.pending, k) // back to g's state
+	default:
+		c.pending[k] = present
+	}
+	return nil
 }
 
 // Slice returns a temporal graph restricted to snapshots [from, to)

@@ -179,7 +179,7 @@ func (e *READST) Run(tg *temporal.Graph, u graph.NodeID, q Query) ([]graph.NodeI
 	return runPerSnapshot(tg, u, q, func(t int, cur *temporal.Cursor) (map[graph.NodeID]float64, error) {
 		var err error
 		if t == 0 {
-			ix, err = reads.Build(cur.Working(), e.Options)
+			ix, err = reads.Build(cur.Freeze(), e.Options)
 		} else {
 			d := tg.Delta(t - 1)
 			err = ix.ApplyDelta(d.Add, d.Del)
@@ -207,7 +207,7 @@ func (e *TSFT) Run(tg *temporal.Graph, u graph.NodeID, q Query) ([]graph.NodeID,
 	return runPerSnapshot(tg, u, q, func(t int, cur *temporal.Cursor) (map[graph.NodeID]float64, error) {
 		var err error
 		if t == 0 {
-			ix, err = tsf.Build(cur.Working(), e.Options)
+			ix, err = tsf.Build(cur.Freeze(), e.Options)
 		} else {
 			d := tg.Delta(t - 1)
 			err = ix.ApplyDelta(d.Add, d.Del)

@@ -7,27 +7,25 @@ import (
 	"crashsim/internal/graph"
 )
 
-func benchDiGraph(b *testing.B, n, m int) *graph.DiGraph {
+func benchGraph(b *testing.B, n, m int) *graph.Graph {
 	b.Helper()
 	edges, err := gen.ChungLu(n, m, 2.0, true, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := graph.NewDiGraph(n, true)
-	for _, e := range edges {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			b.Fatal(err)
-		}
+	g, err := graph.NewBuilder(n, true).AddEdges(edges).Freeze()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return d
+	return g
 }
 
 // BenchmarkBuild measures sampling Rg one-way graphs.
 func BenchmarkBuild(b *testing.B) {
-	d := benchDiGraph(b, 2000, 20000)
+	g := benchGraph(b, 2000, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(d, Options{Rg: 100, Seed: 1}); err != nil {
+		if _, err := Build(g, Options{Rg: 100, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,8 +34,8 @@ func BenchmarkBuild(b *testing.B) {
 // BenchmarkQuery measures one single-source query (Rg coupled paths
 // against every node).
 func BenchmarkQuery(b *testing.B) {
-	d := benchDiGraph(b, 2000, 20000)
-	ix, err := Build(d, Options{Rg: 100, Seed: 1})
+	g := benchGraph(b, 2000, 20000)
+	ix, err := Build(g, Options{Rg: 100, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -51,8 +49,8 @@ func BenchmarkQuery(b *testing.B) {
 
 // BenchmarkApplyEdge measures repairing parent slots after one update.
 func BenchmarkApplyEdge(b *testing.B) {
-	d := benchDiGraph(b, 2000, 20000)
-	ix, err := Build(d, Options{Rg: 100, Seed: 1})
+	g := benchGraph(b, 2000, 20000)
+	ix, err := Build(g, Options{Rg: 100, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

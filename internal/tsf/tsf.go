@@ -84,8 +84,9 @@ type Index struct {
 	version [][]uint32
 }
 
-// Build samples the one-way graphs from g's current state.
-func Build(g *graph.DiGraph, opt Options) (*Index, error) {
+// Build samples the one-way graphs from g, keeping a private, updatable
+// copy of it.
+func Build(g *graph.Graph, opt Options) (*Index, error) {
 	o := opt.withDefaults()
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -93,7 +94,7 @@ func Build(g *graph.DiGraph, opt Options) (*Index, error) {
 	n := g.NumNodes()
 	ix := &Index{
 		opt:     o,
-		g:       g.Clone(),
+		g:       g.Thaw(),
 		parent:  make([][]graph.NodeID, o.Rg),
 		version: make([][]uint32, o.Rg),
 	}
@@ -189,7 +190,7 @@ func (ix *Index) ApplyEdge(e graph.Edge, add bool) error {
 	}
 	for _, h := range heads {
 		node, other := h[0], h[1]
-		deg := ix.g.InDegree(node)
+		deg := len(ix.g.In(node))
 		for k := 0; k < ix.opt.Rg; k++ {
 			switch {
 			case add:

@@ -9,17 +9,6 @@ import (
 	"crashsim/internal/graph"
 )
 
-func diGraphOf(t *testing.T, g *graph.Graph) *graph.DiGraph {
-	t.Helper()
-	d := graph.NewDiGraph(g.NumNodes(), g.Directed())
-	for _, e := range g.Edges() {
-		if err := d.AddEdge(e.X, e.Y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return d
-}
-
 func TestOptionsValidate(t *testing.T) {
 	for _, o := range []Options{{C: 2}, {Rg: -1}, {MaxLen: -1}} {
 		if err := o.Validate(); err == nil {
@@ -32,20 +21,20 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestBuildInvariant(t *testing.T) {
-	ix, err := Build(diGraphOf(t, graph.PaperExample()), Options{Rg: 20, Seed: 1})
+	ix, err := Build(graph.PaperExample(), Options{Rg: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(diGraphOf(t, graph.PaperExample()), Options{C: 7}); err == nil {
+	if _, err := Build(graph.PaperExample(), Options{C: 7}); err == nil {
 		t.Error("bad options accepted")
 	}
 }
 
 func TestSingleSourceBasics(t *testing.T) {
-	ix, err := Build(diGraphOf(t, graph.PaperExample()), Options{Rg: 50, Seed: 2})
+	ix, err := Build(graph.PaperExample(), Options{Rg: 50, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +72,7 @@ func TestAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(diGraphOf(t, g), Options{C: 0.6, Rg: 3000, Seed: 3})
+	ix, err := Build(g, Options{C: 0.6, Rg: 3000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +100,7 @@ func TestApplyEdgeKeepsInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(diGraphOf(t, g), Options{Rg: 30, Seed: 4})
+	ix, err := Build(g, Options{Rg: 30, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +144,7 @@ func TestApplyEdgeKeepsInvariant(t *testing.T) {
 // TestDeletionRepairsDanglingSlots: removing a node's last in-edge must
 // set the slot to noParent; restoring an edge must repair it.
 func TestDeletionRepairsDanglingSlots(t *testing.T) {
-	d := graph.NewDiGraph(3, true)
-	if err := d.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Build(d, Options{Rg: 10, Seed: 5})
+	ix, err := Build(graph.NewBuilder(3, true).AddEdge(0, 1).MustFreeze(), Options{Rg: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
