@@ -11,9 +11,7 @@ package graph
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"slices"
 )
 
@@ -69,27 +67,40 @@ func VersionIsContentDerived(v uint64) bool { return v&contentVersionBit != 0 }
 
 // contentVersion hashes the graph identity: node count, direction and
 // the in-CSR arrays (the out-CSR is derivable from the in-CSR, so
-// hashing one side identifies the edge set). FNV-1a over the raw
-// little-endian words, deterministic across runs and platforms.
+// hashing one side identifies the edge set). 64-bit FNV-1a, as
+// hash/fnv computes it, over n as 8 little-endian bytes, the direction
+// as one byte and each array entry as 4 little-endian bytes:
+// deterministic across runs and platforms.
 func contentVersion(n int, directed bool, inOff []int32, inAdj []NodeID) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n))
-	h.Write(buf[:])
-	d := byte(0)
+	h := uint64(fnvOffset64)
+	h = fnvWord(h, uint32(uint64(n)))
+	h = fnvWord(h, uint32(uint64(n)>>32))
+	d := uint64(0)
 	if directed {
 		d = 1
 	}
-	h.Write([]byte{d})
+	h = (h ^ d) * fnvPrime64
 	for _, v := range inOff {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		h.Write(buf[:4])
+		h = fnvWord(h, uint32(v))
 	}
 	for _, v := range inAdj {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		h.Write(buf[:4])
+		h = fnvWord(h, uint32(v))
 	}
-	return h.Sum64() | contentVersionBit
+	return h | contentVersionBit
+}
+
+// The 64-bit FNV parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord feeds v's four little-endian bytes to the FNV-1a state h.
+func fnvWord(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>8&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>16&0xff)) * fnvPrime64
+	return (h ^ uint64(v>>24)) * fnvPrime64
 }
 
 // NumEdges returns the number of directed arcs for directed graphs, or the
@@ -262,24 +273,44 @@ func (b *Builder) AddEdges(edges []Edge) *Builder {
 // builder graphs get equal versions exactly when their (n, direction,
 // edge set) agree — the identity the serving caches and the persistent
 // index store key on.
+//
+// Valid edges cost a range check each, one counting CSR build and a
+// scan of the sorted in-rows for a repeat, which is how a duplicate
+// edge shows in them; only when one of those fails does firstError walk
+// the edges again to name the first it refuses.
 func (b *Builder) Freeze() (*Graph, error) {
+	for _, e := range b.edges {
+		if CheckEdge(b.n, e.X, e.Y) != nil {
+			return nil, b.firstError()
+		}
+	}
+	g := fromEdges(b.n, b.directed, b.edges)
+	if g.HasRepeats() {
+		return nil, b.firstError()
+	}
+	g.version = contentVersion(g.n, g.directed, g.inOff, g.inAdj)
+	return g, nil
+}
+
+// firstError returns the error for the first edge, in insertion order,
+// that is out of range, a self-loop or a repeat of an earlier one (for
+// undirected graphs, in either orientation); nil if there is none.
+func (b *Builder) firstError() error {
 	seen := make(map[Edge]struct{}, len(b.edges))
 	for _, e := range b.edges {
 		if err := CheckEdge(b.n, e.X, e.Y); err != nil {
-			return nil, err
+			return err
 		}
 		key := e
 		if !b.directed && key.X > key.Y {
 			key.X, key.Y = key.Y, key.X
 		}
 		if _, dup := seen[key]; dup {
-			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", e.X, e.Y)
+			return fmt.Errorf("graph: duplicate edge (%d,%d)", e.X, e.Y)
 		}
 		seen[key] = struct{}{}
 	}
-	g := fromEdges(b.n, b.directed, b.edges)
-	g.version = contentVersion(g.n, g.directed, g.inOff, g.inAdj)
-	return g, nil
+	return nil
 }
 
 // MustFreeze is Freeze for statically known-good graphs (tests, examples).
@@ -339,6 +370,21 @@ func fromEdges(n int, directed bool, edges []Edge) *Graph {
 		}
 	}
 	return g
+}
+
+// HasRepeats reports whether any in-row of g lists a node twice. A
+// graph from a Builder never does; a merge into an empty graph does
+// exactly when its edge list repeats an edge (undirected: in either
+// orientation), since every in-row comes out sorted.
+func (g *Graph) HasRepeats() bool {
+	for v := 1; v < len(g.inOff); v++ {
+		for i := g.inOff[v-1] + 1; i < g.inOff[v]; i++ {
+			if g.inAdj[i] == g.inAdj[i-1] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // newCSR returns a graph with zeroed offset arrays and adjacency arrays

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -37,7 +38,7 @@ func ReadEdgeListLimit(r io.Reader, maxNodes int) (*Graph, error) {
 	if n > maxNodes {
 		return nil, fmt.Errorf("graph: input names %d nodes, above the limit of %d", n, maxNodes)
 	}
-	return NewBuilder(n, directed).AddEdges(edges).Freeze()
+	return (&Builder{n: n, directed: directed, edges: edges}).Freeze()
 }
 
 // WriteEdgeList writes g in the edge-list format with a header directive,
@@ -60,6 +61,13 @@ func parseEdgeList(r io.Reader) (edges []Edge, n int, directed bool, err error) 
 	line := 0
 	for sc.Scan() {
 		line++
+		if x, rest, ok := CutID(sc.Bytes()); ok {
+			if y, rest, ok := CutID(rest); ok && len(rest) == 0 {
+				edges = append(edges, Edge{X: x, Y: y})
+				maxID = max(maxID, x, y)
+				continue
+			}
+		}
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {
 			continue
@@ -90,12 +98,7 @@ func parseEdgeList(r io.Reader) (edges []Edge, n int, directed bool, err error) 
 			return nil, 0, false, fmt.Errorf("graph: line %d: %w", line, err)
 		}
 		edges = append(edges, Edge{X: x, Y: y})
-		if x > maxID {
-			maxID = x
-		}
-		if y > maxID {
-			maxID = y
-		}
+		maxID = max(maxID, x, y)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, 0, false, fmt.Errorf("graph: reading edge list: %w", err)
@@ -105,6 +108,46 @@ func parseEdgeList(r io.Reader) (edges []Edge, n int, directed bool, err error) 
 	}
 	return edges, n, directed, nil
 }
+
+// CutID is the edge-list readers' fast path for one numeric field. It
+// skips the blanks (spaces, tabs and carriage returns) at the start of
+// b and parses the run of ASCII digits that follows, which must be at
+// most math.MaxInt32 and end b or be followed by a blank. It returns
+// the id and the rest of b after the blanks that follow the digits, so
+// rest is empty after a line's last field. ok is false for anything
+// else (a sign, an overflow, any other byte), and the reader then
+// parses the line its general way, which accepts or refuses it exactly
+// as without the fast path: that way splits fields at Unicode white
+// space, of which these blanks are a part.
+func CutID(b []byte) (id NodeID, rest []byte, ok bool) {
+	i := skipBlanks(b, 0)
+	start := i
+	v := uint64(0)
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		if v = v*10 + uint64(d); v > math.MaxInt32 {
+			return 0, nil, false
+		}
+	}
+	if i == start || i < len(b) && !isBlank(b[i]) {
+		return 0, nil, false
+	}
+	return NodeID(v), b[skipBlanks(b, i):], true
+}
+
+// skipBlanks returns the index of the first byte of b at or after i
+// that is not a blank.
+func skipBlanks(b []byte, i int) int {
+	for i < len(b) && isBlank(b[i]) {
+		i++
+	}
+	return i
+}
+
+func isBlank(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
 
 func parseHeader(rest string) (n int, directed bool, err error) {
 	directed = true

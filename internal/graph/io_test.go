@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -94,4 +98,96 @@ func TestReadEdgeListErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oracleReadEdgeList is the reference FuzzReadEdgeList holds the reader
+// to: every line through strings.Fields and strconv, as the reader
+// parsed before its byte fast path, and a build that checks duplicates
+// with a map of every edge before the counting CSR build, as Freeze
+// did before its repeat scan, with the version hashed by hash/fnv.
+func oracleReadEdgeList(r io.Reader, maxNodes int) (*Graph, error) {
+	directed, haveHeader := true, false
+	n, maxID := 0, NodeID(-1)
+	var edges []Edge
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" {
+			continue
+		}
+		if strings.HasPrefix(text, "#") {
+			if rest, ok := strings.CutPrefix(text, "# crashsim:"); ok {
+				if haveHeader {
+					return nil, fmt.Errorf("graph: line %d: repeated '# crashsim:' header", line)
+				}
+				var err error
+				if n, directed, err = parseHeader(rest); err != nil {
+					return nil, fmt.Errorf("graph: line %d: %w", line, err)
+				}
+				haveHeader = true
+			}
+			continue
+		}
+		fields := strings.Fields(text)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("graph: line %d: want 2 fields, got %d", line, len(fields))
+		}
+		x, err := parseNode(fields[0])
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: %w", line, err)
+		}
+		y, err := parseNode(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: %w", line, err)
+		}
+		edges = append(edges, Edge{X: x, Y: y})
+		maxID = max(maxID, x, y)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("graph: reading edge list: %w", err)
+	}
+	if !haveHeader {
+		n = int(maxID) + 1
+	}
+	if n > maxNodes {
+		return nil, fmt.Errorf("graph: input names %d nodes, above the limit of %d", n, maxNodes)
+	}
+	seen := make(map[Edge]struct{}, len(edges))
+	for _, e := range edges {
+		if err := CheckEdge(n, e.X, e.Y); err != nil {
+			return nil, err
+		}
+		key := e
+		if !directed && key.X > key.Y {
+			key.X, key.Y = key.Y, key.X
+		}
+		if _, dup := seen[key]; dup {
+			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", e.X, e.Y)
+		}
+		seen[key] = struct{}{}
+	}
+	g := fromEdges(n, directed, edges)
+	g.version = fnvVersion(g)
+	return g, nil
+}
+
+// sameGraph reports how got differs from want: node count, direction,
+// version and both CSR sides.
+func sameGraph(got, want *Graph) error {
+	if got.NumNodes() != want.NumNodes() || got.Directed() != want.Directed() || got.Version() != want.Version() {
+		return fmt.Errorf("n/directed/version %d/%t/%#x, want %d/%t/%#x",
+			got.NumNodes(), got.Directed(), got.Version(), want.NumNodes(), want.Directed(), want.Version())
+	}
+	gotOff, gotAdj := got.InCSR()
+	wantOff, wantAdj := want.InCSR()
+	gotOutOff, gotOutAdj := got.OutCSR()
+	wantOutOff, wantOutAdj := want.OutCSR()
+	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) ||
+		!slices.Equal(gotOutOff, wantOutOff) || !slices.Equal(gotOutAdj, wantOutAdj) {
+		return fmt.Errorf("CSR arrays differ")
+	}
+	return nil
 }

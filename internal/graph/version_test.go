@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+)
 
 // Builder-frozen graphs used to report Version() == 0, which was only
 // sound while a graph could never outlive its process: two different
@@ -71,5 +75,52 @@ func TestFromCSRRoundTrip(t *testing.T) {
 	// A change-counter version (no marker bit) is adopted as-is.
 	if got, err := FromCSR(g.NumNodes(), g.Directed(), 7, inOff, inAdj, outOff, outAdj); err != nil || got.Version() != 7 {
 		t.Fatalf("FromCSR with change-counter version: got %v, %v", got, err)
+	}
+}
+
+// fnvVersion is contentVersion written with hash/fnv, one Write per
+// little-endian word, as the version was first defined.
+func fnvVersion(g *Graph) uint64 {
+	h := fnv.New64a()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(g.NumNodes())))
+	d := byte(0)
+	if g.Directed() {
+		d = 1
+	}
+	h.Write([]byte{d})
+	off, adj := g.InCSR()
+	var buf [4]byte
+	for _, v := range off {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		h.Write(buf[:])
+	}
+	for _, v := range adj {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64() | contentVersionBit
+}
+
+// TestContentVersionGolden pins the content versions of three graphs to
+// literals, and each to its hash/fnv computation. Persisted snapshots
+// and the benchmark's input fingerprints carry these versions, so a
+// faster hash must reproduce them bit for bit.
+func TestContentVersionGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *Graph
+		want uint64
+	}{
+		{"paper example", PaperExample(), 0xb1806ff577634679},
+		{"directed", NewBuilder(6, true).AddEdge(5, 0).AddEdge(0, 1).AddEdge(2, 1).AddEdge(1, 3).AddEdge(3, 4).MustFreeze(), 0xecfbac723f32fe56},
+		{"undirected", NewBuilder(5, false).AddEdge(0, 1).AddEdge(2, 1).AddEdge(4, 3).AddEdge(0, 4).MustFreeze(), 0x84d557285c41a1ec},
+	}
+	for _, tc := range cases {
+		if got := tc.g.Version(); got != tc.want {
+			t.Errorf("%s: version %#x, pinned %#x", tc.name, got, tc.want)
+		}
+		if ref := fnvVersion(tc.g); ref != tc.want {
+			t.Errorf("%s: hash/fnv version %#x, pinned %#x", tc.name, ref, tc.want)
+		}
 	}
 }

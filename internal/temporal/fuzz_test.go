@@ -11,8 +11,10 @@ import (
 	"crashsim/internal/graph"
 )
 
-// FuzzRead checks that the temporal parser never panics and that every
-// successfully parsed history round-trips through the writer.
+// FuzzRead checks that the temporal parser never panics, that it
+// returns what oracleRead returns (the same edges, snapshots and
+// versions, or the same error text), and that every successfully parsed
+// history round-trips through the writer.
 func FuzzRead(f *testing.F) {
 	f.Add("# crashsim-temporal: nodes=3 directed=true snapshots=2\n0 + 0 1\n1 - 0 1\n")
 	f.Add("# crashsim-temporal: nodes=2 directed=false snapshots=1\n0 + 0 1\n")
@@ -20,10 +22,26 @@ func FuzzRead(f *testing.F) {
 	f.Add("# crashsim-temporal: nodes=x\n")
 	f.Add("# crashsim-temporal: nodes=3 snapshots=2\n1 * 0 1\n")
 	f.Add("# crashsim-temporal: nodes=3 directed=true snapshots=2\n0 + 0 1\n1 + 1 2\n# crashsim-temporal: nodes=3 directed=false snapshots=3\n")
+	// Each boundary line alone, and after lines that set the previous
+	// snapshot index, so a t of 0 or 1 comes out of order.
+	const header = "# crashsim-temporal: nodes=3 directed=true snapshots=3\n"
+	for _, line := range fastPathChanges {
+		f.Add(header + line + "\n")
+		f.Add(header + "0 + 0 1\n2 + 1 0\n" + line + "\n")
+	}
+	f.Add("# crashsim-temporal: nodes=3 directed=false snapshots=2\n0 + 0 1\n0 + 1 0\n")
+	f.Add("# crashsim-temporal: nodes=2 directed=true snapshots=1048577\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		tg, err := ReadLimit(strings.NewReader(input), 1<<16)
+		want, wantErr := oracleRead(strings.NewReader(input), 1<<16)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("err = %v, oracle %v\ninput: %q", err, wantErr, input)
+		}
 		if err != nil {
 			return
+		}
+		if err := sameHistory(tg, want); err != nil {
+			t.Fatalf("history differs from the oracle's: %v\ninput: %q", err, input)
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, tg); err != nil {
@@ -37,6 +55,38 @@ func FuzzRead(f *testing.F) {
 			t.Fatal("round trip changed dimensions")
 		}
 	})
+}
+
+// fastPathChanges are history lines at the boundary between ReadLimit's
+// fast path and its general path, for a 3-node history of 3 snapshots.
+var fastPathChanges = []string{
+	"00 + 000 02",
+	"0 +5 1 2",
+	"0 + +1 2",
+	"+0 + 1 2",
+	"0\t+\t1\t2",
+	" \t1 + 1 2\t ",
+	"0 + 1\v2",
+	"0\f+ 1 2",
+	"0 +\u00a01 2",
+	"0 + 1 2\u0085",
+	"1 + 1 2\r",
+	"1 + 1 2 \r",
+	"1 + 1\r2",
+	"0 + 2147483647 0",
+	"0 + 2147483648 0",
+	"0 + 0 1 2",
+	"0 + 0",
+	"3 + 0 1",
+	"99999999999 + 0 1",
+	"0 - 0 1",
+	"1 - 0 1",
+	"0+ 0 1",
+	"1- 0 1",
+	"0 -- 0 1",
+	"0 +- 0 1",
+	"2 + 2 2",
+	"2 + 0 9",
 }
 
 // FuzzCursor is the differential check of the cursor against a map

@@ -23,8 +23,11 @@ import (
 //	1 + 2 3
 
 // maxSnapshots bounds the snapshot count a header may declare,
-// guarding the delta-array allocation against malformed input.
-const maxSnapshots = 1 << 24
+// guarding the delta-array allocation against malformed input: the
+// header alone allocates a Delta (48 bytes) per transition, so the
+// bound caps that at 48 MiB. The paper's longest history, AS-733, has
+// 733 snapshots.
+const maxSnapshots = 1 << 20
 
 // Read parses a temporal graph from r. It applies the same node-count
 // guard as graph.ReadEdgeList; use ReadLimit to raise it.
@@ -47,6 +50,20 @@ func ReadLimit(r io.Reader, maxNodes int) (*Graph, error) {
 	)
 	for sc.Scan() {
 		line++
+		if haveHeader {
+			if t, add, e, ok := parseChange(sc.Bytes()); ok && prevT <= t && t < T && (add || t > 0) {
+				prevT = t
+				switch {
+				case t == 0:
+					initial = append(initial, e)
+				case add:
+					deltas[t-1].Add = append(deltas[t-1].Add, e)
+				default:
+					deltas[t-1].Del = append(deltas[t-1].Del, e)
+				}
+				continue
+			}
+		}
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {
 			continue
@@ -119,6 +136,26 @@ func ReadLimit(r io.Reader, maxNodes int) (*Graph, error) {
 		return nil, fmt.Errorf("temporal: empty input (missing header)")
 	}
 	return New(n, directed, initial, deltas)
+}
+
+// parseChange is ReadLimit's fast path: a line "t op x y" of unsigned
+// ASCII decimals and a '+' or '-' op, separated by blanks (see
+// graph.CutID; the op by a space or tab). ok is false for any other
+// line, which the general path then parses or refuses; the caller
+// still checks t against the header and the previous line.
+func parseChange(b []byte) (t int, add bool, e graph.Edge, ok bool) {
+	t32, rest, ok := graph.CutID(b)
+	if !ok || len(rest) < 2 || rest[0] != '+' && rest[0] != '-' || rest[1] != ' ' && rest[1] != '\t' {
+		return 0, false, e, false
+	}
+	add = rest[0] == '+'
+	if e.X, rest, ok = graph.CutID(rest[2:]); !ok {
+		return 0, false, e, false
+	}
+	if e.Y, rest, ok = graph.CutID(rest); !ok || len(rest) != 0 {
+		return 0, false, e, false
+	}
+	return int(t32), add, e, true
 }
 
 // Write emits tg in the temporal edge-list format.

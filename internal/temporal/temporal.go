@@ -63,25 +63,12 @@ func (tg *Graph) firstSnapshot() (*graph.Graph, error) {
 	empty := graph.NewBuilder(tg.n, tg.directed).MustFreeze()
 	if !slices.ContainsFunc(tg.initial, func(e graph.Edge) bool { return graph.CheckEdge(tg.n, e.X, e.Y) != nil }) {
 		g := empty.Merge(tg.initial, nil, uint64(len(tg.initial)))
-		if !hasRepeats(g) {
+		if !g.HasRepeats() {
 			return g, nil
 		}
 	}
 	c := &Cursor{tg: tg, g: empty, pending: map[graph.Edge]bool{}}
 	return nil, fmt.Errorf("temporal: initial snapshot: %w", c.apply(Delta{Add: tg.initial}))
-}
-
-// hasRepeats reports whether any in-row of g lists a node twice.
-func hasRepeats(g *graph.Graph) bool {
-	off, adj := g.InCSR()
-	for v := 1; v < len(off); v++ {
-		for i := off[v-1] + 1; i < off[v]; i++ {
-			if adj[i] == adj[i-1] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // NumNodes returns the node count (fixed across snapshots).
