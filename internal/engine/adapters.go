@@ -134,9 +134,10 @@ func BuildPRSimIndex(ctx context.Context, g *graph.Graph, cfg Config) (*prsim.In
 // prsimEstimator adapts the PRSim hub index; New pays the eager hub
 // build unless Config carries a compatible preloaded one. Tail tables
 // keep filling lazily (and concurrently) behind the index's per-node
-// singleflight. Batches fan out over the Config's Workers, the width a
-// fresh build records, also when the index was preloaded: an imported
-// index records the default, one worker.
+// singleflight. Every query, a single source or a batch, runs at the
+// Config's Workers, the width a fresh build records, also when the
+// index was preloaded: an imported index records the default, one
+// worker.
 type prsimEstimator struct {
 	g       *graph.Graph
 	ix      *prsim.Index
@@ -175,11 +176,14 @@ func (e *prsimEstimator) result(ctx context.Context, u graph.NodeID, omega []gra
 	if err := checkCandidates(omega, e.g.NumNodes()); err != nil {
 		return core.Result{}, err
 	}
-	r, err := e.ix.SingleSourceResult(ctx, u)
-	if err != nil || omega == nil {
-		return r, err
+	rs, err := e.ix.MultiSourceResults(ctx, []graph.NodeID{u}, e.workers)
+	if err != nil {
+		return core.Result{}, err
 	}
-	return r.Restrict(omega), nil
+	if omega == nil {
+		return rs[0], nil
+	}
+	return rs[0].Restrict(omega), nil
 }
 
 func (e *prsimEstimator) batch(ctx context.Context, sources []graph.NodeID) ([]core.Result, error) {

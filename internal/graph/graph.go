@@ -248,7 +248,12 @@ func checkShape(n int, inOff []int32, inAdj []NodeID, outOff []int32, outAdj []N
 type Builder struct {
 	n        int
 	directed bool
-	edges    []Edge
+	// edges holds the edges in insertion order, in chunks that are
+	// never copied once written: each new chunk is twice the size of
+	// the last, so the chunks add up to less than twice the edges. An
+	// append-grown slice would leave behind arrays adding up to several
+	// times its final one.
+	edges [][]Edge
 }
 
 // NewBuilder returns a Builder for a graph with n nodes.
@@ -258,14 +263,30 @@ func NewBuilder(n int, directed bool) *Builder {
 
 // AddEdge records the edge x -> y (or the undirected pair {x,y}).
 func (b *Builder) AddEdge(x, y NodeID) *Builder {
-	b.edges = append(b.edges, Edge{X: x, Y: y})
+	b.add(Edge{X: x, Y: y})
 	return b
 }
 
 // AddEdges records a batch of edges.
 func (b *Builder) AddEdges(edges []Edge) *Builder {
-	b.edges = append(b.edges, edges...)
+	if len(edges) > 0 {
+		b.edges = append(b.edges, slices.Clone(edges))
+	}
 	return b
+}
+
+// add records e in the last chunk, starting a new one when it is full.
+func (b *Builder) add(e Edge) {
+	k := len(b.edges)
+	if k == 0 || len(b.edges[k-1]) == cap(b.edges[k-1]) {
+		size := 64
+		if k > 0 {
+			size = 2 * cap(b.edges[k-1])
+		}
+		b.edges = append(b.edges, make([]Edge, 0, size))
+		k++
+	}
+	b.edges[k-1] = append(b.edges[k-1], e)
 }
 
 // Freeze validates the accumulated edges and builds the CSR graph. The
@@ -279,12 +300,14 @@ func (b *Builder) AddEdges(edges []Edge) *Builder {
 // edge shows in them; only when one of those fails does firstError walk
 // the edges again to name the first it refuses.
 func (b *Builder) Freeze() (*Graph, error) {
-	for _, e := range b.edges {
-		if CheckEdge(b.n, e.X, e.Y) != nil {
-			return nil, b.firstError()
+	for _, chunk := range b.edges {
+		for _, e := range chunk {
+			if CheckEdge(b.n, e.X, e.Y) != nil {
+				return nil, b.firstError()
+			}
 		}
 	}
-	g := fromEdges(b.n, b.directed, b.edges)
+	g := fromEdges(b.n, b.directed, b.edges...)
 	if g.HasRepeats() {
 		return nil, b.firstError()
 	}
@@ -296,19 +319,25 @@ func (b *Builder) Freeze() (*Graph, error) {
 // that is out of range, a self-loop or a repeat of an earlier one (for
 // undirected graphs, in either orientation); nil if there is none.
 func (b *Builder) firstError() error {
-	seen := make(map[Edge]struct{}, len(b.edges))
-	for _, e := range b.edges {
-		if err := CheckEdge(b.n, e.X, e.Y); err != nil {
-			return err
+	m := 0
+	for _, chunk := range b.edges {
+		m += len(chunk)
+	}
+	seen := make(map[Edge]struct{}, m)
+	for _, chunk := range b.edges {
+		for _, e := range chunk {
+			if err := CheckEdge(b.n, e.X, e.Y); err != nil {
+				return err
+			}
+			key := e
+			if !b.directed && key.X > key.Y {
+				key.X, key.Y = key.Y, key.X
+			}
+			if _, dup := seen[key]; dup {
+				return fmt.Errorf("graph: duplicate edge (%d,%d)", e.X, e.Y)
+			}
+			seen[key] = struct{}{}
 		}
-		key := e
-		if !b.directed && key.X > key.Y {
-			key.X, key.Y = key.Y, key.X
-		}
-		if _, dup := seen[key]; dup {
-			return fmt.Errorf("graph: duplicate edge (%d,%d)", e.X, e.Y)
-		}
-		seen[key] = struct{}{}
 	}
 	return nil
 }
@@ -323,23 +352,28 @@ func (b *Builder) MustFreeze() *Graph {
 }
 
 // fromEdges builds the CSR arrays from a duplicate-free, loop-free
-// edge list (one entry per undirected pair, either way round). Stable
-// counting sweeps sort every row without a comparison sort: the arcs
-// are bucketed by tail into the out-rows; sweeping those by ascending
-// tail fills ascending in-rows; sweeping the in-rows by ascending head
-// rewrites the out-rows ascending.
-func fromEdges(n int, directed bool, edges []Edge) *Graph {
-	m := len(edges)
+// edge list given in chunks (one entry per undirected pair, either way
+// round). Stable counting sweeps sort every row without a comparison
+// sort: the arcs are bucketed by tail into the out-rows; sweeping those
+// by ascending tail fills ascending in-rows; sweeping the in-rows by
+// ascending head rewrites the out-rows ascending.
+func fromEdges(n int, directed bool, chunks ...[]Edge) *Graph {
+	m := 0
+	for _, edges := range chunks {
+		m += len(edges)
+	}
 	if !directed {
 		m *= 2
 	}
 	g := newCSR(n, directed, m)
-	for _, e := range edges {
-		g.outOff[e.X+1]++
-		g.inOff[e.Y+1]++
-		if !directed {
-			g.outOff[e.Y+1]++
-			g.inOff[e.X+1]++
+	for _, edges := range chunks {
+		for _, e := range edges {
+			g.outOff[e.X+1]++
+			g.inOff[e.Y+1]++
+			if !directed {
+				g.outOff[e.Y+1]++
+				g.inOff[e.X+1]++
+			}
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -347,12 +381,14 @@ func fromEdges(n int, directed bool, edges []Edge) *Graph {
 		g.inOff[v+1] += g.inOff[v]
 	}
 	next := slices.Clone(g.outOff[:n])
-	for _, e := range edges {
-		g.outAdj[next[e.X]] = e.Y
-		next[e.X]++
-		if !directed {
-			g.outAdj[next[e.Y]] = e.X
-			next[e.Y]++
+	for _, edges := range chunks {
+		for _, e := range edges {
+			g.outAdj[next[e.X]] = e.Y
+			next[e.X]++
+			if !directed {
+				g.outAdj[next[e.Y]] = e.X
+				next[e.Y]++
+			}
 		}
 	}
 	copy(next, g.inOff)

@@ -31,14 +31,14 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 
 // ReadEdgeListLimit is ReadEdgeList with an explicit node-count bound.
 func ReadEdgeListLimit(r io.Reader, maxNodes int) (*Graph, error) {
-	edges, n, directed, err := parseEdgeList(r)
+	b, err := parseEdgeList(r)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxNodes {
-		return nil, fmt.Errorf("graph: input names %d nodes, above the limit of %d", n, maxNodes)
+	if b.n > maxNodes {
+		return nil, fmt.Errorf("graph: input names %d nodes, above the limit of %d", b.n, maxNodes)
 	}
-	return (&Builder{n: n, directed: directed, edges: edges}).Freeze()
+	return b.Freeze()
 }
 
 // WriteEdgeList writes g in the edge-list format with a header directive,
@@ -52,8 +52,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-func parseEdgeList(r io.Reader) (edges []Edge, n int, directed bool, err error) {
-	directed = true
+// parseEdgeList reads r into a Builder holding its edges, its node
+// count and its direction.
+func parseEdgeList(r io.Reader) (*Builder, error) {
+	b := &Builder{directed: true}
 	haveHeader := false
 	maxID := NodeID(-1)
 	sc := bufio.NewScanner(r)
@@ -63,7 +65,7 @@ func parseEdgeList(r io.Reader) (edges []Edge, n int, directed bool, err error) 
 		line++
 		if x, rest, ok := CutID(sc.Bytes()); ok {
 			if y, rest, ok := CutID(rest); ok && len(rest) == 0 {
-				edges = append(edges, Edge{X: x, Y: y})
+				b.add(Edge{X: x, Y: y})
 				maxID = max(maxID, x, y)
 				continue
 			}
@@ -75,11 +77,11 @@ func parseEdgeList(r io.Reader) (edges []Edge, n int, directed bool, err error) 
 		if strings.HasPrefix(text, "#") {
 			if rest, ok := strings.CutPrefix(text, "# crashsim:"); ok {
 				if haveHeader {
-					return nil, 0, false, fmt.Errorf("graph: line %d: repeated '# crashsim:' header", line)
+					return nil, fmt.Errorf("graph: line %d: repeated '# crashsim:' header", line)
 				}
-				n, directed, err = parseHeader(rest)
-				if err != nil {
-					return nil, 0, false, fmt.Errorf("graph: line %d: %w", line, err)
+				var err error
+				if b.n, b.directed, err = parseHeader(rest); err != nil {
+					return nil, fmt.Errorf("graph: line %d: %w", line, err)
 				}
 				haveHeader = true
 			}
@@ -87,26 +89,26 @@ func parseEdgeList(r io.Reader) (edges []Edge, n int, directed bool, err error) 
 		}
 		fields := strings.Fields(text)
 		if len(fields) != 2 {
-			return nil, 0, false, fmt.Errorf("graph: line %d: want 2 fields, got %d", line, len(fields))
+			return nil, fmt.Errorf("graph: line %d: want 2 fields, got %d", line, len(fields))
 		}
 		x, err := parseNode(fields[0])
 		if err != nil {
-			return nil, 0, false, fmt.Errorf("graph: line %d: %w", line, err)
+			return nil, fmt.Errorf("graph: line %d: %w", line, err)
 		}
 		y, err := parseNode(fields[1])
 		if err != nil {
-			return nil, 0, false, fmt.Errorf("graph: line %d: %w", line, err)
+			return nil, fmt.Errorf("graph: line %d: %w", line, err)
 		}
-		edges = append(edges, Edge{X: x, Y: y})
+		b.add(Edge{X: x, Y: y})
 		maxID = max(maxID, x, y)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, 0, false, fmt.Errorf("graph: reading edge list: %w", err)
+		return nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
 	if !haveHeader {
-		n = int(maxID) + 1
+		b.n = int(maxID) + 1
 	}
-	return edges, n, directed, nil
+	return b, nil
 }
 
 // CutID is the edge-list readers' fast path for one numeric field. It

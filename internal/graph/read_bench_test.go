@@ -58,11 +58,11 @@ func BenchmarkReadEdgeList(b *testing.B) {
 
 // readAllocs pins the allocations of one ReadEdgeList per input,
 // measured on go1.24.0 without -race. The count does not grow with the
-// edge count beyond the edge slice's doublings, so a per-line or
-// per-edge allocation shows at once.
+// edge count beyond the edge chunks, each twice the last, so a per-line
+// or per-edge allocation shows at once.
 var readAllocs = map[string]float64{
-	"hepth@0.1":  25,
-	"web-1m@0.1": 39,
+	"hepth@0.1":  21,
+	"web-1m@0.1": 27,
 }
 
 // TestReadAllocs is the reader's allocation gate: each input's read may

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"crashsim/internal/core"
 	"crashsim/internal/gen"
 	"crashsim/internal/graph"
 )
@@ -194,6 +195,73 @@ func TestMultiSourceMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestQueryWidths: a single-source query, a 4-source batch that
+// repeats a source and an 11-source batch that runs in several chunks
+// at widths 1 and 2 answer the same Results, entry for entry and in the
+// same order, at widths 1, 2 and 4, on a cold index (the queries build
+// their tail tables) and again warm; the index's Stats agree too. The
+// node ranges a query accumulates over depend only on the graph, so
+// the order is part of the contract. The graph's columns are short, so
+// the widths run once as served, with each source in one item, and
+// once with every query cut into range groups.
+func TestQueryWidths(t *testing.T) {
+	for _, groupColumn := range []int{minGroupColumn, 0} {
+		t.Run(fmt.Sprintf("groupColumn=%d", groupColumn), func(t *testing.T) {
+			testQueryWidths(t, groupColumn)
+		})
+	}
+}
+
+func testQueryWidths(t *testing.T, groupColumn int) {
+	g := testGraph(t, 700, 4500, 21)
+	ctx := context.Background()
+	batch := []graph.NodeID{5, 640, 2, 5}
+	long := []graph.NodeID{9, 120, 33, 9, 400, 77, 650, 3, 120, 512, 250, 18, 699}
+	type pass struct {
+		results []core.Result
+		stats   Stats
+	}
+	run := func(workers int) []pass {
+		ix := mustBuild(t, g, Options{HubFraction: 0.02, Iterations: 90, DSamples: 20, Seed: 14, Workers: workers})
+		ix.groupColumn = groupColumn
+		var passes []pass
+		for range 2 { // cold, then warm
+			single, err := ix.SingleSourceResult(ctx, 311)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := []core.Result{single}
+			for _, sources := range [][]graph.NodeID{batch, long} {
+				rs, err := ix.MultiSourceResults(ctx, sources, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = append(results, rs...)
+			}
+			passes = append(passes, pass{results, ix.Stats()})
+		}
+		return passes
+	}
+	want := run(1)
+	if want[0].stats.TailBuilds == 0 || want[1].stats.TailBuilds != want[0].stats.TailBuilds {
+		t.Fatalf("cold pass built %d tail tables, warm pass %d more: want some, then none",
+			want[0].stats.TailBuilds, want[1].stats.TailBuilds-want[0].stats.TailBuilds)
+	}
+	for _, workers := range []int{2, 4} {
+		for i, got := range run(workers) {
+			name := [...]string{"cold", "warm"}[i]
+			if got.stats != want[i].stats {
+				t.Errorf("width %d, %s: stats %+v, width 1 %+v", workers, name, got.stats, want[i].stats)
+			}
+			for j := range got.results {
+				if !reflect.DeepEqual(got.results[j], want[i].results[j]) {
+					t.Errorf("width %d, %s: result %d differs from width 1", workers, name, j)
+				}
+			}
+		}
+	}
+}
+
 // TestBuildWorkersDeterminism: the built index must be byte-identical
 // whatever the worker count — Export payloads are deep-equal.
 func TestBuildWorkersDeterminism(t *testing.T) {
@@ -232,5 +300,30 @@ func TestCancellation(t *testing.T) {
 	}
 	if _, err := ix.MultiSource(ctx, []graph.NodeID{0, 1}); err == nil {
 		t.Error("MultiSource succeeded with cancelled context")
+	}
+}
+
+// TestScratchEpochWrap: an item's accumulator reads every id as
+// untouched however its epoch stamps wrap, also an id that only a
+// wider item before the wrap touched: id 7, stamped at epoch 250 by an
+// item over 8 ids, must read untouched when the epoch comes back to
+// 250 after items over 4 ids have wrapped it.
+func TestScratchEpochWrap(t *testing.T) {
+	var s rangeScratch
+	for range 250 {
+		s.reset(8)
+	}
+	s.mark[7] = s.epoch
+	for i := range 400 {
+		n := 4
+		if i >= 100 {
+			n = 8
+		}
+		s.reset(n)
+		for x, m := range s.mark {
+			if m == s.epoch {
+				t.Fatalf("item %d: id %d of %d reads as touched", i, x, n)
+			}
+		}
 	}
 }

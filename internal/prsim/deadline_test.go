@@ -72,6 +72,57 @@ func TestQueryStopsAfterOneTailBuild(t *testing.T) {
 	}
 }
 
+// buildCtx reports its deadline passed once ix has built a tail table,
+// so a query's deadline passes while its first build runs. It is safe
+// for concurrent use.
+type buildCtx struct {
+	context.Context
+	ix *Index
+}
+
+func (c buildCtx) Err() error {
+	if c.ix.Stats().TailBuilds > 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestQueryStopsAfterOneTailBuildPerWorker: a query whose deadline
+// passes during its first tail build starts no build after that, so
+// each worker runs at most the build it had started: one at width 1,
+// two at width 2. The aborted query's tables leave a full query's
+// scores bit-identical to a fresh index's.
+func TestQueryStopsAfterOneTailBuildPerWorker(t *testing.T) {
+	g := testGraph(t, 200, 1400, 3)
+	for _, workers := range []int{1, 2} {
+		opt := Options{HubFraction: 0.001, Iterations: 20, DSamples: 20, Seed: 5, Workers: workers}
+		for u := graph.NodeID(0); u < 10; u++ {
+			ref, ix := mustBuild(t, g, opt), mustBuild(t, g, opt)
+			want, err := ref.SingleSource(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := ref.Stats().TailBuilds; b <= int64(workers) {
+				t.Fatalf("width %d, source %d: a full query builds %d tail tables, need more than %d", workers, u, b, workers)
+			}
+			_, err = ix.SingleSourceCtx(buildCtx{Context: context.Background(), ix: ix}, u)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("width %d, source %d, deadline passing mid-build: err %v", workers, u, err)
+			}
+			if b := ix.Stats().TailBuilds; b < 1 || b > int64(workers) {
+				t.Errorf("width %d, source %d: query past its deadline built %d tail tables, want 1 to %d", workers, u, b, workers)
+			}
+			got, err := ix.SingleSource(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("width %d, source %d: scores after an aborted query differ from a fresh index", workers, u)
+			}
+		}
+	}
+}
+
 func mustBuild(t *testing.T, g *graph.Graph, opt Options) *Index {
 	t.Helper()
 	ix, err := Build(g, opt)

@@ -16,6 +16,8 @@ var (
 	// and lazy alike.
 	statTailBuilds = obs.Default.Counter("prsim.tail_builds")
 	statEntries    = obs.Default.Counter("prsim.entries")
-	// The per-query accumulator's pool (scratchPool) counts under
-	// prsim.pool.scratch_hits and _misses.
+	// The query pools count under prsim.pool.<name>_hits and _misses:
+	// scratch for the work items' accumulators (scratchPool), query for
+	// the per-query visit lists (queryPool) and share for the items'
+	// shares of an answer (sharePool).
 )

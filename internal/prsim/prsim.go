@@ -24,9 +24,11 @@
 // and hub tables are built in parallel with byte-identical output
 // across worker counts. Published tables are immutable; lazy tail fill
 // is guarded by per-node singleflight so concurrent queries are safe
-// without a lock on the hot read path. The map-based pre-compile
-// implementation survives in skeleton_test.go as the differential
-// oracle.
+// without a lock on the hot read path. A query runs in three phases —
+// walk, build the missing tail tables, accumulate by node range — each
+// spread over its width, with bit-identical answers at every width. The
+// map-based pre-compile implementation survives in skeleton_test.go as
+// the differential oracle.
 //
 // Compared to the original system this drops the variance-adaptive
 // sample allocation and selects hubs by in-degree rather than by
@@ -38,6 +40,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,9 +82,12 @@ type Options struct {
 	// DSamples is the per-node sample count for d(w). Default 120, at
 	// most maxDSamples.
 	DSamples int
-	// Workers bounds hub-build and batch-query parallelism (default 1).
-	// It never affects results — builds are byte-identical across
-	// worker counts — and is not part of the index identity.
+	// Workers bounds hub-build parallelism and the width of the queries
+	// the index answers at its own width (SingleSourceResult,
+	// SingleSourceCtx, MultiSource): their walks, tail builds and
+	// accumulation fan out over it (default 1). It never affects
+	// results — builds are byte-identical and answers bit-identical
+	// across worker counts — and is not part of the index identity.
 	Workers int
 	// Seed makes all estimation deterministic.
 	Seed uint64
@@ -187,6 +194,11 @@ type Index struct {
 	opt Options
 	nq  int
 	sc  float64
+	// shift cuts the node ids into the query's accumulation ranges of
+	// 2^shift ids each (see maxRanges); groupColumn is minGroupColumn,
+	// which tests lower to cut small graphs too.
+	shift       uint
+	groupColumn int
 
 	// tables[w] is the published (immutable) table of node w, nil until
 	// built. Hub tables are built eagerly and alias one packed arena;
@@ -323,13 +335,15 @@ func newIndex(g *graph.Graph, opt Options) (*Index, []graph.NodeID, error) {
 			o.Eps, o.Delta, nq, maxIterations)
 	}
 	ix := &Index{
-		g:      g,
-		opt:    o,
-		nq:     int(max(nq, 1)),
-		sc:     math.Sqrt(o.C),
-		tables: make([]atomic.Pointer[table], n),
-		eager:  make([]bool, n),
-		calls:  make(map[graph.NodeID]*sync.WaitGroup),
+		g:           g,
+		opt:         o,
+		nq:          int(max(nq, 1)),
+		sc:          math.Sqrt(o.C),
+		shift:       rangeShift(n),
+		groupColumn: minGroupColumn,
+		tables:      make([]atomic.Pointer[table], n),
+		eager:       make([]bool, n),
+		calls:       make(map[graph.NodeID]*sync.WaitGroup),
 	}
 	hubs := selectHubs(g, int(o.HubFraction*float64(n)))
 	ix.hubs = len(hubs)
@@ -476,44 +490,137 @@ func (ix *Index) compile(w graph.NodeID) *table {
 	return t
 }
 
-// queryScratch is the pooled per-query accumulator: a dense score slab
-// plus an epoch-stamped touch set, so neither needs an O(n) clear
-// between queries.
-type queryScratch struct {
+// maxRanges bounds the node-id ranges a query's accumulation is split
+// over. The ranges are a fixed split of the graph's ids into blocks of
+// 2^shift, the fewest such blocks up to maxRanges, so a node's range is
+// its id shifted right. The split depends only on the graph's size,
+// never on the width, so a result lists its nodes in the same order at
+// every width.
+const maxRanges = 16
+
+// rangeShift returns the shift that cuts n node ids into at most
+// maxRanges blocks of 2^shift ids.
+func rangeShift(n int) uint {
+	return uint(bits.Len(uint(max(n-1, 0) / maxRanges)))
+}
+
+// minGroupColumn is the mean visited column length, in entries, below
+// which a query does not cut a source's accumulation into range
+// groups: every group scans all of the source's visits and
+// binary-searches each column for its ids, which costs about what
+// splitting the adds saves at 400 entries (web-1m@0.02 under the
+// serve-index parameters) and pays from about 1,100 (web-1m@0.1, a
+// fifth off a warm query at two workers). hepth@0.05 averages 90
+// entries, the serve-index workload (web-1m@0.5) 3,000.
+const minGroupColumn = 512
+
+// rangeGroups returns how many work items of consecutive ranges each
+// source's accumulation is cut into at the given width: one unless the
+// sources alone are too few to keep the workers busy (fewer than two
+// per worker) and the visited columns are long; then enough groups to
+// make about two items per worker. The grouping never changes a
+// result: the ranges alone decide where a node is listed.
+func (ix *Index) rangeGroups(q *query, workers int) int {
+	k := len(q.src)
+	if workers <= 1 || k >= 2*workers {
+		return 1
+	}
+	visits, entries := 0, 0
+	for _, vs := range q.walks[:k] {
+		visits += len(vs)
+		for _, v := range vs {
+			if t := ix.tables[v.node].Load(); int(v.step) <= t.levels() {
+				entries += int(t.off[v.step] - t.off[v.step-1])
+			}
+		}
+	}
+	if entries < ix.groupColumn*visits {
+		return 1
+	}
+	return min(ix.ranges(), (2*workers+k-1)/k)
+}
+
+// ranges returns the number of accumulation ranges.
+func (ix *Index) ranges() int { return (ix.g.NumNodes()-1)>>ix.shift + 1 }
+
+// visit is one walk step that landed on a node.
+type visit struct {
+	step int32
+	node graph.NodeID
+}
+
+// query is the pooled state of one MultiSourceResults call. Its slices
+// are reused at their old capacity, the visit lists included; it keeps
+// no reference to an answer or an accumulator once released.
+type query struct {
+	uniq []graph.NodeID // the unique sources, ascending
+	res  []core.Result  // res[i]: uniq[i]'s answer
+
+	// The chunk of sources running the phases: src[i]'s answer goes
+	// to out[i].
+	src     []graph.NodeID
+	out     []core.Result
+	walks   [][]visit      // walks[i]: src[i]'s visits in walk order
+	errs    []error        // errs[i]: src[i]'s walk error
+	missing []graph.NodeID // unpublished tables the walks visited, ascending
+	held    []*share       // held[i*groups+g]: src[i]'s range group g, until assembled
+}
+
+var queryPool = pool.New[query]("prsim.pool.query")
+
+// rangeScratch is the pooled accumulator of one work item: a dense
+// score slab indexed by node id minus the item's first id, epoch stamps
+// so neither needs a clear between items, and the touched nodes of
+// each of the item's ranges in first-touch order (touched[r-r0] for
+// range r). A stamp is one byte, an eighth of the slab's size; the
+// stamps are cleared once every 255 items.
+type rangeScratch struct {
 	acc     []float64
-	mark    []uint64
-	epoch   uint64
-	touched []graph.NodeID
+	mark    []uint8
+	epoch   uint8
+	touched [maxRanges][]graph.NodeID
 }
 
-func (s *queryScratch) add(v graph.NodeID, x float64) {
-	if s.mark[v] != s.epoch {
-		s.mark[v] = s.epoch
-		s.acc[v] = 0
-		s.touched = append(s.touched, v)
-	}
-	s.acc[v] += x
+// share is one work item's part of a source's answer, held until the
+// source is assembled: the item's touched nodes range by range, in
+// first-touch order within a range, their scores, and whether the
+// source is among them.
+type share struct {
+	nodes      []graph.NodeID
+	scores     []float64
+	seesSource bool
 }
 
-// scratchPool recycles query accumulators across queries and indexes.
-var scratchPool = pool.New[queryScratch]("prsim.pool.scratch")
+// sharePool recycles item shares across items, queries and indexes.
+var sharePool = pool.New[share]("prsim.pool.share")
 
-// reset sizes s for a graph of n nodes and starts a new epoch, so
-// every mark from an earlier query reads as untouched.
-func (s *queryScratch) reset(n int) {
-	if cap(s.acc) < n {
-		s.acc = make([]float64, n)
-		s.mark = make([]uint64, n)
-	} else {
-		s.acc = s.acc[:n]
-		s.mark = s.mark[:n]
-	}
+// scratchPool recycles item accumulators across items, queries and
+// indexes.
+var scratchPool = pool.New[rangeScratch]("prsim.pool.scratch")
+
+// reset sizes s for n node ids and starts a new epoch, so every mark
+// from an earlier item reads as untouched.
+func (s *rangeScratch) reset(n int) {
+	s.acc = resize(s.acc, n)
+	s.mark = resize(s.mark, n)
 	s.epoch++
-	if s.epoch == 0 { // wrapped: stale marks could alias, clear once
-		clear(s.mark)
+	if s.epoch == 0 { // wrapped: stale marks could alias, clear them all
+		clear(s.mark[:cap(s.mark)]) // past n too: a later item may span more
 		s.epoch = 1
 	}
-	s.touched = s.touched[:0]
+	for r := range s.touched {
+		s.touched[r] = s.touched[r][:0]
+	}
+}
+
+// resize returns s with length n, reusing its capacity and, when it
+// grows, keeping the elements past its old length (a reused inner
+// buffer stays reused).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // SingleSource estimates sim(u, ·) without cancellation.
@@ -530,85 +637,12 @@ func (ix *Index) SingleSourceCtx(ctx context.Context, u graph.NodeID) (map[graph
 	return r.Map(), nil
 }
 
-// SingleSourceResult estimates sim(u, ·): n_q source walks realize the
-// source-side distribution; each visited (step, node) adds the node's
-// table column at that step, weighted by d(node). Tail nodes' tables
-// are compiled on first visit and cached for later queries. Safe for
-// concurrent use. It checks ctx every 64 walks and after every visit
-// that built (or waited for) a tail table, so a query past its deadline
-// runs at most one more tail build; that build still finishes and
-// publishes, since other queries may be waiting on it.
-//
-// The result lists every node some walk reached, in the order the walks
-// first reached it, then u (score 1) if no walk came back to it; it is
-// copied straight out of the dense accumulator.
+// SingleSourceResult estimates sim(u, ·) at the index's own Workers;
+// see MultiSourceResults.
 func (ix *Index) SingleSourceResult(ctx context.Context, u graph.NodeID) (core.Result, error) {
-	n := ix.g.NumNodes()
-	if u < 0 || int(u) >= n {
-		return core.Result{}, fmt.Errorf("prsim: source %d out of range for n=%d", u, n)
-	}
-	if err := ctx.Err(); err != nil {
-		return core.Result{}, err
-	}
-	s := scratchPool.Get()
-	defer scratchPool.Put(s)
-	s.reset(n)
-	var visits, hubHits int64
-	r := rng.FastSplit(ix.opt.Seed, uint64(u))
-	for k := 0; k < ix.nq; k++ {
-		if k&63 == 63 {
-			if err := ctx.Err(); err != nil {
-				return core.Result{}, err
-			}
-		}
-		cur := u
-		for step := 1; step <= ix.opt.MaxDepth; step++ {
-			if r.Float64() >= ix.sc {
-				break
-			}
-			in := ix.g.In(cur)
-			if len(in) == 0 {
-				break
-			}
-			cur = in[r.IntN(len(in))]
-			visits++
-			if ix.eager[cur] {
-				hubHits++
-			}
-			t, slow := ix.ensure(cur)
-			if slow {
-				if err := ctx.Err(); err != nil {
-					return core.Result{}, err
-				}
-			}
-			if step > t.levels() {
-				continue
-			}
-			lo, hi := t.off[step-1], t.off[step]
-			dw := t.d
-			for i := lo; i < hi; i++ {
-				s.add(t.origins[i], t.probs[i]*dw)
-			}
-		}
-	}
-	ix.visits.Add(visits)
-	ix.hubHits.Add(hubHits)
-	statVisits.Add(uint64(visits))
-	statHubHits.Add(uint64(hubHits))
-	inv := 1 / float64(ix.nq)
-	nodes := append(make([]graph.NodeID, 0, len(s.touched)+1), s.touched...)
-	if s.mark[u] != s.epoch {
-		nodes = append(nodes, u)
-	}
-	scores := make([]float64, len(nodes))
-	for i, v := range nodes {
-		if v == u {
-			scores[i] = 1
-		} else {
-			scores[i] = s.acc[v] * inv
-		}
-	}
-	return core.NewResult(nodes, scores), nil
+	var out [1]core.Result
+	err := ix.answer(ctx, []graph.NodeID{u}, ix.opt.Workers, out[:])
+	return out[0], err
 }
 
 // MultiSource answers a batch of sources over the index's own Workers;
@@ -631,43 +665,306 @@ func (ix *Index) MultiSourceWorkers(ctx context.Context, sources []graph.NodeID,
 	return out, nil
 }
 
-// MultiSourceResults answers a batch of sources, bit-identical to
-// issuing SingleSourceResult per source in order. Duplicate sources are
-// computed once and share one Result; unique sources fan out across
-// workers goroutines (below 2, serially), sharing one lazy table build
-// per unique visited node through the per-node singleflight and one
-// pooled scratch arena per worker. It lets a caller serving an imported
-// index, whose Workers is the default 1, batch at its own width.
+// MultiSourceResults estimates sim(u, ·) for each source u on up to
+// workers goroutines (below 2, serially); a single-source query is a
+// batch of one. Each answer is bit-identical at every width: n_q source
+// walks realize the source-side distribution, and each visited (step,
+// node) adds the node's table column at that step, weighted by
+// d(node), in visit order. Duplicate sources are computed once and
+// share one Result. Safe for concurrent use.
+//
+// A query runs in three phases, each a fan-out of its own:
+//  1. walk: each unique source's walks, on its own rng.FastSplit
+//     stream, record their visits; the walks read only the graph.
+//  2. build: every table some walk visited that is not yet published
+//     is compiled (the per-node singleflight coalesces it with any
+//     other query's build) and cached for later queries.
+//  3. accumulate: the node ids are cut into fixed ranges (see
+//     maxRanges), and each (source, group of consecutive ranges) item
+//     adds up the columns of the source's visits in visit order,
+//     restricted to its ids by two binary searches over the
+//     origin-sorted column, so every node gets the same adds in the
+//     same order as a serial loop. A source's items are then joined
+//     into its answer.
+//
+// A batch runs the phases over chunks of its unique sources
+// (chunkPerWorker per worker), which bounds the visits held at once.
+//
+// It checks ctx every 64 walks and before each tail build, so a query
+// past its deadline starts no further build and overruns it by at most
+// the builds already running, one per worker; a started build finishes
+// and publishes, since other queries may be waiting on it.
+//
+// A result lists every node some walk reached, range by range and in
+// first-touch order within a range, then the source (score 1) if no
+// walk came back to it. The order does not depend on the width.
 func (ix *Index) MultiSourceResults(ctx context.Context, sources []graph.NodeID, workers int) ([]core.Result, error) {
+	out := make([]core.Result, len(sources))
+	if err := ix.answer(ctx, sources, workers, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// chunkPerWorker bounds how many unique sources of a batch run the
+// three phases together, per worker: a chunk holds every visit of its
+// sources at once, which at a large n_q is megabytes per source. Chunks
+// run one after another; a result never depends on the cut.
+const chunkPerWorker = 16
+
+// answer runs MultiSourceResults into out, one entry per source.
+func (ix *Index) answer(ctx context.Context, sources []graph.NodeID, workers int, out []core.Result) error {
 	n := ix.g.NumNodes()
 	for _, u := range sources {
 		if u < 0 || int(u) >= n {
-			return nil, fmt.Errorf("prsim: source %d out of range for n=%d", u, n)
+			return fmt.Errorf("prsim: source %d out of range for n=%d", u, n)
 		}
 	}
-	uniq := make([]graph.NodeID, 0, len(sources))
-	pos := make(map[graph.NodeID]int, len(sources))
-	for _, u := range sources {
-		if _, ok := pos[u]; !ok {
-			pos[u] = len(uniq)
-			uniq = append(uniq, u)
+	q := queryPool.Get()
+	defer q.release()
+	q.uniq = append(q.uniq[:0], sources...)
+	slices.Sort(q.uniq)
+	q.uniq = slices.Compact(q.uniq)
+	q.res = resize(q.res, len(q.uniq))
+	chunk := chunkPerWorker * max(workers, 1)
+	for lo := 0; lo < len(q.uniq); lo += chunk {
+		hi := min(lo+chunk, len(q.uniq))
+		q.src, q.out = q.uniq[lo:hi], q.res[lo:hi]
+		if err := ix.run(ctx, q, workers); err != nil {
+			return err
 		}
 	}
-	res := make([]core.Result, len(uniq))
-	errs := make([]error, len(uniq))
-	if err := par.ForEachCtx(ctx, len(uniq), workers, func(i int) {
-		res[i], errs[i] = ix.SingleSourceResult(ctx, uniq[i])
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]core.Result, len(sources))
 	for i, u := range sources {
-		out[i] = res[pos[u]]
+		j, _ := slices.BinarySearch(q.uniq, u)
+		out[i] = q.res[j]
 	}
-	return out, nil
+	return nil
+}
+
+// run answers the chunk of sources q.src into q.out in the three
+// phases.
+func (ix *Index) run(ctx context.Context, q *query, workers int) error {
+	k := len(q.src)
+	q.walks = resize(q.walks, k)
+	q.errs = resize(q.errs, k)
+
+	// Phase 1: walks (one source runs inline, sparing the fan-out's
+	// closure).
+	if k == 1 {
+		q.walks[0], q.errs[0] = ix.walk(ctx, q.src[0], q.walks[0][:0])
+	} else if err := par.ForEachCtx(ctx, k, workers, func(i int) {
+		q.walks[i], q.errs[i] = ix.walk(ctx, q.src[i], q.walks[i][:0])
+	}); err != nil {
+		return err
+	}
+	var visits, hubHits int64
+	q.missing = q.missing[:0]
+	for i, err := range q.errs {
+		if err != nil {
+			return err
+		}
+		visits += int64(len(q.walks[i]))
+		for _, v := range q.walks[i] {
+			if ix.eager[v.node] {
+				hubHits++
+			}
+			if ix.tables[v.node].Load() == nil {
+				q.missing = append(q.missing, v.node)
+			}
+		}
+	}
+	ix.visits.Add(visits)
+	ix.hubHits.Add(hubHits)
+	statVisits.Add(uint64(visits))
+	statHubHits.Add(uint64(hubHits))
+
+	// Phase 2: tail builds, each behind its own ctx check.
+	if len(q.missing) > 0 {
+		slices.Sort(q.missing)
+		q.missing = slices.Compact(q.missing)
+		if err := par.ForEachCtx(ctx, len(q.missing), workers, func(i int) {
+			if ctx.Err() == nil {
+				ix.ensure(q.missing[i])
+			}
+		}); err != nil {
+			return err
+		}
+	}
+
+	// Phase 3: accumulation by (source, range group), then assembly.
+	groups := ix.rangeGroups(q, workers)
+	q.held = resize(q.held, k*groups)
+	if err := par.ForEachCtx(ctx, k*groups, workers, func(i int) {
+		ix.accumulate(q, i/groups, i%groups, groups)
+	}); err != nil {
+		return err
+	}
+	if groups > 1 {
+		for i, u := range q.src {
+			q.out[i] = assemble(u, q.held[i*groups:(i+1)*groups])
+		}
+	}
+	return nil
+}
+
+// release drops the query's references to answers and errors and
+// returns it to the pool.
+func (q *query) release() {
+	for _, s := range q.held { // a canceled query's unassembled groups
+		sharePool.Put(s)
+	}
+	clear(q.held)
+	clear(q.res)
+	clear(q.errs)
+	q.src, q.out = nil, nil
+	queryPool.Put(q)
+}
+
+// walk samples u's n_q truncated √c-walks on u's own stream, appending
+// their visits to vs. It checks ctx before the first walk and every 64
+// walks after.
+func (ix *Index) walk(ctx context.Context, u graph.NodeID, vs []visit) ([]visit, error) {
+	r := rng.FastSplit(ix.opt.Seed, uint64(u))
+	for k := 0; k < ix.nq; k++ {
+		if k&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return vs, err
+			}
+		}
+		cur := u
+		for step := 1; step <= ix.opt.MaxDepth; step++ {
+			if r.Float64() >= ix.sc {
+				break
+			}
+			in := ix.g.In(cur)
+			if len(in) == 0 {
+				break
+			}
+			cur = in[r.IntN(len(in))]
+			vs = append(vs, visit{step: int32(step), node: cur})
+		}
+	}
+	return vs, nil
+}
+
+// group returns range group g of groups: its ranges [r0, r1) and node
+// ids [lo, hi).
+func (ix *Index) group(g, groups int) (r0, r1, lo, hi int) {
+	ranges := ix.ranges()
+	r0, r1 = g*ranges/groups, (g+1)*ranges/groups
+	lo, hi = r0<<ix.shift, ix.g.NumNodes()
+	if r1 < ranges {
+		hi = r1 << ix.shift
+	}
+	return r0, r1, lo, hi
+}
+
+// accumulate adds the columns of source i's visits, in visit order,
+// restricted to range group g's node ids, into a pooled accumulator,
+// then writes the touched nodes range by range with their scores
+// acc/n_q: into the source's Result if the group is its only one, else
+// into a share for assemble. Every visited table is published by now.
+func (ix *Index) accumulate(q *query, i, g, groups int) {
+	r0, r1, lo, hi := ix.group(g, groups)
+	s := scratchPool.Get()
+	s.reset(hi - lo)
+	acc, mark, epoch, base := s.acc, s.mark[:len(s.acc)], s.epoch, graph.NodeID(lo)
+	shift, touched := ix.shift, s.touched[:r1-r0]
+	for _, v := range q.walks[i] {
+		t := ix.tables[v.node].Load()
+		if int(v.step) > t.levels() {
+			continue
+		}
+		a, b := t.off[v.step-1], t.off[v.step]
+		origins, probs := t.origins[a:b], t.probs[a:b]
+		if groups > 1 {
+			first, _ := slices.BinarySearch(origins, graph.NodeID(lo))
+			end, _ := slices.BinarySearch(origins[first:], graph.NodeID(hi))
+			origins, probs = origins[first:first+end], probs[first:first+end]
+		}
+		dw := t.d
+		probs = probs[:len(origins)] // one bounds check for the loop
+		for j, w := range origins {
+			x := uint(w - base)
+			if mark[x] != epoch {
+				mark[x] = epoch
+				acc[x] = 0
+				l := &touched[int(w>>shift)-r0]
+				*l = append(*l, w)
+			}
+			acc[x] += probs[j] * dw
+		}
+	}
+
+	src, size := q.src[i], 0
+	for _, l := range touched {
+		size += len(l)
+	}
+	seen := int(src) >= lo && int(src) < hi && mark[int(src)-lo] == epoch
+	if groups == 1 { // the source's only item: write its Result directly
+		if !seen {
+			size++
+		}
+		nodes, scores := make([]graph.NodeID, size), make([]float64, size)
+		ix.emit(s, src, r1-r0, lo, nodes, scores)
+		if !seen {
+			nodes[size-1], scores[size-1] = src, 1
+		}
+		scratchPool.Put(s)
+		q.out[i] = core.NewResult(nodes, scores)
+		return
+	}
+	out := sharePool.Get()
+	out.seesSource = seen
+	out.nodes = resize(out.nodes, size)
+	out.scores = resize(out.scores, size)
+	ix.emit(s, src, r1-r0, lo, out.nodes, out.scores)
+	scratchPool.Put(s)
+	q.held[i*groups+g] = out
+}
+
+// emit writes the nodes listed in s's first ranges touched lists (an
+// item whose ids start at lo), range by range and in first-touch order
+// within a range, into nodes, and their scores acc/n_q (1 for the
+// source) into scores.
+func (ix *Index) emit(s *rangeScratch, src graph.NodeID, ranges, lo int, nodes []graph.NodeID, scores []float64) {
+	inv := 1 / float64(ix.nq)
+	at := 0
+	for _, l := range s.touched[:ranges] {
+		copy(nodes[at:], l)
+		for j, w := range l {
+			scores[at+j] = s.acc[int(w)-lo] * inv
+			if w == src {
+				scores[at+j] = 1
+			}
+		}
+		at += len(l)
+	}
+}
+
+// assemble joins a source's range groups, in order, into its Result,
+// appends the source with score 1 if no walk reached it, and returns
+// the groups' shares to the pool.
+func assemble(src graph.NodeID, held []*share) core.Result {
+	total, seen := 0, false
+	for _, s := range held {
+		total += len(s.nodes)
+		seen = seen || s.seesSource
+	}
+	if !seen {
+		total++
+	}
+	nodes := make([]graph.NodeID, 0, total)
+	scores := make([]float64, 0, total)
+	for g, s := range held {
+		nodes = append(nodes, s.nodes...)
+		scores = append(scores, s.scores...)
+		sharePool.Put(s)
+		held[g] = nil
+	}
+	if !seen {
+		nodes = append(nodes, src)
+		scores = append(scores, 1)
+	}
+	return core.NewResult(nodes, scores)
 }

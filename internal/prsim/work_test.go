@@ -28,10 +28,14 @@ type queryWork struct {
 }
 
 // pinnedQueries is the PRSim work table on a 2000-node Chung–Lu graph
-// (workOptions), measured without -race.
+// (workOptions), measured without -race. A "/w2" row runs its query on
+// an index with two workers: the counts are those of the one-worker
+// row, and only the allocations of the fan-outs differ.
 var pinnedQueries = map[string]queryWork{
-	"single": {Visits: 563, HubHits: 245, TailBuilds: 272, Entries: 1727, Allocs: 3, Bytes: 21296},
-	"batch":  {Visits: 1715, HubHits: 757, TailBuilds: 597, Entries: 6908, Allocs: 11, Bytes: 64268},
+	"single":    {Visits: 563, HubHits: 245, TailBuilds: 272, Entries: 1727, Allocs: 3, Bytes: 21296},
+	"batch":     {Visits: 1715, HubHits: 757, TailBuilds: 597, Entries: 6908, Allocs: 9, Bytes: 64008},
+	"single/w2": {Visits: 563, HubHits: 245, TailBuilds: 272, Entries: 1727, Allocs: 4, Bytes: 21328},
+	"batch/w2":  {Visits: 1715, HubHits: 757, TailBuilds: 597, Entries: 6908, Allocs: 17, Bytes: 64777},
 }
 
 // coldWork is the objects and heap bytes of a query's first run on a
@@ -49,9 +53,14 @@ var pinnedCold = map[string]coldWork{
 	"single": {Allocs: 1415, Bytes: 963512},
 }
 
-// workOptions builds the work table's indexes: one worker, so lazy tail
-// fills happen in a fixed order and every count is deterministic.
-var workOptions = Options{Iterations: 200, DSamples: 40, Seed: 3, Workers: 1}
+// workOptions builds the work table's indexes, at each row's width.
+var workOptions = Options{Iterations: 200, DSamples: 40, Seed: 3}
+
+// workWidths names the widths the work table pins, by row suffix.
+var workWidths = []struct {
+	suffix  string
+	workers int
+}{{"", 1}, {"/w2", 2}}
 
 // workRuns is the number of warm repeats each row averages over.
 const workRuns = 20
@@ -79,22 +88,24 @@ func workQueries(g *graph.Graph) []prsimQuery {
 			return []core.Result{r}, err
 		}},
 		{"batch", func(ix *Index) ([]core.Result, error) {
-			return ix.MultiSourceResults(ctx, batch, 1)
+			return ix.MultiSourceResults(ctx, batch, ix.Options().Workers)
 		}},
 	}
 }
 
 func workGraph(t *testing.T) *graph.Graph { return testGraph(t, 2000, 12000, 17) }
 
-// measureQuery runs q once on a fresh index for its counts and cold
-// allocations, then repeats it warm for its allocations and bytes. Two
-// collections before the first run empty every sync.Pool, so the cold
-// run misses each pool it draws from; one collection before the repeats
-// resets the GC trigger, so the scratch pool is not emptied while they
-// are counted.
-func measureQuery(t *testing.T, g *graph.Graph, q prsimQuery) (queryWork, coldWork) {
+// measureQuery runs q once on a fresh index of the given width for its
+// counts and cold allocations, then repeats it warm for its allocations
+// and bytes. Two collections before the first run empty every
+// sync.Pool, so the cold run misses each pool it draws from; one
+// collection before the repeats resets the GC trigger, so the scratch
+// pool is not emptied while they are counted.
+func measureQuery(t *testing.T, g *graph.Graph, q prsimQuery, workers int) (queryWork, coldWork) {
 	t.Helper()
-	ix := mustBuild(t, g, workOptions)
+	opt := workOptions
+	opt.Workers = workers
+	ix := mustBuild(t, g, opt)
 	before := ix.Stats()
 	var m0, m1 runtime.MemStats
 	runtime.GC()
@@ -165,24 +176,28 @@ func compareQuery(want, got queryWork, checkAllocs bool) []string {
 // updates its row. Allocation rows are skipped under -race.
 func TestQueryWork(t *testing.T) {
 	g := workGraph(t)
-	for _, q := range workQueries(g) {
-		got, cold := measureQuery(t, g, q)
-		want, ok := pinnedQueries[q.name]
-		if !ok {
-			t.Errorf("%s: no pinned row", q.name)
-			continue
-		}
-		if problems := compareQuery(want, got, !raceEnabled); len(problems) > 0 {
-			t.Errorf("%s: %s\n\tmeasured: %#v", q.name, strings.Join(problems, "; "), got)
-		}
-		if want, ok := pinnedCold[q.name]; ok && !raceEnabled {
-			if limit := want.Allocs + max(2, want.Allocs/4); cold.Allocs > limit {
-				t.Errorf("%s cold: Allocs %d, pinned %d (limit %d)", q.name, cold.Allocs, want.Allocs, limit)
+	for _, w := range workWidths {
+		for _, q := range workQueries(g) {
+			name := q.name + w.suffix
+			got, cold := measureQuery(t, g, q, w.workers)
+			want, ok := pinnedQueries[name]
+			if !ok {
+				t.Errorf("%s: no pinned row", name)
+				continue
 			}
-			if limit := want.Bytes + want.Bytes/4; cold.Bytes > limit {
-				t.Errorf("%s cold: Bytes %d, pinned %d (limit %d)", q.name, cold.Bytes, want.Bytes, limit)
+			if problems := compareQuery(want, got, !raceEnabled); len(problems) > 0 {
+				t.Errorf("%s: %s\n\tmeasured: %#v", name, strings.Join(problems, "; "), got)
 			}
-			t.Logf("%s cold: %+v", q.name, cold)
+			t.Logf("%s: %+v", name, got)
+			if want, ok := pinnedCold[name]; ok && !raceEnabled {
+				if limit := want.Allocs + max(2, want.Allocs/4); cold.Allocs > limit {
+					t.Errorf("%s cold: Allocs %d, pinned %d (limit %d)", name, cold.Allocs, want.Allocs, limit)
+				}
+				if limit := want.Bytes + want.Bytes/4; cold.Bytes > limit {
+					t.Errorf("%s cold: Bytes %d, pinned %d (limit %d)", name, cold.Bytes, want.Bytes, limit)
+				}
+				t.Logf("%s cold: %+v", name, cold)
+			}
 		}
 	}
 }
@@ -203,7 +218,7 @@ func TestQueryWorkCatchesMap(t *testing.T) {
 			}
 			return rs, err
 		}}
-		got, _ := measureQuery(t, g, viaMap)
+		got, _ := measureQuery(t, g, viaMap, 1)
 		problems := compareQuery(pinnedQueries[q.name], got, true)
 		named := false
 		for _, p := range problems {

@@ -580,8 +580,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 //     core.temporal.frozen_reused, estimates that reused the previous
 //     estimate's source tree;
 //   - prsim.visits, prsim.hub_hits, prsim.tail_builds and
-//     prsim.entries, and prsim.pool.scratch_hits / _misses for PRSim's
-//     per-query accumulator.
+//     prsim.entries, and prsim.pool.{scratch,query,share}_hits /
+//     _misses for PRSim's query accumulators, visit lists and answer
+//     shares.
 //
 // The engine layer adds engine.<backend>.queries.multisource per batch.
 // With caching enabled the counters include cache.hits, cache.misses,
