@@ -26,10 +26,13 @@ func (c *expiringCtx) Err() error {
 }
 
 // TestQueryStopsAfterOneTailBuild: with no hubs every visit of a cold
-// node builds a tail table, and at n_q = 20 the every-64-walks check
-// never fires. A query whose deadline has passed before it starts
-// builds nothing; one whose deadline passes after the entry check
-// returns ctx.Err() after its first tail build instead of building
+// node builds a tail table, and at n_q = 20 the walks check ctx once,
+// before walk 0. A query whose deadline has passed before it starts
+// builds nothing. At width 1 a query then checks ctx twice before each
+// tail build: the fan-out's check before the item and the build's own.
+// So a deadline that passes after three checks (the walks', then both
+// of the first build's) lets exactly one build run: the query returns
+// ctx.Err() at the check before the second build instead of building
 // every table its walks reach. That build is published and correct: a
 // full query afterwards scores bit-identically to one on a fresh index.
 func TestQueryStopsAfterOneTailBuild(t *testing.T) {
@@ -55,12 +58,12 @@ func TestQueryStopsAfterOneTailBuild(t *testing.T) {
 		if b := ix.Stats().TailBuilds; b != 0 {
 			t.Fatalf("source %d: canceled query built %d tail tables", u, b)
 		}
-		_, err = ix.SingleSourceCtx(&expiringCtx{Context: context.Background(), live: 1}, u)
+		_, err = ix.SingleSourceCtx(&expiringCtx{Context: context.Background(), live: 3}, u)
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("source %d, deadline passing mid-query: err %v", u, err)
+			t.Fatalf("source %d, deadline passing after the first build: err %v", u, err)
 		}
-		if b := ix.Stats().TailBuilds; b > 1 {
-			t.Errorf("source %d: query past its deadline built %d tail tables, want at most 1", u, b)
+		if b := ix.Stats().TailBuilds; b != 1 {
+			t.Errorf("source %d: query whose deadline passed during its first build built %d tail tables, want 1", u, b)
 		}
 		got, err := ix.SingleSource(u)
 		if err != nil {

@@ -2,14 +2,17 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"runtime"
 
 	"crashsim/internal/graph"
 	"crashsim/internal/mmap"
+	"crashsim/internal/par"
 	"crashsim/internal/prsim"
 	"crashsim/internal/reads"
 	"crashsim/internal/sling"
@@ -352,12 +355,94 @@ func parseHeader(data []byte) (*fileInfo, error) {
 	return fi, nil
 }
 
-// verifySectionCRC hashes a section payload against its table entry.
+// crcChunk is the length of the pieces verifySectionCRC hashes in
+// parallel. A section up to this long is one piece, hashed inline with
+// no allocation.
+const crcChunk = 4 << 20
+
+// verifySectionCRC hashes a section payload against its table entry,
+// crcChunk bytes per piece on every core.
 func verifySectionCRC(info sectionInfo, payload []byte) error {
-	if got := crc32.ChecksumIEEE(payload); got != info.crc {
+	if got := chunkedCRC(payload, crcChunk, runtime.GOMAXPROCS(0)); got != info.crc {
 		return fmt.Errorf("%w: section %q crc %08x, recorded %08x", ErrChecksum, info.name, got, info.crc)
 	}
 	return nil
+}
+
+// chunkedCRC returns crc32.ChecksumIEEE(b), hashing b in pieces of
+// chunk bytes across up to workers goroutines and folding the piece
+// CRCs in order. The first piece takes the remainder of len(b)/chunk
+// (a whole chunk if there is none), so every piece folded onto the
+// running value is chunk bytes long and one shift operator, computed
+// once, serves every fold. One piece, or one worker, hashes b inline:
+// folding gains nothing without a second core.
+func chunkedCRC(b []byte, chunk, workers int) uint32 {
+	if len(b) <= chunk || workers <= 1 {
+		return crc32.ChecksumIEEE(b)
+	}
+	head := len(b) % chunk
+	if head == 0 {
+		head = chunk
+	}
+	sums := make([]uint32, 1+(len(b)-head)/chunk)
+	_ = par.ForEachCtx(context.Background(), len(sums), workers, func(i int) {
+		end := head + i*chunk
+		sums[i] = crc32.ChecksumIEEE(b[max(0, end-chunk):end])
+	})
+	shift := zerosOperator(chunk)
+	sum := sums[0]
+	for _, s := range sums[1:] {
+		sum = shift.apply(sum) ^ s
+	}
+	return sum
+}
+
+// gf2Matrix is a linear map on 32-bit CRC registers over GF(2):
+// column i is the image of bit i.
+type gf2Matrix [32]uint32
+
+func (m *gf2Matrix) apply(v uint32) uint32 {
+	var r uint32
+	for i := 0; v != 0; i, v = i+1, v>>1 {
+		if v&1 != 0 {
+			r ^= m[i]
+		}
+	}
+	return r
+}
+
+// compose returns m∘o, the map that applies o and then m.
+func (m *gf2Matrix) compose(o *gf2Matrix) gf2Matrix {
+	var r gf2Matrix
+	for i := range r {
+		r[i] = m.apply(o[i])
+	}
+	return r
+}
+
+// zerosOperator returns the map that advances an IEEE CRC-32 over n
+// zero bytes. It is what combines two CRCs:
+// crc(a‖b) = zerosOperator(len(b)).apply(crc(a)) ^ crc(b), because the
+// CRC's pre- and post-inversion cancel between the two terms.
+func zerosOperator(n int) gf2Matrix {
+	// One zero bit shifts the reflected register right and folds the
+	// bit shifted out back in through the polynomial.
+	var bit gf2Matrix
+	bit[0] = crc32.IEEE
+	for i := 1; i < 32; i++ {
+		bit[i] = 1 << (i - 1)
+	}
+	var r gf2Matrix
+	for i := range r {
+		r[i] = 1 << i
+	}
+	for e := uint64(n) * 8; e > 0; e >>= 1 {
+		if e&1 != 0 {
+			r = r.compose(&bit)
+		}
+		bit = bit.compose(&bit)
+	}
+	return r
 }
 
 func decodeMeta(payload []byte, m *Meta) error {

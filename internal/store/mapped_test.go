@@ -465,8 +465,10 @@ func TestMappedNoExportedFields(t *testing.T) {
 
 // BenchmarkLoad and BenchmarkOpenMapped pin the two restart paths side
 // by side, allocations included: both run the one decoder, Load over a
-// heap copy of the file under VerifyEager, OpenMapped over a mapping
-// trusting the bytes.
+// heap copy of the file under VerifyEager, OpenMapped/none over a
+// mapping trusting the bytes. OpenMapped/on-load-section opens a
+// snapshot whose graph section spans several crcChunk pieces under the
+// default policy, so it prices the chunked hash an open pays.
 func BenchmarkLoad(b *testing.B) {
 	path := benchSnapshotPath(b)
 	b.ReportAllocs()
@@ -496,31 +498,48 @@ func BenchmarkLoad(b *testing.B) {
 }
 
 func BenchmarkOpenMapped(b *testing.B) {
-	path := benchSnapshotPath(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mp, err := OpenMapped(path, MapOptions{Verify: VerifyNone})
-		if err != nil {
+	b.Run(VerifyNone.String(), func(b *testing.B) {
+		path := benchSnapshotPath(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mp, err := OpenMapped(path, MapOptions{Verify: VerifyNone})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sl, err := mp.ImportSling(mp.Graph())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rd, err := mp.ImportReads(mp.Graph())
+			if err != nil {
+				b.Fatal(err)
+			}
+			pr, err := mp.ImportPRSim(mp.Graph())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sl.Close()
+			rd.Close()
+			pr.Close()
+			mp.Close()
+		}
+	})
+	b.Run(VerifyOnLoadSection.String(), func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "multichunk.snap")
+		if err := Write(path, &Snapshot{Graph: multiChunkGraph(b)}); err != nil {
 			b.Fatal(err)
 		}
-		sl, err := mp.ImportSling(mp.Graph())
-		if err != nil {
-			b.Fatal(err)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mp, err := OpenMapped(path, MapOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			mp.Close()
 		}
-		rd, err := mp.ImportReads(mp.Graph())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pr, err := mp.ImportPRSim(mp.Graph())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sl.Close()
-		rd.Close()
-		pr.Close()
-		mp.Close()
-	}
+	})
 }
 
 func benchSnapshotPath(b *testing.B) string {
