@@ -204,7 +204,9 @@ func RevReach(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule Transiti
 // contribution below tau, into a pooled arena without a probe index,
 // and hands the finished tree to use. The tree and its levels are valid
 // only during the call. SLING's per-node distributions and PRSim's
-// tables are this push with their own rule, threshold and direction.
+// tables are this push with their own rule, threshold and direction,
+// and linsim's forward vectors (Wᵀ)^k e_u are its levels at c = 1
+// under the exact rule, τ = 0, along in-edges.
 func Push(g *graph.Graph, u graph.NodeID, c float64, lmax int, rule TransitionRule, tau float64, dir Direction, use func(t *ReachTree)) {
 	t := revReachInto(treePool.Get(), g, u, c, lmax, rule, tau, dir, false)
 	use(t)

@@ -252,18 +252,15 @@ func (e *readsEstimator) SingleSource(ctx context.Context, u graph.NodeID, omega
 }
 
 // exactEstimator adapts the Power Method ground truth; New pays the
-// whole all-pairs fixed-point iteration (guarded by ExactMaxNodes), and
-// queries are row reads.
+// whole all-pairs fixed-point iteration at exact's defaults (55
+// iterations, refused above 8,192 nodes), and queries are row reads.
 type exactEstimator struct {
 	g   *graph.Graph
 	res *exact.Result
 }
 
 func newExact(ctx context.Context, g *graph.Graph, cfg Config) (Estimator, error) {
-	res, err := exact.PowerMethodCtx(ctx, g, exact.PowerOptions{
-		C: cfg.C, Iterations: cfg.ExactIterations,
-		MaxNodes: cfg.ExactMaxNodes, Workers: cfg.Workers,
-	})
+	res, err := exact.PowerMethodCtx(ctx, g, exact.PowerOptions{C: cfg.C, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

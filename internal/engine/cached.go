@@ -79,10 +79,9 @@ type CacheConfig struct {
 // excluded (results are identical for any worker count, so caching
 // across worker settings is both safe and desirable), as is Metrics.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("c=%g,eps=%g,delta=%g,it=%d,seed=%d,rr=%d,rq=%d,ds=%d,hf=%g,pds=%d,xi=%d,xm=%d",
+	return fmt.Sprintf("c=%g,eps=%g,delta=%g,it=%d,seed=%d,rr=%d,rq=%d,ds=%d,hf=%g,pds=%d",
 		c.C, c.Eps, c.Delta, c.Iterations, c.Seed,
-		c.ReadsR, c.ReadsRQ, c.SlingDSamples, c.HubFraction, c.PRSimDSamples,
-		c.ExactIterations, c.ExactMaxNodes)
+		c.ReadsR, c.ReadsRQ, c.SlingDSamples, c.HubFraction, c.PRSimDSamples)
 }
 
 // Cached wraps est so query results are cached in cc.Cache and

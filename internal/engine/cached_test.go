@@ -333,7 +333,7 @@ func TestCachedTemporalNoStaleScores(t *testing.T) {
 		t.Fatal("edge update did not change snapshot version")
 	}
 
-	cfg := Config{ExactIterations: 30}
+	var cfg Config
 	shared := testCache(t)
 	ctx := context.Background()
 

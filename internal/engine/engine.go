@@ -96,11 +96,6 @@ type Config struct {
 	HubFraction float64
 	// PRSimDSamples is PRSim's per-node d(w) sample count (default 120).
 	PRSimDSamples int
-	// ExactIterations is the Power Method iteration count (default 55).
-	ExactIterations int
-	// ExactMaxNodes is the Power Method's all-pairs memory guard
-	// (default 8192; -1 disables).
-	ExactMaxNodes int
 
 	// SlingIndex, if non-nil, is a prebuilt SLING index (typically
 	// loaded from a snapshot, see internal/store) that the sling backend

@@ -28,7 +28,7 @@ func testGraph(t testing.TB) *graph.Graph {
 }
 
 func testConfig() Config {
-	return Config{Iterations: 120, Seed: 11, ReadsR: 20, ReadsRQ: 5, SlingDSamples: 30, ExactIterations: 20}
+	return Config{Iterations: 120, Seed: 11, ReadsR: 20, ReadsRQ: 5, SlingDSamples: 30}
 }
 
 func TestNames(t *testing.T) {

@@ -31,13 +31,15 @@ func BenchmarkNew(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleSource measures one deterministic series query.
+// BenchmarkSingleSource measures one deterministic series query, with
+// its allocations.
 func BenchmarkSingleSource(b *testing.B) {
 	g := benchGraph(b, 2000, 20000)
 	s, err := New(g, Options{DSamples: 60, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SingleSource(graph.NodeID(i % 2000)); err != nil {

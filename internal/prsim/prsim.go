@@ -645,16 +645,10 @@ func (ix *Index) SingleSourceResult(ctx context.Context, u graph.NodeID) (core.R
 	return out[0], err
 }
 
-// MultiSource answers a batch of sources over the index's own Workers;
-// see MultiSourceWorkers.
+// MultiSource is the map view of MultiSourceResults at the index's own
+// Workers: every entry is a map of its own, duplicates included.
 func (ix *Index) MultiSource(ctx context.Context, sources []graph.NodeID) ([]map[graph.NodeID]float64, error) {
-	return ix.MultiSourceWorkers(ctx, sources, ix.opt.Workers)
-}
-
-// MultiSourceWorkers is the map view of MultiSourceResults: every
-// entry is a map of its own, duplicates included.
-func (ix *Index) MultiSourceWorkers(ctx context.Context, sources []graph.NodeID, workers int) ([]map[graph.NodeID]float64, error) {
-	rs, err := ix.MultiSourceResults(ctx, sources, workers)
+	rs, err := ix.MultiSourceResults(ctx, sources, ix.opt.Workers)
 	if err != nil {
 		return nil, err
 	}

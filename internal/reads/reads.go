@@ -200,23 +200,10 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) 
 }
 
 // sampleStored draws the k-th stored walk of origin v from its
-// dedicated (sample, origin) stream.
+// dedicated (sample, origin) stream. It runs on the thawed graph, which
+// Build and materialize set up first.
 func (ix *Index) sampleStored(k int, v graph.NodeID) []graph.NodeID {
-	r := rng.Split(ix.opt.Seed^uint64(k)<<32, uint64(v))
-	w := []graph.NodeID{v}
-	cur := v
-	for step := 0; step < ix.opt.MaxLen; step++ {
-		if r.Float64() >= ix.sc {
-			break
-		}
-		in := ix.g.In(cur)
-		if len(in) == 0 {
-			break
-		}
-		cur = in[r.IntN(len(in))]
-		w = append(w, cur)
-	}
-	return w
+	return ix.sampleFresh(v, rng.Split(ix.opt.Seed^uint64(k)<<32, uint64(v)), nil)
 }
 
 // indexWalk adds the k-th stored walk of origin v to the inverted
@@ -387,8 +374,9 @@ func (ix *Index) accumulate(k int, w []graph.NodeID, u graph.NodeID, inc float64
 	}
 }
 
-// sampleFresh draws a query-time √c-walk from u on the current graph.
-// A borrowed index samples the frozen CSR in-lists, which are
+// sampleFresh draws a √c-walk from u on the current graph into buf:
+// the query-time walks, and through sampleStored the stored ones. A
+// borrowed index samples the frozen CSR in-lists, which are
 // elementwise the in-lists of the copy Build thaws from the same graph
 // — the walks, and therefore the scores, match bit for bit.
 func (ix *Index) sampleFresh(u graph.NodeID, r *rng.Source, buf []graph.NodeID) []graph.NodeID {
